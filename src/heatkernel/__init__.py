@@ -22,6 +22,7 @@ from .bounds import (
     fit_constants,
     gaussian_upper,
     grid_points,
+    grid_samples,
     interval_clamp_time,
     moser_ratio,
     quadratic_sharp_branches,
@@ -43,8 +44,9 @@ from .explicit import (
     a0_shift_check,
     gaussian_kernel,
     quadratic_kernel,
+    quadratic_log_kernel,
 )
-from .ode import AnsatzState, assemble_kernel, closed_form_state, integrate_odes
+from .ode import AnsatzState, ansatz_log, assemble_kernel, closed_form_state, integrate_odes
 from .potentials import (
     Cube,
     DoublingFit,
@@ -75,6 +77,7 @@ from .spectral import (
     pde_residual,
     semigroup_defect,
     separable_kernel_2d,
+    spectral_log_kernel,
 )
 
 __version__ = "0.1.0"

@@ -23,10 +23,11 @@ from .bounds import (
     fefferman_phong_ratio,
     fit_constants,
     grid_points,
+    grid_samples,
     moser_ratio,
 )
 from .config import DEFAULT_CONFIG
-from .explicit import QuadraticCoeffs, gaussian_kernel, quadratic_kernel
+from .explicit import QuadraticCoeffs, gaussian_kernel, quadratic_kernel, quadratic_log_kernel
 from .ode import assemble_kernel, closed_form_state, integrate_odes
 from .potentials import (
     Cube,
@@ -43,9 +44,9 @@ from .spectral import (
     cached_spectral,
     converged_kernel,
     dirichlet_interval_kernel,
-    eval_spectral,
     pde_residual,
     semigroup_defect,
+    spectral_log_kernel,
 )
 
 V_SQUARE = PolynomialPotential([0.0, 0.0, 1.0])
@@ -77,11 +78,12 @@ def c1_oracle_equivalence() -> CriterionResult:
     c = QuadraticCoeffs(1.0, 1.0, 1.0)
     K = cached_spectral(V, 8.0, 2001)
     xs = np.linspace(-2.0, 2.0, 9)
+    ts = (0.05, 0.1, 0.5, 1.0)
     worst_sup = 0.0
     worst_point = 0.0
-    for t in (0.05, 0.1, 0.5, 1.0):
-        pq = np.array([[quadratic_kernel(c, x, y, t).value for y in xs] for x in xs])
-        ps = np.array([[eval_spectral(K, x, y, t).value for y in xs] for x in xs])
+    exact = np.exp(quadratic_log_kernel(c, xs, xs, ts))
+    spectral = np.exp(spectral_log_kernel(K, xs, xs, ts))
+    for pq, ps in zip(exact, spectral):
         peak = float(np.max(pq))
         worst_sup = max(worst_sup, float(np.max(np.abs(ps - pq))) / peak)
         mask = pq >= 1e-3 * peak
@@ -188,14 +190,15 @@ def _sandwich_fits():
     global SANDWICH_GRID
     if SANDWICH_GRID is not None:
         return SANDWICH_GRID
-    K = lambda x, y, t: quadratic_kernel(Q_SQUARE, x, y, t)
-    pts = grid_points(np.linspace(-3, 3, 13), np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8))
+    xs, ts = np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8)
+    pts = grid_points(xs, xs, ts)
+    samples = grid_samples(xs, xs, ts, quadratic_log_kernel(Q_SQUARE, xs, xs, ts))
     fits = {
-        "avg_upper": fit_constants(V_SQUARE, K, "avg_upper", pts, beta=0.99),
-        "symmetrized_upper": fit_constants(V_SQUARE, K, "symmetrized_upper", pts, beta=0.99),
-        "quadratic_sharp": fit_constants(V_SQUARE, K, "quadratic_sharp", pts),
-        "avg_lower_near": fit_constants(V_SQUARE, K, "avg_lower_near", pts, kappa=0.125),
-        "avg_lower_far": fit_constants(V_SQUARE, K, "avg_lower_far", pts, kappa=0.125),
+        "avg_upper": fit_constants(V_SQUARE, samples, "avg_upper", beta=0.99),
+        "symmetrized_upper": fit_constants(V_SQUARE, samples, "symmetrized_upper", beta=0.99),
+        "quadratic_sharp": fit_constants(V_SQUARE, samples, "quadratic_sharp"),
+        "avg_lower_near": fit_constants(V_SQUARE, samples, "avg_lower_near", kappa=0.125),
+        "avg_lower_far": fit_constants(V_SQUARE, samples, "avg_lower_far", kappa=0.125),
     }
     SANDWICH_GRID = (pts, fits)
     return SANDWICH_GRID
@@ -331,21 +334,25 @@ def c9_inequality_checks(seed: int = 0) -> CriterionResult:
 
 def c10_dirichlet_comparisons() -> CriterionResult:
     eps = math.pi / 4.0
-    K = lambda x, y, t: dirichlet_interval_kernel(0.0, math.pi, x, y, t)
     inner = np.linspace(math.pi / 4.0, 3.0 * math.pi / 4.0, 11)[1:-1]
-    pts = grid_points(inner, inner, np.linspace(0.01, 1.0, 6))
-    fit = fit_constants(None, K, "dirichlet_interval", pts, epsilon=eps)
+    samples = [
+        (x, y, t, dirichlet_interval_kernel(0.0, math.pi, x, y, t).log_value)
+        for x, y, t in grid_points(inner, inner, np.linspace(0.01, 1.0, 6))
+    ]
+    fit = fit_constants(None, samples, "dirichlet_interval", epsilon=eps)
     ok_interval = fit.feasible and 0.0 < fit.envelope.C < 1.0
 
     rh = rh_constant(V_SQUARE, math.inf, Cube(0.0, 4.0), 8)
     M = rh.constant * cube_average(V_SQUARE, Cube(0.0, 4.0))
     KB = cached_spectral(V_SQUARE, 2.0, 799)
+    xs, ts = np.linspace(-1.5, 1.5, 7), (0.1, 0.3, 0.5, 1.0)
+    PB = np.exp(spectral_log_kernel(KB, xs, xs, ts))
     worst = -math.inf
-    for x in np.linspace(-1.5, 1.5, 7):
-        for y in np.linspace(-1.5, 1.5, 7):
-            for t in (0.1, 0.3, 0.5, 1.0):
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            for k, t in enumerate(ts):
                 lhs = math.exp(-M * t) * dirichlet_interval_kernel(-2.0, 2.0, x, y, t).value
-                pb = eval_spectral(KB, x, y, t).value
+                pb = float(PB[k, i, j])
                 worst = max(worst, (lhs - pb) / pb)
     ok_dom = worst <= 1e-6
     passed = ok_interval and ok_dom

@@ -19,8 +19,6 @@ from .errors import GeometryError, ParameterError
 from .explicit import KernelValue
 from .potentials import Cube, Potential, cube_average, m_beta
 
-KernelFn = Callable[[float, float, float], KernelValue]
-
 UPPER_FAMILIES = ("gaussian_upper", "avg_upper", "symmetrized_upper", "quadratic_sharp")
 LOWER_FAMILIES = ("avg_lower_near", "avg_lower_far", "dirichlet_interval", "dirichlet_ball")
 FAMILIES = UPPER_FAMILIES + LOWER_FAMILIES
@@ -46,6 +44,7 @@ __all__ = [
     "moser_ratio",
     "fit_constants",
     "grid_points",
+    "grid_samples",
     "FAMILIES",
     "UPPER_FAMILIES",
     "LOWER_FAMILIES",
@@ -489,12 +488,17 @@ def grid_points(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]):
     return [(float(x), float(y), float(t)) for x in xs for y in ys for t in ts]
 
 
-def _finite_logp(K: KernelFn, pts):
-    out = []
-    for x, y, t in pts:
-        lp = K(x, y, t).log_value
-        out.append((x, y, t, lp))
-    return out
+def grid_samples(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float], log_p):
+    """(x, y, t, log p) in the x-major order of `grid_points`.
+
+    log_p is a kernel evaluated on the grid, shaped [t, x, y] as the
+    engines' `log_kernel(xs, ys, ts)` returns it.
+    """
+    values = np.asarray(log_p, dtype=float).transpose(1, 2, 0).ravel().tolist()
+    pts = grid_points(xs, ys, ts)
+    if len(values) != len(pts):
+        raise ParameterError(f"{len(values)} kernel values for {len(pts)} grid points")
+    return [pt + (lp,) for pt, lp in zip(pts, values)]
 
 
 def _fit_coefficient(quotients, unconstrained_default=1.0):
@@ -512,9 +516,8 @@ def _fit_coefficient(quotients, unconstrained_default=1.0):
 
 def fit_constants(
     V: Potential,
-    K: KernelFn,
+    samples,
     family: str,
-    grid,
     *,
     n: int = 1,
     beta: float | None = None,
@@ -522,8 +525,10 @@ def fit_constants(
     epsilon: float | None = None,
     c_floor: float = 1e-9,
 ) -> FitResult:
-    """Fit the free envelope constants against a kernel on a sample grid.
+    """Fit the free envelope constants against kernel samples.
 
+    samples are (x, y, t, log p) tuples, as `grid_samples` makes them from
+    one evaluation of the grid; every family fits against the same samples.
     Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8,
     then take the decay coefficient as the infimum of admissible values
     over the grid (clipped at zero); lower families mirror this with a
@@ -533,9 +538,11 @@ def fit_constants(
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown envelope family {family!r}")
-    pts = _finite_logp(K, list(grid))
+    pts = [tuple(s) for s in samples]
     if not pts:
         raise ParameterError("empty sample grid")
+    if any(len(p) != 4 for p in pts):
+        raise ParameterError("samples must be (x, y, t, log_p) tuples")
 
     if family in UPPER_FAMILIES:
         return _fit_upper(V, family, pts, n=n, beta=beta, c_floor=c_floor)

@@ -9,22 +9,22 @@ Subcommands
     verify   full acceptance suite; exit 0 iff everything passes
 
 Outputs are deterministic: identical configs give byte-identical files.
-HEATKERNEL_THREADS caps the worker pool used for grid evaluation (the
-reduction order is fixed regardless).
+Each engine evaluates a grid in one batched call, `log_kernel(xs, ys, ts)`
+returning log p shaped [t, x, y]; `kernel` and `bounds` evaluate their grid
+once.  A relative `tabulated.table` path resolves against the directory of
+the config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_points
+from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_samples
 from .config import (
     DEFAULT_CONFIG,
     ENGINES,
@@ -37,22 +37,14 @@ from .config import (
 )
 from .csvout import emit_csv
 from .errors import ConfigError
-from .explicit import quadratic_kernel
-from .ode import closed_form_state, integrate_odes, trajectory_to_csv
+from .explicit import KernelValue, quadratic_log_kernel
+from .ode import ansatz_log, closed_form_state, integrate_odes, trajectory_to_csv
 from .potentials import Cube, ap_constant, cube_average, doubling_fit, rh_constant
-from .spectral import cached_spectral, eval_spectral
+from .spectral import build_spectral, spectral_log_kernel
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("HEATKERNEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _rel_tol(cfg: dict) -> float:
@@ -62,63 +54,60 @@ def _rel_tol(cfg: dict) -> float:
     return rel
 
 
-def _build_engine(cfg: dict):
-    """Return (kernel evaluator, potential, provenance string) for the engine."""
+def _potential(cfg: dict, base_dir: Path | None):
+    return potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
+
+
+def _build_engine(cfg: dict, base_dir: Path | None = None):
+    """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], potential, provenance)."""
     engine = cfg.get("engine", "explicit")
-    V = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]))
+    V = _potential(cfg, base_dir)
     if engine == "explicit":
         quad = quadratic_from_potential(V)
-        return (lambda x, y, t: quadratic_kernel(quad, x, y, t)), V, "engine=explicit"
+        return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), V, "engine=explicit"
     if engine == "ode":
         quad = quadratic_from_potential(V)
-        if quad.a0 != 0.0:
-            shift = quad.a0
-            reduced = type(quad)(0.0, quad.a1, quad.a2)
-        else:
-            shift, reduced = 0.0, quad
+        shift = quad.a0
+        reduced = type(quad)(0.0, quad.a1, quad.a2)
 
-        def ode_kernel(x, y, t):
-            from .explicit import KernelValue
-            from .ode import assemble_kernel
+        def ode_log_kernel(xs, ys, ts):
+            X = np.asarray(xs, dtype=float)[:, None]
+            Y = np.asarray(ys, dtype=float)[None, :]
+            return np.stack(
+                [ansatz_log(closed_form_state(reduced, float(t)), X, Y) - shift * float(t) for t in ts]
+            )
 
-            st = closed_form_state(reduced, t)
-            kv = assemble_kernel(st, x, y)
-            return KernelValue(kv.log_value - shift * t)
-
-        return ode_kernel, V, "engine=ode"
+        return ode_log_kernel, V, "engine=ode"
     if engine == "spectral":
         spec = cfg.get("spectral", DEFAULT_CONFIG["spectral"])
         L = float(spec.get("half_width", 8.0))
         m = int(spec.get("points", 2001))
-        K = cached_spectral(V, L, m)
+        K = build_spectral(V, L, m)
         ref_t = min(float(v) for v in cfg.get("grid", {}).get("t", [0.05, 1.0, 2])[:2]) or 0.05
         prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(max(ref_t, 1e-6))}"
-        return (lambda x, y, t: eval_spectral(K, x, y, t)), V, prov
+        return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), V, prov
     raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
 
 
-def cmd_kernel(cfg: dict, out: Path) -> int:
-    K, _, prov = _build_engine(cfg)
+def _evaluate_grid(cfg: dict, base_dir: Path | None):
+    """Build the engine and evaluate its grid once: (samples, potential, provenance line)."""
+    log_kernel, V, prov = _build_engine(cfg, base_dir)
     xs, ys, ts = grid_from_config(cfg)
-    pts = grid_points(xs, ys, ts)
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda p: K(*p), pts))
-    else:
-        values = [K(*p) for p in pts]
-    rows = [(x, y, t, kv.log_value, kv.value) for (x, y, t), kv in zip(pts, values)]
+    samples = grid_samples(xs, ys, ts, log_kernel(xs, ys, ts))
     prov_line = f"config={config_hash(cfg)} {prov} grid={len(xs)}x{len(ys)}x{len(ts)}"
+    return samples, V, prov_line
+
+
+def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
+    samples, _, prov_line = _evaluate_grid(cfg, base_dir)
+    rows = [(x, y, t, lp, KernelValue(lp).value) for x, y, t, lp in samples]
     path = emit_csv(rows, ["x", "y", "t", "log_p", "p"], out / "kernel.csv", prov_line)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def cmd_bounds(cfg: dict, out: Path) -> int:
-    K, V, prov = _build_engine(cfg)
-    xs, ys, ts = grid_from_config(cfg)
-    pts = grid_points(xs, ys, ts)
-    prov_line = f"config={config_hash(cfg)} {prov} grid={len(xs)}x{len(ys)}x{len(ts)}"
+def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
+    samples, V, prov_line = _evaluate_grid(cfg, base_dir)
     verdict_rows = []
     slack_rows = []
     all_ok = True
@@ -126,9 +115,8 @@ def cmd_bounds(cfg: dict, out: Path) -> int:
         env0 = envelope_from_config(spec)
         fit = fit_constants(
             V,
-            K,
+            samples,
             env0.family,
-            pts,
             n=env0.n,
             beta=env0.beta,
             kappa=env0.kappa,
@@ -166,8 +154,8 @@ def cmd_bounds(cfg: dict, out: Path) -> int:
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
-def cmd_weights(cfg: dict, out: Path) -> int:
-    V = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]))
+def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
+    V = _potential(cfg, base_dir)
     w = cfg.get("weights", DEFAULT_CONFIG["weights"])
     window = Cube(float(w.get("window_center", 0.0)), float(w.get("window_side", 2.0)))
     depth = int(w.get("depth", 12))
@@ -195,9 +183,9 @@ def cmd_weights(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_ode(cfg: dict, out: Path) -> int:
+def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     o = cfg.get("ode", DEFAULT_CONFIG["ode"])
-    V = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]))
+    V = _potential(cfg, base_dir)
     quad = quadratic_from_potential(V)
     if quad.a0 != 0.0:
         quad = type(quad)(0.0, quad.a1, quad.a2)
@@ -213,9 +201,9 @@ def cmd_ode(cfg: dict, out: Path) -> int:
     return EXIT_OK if err <= rel else EXIT_FAILURE
 
 
-def cmd_chain(cfg: dict, out: Path) -> int:
+def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     ch = cfg.get("chain", DEFAULT_CONFIG["chain"])
-    V = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]))
+    V = _potential(cfg, base_dir)
     x, y, t = float(ch.get("x", 0.0)), float(ch.get("y", 1.0)), float(ch.get("t", 1.0))
     sigma = ch.get("sigma")
     plan = chain_plan(x, y, t, sigma=float(sigma) if sigma is not None else None)
@@ -237,7 +225,7 @@ def cmd_chain(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out: Path) -> int:
+def cmd_verify(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     from . import acceptance
 
     results = acceptance.run_all(out_dir=out, seed=int(cfg.get("seed", 0)))
@@ -280,7 +268,8 @@ def main(argv=None) -> int:
             "chain": cmd_chain,
             "verify": cmd_verify,
         }[args.command]
-        return handler(cfg, out)
+        base_dir = args.config.parent if args.config else None
+        return handler(cfg, out, base_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

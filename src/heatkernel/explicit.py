@@ -23,6 +23,7 @@ __all__ = [
     "QuadraticCoeffs",
     "gaussian_kernel",
     "quadratic_kernel",
+    "quadratic_log_kernel",
     "a0_shift_check",
     "log_csch",
     "csch",
@@ -106,6 +107,27 @@ def gaussian_kernel(n: int, x, y, t: float) -> KernelValue:
     return KernelValue(logp)
 
 
+def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
+    """log p at one time t; x and y are floats or broadcastable arrays.
+
+    The t-only factors are computed once, as floats, so an array call costs
+    one pass of elementwise arithmetic over x and y.
+    """
+    w = math.sqrt(c.a2)
+    u = 2.0 * w * t
+    cs = csch(u)
+    th = coth_minus_csch(u)
+    head = 0.5 * (0.5 * math.log(c.a2) + log_csch(u) - LOG_2PI)
+    head += (c.a1**2 / (4.0 * c.a2) - c.a0) * t
+    head -= c.a1**2 / (4.0 * w**3) * th
+    return head - 0.5 * w * ((x - y) ** 2 * cs + (x**2 + y**2) * th) - c.a1 / (2.0 * w) * (x + y) * th
+
+
+def _check_time(t: float) -> None:
+    if not t >= T_FLOOR:
+        raise ParameterError(f"time must be >= {T_FLOOR}, got {t}")
+
+
 def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> KernelValue:
     """Exact 1D heat kernel for V(x) = a0 + a1 x + a2 x^2, a2 > 0.
 
@@ -117,19 +139,24 @@ def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> Kernel
     with u = 2 sqrt(a2) t.  This is the shifted/translated oscillator
     kernel; it does not require V >= 0.
     """
-    if not t >= T_FLOOR:
-        raise ParameterError(f"time must be >= {T_FLOOR}, got {t}")
-    w = math.sqrt(c.a2)
-    u = 2.0 * w * t
-    lcs = log_csch(u)
-    cs = csch(u)
-    th = coth_minus_csch(u)
-    logp = 0.5 * (0.5 * math.log(c.a2) + lcs - LOG_2PI)
-    logp += (c.a1**2 / (4.0 * c.a2) - c.a0) * t
-    logp -= c.a1**2 / (4.0 * w**3) * th
-    logp -= 0.5 * w * ((x - y) ** 2 * cs + (x**2 + y**2) * th)
-    logp -= c.a1 / (2.0 * w) * (x + y) * th
-    return KernelValue(logp)
+    _check_time(t)
+    return KernelValue(float(_quadratic_log(c, x, y, t)))
+
+
+def quadratic_log_kernel(c: QuadraticCoeffs, xs, ys, ts) -> np.ndarray:
+    """log p of the closed-form kernel on a grid, shaped [t, x, y].
+
+    Same formula and operation order as `quadratic_kernel`, so each entry
+    equals the scalar value bit for bit.
+    """
+    X = np.asarray(xs, dtype=float)[:, None]
+    Y = np.asarray(ys, dtype=float)[None, :]
+    out = np.empty((len(ts), X.shape[0], Y.shape[1]))
+    for k, t in enumerate(ts):
+        t = float(t)
+        _check_time(t)
+        out[k] = _quadratic_log(c, X, Y, t)
+    return out
 
 
 def a0_shift_check(c: QuadraticCoeffs, x: float, y: float, t: float) -> float:

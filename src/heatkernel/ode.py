@@ -37,7 +37,14 @@ from .explicit import (
     log_csch,
 )
 
-__all__ = ["AnsatzState", "closed_form_state", "integrate_odes", "assemble_kernel", "trajectory_to_csv"]
+__all__ = [
+    "AnsatzState",
+    "closed_form_state",
+    "integrate_odes",
+    "ansatz_log",
+    "assemble_kernel",
+    "trajectory_to_csv",
+]
 
 
 @dataclass(frozen=True)
@@ -135,10 +142,15 @@ def integrate_odes(
     ]
 
 
-def assemble_kernel(state: AnsatzState, x: float, y: float) -> KernelValue:
-    """Evaluate the ansatz at (x, y): log p = logphi - quadratic form - linear form."""
+def ansatz_log(state: AnsatzState, x, y):
+    """log p = logphi - quadratic form - linear form; x, y may be broadcastable arrays."""
     quad = 0.5 * (state.alpha * x**2 + state.gamma * y**2 + 2.0 * state.beta * x * y)
-    return KernelValue(state.log_phi - quad - state.mu * x - state.nu * y)
+    return state.log_phi - quad - state.mu * x - state.nu * y
+
+
+def assemble_kernel(state: AnsatzState, x: float, y: float) -> KernelValue:
+    """Evaluate the ansatz at (x, y)."""
+    return KernelValue(float(ansatz_log(state, x, y)))
 
 
 def trajectory_to_csv(states: list[AnsatzState], path) -> None:

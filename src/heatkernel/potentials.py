@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -201,6 +201,14 @@ class TabulatedPotential(Potential):
         val = np.interp(arr, self.xs, self.values)
         return val if val.ndim else float(val)
 
+    @cached_property
+    def cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, values, trapezoid integral from the first node to each node)."""
+        xs = np.asarray(self.xs)
+        vs = np.asarray(self.values)
+        segs = 0.5 * (vs[1:] + vs[:-1]) * np.diff(xs)
+        return xs, vs, np.concatenate([[0.0], np.cumsum(segs)])
+
 
 @dataclass(frozen=True)
 class ScaledPotential(Potential):
@@ -316,15 +324,8 @@ def _gl_interval_integral(f, lo, hi, order: int = 33):
     return half * np.sum(vals * weights, axis=-1)
 
 
-def _tab_cumulative(V: TabulatedPotential):
-    xs = np.asarray(V.xs)
-    vs = np.asarray(V.values)
-    segs = 0.5 * (vs[1:] + vs[:-1]) * np.diff(xs)
-    return xs, vs, np.concatenate([[0.0], np.cumsum(segs)])
-
-
 def _tab_primitive(V: TabulatedPotential, x):
-    xs, vs, cum = _tab_cumulative(V)
+    xs, vs, cum = V.cumulative
     x = np.asarray(x, dtype=float)
     idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     x0 = xs[idx]
@@ -359,13 +360,31 @@ def interval_integral(V: Potential, lo, hi):
     raise ParameterError(f"no interval integral for {type(V).__name__}")
 
 
-def _poly_real_roots_in(coeffs, lo, hi):
+@lru_cache(maxsize=32)
+def _poly_real_roots(coeffs: tuple[float, ...]) -> np.ndarray:
+    """Real roots of a polynomial (imaginary part below 1e-9), found once per coefficient tuple."""
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(c) <= 1:
-        return []
-    roots = npoly.polyroots(c)
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
-    return [r for r in real if lo - 1e-12 <= r <= hi + 1e-12]
+    roots = npoly.polyroots(c) if len(c) > 1 else np.empty(0, dtype=complex)
+    real = roots.real[np.abs(roots.imag) < 1e-9]
+    real.flags.writeable = False
+    return real
+
+
+def _nonintegrable_root_mask(coeffs, lo, hi, q: float) -> np.ndarray:
+    """Per interval: whether a real root of the polynomial inside it makes V^q non-integrable.
+
+    A root counts as inside [lo, hi] up to 1e-12; roots within 1e-8 of each
+    other count as one root of that multiplicity m, which is non-integrable
+    iff m q <= -1.  The roots are found once for all intervals.
+    """
+    roots = _poly_real_roots(tuple(coeffs))
+    lo, hi = np.broadcast_arrays(lo, hi)
+    if roots.size == 0 or q > -0.5:
+        return np.zeros(lo.shape, dtype=bool)
+    inside = (lo[..., None] - 1e-12 <= roots) & (roots <= hi[..., None] + 1e-12)
+    close = np.abs(roots[:, None] - roots[None, :]) < 1e-8
+    mult = inside.astype(int) @ close.astype(int)  # [..., r]: roots inside near root r
+    return np.any(inside & (mult * q <= -1.0), axis=-1)
 
 
 def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 0.0):
@@ -396,17 +415,7 @@ def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 
         vals, div = powered_interval_integral(V.base, lo, hi, q, excision)
         return V.factor**q * vals, div
     if isinstance(V, PolynomialPotential) and q < 0:
-        lo_b, hi_b = np.broadcast_arrays(lo, hi)
-        divergent = np.zeros(lo_b.shape, dtype=bool)
-        flat_lo, flat_hi = lo_b.ravel(), hi_b.ravel()
-        flags = divergent.reshape(-1)
-        for i in range(flat_lo.size):
-            roots = _poly_real_roots_in(V.coeffs, flat_lo[i], flat_hi[i])
-            # a root of multiplicity m makes V^q non-integrable iff m*q <= -1
-            if roots and q <= -0.5:
-                mult = max(sum(1 for r2 in roots if abs(r2 - r) < 1e-8) for r in roots)
-                if mult * q <= -1.0:
-                    flags[i] = True
+        divergent = _nonintegrable_root_mask(V.coeffs, lo, hi, q)
         with np.errstate(divide="ignore"):
             vals = _gl_interval_integral(lambda x: np.clip(V(x), 0.0, None) ** q, lo, hi)
         vals = np.where(divergent, np.inf, vals)

@@ -33,13 +33,13 @@ from .explicit import KernelValue
 from .potentials import Potential, PowerPotential
 
 EIGENSUM_TAIL = 1e-16
-KernelFn = Callable[[float, float, float], KernelValue]
 
 __all__ = [
     "DiscreteHamiltonian",
     "SpectralKernel",
     "build_spectral",
     "eval_spectral",
+    "spectral_log_kernel",
     "dirichlet_interval_kernel",
     "converged_kernel",
     "ProbeGrid",
@@ -106,17 +106,26 @@ class SpectralKernel:
 
     def modes_at(self, x: float) -> np.ndarray:
         """Linear interpolation of every eigenvector at one point."""
-        if not -self.L <= x <= self.L:
-            raise ParameterError(f"point {x} outside [-{self.L}, {self.L}]")
-        pos = (x + self.L) / self.h
-        j = min(int(pos), self.m)
-        w = pos - j
+        return self.rows([x])[0]
+
+    def rows(self, xs) -> np.ndarray:
+        """Interpolated eigenvector values, one row per point of xs."""
+        xs = np.asarray(xs, dtype=float)
+        outside = (xs < -self.L) | (xs > self.L) | np.isnan(xs)
+        if np.any(outside):
+            raise ParameterError(f"point {xs[outside][0]} outside [-{self.L}, {self.L}]")
+        pos = (xs + self.L) / self.h
+        j = np.minimum(pos.astype(int), self.m)
+        w = (pos - j)[:, None]
         return self.phi[j] * (1.0 - w) + self.phi[j + 1] * w
+
+    def weights(self, t: float) -> np.ndarray:
+        """exp(-lambda_k t) for every mode."""
+        return np.exp(-np.clip(self.eigenvalues * t, None, 745.0))
 
     def mode_count(self, t: float) -> int:
         """Number of modes the eigensum keeps at time t."""
-        weights = np.exp(-np.clip(self.eigenvalues * t, None, 745.0))
-        bounds = weights * self.phi_sup**2
+        bounds = self.weights(t) * self.phi_sup**2
         total = float(np.sum(bounds))
         keep = bounds >= EIGENSUM_TAIL * total
         return int(np.max(np.nonzero(keep)) + 1) if np.any(keep) else 1
@@ -124,8 +133,7 @@ class SpectralKernel:
     def mass(self, x: float, t: float) -> float:
         """h-weighted integral of p_B(x, ., t) over the box."""
         col_sums = self.h * np.sum(self.phi[1:-1], axis=0)
-        weights = np.exp(-np.clip(self.eigenvalues * t, None, 745.0))
-        return float(np.dot(weights * self.modes_at(x), col_sums))
+        return float(np.dot(self.weights(t) * self.modes_at(x), col_sums))
 
 
 def build_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
@@ -155,26 +163,37 @@ def build_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
     )
 
 
-def eval_spectral(K: SpectralKernel, x: float, y: float, t: float) -> KernelValue:
-    """Truncated eigensum; tiny negative truncation noise clamps to zero.
+def spectral_log_kernel(K: SpectralKernel, xs, ys, ts) -> np.ndarray:
+    """Truncated eigensum on a grid, as log p shaped [t, x, y].
 
-    Modes are dropped once their worst-case contribution falls below
-    EIGENSUM_TAIL of the accumulated sum.
+    The rows of every distinct point are interpolated once; each time slice
+    is then one product (A diag(w)) A^T over the first `mode_count(t)`
+    modes, the ones whose worst-case contribution is at least EIGENSUM_TAIL
+    of the sum of all such bounds.  Only the x <= y triangle of that product
+    is kept and mirrored, so p(x, y, t) and p(y, x, t) are bit-identical.
+    Values <= 0 (truncation noise below the cancellation floor) map to -inf.
     """
-    if not t > 0.0:
-        raise ParameterError(f"time must be > 0, got {t}")
-    if y < x:
-        x, y = y, x  # fixed multiplication order keeps the symmetry bit-exact
-    weights = np.exp(-np.clip(K.eigenvalues * t, None, 745.0))
-    terms = weights * K.modes_at(x) * K.modes_at(y)
-    running = np.cumsum(terms)
-    bounds = weights * K.phi_sup**2
-    keep = bounds >= EIGENSUM_TAIL * np.abs(running)
-    kcut = int(np.max(np.nonzero(keep)) + 1) if np.any(keep) else 1
-    value = float(running[kcut - 1])
-    if value <= 0.0:
-        return KernelValue(-math.inf)
-    return KernelValue(math.log(value))
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    for t in ts:
+        if not t > 0.0:
+            raise ParameterError(f"time must be > 0, got {t}")
+    pts, index = np.unique(np.concatenate([xs, ys]), return_inverse=True)
+    ix, iy = index[: len(xs)], index[len(xs) :]
+    A = K.rows(pts)
+    upper = np.triu(np.ones((len(pts), len(pts)), dtype=bool))
+    out = np.empty((len(ts), len(xs), len(ys)))
+    for k, t in enumerate(ts):
+        n = K.mode_count(t)
+        G = (A[:, :n] * K.weights(t)[:n]) @ A[:, :n].T
+        out[k] = np.where(upper, G, G.T)[np.ix_(ix, iy)]
+    positive = out > 0.0
+    return np.where(positive, np.log(np.where(positive, out, 1.0)), -np.inf)
+
+
+def eval_spectral(K: SpectralKernel, x: float, y: float, t: float) -> KernelValue:
+    """One point of `spectral_log_kernel`."""
+    return KernelValue(float(spectral_log_kernel(K, [x], [y], [t])[0, 0, 0]))
 
 
 def dirichlet_interval_kernel(
@@ -273,7 +292,9 @@ class ProbeGrid:
         return ProbeGrid(self.x_min, self.x_max, self.t_min, self.t_max, self.h * factor, self.tau * factor)
 
 
-def pde_residual(V: Potential, K: KernelFn, y: float, grid: ProbeGrid) -> float:
+def pde_residual(
+    V: Potential, K: Callable[[float, float, float], KernelValue], y: float, grid: ProbeGrid
+) -> float:
     """Max norm of d_t p + (-D_h^2 p + V p) over the probe lattice.
 
     Centered second differences in space, centered first differences in
@@ -293,7 +314,7 @@ def pde_residual(V: Potential, K: KernelFn, y: float, grid: ProbeGrid) -> float:
     return float(np.max(np.abs(residual)))
 
 
-def separable_kernel_2d(k1: KernelFn, k2: KernelFn):
+def separable_kernel_2d(k1, k2):
     """Product kernel for additively separable 2D potentials.
 
     When V(x1, x2) = V1(x1) + V2(x2) the Hamiltonian splits and the heat
@@ -322,10 +343,8 @@ def semigroup_defect(K, x: float, y: float, t: float, s: float, L: float | None 
     if not (t > 0 and s > 0):
         raise ParameterError("semigroup times must be > 0")
     if isinstance(K, SpectralKernel):
-        wt = np.exp(-np.clip(K.eigenvalues * t, None, 745.0))
-        ws = np.exp(-np.clip(K.eigenvalues * s, None, 745.0))
-        p1 = K.phi[1:-1] @ (wt * K.modes_at(x))
-        p2 = K.phi[1:-1] @ (ws * K.modes_at(y))
+        p1 = K.phi[1:-1] @ (K.weights(t) * K.modes_at(x))
+        p2 = K.phi[1:-1] @ (K.weights(s) * K.modes_at(y))
         integral = K.h * float(np.dot(p1, p2))
         direct = eval_spectral(K, x, y, t + s).value
     else:

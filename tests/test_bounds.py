@@ -26,10 +26,12 @@ from heatkernel import (
     gaussian_kernel,
     gaussian_upper,
     grid_points,
+    grid_samples,
     interval_clamp_time,
     m_beta,
     moser_ratio,
     quadratic_kernel,
+    quadratic_log_kernel,
     quadratic_sharp_branches,
     quadratic_sharp_envelope,
     symmetrized_upper,
@@ -38,6 +40,12 @@ from heatkernel import (
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 V0 = constant(0.0)
+Q_SQ = QuadraticCoeffs(0, 0, 1)
+
+
+def sampled(K, pts):
+    """(x, y, t, log p) samples of a scalar kernel, as fit_constants takes them."""
+    return [(x, y, t, K(x, y, t).log_value) for x, y, t in pts]
 
 
 def _upper_env(**kw):
@@ -158,7 +166,7 @@ def test_interval_lower_holds_for_sine_series():
         np.linspace(0.01, 1.0, 6),
     )
     K = lambda x, y, t: dirichlet_interval_kernel(0.0, math.pi, x, y, t)
-    fit = fit_constants(None, K, "dirichlet_interval", pts, epsilon=eps)
+    fit = fit_constants(None, sampled(K, pts), "dirichlet_interval", epsilon=eps)
     assert fit.feasible
     assert 0.0 < fit.envelope.C < 1.0
     assert fit.min_slack >= -1e-12
@@ -296,7 +304,7 @@ def test_moser_ratio_kernels_bounded(rng):
 def test_fit_constants_zero_potential():
     K = lambda x, y, t: gaussian_kernel(1, x, y, t)
     pts = grid_points(np.linspace(-2, 2, 7), np.linspace(-2, 2, 7), [0.1, 0.5, 1.0])
-    fit = fit_constants(V0, K, "avg_upper", pts, beta=0.9)
+    fit = fit_constants(V0, sampled(K, pts), "avg_upper", beta=0.9)
     assert fit.feasible
     # decay argument vanished everywhere: envelope reduces to the Gaussian shape
     assert fit.min_slack >= -1e-12
@@ -307,16 +315,16 @@ def test_fit_constants_infeasible_reports_witness():
     K = lambda x, y, t: gaussian_kernel(1, x, y, t)
     tiny = lambda x, y, t: type(K(x, y, t))(K(x, y, t).log_value - 50.0)
     pts = grid_points([0.0], [0.0], [0.5])
-    fit = fit_constants(V0, tiny, "avg_lower_near", pts, kappa=0.5)
+    fit = fit_constants(V0, sampled(tiny, pts), "avg_lower_near", kappa=0.5)
     assert not fit.feasible
     assert fit.witness is not None
 
 
 def test_fit_constants_sandwich_quadratic():
-    K = lambda x, y, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, y, t)
-    pts = grid_points(np.linspace(-3, 3, 9), np.linspace(-3, 3, 9), np.linspace(0.05, 3, 5))
-    up = fit_constants(V_SQ, K, "symmetrized_upper", pts, beta=0.99)
-    low = fit_constants(V_SQ, K, "avg_lower_near", pts, kappa=0.125)
+    xs, ts = np.linspace(-3, 3, 9), np.linspace(0.05, 3, 5)
+    samples = grid_samples(xs, xs, ts, quadratic_log_kernel(Q_SQ, xs, xs, ts))
+    up = fit_constants(V_SQ, samples, "symmetrized_upper", beta=0.99)
+    low = fit_constants(V_SQ, samples, "avg_lower_near", kappa=0.125)
     assert up.feasible and low.feasible
     assert up.min_slack >= -1e-12 and low.min_slack >= -1e-12
 
@@ -334,9 +342,8 @@ def test_envelope_validation():
 
 def test_quadratic_sharp_fit_wide_time_grid():
     # an upper envelope exists over x,y in [-3,3], t in [0.01, 5]
-    K = lambda x, y, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, y, t)
-    pts = grid_points(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7), np.geomspace(0.01, 5.0, 8))
-    fit = fit_constants(V_SQ, K, "quadratic_sharp", pts)
+    xs, ts = np.linspace(-3, 3, 7), np.geomspace(0.01, 5.0, 8)
+    fit = fit_constants(V_SQ, grid_samples(xs, xs, ts, quadratic_log_kernel(Q_SQ, xs, xs, ts)), "quadratic_sharp")
     assert fit.feasible
     env = fit.envelope
     assert all(getattr(env, k) > 0 for k in ("c0", "c1", "c2", "c3"))
@@ -371,12 +378,11 @@ def test_evaluate_envelope_dispatch_all_families():
 def test_fit_dirichlet_ball_needs_dimension():
     K = lambda x, y, t: gaussian_kernel(1, x, y, t)
     with pytest.raises(ParameterError):
-        fit_constants(None, K, "dirichlet_ball", [(0.0, 0.0, 0.5)], epsilon=0.5, n=1)
+        fit_constants(None, sampled(K, [(0.0, 0.0, 0.5)]), "dirichlet_ball", epsilon=0.5, n=1)
 
 
 def test_fit_lower_defaults_kappa():
-    K = lambda x, y, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, y, t)
-    pts = grid_points(np.linspace(-2, 2, 7), np.linspace(-2, 2, 7), [0.1, 0.5])
-    fit = fit_constants(V_SQ, K, "avg_lower_near", pts)
+    xs, ts = np.linspace(-2, 2, 7), [0.1, 0.5]
+    fit = fit_constants(V_SQ, grid_samples(xs, xs, ts, quadratic_log_kernel(Q_SQ, xs, xs, ts)), "avg_lower_near")
     assert fit.feasible
     assert fit.envelope.kappa == 0.125
