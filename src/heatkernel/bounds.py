@@ -527,8 +527,8 @@ def fit_constants(
 ) -> FitResult:
     """Fit the free envelope constants against kernel samples.
 
-    samples are (x, y, t, log p) tuples, as `grid_samples` makes them from
-    one evaluation of the grid; every family fits against the same samples.
+    samples is an iterable of (x, y, t, log p), read once, as `grid_samples`
+    makes them from one evaluation of the grid.
     Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8,
     then take the decay coefficient as the infimum of admissible values
     over the grid (clipped at zero); lower families mirror this with a

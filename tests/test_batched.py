@@ -124,6 +124,27 @@ def test_kernel_csv_rows_are_x_major(tmp_path, engine):
         assert max(abs(r[3] - quadratic_kernel(c, *r[:3]).log_value) for r in rows) <= 1e-12
 
 
+def test_closed_form_bounds_reads_the_batched_values(tmp_path):
+    cfg = {
+        "potential": {"kind": "polynomial", "coefficients": [0.5, 0.2, 1.0], "dimension": 1},
+        "engine": "explicit",
+        "grid": {"x": [-1.0, 1.0, 3], "y": [0.0, 0.5, 2], "t": [0.1, 0.4, 2]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "bounds"]) == 0
+    lines = (tmp_path / "out" / "bound_slacks.csv").read_text().splitlines()[2:]
+    by_family = {}
+    for ln in lines:
+        family, *vals = ln.split(",")
+        by_family.setdefault(family, []).append(tuple(float(v) for v in vals[:4]))
+    xs, ys, ts = [-1.0, 0.0, 1.0], [0.0, 0.5], [0.1, 0.4]
+    want = grid_samples(xs, ys, ts, quadratic_log_kernel(QuadraticCoeffs(0.5, 0.2, 1.0), xs, ys, ts))
+    assert len(by_family) == 5 and by_family["avg_upper"] == want
+    for rows in by_family.values():  # some families record only the points in their regime
+        assert rows == [w for w in want if w in set(rows)]
+
+
 def test_fit_constants_rejects_malformed_samples():
     with pytest.raises(ParameterError):
         fit_constants(None, [], "avg_upper", beta=0.9)
