@@ -61,7 +61,6 @@ from .potentials import (
     constant,
     cube_average,
     doubling_fit,
-    eval_potential,
     m_beta,
     rh_constant,
 )

@@ -42,6 +42,7 @@ __all__ = [
     "fefferman_phong_ratio",
     "energy_test_family",
     "moser_ratio",
+    "evaluate_envelope",
     "fit_constants",
     "grid_points",
     "grid_samples",
@@ -93,8 +94,65 @@ def _dist(x, y) -> float:
     return float(np.sqrt(np.sum(dx * dx)))
 
 
-def _avg_around(V: Potential, x, side: float) -> float:
-    return cube_average(V, Cube(x, side))
+# Each family's log-envelope is written once, in the helpers below; the
+# public evaluators and `fit_constants` both call them.
+
+
+def _log_gaussian(c0: float, n: int, t: float, c: float = 0.0, d2: float = 0.0) -> float:
+    """log c0 - (n/2) log t - c |x-y|^2 / t, with d2 = |x-y|^2."""
+    return math.log(c0) - 0.5 * n * math.log(t) - c * d2 / t
+
+
+def _upper_decay(V: Potential, beta: float, x, y, t: float) -> float:
+    """sqrt(m_beta(t avg_x)), plus the same at y unless y is None.
+
+    The averages are over the cubes of side sqrt(t) centered at the points.
+    """
+    side = math.sqrt(t)
+    decay = math.sqrt(m_beta(t * cube_average(V, Cube(x, side)), beta))
+    if y is not None:
+        decay += math.sqrt(m_beta(t * cube_average(V, Cube(y, side)), beta))
+    return decay
+
+
+def _is_near(kappa: float, d: float, t: float) -> bool:
+    """The averaged lower envelope's branch test |x-y| < kappa sqrt(t)."""
+    return d < kappa * math.sqrt(t)
+
+
+def _lower_terms(V: Potential, n: int, c0: float, c2, c3, near: bool, x, d: float, t: float):
+    """(base, log D) of the averaged lower envelope, whose log is base - c1 D.
+
+    near: base = log c0 - (n/2) log t,                D = t avg_{sqrt(t)}(x)
+    far:  base = log c0 - (n/2) log t - c3 |x-y|^2/t, D = t c2^{|x-y|^2/t} avg_{t/|x-y|}(x)
+    A vanishing average gives D = 0, log D = -inf.
+    """
+    if near:
+        base, avg = _log_gaussian(c0, n, t), cube_average(V, Cube(x, math.sqrt(t)))
+        return base, math.log(t * avg) if avg > 0.0 else -math.inf
+    base, avg = _log_gaussian(c0, n, t, c3, d * d), cube_average(V, Cube(x, t / d))
+    if avg <= 0.0:
+        return base, -math.inf
+    return base, math.log(t) + (d * d / t) * math.log(c2) + math.log(avg)
+
+
+def _sharp_terms(x: float, y: float, t: float):
+    """(-(1/2) log t, (x-y)^2, x^2 + y^2), the terms of both quadratic_sharp branches."""
+    return -0.5 * math.log(t), (x - y) ** 2, x * x + y * y
+
+
+def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t: float, log_c: float = 0.0) -> float:
+    """log C + shape of a Dirichlet comparison family; the shape alone at log_c = 0.
+
+    -inf where the interval factor 1 - 2 e^{-eps^2/t} clamps at zero.
+    """
+    if family == "dirichlet_interval":
+        factor = 1.0 - 2.0 * math.exp(-(epsilon**2) / t)
+        if factor <= 0.0:
+            return -math.inf
+        return log_c - 0.5 * math.log(t) - (x - y) ** 2 / (4.0 * t) + math.log(factor)
+    d2 = _dist(x, y) ** 2
+    return log_c - 0.5 * n * math.log(t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
 
 
 def gaussian_upper(e: BoundEnvelope, x, y, t: float) -> KernelValue:
@@ -102,8 +160,7 @@ def gaussian_upper(e: BoundEnvelope, x, y, t: float) -> KernelValue:
     e._need("c0", "c2")
     if not t > 0:
         raise ParameterError("time must be > 0")
-    d2 = _dist(x, y) ** 2
-    return KernelValue(math.log(e.c0) - 0.5 * e.n * math.log(t) - e.c2 * d2 / t)
+    return KernelValue(_log_gaussian(e.c0, e.n, t, e.c2, _dist(x, y) ** 2))
 
 
 def avg_upper(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
@@ -115,8 +172,7 @@ def avg_upper(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
     if e.beta is None:
         raise ParameterError("avg_upper needs beta")
     base = gaussian_upper(e, x, y, t)
-    decay = math.sqrt(m_beta(t * _avg_around(V, x, math.sqrt(t)), e.beta))
-    return KernelValue(base.log_value - e.c1 * decay)
+    return KernelValue(base.log_value - e.c1 * _upper_decay(V, e.beta, x, None, t))
 
 
 def symmetrized_upper(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
@@ -129,12 +185,8 @@ def symmetrized_upper(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelV
         raise ParameterError("symmetrized_upper needs beta")
     if not t > 0:
         raise ParameterError("time must be > 0")
-    d2 = _dist(x, y) ** 2
-    side = math.sqrt(t)
-    decay = math.sqrt(m_beta(t * _avg_around(V, x, side), e.beta))
-    decay += math.sqrt(m_beta(t * _avg_around(V, y, side), e.beta))
-    logv = math.log(e.c0) - 0.5 * e.n * math.log(t) - e.c1 * d2 / t - e.c2 * decay
-    return KernelValue(logv)
+    base = _log_gaussian(e.c0, e.n, t, e.c1, _dist(x, y) ** 2)
+    return KernelValue(base - e.c2 * _upper_decay(V, e.beta, x, y, t))
 
 
 def quadratic_sharp_branches(e: BoundEnvelope, x: float, y: float, t: float):
@@ -149,8 +201,8 @@ def quadratic_sharp_branches(e: BoundEnvelope, x: float, y: float, t: float):
         raise ParameterError("quadratic sharp envelope is one-dimensional")
     if not t > 0:
         raise ParameterError("time must be > 0")
-    s = x * x + y * y
-    small = -0.5 * math.log(t) - e.c0 * (x - y) ** 2 / t - e.c1 * t * s
+    shape, d2, s = _sharp_terms(x, y, t)
+    small = shape - e.c0 * d2 / t - e.c1 * t * s
     large = -e.c2 * t - e.c3 * s
     return KernelValue(small), KernelValue(large)
 
@@ -172,16 +224,10 @@ def avg_lower(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
     if not t > 0:
         raise ParameterError("time must be > 0")
     d = _dist(x, y)
-    if d < e.kappa * math.sqrt(t):
-        e._need("c0", "c1")
-        avg = _avg_around(V, x, math.sqrt(t))
-        return KernelValue(math.log(e.c0) - 0.5 * e.n * math.log(t) - e.c1 * t * avg)
-    e._need("c0", "c1", "c2", "c3")
-    avg = _avg_around(V, x, t / d)
-    base = math.log(e.c0) - 0.5 * e.n * math.log(t) - e.c3 * d * d / t
-    if avg <= 0.0:
-        return KernelValue(base)
-    log_decay = math.log(e.c1 * t) + (d * d / t) * math.log(e.c2) + math.log(avg)
+    near = _is_near(e.kappa, d, t)
+    e._need(*(("c0", "c1") if near else ("c0", "c1", "c2", "c3")))
+    base, log_d = _lower_terms(V, e.n, e.c0, e.c2, e.c3, near, x, d, t)
+    log_decay = math.log(e.c1) + log_d
     if log_decay > 700.0:
         return KernelValue(-math.inf)
     return KernelValue(base - math.exp(log_decay))
@@ -208,11 +254,8 @@ def dirichlet_interval_lower(
         raise ParameterError("C must lie in (0, 1)")
     if not t > 0:
         raise ParameterError("time must be > 0")
-    factor = 1.0 - 2.0 * math.exp(-(epsilon**2) / t)
-    if factor <= 0.0:
-        return KernelValue(-math.inf), True
-    logv = math.log(C) - 0.5 * math.log(t) - (x - y) ** 2 / (4.0 * t) + math.log(factor)
-    return KernelValue(logv), False
+    logv = _dirichlet_log("dirichlet_interval", 1, epsilon, x, y, t, math.log(C))
+    return KernelValue(logv), logv == -math.inf
 
 
 def dirichlet_ball_lower(
@@ -244,14 +287,24 @@ def dirichlet_ball_lower(
         for pt in (x, y):
             if _dist(pt, center) > radius - epsilon + 1e-12:
                 raise GeometryError("segment endpoint leaves the eps-interior of the ball")
-    d2 = _dist(x, y) ** 2
-    logv = (
-        math.log(C)
-        - 0.5 * n * math.log(t)
-        - math.pi**2 * n**2 * t / (4.0 * epsilon**2)
-        - d2 / (4.0 * t)
-    )
-    return KernelValue(logv)
+    return KernelValue(_dirichlet_log("dirichlet_ball", n, epsilon, x, y, t, math.log(C)))
+
+
+def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
+    """Evaluate any envelope family at one point (log-space)."""
+    if env.family == "gaussian_upper":
+        return gaussian_upper(env, x, y, t)
+    if env.family == "avg_upper":
+        return avg_upper(V, env, x, y, t)
+    if env.family == "symmetrized_upper":
+        return symmetrized_upper(V, env, x, y, t)
+    if env.family == "quadratic_sharp":
+        return quadratic_sharp_envelope(env, x, y, t)
+    if env.family in ("avg_lower_near", "avg_lower_far"):
+        return avg_lower(V, env, x, y, t)
+    if env.family == "dirichlet_interval":
+        return dirichlet_interval_lower(env.epsilon, x, y, t, env.C)[0]
+    return dirichlet_ball_lower(env.n, env.epsilon, env.epsilon, x, y, t, env.C)
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +554,6 @@ def grid_samples(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float], 
     return [pt + (lp,) for pt, lp in zip(pts, values)]
 
 
-def _fit_coefficient(quotients, unconstrained_default=1.0):
-    """Largest admissible decay coefficient: the min of per-point quotients.
-
-    Returns (coefficient, constrained, admissible): an empty quotient list
-    means the decay term never bites and any positive value works.
-    """
-    vals = [q for q in quotients if q is not None]
-    if not vals:
-        return unconstrained_default, False, True
-    lo = min(vals)
-    return lo, True, lo > 0.0
-
-
 def fit_constants(
     V: Potential,
     samples,
@@ -534,7 +574,9 @@ def fit_constants(
     over the grid (clipped at zero); lower families mirror this with a
     supremum and a safety prefactor c0 = (4 pi)^{-n/2} / 2.  FEASIBLE means
     every fitted constant came out strictly positive and no grid point
-    violates the bound.
+    violates the bound.  Every record's log_env is `evaluate_envelope` of
+    the fitted envelope; a lower slack where kernel and envelope are both
+    exact zeros is 0.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown envelope family {family!r}")
@@ -544,187 +586,24 @@ def fit_constants(
     if any(len(p) != 4 for p in pts):
         raise ParameterError("samples must be (x, y, t, log_p) tuples")
 
-    if family in UPPER_FAMILIES:
-        return _fit_upper(V, family, pts, n=n, beta=beta, c_floor=c_floor)
-    return _fit_lower(V, family, pts, n=n, kappa=kappa, epsilon=epsilon, c_floor=c_floor)
-
-
-def _fit_upper(V, family, pts, *, n, beta, c_floor):
-    c0 = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
-
-    if family == "quadratic_sharp":
-        return _fit_quadratic_sharp(pts, c_floor)
-
+    c0_upper = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
+    sel, ok, blame = pts, True, None  # points recorded, constants admissible, witness overriding the slack's
     if family == "gaussian_upper":
-        env = BoundEnvelope(family=family, n=n, c0=c0, c2=0.125)
-        records, min_slack, witness = _slacks(V, env, pts, upper=True)
-        return FitResult(env, min_slack >= -1e-12, min_slack, witness, records)
-
-    if beta is None:
-        raise ParameterError(f"{family} fit needs beta")
-    quotients = []
-    for x, y, t, lp in pts:
-        if lp == -math.inf:
-            quotients.append(None)
-            continue
-        base = math.log(c0) - 0.5 * n * math.log(t) - 0.125 * _dist(x, y) ** 2 / t
-        side = math.sqrt(t)
-        decay = math.sqrt(m_beta(t * _avg_around(V, x, side), beta))
-        if family == "symmetrized_upper":
-            decay += math.sqrt(m_beta(t * _avg_around(V, y, side), beta))
-        quotients.append(None if decay <= 0.0 else (base - lp) / decay)
-    cdecay, constrained, admissible = _fit_coefficient(quotients)
-    cdecay = max(cdecay, c_floor)
-    if family == "avg_upper":
-        env = BoundEnvelope(family=family, n=n, c0=c0, c1=cdecay, c2=0.125, beta=beta)
+        env = BoundEnvelope(family=family, n=n, c0=c0_upper, c2=0.125)
+    elif family in ("avg_upper", "symmetrized_upper"):
+        env, ok, blame = _fit_decay(V, family, pts, n, c0_upper, beta, c_floor)
+    elif family == "quadratic_sharp":
+        env, ok = _fit_quadratic_sharp(pts, c_floor)
+    elif family in ("avg_lower_near", "avg_lower_far"):
+        env, sel, ok = _fit_lower_c1(V, family, pts, n, kappa, c_floor)
     else:
-        env = BoundEnvelope(family=family, n=n, c0=c0, c1=0.125, c2=cdecay, beta=beta)
-    records, min_slack, witness = _slacks(V, env, pts, upper=True)
-    feasible = admissible and min_slack >= -1e-12
-    if not admissible and constrained:
-        idx = int(np.argmin([q if q is not None else math.inf for q in quotients]))
-        witness = pts[idx][:3]
-    return FitResult(env, feasible, min_slack, witness, records)
+        env, ok = _fit_dirichlet_C(family, pts, n, epsilon, c_floor)
 
-
-def _fit_quadratic_sharp(pts, c_floor):
-    small = [(x, y, t, lp) for x, y, t, lp in pts if t <= 1.0 and lp > -math.inf]
-    large = [(x, y, t, lp) for x, y, t, lp in pts if t > 1.0 and lp > -math.inf]
-
-    def budget_small(x, y, t, lp):
-        return -0.5 * math.log(t) - lp
-
-    c0_q = [budget_small(*p) * p[2] / (p[0] - p[1]) ** 2 / 2.0 for p in small if p[0] != p[1]]
-    c0 = max(min(c0_q), c_floor) if c0_q else 0.125
-    c1_q = []
-    for x, y, t, lp in small:
-        s = x * x + y * y
-        if s > 0:
-            c1_q.append((budget_small(x, y, t, lp) - c0 * (x - y) ** 2 / t) / (t * s))
-    c1 = max(min(c1_q), c_floor) if c1_q else 1.0
-
-    c2_q = [-lp / t / 2.0 for x, y, t, lp in large]
-    c2 = max(min(c2_q), c_floor) if c2_q else 1.0
-    c3_q = []
-    for x, y, t, lp in large:
-        s = x * x + y * y
-        if s > 0:
-            c3_q.append((-lp - c2 * t) / s)
-    c3 = max(min(c3_q), c_floor) if c3_q else 1.0
-
-    env = BoundEnvelope(family="quadratic_sharp", n=1, c0=c0, c1=c1, c2=c2, c3=c3)
-    records, min_slack, witness = _slacks(None, env, pts, upper=True)
-    consts_ok = (
-        (not c0_q or min(c0_q) > 0)
-        and (not c1_q or min(c1_q) > 0)
-        and (not c2_q or min(c2_q) > 0)
-        and (not c3_q or min(c3_q) > 0)
-    )
-    return FitResult(env, consts_ok and min_slack >= -1e-12, min_slack, witness, records)
-
-
-def _fit_lower(V, family, pts, *, n, kappa, epsilon, c_floor):
-    if family in ("avg_lower_near", "avg_lower_far"):
-        if kappa is None:
-            kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
-        near = family == "avg_lower_near"
-        sel = []
-        for x, y, t, lp in pts:
-            d = _dist(x, y)
-            if (d < kappa * math.sqrt(t)) == near:
-                sel.append((x, y, t, lp))
-        if not sel:
-            raise ParameterError(f"no grid points fall in the {family} regime")
-        c0 = 0.5 * (4.0 * math.pi) ** (-0.5 * n)
-        c2, c3 = 2.0, 0.5
-        quotients = []
-        infeasible_witness = None
-        for x, y, t, lp in sel:
-            d = _dist(x, y)
-            base = math.log(c0) - 0.5 * n * math.log(t)
-            if near:
-                denom_log = None
-                avg = _avg_around(V, x, math.sqrt(t))
-                if avg > 0:
-                    denom_log = math.log(t * avg)
-            else:
-                base -= c3 * d * d / t
-                avg = _avg_around(V, x, t / d)
-                denom_log = None
-                if avg > 0:
-                    denom_log = math.log(t) + (d * d / t) * math.log(c2) + math.log(avg)
-            if lp == -math.inf:
-                infeasible_witness = (x, y, t)
-                continue
-            if denom_log is None:
-                if base > lp:
-                    infeasible_witness = (x, y, t)
-                continue
-            if denom_log > 700.0:
-                continue
-            quotients.append((base - lp) / math.exp(denom_log))
-        c1 = max(max(quotients, default=0.0), c_floor)
-        env = BoundEnvelope(
-            family=family,
-            n=n,
-            c0=c0,
-            c1=c1,
-            c2=None if near else c2,
-            c3=None if near else c3,
-            kappa=kappa,
-        )
-        records, min_slack, witness = _slacks(V, env, sel, upper=False)
-        feasible = infeasible_witness is None and min_slack >= -1e-12
-        return FitResult(env, feasible, min_slack, witness or infeasible_witness, records)
-
-    if epsilon is None:
-        raise ParameterError(f"{family} fit needs epsilon")
-    if family == "dirichlet_ball" and n < 2:
-        raise ParameterError("dirichlet_ball fits need n >= 2")
-    # Dirichlet comparison families: fit the single prefactor C.
-    ratios = []
-    for x, y, t, lp in pts:
-        if family == "dirichlet_interval":
-            factor = 1.0 - 2.0 * math.exp(-(epsilon**2) / t)
-            if factor <= 0.0:
-                continue
-            shape = -0.5 * math.log(t) - (x - y) ** 2 / (4.0 * t) + math.log(factor)
-        else:
-            d2 = _dist(x, y) ** 2
-            shape = (
-                -0.5 * n * math.log(t)
-                - math.pi**2 * n**2 * t / (4.0 * epsilon**2)
-                - d2 / (4.0 * t)
-            )
-        if lp == -math.inf:
-            continue
-        ratios.append(math.exp(min(lp - shape, 700.0)))
-    if not ratios:
-        raise ParameterError("no usable grid points for the Dirichlet fit")
-    c_raw = min(ratios)
-    feasible = c_raw > 0.0
-    C = min(c_raw, 0.99) if feasible else c_floor
-    env = BoundEnvelope(family=family, n=n, epsilon=epsilon, C=C)
+    upper = family in UPPER_FAMILIES
     records = []
     min_slack, witness = math.inf, None
-    for x, y, t, lp in pts:
-        if family == "dirichlet_interval":
-            kv, clamped = dirichlet_interval_lower(epsilon, x, y, t, C)
-            le = kv.log_value
-        else:
-            le = dirichlet_ball_lower(n, epsilon, epsilon, x, y, t, C).log_value
-        slack = lp - le if le > -math.inf else math.inf
-        records.append((x, y, t, lp, le, slack))
-        if slack < min_slack:
-            min_slack, witness = slack, (x, y, t)
-    return FitResult(env, feasible and min_slack >= -1e-12, min_slack, witness, records)
-
-
-def _slacks(V, env: BoundEnvelope, pts, upper: bool):
-    records = []
-    min_slack, witness = math.inf, None
-    for x, y, t, lp in pts:
-        le = _evaluate(V, env, x, y, t).log_value
+    for x, y, t, lp in sel:
+        le = evaluate_envelope(V, env, x, y, t).log_value
         if upper:
             slack = le - lp if lp > -math.inf else math.inf
         else:
@@ -732,27 +611,89 @@ def _slacks(V, env: BoundEnvelope, pts, upper: bool):
         records.append((x, y, t, lp, le, slack))
         if slack < min_slack:
             min_slack, witness = slack, (x, y, t)
-    return records, min_slack, witness
+    return FitResult(env, ok and min_slack >= -1e-12, min_slack, blame or witness, records)
 
 
-def _evaluate(V, env: BoundEnvelope, x, y, t) -> KernelValue:
-    if env.family == "gaussian_upper":
-        return gaussian_upper(env, x, y, t)
-    if env.family == "avg_upper":
-        return avg_upper(V, env, x, y, t)
-    if env.family == "symmetrized_upper":
-        return symmetrized_upper(V, env, x, y, t)
-    if env.family == "quadratic_sharp":
-        return quadratic_sharp_envelope(env, x, y, t)
-    if env.family in ("avg_lower_near", "avg_lower_far"):
-        return avg_lower(V, env, x, y, t)
-    if env.family == "dirichlet_interval":
-        return dirichlet_interval_lower(env.epsilon, x, y, t, env.C)[0]
-    if env.family == "dirichlet_ball":
-        return dirichlet_ball_lower(env.n, env.epsilon, env.epsilon, x, y, t, env.C)
-    raise ParameterError(f"unknown family {env.family}")
+def _fit_decay(V, family, pts, n, c0, beta, c_floor):
+    """avg_upper / symmetrized_upper: the decay coefficient is the least (base - log p) / decay.
+
+    Returns (envelope, admissible, the point of the least quotient when it is <= 0).
+    """
+    if beta is None:
+        raise ParameterError(f"{family} fit needs beta")
+    both = family == "symmetrized_upper"
+    least, at = math.inf, None
+    for x, y, t, lp in pts:
+        if lp == -math.inf:
+            continue
+        decay = _upper_decay(V, beta, x, y if both else None, t)
+        if decay > 0.0:
+            q = (_log_gaussian(c0, n, t, 0.125, _dist(x, y) ** 2) - lp) / decay
+            if q < least:
+                least, at = q, (x, y, t)
+    ok = at is None or least > 0.0  # no quotient: the decay never bites
+    cdecay = max(least if at is not None else 1.0, c_floor)
+    c1, c2 = (0.125, cdecay) if both else (cdecay, 0.125)
+    env = BoundEnvelope(family=family, n=n, c0=c0, c1=c1, c2=c2, beta=beta)
+    return env, ok, None if ok else at
 
 
-def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
-    """Evaluate any envelope family at one point (log-space)."""
-    return _evaluate(V, env, x, y, t)
+def _fit_quadratic_sharp(pts, c_floor):
+    """Two stages per branch: c0 takes half of the small-t budget, c1 the rest; c2 then c3 likewise."""
+    small, large = [], []
+    for x, y, t, lp in pts:
+        if lp > -math.inf:
+            shape, d2, s = _sharp_terms(x, y, t)
+            (small if t <= 1.0 else large).append((t, lp, shape - lp, d2, s))
+
+    def least(quotients, default):
+        return (max(min(quotients), c_floor), min(quotients) > 0) if quotients else (default, True)
+
+    c0, ok0 = least([budget * t / d2 / 2.0 for t, _, budget, d2, _ in small if d2 > 0], 0.125)
+    c1, ok1 = least([(budget - c0 * d2 / t) / (t * s) for t, _, budget, d2, s in small if s > 0], 1.0)
+    c2, ok2 = least([-lp / t / 2.0 for t, lp, *_ in large], 1.0)
+    c3, ok3 = least([(-lp - c2 * t) / s for t, lp, _, _, s in large if s > 0], 1.0)
+    env = BoundEnvelope(family="quadratic_sharp", n=1, c0=c0, c1=c1, c2=c2, c3=c3)
+    return env, ok0 and ok1 and ok2 and ok3
+
+
+def _fit_lower_c1(V, family, pts, n, kappa, c_floor):
+    """avg_lower_near / avg_lower_far on their regime's points: c1 is the largest (base - log p) / D."""
+    if kappa is None:
+        kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
+    near = family == "avg_lower_near"
+    c0, c2, c3 = 0.5 * (4.0 * math.pi) ** (-0.5 * n), 2.0, 0.5
+    sel, quotients, ok = [], [], True
+    for x, y, t, lp in pts:
+        d = _dist(x, y)
+        if _is_near(kappa, d, t) != near:
+            continue
+        sel.append((x, y, t, lp))
+        base, log_d = _lower_terms(V, n, c0, c2, c3, near, x, d, t)
+        if lp == -math.inf or (log_d == -math.inf and base > lp):
+            ok = False  # no c1 lifts the envelope under this point
+        elif -math.inf < log_d <= 700.0:
+            quotients.append((base - lp) / math.exp(log_d))
+    if not sel:
+        raise ParameterError(f"no grid points fall in the {family} regime")
+    c1 = max(max(quotients, default=0.0), c_floor)
+    far = {} if near else {"c2": c2, "c3": c3}
+    return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel, ok
+
+
+def _fit_dirichlet_C(family, pts, n, epsilon, c_floor):
+    """Dirichlet comparison families: C is the least p / exp(shape), capped at 0.99."""
+    if epsilon is None:
+        raise ParameterError(f"{family} fit needs epsilon")
+    if family == "dirichlet_ball" and n < 2:
+        raise ParameterError("dirichlet_ball fits need n >= 2")
+    ratios = []
+    for x, y, t, lp in pts:
+        shape = _dirichlet_log(family, n, epsilon, x, y, t)
+        if shape > -math.inf and lp > -math.inf:
+            ratios.append(math.exp(min(lp - shape, 700.0)))
+    if not ratios:
+        raise ParameterError("no usable grid points for the Dirichlet fit")
+    c_raw = min(ratios)
+    C = min(c_raw, 0.99) if c_raw > 0.0 else c_floor
+    return BoundEnvelope(family=family, n=n, epsilon=epsilon, C=C), c_raw > 0.0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ DEFAULT_CONFIG = {
         {"family": "avg_lower_far", "kappa": 0.125},
     ],
     "weights": {"rh_q": 1.5, "ap_p": 2.0, "window_center": 0.0, "window_side": 2.0, "depth": 12},
-    "ode": {"coefficients": [0.0, 1.0, 1.0], "t0": 0.01, "t1": 2.0, "samples": 120},
+    "ode": {"t0": 0.01, "t1": 2.0, "samples": 120},
     "chain": {"x": 0.0, "y": 1.0, "t": 1.0},
     "spectral": {"half_width": 8.0, "points": 2001},
     "tolerances": {"rel": 1e-4},
@@ -55,7 +56,20 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    _reject_nonfinite(cfg, "")
     return cfg
+
+
+def _reject_nonfinite(value, where: str):
+    """Raise ConfigError naming the first NaN or infinite number, as in `chain.y`."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_nonfinite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_nonfinite(item, f"{where}[{i}]")
 
 
 def config_hash(cfg: dict) -> str:

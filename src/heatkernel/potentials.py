@@ -262,11 +262,6 @@ def constant(c: float, n: int = 1) -> PolynomialPotential:
     return PolynomialPotential([c], n=n)
 
 
-def eval_potential(V: Potential, x) -> float:
-    """Pointwise evaluation; singular points raise DomainError."""
-    return V(x)
-
-
 # ---------------------------------------------------------------------------
 # exact 1D interval integrals
 
@@ -360,30 +355,43 @@ def interval_integral(V: Potential, lo, hi):
     raise ParameterError(f"no interval integral for {type(V).__name__}")
 
 
+# A double root comes out of the companion-matrix eigensolve split by about
+# sqrt(machine eps) ~ 1.5e-8 of its size, along either axis.  Roots within
+# ROOT_TOL of their size of each other are one root, and a root that close to
+# the real axis is real.
+ROOT_TOL = 1e-6
+
+
 @lru_cache(maxsize=32)
-def _poly_real_roots(coeffs: tuple[float, ...]) -> np.ndarray:
-    """Real roots of a polynomial (imaginary part below 1e-9), found once per coefficient tuple."""
+def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(real roots, multiplicities) of a polynomial, found once per coefficient tuple.
+
+    Real parts of the near-real roots are sorted and split where the gap
+    exceeds ROOT_TOL max(1, |root|); each group is one root at its mean.
+    """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     roots = npoly.polyroots(c) if len(c) > 1 else np.empty(0, dtype=complex)
-    real = roots.real[np.abs(roots.imag) < 1e-9]
-    real.flags.writeable = False
-    return real
+    real = np.sort(roots.real[np.abs(roots.imag) <= ROOT_TOL * np.maximum(1.0, np.abs(roots))])
+    gaps = np.diff(real) > ROOT_TOL * np.maximum(1.0, np.abs(real[1:]))
+    groups = np.split(real, np.flatnonzero(gaps) + 1) if real.size else []
+    centers = np.array([g.mean() for g in groups])
+    mult = np.array([len(g) for g in groups], dtype=int)
+    centers.flags.writeable = mult.flags.writeable = False
+    return centers, mult
 
 
 def _nonintegrable_root_mask(coeffs, lo, hi, q: float) -> np.ndarray:
     """Per interval: whether a real root of the polynomial inside it makes V^q non-integrable.
 
-    A root counts as inside [lo, hi] up to 1e-12; roots within 1e-8 of each
-    other count as one root of that multiplicity m, which is non-integrable
-    iff m q <= -1.  The roots are found once for all intervals.
+    A root counts as inside [lo, hi] up to 1e-12; a root of multiplicity m
+    (see `_poly_real_roots`) is non-integrable iff m q <= -1.  The roots are
+    found once for all intervals.
     """
-    roots = _poly_real_roots(tuple(coeffs))
+    roots, mult = _poly_real_roots(tuple(coeffs))
     lo, hi = np.broadcast_arrays(lo, hi)
     if roots.size == 0 or q > -0.5:
         return np.zeros(lo.shape, dtype=bool)
     inside = (lo[..., None] - 1e-12 <= roots) & (roots <= hi[..., None] + 1e-12)
-    close = np.abs(roots[:, None] - roots[None, :]) < 1e-8
-    mult = inside.astype(int) @ close.astype(int)  # [..., r]: roots inside near root r
     return np.any(inside & (mult * q <= -1.0), axis=-1)
 
 

@@ -143,11 +143,11 @@ def build_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
     """
     ham = _discretize(V, L, m)
     lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
-    phi_int = vecs / math.sqrt(ham.h)
     phi = np.zeros((m + 2, m))
-    phi[1:-1] = phi_int
+    np.divide(vecs, math.sqrt(ham.h), out=phi[1:-1])
+    del vecs
     sample = np.linspace(0, m - 1, num=min(m, 48), dtype=int)
-    gram = ham.h * phi_int[:, sample].T @ phi_int[:, sample]
+    gram = ham.h * phi[1:-1, sample].T @ phi[1:-1, sample]
     defect = float(np.max(np.abs(gram - np.eye(len(sample)))))
     if defect > 1e-8:
         raise RuntimeError(f"eigenvector orthonormality defect {defect:.3e} exceeds 1e-8")
@@ -158,7 +158,7 @@ def build_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
         nodes=ham.nodes,
         eigenvalues=lam,
         phi=phi,
-        phi_sup=np.max(np.abs(phi), axis=0),
+        phi_sup=np.maximum(phi.max(axis=0), -phi.min(axis=0)),
         orthonormality_defect=defect,
     )
 

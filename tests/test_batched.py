@@ -15,6 +15,7 @@ from heatkernel import (
     Cube,
     eval_spectral,
     fit_constants,
+    gaussian_kernel,
     grid_points,
     grid_samples,
     quadratic_kernel,
@@ -172,6 +173,69 @@ SANDWICH_PINS = {
 INTERVAL_PIN = (True, 0.0, 0.2810684444750617)
 
 
+def sandwich_samples(shift=0.0):
+    """The c6 sandwich grid, V = x^2, with log p shifted by `shift`."""
+    xs, ts = np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8)
+    logp = quadratic_log_kernel(QuadraticCoeffs(0.0, 0.0, 1.0), xs, xs, ts) + shift
+    return grid_samples(xs, xs, ts, logp)
+
+
+def ball_samples():
+    """2-D points and a free kernel scaled by e^{-1/2}, for dirichlet_ball at n = 2."""
+    pts = [((a, 0.1), (b, -0.2)) for a in (-0.3, 0.0, 0.25) for b in (-0.2, 0.1, 0.3)]
+    return [(x, y, t, gaussian_kernel(2, x, y, t).log_value - 0.5) for x, y in pts for t in (0.02, 0.1, 0.3)]
+
+
+def free_samples(shift=0.0):
+    xs = np.linspace(-2, 2, 7)
+    return [(x, y, t, gaussian_kernel(1, x, y, t).log_value + shift) for x, y, t in grid_points(xs, xs, [0.1, 0.5, 1.0])]
+
+
+# More fits recorded before each envelope formula was written once: family,
+# samples, fit options, then (feasible, min_slack, witness, constants).
+MORE_PINS = {
+    "gaussian_upper": (
+        lambda: (PolynomialPotential([0.0, 0.0, 1.0]), sandwich_samples(), {}),
+        (True, 0.6939802362917354, (0.0, 0.0, 0.05), {"c0": 0.5641895835477563, "c2": 0.125}),
+    ),
+    "dirichlet_ball": (
+        lambda: (None, ball_samples(), {"epsilon": 0.6, "n": 2}),
+        (True, 0.0, ((-0.3, 0.1), (-0.2, -0.2), 0.02), {"C": 0.08351634720694918}),
+    ),
+    # log p five units above the kernel: no positive decay coefficient exists
+    "avg_upper": (
+        lambda: (PolynomialPotential([0.0, 0.0, 1.0]), sandwich_samples(5.0), {"beta": 0.99}),
+        (False, -4.3060197637226985, (0.0, 0.0, 0.05), {"c0": 0.5641895835477563, "c1": 1e-09, "c2": 0.125}),
+    ),
+    # V = 0 gives the far branch no decay to absorb a kernel e^{-50} too small
+    "avg_lower_far": (
+        lambda: (PolynomialPotential([0.0]), free_samples(-50.0), {"kappa": 0.5}),
+        (
+            False,
+            -49.19574170832894,
+            (-2.0, -1.3333333333333335, 1.0),
+            {"c0": 0.14104739588693907, "c1": 1e-09, "c2": 2.0, "c3": 0.5},
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MORE_PINS))
+def test_more_fits_match_pins(family):
+    make, (feasible, min_slack, witness, consts) = MORE_PINS[family]
+    V, samples, kw = make()
+    fit = fit_constants(V, samples, family, **kw)
+    assert fit.feasible is feasible
+    assert fit.witness == witness
+    assert abs(fit.min_slack - min_slack) <= 1e-12 * max(1.0, abs(min_slack))
+    for name in ("c0", "c1", "c2", "c3", "C"):
+        got = getattr(fit.envelope, name)
+        if name not in consts:
+            assert got is None
+        else:
+            assert abs(math.log(got) - math.log(consts[name])) <= 1e-12
+
+
 def test_sandwich_fits_match_pins():
     _, fits = acceptance._sandwich_fits()
     assert set(fits) == set(SANDWICH_PINS)
@@ -206,21 +270,34 @@ def test_interval_fit_matches_pin():
 
 
 def per_cube_root_flags(coeffs, lo, hi, q):
-    """Root test one cube at a time: the definition the vectorized mask must match."""
+    """Root test one cube at a time: the definition the vectorized mask must match.
+
+    A computed root is real within 1e-6 of its size of the real axis, and its
+    multiplicity is the number of computed roots in the complex disk of that
+    radius around it: a double root comes out split by ~1e-8 in either direction.
+    """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     roots = np.polynomial.polynomial.polyroots(c) if len(c) > 1 else []
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+    tol = [1e-6 * max(1.0, abs(r)) for r in roots]
+    real = [(r.real, sum(1 for z in roots if abs(z - r) <= tol[i])) for i, r in enumerate(roots) if abs(r.imag) <= tol[i]]
     flags = []
     for a, b in zip(lo, hi):
-        inside = [r for r in real if a - 1e-12 <= r <= b + 1e-12]
-        mult = max((sum(1 for r2 in inside if abs(r2 - r) < 1e-8) for r in inside), default=0)
-        flags.append(bool(inside) and q <= -0.5 and mult * q <= -1.0)
+        mult = max((m for r, m in real if a - 1e-12 <= r <= b + 1e-12), default=0)
+        flags.append(mult > 0 and q <= -0.5 and mult * q <= -1.0)
     return np.array(flags)
 
 
 @pytest.mark.parametrize(
     "coeffs",
-    [(1.0, 0.0, -2.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0), (0.25, -1.0, 1.0), (3.7,), (2.0, 0.0, 1.0)],
+    [
+        (1.0, 0.0, -2.0, 0.0, 1.0),
+        (0.0, 0.0, 1.0),
+        (0.0, 1.0),
+        (0.25, -1.0, 1.0),
+        (3.7,),
+        (2.0, 0.0, 1.0),
+        (4.0, 0.0, -4.0, 0.0, 1.0),  # (x^2 - 2)^2: the double root -sqrt(2) splits along the real axis
+    ],
 )
 @pytest.mark.parametrize("q", [-1.0, -0.5, -0.25, -2.0])
 def test_root_mask_matches_per_cube_scan(coeffs, q):
@@ -228,6 +305,14 @@ def test_root_mask_matches_per_cube_scan(coeffs, q):
     lo, hi = lefts, lefts + 0.125
     want = per_cube_root_flags(coeffs, lo, hi, q)
     assert np.array_equal(_nonintegrable_root_mask(coeffs, lo, hi, q), want)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_ap_scan_sees_double_roots(p):
+    # (x^2 - 1)^2: polyroots splits the double roots +-1 off the real axis by 5e-9 and 3e-8;
+    # at p = 3 (q = -1/2) only their multiplicity 2 makes 1/V^{1/2} non-integrable
+    report = ap_constant(PolynomialPotential([1.0, 0.0, -2.0, 0.0, 1.0]), p, Cube(0.3, 2.0), 8)
+    assert report.divergent
 
 
 def test_ap_scan_finds_polynomial_roots_once(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatkernel import (
     BoundEnvelope,
@@ -36,7 +38,9 @@ from heatkernel import (
     quadratic_sharp_envelope,
     symmetrized_upper,
     energy_test_family,
+    evaluate_envelope,
 )
+from heatkernel.bounds import FAMILIES
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 V0 = constant(0.0)
@@ -386,3 +390,52 @@ def test_fit_lower_defaults_kappa():
     fit = fit_constants(V_SQ, grid_samples(xs, xs, ts, quadratic_log_kernel(Q_SQ, xs, xs, ts)), "avg_lower_near")
     assert fit.feasible
     assert fit.envelope.kappa == 0.125
+
+
+FIT_OPTIONS = {
+    "avg_upper": {"beta": 0.9},
+    "symmetrized_upper": {"beta": 0.9},
+    "avg_lower_near": {"kappa": 0.25},
+    "avg_lower_far": {"kappa": 0.25},
+    "dirichlet_interval": {"epsilon": 0.5},
+    "dirichlet_ball": {"epsilon": 0.5, "n": 2},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(
+    a1=st.floats(-0.5, 0.5),
+    a2=st.floats(0.2, 2.0),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_fit_records_are_the_evaluated_envelope(family, a1, a2, shift):
+    xs, ts = np.linspace(-1.5, 1.5, 5), [0.05, 0.5, 2.0]
+    a0 = a1 * a1 / (4.0 * a2) + 0.1  # V >= 0.1
+    V = PolynomialPotential([a0, a1, a2])
+    if family == "dirichlet_ball":
+        pts = [((x, 0.0), (y, 0.3)) for x in xs for y in xs]
+        samples = [(x, y, t, gaussian_kernel(2, x, y, t).log_value + shift) for x, y in pts for t in ts]
+    else:
+        logp = quadratic_log_kernel(QuadraticCoeffs(a0, a1, a2), xs, xs, ts) + shift
+        samples = grid_samples(xs, xs, ts, logp)
+    fit = fit_constants(V, samples, family, **FIT_OPTIONS.get(family, {}))
+    assert fit.records
+    for x, y, t, lp, le, slack in fit.records:
+        assert le == evaluate_envelope(V, fit.envelope, x, y, t).log_value
+    assert fit.min_slack == min(r[5] for r in fit.records)
+
+
+def test_lower_slack_is_zero_where_kernel_and_envelope_vanish():
+    # dirichlet_interval clamps to zero from t = eps^2 / log 2 on
+    eps = 0.5
+    late = 2.0 * interval_clamp_time(eps)
+    samples = [(0.0, 0.1, 0.1, -1.0), (0.0, 0.1, late, -math.inf), (0.0, 0.2, late, -2.0)]
+    fit = fit_constants(None, samples, "dirichlet_interval", epsilon=eps)
+    assert [r[4] for r in fit.records][1:] == [-math.inf, -math.inf]
+    assert [r[5] for r in fit.records][1:] == [0.0, math.inf]
+    # the far branch's decay exp(c1 t 2^{|x-y|^2/t} avg) overflows to a zero envelope at (0, 3.5, 0.01)
+    samples = [(0.0, 0.5, 0.1, -3.0), (0.0, 3.5, 0.01, -math.inf)]
+    fit = fit_constants(V_SQ, samples, "avg_lower_far", kappa=0.125)
+    assert fit.records[1][4:] == (-math.inf, 0.0)
+    assert math.isfinite(fit.records[0][5])

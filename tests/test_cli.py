@@ -14,7 +14,7 @@ def write_config(tmp_path, **overrides):
         "grid": {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.1, 0.5, 2]},
         "envelopes": [{"family": "avg_upper", "beta": 0.9}],
         "weights": {"rh_q": 1.5, "ap_p": 2.0, "window_center": 0.0, "window_side": 2.0, "depth": 6},
-        "ode": {"coefficients": [0.0, 1.0, 1.0], "t0": 0.05, "t1": 0.5, "samples": 20},
+        "ode": {"t0": 0.05, "t1": 0.5, "samples": 20},
         "chain": {"x": 0.0, "y": 1.0, "t": 1.0},
     }
     cfg.update(overrides)
@@ -142,3 +142,20 @@ def test_shipped_config_matches_builtin():
 
     shipped = json.loads((Path(__file__).parent.parent / "configs" / "default.json").read_text())
     assert shipped == DEFAULT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "overrides, command, where",
+    [
+        ({"potential": {"kind": "polynomial", "coefficients": [0.0, math.nan, 1.0]}}, "kernel", "potential.coefficients[1]"),
+        ({"chain": {"x": 0.0, "y": math.inf, "t": 1.0}}, "chain", "chain.y"),
+        ({"grid": {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.1, -math.inf, 2]}}, "bounds", "grid.t[1]"),
+    ],
+)
+def test_nonfinite_config_numbers_exit_2(tmp_path, capsys, overrides, command, where):
+    cfg = write_config(tmp_path, **overrides)
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), command])
+    assert rc == 2
+    assert f"config error: {where} must be a finite number" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))

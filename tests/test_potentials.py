@@ -17,7 +17,6 @@ from heatkernel import (
     constant,
     cube_average,
     doubling_fit,
-    eval_potential,
     m_beta,
     rh_constant,
 )
@@ -36,17 +35,17 @@ def power_integral(lo, hi, a):
 
 
 def test_eval_examples():
-    assert eval_potential(PolynomialPotential([0, 0, 1]), 3.0) == 9.0
-    assert eval_potential(PowerPotential(-0.5), 4.0) == 0.5
+    assert PolynomialPotential([0, 0, 1])(3.0) == 9.0
+    assert PowerPotential(-0.5)(4.0) == 0.5
     with pytest.raises(DomainError):
-        eval_potential(PowerPotential(-0.5), 0.0)
+        PowerPotential(-0.5)(0.0)
 
 
 def test_eval_vectorized_and_nd():
     V = PolynomialPotential([1, 2], n=2)  # (1 + 2x)(1 + 2y)
-    assert eval_potential(V, [1.0, 0.5]) == pytest.approx(3.0 * 2.0)
+    assert V([1.0, 0.5]) == pytest.approx(3.0 * 2.0)
     Vp = PowerPotential(2.0, n=2)
-    assert eval_potential(Vp, [3.0, 4.0]) == pytest.approx(25.0)
+    assert Vp([3.0, 4.0]) == pytest.approx(25.0)
 
 
 def test_cube_average_quadratic_formula():
@@ -91,12 +90,12 @@ def test_cube_average_nd_product():
 def test_tabulated_roundtrip():
     xs = np.linspace(-1, 1, 41)
     V = TabulatedPotential(xs, xs**2)
-    assert eval_potential(V, 0.5) == pytest.approx(0.25, abs=2e-3)
+    assert V(0.5) == pytest.approx(0.25, abs=2e-3)
     # integral of the interpolant equals trapezoid exactly
     got = cube_average(V, Cube(0.0, 2.0))
     assert got == pytest.approx(np.trapezoid(xs**2, xs) / 2.0, rel=1e-14)
     with pytest.raises(DomainError):
-        eval_potential(V, 1.5)
+        V(1.5)
     with pytest.raises(ParameterError):
         TabulatedPotential(xs, xs)  # negative values
 
@@ -106,7 +105,7 @@ def test_compositions():
     Z = Cube(0.5, 1.0)
     want = 2.0 * cube_average(PolynomialPotential([0, 0, 1]), Z) + 1.0
     assert cube_average(V, Z) == pytest.approx(want, rel=1e-14)
-    assert eval_potential(V, 2.0) == pytest.approx(9.0)
+    assert V(2.0) == pytest.approx(9.0)
 
 
 def test_m_beta_examples():
