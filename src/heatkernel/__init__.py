@@ -46,7 +46,7 @@ from .explicit import (
     quadratic_kernel,
     quadratic_log_kernel,
 )
-from .ode import AnsatzState, ansatz_log, assemble_kernel, closed_form_state, integrate_odes
+from .ode import AnsatzState, ansatz_log, closed_form_error, closed_form_state, integrate_odes
 from .potentials import (
     Cube,
     DoublingFit,

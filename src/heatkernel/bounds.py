@@ -261,7 +261,6 @@ def dirichlet_interval_lower(
 def dirichlet_ball_lower(
     n: int,
     epsilon: float,
-    delta: float,
     x,
     y,
     t: float,
@@ -276,8 +275,8 @@ def dirichlet_ball_lower(
     """
     if n < 2:
         raise ParameterError("ball lower bound needs n >= 2")
-    if not (epsilon > 0 and 0 < delta <= epsilon):
-        raise ParameterError("need epsilon > 0 and 0 < delta <= epsilon")
+    if not epsilon > 0:
+        raise ParameterError("need epsilon > 0")
     if not 0.0 < C < 1.0:
         raise ParameterError("C must lie in (0, 1)")
     if not t > 0:
@@ -304,7 +303,7 @@ def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
         return avg_lower(V, env, x, y, t)
     if env.family == "dirichlet_interval":
         return dirichlet_interval_lower(env.epsilon, x, y, t, env.C)[0]
-    return dirichlet_ball_lower(env.n, env.epsilon, env.epsilon, x, y, t, env.C)
+    return dirichlet_ball_lower(env.n, env.epsilon, x, y, t, env.C)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +594,7 @@ def fit_constants(
     elif family == "quadratic_sharp":
         env, ok = _fit_quadratic_sharp(pts, c_floor)
     elif family in ("avg_lower_near", "avg_lower_far"):
-        env, sel, ok = _fit_lower_c1(V, family, pts, n, kappa, c_floor)
+        env, sel = _fit_lower_c1(V, family, pts, n, kappa, c_floor)
     else:
         env, ok = _fit_dirichlet_C(family, pts, n, epsilon, c_floor)
 
@@ -663,22 +662,20 @@ def _fit_lower_c1(V, family, pts, n, kappa, c_floor):
         kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
     near = family == "avg_lower_near"
     c0, c2, c3 = 0.5 * (4.0 * math.pi) ** (-0.5 * n), 2.0, 0.5
-    sel, quotients, ok = [], [], True
+    sel, quotients = [], []
     for x, y, t, lp in pts:
         d = _dist(x, y)
         if _is_near(kappa, d, t) != near:
             continue
         sel.append((x, y, t, lp))
         base, log_d = _lower_terms(V, n, c0, c2, c3, near, x, d, t)
-        if lp == -math.inf or (log_d == -math.inf and base > lp):
-            ok = False  # no c1 lifts the envelope under this point
-        elif -math.inf < log_d <= 700.0:
+        if lp > -math.inf and -math.inf < log_d <= 700.0:
             quotients.append((base - lp) / math.exp(log_d))
     if not sel:
         raise ParameterError(f"no grid points fall in the {family} regime")
     c1 = max(max(quotients, default=0.0), c_floor)
     far = {} if near else {"c2": c2, "c3": c3}
-    return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel, ok
+    return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel
 
 
 def _fit_dirichlet_C(family, pts, n, epsilon, c_floor):

@@ -9,12 +9,13 @@ Subcommands
     verify   full acceptance suite; exit 0 iff everything passes
 
 Outputs are deterministic: identical configs give byte-identical files.
-Each engine evaluates a grid in one batched call, `log_kernel(xs, ys, ts)`
-returning log p shaped [t, x, y]; `kernel` evaluates its grid once, and so
-does `bounds` on the spectral and ode engines.  On the closed form, `bounds`
-evaluates `quadratic_kernel` point by point as each family's fit reads its
-samples.  A relative `tabulated.table` path resolves against the directory of
-the config file.
+The engines are `explicit` (the closed form for a quadratic potential) and
+`spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
+call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
+evaluates its grid once, and so does `bounds` on the spectral engine.  On the
+closed form, `bounds` evaluates `quadratic_kernel` point by point as each
+family's fit reads its samples.  A relative `tabulated.table` path resolves
+against the directory of the config file.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_points, grid_samples
 from .config import (
@@ -40,7 +39,7 @@ from .config import (
 from .csvout import emit_csv
 from .errors import ConfigError
 from .explicit import KernelValue, quadratic_kernel, quadratic_log_kernel
-from .ode import ansatz_log, closed_form_state, integrate_odes, trajectory_to_csv
+from .ode import closed_form_error, integrate_odes, trajectory_to_csv
 from .potentials import Cube, ap_constant, cube_average, doubling_fit, rh_constant
 from .spectral import build_spectral, spectral_log_kernel
 
@@ -60,6 +59,17 @@ def _potential(cfg: dict, base_dir: Path | None):
     return potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
 
 
+def _spectral_size(cfg: dict) -> tuple[float, int]:
+    """(half_width, points) of the spectral section, checked before anything is built."""
+    spec = cfg.get("spectral", DEFAULT_CONFIG["spectral"])
+    L, m = spec.get("half_width", 8.0), spec.get("points", 2001)
+    if isinstance(m, bool) or not isinstance(m, int) or m < 3:
+        raise ConfigError(f"spectral.points must be an integer >= 3, got {m!r}")
+    if isinstance(L, bool) or not isinstance(L, (int, float)) or not L > 0:
+        raise ConfigError(f"spectral.half_width must be a number > 0, got {L!r}")
+    return float(L), m
+
+
 def _build_engine(cfg: dict, base_dir: Path | None = None):
     """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], potential, provenance)."""
     engine = cfg.get("engine", "explicit")
@@ -67,23 +77,8 @@ def _build_engine(cfg: dict, base_dir: Path | None = None):
     if engine == "explicit":
         quad = quadratic_from_potential(V)
         return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), V, "engine=explicit"
-    if engine == "ode":
-        quad = quadratic_from_potential(V)
-        shift = quad.a0
-        reduced = type(quad)(0.0, quad.a1, quad.a2)
-
-        def ode_log_kernel(xs, ys, ts):
-            X = np.asarray(xs, dtype=float)[:, None]
-            Y = np.asarray(ys, dtype=float)[None, :]
-            return np.stack(
-                [ansatz_log(closed_form_state(reduced, float(t)), X, Y) - shift * float(t) for t in ts]
-            )
-
-        return ode_log_kernel, V, "engine=ode"
     if engine == "spectral":
-        spec = cfg.get("spectral", DEFAULT_CONFIG["spectral"])
-        L = float(spec.get("half_width", 8.0))
-        m = int(spec.get("points", 2001))
+        L, m = _spectral_size(cfg)
         K = build_spectral(V, L, m)
         ref_t = min(float(v) for v in cfg.get("grid", {}).get("t", [0.05, 1.0, 2])[:2]) or 0.05
         prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(max(ref_t, 1e-6))}"
@@ -106,7 +101,7 @@ def _evaluate_grid(cfg: dict, base_dir: Path | None):
 def _bounds_samples(cfg: dict, base_dir: Path | None):
     """(samples() -> x-major (x, y, t, log p) samples, potential, provenance line).
 
-    The spectral and ode engines evaluate the grid once and every family
+    The spectral engine evaluates the grid once and every family
     fits against that evaluation.  The closed form keeps its scalar path:
     each call of samples() yields `quadratic_kernel` values point by point,
     so each family's fit evaluates the grid as it reads it.  It costs a few
@@ -222,10 +217,7 @@ def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     t0, t1 = float(o.get("t0", 0.01)), float(o.get("t1", 2.0))
     traj = integrate_odes(quad, t0, t1, samples=int(o.get("samples", 120)))
     trajectory_to_csv(traj, out / "trajectory.csv")
-    err = 0.0
-    for s in traj:
-        ref = closed_form_state(quad, s.t)
-        err = max(err, float(np.max(np.abs(s.as_array() - ref.as_array()))))
+    err = closed_form_error(quad, traj)
     rel = _rel_tol(cfg)
     print(f"wrote {out / 'trajectory.csv'} max_closed_form_error={err:.6g} (tol {rel:g})")
     return EXIT_OK if err <= rel else EXIT_FAILURE

@@ -26,7 +26,7 @@ from .potentials import (
     TabulatedPotential,
 )
 
-ENGINES = ("explicit", "spectral", "ode")
+ENGINES = ("explicit", "spectral")
 
 DEFAULT_CONFIG = {
     "potential": {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0], "dimension": 1},
@@ -145,12 +145,10 @@ def load_tabulated_csv(path) -> TabulatedPotential:
 def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
     """Extract (a0, a1, a2) when V is a 1D polynomial of degree exactly 2."""
     if not isinstance(V, PolynomialPotential) or V.n != 1:
-        raise ConfigError("explicit/ode engines require a one-dimensional polynomial potential")
+        raise ConfigError("explicit engine requires a one-dimensional polynomial potential")
     coeffs = list(V.coeffs) + [0.0] * (3 - len(V.coeffs))
     if len(V.coeffs) > 3 or coeffs[2] <= 0.0:
-        raise ConfigError(
-            "explicit/ode engines require a quadratic potential with positive x^2 coefficient"
-        )
+        raise ConfigError("explicit engine requires a quadratic potential with positive x^2 coefficient")
     return QuadraticCoeffs(a0=coeffs[0], a1=coeffs[1], a2=coeffs[2])
 
 

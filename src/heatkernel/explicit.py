@@ -107,19 +107,28 @@ def gaussian_kernel(n: int, x, y, t: float) -> KernelValue:
     return KernelValue(logp)
 
 
+def _time_factors(c: QuadraticCoeffs, t: float):
+    """The closed form's t-only factors (w, csch u, tanh(u/2), head), u = 2 w t.
+
+    w = sqrt(a2) and head = log p(0, 0, t).  `ode.closed_form_state` reads
+    its ansatz coefficients from the same factors.
+    """
+    w = math.sqrt(c.a2)
+    u = 2.0 * w * t
+    th = coth_minus_csch(u)
+    head = 0.5 * (0.5 * math.log(c.a2) + log_csch(u) - LOG_2PI)
+    head += (c.a1**2 / (4.0 * c.a2) - c.a0) * t
+    head -= c.a1**2 / (4.0 * w**3) * th
+    return w, csch(u), th, head
+
+
 def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
     """log p at one time t; x and y are floats or broadcastable arrays.
 
     The t-only factors are computed once, as floats, so an array call costs
     one pass of elementwise arithmetic over x and y.
     """
-    w = math.sqrt(c.a2)
-    u = 2.0 * w * t
-    cs = csch(u)
-    th = coth_minus_csch(u)
-    head = 0.5 * (0.5 * math.log(c.a2) + log_csch(u) - LOG_2PI)
-    head += (c.a1**2 / (4.0 * c.a2) - c.a0) * t
-    head -= c.a1**2 / (4.0 * w**3) * th
+    w, cs, th, head = _time_factors(c, t)
     return head - 0.5 * w * ((x - y) ** 2 * cs + (x**2 + y**2) * th) - c.a1 / (2.0 * w) * (x + y) * th
 
 

@@ -28,21 +28,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ParameterError
-from .explicit import (
-    LOG_2PI,
-    KernelValue,
-    QuadraticCoeffs,
-    coth_minus_csch,
-    csch,
-    log_csch,
-)
+from .explicit import QuadraticCoeffs, _time_factors
 
 __all__ = [
     "AnsatzState",
     "closed_form_state",
     "integrate_odes",
+    "closed_form_error",
     "ansatz_log",
-    "assemble_kernel",
     "trajectory_to_csv",
 ]
 
@@ -77,17 +70,10 @@ def closed_form_state(c: QuadraticCoeffs, t: float) -> AnsatzState:
     _require_reduced(c)
     if not t > 0.0:
         raise ParameterError(f"time must be > 0, got {t}")
-    w = np.sqrt(c.a2)
-    u = 2.0 * w * t
-    cs = csch(u)
-    th = coth_minus_csch(u)
-    co = cs + th  # coth = csch + (coth - csch)
-    alpha = w * co
-    beta = -w * cs
+    w, cs, th, log_phi = _time_factors(c, t)
+    alpha = w * (cs + th)  # coth = csch + (coth - csch)
     mu = c.a1 / (2.0 * w) * th
-    log_phi = 0.5 * (0.5 * np.log(c.a2) + log_csch(u) - LOG_2PI)
-    log_phi += c.a1**2 / (4.0 * c.a2) * t - c.a1**2 / (4.0 * w**3) * th
-    return AnsatzState(t=t, alpha=alpha, beta=beta, gamma=alpha, mu=mu, nu=mu, log_phi=float(log_phi))
+    return AnsatzState(t=t, alpha=alpha, beta=-w * cs, gamma=alpha, mu=mu, nu=mu, log_phi=log_phi)
 
 
 def _rhs(t, state, a1, a2):
@@ -102,35 +88,26 @@ def _rhs(t, state, a1, a2):
     ]
 
 
-def integrate_odes(
-    c: QuadraticCoeffs,
-    t0: float,
-    t1: float,
-    init: AnsatzState | None = None,
-    samples: int = 201,
-    rtol: float = 1e-10,
-) -> list[AnsatzState]:
+def integrate_odes(c: QuadraticCoeffs, t0: float, t1: float, samples: int = 201) -> list[AnsatzState]:
     """Adaptively integrate the six-ODE system from t0 to t1.
 
-    init defaults to the closed-form state at t0 (t0 > 0 is required: the
-    exact solution blows up like 1/t toward the delta limit).  Returns the
+    The start is the closed-form state at t0 (t0 > 0 is required: the exact
+    solution blows up like 1/t toward the delta limit).  Returns the
     trajectory sampled at `samples` times, geometrically spaced to resolve
     the stiff early transient.
     """
     if not 0.0 < t0 < t1:
         raise ParameterError(f"need 0 < t0 < t1, got ({t0}, {t1})")
     _require_reduced(c)
-    if init is None:
-        init = closed_form_state(c, t0)
     t_eval = np.geomspace(t0, t1, samples)
     sol = solve_ivp(
         _rhs,
         (t0, t1),
-        init.as_array(),
+        closed_form_state(c, t0).as_array(),
         t_eval=t_eval,
         args=(c.a1, c.a2),
         method="DOP853",
-        rtol=rtol,
+        rtol=1e-10,
         atol=1e-12,
     )
     if not sol.success:
@@ -142,15 +119,18 @@ def integrate_odes(
     ]
 
 
+def closed_form_error(c: QuadraticCoeffs, traj: list[AnsatzState]) -> float:
+    """Largest absolute difference between a trajectory's six coefficients and the closed form's."""
+    return max(
+        (float(np.max(np.abs(s.as_array() - closed_form_state(c, s.t).as_array()))) for s in traj),
+        default=0.0,
+    )
+
+
 def ansatz_log(state: AnsatzState, x, y):
     """log p = logphi - quadratic form - linear form; x, y may be broadcastable arrays."""
     quad = 0.5 * (state.alpha * x**2 + state.gamma * y**2 + 2.0 * state.beta * x * y)
     return state.log_phi - quad - state.mu * x - state.nu * y
-
-
-def assemble_kernel(state: AnsatzState, x: float, y: float) -> KernelValue:
-    """Evaluate the ansatz at (x, y)."""
-    return KernelValue(float(ansatz_log(state, x, y)))
 
 
 def trajectory_to_csv(states: list[AnsatzState], path) -> None:

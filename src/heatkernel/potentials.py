@@ -389,7 +389,7 @@ def _nonintegrable_root_mask(coeffs, lo, hi, q: float) -> np.ndarray:
     """
     roots, mult = _poly_real_roots(tuple(coeffs))
     lo, hi = np.broadcast_arrays(lo, hi)
-    if roots.size == 0 or q > -0.5:
+    if roots.size == 0:
         return np.zeros(lo.shape, dtype=bool)
     inside = (lo[..., None] - 1e-12 <= roots) & (roots <= hi[..., None] + 1e-12)
     return np.any(inside & (mult * q <= -1.0), axis=-1)

@@ -179,24 +179,24 @@ def test_interval_lower_holds_for_sine_series():
 def test_ball_lower_bound():
     C = 0.5
     # x = y leaves only the time-decay factor
-    v = dirichlet_ball_lower(2, 1.0, 0.5, (0.0, 0.0), (0.0, 0.0), 0.3, C)
+    v = dirichlet_ball_lower(2, 1.0, (0.0, 0.0), (0.0, 0.0), 0.3, C)
     want = math.log(C) - math.log(0.3) - math.pi**2 * 4 * 0.3 / 4.0
     assert v.log_value == pytest.approx(want, rel=1e-12)
     # time-decay factor becomes exactly 1/2 at t = ln2 * 4 eps^2 / (pi^2 n^2)
     t_half = math.log(2.0) / math.pi**2
-    a = dirichlet_ball_lower(2, 1.0, 1.0, (0.0, 0.0), (0.0, 0.0), t_half, C)
+    a = dirichlet_ball_lower(2, 1.0, (0.0, 0.0), (0.0, 0.0), t_half, C)
     bare = math.log(C) - math.log(t_half)
     assert math.exp(a.log_value - bare) == pytest.approx(0.5, rel=1e-12)
     # never exceeds the free kernel scaled by C (4 pi)^{n/2}
     for d in (0.0, 0.5, 2.0):
         for t in (0.05, 0.5, 3.0):
-            bl = dirichlet_ball_lower(2, 1.0, 1.0, (0.0, 0.0), (d, 0.0), t, C)
+            bl = dirichlet_ball_lower(2, 1.0, (0.0, 0.0), (d, 0.0), t, C)
             g = gaussian_kernel(2, (0.0, 0.0), (d, 0.0), t)
             assert bl.log_value <= g.log_value + math.log(C * (4 * math.pi))
     with pytest.raises(GeometryError):
-        dirichlet_ball_lower(2, 0.5, 0.5, (0.9, 0.0), (0.0, 0.0), 0.1, C, ball=((0.0, 0.0), 1.0))
+        dirichlet_ball_lower(2, 0.5, (0.9, 0.0), (0.0, 0.0), 0.1, C, ball=((0.0, 0.0), 1.0))
     with pytest.raises(ParameterError):
-        dirichlet_ball_lower(1, 0.5, 0.5, 0.0, 0.0, 0.1, C)
+        dirichlet_ball_lower(1, 0.5, 0.0, 0.0, 0.1, C)
 
 
 def test_chain_plan_sizes():
@@ -439,3 +439,13 @@ def test_lower_slack_is_zero_where_kernel_and_envelope_vanish():
     fit = fit_constants(V_SQ, samples, "avg_lower_far", kappa=0.125)
     assert fit.records[1][4:] == (-math.inf, 0.0)
     assert math.isfinite(fit.records[0][5])
+
+
+def test_lower_fit_verdict_comes_from_the_records():
+    # both sides are exact zeros at (0, 3.5, 0.01): no point is violated
+    fit = fit_constants(V_SQ, [(0.0, 0.5, 0.1, -3.0), (0.0, 3.5, 0.01, -math.inf)], "avg_lower_far", kappa=0.125)
+    assert fit.feasible and fit.min_slack == 0.0
+    # at (0, 0.9, 0.1) the envelope stays positive where the kernel vanishes
+    fit = fit_constants(V_SQ, [(0.0, 0.5, 0.1, -3.0), (0.0, 0.9, 0.1, -math.inf)], "avg_lower_far", kappa=0.125)
+    assert not fit.feasible
+    assert fit.min_slack == -math.inf and fit.witness == (0.0, 0.9, 0.1)

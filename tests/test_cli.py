@@ -159,3 +159,19 @@ def test_nonfinite_config_numbers_exit_2(tmp_path, capsys, overrides, command, w
     assert rc == 2
     assert f"config error: {where} must be a finite number" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "engine, spectral, message",
+    [
+        ("ode", None, "unknown engine 'ode'; known: explicit, spectral"),
+        ("spectral", {"half_width": 8.0, "points": 2}, "spectral.points must be an integer >= 3"),
+        ("spectral", {"half_width": -1.0, "points": 401}, "spectral.half_width must be a number > 0"),
+        ("spectral", {"half_width": 8.0, "points": "abc"}, "spectral.points must be an integer >= 3"),
+    ],
+)
+def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
+    cfg = write_config(tmp_path, engine=engine, **({"spectral": spectral} if spectral else {}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
