@@ -11,30 +11,21 @@ from .bounds import (
     ChainPlan,
     FitResult,
     GridFunction,
-    avg_lower,
-    avg_upper,
     chain_plan,
     chained_lower_bound,
-    dirichlet_ball_lower,
-    dirichlet_interval_lower,
     evaluate_envelope,
     fefferman_phong_ratio,
     fit_constants,
-    gaussian_upper,
     grid_points,
     grid_samples,
     interval_clamp_time,
     moser_ratio,
-    quadratic_sharp_branches,
-    quadratic_sharp_envelope,
-    symmetrized_upper,
     energy_test_family,
 )
 from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    GeometryError,
     IntegrationError,
     ParameterError,
 )

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import GeometryError, ParameterError
+from .errors import ParameterError
 from .explicit import KernelValue
 from .potentials import Cube, Potential, cube_average, m_beta
 
@@ -28,15 +28,7 @@ __all__ = [
     "FitResult",
     "ChainPlan",
     "GridFunction",
-    "gaussian_upper",
-    "avg_upper",
-    "symmetrized_upper",
-    "quadratic_sharp_envelope",
-    "quadratic_sharp_branches",
-    "avg_lower",
-    "dirichlet_interval_lower",
     "interval_clamp_time",
-    "dirichlet_ball_lower",
     "chain_plan",
     "chained_lower_bound",
     "fefferman_phong_ratio",
@@ -94,8 +86,8 @@ def _dist(x, y) -> float:
     return float(np.sqrt(np.sum(dx * dx)))
 
 
-# Each family's log-envelope is written once, in the helpers below; the
-# public evaluators and `fit_constants` both call them.
+# Each family's log-envelope is written once, in the helpers below;
+# `evaluate_envelope` and `fit_constants` both call them.
 
 
 def _log_gaussian(c0: float, n: int, t: float, c: float = 0.0, d2: float = 0.0) -> float:
@@ -155,155 +147,66 @@ def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t: float, log_c: f
     return log_c - 0.5 * n * math.log(t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
 
 
-def gaussian_upper(e: BoundEnvelope, x, y, t: float) -> KernelValue:
-    """c0 t^{-n/2} exp(-c2 |x-y|^2 / t)."""
-    e._need("c0", "c2")
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    return KernelValue(_log_gaussian(e.c0, e.n, t, e.c2, _dist(x, y) ** 2))
-
-
-def avg_upper(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
-    """Gaussian shape times exp{-c1 sqrt(m_beta(t * mean of V near x))}.
-
-    The mean is over the cube of side sqrt(t) centered at x.
-    """
-    e._need("c0", "c1", "c2")
-    if e.beta is None:
-        raise ParameterError("avg_upper needs beta")
-    base = gaussian_upper(e, x, y, t)
-    return KernelValue(base.log_value - e.c1 * _upper_decay(V, e.beta, x, None, t))
-
-
-def symmetrized_upper(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
-    """Geometric-mean form with decay terms at both endpoints.
-
-    c0 t^{-n/2} e^{-c1 |x-y|^2/t} exp{-c2 [sqrt(m_beta(t avg_x)) + sqrt(m_beta(t avg_y))]}
-    """
-    e._need("c0", "c1", "c2")
-    if e.beta is None:
-        raise ParameterError("symmetrized_upper needs beta")
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    base = _log_gaussian(e.c0, e.n, t, e.c1, _dist(x, y) ** 2)
-    return KernelValue(base - e.c2 * _upper_decay(V, e.beta, x, y, t))
-
-
-def quadratic_sharp_branches(e: BoundEnvelope, x: float, y: float, t: float):
-    """Both branches of the two-regime quadratic envelope (n = 1).
-
-    small-t: t^{-1/2} exp(-c0 |x-y|^2/t - c1 t (x^2+y^2))
-    large-t: exp(-c2 t - c3 (x^2+y^2))
-    No continuity is imposed at t = 1; both values are always available.
-    """
-    e._need("c0", "c1", "c2", "c3")
-    if e.n != 1:
-        raise ParameterError("quadratic sharp envelope is one-dimensional")
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    shape, d2, s = _sharp_terms(x, y, t)
-    small = shape - e.c0 * d2 / t - e.c1 * t * s
-    large = -e.c2 * t - e.c3 * s
-    return KernelValue(small), KernelValue(large)
-
-
-def quadratic_sharp_envelope(e: BoundEnvelope, x: float, y: float, t: float) -> KernelValue:
-    small, large = quadratic_sharp_branches(e, x, y, t)
-    return small if t <= 1.0 else large
-
-
-def avg_lower(V: Potential, e: BoundEnvelope, x, y, t: float) -> KernelValue:
-    """Two-branch lower envelope selected by |x-y| versus kappa sqrt(t).
-
-    near (|x-y| < kappa sqrt(t)):  c0 t^{-n/2} exp{-c1 t avg_{side sqrt(t)}(x)}
-    far  (otherwise):              c0 t^{-n/2} e^{-c3 |x-y|^2/t}
-                                   exp{-c1 t c2^{|x-y|^2/t} avg_{side t/|x-y|}(x)}
-    """
-    if e.kappa is None:
-        raise ParameterError("avg_lower needs kappa")
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    d = _dist(x, y)
-    near = _is_near(e.kappa, d, t)
-    e._need(*(("c0", "c1") if near else ("c0", "c1", "c2", "c3")))
-    base, log_d = _lower_terms(V, e.n, e.c0, e.c2, e.c3, near, x, d, t)
-    log_decay = math.log(e.c1) + log_d
-    if log_decay > 700.0:
-        return KernelValue(-math.inf)
-    return KernelValue(base - math.exp(log_decay))
-
-
 def interval_clamp_time(epsilon: float) -> float:
     """Time beyond which the interval lower bound clamps to zero."""
     return epsilon**2 / math.log(2.0)
 
 
-def dirichlet_interval_lower(
-    epsilon: float, x: float, y: float, t: float, C: float
-) -> tuple[KernelValue, bool]:
-    """(C / sqrt(t)) e^{-|x-y|^2/4t} (1 - 2 e^{-eps^2/t}), clamped at zero.
-
-    Valid as a lower bound for the Dirichlet interval kernel whenever
-    (x - eps, y + eps) sits inside the interval (caller's responsibility).
-    Returns (value, clamped); the factor goes nonpositive for
-    t >= interval_clamp_time(epsilon).
-    """
-    if not epsilon > 0:
-        raise ParameterError("epsilon must be > 0")
-    if not 0.0 < C < 1.0:
-        raise ParameterError("C must lie in (0, 1)")
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    logv = _dirichlet_log("dirichlet_interval", 1, epsilon, x, y, t, math.log(C))
-    return KernelValue(logv), logv == -math.inf
-
-
-def dirichlet_ball_lower(
-    n: int,
-    epsilon: float,
-    x,
-    y,
-    t: float,
-    C: float,
-    ball: tuple | None = None,
-) -> KernelValue:
-    """(C / t^{n/2}) e^{-pi^2 n^2 t / 4 eps^2} e^{-|x-y|^2 / 4t} for n >= 2.
-
-    The straight segment from x to y must stay eps-deep inside the ball, so
-    the geodesic is a line and its curvature correction vanishes.  Passing
-    ball=(center, radius) enables the geometry check.
-    """
-    if n < 2:
-        raise ParameterError("ball lower bound needs n >= 2")
-    if not epsilon > 0:
-        raise ParameterError("need epsilon > 0")
-    if not 0.0 < C < 1.0:
-        raise ParameterError("C must lie in (0, 1)")
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    if ball is not None:
-        center, radius = ball
-        for pt in (x, y):
-            if _dist(pt, center) > radius - epsilon + 1e-12:
-                raise GeometryError("segment endpoint leaves the eps-interior of the ball")
-    return KernelValue(_dirichlet_log("dirichlet_ball", n, epsilon, x, y, t, math.log(C)))
-
-
 def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
-    """Evaluate any envelope family at one point (log-space)."""
-    if env.family == "gaussian_upper":
-        return gaussian_upper(env, x, y, t)
-    if env.family == "avg_upper":
-        return avg_upper(V, env, x, y, t)
-    if env.family == "symmetrized_upper":
-        return symmetrized_upper(V, env, x, y, t)
-    if env.family == "quadratic_sharp":
-        return quadratic_sharp_envelope(env, x, y, t)
-    if env.family in ("avg_lower_near", "avg_lower_far"):
-        return avg_lower(V, env, x, y, t)
-    if env.family == "dirichlet_interval":
-        return dirichlet_interval_lower(env.epsilon, x, y, t, env.C)[0]
-    return dirichlet_ball_lower(env.n, env.epsilon, x, y, t, env.C)
+    """Evaluate any envelope family at one point (log-space).
+
+    gaussian_upper      c0 t^{-n/2} exp(-c2 |x-y|^2 / t)
+    avg_upper           c0 t^{-n/2} e^{-c2 |x-y|^2/t} exp{-c1 sqrt(m_beta(t avg_x))}
+    symmetrized_upper   c0 t^{-n/2} e^{-c1 |x-y|^2/t} exp{-c2 [sqrt(m_beta(t avg_x)) + sqrt(m_beta(t avg_y))]}
+    quadratic_sharp     n = 1; t <= 1: t^{-1/2} exp(-c0 |x-y|^2/t - c1 t (x^2+y^2)),
+                        t > 1: exp(-c2 t - c3 (x^2+y^2)); no continuity is imposed at t = 1
+    avg_lower_near/far  near (|x-y| < kappa sqrt(t)): c0 t^{-n/2} exp{-c1 t avg_x}
+                        far: c0 t^{-n/2} e^{-c3 |x-y|^2/t} exp{-c1 t c2^{|x-y|^2/t} avg'_x}
+    dirichlet_interval  (C / sqrt(t)) e^{-|x-y|^2/4t} (1 - 2 e^{-eps^2/t}), clamped at zero
+    dirichlet_ball      n >= 2; (C / t^{n/2}) e^{-pi^2 n^2 t / 4 eps^2} e^{-|x-y|^2 / 4t}
+
+    avg_x is the mean of V over the cube of side sqrt(t) at x, avg'_x over the
+    side t/|x-y|.  The Dirichlet comparisons need 0 < C < 1, and hold when
+    (x - eps, y + eps) sits inside the interval, or the segment from x to y
+    stays eps-deep inside the ball (caller's responsibility).
+    """
+    if not t > 0:
+        raise ParameterError("time must be > 0")
+    family = env.family
+    if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
+        gaussian = family == "gaussian_upper"
+        env._need(*(("c0", "c2") if gaussian else ("c0", "c1", "c2", "beta")))
+        d2 = _dist(x, y) ** 2
+        if gaussian:
+            return KernelValue(_log_gaussian(env.c0, env.n, t, env.c2, d2))
+        both = family == "symmetrized_upper"
+        c_gauss, c_decay = (env.c1, env.c2) if both else (env.c2, env.c1)
+        decay = _upper_decay(V, env.beta, x, y if both else None, t)
+        return KernelValue(_log_gaussian(env.c0, env.n, t, c_gauss, d2) - c_decay * decay)
+    if family == "quadratic_sharp":
+        env._need("c0", "c1", "c2", "c3")
+        if env.n != 1:
+            raise ParameterError("quadratic_sharp is one-dimensional")
+        shape, d2, s = _sharp_terms(x, y, t)
+        if t <= 1.0:
+            return KernelValue(shape - env.c0 * d2 / t - env.c1 * t * s)
+        return KernelValue(-env.c2 * t - env.c3 * s)
+    if family in ("avg_lower_near", "avg_lower_far"):
+        env._need("kappa")
+        d = _dist(x, y)
+        near = _is_near(env.kappa, d, t)
+        env._need(*(("c0", "c1") if near else ("c0", "c1", "c2", "c3")))
+        base, log_d = _lower_terms(V, env.n, env.c0, env.c2, env.c3, near, x, d, t)
+        log_decay = math.log(env.c1) + log_d
+        if log_decay > 700.0:
+            return KernelValue(-math.inf)
+        return KernelValue(base - math.exp(log_decay))
+    env._need("epsilon", "C")
+    if not 0.0 < env.C < 1.0:
+        raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
+    if family == "dirichlet_ball" and env.n < 2:
+        raise ParameterError("dirichlet_ball needs n >= 2")
+    return KernelValue(_dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +253,7 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     The M arithmetic (smallest integer above 256 |x-y|^2/t) is well defined
     for any separation; the chaining argument itself targets the far regime
     |x-y| >= sqrt(t)/8, exposed as plan.far_regime (near-regime callers
-    normally want the near branch of avg_lower instead).  sigma defaults to
+    normally want the avg_lower_near family instead).  sigma defaults to
     1/(16 sqrt(n)), the largest value for which points of adjacent cubes
     are always closer than (1/8) sqrt(t/M).
     """
@@ -682,8 +585,6 @@ def _fit_dirichlet_C(family, pts, n, epsilon, c_floor):
     """Dirichlet comparison families: C is the least p / exp(shape), capped at 0.99."""
     if epsilon is None:
         raise ParameterError(f"{family} fit needs epsilon")
-    if family == "dirichlet_ball" and n < 2:
-        raise ParameterError("dirichlet_ball fits need n >= 2")
     ratios = []
     for x, y, t, lp in pts:
         shape = _dirichlet_log(family, n, epsilon, x, y, t)

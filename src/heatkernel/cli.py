@@ -30,6 +30,7 @@ from .config import (
     DEFAULT_CONFIG,
     ENGINES,
     config_hash,
+    config_number,
     envelope_from_config,
     grid_from_config,
     load_config,
@@ -48,40 +49,25 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def _rel_tol(cfg: dict) -> float:
-    rel = float(cfg.get("tolerances", {}).get("rel", 1e-4))
-    if not rel > 0:
-        raise ConfigError("tolerances.rel must be > 0")
-    return rel
-
-
 def _potential(cfg: dict, base_dir: Path | None):
     return potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
 
 
-def _spectral_size(cfg: dict) -> tuple[float, int]:
-    """(half_width, points) of the spectral section, checked before anything is built."""
-    spec = cfg.get("spectral", DEFAULT_CONFIG["spectral"])
-    L, m = spec.get("half_width", 8.0), spec.get("points", 2001)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 3:
-        raise ConfigError(f"spectral.points must be an integer >= 3, got {m!r}")
-    if isinstance(L, bool) or not isinstance(L, (int, float)) or not L > 0:
-        raise ConfigError(f"spectral.half_width must be a number > 0, got {L!r}")
-    return float(L), m
+def _build_engine(cfg: dict, ts, base_dir: Path | None = None):
+    """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], potential, provenance).
 
-
-def _build_engine(cfg: dict, base_dir: Path | None = None):
-    """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], potential, provenance)."""
+    ts are the grid's times, read before anything is built; the spectral
+    provenance reports the modes kept at the earliest.
+    """
     engine = cfg.get("engine", "explicit")
     V = _potential(cfg, base_dir)
     if engine == "explicit":
         quad = quadratic_from_potential(V)
         return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), V, "engine=explicit"
     if engine == "spectral":
-        L, m = _spectral_size(cfg)
+        L, m = float(config_number(cfg, "spectral.half_width")), config_number(cfg, "spectral.points")
         K = build_spectral(V, L, m)
-        ref_t = min(float(v) for v in cfg.get("grid", {}).get("t", [0.05, 1.0, 2])[:2]) or 0.05
-        prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(max(ref_t, 1e-6))}"
+        prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(float(min(ts)))}"
         return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), V, prov
     raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
 
@@ -92,8 +78,8 @@ def _prov_line(cfg: dict, prov: str, xs, ys, ts) -> str:
 
 def _evaluate_grid(cfg: dict, base_dir: Path | None):
     """Build the engine and evaluate its grid once: (samples, potential, provenance line)."""
-    log_kernel, V, prov = _build_engine(cfg, base_dir)
     xs, ys, ts = grid_from_config(cfg)
+    log_kernel, V, prov = _build_engine(cfg, ts, base_dir)
     samples = grid_samples(xs, ys, ts, log_kernel(xs, ys, ts))
     return samples, V, _prov_line(cfg, prov, xs, ys, ts)
 
@@ -136,8 +122,8 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     verdict_rows = []
     slack_rows = []
     all_ok = True
-    for spec in cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]):
-        env0 = envelope_from_config(spec)
+    for i, spec in enumerate(cfg.get("envelopes", DEFAULT_CONFIG["envelopes"])):
+        env0 = envelope_from_config(spec, f"envelopes[{i}]")
         fit = fit_constants(
             V,
             samples(),
@@ -181,19 +167,19 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
 
 def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     V = _potential(cfg, base_dir)
-    w = cfg.get("weights", DEFAULT_CONFIG["weights"])
-    window = Cube(float(w.get("window_center", 0.0)), float(w.get("window_side", 2.0)))
-    depth = int(w.get("depth", 12))
+    w = {k: config_number(cfg, f"weights.{k}") for k in DEFAULT_CONFIG["weights"]}
+    window = Cube(w["window_center"], w["window_side"])
+    depth = w["depth"]
     prov_line = f"config={config_hash(cfg)} window_side={window.side:g} depth={depth}"
     rows = []
-    rh = rh_constant(V, float(w.get("rh_q", 1.5)), window, depth)
+    rh = rh_constant(V, float(w["rh_q"]), window, depth)
     for side, ratio in rh.trace:
         rows.append(("rh", rh.exponent, side, ratio))
-    ap = ap_constant(V, float(w.get("ap_p", 2.0)), window, depth)
+    ap = ap_constant(V, float(w["ap_p"]), window, depth)
     for side, ratio in ap.trace:
         rows.append(("ap", ap.exponent, side, ratio))
     emit_csv(rows, ["kind", "exponent", "side", "ratio"], out / "weight_trace.csv", prov_line)
-    fit = doubling_fit(V, window, min(depth, 20))
+    fit = doubling_fit(V, window, depth)
     emit_csv(
         [(fit.C, fit.epsilon, fit.residual)],
         ["C", "epsilon", "residual"],
@@ -209,30 +195,28 @@ def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
 
 
 def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    o = cfg.get("ode", DEFAULT_CONFIG["ode"])
+    t0, t1 = float(config_number(cfg, "ode.t0")), float(config_number(cfg, "ode.t1"))
+    samples, rel = config_number(cfg, "ode.samples"), config_number(cfg, "tolerances.rel")
     V = _potential(cfg, base_dir)
     quad = quadratic_from_potential(V)
     if quad.a0 != 0.0:
         quad = type(quad)(0.0, quad.a1, quad.a2)
-    t0, t1 = float(o.get("t0", 0.01)), float(o.get("t1", 2.0))
-    traj = integrate_odes(quad, t0, t1, samples=int(o.get("samples", 120)))
+    traj = integrate_odes(quad, t0, t1, samples=samples)
     trajectory_to_csv(traj, out / "trajectory.csv")
     err = closed_form_error(quad, traj)
-    rel = _rel_tol(cfg)
     print(f"wrote {out / 'trajectory.csv'} max_closed_form_error={err:.6g} (tol {rel:g})")
     return EXIT_OK if err <= rel else EXIT_FAILURE
 
 
 def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    ch = cfg.get("chain", DEFAULT_CONFIG["chain"])
+    x, y, t = (float(config_number(cfg, f"chain.{k}")) for k in ("x", "y", "t"))
+    sigma = config_number(cfg, "chain.sigma")
+    c0 = float(config_number(cfg, "chain.c0", 0.5 * (4.0 * math.pi) ** -0.5))
+    c1 = float(config_number(cfg, "chain.c1", 1.0))
     V = _potential(cfg, base_dir)
-    x, y, t = float(ch.get("x", 0.0)), float(ch.get("y", 1.0)), float(ch.get("t", 1.0))
-    sigma = ch.get("sigma")
     plan = chain_plan(x, y, t, sigma=float(sigma) if sigma is not None else None)
     window = Cube(x, max(4.0 * math.sqrt(t), 4.0))
     dbl = doubling_fit(V, window, 8)
-    c0 = float(ch.get("c0", 0.5 * (4.0 * math.pi) ** -0.5))
-    c1 = float(ch.get("c1", 1.0))
     bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "

@@ -47,6 +47,44 @@ DEFAULT_CONFIG = {
 }
 
 
+# What a number read by `config_number` must be beyond an int or a float: the
+# phrase its error message uses and the test.  The weight scans take 2^depth
+# cubes at the deepest level, and no subcommand handles a potential with n >= 2.
+LIMITS = {
+    "potential.dimension": ("1", lambda v: v == 1),
+    "weights.depth": ("an integer in [3, 20]", lambda v: isinstance(v, int) and 3 <= v <= 20),
+    "weights.window_side": ("a number > 0", lambda v: v > 0),
+    "ode.samples": ("an integer >= 2", lambda v: isinstance(v, int) and v >= 2),
+    "chain.t": ("a number > 0", lambda v: v > 0),
+    "spectral.points": ("an integer >= 3", lambda v: isinstance(v, int) and v >= 3),
+    "spectral.half_width": ("a number > 0", lambda v: v > 0),
+    "tolerances.rel": ("a number > 0", lambda v: v > 0),
+}
+
+
+def config_number(cfg: dict, path: str, default=None):
+    """The number at a `section.key` path of cfg, such as `weights.depth`.
+
+    A missing key takes its DEFAULT_CONFIG value, or `default` for keys that
+    have none.  A value that is not an int or a float (a bool or a string
+    included), or that breaks its LIMITS entry, raises ConfigError naming the path.
+    """
+    section_name, key = path.split(".")
+    section = cfg.get(section_name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{section_name} must be an object, got {section!r}")
+    if key not in section:
+        return DEFAULT_CONFIG.get(section_name, {}).get(key, default)
+    return _number(section[key], path)
+
+
+def _number(value, where: str):
+    what, ok = LIMITS.get(where, ("a number", lambda v: True))
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
 def load_config(path) -> dict:
     """Read a JSON config file; parse errors carry line/column diagnostics."""
     text = Path(path).read_text()
@@ -91,15 +129,16 @@ def potential_from_config(spec: dict, base_dir: Path | None = None) -> Potential
     then coefficients/dimension, exponent, value, table, factor/base, parts.
     """
     kind = str(_need(spec, "kind", "potential")).lower()
-    n = int(spec.get("dimension", 1))
+    if "dimension" in spec:
+        _number(spec["dimension"], "potential.dimension")
     try:
         if kind == "polynomial":
-            return PolynomialPotential(_need(spec, "coefficients", "potential"), n=n)
+            return PolynomialPotential(_need(spec, "coefficients", "potential"))
         if kind == "power":
-            return PowerPotential(float(_need(spec, "exponent", "potential")), n=n)
+            return PowerPotential(float(_need(spec, "exponent", "potential")))
         if kind == "constant":
             value = float(_need(spec, "value", "potential"))
-            return PolynomialPotential([value], n=n)
+            return PolynomialPotential([value])
         if kind == "tabulated":
             table = _need(spec, "table", "potential")
             path = Path(table)
@@ -152,17 +191,20 @@ def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
     return QuadraticCoeffs(a0=coeffs[0], a1=coeffs[1], a2=coeffs[2])
 
 
-def envelope_from_config(spec: dict, n: int = 1) -> BoundEnvelope:
-    """Keys: family plus any of c0..c3, beta, kappa, epsilon, C, n."""
+def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
+    """Keys: family plus any of beta, kappa, epsilon, n; `where` (`envelopes[i]`) names the entry.
+
+    `bounds` fits c0..c3 and C, so setting one is a config error.
+    """
     family = str(_need(spec, "family", "envelopes"))
     if family not in FAMILIES:
         raise ConfigError(f"unknown envelope family {family!r}; known: {', '.join(FAMILIES)}")
-    kwargs = {}
-    for key in ("c0", "c1", "c2", "c3", "beta", "kappa", "epsilon", "C"):
+    for key in ("c0", "c1", "c2", "c3", "C"):
         if key in spec:
-            kwargs[key] = float(spec[key])
+            raise ConfigError(f"{where}.{key} cannot be set: bounds fits it")
+    kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
     try:
-        return BoundEnvelope(family=family, n=int(spec.get("n", n)), **kwargs)
+        return BoundEnvelope(family=family, n=int(_number(spec.get("n", 1), f"{where}.n")), **kwargs)
     except Exception as exc:
         raise ConfigError(f"envelope section: {exc}") from exc
 

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """A point or cube lies outside the domain where a potential is defined."""
 
 
-class GeometryError(ValueError):
-    """A geometric precondition (segment inside a region, etc.) fails."""
-
-
 class IntegrationError(RuntimeError):
     """ODE integration failed; carries the last time reached."""
 

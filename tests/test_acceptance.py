@@ -7,11 +7,14 @@ CLI `verify` twice and byte-comparing the artifacts.
 """
 
 import filecmp
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import heatkernel
 from heatkernel import acceptance
 
 
@@ -76,6 +79,10 @@ def test_c11_determinism(results):
 
 def test_verify_cli_twice_byte_identical(tmp_path):
     """Criterion 11 end-to-end: two `verify` runs, identical CSVs, exit 0."""
+    # the subprocess imports the package from where this process found it,
+    # installed or not
+    src = str(Path(heatkernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outs = []
     for name in ("run1", "run2"):
         out = tmp_path / name
@@ -83,6 +90,7 @@ def test_verify_cli_twice_byte_identical(tmp_path):
             [sys.executable, "-m", "heatkernel.cli", "--out", str(out), "verify"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "11/11 acceptance criteria passed" in proc.stdout

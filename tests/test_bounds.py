@@ -8,25 +8,19 @@ from hypothesis import strategies as st
 from heatkernel import (
     BoundEnvelope,
     Cube,
-    GeometryError,
     ParameterError,
     PolynomialPotential,
     PowerPotential,
     QuadraticCoeffs,
-    avg_lower,
-    avg_upper,
     chain_plan,
     chained_lower_bound,
     constant,
     converged_kernel,
-    dirichlet_ball_lower,
     dirichlet_interval_kernel,
-    dirichlet_interval_lower,
     doubling_fit,
     fefferman_phong_ratio,
     fit_constants,
     gaussian_kernel,
-    gaussian_upper,
     grid_points,
     grid_samples,
     interval_clamp_time,
@@ -34,9 +28,6 @@ from heatkernel import (
     moser_ratio,
     quadratic_kernel,
     quadratic_log_kernel,
-    quadratic_sharp_branches,
-    quadratic_sharp_envelope,
-    symmetrized_upper,
     energy_test_family,
     evaluate_envelope,
 )
@@ -58,11 +49,15 @@ def _upper_env(**kw):
     return BoundEnvelope(**base)
 
 
+def _log_env(V, env, x, y, t):
+    return evaluate_envelope(V, env, x, y, t).log_value
+
+
 def test_avg_upper_zero_potential_is_gaussian_shape():
     e = _upper_env()
     for x, y, t in [(0.0, 1.0, 0.3), (-2.0, 0.5, 1.0)]:
-        got = avg_upper(V0, e, x, y, t).log_value
-        want = gaussian_upper(e, x, y, t).log_value
+        got = _log_env(V0, e, x, y, t)
+        want = _log_env(None, _upper_env(family="gaussian_upper"), x, y, t)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -70,52 +65,54 @@ def test_avg_upper_quadratic_average_term():
     # V = z^2 at x = 0: the averaged decay argument is t * (t/12)
     e = _upper_env(beta=0.5)
     t = 0.9
-    got = avg_upper(V_SQ, e, 0.0, 0.0, t).log_value
-    want = gaussian_upper(e, 0.0, 0.0, t).log_value - e.c1 * math.sqrt(m_beta(t * t / 12.0, e.beta))
+    got = _log_env(V_SQ, e, 0.0, 0.0, t)
+    gauss = _log_env(None, _upper_env(family="gaussian_upper", beta=0.5), 0.0, 0.0, t)
+    want = gauss - e.c1 * math.sqrt(m_beta(t * t / 12.0, e.beta))
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_avg_upper_monotone_in_c1():
-    lo = avg_upper(V_SQ, _upper_env(c1=0.5), 1.0, 0.0, 1.0).log_value
-    hi = avg_upper(V_SQ, _upper_env(c1=2.0), 1.0, 0.0, 1.0).log_value
+    lo = _log_env(V_SQ, _upper_env(c1=0.5), 1.0, 0.0, 1.0)
+    hi = _log_env(V_SQ, _upper_env(c1=2.0), 1.0, 0.0, 1.0)
     assert hi < lo
 
 
 def test_beta_ordering_weakens_bound():
     # smaller beta gives a larger envelope once the decay argument exceeds 1
     t, x = 2.0, 2.0
-    small = avg_upper(V_SQ, _upper_env(beta=0.3), x, 0.0, t).log_value
-    large = avg_upper(V_SQ, _upper_env(beta=0.9), x, 0.0, t).log_value
+    small = _log_env(V_SQ, _upper_env(beta=0.3), x, 0.0, t)
+    large = _log_env(V_SQ, _upper_env(beta=0.9), x, 0.0, t)
     assert t * (x * x + t / 12.0) > 1.0
     assert small > large
 
 
 def test_symmetrized_properties():
     e = _upper_env(family="symmetrized_upper")
-    a = symmetrized_upper(V_SQ, e, 0.4, -1.0, 0.7).log_value
-    b = symmetrized_upper(V_SQ, e, -1.0, 0.4, 0.7).log_value
+    a = _log_env(V_SQ, e, 0.4, -1.0, 0.7)
+    b = _log_env(V_SQ, e, -1.0, 0.4, 0.7)
     assert a == pytest.approx(b, rel=1e-14)
     # x = y doubles the single-point decay of avg_upper (with the c-roles swapped)
     x = 1.3
     t = 0.6
-    got = symmetrized_upper(V_SQ, e, x, x, t).log_value
-    single = avg_upper(V_SQ, _upper_env(c1=2.0 * e.c2, c2=e.c1), x, x, t).log_value
+    got = _log_env(V_SQ, e, x, x, t)
+    single = _log_env(V_SQ, _upper_env(c1=2.0 * e.c2, c2=e.c1), x, x, t)
     assert got == pytest.approx(single, rel=1e-13)
-    assert symmetrized_upper(V0, e, 0.3, 0.9, 0.5).log_value == pytest.approx(
-        gaussian_upper(_upper_env(c2=e.c1), 0.3, 0.9, 0.5).log_value, rel=1e-14
+    assert _log_env(V0, e, 0.3, 0.9, 0.5) == pytest.approx(
+        _log_env(None, _upper_env(family="gaussian_upper", c2=e.c1), 0.3, 0.9, 0.5), rel=1e-14
     )
 
 
 def test_quadratic_sharp_branches_at_one():
     e = BoundEnvelope(family="quadratic_sharp", n=1, c0=0.2, c1=0.3, c2=0.8, c3=0.4)
-    small, large = quadratic_sharp_branches(e, 1.0, -1.0, 1.0)
-    assert math.isfinite(small.log_value) and math.isfinite(large.log_value)
-    assert quadratic_sharp_envelope(e, 1.0, -1.0, 1.0).log_value == small.log_value
-    assert quadratic_sharp_envelope(e, 1.0, -1.0, 1.001).log_value != small.log_value
+    # t = 1 takes the small-t branch, -c0 (x-y)^2/t - c1 t (x^2+y^2); just past it the large-t one
+    small = _log_env(None, e, 1.0, -1.0, 1.0)
+    large = _log_env(None, e, 1.0, -1.0, 1.001)
+    assert math.isfinite(small) and math.isfinite(large)
+    assert small == pytest.approx(-0.2 * 4.0 - 0.3 * 2.0)
+    assert large == pytest.approx(-0.8 * 1.001 - 0.4 * 2.0)
+    assert large != small
     # origin small-t shape is the bare power of t
-    assert quadratic_sharp_envelope(e, 0.0, 0.0, 0.25).log_value == pytest.approx(
-        -0.5 * math.log(0.25)
-    )
+    assert _log_env(None, e, 0.0, 0.0, 0.25) == pytest.approx(-0.5 * math.log(0.25))
 
 
 def test_avg_lower_branches():
@@ -124,12 +121,12 @@ def test_avg_lower_branches():
     )
     # near branch at x = 0 for V = z^2 decays like exp(-c1 t^2 / 12)
     t = 0.64
-    got = avg_lower(V_SQ, e, 0.0, 0.0, t).log_value
+    got = _log_env(V_SQ, e, 0.0, 0.0, t)
     want = math.log(e.c0) - 0.5 * math.log(t) - e.c1 * t * (t / 12.0)
     assert got == pytest.approx(want, rel=1e-14)
     # the boundary |x-y| = kappa sqrt(t) selects the far branch
     d = e.kappa * math.sqrt(t)
-    far = avg_lower(V_SQ, e, 0.0, d, t).log_value
+    far = _log_env(V_SQ, e, 0.0, d, t)
     explicit_far = (
         math.log(e.c0)
         - 0.5 * math.log(t)
@@ -139,26 +136,30 @@ def test_avg_lower_branches():
     # far-branch average for V=z^2 at x=0 with side t/d is (t/d)^2/12
     assert far == pytest.approx(explicit_far, rel=1e-12)
     # zero potential: both branches carry the Gaussian-type shape only
-    near0 = avg_lower(V0, e, 0.0, 0.01, 1.0).log_value
+    near0 = _log_env(V0, e, 0.0, 0.01, 1.0)
     assert near0 == pytest.approx(math.log(e.c0) - 0.0, rel=1e-12)
-    far0 = avg_lower(V0, e, 0.0, 1.0, 1.0).log_value
+    far0 = _log_env(V0, e, 0.0, 1.0, 1.0)
     assert far0 == pytest.approx(math.log(e.c0) - e.c3, rel=1e-12)
+
+
+def _interval(eps, C):
+    return BoundEnvelope(family="dirichlet_interval", epsilon=eps, C=C)
 
 
 def test_interval_lower_bound_clamp():
     eps = 0.8
-    kv, clamped = dirichlet_interval_lower(eps, 0.2, 0.4, 1e-3, C=0.5)
-    assert not clamped
+    kv = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, 1e-3)
+    assert kv.log_value > -math.inf  # not clamped
     # tiny t: the boundary factor is essentially 1
     want = math.log(0.5) - 0.5 * math.log(1e-3) - 0.04 / (4e-3)
     assert kv.log_value == pytest.approx(want, rel=1e-6)
     t_clamp = interval_clamp_time(eps)
-    kv2, clamped2 = dirichlet_interval_lower(eps, 0.2, 0.4, t_clamp * 1.0001, C=0.5)
-    assert clamped2 and kv2.value == 0.0
+    kv2 = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, t_clamp * 1.0001)
+    assert kv2.log_value == -math.inf and kv2.value == 0.0  # clamped
     with pytest.raises(ParameterError):
-        dirichlet_interval_lower(0.0, 0.1, 0.2, 0.5, C=0.5)
+        evaluate_envelope(None, _interval(0.0, 0.5), 0.1, 0.2, 0.5)
     with pytest.raises(ParameterError):
-        dirichlet_interval_lower(1.0, 0.1, 0.2, 0.5, C=1.5)
+        evaluate_envelope(None, _interval(1.0, 1.5), 0.1, 0.2, 0.5)
 
 
 def test_interval_lower_holds_for_sine_series():
@@ -178,25 +179,24 @@ def test_interval_lower_holds_for_sine_series():
 
 def test_ball_lower_bound():
     C = 0.5
+    ball = lambda n, eps: BoundEnvelope(family="dirichlet_ball", n=n, epsilon=eps, C=C)  # noqa: E731
     # x = y leaves only the time-decay factor
-    v = dirichlet_ball_lower(2, 1.0, (0.0, 0.0), (0.0, 0.0), 0.3, C)
+    v = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (0.0, 0.0), 0.3)
     want = math.log(C) - math.log(0.3) - math.pi**2 * 4 * 0.3 / 4.0
     assert v.log_value == pytest.approx(want, rel=1e-12)
     # time-decay factor becomes exactly 1/2 at t = ln2 * 4 eps^2 / (pi^2 n^2)
     t_half = math.log(2.0) / math.pi**2
-    a = dirichlet_ball_lower(2, 1.0, (0.0, 0.0), (0.0, 0.0), t_half, C)
+    a = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (0.0, 0.0), t_half)
     bare = math.log(C) - math.log(t_half)
     assert math.exp(a.log_value - bare) == pytest.approx(0.5, rel=1e-12)
     # never exceeds the free kernel scaled by C (4 pi)^{n/2}
     for d in (0.0, 0.5, 2.0):
         for t in (0.05, 0.5, 3.0):
-            bl = dirichlet_ball_lower(2, 1.0, (0.0, 0.0), (d, 0.0), t, C)
+            bl = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (d, 0.0), t)
             g = gaussian_kernel(2, (0.0, 0.0), (d, 0.0), t)
             assert bl.log_value <= g.log_value + math.log(C * (4 * math.pi))
-    with pytest.raises(GeometryError):
-        dirichlet_ball_lower(2, 0.5, (0.9, 0.0), (0.0, 0.0), 0.1, C, ball=((0.0, 0.0), 1.0))
     with pytest.raises(ParameterError):
-        dirichlet_ball_lower(1, 0.5, 0.0, 0.0, 0.1, C)
+        evaluate_envelope(None, ball(1, 0.5), 0.0, 0.0, 0.1)
 
 
 def test_chain_plan_sizes():
@@ -355,9 +355,6 @@ def test_quadratic_sharp_fit_wide_time_grid():
 
 
 def test_evaluate_envelope_dispatch_all_families():
-    from heatkernel import evaluate_envelope
-    from heatkernel.config import envelope_from_config
-
     specs = [
         {"family": "gaussian_upper", "c0": 0.3, "c2": 0.25},
         {"family": "avg_upper", "c0": 0.3, "c1": 1.0, "c2": 0.25, "beta": 0.9},
@@ -369,7 +366,7 @@ def test_evaluate_envelope_dispatch_all_families():
         {"family": "dirichlet_ball", "epsilon": 0.5, "C": 0.5, "n": 2},
     ]
     for spec in specs:
-        env = envelope_from_config(spec)
+        env = BoundEnvelope(**spec)
         if env.family == "dirichlet_ball":
             kv = evaluate_envelope(V_SQ, env, (0.1, 0.0), (0.4, 0.0), 0.3)
         elif env.family == "avg_lower_near":
@@ -377,6 +374,23 @@ def test_evaluate_envelope_dispatch_all_families():
         else:
             kv = evaluate_envelope(V_SQ, env, 0.1, 0.4, 0.3)
         assert math.isfinite(kv.log_value)
+
+
+@pytest.mark.parametrize(
+    "spec, t",
+    [
+        ({"family": "gaussian_upper", "c0": 0.3, "c2": 0.25}, 0.0),
+        ({"family": "avg_upper", "c0": 0.3, "c1": 1.0, "c2": 0.25}, 0.3),
+        ({"family": "avg_lower_far", "c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5}, 0.3),
+        ({"family": "quadratic_sharp", "c0": 0.2, "c1": 0.3, "c2": 0.8, "c3": 0.4, "n": 2}, 0.3),
+        ({"family": "dirichlet_interval", "epsilon": 0.5, "C": 1.5}, 0.3),
+        ({"family": "dirichlet_ball", "epsilon": 0.5, "C": 0.5, "n": 1}, 0.3),
+    ],
+    ids=["t<=0", "avg_upper-no-beta", "avg_lower_far-no-kappa", "quadratic_sharp-n2", "interval-C>1", "ball-n1"],
+)
+def test_evaluate_envelope_checks_its_envelope(spec, t):
+    with pytest.raises(ParameterError):
+        evaluate_envelope(V_SQ, BoundEnvelope(**spec), 0.1, 0.4, t)
 
 
 def test_fit_dirichlet_ball_needs_dimension():

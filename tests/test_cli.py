@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from heatkernel import PolynomialPotential
 from heatkernel.cli import main
 from heatkernel.csvout import emit_csv
 
@@ -175,3 +176,58 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, section, entry, message",
+    [
+        ("weights", "weights", {"depth": "abc"}, "weights.depth must be an integer in [3, 20], got 'abc'"),
+        ("weights", "weights", {"depth": 40}, "weights.depth must be an integer in [3, 20], got 40"),
+        ("weights", "weights", {"window_side": 0}, "weights.window_side must be a number > 0, got 0"),
+        ("weights", "weights", {"rh_q": "2.0"}, "weights.rh_q must be a number, got '2.0'"),
+        ("ode", "ode", {"samples": "x"}, "ode.samples must be an integer >= 2, got 'x'"),
+        ("ode", "tolerances", {"rel": "x"}, "tolerances.rel must be a number > 0, got 'x'"),
+        ("chain", "chain", {"t": "x"}, "chain.t must be a number > 0, got 'x'"),
+        ("chain", "chain", {"t": -1}, "chain.t must be a number > 0, got -1"),
+        ("chain", "chain", {"sigma": True}, "chain.sigma must be a number, got True"),
+        ("kernel", "potential", {"dimension": "x"}, "potential.dimension must be 1, got 'x'"),
+        ("kernel", "potential", {"dimension": 2}, "potential.dimension must be 1, got 2"),
+        ("bounds", "envelopes", [{"family": "avg_upper", "beta": "x"}], "envelopes[0].beta must be a number, got 'x'"),
+        (
+            "bounds",
+            "envelopes",
+            [{"family": "avg_upper", "beta": 0.9}, {"family": "dirichlet_interval", "epsilon": 0.5, "C": 0.5}],
+            "envelopes[1].C cannot be set: bounds fits it",
+        ),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, message):
+    base = json.loads(write_config(tmp_path).read_text()).get(section, {})
+    cfg = write_config(tmp_path, **{section: {**base, **entry} if isinstance(entry, dict) else entry})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_spectral_grid_is_read_before_the_build(tmp_path, monkeypatch):
+    from heatkernel import build_spectral, cli
+
+    spectral = {"half_width": 4.0, "points": 401}
+    cfg = json.loads(write_config(tmp_path, engine="spectral", spectral=spectral).read_text())
+    del cfg["grid"]
+    (tmp_path / "nogrid.json").write_text(json.dumps(cfg))
+
+    def no_build(*args):
+        raise AssertionError("built before the grid was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_spectral", no_build)
+        assert main(["--config", str(tmp_path / "nogrid.json"), "--out", str(tmp_path / "o1"), "kernel"]) == 2
+    # the provenance reports the modes kept at the earliest grid time, wherever it is listed
+    grid = {"x": [0.0], "y": [0.0], "t": [0.5, 1.0, 0.05]}
+    cfg = write_config(tmp_path, engine="spectral", spectral=spectral, grid=grid)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "kernel"]) == 0
+    K = build_spectral(PolynomialPotential([0.0, 0.0, 1.0]), 4.0, 401)
+    assert K.mode_count(0.05) != K.mode_count(0.5)
+    first = (tmp_path / "o2" / "kernel.csv").read_text().splitlines()[0]
+    assert f" modes={K.mode_count(0.05)} " in first
