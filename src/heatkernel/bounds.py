@@ -82,6 +82,10 @@ class BoundEnvelope:
 
 
 def _dist(x, y) -> float:
+    if isinstance(x, float) and isinstance(y, float):
+        # the same IEEE operations as the array path on one coordinate
+        dx = x - y
+        return math.sqrt(dx * dx)
     dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
     return float(np.sqrt(np.sum(dx * dx)))
 

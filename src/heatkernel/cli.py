@@ -196,6 +196,8 @@ def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
 
 def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     t0, t1 = float(config_number(cfg, "ode.t0")), float(config_number(cfg, "ode.t1"))
+    if t0 >= t1:
+        raise ConfigError(f"ode.t0 must be < ode.t1, got {t0!r} >= {t1!r}")
     samples, rel = config_number(cfg, "ode.samples"), config_number(cfg, "tolerances.rel")
     V = _potential(cfg, base_dir)
     quad = quadratic_from_potential(V)

@@ -54,11 +54,21 @@ LIMITS = {
     "potential.dimension": ("1", lambda v: v == 1),
     "weights.depth": ("an integer in [3, 20]", lambda v: isinstance(v, int) and 3 <= v <= 20),
     "weights.window_side": ("a number > 0", lambda v: v > 0),
+    "weights.rh_q": ("a number > 1", lambda v: v > 1),
+    "weights.ap_p": ("a number > 1", lambda v: v > 1),
+    "ode.t0": ("a number > 0", lambda v: v > 0),
     "ode.samples": ("an integer >= 2", lambda v: isinstance(v, int) and v >= 2),
     "chain.t": ("a number > 0", lambda v: v > 0),
     "spectral.points": ("an integer >= 3", lambda v: isinstance(v, int) and v >= 3),
     "spectral.half_width": ("a number > 0", lambda v: v > 0),
     "tolerances.rel": ("a number > 0", lambda v: v > 0),
+}
+# The constant a family's fit cannot do without.
+REQUIRED_CONSTANT = {
+    "avg_upper": "beta",
+    "symmetrized_upper": "beta",
+    "dirichlet_interval": "epsilon",
+    "dirichlet_ball": "epsilon",
 }
 
 
@@ -194,7 +204,8 @@ def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
 def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     """Keys: family plus any of beta, kappa, epsilon, n; `where` (`envelopes[i]`) names the entry.
 
-    `bounds` fits c0..c3 and C, so setting one is a config error.
+    `bounds` fits c0..c3 and C, so setting one is a config error, and so is
+    leaving out the constant REQUIRED_CONSTANT names for the family.
     """
     family = str(_need(spec, "family", "envelopes"))
     if family not in FAMILIES:
@@ -202,6 +213,9 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     for key in ("c0", "c1", "c2", "c3", "C"):
         if key in spec:
             raise ConfigError(f"{where}.{key} cannot be set: bounds fits it")
+    required = REQUIRED_CONSTANT.get(family)
+    if required is not None and required not in spec:
+        raise ConfigError(f"{where}.{required} is required for family {family}")
     kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
     try:
         return BoundEnvelope(family=family, n=int(_number(spec.get("n", 1), f"{where}.n")), **kwargs)

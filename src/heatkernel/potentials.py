@@ -54,7 +54,7 @@ class Cube:
     side: float
 
     def __init__(self, center, side: float):
-        if np.ndim(center) == 0:
+        if isinstance(center, float) or np.ndim(center) == 0:
             center = (float(center),)
         else:
             center = tuple(float(c) for c in center)
@@ -266,8 +266,16 @@ def constant(c: float, n: int = 1) -> PolynomialPotential:
 # exact 1D interval integrals
 
 
-def _poly_interval_integral(coeffs, lo, hi):
+@lru_cache(maxsize=32)
+def _poly_primitive(coeffs: tuple[float, ...]) -> np.ndarray:
+    """Antiderivative coefficients of a polynomial, built once per coefficient tuple."""
     anti = npoly.polyint(np.asarray(coeffs, dtype=float))
+    anti.flags.writeable = False
+    return anti
+
+
+def _poly_interval_integral(coeffs, lo, hi):
+    anti = _poly_primitive(tuple(coeffs))
     return npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
 
 

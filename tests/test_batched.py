@@ -338,6 +338,31 @@ def test_ap_scan_finds_polynomial_roots_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_closed_form_bounds_builds_one_antiderivative_per_polynomial(tmp_path, monkeypatch):
+    import heatkernel.bounds as bounds
+    import heatkernel.potentials as potentials
+    from heatkernel.config import DEFAULT_CONFIG
+
+    built, averaged = [], []
+    real_polyint, real_average = potentials.npoly.polyint, bounds.cube_average
+    monkeypatch.setattr(potentials.npoly, "polyint", lambda c: built.append(tuple(c)) or real_polyint(c))
+    monkeypatch.setattr(bounds, "cube_average", lambda V, Z: averaged.append(1) or real_average(V, Z))
+    potentials._poly_primitive.cache_clear()
+    grid = {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.1, 2.0, 2]}
+    polys = ([0.8, 0.3, 1.2], [0.5, 0.0, 2.0], [0.8, 0.3, 1.2])
+    for i, coeffs in enumerate(polys):
+        cfg = {
+            "potential": {"kind": "polynomial", "coefficients": coeffs},
+            "grid": grid,
+            "envelopes": DEFAULT_CONFIG["envelopes"],
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / f"o{i}"), "bounds"]) == 0
+    # 8 cube averages per grid point per job, all served by two antiderivatives
+    assert len(averaged) == 3 * 8 * 18
+    assert built == [(0.8, 0.3, 1.2), (0.5, 0.0, 2.0)]
+
+
 def test_tabulated_cumulative_is_computed_once():
     V = TabulatedPotential(np.linspace(-1.0, 1.0, 5), [1.0, 0.5, 0.0, 0.5, 1.0])
     assert V.cumulative is V.cumulative

@@ -31,7 +31,7 @@ from heatkernel import (
     energy_test_family,
     evaluate_envelope,
 )
-from heatkernel.bounds import FAMILIES
+from heatkernel.bounds import FAMILIES, _dist
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 V0 = constant(0.0)
@@ -463,3 +463,11 @@ def test_lower_fit_verdict_comes_from_the_records():
     fit = fit_constants(V_SQ, [(0.0, 0.5, 0.1, -3.0), (0.0, 0.9, 0.1, -math.inf)], "avg_lower_far", kappa=0.125)
     assert not fit.feasible
     assert fit.min_slack == -math.inf and fit.witness == (0.0, 0.9, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+def test_dist_of_floats_matches_the_array_path_bitwise(x, y):
+    with np.errstate(over="ignore"):
+        arrays = _dist(np.array([x]), np.array([y]))
+    assert np.float64(_dist(x, y)).tobytes() == np.float64(arrays).tobytes()

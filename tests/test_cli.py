@@ -184,7 +184,7 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
         ("weights", "weights", {"depth": "abc"}, "weights.depth must be an integer in [3, 20], got 'abc'"),
         ("weights", "weights", {"depth": 40}, "weights.depth must be an integer in [3, 20], got 40"),
         ("weights", "weights", {"window_side": 0}, "weights.window_side must be a number > 0, got 0"),
-        ("weights", "weights", {"rh_q": "2.0"}, "weights.rh_q must be a number, got '2.0'"),
+        ("weights", "weights", {"rh_q": "2.0"}, "weights.rh_q must be a number > 1, got '2.0'"),
         ("ode", "ode", {"samples": "x"}, "ode.samples must be an integer >= 2, got 'x'"),
         ("ode", "tolerances", {"rel": "x"}, "tolerances.rel must be a number > 0, got 'x'"),
         ("chain", "chain", {"t": "x"}, "chain.t must be a number > 0, got 'x'"),
@@ -198,6 +198,29 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
             "envelopes",
             [{"family": "avg_upper", "beta": 0.9}, {"family": "dirichlet_interval", "epsilon": 0.5, "C": 0.5}],
             "envelopes[1].C cannot be set: bounds fits it",
+        ),
+        ("ode", "ode", {"t0": 2.0, "t1": 1.0}, "ode.t0 must be < ode.t1, got 2.0 >= 1.0"),
+        ("ode", "ode", {"t0": 0}, "ode.t0 must be a number > 0, got 0"),
+        ("weights", "weights", {"rh_q": 0.5}, "weights.rh_q must be a number > 1, got 0.5"),
+        ("weights", "weights", {"ap_p": 1.0}, "weights.ap_p must be a number > 1, got 1.0"),
+        ("bounds", "envelopes", [{"family": "avg_upper"}], "envelopes[0].beta is required for family avg_upper"),
+        (
+            "bounds",
+            "envelopes",
+            [{"family": "avg_upper", "beta": 0.9}, {"family": "symmetrized_upper", "kappa": 0.5}],
+            "envelopes[1].beta is required for family symmetrized_upper",
+        ),
+        (
+            "bounds",
+            "envelopes",
+            [{"family": "dirichlet_interval"}],
+            "envelopes[0].epsilon is required for family dirichlet_interval",
+        ),
+        (
+            "bounds",
+            "envelopes",
+            [{"family": "dirichlet_ball", "n": 2}],
+            "envelopes[0].epsilon is required for family dirichlet_ball",
         ),
     ],
 )

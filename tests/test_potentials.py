@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from heatkernel import (
@@ -20,6 +23,7 @@ from heatkernel import (
     m_beta,
     rh_constant,
 )
+from heatkernel.potentials import interval_integral
 
 
 # independent oracle: integral of |x|^a over [lo, hi] by direct antiderivative
@@ -292,3 +296,39 @@ def test_rh_ratio_scale_invariance():
     for (s1, r1), (s2, r2) in zip(base.trace, scaled.trace):
         assert s1 == s2
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+COEFF = st.floats(-8.0, 8.0, allow_nan=False)
+SIDE = st.floats(1e-4, 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(COEFF, min_size=1, max_size=5),
+    st.lists(st.tuples(st.floats(-5.0, 5.0), SIDE), min_size=1, max_size=6),
+)
+def test_polynomial_cube_average_is_its_antiderivative_difference_bitwise(coeffs, cubes):
+    V = PolynomialPotential(coeffs)
+    anti = npoly.polyint(np.asarray(coeffs, dtype=float))
+    los, his, scalar = [], [], []
+    for center, side in cubes:
+        Z = Cube(center, side)
+        lo, hi = Z.bounds()
+        want = (npoly.polyval(hi, anti) - npoly.polyval(lo, anti)) / Z.side
+        assert _bits(cube_average(V, Z)) == _bits(want)
+        los.append(lo)
+        his.append(hi)
+        scalar.append(float(interval_integral(V, lo, hi)))
+    assert _bits(interval_integral(V, np.array(los), np.array(his))) == _bits(scalar)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), SIDE)
+def test_cube_center_from_a_numpy_float(x, side):
+    Z = Cube(np.float64(x), side)
+    assert Z == Cube(x, side)
+    assert type(Z.center[0]) is float
+    assert Cube(np.array(x), side) == Z
