@@ -76,9 +76,9 @@ def c1_oracle_equivalence() -> CriterionResult:
     """
     V = PolynomialPotential([1.0, 1.0, 1.0])
     c = QuadraticCoeffs(1.0, 1.0, 1.0)
-    K = cached_spectral(V, 8.0, 2001)
     xs = np.linspace(-2.0, 2.0, 9)
     ts = (0.05, 0.1, 0.5, 1.0)
+    K = cached_spectral(V, 8.0, 2001, min(ts))
     worst_sup = 0.0
     worst_point = 0.0
     exact = np.exp(quadratic_log_kernel(c, xs, xs, ts))
@@ -341,8 +341,8 @@ def c10_dirichlet_comparisons() -> CriterionResult:
 
     rh = rh_constant(V_SQUARE, math.inf, Cube(0.0, 4.0), 8)
     M = rh.constant * cube_average(V_SQUARE, Cube(0.0, 4.0))
-    KB = cached_spectral(V_SQUARE, 2.0, 799)
     xs, ts = np.linspace(-1.5, 1.5, 7), (0.1, 0.3, 0.5, 1.0)
+    KB = cached_spectral(V_SQUARE, 2.0, 799, min(ts))
     PB = np.exp(spectral_log_kernel(KB, xs, xs, ts))
     worst = -math.inf
     for i, x in enumerate(xs):

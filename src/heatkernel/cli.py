@@ -57,7 +57,8 @@ def _build_engine(cfg: dict, ts, base_dir: Path | None = None):
     """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], potential, provenance).
 
     ts are the grid's times, read before anything is built; the spectral
-    provenance reports the modes kept at the earliest.
+    kernel is built for t >= the earliest, and its provenance reports the
+    modes kept there.
     """
     engine = cfg.get("engine", "explicit")
     V = _potential(cfg, base_dir)
@@ -66,8 +67,8 @@ def _build_engine(cfg: dict, ts, base_dir: Path | None = None):
         return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), V, "engine=explicit"
     if engine == "spectral":
         L, m = float(config_number(cfg, "spectral.half_width")), config_number(cfg, "spectral.points")
-        K = build_spectral(V, L, m)
-        prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(float(min(ts)))}"
+        K = build_spectral(V, L, m, float(min(ts)))
+        prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(K.t_min)}"
         return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), V, prov
     raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
 

@@ -2,8 +2,8 @@
 
 The Hamiltonian -d^2/dx^2 + V with Dirichlet walls at +-L is discretized by
 second-order central differences on a uniform interior grid, giving a
-symmetric tridiagonal matrix.  Its full eigendecomposition yields the
-discrete heat kernel
+symmetric tridiagonal matrix.  Its lowest eigenpairs yield the discrete
+heat kernel
 
     p_B(x, y, t) = sum_k exp(-lam_k t) phi_k(x) phi_k(y)
 
@@ -12,9 +12,12 @@ interpolation between nodes.  Truncation to a box only lowers the kernel
 (domain monotonicity), so doubling L until the value stabilizes converges
 to the whole-space kernel from below.
 
-Mode count: resolving time t needs roughly (2L/pi) sqrt(37/t) modes before
-the eigensum tail drops below 1e-16 of the total, which is why t >= 0.05
-is the recommended floor at default resolution.
+Mode count: a kernel built for t >= t_min keeps the k lowest modes, enough
+that each dropped mode's bound exp(-lam_j t) max phi_j^2 stays below
+EIGENSUM_TAIL of the kept total at every such t (`_modes_needed`).
+Resolving t needs roughly (2L/pi) sqrt(45/t) modes, which is why t >= 0.05
+is the recommended floor at default resolution.  Evaluating below t_min
+raises ParameterError.
 """
 
 from __future__ import annotations
@@ -28,11 +31,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
 from .explicit import KernelValue
 from .potentials import Potential, PowerPotential
 
 EIGENSUM_TAIL = 1e-16
+# Solve for the k lowest modes (MRRR) while k <= m/5; above that the full
+# divide-and-conquer solve is faster (one BLAS thread: k ~ m/5 to m/3).
+PARTIAL_SOLVE_FRACTION = 0.2
+# Cap on a solve's storage: an m x m eigenvector array (twice that for the
+# full solve's workspace) plus the (m+2) x k kept.
+EIGENVECTOR_BYTES_CAP = 1 << 30
 
 __all__ = [
     "DiscreteHamiltonian",
@@ -84,20 +93,21 @@ def _discretize(V: Potential, L: float, m: int) -> DiscreteHamiltonian:
 
 @dataclass
 class SpectralKernel:
-    """Eigendecomposition of the discrete Dirichlet Hamiltonian.
+    """The lowest eigenpairs of the discrete Dirichlet Hamiltonian.
 
     phi has one row per grid node including the boundary zeros, one column
-    per mode, normalized so that h * phi.T @ phi = I on the interior.
-    Treat instances as immutable once built; evaluation never mutates them,
-    so a kernel is safe to share across threads.
+    per mode kept for t >= t_min, normalized so that h * phi.T @ phi = I on
+    the interior.  Treat instances as immutable once built; evaluation never
+    mutates them, so a kernel is safe to share across threads.
     """
 
     L: float
     m: int
     h: float
+    t_min: float
     nodes: np.ndarray
     eigenvalues: np.ndarray
-    phi: np.ndarray  # (m+2, m) node values, boundary rows are zero
+    phi: np.ndarray  # (m+2, k) node values, boundary rows are zero
     phi_sup: np.ndarray
     orthonormality_defect: float
 
@@ -105,7 +115,7 @@ class SpectralKernel:
         return eval_spectral(self, x, y, t)
 
     def modes_at(self, x: float) -> np.ndarray:
-        """Linear interpolation of every eigenvector at one point."""
+        """Linear interpolation of every kept eigenvector at one point."""
         return self.rows([x])[0]
 
     def rows(self, xs) -> np.ndarray:
@@ -120,7 +130,9 @@ class SpectralKernel:
         return self.phi[j] * (1.0 - w) + self.phi[j + 1] * w
 
     def weights(self, t: float) -> np.ndarray:
-        """exp(-lambda_k t) for every mode."""
+        """exp(-lambda_k t) for every kept mode; t must be >= t_min."""
+        if not t >= self.t_min:
+            raise ParameterError(f"time {t} is below t_min = {self.t_min}, the earliest this kernel was built for")
         return np.exp(-np.clip(self.eigenvalues * t, None, 745.0))
 
     def mode_count(self, t: float) -> int:
@@ -136,25 +148,54 @@ class SpectralKernel:
         return float(np.dot(self.weights(t) * self.modes_at(x), col_sums))
 
 
-def build_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
-    """Full eigendecomposition of the discretized Hamiltonian on [-L, L].
-
-    m is the number of interior grid points (= matrix size).
+def _modes_needed(ham: DiscreteHamiltonian, t_min: float) -> int:
+    """Modes any t >= t_min keeps.  By min-max lam_j >= mu_j + min V, with mu_j the
+    discrete Dirichlet Laplacian's eigenvalues; h sum phi_j^2 = 1 puts max phi_j^2
+    in [1/(m h), 1/h].  So mode j is below EIGENSUM_TAIL of the kept total once
+    (mu_j + min V - lam_1) t_min > log(m / EIGENSUM_TAIL) + 1 (an e-fold for rounding).
     """
+    m, h = len(ham.nodes), ham.h
+    lam1 = eigh_tridiagonal(ham.diagonal, ham.offdiagonal, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    v_min = float(np.min(ham.diagonal)) - 2.0 / h**2
+    mu = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (math.pi / (2 * (m + 1)))) ** 2
+    gap = (math.log(m / EIGENSUM_TAIL) + 1.0) / t_min
+    return max(1, int(np.searchsorted(mu + (v_min - lam1), gap, side="right")))
+
+
+def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKernel:
+    """The lowest eigenpairs of the discretized Hamiltonian on [-L, L], for t >= t_min.
+
+    m is the number of interior grid points (= matrix size).  Raises
+    ConfigError naming `spectral.points` when the solve would take more than
+    EIGENVECTOR_BYTES_CAP, before any eigenvector is computed.
+    """
+    if not (t_min > 0.0 and math.isfinite(t_min)):
+        raise ParameterError(f"t_min must be a number > 0, got {t_min}")
     ham = _discretize(V, L, m)
-    lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
-    phi = np.zeros((m + 2, m))
+    k = _modes_needed(ham, t_min)
+    full = k > PARTIAL_SOLVE_FRACTION * m
+    needed = 8 * ((2 if full else 1) * m * m + (m + 2) * k)
+    if needed > EIGENVECTOR_BYTES_CAP:
+        cap = f"the cap is {EIGENVECTOR_BYTES_CAP / 2**20:.0f} MiB"
+        raise ConfigError(f"spectral.points = {m} needs {needed / 2**20:.0f} MiB for {k} modes (t >= {t_min:g}); {cap}")
+    if full:
+        lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
+        lam, vecs = lam[:k], vecs[:, :k]
+    else:
+        part = {"select": "i", "select_range": (0, k - 1), "lapack_driver": "stemr"}
+        lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal, **part)
+    phi = np.zeros((m + 2, k))
     np.divide(vecs, math.sqrt(ham.h), out=phi[1:-1])
     del vecs
-    sample = np.linspace(0, m - 1, num=min(m, 48), dtype=int)
-    gram = ham.h * phi[1:-1, sample].T @ phi[1:-1, sample]
-    defect = float(np.max(np.abs(gram - np.eye(len(sample)))))
+    gram = ham.h * phi[1:-1].T @ phi[1:-1]
+    defect = float(np.max(np.abs(gram - np.eye(k))))
     if defect > 1e-8:
         raise RuntimeError(f"eigenvector orthonormality defect {defect:.3e} exceeds 1e-8")
     return SpectralKernel(
         L=L,
         m=m,
         h=ham.h,
+        t_min=t_min,
         nodes=ham.nodes,
         eigenvalues=lam,
         phi=phi,
@@ -164,28 +205,29 @@ def build_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
 
 
 def spectral_log_kernel(K: SpectralKernel, xs, ys, ts) -> np.ndarray:
-    """Truncated eigensum on a grid, as log p shaped [t, x, y].
+    """Truncated eigensum on a grid, as log p shaped [t, x, y]; every t >= K.t_min.
 
     The rows of every distinct point are interpolated once; each time slice
-    is then one product (A diag(w)) A^T over the first `mode_count(t)`
+    then sums w_k a_k a_k^T, mode by mode, over the first `mode_count(t)`
     modes, the ones whose worst-case contribution is at least EIGENSUM_TAIL
-    of the sum of all such bounds.  Only the x <= y triangle of that product
-    is kept and mirrored, so p(x, y, t) and p(y, x, t) are bit-identical.
-    Values <= 0 (truncation noise below the cancellation floor) map to -inf.
+    of the sum of all such bounds.  Elementwise sums keep one order however
+    many points are evaluated, so a one-point call is the grid bit for bit.
+    Only the x <= y triangle is kept and mirrored, so p(x, y, t) and
+    p(y, x, t) are bit-identical.  Values <= 0 (truncation noise below the
+    cancellation floor) map to -inf.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
-    for t in ts:
-        if not t > 0.0:
-            raise ParameterError(f"time must be > 0, got {t}")
+    weights = [K.weights(t) for t in ts]
     pts, index = np.unique(np.concatenate([xs, ys]), return_inverse=True)
     ix, iy = index[: len(xs)], index[len(xs) :]
-    A = K.rows(pts)
+    rows = np.ascontiguousarray(K.rows(pts).T)  # one row per mode
     upper = np.triu(np.ones((len(pts), len(pts)), dtype=bool))
     out = np.empty((len(ts), len(xs), len(ys)))
-    for k, t in enumerate(ts):
-        n = K.mode_count(t)
-        G = (A[:, :n] * K.weights(t)[:n]) @ A[:, :n].T
+    for k, (t, w) in enumerate(zip(ts, weights)):
+        G = np.zeros((len(pts), len(pts)))
+        for a, wj in zip(rows[: K.mode_count(t)], w):
+            G += np.multiply.outer(a * wj, a)
         out[k] = np.where(upper, G, G.T)[np.ix_(ix, iy)]
     positive = out > 0.0
     return np.where(positive, np.log(np.where(positive, out, 1.0)), -np.inf)
@@ -229,9 +271,9 @@ def dirichlet_interval_kernel(
 
 
 @lru_cache(maxsize=12)
-def cached_spectral(V: Potential, L: float, m: int) -> SpectralKernel:
+def cached_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKernel:
     """Memoized build; potentials are immutable so the key is safe."""
-    return build_spectral(V, L, m)
+    return build_spectral(V, L, m, t_min)
 
 
 def converged_kernel(
@@ -257,7 +299,7 @@ def converged_kernel(
     for _ in range(max_doublings + 1):
         m = int(round(2.0 * L / h_target)) - 1
         m = max(201, min(m, 4001))
-        K = cached_spectral(V, L, m)
+        K = cached_spectral(V, L, m, t)
         val = eval_spectral(K, x, y, t).value
         trace.append((L, val))
         if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):

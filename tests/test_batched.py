@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from heatkernel import (
     quadratic_log_kernel,
     spectral_log_kernel,
 )
+import heatkernel
 from heatkernel import acceptance
 from heatkernel.cli import main
 from heatkernel.potentials import _nonintegrable_root_mask
@@ -75,6 +80,34 @@ def test_spectral_batched_equals_scalar_where_resolved(spectral_vxx1):
     for k, i, j in [(0, 0, 8), (2, 3, 4), (4, 8, 1)]:
         assert eval_spectral(spectral_vxx1, XS[i], XS[j], TS[k]).log_value == got[k, i, j]
 
+
+ONE_POINT_EQUALS_GRID = """
+import numpy as np
+from heatkernel import PolynomialPotential, eval_spectral, spectral_log_kernel
+from heatkernel.spectral import cached_spectral
+
+K = cached_spectral(PolynomialPotential([1.0, 1.0, 1.0]), 8.0, 2001, 0.05)
+xs, ts = np.linspace(-2.0, 2.0, 9), np.linspace(0.05, 1.0, 5)
+grid = spectral_log_kernel(K, xs, xs, ts)
+for k, t in enumerate(ts):
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            one = eval_spectral(K, x, y, t).log_value
+            assert one == grid[k, i, j], (x, y, t, one, grid[k, i, j])
+"""
+
+
+def test_one_point_call_equals_the_grid_with_one_blas_thread():
+    """The one-point call equals the grid bit for bit when BLAS runs one thread (set before numpy loads)."""
+    src = str(Path(heatkernel.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run([sys.executable, "-c", ONE_POINT_EQUALS_GRID], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 def test_spectral_grids_are_bit_symmetric(spectral_vxx1):
     square = spectral_log_kernel(spectral_vxx1, XS, XS, TS)

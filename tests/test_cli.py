@@ -250,7 +250,31 @@ def test_spectral_grid_is_read_before_the_build(tmp_path, monkeypatch):
     grid = {"x": [0.0], "y": [0.0], "t": [0.5, 1.0, 0.05]}
     cfg = write_config(tmp_path, engine="spectral", spectral=spectral, grid=grid)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "kernel"]) == 0
-    K = build_spectral(PolynomialPotential([0.0, 0.0, 1.0]), 4.0, 401)
+    K = build_spectral(PolynomialPotential([0.0, 0.0, 1.0]), 4.0, 401, 0.05)
     assert K.mode_count(0.05) != K.mode_count(0.5)
     first = (tmp_path / "o2" / "kernel.csv").read_text().splitlines()[0]
     assert f" modes={K.mode_count(0.05)} " in first
+
+
+def test_spectral_memory_cap_exits_2_before_any_eigenvector_solve(tmp_path, monkeypatch, capsys):
+    from heatkernel import spectral
+
+    real = spectral.eigh_tridiagonal
+
+    def eigenvalues_only(*args, **kwargs):
+        if not kwargs.get("eigvals_only"):
+            raise AssertionError("an eigenvector solve ran above the memory cap")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", eigenvalues_only)
+    # 40001 points need an m x m eigenvector array of 12.8 GB whatever t_min is
+    cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 40001})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: spectral.points = 40001 needs " in err
+    assert f"the cap is {spectral.EIGENVECTOR_BYTES_CAP // 2**20} MiB" in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+    # a config under the cap builds
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", real)
+    cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 401})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from heatkernel import (
     DomainError,
@@ -19,8 +22,10 @@ from heatkernel import (
     pde_residual,
     quadratic_kernel,
     semigroup_defect,
+    spectral_log_kernel,
 )
-from heatkernel.spectral import cached_spectral
+from heatkernel import spectral
+from heatkernel.spectral import EIGENSUM_TAIL, cached_spectral
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 
@@ -81,11 +86,11 @@ def test_eval_parameter_errors(spectral_free):
 
 def test_build_rejections():
     with pytest.raises(ParameterError):
-        build_spectral(V_SQ, 4.0, 2)
+        build_spectral(V_SQ, 4.0, 2, 0.05)
     with pytest.raises(DomainError):
-        build_spectral(PowerPotential(-0.5), 4.0, 101)
+        build_spectral(PowerPotential(-0.5), 4.0, 101, 0.05)
     with pytest.raises(DomainError):
-        build_spectral(PolynomialPotential([-1.0]), 4.0, 101)
+        build_spectral(PolynomialPotential([-1.0]), 4.0, 101, 0.05)
 
 
 def test_dirichlet_boundary_and_peak():
@@ -112,8 +117,8 @@ def test_converged_kernel_against_oracles():
 
 
 def test_domain_monotonicity():
-    a = cached_spectral(V_SQ, 4.0, 799)
-    b = cached_spectral(V_SQ, 8.0, 1599)
+    a = cached_spectral(V_SQ, 4.0, 799, 0.3)
+    b = cached_spectral(V_SQ, 8.0, 1599, 0.3)
     for x, y, t in [(0.0, 0.0, 0.3), (1.0, -0.5, 0.5), (2.0, 2.0, 1.0)]:
         va = eval_spectral(a, x, y, t).value
         vb = eval_spectral(b, x, y, t).value
@@ -122,7 +127,7 @@ def test_domain_monotonicity():
 
 def test_bounded_potential_comparison():
     # 0 <= V <= M on the box makes exp(-Mt) Gamma_D a lower bound for p_B
-    K = cached_spectral(V_SQ, 2.0, 799)
+    K = cached_spectral(V_SQ, 2.0, 799, 0.1)
     M = 4.0
     for x in np.linspace(-1.5, 1.5, 5):
         for y in np.linspace(-1.5, 1.5, 5):
@@ -217,3 +222,98 @@ def test_semigroup_defect_underflow_falls_back_to_absolute():
     # direct value underflows at huge separation; absolute defect returned
     d = semigroup_defect(gauss_K, -60.0, 60.0, 0.05, 0.05, L=80.0)
     assert 0.0 <= d < 1e-300
+
+
+def full_reference(coeffs, L, m):
+    """(nodes with the walls, eigenvalues, h-normalized eigenvectors with zero wall rows) of
+    every mode of the same discretization, from one full solve made here."""
+    h = 2.0 * L / (m + 1)
+    grid = np.linspace(-L, L, m + 2)
+    lam, vecs = eigh_tridiagonal(np.polyval(coeffs[::-1], grid[1:-1]) + 2.0 / h**2, np.full(m - 1, -1.0 / h**2))
+    phi = np.zeros((m + 2, m))
+    phi[1:-1] = vecs / math.sqrt(h)
+    return grid, lam, phi
+
+
+def reference_bounds(lam, phi, t):
+    return np.exp(-np.clip(lam * t, None, 745.0)) * np.max(np.abs(phi), axis=0) ** 2
+
+
+def reference_mode_count(lam, phi, t):
+    bounds = reference_bounds(lam, phi, t)
+    return int(np.nonzero(bounds >= EIGENSUM_TAIL * np.sum(bounds))[0][-1]) + 1
+
+
+# nonnegative potentials: a (x - s)^2 + c, a x^4 + b x^2 + c, and the double well a (x^2 - b^2)^2
+nonnegative = st.one_of(
+    st.builds(lambda a, s, c: [c + a * s * s, -2.0 * a * s, a], st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
+              st.floats(0.0, 2.0)),
+    st.builds(lambda a, b, c: [c, 0.0, b, 0.0, a], st.floats(0.05, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    st.builds(lambda a, b: [a * b**4, 0.0, -2.0 * a * b * b, 0.0, a], st.floats(0.05, 2.0), st.floats(0.5, 2.0)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@example(coeffs=[0.0, 0.0, 1.0], L=8.0, m=601, t_min=0.05)  # k = 155 > m/5: full solve, sliced
+@example(coeffs=[1.0, 0.0, -2.0, 0.0, 1.0], L=8.0, m=1201, t_min=0.05)  # k = 153: partial solve
+@given(
+    coeffs=nonnegative,
+    L=st.floats(2.0, 8.0),
+    m=st.integers(201, 1201),
+    t_min=st.floats(0.02, 1.0),
+)
+def test_partial_build_keeps_every_mode_a_full_solve_would(coeffs, L, m, t_min):
+    K = build_spectral(PolynomialPotential(coeffs), L, m, t_min)
+    grid, lam, phi = full_reference(coeffs, L, m)
+    k = len(K.eigenvalues)
+    ts = [t_min, 1.5 * t_min, 4.0 * t_min, t_min + 2.0]
+    for t in ts:
+        # each dropped mode's bound is below EIGENSUM_TAIL of the kept total ...
+        kept_total = float(np.sum(K.weights(t) * K.phi_sup**2))
+        assert np.all(reference_bounds(lam, phi, t)[k:] < EIGENSUM_TAIL * kept_total)
+        # ... so the eigensum keeps the modes the full solve keeps
+        assert K.mode_count(t) == reference_mode_count(lam, phi, t)
+    xs = np.linspace(-0.5 * L, 0.5 * L, 7)
+    got = spectral_log_kernel(K, xs, xs, ts)
+    for s, t in enumerate(ts):
+        n = reference_mode_count(lam, phi, t)
+        A = np.array([np.interp(xs, grid, col) for col in phi[:, :n].T]).T
+        p = (A * np.exp(-lam[:n] * t)) @ A.T
+        resolved = p >= 1e-3 * np.max(p)
+        assert np.max(np.abs(got[s][resolved] - np.log(p[resolved]))) <= 1e-9
+    below = t_min * (1.0 - 1e-9)
+    for call in (
+        lambda: spectral_log_kernel(K, xs, xs, [t_min, below]),
+        lambda: eval_spectral(K, 0.0, 0.0, below),
+        lambda: K.mode_count(below),
+        lambda: K.mass(0.0, below),
+    ):
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_times_below_t_min_raise(spectral_free):
+    assert spectral_free.t_min == 0.05
+    eval_spectral(spectral_free, 0.1, 0.2, 0.05)
+    with pytest.raises(ParameterError, match="t_min"):
+        eval_spectral(spectral_free, 0.1, 0.2, 0.049)
+    with pytest.raises(ParameterError, match="t_min"):
+        semigroup_defect(spectral_free, 0.3, -0.4, 0.04, 0.3)
+    with pytest.raises(ParameterError):
+        build_spectral(V_SQ, 4.0, 101, 0.0)
+
+
+def test_orthonormality_is_checked_on_every_kept_mode(monkeypatch):
+    real = spectral.eigh_tridiagonal
+
+    def one_bad_column(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if kwargs.get("eigvals_only"):
+            return out
+        lam, vecs = out
+        vecs[:, 5] *= 1.0 + 1e-6  # not among 48 columns sampled evenly over all 799
+        return lam, vecs
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", one_bad_column)
+    with pytest.raises(RuntimeError, match="orthonormality defect"):
+        build_spectral(V_SQ, 2.0, 799, 0.1)
