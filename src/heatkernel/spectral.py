@@ -176,14 +176,17 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     full = k > PARTIAL_SOLVE_FRACTION * m
     needed = 8 * ((2 if full else 1) * m * m + (m + 2) * k)
     if needed > EIGENVECTOR_BYTES_CAP:
-        cap = f"the cap is {EIGENVECTOR_BYTES_CAP / 2**20:.0f} MiB"
-        raise ConfigError(f"spectral.points = {m} needs {needed / 2**20:.0f} MiB for {k} modes (t >= {t_min:g}); {cap}")
+        raise ConfigError(
+            f"spectral.points = {m} needs {needed / 2**20:.0f} MiB for {k} modes (t >= {t_min:g}); "
+            f"the cap is {EIGENVECTOR_BYTES_CAP / 2**20:.0f} MiB"
+        )
     if full:
         lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
         lam, vecs = lam[:k], vecs[:, :k]
     else:
-        part = {"select": "i", "select_range": (0, k - 1), "lapack_driver": "stemr"}
-        lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal, **part)
+        lam, vecs = eigh_tridiagonal(
+            ham.diagonal, ham.offdiagonal, select="i", select_range=(0, k - 1), lapack_driver="stemr"
+        )
     phi = np.zeros((m + 2, k))
     np.divide(vecs, math.sqrt(ham.h), out=phi[1:-1])
     del vecs

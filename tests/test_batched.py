@@ -109,6 +109,7 @@ def test_one_point_call_equals_the_grid_with_one_blas_thread():
     proc = subprocess.run([sys.executable, "-c", ONE_POINT_EQUALS_GRID], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
+
 def test_spectral_grids_are_bit_symmetric(spectral_vxx1):
     square = spectral_log_kernel(spectral_vxx1, XS, XS, TS)
     assert np.array_equal(square, square.transpose(0, 2, 1))
