@@ -50,6 +50,8 @@ DEFAULT_CONFIG = {
 # What a number read by `config_number` must be beyond an int or a float: the
 # phrase its error message uses and the test.  The weight scans take 2^depth
 # cubes at the deepest level, and no subcommand handles a potential with n >= 2.
+# A spectral build's eigenvector solve returns an m x m array whatever number of
+# modes it keeps: 8 m^2 bytes, 0.97 GB at the cap on spectral.points.
 LIMITS = {
     "potential.dimension": ("1", lambda v: v == 1),
     "weights.depth": ("an integer in [3, 20]", lambda v: isinstance(v, int) and 3 <= v <= 20),
@@ -59,7 +61,7 @@ LIMITS = {
     "ode.t0": ("a number > 0", lambda v: v > 0),
     "ode.samples": ("an integer >= 2", lambda v: isinstance(v, int) and v >= 2),
     "chain.t": ("a number > 0", lambda v: v > 0),
-    "spectral.points": ("an integer >= 3", lambda v: isinstance(v, int) and v >= 3),
+    "spectral.points": ("an integer in [3, 11000]", lambda v: isinstance(v, int) and 3 <= v <= 11000),
     "spectral.half_width": ("a number > 0", lambda v: v > 0),
     "tolerances.rel": ("a number > 0", lambda v: v > 0),
 }

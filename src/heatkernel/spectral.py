@@ -31,17 +31,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .explicit import KernelValue
 from .potentials import Potential, PowerPotential
 
 EIGENSUM_TAIL = 1e-16
-# Solve for the k lowest modes (MRRR) while k <= m/5; above that the full
-# divide-and-conquer solve is faster (one BLAS thread: k ~ m/5 to m/3).
-PARTIAL_SOLVE_FRACTION = 0.2
-# Cap on a solve's storage: an m x m eigenvector array (twice that for the
-# full solve's workspace) plus the (m+2) x k kept.
-EIGENVECTOR_BYTES_CAP = 1 << 30
 
 __all__ = [
     "DiscreteHamiltonian",
@@ -165,28 +159,16 @@ def _modes_needed(ham: DiscreteHamiltonian, t_min: float) -> int:
 def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKernel:
     """The lowest eigenpairs of the discretized Hamiltonian on [-L, L], for t >= t_min.
 
-    m is the number of interior grid points (= matrix size).  Raises
-    ConfigError naming `spectral.points` when the solve would take more than
-    EIGENVECTOR_BYTES_CAP, before any eigenvector is computed.
+    m is the number of interior grid points (= matrix size).  The k modes
+    come from MRRR (`stemr`) on that index range.
     """
     if not (t_min > 0.0 and math.isfinite(t_min)):
         raise ParameterError(f"t_min must be a number > 0, got {t_min}")
     ham = _discretize(V, L, m)
     k = _modes_needed(ham, t_min)
-    full = k > PARTIAL_SOLVE_FRACTION * m
-    needed = 8 * ((2 if full else 1) * m * m + (m + 2) * k)
-    if needed > EIGENVECTOR_BYTES_CAP:
-        raise ConfigError(
-            f"spectral.points = {m} needs {needed / 2**20:.0f} MiB for {k} modes (t >= {t_min:g}); "
-            f"the cap is {EIGENVECTOR_BYTES_CAP / 2**20:.0f} MiB"
-        )
-    if full:
-        lam, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
-        lam, vecs = lam[:k], vecs[:, :k]
-    else:
-        lam, vecs = eigh_tridiagonal(
-            ham.diagonal, ham.offdiagonal, select="i", select_range=(0, k - 1), lapack_driver="stemr"
-        )
+    lam, vecs = eigh_tridiagonal(
+        ham.diagonal, ham.offdiagonal, select="i", select_range=(0, k - 1), lapack_driver="stemr"
+    )
     phi = np.zeros((m + 2, k))
     np.divide(vecs, math.sqrt(ham.h), out=phi[1:-1])
     del vecs

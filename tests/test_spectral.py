@@ -254,8 +254,8 @@ nonnegative = st.one_of(
 
 
 @settings(max_examples=15, deadline=None)
-@example(coeffs=[0.0, 0.0, 1.0], L=8.0, m=601, t_min=0.05)  # k = 155 > m/5: full solve, sliced
-@example(coeffs=[1.0, 0.0, -2.0, 0.0, 1.0], L=8.0, m=1201, t_min=0.05)  # k = 153: partial solve
+@example(coeffs=[0.0, 0.0, 1.0], L=8.0, m=601, t_min=0.05)  # k = 155, a quarter of the modes
+@example(coeffs=[1.0, 0.0, -2.0, 0.0, 1.0], L=8.0, m=1201, t_min=0.05)  # k = 153, an eighth of the modes
 @given(
     coeffs=nonnegative,
     L=st.floats(2.0, 8.0),
