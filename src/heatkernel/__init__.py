@@ -11,6 +11,8 @@ from .bounds import (
     ChainPlan,
     FitResult,
     GridFunction,
+    MAX_CHAIN_M,
+    chain_length,
     chain_plan,
     chained_lower_bound,
     evaluate_envelope,
@@ -51,6 +53,7 @@ from .potentials import (
     ap_constant,
     constant,
     cube_average,
+    cube_averages,
     doubling_fit,
     m_beta,
     rh_constant,

@@ -29,7 +29,10 @@ __all__ = [
     "ChainPlan",
     "GridFunction",
     "interval_clamp_time",
+    "MAX_CHAIN_M",
+    "chain_length",
     "chain_plan",
+    "chain_sigma_bound",
     "chained_lower_bound",
     "fefferman_phong_ratio",
     "energy_test_family",
@@ -251,15 +254,43 @@ class ChainPlan:
         return _dist(self.x, self.y) >= math.sqrt(self.t) / 8.0
 
 
+# A plan holds an (M+1) x n waypoint array, 8 MB per axis at the cap.
+MAX_CHAIN_M = 1_000_000
+
+
+def chain_length(x, y, t: float) -> int:
+    """M, the smallest integer above 256 |x-y|^2 / t: the number of chain links.
+
+    Raises ParameterError, naming the estimate, when M would exceed MAX_CHAIN_M.
+    """
+    r = _dist(x, y)
+    ratio = 256.0 * r * r / t
+    if not ratio < MAX_CHAIN_M:
+        raise ParameterError(f"the chain needs M = {ratio:.6g} links, above the cap of {MAX_CHAIN_M}")
+    return int(math.floor(ratio)) + 1
+
+
+def chain_sigma_bound(x, y, t: float) -> float:
+    """The sigma below which the cubes of adjacent waypoints are close enough.
+
+    The condition is spacing / sqrt(t/M) + sigma sqrt(n) < 1/8.
+    """
+    n = np.size(x)
+    M = chain_length(x, y, t)
+    spacing_ratio = (_dist(x, y) / M) / math.sqrt(t / M)
+    return (0.125 - spacing_ratio) / math.sqrt(n)
+
+
 def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     """Partition the x-to-y segment for semigroup chaining.
 
-    The M arithmetic (smallest integer above 256 |x-y|^2/t) is well defined
-    for any separation; the chaining argument itself targets the far regime
+    The M arithmetic (`chain_length`) is well defined for any separation up
+    to MAX_CHAIN_M links; the chaining argument itself targets the far regime
     |x-y| >= sqrt(t)/8, exposed as plan.far_regime (near-regime callers
     normally want the avg_lower_near family instead).  sigma defaults to
     1/(16 sqrt(n)), the largest value for which points of adjacent cubes
-    are always closer than (1/8) sqrt(t/M).
+    are always closer than (1/8) sqrt(t/M); a larger one must stay below
+    `chain_sigma_bound`.
     """
     if not t > 0:
         raise ParameterError("time must be > 0")
@@ -268,17 +299,15 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     if xv.shape != yv.shape:
         raise ParameterError("x and y must share a dimension")
     n = len(xv)
-    r = _dist(xv, yv)
-    M = int(math.floor(256.0 * r * r / t)) + 1
+    M = chain_length(xv, yv, t)
     if sigma is None:
         sigma = 1.0 / (16.0 * math.sqrt(n))
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1)")
-    spacing_ratio = (r / M) / math.sqrt(t / M)
-    if spacing_ratio + sigma * math.sqrt(n) >= 0.125:
+    bound = chain_sigma_bound(xv, yv, t)
+    if not sigma < bound:
         raise ParameterError(
-            f"sigma={sigma} violates the adjacent-cube condition; need "
-            f"sigma < {(0.125 - spacing_ratio) / math.sqrt(n):.6g} here"
+            f"sigma={sigma} violates the adjacent-cube condition; need sigma < {bound:.6g} here"
         )
     pts = xv[None, :] + np.linspace(0.0, 1.0, M + 1)[:, None] * (yv - xv)[None, :]
     pts.flags.writeable = False

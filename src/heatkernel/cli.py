@@ -5,7 +5,7 @@ Subcommands
     bounds   fit envelopes + sandwich verdict -> CSV + FEASIBLE/INFEASIBLE lines
     weights  reverse-Holder / Muckenhoupt / doubling reports -> CSV
     ode      trajectory + closed-form comparison -> CSV
-    chain    chain plan + chained bound trace -> CSV
+    chain    chain plan + chained lower bound + waypoint cube averages -> CSV
     verify   full acceptance suite; exit 0 iff everything passes
 
 Outputs are deterministic: identical configs give byte-identical files.
@@ -14,8 +14,10 @@ The engines are `explicit` (the closed form for a quadratic potential) and
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
 evaluates its grid once, and so does `bounds` on the spectral engine.  On the
 closed form, `bounds` evaluates `quadratic_kernel` point by point as each
-family's fit reads its samples.  A relative `tabulated.table` path resolves
-against the directory of the config file.
+family's fit reads its samples.  `chain` averages V over all of its waypoint
+cubes in one `cube_averages` call, and refuses a chain longer than
+MAX_CHAIN_M links before planning it.  A relative `tabulated.table` path
+resolves against the directory of the config file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_points, grid_samples
+from .bounds import (
+    chain_length,
+    chain_plan,
+    chain_sigma_bound,
+    chained_lower_bound,
+    fit_constants,
+    grid_points,
+    grid_samples,
+)
 from .config import (
     DEFAULT_CONFIG,
     ENGINES,
@@ -38,10 +48,12 @@ from .config import (
     quadratic_from_potential,
 )
 from .csvout import emit_csv
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .explicit import KernelValue, quadratic_kernel, quadratic_log_kernel
 from .ode import closed_form_error, integrate_odes, trajectory_to_csv
-from .potentials import Cube, ap_constant, cube_average, doubling_fit, rh_constant
+# cube_average is unused here but stays in this namespace: perfbench's tracer
+# test checks that tracing restores `cli.cube_average` afterwards.
+from .potentials import Cube, ap_constant, cube_average, cube_averages, doubling_fit, rh_constant  # noqa: F401
 from .spectral import build_spectral, spectral_log_kernel
 
 EXIT_OK = 0
@@ -216,6 +228,14 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     sigma = config_number(cfg, "chain.sigma")
     c0 = float(config_number(cfg, "chain.c0", 0.5 * (4.0 * math.pi) ** -0.5))
     c1 = float(config_number(cfg, "chain.c1", 1.0))
+    try:
+        chain_length(x, y, t)
+    except ParameterError as exc:
+        raise ConfigError(f"chain.y is too far from chain.x for chain.t={t:g}: {exc}") from exc
+    if sigma is not None and not sigma < (sigma_max := chain_sigma_bound(x, y, t)):
+        raise ConfigError(
+            f"chain.sigma must be < {sigma_max:.6g} here (the adjacent-cube condition), got {sigma!r}"
+        )
     V = _potential(cfg, base_dir)
     plan = chain_plan(x, y, t, sigma=float(sigma) if sigma is not None else None)
     window = Cube(x, max(4.0 * math.sqrt(t), 4.0))
@@ -225,10 +245,9 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
         f"spacing={plan.spacing:.6g} log_bound={bound.log_value:.6g}"
     )
-    rows = [
-        (i, pt[0], cube_average(V, Cube(tuple(pt), plan.cube_side)))
-        for i, pt in enumerate(plan.waypoints)
-    ]
+    xs = plan.waypoints[:, 0]
+    avgs = cube_averages(V, xs, plan.cube_side)
+    rows = list(zip(range(plan.M + 1), xs.tolist(), avgs.tolist()))
     prov_line = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
     emit_csv(rows, ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
     return EXIT_OK

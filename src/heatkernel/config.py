@@ -61,6 +61,9 @@ LIMITS = {
     "ode.t0": ("a number > 0", lambda v: v > 0),
     "ode.samples": ("an integer >= 2", lambda v: isinstance(v, int) and v >= 2),
     "chain.t": ("a number > 0", lambda v: v > 0),
+    "chain.sigma": ("a number in (0, 1)", lambda v: 0 < v < 1),
+    "chain.c0": ("a number > 0", lambda v: v > 0),
+    "chain.c1": ("a number > 0", lambda v: v > 0),
     "spectral.points": ("an integer in [3, 11000]", lambda v: isinstance(v, int) and 3 <= v <= 11000),
     "spectral.half_width": ("a number > 0", lambda v: v > 0),
     "tolerances.rel": ("a number > 0", lambda v: v > 0),

@@ -501,6 +501,30 @@ def cube_average(V: Potential, Z: Cube, method: str = "auto") -> float:
     raise ParameterError(f"no cube average for {type(V).__name__} in n={V.n}")
 
 
+def cube_averages(V: Potential, centers, sides) -> np.ndarray:
+    """Means of a one-dimensional V over the cubes (centers[i], sides[i]), in one call.
+
+    centers and sides broadcast against each other.  Each value equals
+    `cube_average(V, Cube(c, s))` bit for bit, and a cube that one refuses
+    raises the same exception type here.  The checks run once, on arrays;
+    then one `interval_integral` call covers every cube, or per-cube
+    quadrature for a kind with no closed form.
+    """
+    if V.n != 1:
+        raise ParameterError(f"cube_averages is one-dimensional, got a potential with n={V.n}")
+    centers, sides = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(sides, dtype=float))
+    if not np.all(sides > 0.0):
+        raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
+    if isinstance(V, PowerPotential) and V.alpha <= -1.0 and np.any(np.abs(0.0 - centers) <= sides / 2.0 + 1e-15):
+        raise DomainError("power potential with alpha <= -n is not integrable on this cube")
+    lo, hi = centers - sides / 2.0, centers + sides / 2.0
+    try:
+        return interval_integral(V, lo, hi) / sides
+    except ParameterError:
+        quad = [_quad_average_1d(V, float(a), float(b)) for a, b in zip(lo.flat, hi.flat)]
+        return np.reshape(quad, lo.shape)
+
+
 # ---------------------------------------------------------------------------
 # weight-class reports
 

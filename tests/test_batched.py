@@ -421,3 +421,34 @@ def test_relative_table_path_resolves_against_config(tmp_path, monkeypatch):
     # a relative config path works the same way
     monkeypatch.chdir(tmp_path)
     assert main(["--config", "configs/cfg.json", "--out", "out2", "weights"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "tabulated", "sum"])
+def test_chain_waypoints_match_a_per_waypoint_reference(tmp_path, kind):
+    """`chain` averages every waypoint cube in one call; the CSV is byte-identical
+    to one written from a scalar `cube_average` per waypoint."""
+    from heatkernel import chain_plan, cube_average
+    from heatkernel.config import config_hash, potential_from_config
+    from heatkernel.csvout import emit_csv
+
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "coordinate,value\n" + "\n".join(f"{x!r},{1.0 + x * x + math.sin(3.0 * x) ** 2!r}" for x in np.linspace(-4.0, 4.0, 161).tolist())
+    )
+    quad = {"kind": "polynomial", "coefficients": [0.7, -0.4, 1.3]}
+    potential = {
+        "polynomial": quad,
+        "tabulated": {"kind": "tabulated", "table": str(table)},
+        "sum": {"kind": "sum", "parts": [quad, {"kind": "power", "exponent": 0.6}]},
+    }[kind]
+    cfg = {"potential": potential, "chain": {"x": -0.3, "y": 0.4, "t": 0.5}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), "chain"]) == 0
+
+    V = potential_from_config(potential)
+    plan = chain_plan(-0.3, 0.4, 0.5)
+    rows = [(i, pt[0], cube_average(V, Cube(tuple(pt), plan.cube_side))) for i, pt in enumerate(plan.waypoints)]
+    prov = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
+    ref = emit_csv(rows, ["i", "x_i", "avg_V_cube_i"], tmp_path / "reference.csv", prov)
+    assert plan.M == 251
+    assert (tmp_path / "out" / "chain_waypoints.csv").read_bytes() == ref.read_bytes()

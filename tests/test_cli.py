@@ -84,6 +84,34 @@ def test_chain_subcommand_reports_m(tmp_path, capsys):
     assert len(waypoints) == 2 + 258
 
 
+def test_chain_length_cap_exits_2_before_any_plan(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from heatkernel import MAX_CHAIN_M, ParameterError, bounds, chain_length, cli
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated a chain above the cap")
+
+    # M = floor(256 * 3000^2 / 0.001) + 1, about 2.3e12 links
+    cfg = write_config(tmp_path, chain={"x": 0.0, "y": 3000.0, "t": 0.001})
+    with monkeypatch.context() as m:
+        m.setattr(cli, "chain_plan", no_alloc)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "chain"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: chain.y is too far from chain.x for chain.t=0.001: " in err
+        assert f"the chain needs M = 2.304e+12 links, above the cap of {MAX_CHAIN_M}" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+        # the library refuses it as well, before the waypoints
+        m.setattr(np, "linspace", no_alloc)
+        with pytest.raises(ParameterError, match="M = 2.304e"):
+            bounds.chain_plan(0.0, 3000.0, 0.001)
+    # the cap itself is allowed, one link more is not
+    assert chain_length(0.0, 999.9995, 256.0) == MAX_CHAIN_M
+    with pytest.raises(ParameterError, match="above the cap"):
+        chain_length(0.0, 1000.0, 256.0)
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"), "chain"]) == 0
+
+
 def test_weights_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "weights"])
@@ -189,7 +217,7 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
         ("ode", "tolerances", {"rel": "x"}, "tolerances.rel must be a number > 0, got 'x'"),
         ("chain", "chain", {"t": "x"}, "chain.t must be a number > 0, got 'x'"),
         ("chain", "chain", {"t": -1}, "chain.t must be a number > 0, got -1"),
-        ("chain", "chain", {"sigma": True}, "chain.sigma must be a number, got True"),
+        ("chain", "chain", {"sigma": True}, "chain.sigma must be a number in (0, 1), got True"),
         ("kernel", "potential", {"dimension": "x"}, "potential.dimension must be 1, got 'x'"),
         ("kernel", "potential", {"dimension": 2}, "potential.dimension must be 1, got 2"),
         ("bounds", "envelopes", [{"family": "avg_upper", "beta": "x"}], "envelopes[0].beta must be a number, got 'x'"),
@@ -221,6 +249,16 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
             "envelopes",
             [{"family": "dirichlet_ball", "n": 2}],
             "envelopes[0].epsilon is required for family dirichlet_ball",
+        ),
+        ("chain", "chain", {"sigma": 1.5}, "chain.sigma must be a number in (0, 1), got 1.5"),
+        ("chain", "chain", {"c1": -1}, "chain.c1 must be a number > 0, got -1"),
+        ("chain", "chain", {"c0": 0}, "chain.c0 must be a number > 0, got 0"),
+        # at (0, 1, 1) adjacent cubes need sigma < 1/8 - 1/sqrt(257)
+        (
+            "chain",
+            "chain",
+            {"x": 0.0, "y": 1.0, "t": 1.0, "sigma": 0.1},
+            "chain.sigma must be < 0.0626217 here (the adjacent-cube condition), got 0.1",
         ),
     ],
 )

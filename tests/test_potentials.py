@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from heatkernel import (
     Cube,
+    Potential,
     DomainError,
     ParameterError,
     PolynomialPotential,
@@ -19,6 +20,7 @@ from heatkernel import (
     ap_constant,
     constant,
     cube_average,
+    cube_averages,
     doubling_fit,
     m_beta,
     rh_constant,
@@ -332,3 +334,89 @@ def test_cube_center_from_a_numpy_float(x, side):
     assert Z == Cube(x, side)
     assert type(Z.center[0]) is float
     assert Cube(np.array(x), side) == Z
+
+
+def _tabulated(values):
+    return TabulatedPotential(np.linspace(-4.0, 4.0, len(values)), values)
+
+
+# every kind with a closed form, scaled and summed; alpha <= -1 and tables
+# that do not cover a cube make some draws raise
+POTENTIALS = st.recursive(
+    st.one_of(
+        st.lists(COEFF, min_size=1, max_size=5).map(PolynomialPotential),
+        st.floats(-2.0, 3.0).map(PowerPotential),
+        st.lists(st.floats(0.0, 10.0), min_size=2, max_size=12).map(_tabulated),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.floats(0.1, 10.0), inner).map(lambda fv: ScaledPotential(*fv)),
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: SumPotential(*parts)),
+    ),
+    max_leaves=4,
+)
+CENTER = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POTENTIALS, st.lists(st.tuples(CENTER, SIDE), min_size=1, max_size=6))
+def test_cube_averages_is_cube_average_bitwise(V, cubes):
+    expected, errors = [], set()
+    for center, side in cubes:
+        try:
+            expected.append(cube_average(V, Cube(center, side)))
+        except (DomainError, ParameterError) as exc:
+            errors.add(type(exc))
+    centers, sides = (np.array(col) for col in zip(*cubes))
+    if errors:
+        with pytest.raises((DomainError, ParameterError)) as info:
+            cube_averages(V, centers, sides)
+        assert type(info.value) in errors
+    else:
+        assert _bits(cube_averages(V, centers, sides)) == _bits(expected)
+
+
+class _Bump(Potential):
+    """A kind with no closed-form interval integral."""
+
+    n = 1
+
+    def __call__(self, x):
+        return np.exp(-np.square(x))
+
+
+def test_cube_averages_checks_and_fallback():
+    centers = np.array([-1.5, 0.0, 0.25, 2.0])
+    # one side broadcasts against every center, and the shape follows the broadcast
+    V = PowerPotential(-0.5)
+    got = cube_averages(V, centers, 0.5)
+    assert got.shape == (4,)
+    assert _bits(got) == _bits([cube_average(V, Cube(c, 0.5)) for c in centers])
+    assert cube_averages(V, centers.reshape(2, 2), 0.5).shape == (2, 2)
+    # alpha <= -1 is refused as soon as one cube contains 0, as cube_average refuses it
+    for alpha in (-1.0, -1.5):
+        assert np.all(np.isfinite(cube_averages(PowerPotential(alpha), [1.0, 2.0], 0.5)))
+        with pytest.raises(DomainError):
+            cube_average(PowerPotential(alpha), Cube(0.2, 0.5))
+        with pytest.raises(DomainError):
+            cube_averages(PowerPotential(alpha), [1.0, 0.2], 0.5)
+    # an edge at 0, or within Cube.contains's 1e-15 of it, counts as containing 0
+    for center in (0.25, 0.25 + 1e-16, -0.25 - 1e-16):
+        with pytest.raises(DomainError):
+            cube_average(PowerPotential(-1.0), Cube(center, 0.5))
+        with pytest.raises(DomainError):
+            cube_averages(PowerPotential(-1.0), [2.0, center], 0.5)
+    # a cube that leaves the table
+    T = _tabulated([1.0, 2.0, 0.5])
+    with pytest.raises(DomainError):
+        cube_average(T, Cube(3.9, 0.5))
+    with pytest.raises(DomainError):
+        cube_averages(T, [0.0, 3.9], 0.5)
+    with pytest.raises(ParameterError, match="side must be > 0"):
+        cube_averages(T, [0.0, 1.0], [0.5, 0.0])
+    with pytest.raises(ParameterError, match="side must be > 0"):
+        cube_averages(T, 0.0, math.nan)
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        cube_averages(PolynomialPotential([1.0, 1.0], n=2), [0.0], 1.0)
+    # no closed form: adaptive quadrature per cube, as cube_average does
+    bump = _Bump()
+    assert _bits(cube_averages(bump, centers, 0.5)) == _bits([cube_average(bump, Cube(c, 0.5)) for c in centers])
