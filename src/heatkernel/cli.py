@@ -53,7 +53,7 @@ from .explicit import KernelValue, quadratic_kernel, quadratic_log_kernel
 from .ode import closed_form_error, integrate_odes, trajectory_to_csv
 # cube_average is unused here but stays in this namespace: perfbench's tracer
 # test checks that tracing restores `cli.cube_average` afterwards.
-from .potentials import Cube, ap_constant, cube_average, cube_averages, doubling_fit, rh_constant  # noqa: F401
+from .potentials import Cube, ap_constant, cube_average, cube_averages, doubling_fit, rh_constant
 from .spectral import build_spectral, spectral_log_kernel
 
 EXIT_OK = 0

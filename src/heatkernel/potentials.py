@@ -515,7 +515,8 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
     centers, sides = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(sides, dtype=float))
     if not np.all(sides > 0.0):
         raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
-    if isinstance(V, PowerPotential) and V.alpha <= -1.0 and np.any(np.abs(0.0 - centers) <= sides / 2.0 + 1e-15):
+    contains_0 = np.abs(0.0 - centers) <= sides / 2.0 + 1e-15  # as Cube.contains tests it
+    if isinstance(V, PowerPotential) and V.alpha <= -1.0 and np.any(contains_0):
         raise DomainError("power potential with alpha <= -n is not integrable on this cube")
     lo, hi = centers - sides / 2.0, centers + sides / 2.0
     try:
