@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ParameterError
 from .explicit import KernelValue
@@ -439,6 +438,8 @@ def moser_ratio(
     over cylinders where u solves the heat equation on the double cylinder,
     hence the precondition t0 - 4 r^2 > 0.
     """
+    from scipy.integrate import simpson
+
     if not (r > 0 and t0 - 4.0 * r * r > 0.0):
         raise ParameterError("cylinder needs r > 0 and t0 - 4 r^2 > 0")
     if nx < 5 or nt < 5 or nx % 2 == 0 or nt % 2 == 0:

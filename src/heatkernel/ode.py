@@ -25,7 +25,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ParameterError
 from .explicit import QuadraticCoeffs, _time_factors
@@ -96,6 +95,8 @@ def integrate_odes(c: QuadraticCoeffs, t0: float, t1: float, samples: int = 201)
     trajectory sampled at `samples` times, geometrically spaced to resolve
     the stiff early transient.
     """
+    from scipy.integrate import solve_ivp
+
     if not 0.0 < t0 < t1:
         raise ParameterError(f"need 0 < t0 < t1, got ({t0}, {t1})")
     _require_reduced(c)

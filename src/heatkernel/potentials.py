@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate
 
 from .errors import DomainError, ParameterError
 
@@ -449,6 +448,8 @@ def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 
 
 
 def _quad_average_1d(V: Potential, lo: float, hi: float) -> float:
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda x: float(V(x)), lo, hi, epsabs=QUAD_ABS_FLOOR, epsrel=QUAD_REL_TOL, limit=200
     )
@@ -493,6 +494,8 @@ def cube_average(V: Potential, Z: Cube, method: str = "auto") -> float:
     if isinstance(V, PowerPotential):
         if V.alpha < 0:
             raise ParameterError("singular power cube averages are supported in 1D only")
+        from scipy import integrate
+
         ranges = [Z.bounds(a) for a in range(Z.n)]
         val, _ = integrate.nquad(
             lambda *xs: float(V(list(xs))), ranges, opts={"epsabs": 1e-12, "epsrel": 1e-9}

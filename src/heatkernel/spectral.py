@@ -28,8 +28,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .explicit import KernelValue
@@ -51,6 +49,13 @@ __all__ = [
     "cached_spectral",
     "separable_kernel_2d",
 ]
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on first call: `import heatkernel` loads no scipy.linalg."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -375,6 +380,8 @@ def semigroup_defect(K, x: float, y: float, t: float, s: float, L: float | None 
         integral = K.h * float(np.dot(p1, p2))
         direct = eval_spectral(K, x, y, t + s).value
     else:
+        from scipy.integrate import quad
+
         if L is None:
             L = _auto_window(x, y, t, s)
         integral, _ = quad(

@@ -315,3 +315,40 @@ def test_spectral_memory_cap_exits_2_before_any_eigenvector_solve(tmp_path, monk
     monkeypatch.setattr(spectral, "eigh_tridiagonal", real)
     cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 401})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0
+
+
+def test_grid_cap_exits_2_before_any_axis_is_built(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from heatkernel import cli
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("built a grid above the cap")
+
+    # 1e9 points: 8 GB for each [t, x, y] array
+    grid = {"x": [0.0, 1.0, 1000], "y": [0.0, 1.0, 1000], "t": [0.1, 1.0, 1000]}
+    for engine, command in (("explicit", "kernel"), ("explicit", "bounds"), ("spectral", "kernel")):
+        cfg = write_config(tmp_path, engine=engine, grid=grid)
+        with monkeypatch.context() as m:
+            for name in ("grid_samples", "grid_points", "build_spectral"):
+                m.setattr(cli, name, no_eval)
+            m.setattr(np, "linspace", no_eval)
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid has 1000x1000x1000 = 1000000000 points, above the cap of 1000000" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_grid_cap_edge():
+    import numpy as np
+
+    from heatkernel.config import MAX_GRID_POINTS, grid_from_config
+    from heatkernel.errors import ConfigError
+
+    assert MAX_GRID_POINTS == 1_000_000
+    xs, ys, ts = grid_from_config({"grid": {"x": [0.0, 1.0, 100], "y": [0.0, 1.0, 100], "t": [0.1, 1.0, 100]}})
+    assert len(xs) * len(ys) * len(ts) == MAX_GRID_POINTS
+    # one point more, 101 x 9901 x 1, with a plain-list x axis and t axis
+    over = {"x": np.linspace(0.0, 1.0, 101).tolist(), "y": [0.0, 1.0, 9901], "t": [0.5]}
+    with pytest.raises(ConfigError, match=r"grid has 101x9901x1 = 1000001 points, above the cap of 1000000"):
+        grid_from_config({"grid": over})

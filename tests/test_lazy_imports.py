@@ -1,0 +1,60 @@
+"""scipy loads on first use: importing heatkernel, and the subcommands that never
+call scipy, leave scipy.integrate and scipy.linalg unloaded.
+
+Each check runs in a fresh interpreter, since this test process has scipy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from heatkernel.config import DEFAULT_CONFIG
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, cwd: Path) -> dict:
+    """Run code in a new interpreter with heatkernel importable; return the JSON it prints last."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "{name: name in sys.modules for name in ('scipy.integrate', 'scipy.linalg')}"
+
+
+def test_import_loads_no_scipy_integrate_or_linalg(tmp_path):
+    code = f"import json, sys\nimport heatkernel.cli\nimport heatkernel\nprint(json.dumps({LOADED}))"
+    loaded = run_fresh(code, tmp_path)
+    assert loaded == {"scipy.integrate": False, "scipy.linalg": False}
+
+
+def test_numpy_only_subcommands_skip_scipy_integrate_and_deferred_imports_run(tmp_path):
+    spectral = {**DEFAULT_CONFIG, "engine": "spectral", "spectral": {"half_width": 8.0, "points": 201}}
+    (tmp_path / "spectral.json").write_text(json.dumps(spectral))
+    code = f"""
+import contextlib, io, json, sys
+from heatkernel.cli import main
+
+report = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["numpy_only"] = [main(["--out", "out", cmd]) for cmd in ("kernel", "bounds", "weights", "chain")]
+    report["after_numpy_only"] = {LOADED}
+    report["ode"] = main(["--out", "out", "ode"])
+    report["spectral_kernel"] = main(["--config", "spectral.json", "--out", "out", "kernel"])
+    report["after_all"] = {LOADED}
+print(json.dumps(report))
+"""
+    report = run_fresh(code, tmp_path)
+    assert report["numpy_only"] == [0, 0, 0, 0]
+    assert report["after_numpy_only"] == {"scipy.integrate": False, "scipy.linalg": False}
+    # the deferred imports ran from a cold process
+    assert report["ode"] == 0
+    assert report["spectral_kernel"] == 0
+    assert report["after_all"] == {"scipy.integrate": True, "scipy.linalg": True}
