@@ -69,7 +69,6 @@ from .spectral import (
     eval_spectral,
     pde_residual,
     semigroup_defect,
-    separable_kernel_2d,
     spectral_log_kernel,
 )
 

@@ -8,7 +8,8 @@ Subcommands
     chain    chain plan + chained lower bound + waypoint cube averages -> CSV
     verify   full acceptance suite; exit 0 iff everything passes
 
-Outputs are deterministic: identical configs give byte-identical files.
+Outputs are deterministic: every CSV is written by `emit_csv`, and identical
+configs give byte-identical files.
 The engines are `explicit` (the closed form for a quadratic potential) and
 `spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
@@ -50,7 +51,7 @@ from .config import (
 from .csvout import emit_csv
 from .errors import ConfigError, ParameterError
 from .explicit import KernelValue, quadratic_kernel, quadratic_log_kernel
-from .ode import closed_form_error, integrate_odes, trajectory_to_csv
+from .ode import closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
 # test checks that tracing restores `cli.cube_average` afterwards.
 from .potentials import Cube, ap_constant, cube_average, cube_averages, doubling_fit, rh_constant
@@ -217,9 +218,12 @@ def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     if quad.a0 != 0.0:
         quad = type(quad)(0.0, quad.a1, quad.a2)
     traj = integrate_odes(quad, t0, t1, samples=samples)
-    trajectory_to_csv(traj, out / "trajectory.csv")
+    rows = [(s.t, s.alpha, s.beta, s.gamma, s.mu, s.nu, s.log_phi) for s in traj]
+    prov_line = f"config={config_hash(cfg)} t0={t0!r} t1={t1!r} samples={samples}"
+    schema = ["t", "alpha", "beta", "gamma", "mu", "nu", "log_phi"]
+    path = emit_csv(rows, schema, out / "trajectory.csv", prov_line)
     err = closed_form_error(quad, traj)
-    print(f"wrote {out / 'trajectory.csv'} max_closed_form_error={err:.6g} (tol {rel:g})")
+    print(f"wrote {path} max_closed_form_error={err:.6g} (tol {rel:g})")
     return EXIT_OK if err <= rel else EXIT_FAILURE
 
 

@@ -49,7 +49,7 @@ DEFAULT_CONFIG = {
 
 # What a number read by `config_number` must be beyond an int or a float: the
 # phrase its error message uses and the test.  The weight scans take 2^depth
-# cubes at the deepest level, and no subcommand handles a potential with n >= 2.
+# cubes at the deepest level, and every potential kind is one-dimensional.
 # A spectral build's eigenvector solve returns an m x m array whatever number of
 # modes it keeps: 8 m^2 bytes, 0.97 GB at the cap on spectral.points.
 LIMITS = {
@@ -201,8 +201,8 @@ def load_tabulated_csv(path) -> TabulatedPotential:
 
 
 def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
-    """Extract (a0, a1, a2) when V is a 1D polynomial of degree exactly 2."""
-    if not isinstance(V, PolynomialPotential) or V.n != 1:
+    """Extract (a0, a1, a2) when V is a polynomial of degree exactly 2."""
+    if not isinstance(V, PolynomialPotential):
         raise ConfigError("explicit engine requires a one-dimensional polynomial potential")
     coeffs = list(V.coeffs) + [0.0] * (3 - len(V.coeffs))
     if len(V.coeffs) > 3 or coeffs[2] <= 0.0:
@@ -233,12 +233,18 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
 
 
 def _linspace_count(spec, name: str):
-    """The count of a [lo, hi, count] axis, or None for a plain list of numbers."""
+    """The count of a [lo, hi, count] axis, or None for a plain list of numbers.
+
+    A three-entry list whose last entry is an int is [lo, hi, count], and a
+    count below 1, or a bool, raises ConfigError naming the axis.
+    """
     if not isinstance(spec, (list, tuple)) or not spec:
         raise ConfigError(f"grid axis {name!r} must be a list")
-    if len(spec) == 3 and isinstance(spec[2], int) and spec[2] >= 1:
-        return int(spec[2])
-    return None
+    if len(spec) != 3 or not isinstance(spec[2], int):
+        return None
+    if isinstance(spec[2], bool) or spec[2] < 1:
+        raise ConfigError(f"grid.{name} count must be an integer >= 1, got {spec[2]!r}")
+    return spec[2]
 
 
 def axis_from_config(spec, name: str) -> np.ndarray:

@@ -21,7 +21,6 @@ inside the system.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "integrate_odes",
     "closed_form_error",
     "ansatz_log",
-    "trajectory_to_csv",
 ]
 
 
@@ -132,13 +130,3 @@ def ansatz_log(state: AnsatzState, x, y):
     """log p = logphi - quadratic form - linear form; x, y may be broadcastable arrays."""
     quad = 0.5 * (state.alpha * x**2 + state.gamma * y**2 + 2.0 * state.beta * x * y)
     return state.log_phi - quad - state.mu * x - state.nu * y
-
-
-def trajectory_to_csv(states: list[AnsatzState], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "alpha", "beta", "gamma", "mu", "nu", "log_phi"])
-        for s in states:
-            writer.writerow(
-                [f"{v:.17g}" for v in (s.t, s.alpha, s.beta, s.gamma, s.mu, s.nu, s.log_phi)]
-            )

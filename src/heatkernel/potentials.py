@@ -1,10 +1,11 @@
-"""Nonnegative potentials, exact cube averages, and weight-class diagnostics.
+"""Nonnegative potentials on the line, exact cube averages, and weight-class diagnostics.
 
-Potentials are immutable value objects.  One-dimensional kinds carry exact
-interval integrals (closed-form antiderivatives); multi-dimensional support
-is restricted to tensor products of one-dimensional factors, for which cube
-integrals factorize.  Weight-class scans (reverse Holder, Muckenhoupt,
-doubling) run over dyadic refinements of a user-supplied window.
+Potentials are immutable value objects, all one-dimensional.  Each kind
+carries exact interval integrals (closed-form antiderivatives), and a kind
+without one falls back to adaptive quadrature.  `Cube` stays n-dimensional,
+but every average and scan here refuses n != 1.  Weight-class scans (reverse
+Holder, Muckenhoupt, doubling) run over dyadic refinements of a
+user-supplied window.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class Cube:
     def n(self) -> int:
         return len(self.center)
 
-    @property
-    def volume(self) -> float:
-        return self.side**self.n
-
     def bounds(self, axis: int = 0) -> tuple[float, float]:
         c = self.center[axis]
         return c - self.side / 2.0, c + self.side / 2.0
@@ -85,82 +82,49 @@ class Cube:
 
 
 class Potential:
-    """Base class.  Subclasses are frozen dataclasses, safe to share/hash."""
+    """Base class: V on the line.  Subclasses are frozen dataclasses, safe to share/hash.
 
-    n: int
+    n is the dimension of the points V takes; every kind here has n = 1.
+    """
+
+    n = 1
 
     def __call__(self, x):
         raise NotImplementedError
 
 
-def _as_points(x, n: int) -> np.ndarray:
-    """Normalize x to shape (..., n)."""
-    arr = np.asarray(x, dtype=float)
-    if n == 1:
-        return arr.reshape(arr.shape + (1,)) if arr.ndim == 0 or arr.shape[-1:] != (1,) else arr
-    if arr.shape[-1] != n:
-        raise ParameterError(f"point has wrong dimension for n={n}: shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class PolynomialPotential(Potential):
-    """Tensor product of one-variable polynomials, one factor per axis.
+    """V(x) = sum_i coeffs[i] x^i."""
 
-    For n = 1 this is just V(x) = sum_i coeffs[i] x^i.
-    """
+    coeffs: tuple[float, ...]
 
-    axis_coeffs: tuple[tuple[float, ...], ...]
-
-    def __init__(self, coeffs: Sequence, n: int = 1):
-        if n >= 1 and len(coeffs) > 0 and np.ndim(coeffs[0]) == 0:
-            axes = tuple(tuple(float(c) for c in coeffs) for _ in range(n))
-        else:
-            axes = tuple(tuple(float(c) for c in ax) for ax in coeffs)
-        if not axes:
+    def __init__(self, coeffs: Sequence[float]):
+        coeffs = tuple(float(c) for c in coeffs)
+        if not coeffs:
             raise ParameterError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "axis_coeffs", axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axis_coeffs)
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        if self.n != 1:
-            raise ParameterError("coeffs is defined for one-dimensional polynomials")
-        return self.axis_coeffs[0]
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, x):
-        pts = _as_points(x, self.n)
-        val = np.ones(pts.shape[:-1])
-        for axis, c in enumerate(self.axis_coeffs):
-            val = val * npoly.polyval(pts[..., axis], c)
+        val = npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
         return val if val.ndim else float(val)
 
 
 @dataclass(frozen=True)
 class PowerPotential(Potential):
-    """V(x) = |x|**alpha with |x| the Euclidean norm.
+    """V(x) = |x|**alpha.
 
     alpha < 0 has a singularity at the origin: pointwise evaluation there is
-    a domain error, while cube integrals use the improper closed form (1D).
+    a domain error, while interval integrals use the improper closed form.
     """
 
     alpha: float
-    dim: int = 1
 
-    def __init__(self, alpha: float, n: int = 1):
+    def __init__(self, alpha: float):
         object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "dim", int(n))
-
-    @property
-    def n(self) -> int:
-        return self.dim
 
     def __call__(self, x):
-        pts = _as_points(x, self.n)
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        r = np.abs(np.asarray(x, dtype=float))
         if self.alpha < 0 and np.any(r == 0.0):
             raise DomainError("power potential with negative exponent is singular at 0")
         with np.errstate(divide="ignore"):
@@ -170,7 +134,7 @@ class PowerPotential(Potential):
 
 @dataclass(frozen=True)
 class TabulatedPotential(Potential):
-    """Piecewise-linear interpolant of uniform samples (1D), values >= 0."""
+    """Piecewise-linear interpolant of uniform samples, values >= 0."""
 
     xs: tuple[float, ...]
     values: tuple[float, ...]
@@ -187,10 +151,6 @@ class TabulatedPotential(Potential):
             raise ParameterError("tabulated values must be >= 0")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return 1
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -254,11 +214,11 @@ class SumPotential(Potential):
         return total
 
 
-def constant(c: float, n: int = 1) -> PolynomialPotential:
-    """V = c >= 0 in n dimensions."""
+def constant(c: float) -> PolynomialPotential:
+    """V = c >= 0."""
     if c < 0:
         raise ParameterError("constant potential must be >= 0")
-    return PolynomialPotential([c], n=n)
+    return PolynomialPotential([c])
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +347,41 @@ def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]
     return centers, mult
 
 
-def _nonintegrable_root_mask(coeffs, lo, hi, q: float) -> np.ndarray:
-    """Per interval: whether a real root of the polynomial inside it makes V^q non-integrable.
+def _root_split_integral(coeffs, lo: float, hi: float, roots, mult, q: float) -> float:
+    """Integral of max(V, 0)**q, q < 0, over [lo, hi] for a polynomial V with integrable roots there.
 
-    A root counts as inside [lo, hi] up to 1e-12; a root of multiplicity m
-    (see `_poly_real_roots`) is non-integrable iff m q <= -1.  The roots are
-    found once for all intervals.
+    The interval is split at the roots (clipped into [lo, hi]) and at the
+    midpoints between them, so each piece has one root r, of multiplicity m,
+    at one end and a point b at the other.  On it V = (x - r)^m W(x) with
+    W(r) != 0, and x = r + (b - r) v^(1/(s+1)), s = m q > -1, turns the
+    integral into |b - r|^(s+1)/(s+1) times the integral over v in [0, 1] of
+    max(+-W, 0)^q, a bounded integrand that 33-point Gauss-Legendre in v resolves.
     """
-    roots, mult = _poly_real_roots(tuple(coeffs))
-    lo, hi = np.broadcast_arrays(lo, hi)
-    if roots.size == 0:
-        return np.zeros(lo.shape, dtype=bool)
-    inside = (lo[..., None] - 1e-12 <= roots) & (roots <= hi[..., None] + 1e-12)
-    return np.any(inside & (mult * q <= -1.0), axis=-1)
+    nodes, weights = _gl_nodes(33)
+    v = 0.5 * (nodes + 1.0)
+    r = np.clip(roots, lo, hi)
+    ends = np.concatenate([[lo], 0.5 * (r[1:] + r[:-1]), [hi]])
+    total = 0.0
+    for i, (ri, m) in enumerate(zip(r, mult)):
+        W = npoly.polydiv(coeffs, npoly.polyfromroots([ri] * m))[0]
+        s = m * q
+        for b in (ends[i], ends[i + 1]):
+            if b == ri:
+                continue
+            x = ri + (b - ri) * v ** (1.0 / (s + 1.0))
+            sign = 1.0 if m % 2 == 0 else np.sign(b - ri)  # the sign of (x - r)^m on the piece
+            with np.errstate(divide="ignore"):
+                f = np.clip(sign * npoly.polyval(x, W), 0.0, None) ** q
+            total += abs(b - ri) ** (s + 1.0) / (s + 1.0) * 0.5 * float(np.dot(weights, f))
+    return total
 
 
 def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 0.0):
     """(integral of V**q over each [lo_i, hi_i], analytic-divergence mask).
 
     Closed form for power kind (|x|^{alpha q}) and integer powers of a
-    polynomial; fixed-order Gauss-Legendre otherwise.  Where the mask is
+    polynomial; fixed-order Gauss-Legendre otherwise, split at a polynomial's
+    integrable roots for q < 0 (`_root_split_integral`).  Where the mask is
     set the integral is analytically divergent: the returned value is the
     improper integral with a ball of radius `excision` removed around the
     singular point (+inf when excision == 0).
@@ -430,11 +405,18 @@ def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 
         vals, div = powered_interval_integral(V.base, lo, hi, q, excision)
         return V.factor**q * vals, div
     if isinstance(V, PolynomialPotential) and q < 0:
-        divergent = _nonintegrable_root_mask(V.coeffs, lo, hi, q)
+        # a root of multiplicity m is non-integrable iff m q <= -1; Gauss-Legendre
+        # cannot see an integrable one, so those intervals are split at their roots
+        # (see `_poly_real_roots`); a root inside [lo, hi] up to 1e-12 counts
+        roots, mult = _poly_real_roots(V.coeffs)
+        lo, hi = np.broadcast_arrays(lo, hi)
+        inside = (lo[..., None] - 1e-12 <= roots) & (roots <= hi[..., None] + 1e-12)
+        divergent = np.any(inside & (mult * q <= -1.0), axis=-1)
         with np.errstate(divide="ignore"):
             vals = _gl_interval_integral(lambda x: np.clip(V(x), 0.0, None) ** q, lo, hi)
-        vals = np.where(divergent, np.inf, vals)
-        return vals, divergent
+        for i in map(tuple, np.argwhere(np.any(inside, axis=-1) & ~divergent)):
+            vals[i] = _root_split_integral(V.coeffs, lo[i], hi[i], roots[inside[i]], mult[inside[i]], q)
+        return np.where(divergent, np.inf, vals), divergent
     if isinstance(V, PolynomialPotential) and float(q).is_integer() and q >= 1:
         powed = npoly.polypow(np.asarray(V.coeffs, dtype=float), int(q))
         return _poly_interval_integral(powed, lo, hi), np.zeros(np.broadcast(lo, hi).shape, dtype=bool)
@@ -456,52 +438,22 @@ def _quad_average_1d(V: Potential, lo: float, hi: float) -> float:
     return val / (hi - lo)
 
 
-def cube_average(V: Potential, Z: Cube, method: str = "auto") -> float:
-    """Mean of V over the cube Z.
+def cube_average(V: Potential, Z: Cube) -> float:
+    """Mean of V over the cube Z, both one-dimensional.
 
-    method: "auto" prefers closed forms (mandatory for singular power
-    potentials), "quad" forces adaptive quadrature, "closed" requires a
-    closed form.  Power potentials need alpha > -n for integrability.
+    Closed forms where the kind has one, which is the only route for a
+    singular power potential; adaptive quadrature otherwise.  A power
+    potential needs alpha > -1 on a cube that contains 0.
     """
-    if V.n != Z.n:
-        raise ParameterError(f"potential dimension {V.n} != cube dimension {Z.n}")
-    if isinstance(V, PowerPotential) and V.alpha <= -V.n and Z.contains([0.0] * V.n):
-        raise DomainError("power potential with alpha <= -n is not integrable on this cube")
-    if V.n == 1:
-        lo, hi = Z.bounds(0)
-        singular_power = isinstance(V, PowerPotential) and V.alpha < 0 and Z.contains(0.0)
-        if method == "quad" and singular_power:
-            raise ParameterError("singular power potentials integrate by closed form only")
-        if method == "quad":
-            return _quad_average_1d(V, lo, hi)
-        try:
-            return float(interval_integral(V, lo, hi)) / Z.side
-        except ParameterError:
-            if method == "closed":
-                raise
-            return _quad_average_1d(V, lo, hi)
-    # n >= 2: tensor products factorize; bounded kinds fall back to nquad
-    if isinstance(V, PolynomialPotential):
-        out = 1.0
-        for axis, c in enumerate(V.axis_coeffs):
-            lo, hi = Z.bounds(axis)
-            out *= float(_poly_interval_integral(c, lo, hi)) / Z.side
-        return out
-    if isinstance(V, ScaledPotential):
-        return V.factor * cube_average(V.base, Z, method)
-    if isinstance(V, SumPotential):
-        return sum(cube_average(p, Z, method) for p in V.parts)
-    if isinstance(V, PowerPotential):
-        if V.alpha < 0:
-            raise ParameterError("singular power cube averages are supported in 1D only")
-        from scipy import integrate
-
-        ranges = [Z.bounds(a) for a in range(Z.n)]
-        val, _ = integrate.nquad(
-            lambda *xs: float(V(list(xs))), ranges, opts={"epsabs": 1e-12, "epsrel": 1e-9}
-        )
-        return val / Z.volume
-    raise ParameterError(f"no cube average for {type(V).__name__} in n={V.n}")
+    if V.n != 1 or Z.n != 1:
+        raise ParameterError(f"cube_average is one-dimensional, got potential n={V.n} and cube n={Z.n}")
+    if isinstance(V, PowerPotential) and V.alpha <= -1.0 and Z.contains(0.0):
+        raise DomainError("power potential with alpha <= -1 is not integrable on this cube")
+    lo, hi = Z.bounds(0)
+    try:
+        return float(interval_integral(V, lo, hi)) / Z.side
+    except ParameterError:
+        return _quad_average_1d(V, lo, hi)
 
 
 def cube_averages(V: Potential, centers, sides) -> np.ndarray:
@@ -520,7 +472,7 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
         raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
     contains_0 = np.abs(0.0 - centers) <= sides / 2.0 + 1e-15  # as Cube.contains tests it
     if isinstance(V, PowerPotential) and V.alpha <= -1.0 and np.any(contains_0):
-        raise DomainError("power potential with alpha <= -n is not integrable on this cube")
+        raise DomainError("power potential with alpha <= -1 is not integrable on this cube")
     lo, hi = centers - sides / 2.0, centers + sides / 2.0
     try:
         return interval_integral(V, lo, hi) / sides

@@ -47,7 +47,6 @@ __all__ = [
     "pde_residual",
     "semigroup_defect",
     "cached_spectral",
-    "separable_kernel_2d",
 ]
 
 
@@ -344,19 +343,6 @@ def pde_residual(
     vals = np.asarray(V(xs[1:-1]), dtype=float)[:, None]
     residual = d_t - d_xx + vals * inner
     return float(np.max(np.abs(residual)))
-
-
-def separable_kernel_2d(k1, k2):
-    """Product kernel for additively separable 2D potentials.
-
-    When V(x1, x2) = V1(x1) + V2(x2) the Hamiltonian splits and the heat
-    kernel factorizes: p((x1,x2), (y1,y2), t) = p1(x1,y1,t) p2(x2,y2,t).
-    """
-
-    def kernel(x, y, t: float) -> KernelValue:
-        return KernelValue(k1(x[0], y[0], t).log_value + k2(x[1], y[1], t).log_value)
-
-    return kernel
 
 
 def _auto_window(x: float, y: float, t: float, s: float) -> float:

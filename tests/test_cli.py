@@ -260,6 +260,9 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
             {"x": 0.0, "y": 1.0, "t": 1.0, "sigma": 0.1},
             "chain.sigma must be < 0.0626217 here (the adjacent-cube condition), got 0.1",
         ),
+        ("kernel", "grid", {"x": [-1.0, 1.0, 0]}, "grid.x count must be an integer >= 1, got 0"),
+        ("bounds", "grid", {"y": [-1.0, 1.0, -2]}, "grid.y count must be an integer >= 1, got -2"),
+        ("kernel", "grid", {"t": [0.1, 0.5, True]}, "grid.t count must be an integer >= 1, got True"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, message):
@@ -352,3 +355,18 @@ def test_grid_cap_edge():
     over = {"x": np.linspace(0.0, 1.0, 101).tolist(), "y": [0.0, 1.0, 9901], "t": [0.5]}
     with pytest.raises(ConfigError, match=r"grid has 101x9901x1 = 1000001 points, above the cap of 1000000"):
         grid_from_config({"grid": over})
+
+
+def test_grid_axis_count_is_parsed_or_refused():
+    from heatkernel.config import grid_from_config
+    from heatkernel.errors import ConfigError
+
+    xs, ys, ts = grid_from_config({"grid": {"x": [-1, 1, 3], "y": [-1.0, 1.0, 3.0], "t": [0.1, 1, 1]}})
+    assert xs.tolist() == [-1.0, 0.0, 1.0]  # [lo, hi, count]
+    assert ys.tolist() == [-1.0, 1.0, 3.0]  # a float last entry: three values
+    assert ts.tolist() == [0.1]
+    for name, count in [("x", 0), ("y", -2), ("t", True), ("t", False)]:
+        grid = {"x": [-1, 1, 3], "y": [-1, 1, 3], "t": [0.1, 1, 2], name: [0.1, 1, count]}
+        with pytest.raises(ConfigError, match=rf"^grid\.{name} count must be an integer >= 1, got {count!r}$"):
+            grid_from_config({"grid": grid})
+

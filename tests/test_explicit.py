@@ -38,10 +38,11 @@ def test_gaussian_chapman_kolmogorov():
 
 
 def test_gaussian_nd_product():
-    g2 = gaussian_kernel(2, (0.1, -0.2), (0.5, 0.3), 0.7)
-    g1a = gaussian_kernel(1, 0.1, 0.5, 0.7)
-    g1b = gaussian_kernel(1, -0.2, 0.3, 0.7)
-    assert g2.log_value == pytest.approx(g1a.log_value + g1b.log_value, rel=1e-14)
+    for x, y in [((0.1, -0.2), (0.5, 0.3)), ((0.3, -0.2), (0.1, 0.5))]:
+        g2 = gaussian_kernel(2, x, y, 0.7)
+        g1a = gaussian_kernel(1, x[0], y[0], 0.7)
+        g1b = gaussian_kernel(1, x[1], y[1], 0.7)
+        assert g2.log_value == pytest.approx(g1a.log_value + g1b.log_value, rel=1e-14)
 
 
 def test_gaussian_errors():

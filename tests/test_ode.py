@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from heatkernel import (
     integrate_odes,
     quadratic_kernel,
 )
+from heatkernel.cli import main
+from heatkernel.config import config_hash
 from heatkernel.explicit import csch
-from heatkernel.ode import trajectory_to_csv
 
 C_OSC = QuadraticCoeffs(0.0, 0.0, 1.0)
 C_TILT = QuadraticCoeffs(0.0, 1.0, 1.0)
@@ -120,12 +122,17 @@ def test_parameter_errors():
 
 
 def test_trajectory_csv(tmp_path):
+    cfg = {
+        "potential": {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0]},
+        "ode": {"t0": 0.1, "t1": 0.5, "samples": 11},
+    }
+    (tmp_path / "ode.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(tmp_path / "ode.json"), "--out", str(tmp_path), "ode"]) == 0
     traj = integrate_odes(C_OSC, 0.1, 0.5, samples=11)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,alpha,beta,gamma,mu,nu,log_phi"
-    assert len(lines) == 12
-    first = [float(v) for v in lines[1].split(",")]
+    lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
+    assert lines[0] == f"# config={config_hash(cfg)} t0=0.1 t1=0.5 samples=11"
+    assert lines[1] == "t,alpha,beta,gamma,mu,nu,log_phi"
+    assert len(lines) == 13
+    first = [float(v) for v in lines[2].split(",")]
     assert first[0] == pytest.approx(0.1)
     assert first[1] == pytest.approx(traj[0].alpha)

@@ -25,7 +25,7 @@ from heatkernel import (
     m_beta,
     rh_constant,
 )
-from heatkernel.potentials import interval_integral
+from heatkernel.potentials import _quad_average_1d, interval_integral, powered_interval_integral
 
 
 # independent oracle: integral of |x|^a over [lo, hi] by direct antiderivative
@@ -47,11 +47,34 @@ def test_eval_examples():
         PowerPotential(-0.5)(0.0)
 
 
-def test_eval_vectorized_and_nd():
-    V = PolynomialPotential([1, 2], n=2)  # (1 + 2x)(1 + 2y)
-    assert V([1.0, 0.5]) == pytest.approx(3.0 * 2.0)
-    Vp = PowerPotential(2.0, n=2)
-    assert Vp([3.0, 4.0]) == pytest.approx(25.0)
+def test_eval_vectorized():
+    xs = np.array([[-2.5, -1.0, 0.0], [0.3, 1.0, 3.75]])
+    for V in (
+        PolynomialPotential([1.0, 2.0, 0.5]),
+        PowerPotential(0.7),
+        PowerPotential(2.0),
+        _tabulated([1.0, 0.0, 2.0, 4.0]),
+        SumPotential(ScaledPotential(3.0, PolynomialPotential([0.0, 0.0, 1.0])), PowerPotential(0.5)),
+    ):
+        got = V(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert _bits(got) == _bits([[V(float(x)) for x in row] for row in xs])
+        assert all(isinstance(V(float(x)), float) for x in xs.flat)
+    # a length-1 array stays an array
+    assert PowerPotential(2.0)(np.array([3.0])).shape == (1,)
+
+
+def test_one_dimensional_signatures():
+    for make in (
+        lambda: PolynomialPotential([0.0, 0.0, 1.0], n=2),
+        lambda: PowerPotential(2.0, n=2),
+        lambda: constant(1.0, n=2),
+        lambda: cube_average(constant(1.0), Cube(0.0, 1.0), method="quad"),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(TypeError):
+        PolynomialPotential([[1.0, 2.0], [1.0, 2.0]])  # no per-axis product form
 
 
 def test_cube_average_quadratic_formula():
@@ -71,8 +94,8 @@ def test_cube_average_constant():
 def test_cube_average_closed_vs_quadrature():
     V = PolynomialPotential([1.0, -2.0, 0.5, 0.25])
     for center, side in [(0.0, 1.0), (2.5, 0.3), (-1.0, 4.0)]:
-        closed = cube_average(V, Cube(center, side), method="closed")
-        adaptive = cube_average(V, Cube(center, side), method="quad")
+        closed = cube_average(V, Cube(center, side))
+        adaptive = _quad_average_1d(V, center - side / 2.0, center + side / 2.0)
         assert closed == pytest.approx(adaptive, rel=1e-12)
 
 
@@ -81,16 +104,8 @@ def test_cube_average_singular_power_closed_form():
     Z = Cube(0.0, 2.0)
     # integrable singularity handled by closed form: mean of |x|^{-1/2} over [-1,1] is 2
     assert cube_average(V, Z) == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ParameterError):
-        cube_average(V, Z, method="quad")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="alpha <= -1"):
         cube_average(PowerPotential(-1.5), Z)
-
-
-def test_cube_average_nd_product():
-    V = PolynomialPotential([0, 0, 1], n=2)  # x^2 * y^2
-    got = cube_average(V, Cube((1.0, 1.0), 1.0))
-    assert got == pytest.approx((13.0 / 12.0) ** 2, rel=1e-14)
 
 
 def test_tabulated_roundtrip():
@@ -204,6 +219,35 @@ def test_ap_divergent_dual_weight():
     # V = x^2 has 1/V non-integrable at 0 for p = 2
     rep = ap_constant(PolynomialPotential([0, 0, 1]), 2.0, Cube(0.0, 2.0), 6)
     assert rep.divergent
+
+
+def test_ap_polynomial_root_of_integrable_order():
+    # x^2 is A_p for p > 3: on [0, s] or [-s, s], mean(x^2) mean(|x|^{-0.8})^{2.5} = (1/3) 5^{2.5}
+    rep = ap_constant(PolynomialPotential([0, 0, 1]), 3.5, Cube(0.0, 2.0), 6)
+    assert not rep.divergent
+    assert rep.constant == pytest.approx(5.0**2.5 / 3.0, rel=1e-12)
+    for side, ratio in rep.trace[:2]:
+        assert ratio == pytest.approx(5.0**2.5 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.05, 3.5, 5.0])
+def test_powered_integral_at_polynomial_roots_against_weighted_quadrature(p):
+    # V = x^2 (1 + x): a double root at 0 and a simple one at -1, both integrable for q = -1/(p-1)
+    q = -1.0 / (p - 1.0)
+    V = PolynomialPotential([0.0, 0.0, 1.0, 1.0])
+    roots = {-1.0: q, 0.0: 2.0 * q}  # root -> exponent of |x - root| in V^q
+    for lo, hi in [(-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-0.5, 0.25), (-1.0, -0.5), (-1.0, -0.9921875)]:
+        vals, flags = powered_interval_integral(V, np.array([lo]), np.array([hi]), q)
+        assert not flags[0]
+        cuts = [lo] + [r for r in roots if lo < r < hi] + [hi]
+        want = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            # quad's "alg" weight (x - a)^ea (b - x)^eb carries the root factors at the ends
+            ea, eb = roots.get(a, 0.0), roots.get(b, 0.0)
+            rest = [r for r in roots if r not in (a, b)]
+            f = lambda x, rest=rest: math.prod(abs(x - r) ** roots[r] for r in rest)  # noqa: E731
+            want += quad(f, a, b, weight="alg", wvar=(ea, eb), epsabs=1e-15, epsrel=1e-13)[0]
+        assert vals[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_doubling_fit_exact_cases():
@@ -378,10 +422,17 @@ def test_cube_averages_is_cube_average_bitwise(V, cubes):
 class _Bump(Potential):
     """A kind with no closed-form interval integral."""
 
-    n = 1
-
     def __call__(self, x):
         return np.exp(-np.square(x))
+
+
+class _Plane(Potential):
+    """A two-dimensional kind, which every average here refuses."""
+
+    n = 2
+
+    def __call__(self, x):
+        return np.sum(np.square(x), axis=-1)
 
 
 def test_cube_averages_checks_and_fallback():
@@ -416,7 +467,13 @@ def test_cube_averages_checks_and_fallback():
     with pytest.raises(ParameterError, match="side must be > 0"):
         cube_averages(T, 0.0, math.nan)
     with pytest.raises(ParameterError, match="one-dimensional"):
-        cube_averages(PolynomialPotential([1.0, 1.0], n=2), [0.0], 1.0)
+        cube_averages(_Plane(), [0.0], 1.0)
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        cube_average(_Plane(), Cube((0.0, 0.0), 1.0))
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        cube_average(_Plane(), Cube(0.0, 1.0))
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        cube_average(T, Cube((0.0, 0.0), 1.0))
     # no closed form: adaptive quadrature per cube, as cube_average does
     bump = _Bump()
     assert _bits(cube_averages(bump, centers, 0.5)) == _bits([cube_average(bump, Cube(c, 0.5)) for c in centers])

@@ -185,22 +185,6 @@ def test_orthonormality_defect(spectral_free):
     assert spectral_free.orthonormality_defect <= 1e-8
 
 
-def test_separable_2d_product():
-    from heatkernel.spectral import separable_kernel_2d
-
-    g1 = lambda x, y, t: gaussian_kernel(1, x, y, t)
-    k2 = separable_kernel_2d(g1, g1)
-    got = k2((0.3, -0.2), (0.1, 0.5), 0.7)
-    want = gaussian_kernel(2, (0.3, -0.2), (0.1, 0.5), 0.7)
-    assert got.log_value == pytest.approx(want.log_value, rel=1e-14)
-    # tensor-product quadratic: factors multiply in log-space
-    q = lambda x, y, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, y, t)
-    kq = separable_kernel_2d(q, g1)
-    assert kq((1.0, 0.0), (0.0, 1.0), 0.5).log_value == pytest.approx(
-        q(1.0, 0.0, 0.5).log_value + g1(0.0, 1.0, 0.5).log_value, rel=1e-14
-    )
-
-
 def test_spectral_below_free_kernel(spectral_vxx1):
     # nonnegative potential: the free Gaussian kernel dominates
     for x, y, t in [(0.0, 0.0, 0.05), (1.0, -0.5, 0.2), (2.0, 2.0, 1.0)]:
