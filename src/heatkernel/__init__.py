@@ -36,6 +36,7 @@ from .explicit import (
     QuadraticCoeffs,
     a0_shift_check,
     gaussian_kernel,
+    gaussian_log_kernel,
     quadratic_kernel,
     quadratic_log_kernel,
 )

@@ -11,10 +11,10 @@ import filecmp
 import math
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bounds import (
     chain_plan,
@@ -27,7 +27,7 @@ from .bounds import (
     moser_ratio,
 )
 from .config import DEFAULT_CONFIG
-from .explicit import QuadraticCoeffs, gaussian_kernel, quadratic_kernel, quadratic_log_kernel
+from .explicit import QuadraticCoeffs, gaussian_log_kernel, quadratic_log_kernel
 from .ode import ansatz_log, closed_form_error, integrate_odes
 from .potentials import (
     Cube,
@@ -47,10 +47,12 @@ from .spectral import (
     pde_residual,
     semigroup_defect,
     spectral_log_kernel,
+    z_lattice,
 )
 
 V_SQUARE = PolynomialPotential([0.0, 0.0, 1.0])
 Q_SQUARE = QuadraticCoeffs(0.0, 0.0, 1.0)
+LOG_P_SQUARE = partial(quadratic_log_kernel, Q_SQUARE)
 
 
 @dataclass
@@ -102,12 +104,9 @@ def c2_ode_round_trip() -> CriterionResult:
     traj = integrate_odes(c, 0.01, 2.0, samples=161)
     comp_err = closed_form_error(c, traj)
     final = traj[-1]
-    log_err = 0.0
-    for x in (-2.0, -0.5, 0.0, 1.0, 2.0):
-        for y in (-1.5, 0.0, 0.7, 2.0):
-            got = ansatz_log(final, x, y)
-            want = quadratic_kernel(c, x, y, final.t).log_value
-            log_err = max(log_err, abs(got - want))
+    xs, ys = np.array([-2.0, -0.5, 0.0, 1.0, 2.0]), np.array([-1.5, 0.0, 0.7, 2.0])
+    got = ansatz_log(final, xs[:, None], ys[None, :])
+    log_err = float(np.max(np.abs(got - quadratic_log_kernel(c, xs, ys, [final.t])[0])))
     passed = comp_err <= 1e-6 and log_err <= 1e-5
     return _result(
         2,
@@ -118,8 +117,8 @@ def c2_ode_round_trip() -> CriterionResult:
 
 
 def c3_semigroup() -> CriterionResult:
-    dq = semigroup_defect(lambda x, y, t: quadratic_kernel(Q_SQUARE, x, y, t), 0.0, 0.0, 0.25, 0.25)
-    dg = semigroup_defect(lambda x, y, t: gaussian_kernel(1, x, y, t), 0.0, 0.0, 0.25, 0.25)
+    dq = semigroup_defect(LOG_P_SQUARE, 0.0, 0.0, 0.25, 0.25)
+    dg = semigroup_defect(gaussian_log_kernel, 0.0, 0.0, 0.25, 0.25)
     passed = dq <= 1e-4 and dg <= 1e-10
     return _result(
         3,
@@ -131,19 +130,16 @@ def c3_semigroup() -> CriterionResult:
 
 def c4_pde_residual() -> CriterionResult:
     grid = ProbeGrid(x_min=-1.0, x_max=1.0, t_min=0.3, t_max=0.31, h=0.02, tau=2e-4)
-    quad_K = lambda x, y, t: quadratic_kernel(Q_SQUARE, x, y, t)
     y0 = 0.3
-    coarse = pde_residual(V_SQUARE, quad_K, y0, grid)
-    fine = pde_residual(V_SQUARE, quad_K, y0, grid.refine())
+    coarse = pde_residual(V_SQUARE, LOG_P_SQUARE, y0, grid)
+    fine = pde_residual(V_SQUARE, LOG_P_SQUARE, y0, grid.refine())
     ratio = coarse / fine
     # negative control: the free kernel does not solve the V = x^2 equation
-    gauss_K = lambda x, y, t: gaussian_kernel(1, x, y, t)
-    g_coarse = pde_residual(V_SQUARE, gauss_K, y0, grid)
-    g_fine = pde_residual(V_SQUARE, gauss_K, y0, grid.refine())
+    g_coarse = pde_residual(V_SQUARE, gaussian_log_kernel, y0, grid)
+    g_fine = pde_residual(V_SQUARE, gaussian_log_kernel, y0, grid.refine())
     xs = np.arange(grid.x_min, grid.x_max + grid.h / 2, grid.h)
-    vp_peak = max(
-        abs(x * x * gaussian_kernel(1, x, y0, t).value) for x in xs for t in (grid.t_min, grid.t_max)
-    )
+    free = np.exp(gaussian_log_kernel(xs, [y0], (grid.t_min, grid.t_max))[:, :, 0])
+    vp_peak = float(np.max(np.abs(xs * xs * free)))
     control_stuck = g_fine > 0.1 * vp_peak and not 3.5 <= g_coarse / g_fine <= 4.5
     passed = 3.5 <= ratio <= 4.5 and control_stuck
     return _result(
@@ -156,16 +152,9 @@ def c4_pde_residual() -> CriterionResult:
 
 
 def _mass(t: float) -> float:
-    width = 14.0 * math.sqrt(t) + 1.0
-    val, _ = quad(
-        lambda y: quadratic_kernel(Q_SQUARE, 0.0, y, t).value,
-        -width,
-        width,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return val
+    """h times the sum of p(0, ., t) over `z_lattice` on [-(14 sqrt(t) + 1), 14 sqrt(t) + 1]."""
+    zs, h = z_lattice(14.0 * math.sqrt(t) + 1.0, t)
+    return h * float(np.sum(np.exp(LOG_P_SQUARE([0.0], zs, [t])[0, 0])))
 
 
 def c5_mass_positivity() -> CriterionResult:
@@ -179,17 +168,18 @@ def c5_mass_positivity() -> CriterionResult:
     return _result(5, "mass near delta limit and submarkov property", ok, detail)
 
 
+SANDWICH_XS, SANDWICH_TS = np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8)
 SANDWICH_GRID = None
 
 
 def _sandwich_fits():
-    """Fit the five envelope families of the sandwich test (cached)."""
+    """(log p on the sandwich grid, shaped [t, x, y]; the five envelope fits against it), cached."""
     global SANDWICH_GRID
     if SANDWICH_GRID is not None:
         return SANDWICH_GRID
-    xs, ts = np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8)
-    pts = grid_points(xs, xs, ts)
-    samples = grid_samples(xs, xs, ts, quadratic_log_kernel(Q_SQUARE, xs, xs, ts))
+    xs, ts = SANDWICH_XS, SANDWICH_TS
+    log_p = LOG_P_SQUARE(xs, xs, ts)
+    samples = grid_samples(xs, xs, ts, log_p)
     fits = {
         "avg_upper": fit_constants(V_SQUARE, samples, "avg_upper", beta=0.99),
         "symmetrized_upper": fit_constants(V_SQUARE, samples, "symmetrized_upper", beta=0.99),
@@ -197,12 +187,12 @@ def _sandwich_fits():
         "avg_lower_near": fit_constants(V_SQUARE, samples, "avg_lower_near", kappa=0.125),
         "avg_lower_far": fit_constants(V_SQUARE, samples, "avg_lower_far", kappa=0.125),
     }
-    SANDWICH_GRID = (pts, fits)
+    SANDWICH_GRID = (log_p, fits)
     return SANDWICH_GRID
 
 
 def c6_sandwich_feasibility() -> CriterionResult:
-    pts, fits = _sandwich_fits()
+    log_p, fits = _sandwich_fits()
     all_feasible = all(f.feasible for f in fits.values())
     consts_positive = True
     for f in fits.values():
@@ -211,10 +201,7 @@ def c6_sandwich_feasibility() -> CriterionResult:
             if v is not None and not v > 0:
                 consts_positive = False
     both_branches = len(fits["avg_lower_near"].records) > 0 and len(fits["avg_lower_far"].records) > 0
-    dom = max(
-        quadratic_kernel(Q_SQUARE, x, y, t).log_value - gaussian_kernel(1, x, y, t).log_value
-        for (x, y, t) in pts
-    )
+    dom = float(np.max(log_p - gaussian_log_kernel(SANDWICH_XS, SANDWICH_XS, SANDWICH_TS)))
     passed = all_feasible and consts_positive and both_branches and dom <= 1e-10
     verdicts = " ".join(f"{k}:{'F' if v.feasible else 'X'}" for k, v in fits.items())
     return _result(
@@ -308,16 +295,13 @@ def c9_inequality_checks(seed: int = 0) -> CriterionResult:
 
     rng = np.random.default_rng(1)
     max_ratio = {"gaussian": 0.0, "quadratic": 0.0}
-    kernels = {
-        "gaussian": lambda x, t: gaussian_kernel(1, x, 0.0, t).value,
-        "quadratic": lambda x, t: quadratic_kernel(Q_SQUARE, x, 0.0, t).value,
-    }
+    kernels = {"gaussian": gaussian_log_kernel, "quadratic": LOG_P_SQUARE}
     for _ in range(10):
         r = rng.uniform(0.15, 0.4)
         t0 = rng.uniform(4.0 * r * r + 0.05, 1.5)
         x0 = rng.uniform(-1.5, 1.5)
-        for name, u in kernels.items():
-            max_ratio[name] = max(max_ratio[name], moser_ratio(u, x0, t0, r))
+        for name, log_kernel in kernels.items():
+            max_ratio[name] = max(max_ratio[name], moser_ratio(log_kernel, 0.0, x0, t0, r))
     ok_moser = all(math.isfinite(v) and v <= 100.0 for v in max_ratio.values())
     passed = ok_fp and ok_moser
     return _result(

@@ -18,6 +18,11 @@ from .errors import ParameterError
 from .explicit import KernelValue
 from .potentials import Cube, Potential, cube_average, m_beta
 
+# The floor a fitted constant is clipped to, so that every envelope stays valid.
+C_FLOOR = 1e-9
+# Lattice points per axis of each `moser_ratio` cylinder; odd, as Simpson's rule wants.
+MOSER_NODES = 41
+
 UPPER_FAMILIES = ("gaussian_upper", "avg_upper", "symmetrized_upper", "quadratic_sharp")
 LOWER_FAMILIES = ("avg_lower_near", "avg_lower_far", "dirichlet_interval", "dirichlet_ball")
 FAMILIES = UPPER_FAMILIES + LOWER_FAMILIES
@@ -356,8 +361,8 @@ class GridFunction:
             raise ParameterError("test function needs matching grids of length >= 2")
 
 
-def energy_test_family(Z: Cube, count: int = 50, seed: int = 0, nodes: int = 129):
-    """Deterministic lattice of hats, quadratic bumps, and Gaussians on Z.
+def energy_test_family(Z: Cube, count: int = 50, seed: int = 0):
+    """Deterministic lattice of hats, quadratic bumps, and Gaussians on Z, sampled at 129 nodes.
 
     The lattice cycles through the three shapes over a grid of centers and
     widths; the seed only jitters the lattice slightly so repeated runs are
@@ -366,7 +371,7 @@ def energy_test_family(Z: Cube, count: int = 50, seed: int = 0, nodes: int = 129
     if Z.n != 1:
         raise ParameterError("test functions are one-dimensional")
     lo, hi = Z.bounds(0)
-    xs = tuple(np.linspace(lo, hi, nodes))
+    xs = tuple(np.linspace(lo, hi, 129))
     rng = np.random.default_rng(seed)
     grid = np.asarray(xs)
     out = []
@@ -422,36 +427,33 @@ def fefferman_phong_ratio(V: Potential, u: GridFunction, Z: Cube, beta: float) -
     return (grad_energy + pot_energy) / (weight * mass)
 
 
-def moser_ratio(
-    u: Callable[[float, float], float],
-    x0: float,
-    t0: float,
-    r: float,
-    nx: int = 41,
-    nt: int = 41,
-) -> float:
-    """sup over the r/2 cylinder of |u| divided by its scaled L2 norm.
+def moser_ratio(log_kernel: Callable[..., np.ndarray], y: float, x0: float, t0: float, r: float) -> float:
+    """sup over the r/2 cylinder of u divided by its scaled L2 norm, for u = p(., y, .).
 
-    ratio = sup_{Q_{r/2}} |u| / ( (1/r^{n+2}) iint_{Q_{2r/3}} u^2 )^{1/2},
+    ratio = sup_{Q_{r/2}} u / ( (1/r^{n+2}) iint_{Q_{2r/3}} u^2 )^{1/2},
     with Q_rho(x0, t0) = (x0-rho, x0+rho) x (t0-rho^2, t0) and n = 1.
-    Local boundedness of nonnegative solutions makes this uniformly bounded
-    over cylinders where u solves the heat equation on the double cylinder,
-    hence the precondition t0 - 4 r^2 > 0.
+    log_kernel(xs, ys, ts) returns log p shaped [t, x, y]; each cylinder's
+    MOSER_NODES x MOSER_NODES lattice is one call, and the L2 norm is
+    Simpson's rule on it.  Local boundedness of nonnegative solutions makes
+    this uniformly bounded over cylinders where u solves the heat equation
+    on the double cylinder, hence the precondition t0 - 4 r^2 > 0.
     """
     from scipy.integrate import simpson
 
     if not (r > 0 and t0 - 4.0 * r * r > 0.0):
         raise ParameterError("cylinder needs r > 0 and t0 - 4 r^2 > 0")
-    if nx < 5 or nt < 5 or nx % 2 == 0 or nt % 2 == 0:
-        raise ParameterError("grid counts must be odd and >= 5")
+
+    def u(xs, ts):  # [x, t]
+        return np.exp(log_kernel(xs, [y], ts)[:, :, 0]).T
+
     half = 0.5 * r
-    xs = np.linspace(x0 - half, x0 + half, nx)
-    ts = np.linspace(t0 - half * half, t0, nt)
-    sup = max(abs(u(xi, tj)) for xi in xs for tj in ts)
+    xs = np.linspace(x0 - half, x0 + half, MOSER_NODES)
+    ts = np.linspace(t0 - half * half, t0, MOSER_NODES)
+    sup = float(np.max(u(xs, ts)))
     rho = 2.0 * r / 3.0
-    xs2 = np.linspace(x0 - rho, x0 + rho, nx)
-    ts2 = np.linspace(t0 - rho * rho, t0, nt)
-    vals = np.array([[u(xi, tj) ** 2 for tj in ts2] for xi in xs2])
+    xs2 = np.linspace(x0 - rho, x0 + rho, MOSER_NODES)
+    ts2 = np.linspace(t0 - rho * rho, t0, MOSER_NODES)
+    vals = u(xs2, ts2) ** 2
     inner = simpson(vals, x=ts2, axis=1)
     integral = float(simpson(inner, x=xs2))
     if integral <= 0.0:
@@ -499,7 +501,6 @@ def fit_constants(
     beta: float | None = None,
     kappa: float | None = None,
     epsilon: float | None = None,
-    c_floor: float = 1e-9,
 ) -> FitResult:
     """Fit the free envelope constants against kernel samples.
 
@@ -507,7 +508,7 @@ def fit_constants(
     makes them from one evaluation of the grid.
     Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8,
     then take the decay coefficient as the infimum of admissible values
-    over the grid (clipped at zero); lower families mirror this with a
+    over the grid (clipped at C_FLOOR); lower families mirror this with a
     supremum and a safety prefactor c0 = (4 pi)^{-n/2} / 2.  FEASIBLE means
     every fitted constant came out strictly positive and no grid point
     violates the bound.  Every record's log_env is `evaluate_envelope` of
@@ -527,13 +528,13 @@ def fit_constants(
     if family == "gaussian_upper":
         env = BoundEnvelope(family=family, n=n, c0=c0_upper, c2=0.125)
     elif family in ("avg_upper", "symmetrized_upper"):
-        env, ok, blame = _fit_decay(V, family, pts, n, c0_upper, beta, c_floor)
+        env, ok, blame = _fit_decay(V, family, pts, n, c0_upper, beta)
     elif family == "quadratic_sharp":
-        env, ok = _fit_quadratic_sharp(pts, c_floor)
+        env, ok = _fit_quadratic_sharp(pts)
     elif family in ("avg_lower_near", "avg_lower_far"):
-        env, sel = _fit_lower_c1(V, family, pts, n, kappa, c_floor)
+        env, sel = _fit_lower_c1(V, family, pts, n, kappa)
     else:
-        env, ok = _fit_dirichlet_C(family, pts, n, epsilon, c_floor)
+        env, ok = _fit_dirichlet_C(family, pts, n, epsilon)
 
     upper = family in UPPER_FAMILIES
     records = []
@@ -550,7 +551,7 @@ def fit_constants(
     return FitResult(env, ok and min_slack >= -1e-12, min_slack, blame or witness, records)
 
 
-def _fit_decay(V, family, pts, n, c0, beta, c_floor):
+def _fit_decay(V, family, pts, n, c0, beta):
     """avg_upper / symmetrized_upper: the decay coefficient is the least (base - log p) / decay.
 
     Returns (envelope, admissible, the point of the least quotient when it is <= 0).
@@ -568,13 +569,13 @@ def _fit_decay(V, family, pts, n, c0, beta, c_floor):
             if q < least:
                 least, at = q, (x, y, t)
     ok = at is None or least > 0.0  # no quotient: the decay never bites
-    cdecay = max(least if at is not None else 1.0, c_floor)
+    cdecay = max(least if at is not None else 1.0, C_FLOOR)
     c1, c2 = (0.125, cdecay) if both else (cdecay, 0.125)
     env = BoundEnvelope(family=family, n=n, c0=c0, c1=c1, c2=c2, beta=beta)
     return env, ok, None if ok else at
 
 
-def _fit_quadratic_sharp(pts, c_floor):
+def _fit_quadratic_sharp(pts):
     """Two stages per branch: c0 takes half of the small-t budget, c1 the rest; c2 then c3 likewise."""
     small, large = [], []
     for x, y, t, lp in pts:
@@ -583,7 +584,7 @@ def _fit_quadratic_sharp(pts, c_floor):
             (small if t <= 1.0 else large).append((t, lp, shape - lp, d2, s))
 
     def least(quotients, default):
-        return (max(min(quotients), c_floor), min(quotients) > 0) if quotients else (default, True)
+        return (max(min(quotients), C_FLOOR), min(quotients) > 0) if quotients else (default, True)
 
     c0, ok0 = least([budget * t / d2 / 2.0 for t, _, budget, d2, _ in small if d2 > 0], 0.125)
     c1, ok1 = least([(budget - c0 * d2 / t) / (t * s) for t, _, budget, d2, s in small if s > 0], 1.0)
@@ -593,7 +594,7 @@ def _fit_quadratic_sharp(pts, c_floor):
     return env, ok0 and ok1 and ok2 and ok3
 
 
-def _fit_lower_c1(V, family, pts, n, kappa, c_floor):
+def _fit_lower_c1(V, family, pts, n, kappa):
     """avg_lower_near / avg_lower_far on their regime's points: c1 is the largest (base - log p) / D."""
     if kappa is None:
         kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
@@ -610,12 +611,12 @@ def _fit_lower_c1(V, family, pts, n, kappa, c_floor):
             quotients.append((base - lp) / math.exp(log_d))
     if not sel:
         raise ParameterError(f"no grid points fall in the {family} regime")
-    c1 = max(max(quotients, default=0.0), c_floor)
+    c1 = max(max(quotients, default=0.0), C_FLOOR)
     far = {} if near else {"c2": c2, "c3": c3}
     return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel
 
 
-def _fit_dirichlet_C(family, pts, n, epsilon, c_floor):
+def _fit_dirichlet_C(family, pts, n, epsilon):
     """Dirichlet comparison families: C is the least p / exp(shape), capped at 0.99."""
     if epsilon is None:
         raise ParameterError(f"{family} fit needs epsilon")
@@ -627,5 +628,5 @@ def _fit_dirichlet_C(family, pts, n, epsilon, c_floor):
     if not ratios:
         raise ParameterError("no usable grid points for the Dirichlet fit")
     c_raw = min(ratios)
-    C = min(c_raw, 0.99) if c_raw > 0.0 else c_floor
+    C = min(c_raw, 0.99) if c_raw > 0.0 else C_FLOOR
     return BoundEnvelope(family=family, n=n, epsilon=epsilon, C=C), c_raw > 0.0

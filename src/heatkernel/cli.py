@@ -137,7 +137,7 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     slack_rows = []
     all_ok = True
     for i, spec in enumerate(cfg.get("envelopes", DEFAULT_CONFIG["envelopes"])):
-        env0 = envelope_from_config(spec, f"envelopes[{i}]")
+        env0 = envelope_from_config(spec, f"envelopes[{i}]", V.n)
         fit = fit_constants(
             V,
             samples(),

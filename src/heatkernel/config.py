@@ -210,11 +210,13 @@ def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
     return QuadraticCoeffs(a0=coeffs[0], a1=coeffs[1], a2=coeffs[2])
 
 
-def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
-    """Keys: family plus any of beta, kappa, epsilon, n; `where` (`envelopes[i]`) names the entry.
+def envelope_from_config(spec: dict, where: str, n: int) -> BoundEnvelope:
+    """Keys: family plus any of beta, kappa, epsilon; `where` (`envelopes[i]`) names the entry.
 
     `bounds` fits c0..c3 and C, so setting one is a config error, and so is
-    leaving out the constant REQUIRED_CONSTANT names for the family.
+    leaving out the constant REQUIRED_CONSTANT names for the family.  The
+    dimension n is the potential's, so an `n` key is refused, and so is
+    dirichlet_ball, which needs n >= 2, on a one-dimensional potential.
     """
     family = str(_need(spec, "family", "envelopes"))
     if family not in FAMILIES:
@@ -225,9 +227,13 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     required = REQUIRED_CONSTANT.get(family)
     if required is not None and required not in spec:
         raise ConfigError(f"{where}.{required} is required for family {family}")
+    if "n" in spec:
+        raise ConfigError(f"{where}.n cannot be set: the dimension is the potential's")
+    if family == "dirichlet_ball" and n < 2:
+        raise ConfigError(f"{where}.family dirichlet_ball needs dimension >= 2, got {n}")
     kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
     try:
-        return BoundEnvelope(family=family, n=int(_number(spec.get("n", 1), f"{where}.n")), **kwargs)
+        return BoundEnvelope(family=family, n=n, **kwargs)
     except Exception as exc:
         raise ConfigError(f"envelope section: {exc}") from exc
 

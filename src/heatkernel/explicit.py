@@ -22,6 +22,7 @@ __all__ = [
     "KernelValue",
     "QuadraticCoeffs",
     "gaussian_kernel",
+    "gaussian_log_kernel",
     "quadratic_kernel",
     "quadratic_log_kernel",
     "a0_shift_check",
@@ -97,14 +98,37 @@ def _sq_dist(x, y) -> float:
     return float(np.sum(dx * dx))
 
 
-def gaussian_kernel(n: int, x, y, t: float) -> KernelValue:
-    """Free heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t)."""
+def _log_grid(xs, ys, ts, log_at) -> np.ndarray:
+    """log_at(X, Y, t) at each t of ts, X the column of xs and Y the row of ys: log p shaped [t, x, y]."""
+    X = np.asarray(xs, dtype=float)[:, None]
+    Y = np.asarray(ys, dtype=float)[None, :]
+    out = np.empty((len(ts), X.shape[0], Y.shape[1]))
+    for k, t in enumerate(ts):
+        out[k] = log_at(X, Y, float(t))
+    return out
+
+
+def _gaussian_log(n: int, d2, t: float):
+    """log p of the free kernel at one time t; d2 = |x-y|^2 is a float or an array."""
     if not t > 0.0:
         raise ParameterError(f"time must be > 0, got {t}")
+    return -0.5 * n * (math.log(4.0 * math.pi) + math.log(t)) - d2 / (4.0 * t)
+
+
+def gaussian_kernel(n: int, x, y, t: float) -> KernelValue:
+    """Free heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t)."""
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n}")
-    logp = -0.5 * n * (math.log(4.0 * math.pi) + math.log(t)) - _sq_dist(x, y) / (4.0 * t)
-    return KernelValue(logp)
+    return KernelValue(_gaussian_log(n, _sq_dist(x, y), t))
+
+
+def gaussian_log_kernel(xs, ys, ts) -> np.ndarray:
+    """log p of the one-dimensional free kernel on a grid, shaped [t, x, y].
+
+    Same formula and operation order as `gaussian_kernel(1, ...)`, so each
+    entry equals the scalar value bit for bit.
+    """
+    return _log_grid(xs, ys, ts, lambda X, Y, t: _gaussian_log(1, (X - Y) ** 2, t))
 
 
 def _time_factors(c: QuadraticCoeffs, t: float):
@@ -128,13 +152,10 @@ def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
     The t-only factors are computed once, as floats, so an array call costs
     one pass of elementwise arithmetic over x and y.
     """
-    w, cs, th, head = _time_factors(c, t)
-    return head - 0.5 * w * ((x - y) ** 2 * cs + (x**2 + y**2) * th) - c.a1 / (2.0 * w) * (x + y) * th
-
-
-def _check_time(t: float) -> None:
     if not t >= T_FLOOR:
         raise ParameterError(f"time must be >= {T_FLOOR}, got {t}")
+    w, cs, th, head = _time_factors(c, t)
+    return head - 0.5 * w * ((x - y) ** 2 * cs + (x**2 + y**2) * th) - c.a1 / (2.0 * w) * (x + y) * th
 
 
 def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> KernelValue:
@@ -148,7 +169,6 @@ def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> Kernel
     with u = 2 sqrt(a2) t.  This is the shifted/translated oscillator
     kernel; it does not require V >= 0.
     """
-    _check_time(t)
     return KernelValue(float(_quadratic_log(c, x, y, t)))
 
 
@@ -158,14 +178,7 @@ def quadratic_log_kernel(c: QuadraticCoeffs, xs, ys, ts) -> np.ndarray:
     Same formula and operation order as `quadratic_kernel`, so each entry
     equals the scalar value bit for bit.
     """
-    X = np.asarray(xs, dtype=float)[:, None]
-    Y = np.asarray(ys, dtype=float)[None, :]
-    out = np.empty((len(ts), X.shape[0], Y.shape[1]))
-    for k, t in enumerate(ts):
-        t = float(t)
-        _check_time(t)
-        out[k] = _quadratic_log(c, X, Y, t)
-    return out
+    return _log_grid(xs, ys, ts, lambda X, Y, t: _quadratic_log(c, X, Y, t))
 
 
 def a0_shift_check(c: QuadraticCoeffs, x: float, y: float, t: float) -> float:

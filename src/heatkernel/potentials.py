@@ -71,11 +71,6 @@ class Cube:
         c = self.center[axis]
         return c - self.side / 2.0, c + self.side / 2.0
 
-    def contains(self, x) -> bool:
-        pt = np.atleast_1d(np.asarray(x, dtype=float))
-        half = self.side / 2.0
-        return all(abs(pt[i] - self.center[i]) <= half + 1e-15 for i in range(self.n))
-
 
 # ---------------------------------------------------------------------------
 # potential kinds
@@ -268,17 +263,17 @@ def _abs_power_interval(lo, hi, s, excision=0.0):
     return _power_segment(a_neg, b_neg, s) + _power_segment(a_pos, b_pos, s)
 
 
-@lru_cache(maxsize=4)
-def _gl_nodes(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _gl_rule():
+    """The 33-point Gauss-Legendre rule on [-1, 1], built on first use (it starts LAPACK, ~1 MB of RSS)."""
+    return np.polynomial.legendre.leggauss(33)
 
 
-def _gl_interval_integral(f, lo, hi, order: int = 33):
-    """Fixed-order Gauss-Legendre on each [lo_i, hi_i], vectorized."""
+def _gl_interval_integral(f, lo, hi):
+    """33-point Gauss-Legendre on each [lo_i, hi_i], vectorized."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[..., None] + half[..., None] * nodes
@@ -357,7 +352,7 @@ def _root_split_integral(coeffs, lo: float, hi: float, roots, mult, q: float) ->
     integral into |b - r|^(s+1)/(s+1) times the integral over v in [0, 1] of
     max(+-W, 0)^q, a bounded integrand that 33-point Gauss-Legendre in v resolves.
     """
-    nodes, weights = _gl_nodes(33)
+    nodes, weights = _gl_rule()
     v = 0.5 * (nodes + 1.0)
     r = np.clip(roots, lo, hi)
     ends = np.concatenate([[lo], 0.5 * (r[1:] + r[:-1]), [hi]])
@@ -438,22 +433,38 @@ def _quad_average_1d(V: Potential, lo: float, hi: float) -> float:
     return val / (hi - lo)
 
 
+def _refuse_divergent(V: Potential, lo, hi, total) -> None:
+    """Raise DomainError if some cube [lo_i, hi_i] has an infinite integral total_i.
+
+    The kinds that can diverge (a power with alpha <= -1, alone, scaled or
+    summed) diverge at 0 only, and an edge within 1e-15 of 0 counts as
+    reaching it: such a cube is judged by its integral stretched to 0.
+    """
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    near = ((0.0 < lo) & (lo <= 1e-15)) | ((-1e-15 <= hi) & (hi < 0.0))
+    if near.any():  # skipped otherwise: an empty interval_integral call alone costs ~35 us
+        total = np.append(total, interval_integral(V, np.minimum(lo[near], 0.0), np.maximum(hi[near], 0.0)))
+    if np.isinf(total).any():
+        raise DomainError("potential is not integrable on this cube: a power with alpha <= -1 at 0")
+
+
 def cube_average(V: Potential, Z: Cube) -> float:
     """Mean of V over the cube Z, both one-dimensional.
 
     Closed forms where the kind has one, which is the only route for a
-    singular power potential; adaptive quadrature otherwise.  A power
-    potential needs alpha > -1 on a cube that contains 0.
+    singular power potential; adaptive quadrature otherwise.  A cube on
+    which V is not integrable raises DomainError (`_refuse_divergent`).
     """
     if V.n != 1 or Z.n != 1:
         raise ParameterError(f"cube_average is one-dimensional, got potential n={V.n} and cube n={Z.n}")
-    if isinstance(V, PowerPotential) and V.alpha <= -1.0 and Z.contains(0.0):
-        raise DomainError("power potential with alpha <= -1 is not integrable on this cube")
     lo, hi = Z.bounds(0)
     try:
-        return float(interval_integral(V, lo, hi)) / Z.side
+        total = float(interval_integral(V, lo, hi))
     except ParameterError:
         return _quad_average_1d(V, lo, hi)
+    if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
+        _refuse_divergent(V, lo, hi, total)
+    return total / Z.side
 
 
 def cube_averages(V: Potential, centers, sides) -> np.ndarray:
@@ -461,24 +472,22 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
 
     centers and sides broadcast against each other.  Each value equals
     `cube_average(V, Cube(c, s))` bit for bit, and a cube that one refuses
-    raises the same exception type here.  The checks run once, on arrays;
-    then one `interval_integral` call covers every cube, or per-cube
-    quadrature for a kind with no closed form.
+    raises the same exception type here.  One `interval_integral` call
+    covers every cube, or per-cube quadrature for a kind with no closed form.
     """
     if V.n != 1:
         raise ParameterError(f"cube_averages is one-dimensional, got a potential with n={V.n}")
     centers, sides = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(sides, dtype=float))
     if not np.all(sides > 0.0):
         raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
-    contains_0 = np.abs(0.0 - centers) <= sides / 2.0 + 1e-15  # as Cube.contains tests it
-    if isinstance(V, PowerPotential) and V.alpha <= -1.0 and np.any(contains_0):
-        raise DomainError("power potential with alpha <= -1 is not integrable on this cube")
     lo, hi = centers - sides / 2.0, centers + sides / 2.0
     try:
-        return interval_integral(V, lo, hi) / sides
+        total = interval_integral(V, lo, hi)
     except ParameterError:
         quad = [_quad_average_1d(V, float(a), float(b)) for a, b in zip(lo.flat, hi.flat)]
         return np.reshape(quad, lo.shape)
+    _refuse_divergent(V, lo, hi, total)
+    return total / sides
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ EIGENSUM_TAIL of the kept total at every such t (`_modes_needed`).
 Resolving t needs roughly (2L/pi) sqrt(45/t) modes, which is why t >= 0.05
 is the recommended floor at default resolution.  Evaluating below t_min
 raises ParameterError.
+
+`pde_residual` and `semigroup_defect` take a batched `log_kernel(xs, ys, ts)`
+returning log p shaped [t, x, y], and evaluate each lattice in one call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .explicit import KernelValue
-from .potentials import Potential, PowerPotential
+from .potentials import Potential
 
 EIGENSUM_TAIL = 1e-16
 
@@ -44,6 +47,7 @@ __all__ = [
     "dirichlet_interval_kernel",
     "converged_kernel",
     "ProbeGrid",
+    "z_lattice",
     "pde_residual",
     "semigroup_defect",
     "cached_spectral",
@@ -75,8 +79,7 @@ def _discretize(V: Potential, L: float, m: int) -> DiscreteHamiltonian:
         raise ParameterError(f"need at least 3 grid points, got {m}")
     if V.n != 1:
         raise ParameterError("spectral builds are one-dimensional")
-    if isinstance(V, PowerPotential) and V.alpha < 0:
-        raise DomainError("singular potentials inside the computational box are rejected")
+    V(0.0)  # a kind singular at 0 raises DomainError there, even when the nodes straddle 0
     h = 2.0 * L / (m + 1)
     nodes = np.linspace(-L, L, m + 2)[1:-1]
     vals = np.asarray(V(nodes), dtype=float)
@@ -108,9 +111,6 @@ class SpectralKernel:
     phi: np.ndarray  # (m+2, k) node values, boundary rows are zero
     phi_sup: np.ndarray
     orthonormality_defect: float
-
-    def __call__(self, x: float, y: float, t: float) -> KernelValue:
-        return eval_spectral(self, x, y, t)
 
     def modes_at(self, x: float) -> np.ndarray:
         """Linear interpolation of every kept eigenvector at one point."""
@@ -227,15 +227,13 @@ def eval_spectral(K: SpectralKernel, x: float, y: float, t: float) -> KernelValu
     return KernelValue(float(spectral_log_kernel(K, [x], [y], [t])[0, 0, 0]))
 
 
-def dirichlet_interval_kernel(
-    a: float, b: float, x: float, y: float, t: float, terms: int | None = None
-) -> KernelValue:
+def dirichlet_interval_kernel(a: float, b: float, x: float, y: float, t: float) -> KernelValue:
     """Sine-series heat kernel of the Dirichlet Laplacian on (a, b).
 
     Gamma_D(x,y,t) = (2/(b-a)) sum_k sin(k pi (x-a)/(b-a)) sin(k pi (y-a)/(b-a))
                      exp(-(k pi/(b-a))^2 t)
 
-    terms defaults to enough that the next term is below 1e-16 of the sum.
+    The series keeps enough terms that the next one is below 1e-16 of the sum.
     Points on the boundary return an exact zero; outside is an error.
     """
     if not b > a:
@@ -248,8 +246,7 @@ def dirichlet_interval_kernel(
             raise ParameterError(f"point {pt} outside [{a}, {b}]")
     if min(abs(x - a), abs(x - b), abs(y - a), abs(y - b)) <= 1e-14:
         return KernelValue(-math.inf)
-    if terms is None:
-        terms = int(math.ceil(ell / math.pi * math.sqrt(40.0 / t))) + 4
+    terms = int(math.ceil(ell / math.pi * math.sqrt(40.0 / t))) + 4
     k = np.arange(1, terms + 1)
     decay = np.exp(-np.clip((k * math.pi / ell) ** 2 * t, None, 745.0))
     series = np.sin(k * math.pi * (x - a) / ell) * np.sin(k * math.pi * (y - a) / ell) * decay
@@ -319,24 +316,21 @@ class ProbeGrid:
         if self.t_min - self.tau <= 0:
             raise ParameterError("probe grid must stay away from t = 0")
 
-    def refine(self, factor: float = 0.5) -> "ProbeGrid":
-        return ProbeGrid(self.x_min, self.x_max, self.t_min, self.t_max, self.h * factor, self.tau * factor)
+    def refine(self) -> "ProbeGrid":
+        """The same ranges at half the steps."""
+        return ProbeGrid(self.x_min, self.x_max, self.t_min, self.t_max, self.h * 0.5, self.tau * 0.5)
 
 
-def pde_residual(
-    V: Potential, K: Callable[[float, float, float], KernelValue], y: float, grid: ProbeGrid
-) -> float:
+def pde_residual(V: Potential, log_kernel: Callable[..., np.ndarray], y: float, grid: ProbeGrid) -> float:
     """Max norm of d_t p + (-D_h^2 p + V p) over the probe lattice.
 
+    p(., y, .) on the whole lattice comes from one `log_kernel` call.
     Centered second differences in space, centered first differences in
     time, so a kernel actually solving the equation shrinks at O(h^2+tau^2).
     """
     xs = np.arange(grid.x_min - grid.h, grid.x_max + 1.5 * grid.h, grid.h)
     ts = np.arange(grid.t_min - grid.tau, grid.t_max + 1.5 * grid.tau, grid.tau)
-    P = np.empty((len(xs), len(ts)))
-    for i, xi in enumerate(xs):
-        for j, tj in enumerate(ts):
-            P[i, j] = K(xi, y, tj).value
+    P = np.exp(log_kernel(xs, [y], ts)[:, :, 0]).T  # [x, t]
     inner = P[1:-1, 1:-1]
     d_t = (P[1:-1, 2:] - P[1:-1, :-2]) / (2.0 * grid.tau)
     d_xx = (P[2:, 1:-1] - 2.0 * inner + P[:-2, 1:-1]) / grid.h**2
@@ -345,18 +339,33 @@ def pde_residual(
     return float(np.max(np.abs(residual)))
 
 
-def _auto_window(x: float, y: float, t: float, s: float) -> float:
-    return max(abs(x), abs(y)) + 12.0 * math.sqrt(max(t, s)) + 1.0
+# Nodes `z_lattice` may allocate: 8 MB per array.
+MAX_LATTICE_NODES = 1_000_000
+
+
+def z_lattice(L: float, t: float) -> tuple[np.ndarray, float]:
+    """(nodes, spacing h) of the uniform lattice on [-L, L] with spacing at most 0.05 sqrt(t).
+
+    h times a sum over the nodes integrates a kernel of time >= t whose tails
+    at +-L are negligible to near machine precision, since the trapezoid rule
+    converges geometrically on such integrands.
+    """
+    count = math.ceil(2.0 * L / (0.05 * math.sqrt(t))) + 1
+    if count > MAX_LATTICE_NODES:
+        raise ParameterError(f"the lattice needs {count} nodes, above the cap of {MAX_LATTICE_NODES}")
+    return np.linspace(-L, L, count), 2.0 * L / (count - 1)
 
 
 def semigroup_defect(K, x: float, y: float, t: float, s: float, L: float | None = None) -> float:
     """Relative Chapman-Kolmogorov defect |int p(x,z,t) p(z,y,s) dz - p| / p.
 
-    Spectral kernels use the h-weighted node sum (the identity is exact for
-    the discrete operator, interpolation aside); closed-form kernels use
-    adaptive quadrature over [-L, L] with L wide enough that the Gaussian
-    tail is below 1e-12.  If p(x,y,t+s) underflows, the absolute defect is
-    returned instead.
+    K is a SpectralKernel or a batched `log_kernel(xs, ys, ts)`.  Spectral
+    kernels use the h-weighted node sum (the identity is exact for the
+    discrete operator, interpolation aside).  A log_kernel is integrated as
+    h times the sum over `z_lattice(L, min(t, s))`, with L wide enough that
+    the Gaussian tails are below 1e-12; it is called three times, for
+    p(x, ., t), p(., y, s) and p(x, y, t + s).  If p(x,y,t+s) underflows,
+    the absolute defect is returned instead.
     """
     if not (t > 0 and s > 0):
         raise ParameterError("semigroup times must be > 0")
@@ -366,19 +375,13 @@ def semigroup_defect(K, x: float, y: float, t: float, s: float, L: float | None 
         integral = K.h * float(np.dot(p1, p2))
         direct = eval_spectral(K, x, y, t + s).value
     else:
-        from scipy.integrate import quad
-
         if L is None:
-            L = _auto_window(x, y, t, s)
-        integral, _ = quad(
-            lambda z: K(x, z, t).value * K(z, y, s).value,
-            -L,
-            L,
-            epsabs=1e-300,
-            epsrel=1e-10,
-            limit=400,
-        )
-        direct = K(x, y, t + s).value
+            L = max(abs(x), abs(y)) + 12.0 * math.sqrt(max(t, s)) + 1.0
+        zs, h = z_lattice(L, min(t, s))
+        p1 = np.exp(K([x], zs, [t])[0, 0])
+        p2 = np.exp(K(zs, [y], [s])[0, :, 0])
+        integral = h * float(np.dot(p1, p2))
+        direct = KernelValue(float(K([x], [y], [t + s])[0, 0, 0])).value
     if direct <= 0.0:
         return abs(integral - direct)
     return abs(integral - direct) / direct

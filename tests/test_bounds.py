@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from heatkernel import (
     fefferman_phong_ratio,
     fit_constants,
     gaussian_kernel,
+    gaussian_log_kernel,
     grid_points,
     grid_samples,
     interval_clamp_time,
     m_beta,
     moser_ratio,
-    quadratic_kernel,
     quadratic_log_kernel,
     energy_test_family,
     evaluate_envelope,
@@ -287,10 +288,11 @@ def test_energy_test_family_deterministic():
 
 def test_moser_ratio_constant_function():
     # pure geometry: sup/sqrt(|Q_{2r/3}| / r^3) = sqrt(27/16)
-    got = moser_ratio(lambda x, t: 1.0, 0.0, 2.0, 0.5)
+    one = lambda xs, ys, ts: np.zeros((len(ts), len(xs), len(ys)))  # log p = 0, so u = 1
+    got = moser_ratio(one, 0.0, 0.0, 2.0, 0.5)
     assert got == pytest.approx(math.sqrt(27.0 / 16.0), rel=1e-12)
     with pytest.raises(ParameterError):
-        moser_ratio(lambda x, t: 1.0, 0.0, 0.5, 0.5)  # t0 - 4r^2 <= 0
+        moser_ratio(one, 0.0, 0.0, 0.5, 0.5)  # t0 - 4r^2 <= 0
 
 
 def test_moser_ratio_kernels_bounded(rng):
@@ -298,10 +300,8 @@ def test_moser_ratio_kernels_bounded(rng):
         r = rng.uniform(0.15, 0.4)
         t0 = rng.uniform(4 * r * r + 0.05, 1.5)
         x0 = rng.uniform(-1.5, 1.5)
-        g = moser_ratio(lambda x, t: gaussian_kernel(1, x, 0.0, t).value, x0, t0, r)
-        q = moser_ratio(
-            lambda x, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, 0.0, t).value, x0, t0, r
-        )
+        g = moser_ratio(gaussian_log_kernel, 0.0, x0, t0, r)
+        q = moser_ratio(partial(quadratic_log_kernel, QuadraticCoeffs(0, 0, 1)), 0.0, x0, t0, r)
         assert g <= 100.0 and q <= 100.0
 
 

@@ -370,3 +370,23 @@ def test_grid_axis_count_is_parsed_or_refused():
         with pytest.raises(ConfigError, match=rf"^grid\.{name} count must be an integer >= 1, got {count!r}$"):
             grid_from_config({"grid": grid})
 
+
+
+@pytest.mark.parametrize(
+    "envelopes, message",
+    [
+        (
+            [{"family": "avg_upper", "beta": 0.9, "n": 2}],
+            "envelopes[0].n cannot be set: the dimension is the potential's",
+        ),
+        (
+            [{"family": "avg_upper", "beta": 0.9}, {"family": "dirichlet_ball", "epsilon": 0.5}],
+            "envelopes[1].family dirichlet_ball needs dimension >= 2, got 1",
+        ),
+    ],
+)
+def test_envelope_dimension_comes_from_the_potential(tmp_path, capsys, envelopes, message):
+    cfg = write_config(tmp_path, envelopes=envelopes)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "bounds"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))

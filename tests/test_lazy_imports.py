@@ -76,3 +76,8 @@ print(json.dumps(report))
     assert report["spectral_kernel"] == 0
     assert report["after_all"] == {"scipy.integrate": True, "scipy.linalg": True}
 
+
+
+def test_acceptance_import_loads_no_scipy_integrate(tmp_path):
+    code = f"import json, sys\nimport heatkernel.acceptance\nprint(json.dumps({LOADED}))"
+    assert run_fresh(code, tmp_path)["scipy.integrate"] is False

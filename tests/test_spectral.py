@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,14 +14,18 @@ from heatkernel import (
     PowerPotential,
     ProbeGrid,
     QuadraticCoeffs,
+    ScaledPotential,
+    SumPotential,
     build_spectral,
     constant,
     converged_kernel,
     dirichlet_interval_kernel,
     eval_spectral,
     gaussian_kernel,
+    gaussian_log_kernel,
     pde_residual,
     quadratic_kernel,
+    quadratic_log_kernel,
     semigroup_defect,
     spectral_log_kernel,
 )
@@ -144,21 +149,19 @@ def test_mass_bound(spectral_vxx1):
 
 def test_pde_residual_rates():
     grid = ProbeGrid(-1.0, 1.0, 0.3, 0.31, h=0.02, tau=2e-4)
-    quad_K = lambda x, y, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, y, t)
+    quad_K = partial(quadratic_log_kernel, QuadraticCoeffs(0, 0, 1))
     coarse = pde_residual(V_SQ, quad_K, 0.3, grid)
     fine = pde_residual(V_SQ, quad_K, 0.3, grid.refine())
     assert 3.5 <= coarse / fine <= 4.5
 
-    free_K = lambda x, y, t: gaussian_kernel(1, x, y, t)
-    coarse0 = pde_residual(constant(0.0), free_K, 0.3, grid)
-    fine0 = pde_residual(constant(0.0), free_K, 0.3, grid.refine())
+    coarse0 = pde_residual(constant(0.0), gaussian_log_kernel, 0.3, grid)
+    fine0 = pde_residual(constant(0.0), gaussian_log_kernel, 0.3, grid.refine())
     assert 3.5 <= coarse0 / fine0 <= 4.5
 
 
 def test_pde_residual_negative_control():
     grid = ProbeGrid(-1.0, 1.0, 0.3, 0.31, h=0.02, tau=2e-4)
-    free_K = lambda x, y, t: gaussian_kernel(1, x, y, t)
-    res = pde_residual(V_SQ, free_K, 0.3, grid)
+    res = pde_residual(V_SQ, gaussian_log_kernel, 0.3, grid)
     peak = max(
         abs(x * x * gaussian_kernel(1, x, 0.3, 0.3).value) for x in np.linspace(-1, 1, 101)
     )
@@ -173,10 +176,9 @@ def test_probe_grid_validation():
 
 
 def test_semigroup_defects(spectral_free):
-    quad_K = lambda x, y, t: quadratic_kernel(QuadraticCoeffs(0, 0, 1), x, y, t)
+    quad_K = partial(quadratic_log_kernel, QuadraticCoeffs(0, 0, 1))
     assert semigroup_defect(quad_K, 0.0, 0.0, 0.25, 0.25) <= 1e-4
-    gauss_K = lambda x, y, t: gaussian_kernel(1, x, y, t)
-    assert semigroup_defect(gauss_K, 0.0, 0.0, 0.25, 0.25) <= 1e-10
+    assert semigroup_defect(gaussian_log_kernel, 0.0, 0.0, 0.25, 0.25) <= 1e-10
     # discrete eigensum satisfies the identity exactly up to interpolation
     assert semigroup_defect(spectral_free, 0.3, -0.4, 0.2, 0.3) <= 1e-6
 
@@ -202,9 +204,8 @@ def test_converged_kernel_failure_carries_trace():
 
 
 def test_semigroup_defect_underflow_falls_back_to_absolute():
-    gauss_K = lambda x, y, t: gaussian_kernel(1, x, y, t)
     # direct value underflows at huge separation; absolute defect returned
-    d = semigroup_defect(gauss_K, -60.0, 60.0, 0.05, 0.05, L=80.0)
+    d = semigroup_defect(gaussian_log_kernel, -60.0, 60.0, 0.05, 0.05, L=80.0)
     assert 0.0 <= d < 1e-300
 
 
@@ -301,3 +302,18 @@ def test_orthonormality_is_checked_on_every_kept_mode(monkeypatch):
     monkeypatch.setattr(spectral, "eigh_tridiagonal", one_bad_column)
     with pytest.raises(RuntimeError, match="orthonormality defect"):
         build_spectral(V_SQ, 2.0, 799, 0.1)
+
+
+@pytest.mark.parametrize("m", [200, 201])
+@pytest.mark.parametrize(
+    "V",
+    [
+        PowerPotential(-0.5),
+        ScaledPotential(2.0, PowerPotential(-0.5)),
+        SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(-0.5)),
+    ],
+)
+def test_build_refuses_potentials_singular_at_0_for_any_m(V, m):
+    # an even m puts no node on 0, so only V(0) itself shows the singularity
+    with pytest.raises(DomainError):
+        build_spectral(V, 4.0, m, 0.05)
