@@ -155,7 +155,8 @@ def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
     if not t >= T_FLOOR:
         raise ParameterError(f"time must be >= {T_FLOOR}, got {t}")
     w, cs, th, head = _time_factors(c, t)
-    return head - 0.5 * w * ((x - y) ** 2 * cs + (x**2 + y**2) * th) - c.a1 / (2.0 * w) * (x + y) * th
+    d = x - y  # squared by multiplication: `**` on a Python float calls pow, which can round differently
+    return head - 0.5 * w * (d * d * cs + (x * x + y * y) * th) - c.a1 / (2.0 * w) * (x + y) * th
 
 
 def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> KernelValue:

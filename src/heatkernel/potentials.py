@@ -1,11 +1,11 @@
 """Nonnegative potentials on the line, exact cube averages, and weight-class diagnostics.
 
 Potentials are immutable value objects, all one-dimensional.  Each kind
-carries exact interval integrals (closed-form antiderivatives), and a kind
-without one falls back to adaptive quadrature.  `Cube` stays n-dimensional,
-but every average and scan here refuses n != 1.  Weight-class scans (reverse
-Holder, Muckenhoupt, doubling) run over dyadic refinements of a
-user-supplied window.
+carries exact interval integrals (closed-form antiderivatives); a kind
+without one is refused.  `Cube` stays n-dimensional, but every average and
+scan here refuses n != 1.  The reverse-Holder and Muckenhoupt constants are
+sups of power-mean ratios M_a / M_b, M_q = (mean of V^q)^(1/q), over dyadic
+refinements of a user-supplied window; the doubling fit uses nested cubes.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from .errors import DomainError, ParameterError
 
 # ratio above which a weight-class report is marked divergent
 DIVERGENCE_THRESHOLD = 1e8
-# adaptive quadrature settings for cube averages
-QUAD_REL_TOL = 1e-10
-QUAD_ABS_FLOOR = 1e-300
 
 
 def m_beta(x: float, beta: float) -> float:
@@ -389,13 +386,7 @@ def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 
         s = V.alpha * q
         touches = (lo <= 1e-300) & (hi >= -1e-300)
         divergent = touches & (s <= -1.0)
-        if np.any(divergent) and excision > 0.0:
-            vals = _abs_power_interval(lo, hi, s, excision=0.0)
-            reg = _abs_power_interval(lo, hi, s, excision=excision)
-            vals = np.where(divergent, reg, vals)
-        else:
-            vals = _abs_power_interval(lo, hi, s)
-        return vals, divergent
+        return _abs_power_interval(lo, hi, s, np.where(divergent, excision, 0.0)), divergent
     if isinstance(V, ScaledPotential):
         vals, div = powered_interval_integral(V.base, lo, hi, q, excision)
         return V.factor**q * vals, div
@@ -424,15 +415,6 @@ def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 
 # cube averages
 
 
-def _quad_average_1d(V: Potential, lo: float, hi: float) -> float:
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda x: float(V(x)), lo, hi, epsabs=QUAD_ABS_FLOOR, epsrel=QUAD_REL_TOL, limit=200
-    )
-    return val / (hi - lo)
-
-
 def _refuse_divergent(V: Potential, lo, hi, total) -> None:
     """Raise DomainError if some cube [lo_i, hi_i] has an infinite integral total_i.
 
@@ -451,17 +433,13 @@ def _refuse_divergent(V: Potential, lo, hi, total) -> None:
 def cube_average(V: Potential, Z: Cube) -> float:
     """Mean of V over the cube Z, both one-dimensional.
 
-    Closed forms where the kind has one, which is the only route for a
-    singular power potential; adaptive quadrature otherwise.  A cube on
-    which V is not integrable raises DomainError (`_refuse_divergent`).
+    The exact `interval_integral` over the cube's length.  A cube on which V
+    is not integrable raises DomainError (`_refuse_divergent`).
     """
     if V.n != 1 or Z.n != 1:
         raise ParameterError(f"cube_average is one-dimensional, got potential n={V.n} and cube n={Z.n}")
     lo, hi = Z.bounds(0)
-    try:
-        total = float(interval_integral(V, lo, hi))
-    except ParameterError:
-        return _quad_average_1d(V, lo, hi)
+    total = float(interval_integral(V, lo, hi))
     if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
         _refuse_divergent(V, lo, hi, total)
     return total / Z.side
@@ -473,7 +451,7 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
     centers and sides broadcast against each other.  Each value equals
     `cube_average(V, Cube(c, s))` bit for bit, and a cube that one refuses
     raises the same exception type here.  One `interval_integral` call
-    covers every cube, or per-cube quadrature for a kind with no closed form.
+    covers every cube.
     """
     if V.n != 1:
         raise ParameterError(f"cube_averages is one-dimensional, got a potential with n={V.n}")
@@ -481,11 +459,7 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
     if not np.all(sides > 0.0):
         raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
     lo, hi = centers - sides / 2.0, centers + sides / 2.0
-    try:
-        total = interval_integral(V, lo, hi)
-    except ParameterError:
-        quad = [_quad_average_1d(V, float(a), float(b)) for a, b in zip(lo.flat, hi.flat)]
-        return np.reshape(quad, lo.shape)
+    total = interval_integral(V, lo, hi)
     _refuse_divergent(V, lo, hi, total)
     return total / sides
 
@@ -509,96 +483,40 @@ class WeightClassReport:
     exponent: float
     constant: float
     trace: tuple[tuple[float, float], ...]
-    window: Cube
-    depth: int
-    divergent: bool = False
-    divergent_at_side: float | None = None
+    divergent: bool
+    divergent_at_side: float | None
     beta: float | None = None
-
-    def __post_init__(self):
-        if self.trace:
-            object.__setattr__(self, "constant", max(r for _, r in self.trace))
 
 
 ESS_SUP_GRID = 2**10  # refinement points per cube for the q = infinity scan
 
 
-def _dyadic_lefts(window: Cube, d: int):
-    lo, _ = window.bounds(0)
-    side = window.side * 2.0**-d
-    return lo + side * np.arange(2**d), side
+def _singular_at_0(V: Potential) -> bool:
+    try:
+        V(0.0)
+    except DomainError:
+        return True
+    return False
 
 
-def _scan_ratio(V, window, depth, per_cube_ratio):
-    """Shared dyadic scan: per_cube_ratio(lo, hi, side, depth) -> (ratios, flags)."""
-    if V.n != 1 or window.n != 1:
-        raise ParameterError("weight-class scans are one-dimensional")
-    trace = []
-    divergent = False
-    divergent_at = None
-    for d in range(depth + 1):
-        lefts, side = _dyadic_lefts(window, d)
-        ratios, flags = per_cube_ratio(lefts, lefts + side, side, d)
-        top = float(np.max(ratios))
-        trace.append((side, top))
-        if (np.any(flags) or top > DIVERGENCE_THRESHOLD) and not divergent:
-            divergent = True
-            divergent_at = side
-    return tuple(trace), divergent, divergent_at
+def _power_means(V: Potential, lo, hi, side: float, q: float, excision: float):
+    """(power mean M_q = (mean of V^q)^(1/q) on each cube [lo_i, hi_i] of length side, divergence flags).
 
-
-def rh_constant(V: Potential, q: float, window: Cube, depth: int) -> WeightClassReport:
-    """Reverse-Holder ratio sup over the dyadic family of the window.
-
-    Per cube: (mean of V^q)^(1/q) / (mean of V); for q = infinity the
-    numerator is the max of V over an ESS_SUP_GRID-point refinement.  The
-    estimate is a lower bound for the sup over all cubes.
+    M_1 is the mean (`interval_integral`).  M_inf is the max of V over
+    ESS_SUP_GRID + 1 points per cube; where V(0) is a domain error, a cube
+    reaching 0 gets +inf and a flag.  Any other q integrates V^q with
+    `powered_interval_integral`, excised at radius `excision` where divergent.
     """
-    if not (q == math.inf or q > 1.0):
-        raise ParameterError(f"reverse-Holder exponent must be > 1, got {q}")
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
-
+    if q == 1.0:
+        return interval_integral(V, lo, hi) / side, np.zeros(lo.shape, dtype=bool)
     if q == math.inf:
-        if 2**depth > 4096:
-            raise ParameterError("q = infinity scan supports depth <= 12")
-
-        def per_cube(lo, hi, side, d):
-            offsets = np.linspace(0.0, side, ESS_SUP_GRID + 1)
-            pts = lo[:, None] + offsets[None, :]
-            if isinstance(V, PowerPotential) and V.alpha < 0:
-                with np.errstate(divide="ignore"):
-                    sup = np.max(np.abs(pts) ** V.alpha, axis=1)
-                flags = (lo <= 0.0) & (hi >= 0.0)
-                sup = np.where(flags, np.inf, sup)
-            else:
-                sup = np.max(V(pts), axis=1)
-                flags = np.zeros(lo.shape, dtype=bool)
-            mean = interval_integral(V, lo, hi) / side
-            ratios = _safe_ratio(sup, mean)
-            return ratios, flags
-
-    else:
-
-        def per_cube(lo, hi, side, d):
-            excision = window.side * 8.0 ** -(d + 2)
-            upper, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
-            mean_q = np.clip(upper, 0.0, None) / side
-            mean = interval_integral(V, lo, hi) / side
-            lhs = mean_q ** (1.0 / q)
-            return _safe_ratio(lhs, mean), flags
-
-    trace, divergent, div_at = _scan_ratio(V, window, depth, per_cube)
-    return WeightClassReport(
-        kind="reverse_holder",
-        exponent=q,
-        constant=0.0,
-        trace=trace,
-        window=window,
-        depth=depth,
-        divergent=divergent,
-        divergent_at_side=div_at,
-    )
+        flags = (lo <= 0.0) & (hi >= 0.0) & _singular_at_0(V)
+        sup = np.full(lo.shape, np.inf)
+        sup[~flags] = np.max(V(lo[~flags][:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
+        return sup, flags
+    total, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
+    with np.errstate(divide="ignore"):
+        return (np.clip(total, 0.0, None) / side) ** (1.0 / q), flags
 
 
 def _safe_ratio(num, den):
@@ -610,40 +528,62 @@ def _safe_ratio(num, den):
     return out
 
 
+def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float, **report) -> WeightClassReport:
+    """Report of M_a(V) / M_b(V) on the 2^d dyadic cubes of the window, d = 0..depth.
+
+    Each trace entry is (side, max ratio at that level); the first level with
+    a divergence flag or a ratio above DIVERGENCE_THRESHOLD is divergent_at_side.
+    """
+    if V.n != 1 or window.n != 1:
+        raise ParameterError("weight-class scans are one-dimensional")
+    trace, divergent_at = [], None
+    for d in range(depth + 1):
+        side = window.side * 2.0**-d
+        lo = window.bounds(0)[0] + side * np.arange(2**d)
+        excision = window.side * 8.0 ** -(d + 2)
+        (num, num_flags), (den, den_flags) = (_power_means(V, lo, lo + side, side, e, excision) for e in (a, b))
+        top = float(np.max(_safe_ratio(num, den)))
+        trace.append((side, top))
+        if divergent_at is None and (np.any(num_flags | den_flags) or top > DIVERGENCE_THRESHOLD):
+            divergent_at = side
+    return WeightClassReport(
+        constant=max(r for _, r in trace),
+        trace=tuple(trace),
+        divergent=divergent_at is not None,
+        divergent_at_side=divergent_at,
+        **report,
+    )
+
+
+def rh_constant(V: Potential, q: float, window: Cube, depth: int) -> WeightClassReport:
+    """Reverse-Holder ratio sup over the dyadic family of the window.
+
+    Per cube: M_q / M_1, (mean of V^q)^(1/q) / (mean of V); for q = infinity
+    the numerator is the max of V over an ESS_SUP_GRID-point refinement.  The
+    estimate is a lower bound for the sup over all cubes.
+    """
+    if not (q == math.inf or q > 1.0):
+        raise ParameterError(f"reverse-Holder exponent must be > 1, got {q}")
+    if depth < 1:
+        raise ParameterError("depth must be >= 1")
+    if q == math.inf and 2**depth > 4096:
+        raise ParameterError("q = infinity scan supports depth <= 12")
+    return _power_mean_scan(V, window, depth, q, 1.0, kind="reverse_holder", exponent=q)
+
+
 def ap_constant(V: Potential, p: float, window: Cube, depth: int) -> WeightClassReport:
     """Muckenhoupt quantity sup_Q (mean_Q V) * (mean_Q V^{-1/(p-1)})^{p-1}.
 
-    The report carries the companion exponent beta = 2/(2 + n(p-1)) used by
-    the averaged upper envelope.
+    Per cube that is M_1 / M_sigma with sigma = -1/(p-1).  The report
+    carries the companion exponent beta = 2/(2 + n(p-1)) used by the
+    averaged upper envelope.
     """
     if not p > 1.0:
         raise ParameterError(f"Muckenhoupt exponent must be > 1, got {p}")
     if depth < 1:
         raise ParameterError("depth must be >= 1")
-    sigma = -1.0 / (p - 1.0)
-
-    def per_cube(lo, hi, side, d):
-        excision = window.side * 8.0 ** -(d + 2)
-        dual, flags = powered_interval_integral(V, lo, hi, sigma, excision=excision)
-        mean_dual = dual / side
-        mean = interval_integral(V, lo, hi) / side
-        vals = mean * np.where(mean_dual > 0, mean_dual, 0.0) ** (p - 1.0)
-        vals = np.where((mean <= 0) & (mean_dual <= 0), 1.0, vals)
-        return vals, flags
-
-    trace, divergent, div_at = _scan_ratio(V, window, depth, per_cube)
-    n = V.n
-    return WeightClassReport(
-        kind="muckenhoupt",
-        exponent=p,
-        constant=0.0,
-        trace=trace,
-        window=window,
-        depth=depth,
-        divergent=divergent,
-        divergent_at_side=div_at,
-        beta=2.0 / (2.0 + n * (p - 1.0)),
-    )
+    beta = 2.0 / (2.0 + V.n * (p - 1.0))
+    return _power_mean_scan(V, window, depth, 1.0, -1.0 / (p - 1.0), kind="muckenhoupt", exponent=p, beta=beta)
 
 
 @dataclass(frozen=True)

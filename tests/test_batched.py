@@ -54,15 +54,17 @@ def resolved(logp):
     return p >= 1e-3 * p.max(axis=(1, 2), keepdims=True)
 
 
-@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.7, 0.4, 1.3), (-1.0, -0.8, 0.5)])
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.7, 0.4, 1.3), (-1.0, -0.8, 0.5), (0.3, -0.4, 1.7)])
 def test_closed_form_batched_equals_scalar(coeffs):
     c = QuadraticCoeffs(*coeffs)
-    ys = np.linspace(-3.0, 1.5, 7)
-    ts = np.geomspace(0.01, 30.0, 6)
-    got = quadratic_log_kernel(c, XS, ys, ts)
-    assert got.shape == (len(ts), len(XS), len(ys))
-    want = np.array([[[quadratic_kernel(c, x, y, t).log_value for y in ys] for x in XS] for t in ts])
-    assert np.max(np.abs(got - want)) <= 1e-12
+    # for the last x and y, d = x - y has pow(d, 2) != d * d
+    xs = np.append(XS, 1.7575503504650984)
+    ys = np.append(np.linspace(-3.0, 1.5, 7), 7.290103417684794)
+    ts = np.append(np.geomspace(0.01, 30.0, 6), 0.5)
+    got = quadratic_log_kernel(c, xs, ys, ts)
+    assert got.shape == (len(ts), len(xs), len(ys))
+    want = np.array([[[quadratic_kernel(c, x, y, t).log_value for y in ys] for x in xs] for t in ts])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_closed_form_batched_rejects_small_times():

@@ -25,7 +25,7 @@ from heatkernel import (
     m_beta,
     rh_constant,
 )
-from heatkernel.potentials import _quad_average_1d, interval_integral, powered_interval_integral
+from heatkernel.potentials import ESS_SUP_GRID, interval_integral, powered_interval_integral
 
 
 # independent oracle: integral of |x|^a over [lo, hi] by direct antiderivative
@@ -95,7 +95,8 @@ def test_cube_average_closed_vs_quadrature():
     V = PolynomialPotential([1.0, -2.0, 0.5, 0.25])
     for center, side in [(0.0, 1.0), (2.5, 0.3), (-1.0, 4.0)]:
         closed = cube_average(V, Cube(center, side))
-        adaptive = _quad_average_1d(V, center - side / 2.0, center + side / 2.0)
+        lo, hi = center - side / 2.0, center + side / 2.0
+        adaptive = quad(lambda x: float(V(x)), lo, hi, epsabs=1e-300, epsrel=1e-10, limit=200)[0] / (hi - lo)
         assert closed == pytest.approx(adaptive, rel=1e-12)
 
 
@@ -183,12 +184,44 @@ def test_rh_jensen_lower_bound():
             assert all(r >= 1.0 - 1e-10 for _, r in rep.trace)
 
 
+def rh_infinity_trace(V, window, depth):
+    """Per level, the max over its cubes of (max of V on ESS_SUP_GRID + 1 points) / (mean of V)."""
+    trace = []
+    for d in range(depth + 1):
+        side = window.side * 2.0**-d
+        lo = window.bounds()[0] + side * np.arange(2**d)
+        sup = np.max(V(lo[:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
+        trace.append((side, float(np.max(sup / (interval_integral(V, lo, lo + side) / side)))))
+    return tuple(trace)
+
+
 def test_rh_infinity():
     rep = rh_constant(PolynomialPotential([0, 0, 1]), math.inf, Cube(0.0, 4.0), 8)
     # sup over [0,s] of z^2 is s^2, mean is s^2/3: ratio 3 at the origin cubes
     assert rep.constant == pytest.approx(3.0, rel=1e-9)
+    assert rep.trace == rh_infinity_trace(PolynomialPotential([0, 0, 1]), Cube(0.0, 4.0), 8)
+    assert rh_constant(PowerPotential(0.5), math.inf, Cube(0.3, 1.7), 8).trace == rh_infinity_trace(
+        PowerPotential(0.5), Cube(0.3, 1.7), 8
+    )
     with pytest.raises(ParameterError):
         rh_constant(PolynomialPotential([0, 0, 1]), math.inf, Cube(0.0, 4.0), 20)
+
+
+@pytest.mark.parametrize(
+    "V",
+    [
+        PowerPotential(-0.5),
+        ScaledPotential(2.0, PowerPotential(-0.5)),
+        SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(-0.5)),
+    ],
+)
+def test_rh_infinity_flags_cubes_reaching_a_singularity_of_any_kind(V):
+    # decided by V(0) raising DomainError, so a scaled or summed power is flagged as the bare one is
+    rep = rh_constant(V, math.inf, Cube(0.0, 2.0), 4)
+    assert rep.divergent and rep.divergent_at_side == 2.0
+    assert all(r == math.inf for _, r in rep.trace)
+    away = rh_constant(V, math.inf, Cube(3.0, 2.0), 4)
+    assert not away.divergent and away.trace == rh_infinity_trace(V, Cube(3.0, 2.0), 4)
 
 
 def test_rh_parameter_errors():
@@ -344,6 +377,63 @@ def test_rh_ratio_scale_invariance():
         assert r1 == pytest.approx(r2, rel=1e-12)
 
 
+def quadratic_with_minimum(a2, vertex, min_v):
+    """a2 (x - vertex)^2 + min_v."""
+    return PolynomialPotential([a2 * vertex * vertex + min_v, -2.0 * a2 * vertex, a2])
+
+
+def assert_same_weight_scans(V, window, W, W_window, q, p):
+    for scan, exponent in ((rh_constant, q), (ap_constant, p)):
+        a, b = scan(V, exponent, window, 5), scan(W, exponent, W_window, 5)
+        assert a.divergent == b.divergent
+        for (_, x), (_, y) in zip(a.trace, b.trace):
+            assert x == y or abs(x - y) <= 1e-12 * abs(x)
+
+
+# an integer q sends a polynomial to the closed form of V^q expanded about 0, whose
+# cancellation on small cubes away from 0 reaches ~1e-12 of the mean by itself
+RH_Q = st.one_of(st.floats(1.1, 4.0).filter(lambda q: not q.is_integer()), st.just(math.inf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a2=st.floats(0.25, 2.0),
+    vertex=st.floats(-1.0, 1.0),
+    min_v=st.floats(0.25, 2.0),
+    center=st.floats(-1.0, 1.0),
+    side=st.floats(0.5, 2.0),
+    r=st.floats(0.25, 4.0),
+    s=st.floats(-1.0, 1.0),
+    k=st.floats(0.1, 10.0),
+    q=RH_Q,
+    p=st.floats(1.1, 4.0),
+)
+def test_weight_classes_invariant_under_scaling_dilation_and_translation(
+    a2, vertex, min_v, center, side, r, s, k, q, p
+):
+    # W(x) = k V(r x + s) maps the dyadic cubes of ((c - s)/r, side/r) onto those of (c, side)
+    V = quadratic_with_minimum(a2, vertex, min_v)
+    W = quadratic_with_minimum(k * a2 * r * r, (vertex - s) / r, k * min_v)
+    assert_same_weight_scans(V, Cube(center, side), W, Cube((center - s) / r, side / r), q, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.floats(-0.6, 0.9, exclude_min=True, exclude_max=True),
+    side=st.floats(0.25, 4.0),
+    r=st.floats(0.25, 4.0),
+    k=st.floats(0.1, 10.0),
+    q=RH_Q,
+    p=st.floats(1.1, 4.0),
+)
+def test_power_weight_classes_invariant_under_dilation(alpha, side, r, k, q, p):
+    # k |r x|^alpha = k r^alpha |x|^alpha.  The window [0, side] puts the singularity on
+    # an exact cube edge at every level for both scans, divergent exponents included.
+    V = PowerPotential(alpha)
+    W = ScaledPotential(k * r**alpha, V)
+    assert_same_weight_scans(V, Cube(side / 2.0, side), W, Cube(side / 2.0 / r, side / r), q, p)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
@@ -435,7 +525,7 @@ class _Plane(Potential):
         return np.sum(np.square(x), axis=-1)
 
 
-def test_cube_averages_checks_and_fallback():
+def test_cube_averages_checks_and_refusals():
     centers = np.array([-1.5, 0.0, 0.25, 2.0])
     # one side broadcasts against every center, and the shape follows the broadcast
     V = PowerPotential(-0.5)
@@ -450,7 +540,7 @@ def test_cube_averages_checks_and_fallback():
             cube_average(PowerPotential(alpha), Cube(0.2, 0.5))
         with pytest.raises(DomainError):
             cube_averages(PowerPotential(alpha), [1.0, 0.2], 0.5)
-    # an edge at 0, or within Cube.contains's 1e-15 of it, counts as containing 0
+    # an edge at 0, or within 1e-15 of it (`_refuse_divergent`), counts as containing 0
     for center in (0.25, 0.25 + 1e-16, -0.25 - 1e-16):
         with pytest.raises(DomainError):
             cube_average(PowerPotential(-1.0), Cube(center, 0.5))
@@ -474,9 +564,11 @@ def test_cube_averages_checks_and_fallback():
         cube_average(_Plane(), Cube(0.0, 1.0))
     with pytest.raises(ParameterError, match="one-dimensional"):
         cube_average(T, Cube((0.0, 0.0), 1.0))
-    # no closed form: adaptive quadrature per cube, as cube_average does
-    bump = _Bump()
-    assert _bits(cube_averages(bump, centers, 0.5)) == _bits([cube_average(bump, Cube(c, 0.5)) for c in centers])
+    # a kind with no closed form is refused by both
+    with pytest.raises(ParameterError, match="no interval integral for _Bump"):
+        cube_average(_Bump(), Cube(0.0, 0.5))
+    with pytest.raises(ParameterError, match="no interval integral for _Bump"):
+        cube_averages(_Bump(), centers, 0.5)
 
 
 @pytest.mark.parametrize(
