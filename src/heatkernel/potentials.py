@@ -539,9 +539,12 @@ def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float,
     trace, divergent_at = [], None
     for d in range(depth + 1):
         side = window.side * 2.0**-d
-        lo = window.bounds(0)[0] + side * np.arange(2**d)
+        # adjacent cubes share each edge, so an edge on 0 is 0 for both of them
+        edges = window.bounds(0)[0] + side * np.arange(2**d + 1)
         excision = window.side * 8.0 ** -(d + 2)
-        (num, num_flags), (den, den_flags) = (_power_means(V, lo, lo + side, side, e, excision) for e in (a, b))
+        (num, num_flags), (den, den_flags) = (
+            _power_means(V, edges[:-1], edges[1:], side, e, excision) for e in (a, b)
+        )
         top = float(np.max(_safe_ratio(num, den)))
         trace.append((side, top))
         if divergent_at is None and (np.any(num_flags | den_flags) or top > DIVERGENCE_THRESHOLD):

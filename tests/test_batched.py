@@ -1,5 +1,7 @@
 """Batched kernel grids, the sample-based fitter, and the pinned fit results."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -431,7 +433,6 @@ def test_chain_waypoints_match_a_per_waypoint_reference(tmp_path, kind):
     to one written from a scalar `cube_average` per waypoint."""
     from heatkernel import chain_plan, cube_average
     from heatkernel.config import config_hash, potential_from_config
-    from heatkernel.csvout import emit_csv
 
     table = tmp_path / "table.csv"
     table.write_text(
@@ -451,6 +452,10 @@ def test_chain_waypoints_match_a_per_waypoint_reference(tmp_path, kind):
     plan = chain_plan(-0.3, 0.4, 0.5)
     rows = [(i, pt[0], cube_average(V, Cube(tuple(pt), plan.cube_side))) for i, pt in enumerate(plan.waypoints)]
     prov = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
-    ref = emit_csv(rows, ["i", "x_i", "avg_V_cube_i"], tmp_path / "reference.csv", prov)
+    ref = io.StringIO()
+    ref.write(f"# {prov}\n")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["i", "x_i", "avg_V_cube_i"])
+    writer.writerows((i, f"{x:.17g}", f"{avg:.17g}") for i, x, avg in rows)
     assert plan.M == 251
-    assert (tmp_path / "out" / "chain_waypoints.csv").read_bytes() == ref.read_bytes()
+    assert (tmp_path / "out" / "chain_waypoints.csv").read_bytes() == ref.getvalue().encode()

@@ -1,11 +1,14 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from heatkernel import PolynomialPotential
 from heatkernel.cli import main
-from heatkernel.csvout import emit_csv
+from heatkernel.csvout import CHUNK_ROWS, emit_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -39,6 +42,44 @@ def test_emit_csv_deterministic(tmp_path):
     b = emit_csv(rows, ["u", "v"], tmp_path / "b.csv", "p")
     assert a.read_bytes() == b.read_bytes()
     assert "0.33333333333333331" in a.read_text()
+
+
+def reference_csv(rows, schema, provenance=""):
+    """The writer's rule spelt out with csv.writer: floats %.17g, the rest str, LF endings."""
+    buf = io.StringIO()
+    if provenance:
+        buf.write(f"# {provenance}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(schema)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.0**-1074, -2.2e-308, 1 / 3, 1e300]
+TEXTS = ["plain", "a,b", 'say "hi"', "cr\rhere", "line\nbreak", ""]
+
+
+def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
+    long_run = [(i, i / 7.0, "row") for i in range(2 * CHUNK_ROWS + 5)]
+    long_run[CHUNK_ROWS + 9] = (CHUNK_ROWS + 9, 0.5, "needs,quotes")  # one quoted row in a chunk
+    rows = (
+        [(v, -v, "x") for v in SPECIAL_FLOATS]
+        + [(10**30, True, np.float64(0.1)), (-(2**63), False, np.float64(-0.0)), (np.int64(-7), np.int64(2**62), 0.25)]
+        + [(t, 1.5, t) for t in TEXTS]
+        + long_run
+        + [(np.float32(0.1), None, 2.0**-1074), ("text", 3, -math.inf)]
+    )
+    path = emit_csv(rows, ["a", "b", "c"], tmp_path / "mixed.csv", "config=abc M=3")
+    assert path.read_bytes() == reference_csv(rows, ["a", "b", "c"], "config=abc M=3")
+    single = [("plain",), ("",)] + [(v,) for v in SPECIAL_FLOATS]  # a lone empty field is quoted
+    path = emit_csv(single, ["only"], tmp_path / "single.csv")
+    assert path.read_bytes() == reference_csv(single, ["only"])
+
+
+@pytest.mark.parametrize("rows", [[(1.0,)], [(1.0, 2.0), (1.0, 2.0, 3.0)], [(1, 2.0)] * CHUNK_ROWS + [("a",)]])
+def test_emit_csv_refuses_a_record_of_the_wrong_width(tmp_path, rows):
+    with pytest.raises(ValueError, match="record width"):
+        emit_csv(rows, ["a", "b"], tmp_path / "bad.csv")
 
 
 def test_kernel_subcommand_row_count(tmp_path, capsys):

@@ -189,9 +189,10 @@ def rh_infinity_trace(V, window, depth):
     trace = []
     for d in range(depth + 1):
         side = window.side * 2.0**-d
-        lo = window.bounds()[0] + side * np.arange(2**d)
+        edges = window.bounds()[0] + side * np.arange(2**d + 1)
+        lo = edges[:-1]
         sup = np.max(V(lo[:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
-        trace.append((side, float(np.max(sup / (interval_integral(V, lo, lo + side) / side)))))
+        trace.append((side, float(np.max(sup / (interval_integral(V, lo, edges[1:]) / side)))))
     return tuple(trace)
 
 
@@ -421,17 +422,31 @@ def test_weight_classes_invariant_under_scaling_dilation_and_translation(
 @given(
     alpha=st.floats(-0.6, 0.9, exclude_min=True, exclude_max=True),
     side=st.floats(0.25, 4.0),
+    offset=st.sampled_from([0.5, -0.5, 0.0]),
     r=st.floats(0.25, 4.0),
     k=st.floats(0.1, 10.0),
     q=RH_Q,
     p=st.floats(1.1, 4.0),
 )
-def test_power_weight_classes_invariant_under_dilation(alpha, side, r, k, q, p):
-    # k |r x|^alpha = k r^alpha |x|^alpha.  The window [0, side] puts the singularity on
-    # an exact cube edge at every level for both scans, divergent exponents included.
+def test_power_weight_classes_invariant_under_dilation(alpha, side, offset, r, k, q, p):
+    # k |r x|^alpha = k r^alpha |x|^alpha.  The windows [0, side], [-side, 0] and
+    # [-side/2, side/2] put the singularity on a cube edge at every level for both
+    # scans, divergent exponents included.
     V = PowerPotential(alpha)
     W = ScaledPotential(k * r**alpha, V)
-    assert_same_weight_scans(V, Cube(side / 2.0, side), W, Cube(side / 2.0 / r, side / r), q, p)
+    center = offset * side
+    assert_same_weight_scans(V, Cube(center, side), W, Cube(center / r, side / r), q, p)
+
+
+def test_scans_of_a_non_dyadic_window_meet_0_on_a_shared_cube_edge():
+    # Each cube's right edge is the next cube's left edge, so an edge at 0 is 0 exactly
+    # whatever the side: these scans must read as their dyadic dilations do.
+    V = PowerPotential(0.875)
+    assert_same_weight_scans(V, Cube(0.0, 0.8864315433389292), V, Cube(0.0, 2.0), math.inf, 1.1336156699668196)
+    V = PowerPotential(-0.37421275436823376)
+    rep = rh_constant(V, math.inf, Cube(-1.029148227873756, 2.058296455747512), 5)
+    assert all(r == math.inf for _, r in rep.trace)
+    assert_same_weight_scans(V, Cube(-1.029148227873756, 2.058296455747512), V, Cube(-1.0, 2.0), math.inf, 2.0)
 
 
 def _bits(a):
