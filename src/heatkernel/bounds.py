@@ -181,43 +181,59 @@ def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
     (x - eps, y + eps) sits inside the interval, or the segment from x to y
     stays eps-deep inside the ball (caller's responsibility).
     """
+    _check_envelope(env, x, y, t)
+    return KernelValue(_log_envelope(V, env, x, y, t))
+
+
+def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
+    """Raise ParameterError unless t > 0 and env has what its family needs (at a far point: c2, c3)."""
     if not t > 0:
         raise ParameterError("time must be > 0")
     family = env.family
-    if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
-        gaussian = family == "gaussian_upper"
-        env._need(*(("c0", "c2") if gaussian else ("c0", "c1", "c2", "beta")))
-        d2 = _dist(x, y) ** 2
-        if gaussian:
-            return KernelValue(_log_gaussian(env.c0, env.n, t, env.c2, d2))
-        both = family == "symmetrized_upper"
-        c_gauss, c_decay = (env.c1, env.c2) if both else (env.c2, env.c1)
-        decay = _upper_decay(V, env.beta, x, y if both else None, t)
-        return KernelValue(_log_gaussian(env.c0, env.n, t, c_gauss, d2) - c_decay * decay)
-    if family == "quadratic_sharp":
+    if family == "gaussian_upper":
+        env._need("c0", "c2")
+    elif family in ("avg_upper", "symmetrized_upper"):
+        env._need("c0", "c1", "c2", "beta")
+    elif family == "quadratic_sharp":
         env._need("c0", "c1", "c2", "c3")
         if env.n != 1:
             raise ParameterError("quadratic_sharp is one-dimensional")
+    elif family in ("avg_lower_near", "avg_lower_far"):
+        env._need("kappa")
+        env._need(*(("c0", "c1") if _is_near(env.kappa, _dist(x, y), t) else ("c0", "c1", "c2", "c3")))
+    else:
+        env._need("epsilon", "C")
+        if not 0.0 < env.C < 1.0:
+            raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
+        if family == "dirichlet_ball" and env.n < 2:
+            raise ParameterError("dirichlet_ball needs n >= 2")
+
+
+def _log_envelope(V, env: BoundEnvelope, x, y, t) -> float:
+    """log of the envelope at one point, for an env and a point that `_check_envelope` accepts."""
+    family = env.family
+    if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
+        d2 = _dist(x, y) ** 2
+        if family == "gaussian_upper":
+            return _log_gaussian(env.c0, env.n, t, env.c2, d2)
+        both = family == "symmetrized_upper"
+        c_gauss, c_decay = (env.c1, env.c2) if both else (env.c2, env.c1)
+        decay = _upper_decay(V, env.beta, x, y if both else None, t)
+        return _log_gaussian(env.c0, env.n, t, c_gauss, d2) - c_decay * decay
+    if family == "quadratic_sharp":
         shape, d2, s = _sharp_terms(x, y, t)
         if t <= 1.0:
-            return KernelValue(shape - env.c0 * d2 / t - env.c1 * t * s)
-        return KernelValue(-env.c2 * t - env.c3 * s)
+            return shape - env.c0 * d2 / t - env.c1 * t * s
+        return -env.c2 * t - env.c3 * s
     if family in ("avg_lower_near", "avg_lower_far"):
-        env._need("kappa")
         d = _dist(x, y)
         near = _is_near(env.kappa, d, t)
-        env._need(*(("c0", "c1") if near else ("c0", "c1", "c2", "c3")))
         base, log_d = _lower_terms(V, env.n, env.c0, env.c2, env.c3, near, x, d, t)
         log_decay = math.log(env.c1) + log_d
         if log_decay > 700.0:
-            return KernelValue(-math.inf)
-        return KernelValue(base - math.exp(log_decay))
-    env._need("epsilon", "C")
-    if not 0.0 < env.C < 1.0:
-        raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
-    if family == "dirichlet_ball" and env.n < 2:
-        raise ParameterError("dirichlet_ball needs n >= 2")
-    return KernelValue(_dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C)))
+            return -math.inf
+        return base - math.exp(log_decay)
+    return _dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +528,8 @@ def fit_constants(
     supremum and a safety prefactor c0 = (4 pi)^{-n/2} / 2.  FEASIBLE means
     every fitted constant came out strictly positive and no grid point
     violates the bound.  Every record's log_env is `evaluate_envelope` of
-    the fitted envelope; a lower slack where kernel and envelope are both
-    exact zeros is 0.
+    the fitted envelope, whose checks run once per fit; a lower slack where
+    kernel and envelope are both exact zeros is 0.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown envelope family {family!r}")
@@ -522,6 +538,8 @@ def fit_constants(
         raise ParameterError("empty sample grid")
     if any(len(p) != 4 for p in pts):
         raise ParameterError("samples must be (x, y, t, log_p) tuples")
+    if not all(p[2] > 0 for p in pts):
+        raise ParameterError("time must be > 0")
 
     c0_upper = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
     sel, ok, blame = pts, True, None  # points recorded, constants admissible, witness overriding the slack's
@@ -536,11 +554,12 @@ def fit_constants(
     else:
         env, ok = _fit_dirichlet_C(family, pts, n, epsilon)
 
+    _check_envelope(env, *sel[0][:3])  # sel's points share a branch: one check covers them all
     upper = family in UPPER_FAMILIES
     records = []
     min_slack, witness = math.inf, None
     for x, y, t, lp in sel:
-        le = evaluate_envelope(V, env, x, y, t).log_value
+        le = _log_envelope(V, env, x, y, t)
         if upper:
             slack = le - lp if lp > -math.inf else math.inf
         else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,11 +132,13 @@ def gaussian_log_kernel(xs, ys, ts) -> np.ndarray:
     return _log_grid(xs, ys, ts, lambda X, Y, t: _gaussian_log(1, (X - Y) ** 2, t))
 
 
+@lru_cache(maxsize=64)
 def _time_factors(c: QuadraticCoeffs, t: float):
     """The closed form's t-only factors (w, csch u, tanh(u/2), head), u = 2 w t.
 
     w = sqrt(a2) and head = log p(0, 0, t).  `ode.closed_form_state` reads
-    its ansatz coefficients from the same factors.
+    its ansatz coefficients from the same factors.  Memoised per (c, t);
+    coefficients that compare equal, as +-0.0 do, give bit-identical factors.
     """
     w = math.sqrt(c.a2)
     u = 2.0 * w * t

@@ -217,17 +217,23 @@ def constant(c: float) -> PolynomialPotential:
 # exact 1D interval integrals
 
 
+def _horner(x, coeffs: tuple[float, ...]):
+    """sum_i coeffs[i] x^i at a float or an array x: `npoly.polyval`'s IEEE operations in its order."""
+    v = coeffs[-1] + x * 0.0
+    for a in coeffs[-2::-1]:
+        v = a + v * x
+    return v
+
+
 @lru_cache(maxsize=32)
-def _poly_primitive(coeffs: tuple[float, ...]) -> np.ndarray:
+def _poly_primitive(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     """Antiderivative coefficients of a polynomial, built once per coefficient tuple."""
-    anti = npoly.polyint(np.asarray(coeffs, dtype=float))
-    anti.flags.writeable = False
-    return anti
+    return tuple(npoly.polyint(np.asarray(coeffs, dtype=float)).tolist())
 
 
 def _poly_interval_integral(coeffs, lo, hi):
     anti = _poly_primitive(tuple(coeffs))
-    return npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
+    return _horner(hi, anti) - _horner(lo, anti)
 
 
 def _power_segment(a, b, s):
@@ -500,15 +506,16 @@ def _singular_at_0(V: Potential) -> bool:
 
 
 def _power_means(V: Potential, lo, hi, side: float, q: float, excision: float):
-    """(power mean M_q = (mean of V^q)^(1/q) on each cube [lo_i, hi_i] of length side, divergence flags).
+    """(power mean M_q = (mean of V^q)^(1/q) on each cube [lo_i, hi_i], divergence flags).
 
-    M_1 is the mean (`interval_integral`).  M_inf is the max of V over
-    ESS_SUP_GRID + 1 points per cube; where V(0) is a domain error, a cube
-    reaching 0 gets +inf and a flag.  Any other q integrates V^q with
+    A mean divides by hi_i - lo_i, which rounded edges can put an ulp off the
+    level's side.  M_1 is the mean (`interval_integral`).  M_inf is the max of
+    V over ESS_SUP_GRID + 1 points per cube; where V(0) is a domain error, a
+    cube reaching 0 gets +inf and a flag.  Any other q integrates V^q with
     `powered_interval_integral`, excised at radius `excision` where divergent.
     """
     if q == 1.0:
-        return interval_integral(V, lo, hi) / side, np.zeros(lo.shape, dtype=bool)
+        return interval_integral(V, lo, hi) / (hi - lo), np.zeros(lo.shape, dtype=bool)
     if q == math.inf:
         flags = (lo <= 0.0) & (hi >= 0.0) & _singular_at_0(V)
         sup = np.full(lo.shape, np.inf)
@@ -516,7 +523,7 @@ def _power_means(V: Potential, lo, hi, side: float, q: float, excision: float):
         return sup, flags
     total, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
     with np.errstate(divide="ignore"):
-        return (np.clip(total, 0.0, None) / side) ** (1.0 / q), flags
+        return (np.clip(total, 0.0, None) / (hi - lo)) ** (1.0 / q), flags
 
 
 def _safe_ratio(num, den):

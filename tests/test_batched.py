@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from heatkernel import (
     ParameterError,
@@ -185,11 +186,39 @@ def test_closed_form_bounds_reads_the_batched_values(tmp_path):
         assert rows == [w for w in want if w in set(rows)]
 
 
+def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(tmp_path, monkeypatch):
+    # the closed-form bounds benchmark's shape: t runs past 1, so both quadratic_sharp branches bind
+    from heatkernel import explicit, potentials
+    from heatkernel.config import DEFAULT_CONFIG
+
+    cfg = {
+        "potential": {"kind": "polynomial", "coefficients": [0.8, 0.3, 1.2], "dimension": 1},
+        "engine": "explicit",
+        "grid": {"x": [-2.0, 2.0, 13], "y": [-2.0, 2.0, 13], "t": [0.05, 3.0, 8]},
+        "envelopes": DEFAULT_CONFIG["envelopes"],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+
+    def run(out):
+        assert main(["--config", str(path), "--out", str(tmp_path / out), "bounds"]) == 0
+        return [(tmp_path / out / name).read_bytes() for name in ("bound_slacks.csv", "bound_verdicts.csv")]
+
+    fast = run("fast")
+    monkeypatch.setattr(potentials, "_horner", npoly.polyval)
+    monkeypatch.setattr(explicit, "_time_factors", explicit._time_factors.__wrapped__)
+    assert run("reference") == fast
+
+
 def test_fit_constants_rejects_malformed_samples():
     with pytest.raises(ParameterError):
         fit_constants(None, [], "avg_upper", beta=0.9)
     with pytest.raises(ParameterError):
         fit_constants(None, [(0.0, 0.0, 0.5)], "avg_upper", beta=0.9)
+    samples = [(0.0, 0.5, 0.5, -1.0), (0.0, 0.5, -0.1, -1.0)]
+    for family in ("gaussian_upper", "avg_upper", "quadratic_sharp"):  # checked before any fit
+        with pytest.raises(ParameterError, match="time must be > 0"):
+            fit_constants(PolynomialPotential([1.0]), samples, family, beta=0.9)
 
 
 # Fitted constants, verdicts and min slacks of the c6 sandwich and c10

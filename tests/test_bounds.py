@@ -382,11 +382,20 @@ def test_evaluate_envelope_dispatch_all_families():
         ({"family": "gaussian_upper", "c0": 0.3, "c2": 0.25}, 0.0),
         ({"family": "avg_upper", "c0": 0.3, "c1": 1.0, "c2": 0.25}, 0.3),
         ({"family": "avg_lower_far", "c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5}, 0.3),
+        ({"family": "avg_lower_near", "c0": 0.1, "c1": 1.0, "kappa": 0.125}, 0.3),  # a far point needs c2, c3
         ({"family": "quadratic_sharp", "c0": 0.2, "c1": 0.3, "c2": 0.8, "c3": 0.4, "n": 2}, 0.3),
         ({"family": "dirichlet_interval", "epsilon": 0.5, "C": 1.5}, 0.3),
         ({"family": "dirichlet_ball", "epsilon": 0.5, "C": 0.5, "n": 1}, 0.3),
     ],
-    ids=["t<=0", "avg_upper-no-beta", "avg_lower_far-no-kappa", "quadratic_sharp-n2", "interval-C>1", "ball-n1"],
+    ids=[
+        "t<=0",
+        "avg_upper-no-beta",
+        "avg_lower_far-no-kappa",
+        "avg_lower-far-point-no-c2",
+        "quadratic_sharp-n2",
+        "interval-C>1",
+        "ball-n1",
+    ],
 )
 def test_evaluate_envelope_checks_its_envelope(spec, t):
     with pytest.raises(ParameterError):

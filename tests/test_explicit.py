@@ -12,7 +12,7 @@ from heatkernel import (
     gaussian_kernel,
     quadratic_kernel,
 )
-from heatkernel.explicit import coth_minus_csch, csch, log_csch
+from heatkernel.explicit import _time_factors, coth_minus_csch, csch, log_csch
 
 
 def test_gaussian_normalization_point():
@@ -147,3 +147,29 @@ def test_kernel_value_exponentiation():
     assert KernelValue(-800.0).value == 0.0
     assert KernelValue(0.0).value == 1.0
     assert KernelValue(800.0).value == math.inf
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_time_factors_are_memoised_per_coefficients():
+    _time_factors.cache_clear()
+    c1, c2 = QuadraticCoeffs(0.5, 0.3, 1.2), QuadraticCoeffs(0.9, 0.3, 1.2)
+    first, second = _time_factors(c1, 0.4), _time_factors(c2, 0.4)
+    assert _bits(first) == _bits(_time_factors.__wrapped__(c1, 0.4))
+    assert _bits(second) == _bits(_time_factors.__wrapped__(c2, 0.4))
+    assert first != second
+    assert _time_factors(c1, 0.4) is first and _time_factors.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("a1", [0.0, -0.0, 0.7])
+def test_signed_zero_coefficients_give_bit_identical_factors(a1):
+    # QuadraticCoeffs(0.0, ...) == QuadraticCoeffs(-0.0, ...), so they share a memo entry
+    signs = (1.0, -1.0) if a1 == 0.0 else (1.0,)
+    variants = [QuadraticCoeffs(a0, s * a1, 1.3) for a0 in (0.0, -0.0) for s in signs]
+    for t in (0.05, 2.5):
+        want = _bits(_time_factors.__wrapped__(variants[0], t))
+        assert all(_bits(_time_factors.__wrapped__(c, t)) == want for c in variants)
+        _time_factors.cache_clear()
+        assert all(_bits(_time_factors(c, t)) == want for c in variants)

@@ -25,7 +25,7 @@ from heatkernel import (
     m_beta,
     rh_constant,
 )
-from heatkernel.potentials import ESS_SUP_GRID, interval_integral, powered_interval_integral
+from heatkernel.potentials import ESS_SUP_GRID, _horner, interval_integral, powered_interval_integral
 
 
 # independent oracle: integral of |x|^a over [lo, hi] by direct antiderivative
@@ -190,9 +190,9 @@ def rh_infinity_trace(V, window, depth):
     for d in range(depth + 1):
         side = window.side * 2.0**-d
         edges = window.bounds()[0] + side * np.arange(2**d + 1)
-        lo = edges[:-1]
+        lo, hi = edges[:-1], edges[1:]
         sup = np.max(V(lo[:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
-        trace.append((side, float(np.max(sup / (interval_integral(V, lo, edges[1:]) / side)))))
+        trace.append((side, float(np.max(sup / (interval_integral(V, lo, hi) / (hi - lo))))))
     return tuple(trace)
 
 
@@ -477,6 +477,46 @@ def test_polynomial_cube_average_is_its_antiderivative_difference_bitwise(coeffs
     assert _bits(interval_integral(V, np.array(los), np.array(his))) == _bits(scalar)
 
 
+# signed zeros, subnormals and magnitudes up to 1e300, whose products overflow
+HORNER_COEFF = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+HORNER_X = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(HORNER_COEFF, min_size=1, max_size=7), st.lists(HORNER_X, min_size=1, max_size=6))
+def test_horner_is_polyval_bitwise(coeffs, xs):
+    coeffs = tuple(coeffs)
+    with np.errstate(all="ignore"):
+        for x in xs:
+            assert _bits(_horner(x, coeffs)) == _bits(npoly.polyval(x, coeffs))
+        assert _bits(_horner(np.array(xs), coeffs)) == _bits(npoly.polyval(np.array(xs), coeffs))
+
+
+def test_power_means_divide_by_the_length_integrated():
+    # The scan's cube edges are rounded, so a cube's length is hi - lo, not the
+    # nominal side; the per-level maxima must match an exact evaluation on the
+    # same float edges.  Dividing by the side puts the depth-10 level 966 ulp off.
+    mp = pytest.importorskip("mpmath")
+    window, alpha, sigma = Cube(-0.45, 3.3), mp.mpf(-0.5), mp.mpf(-0.5)  # A_3: M_1 / M_sigma, sigma = -1/(3-1)
+
+    def integral(a, b, s):  # of |x|^s over [a, b]
+        F = lambda x: mp.sign(x) * abs(x) ** (s + 1) / (s + 1)  # noqa: E731
+        return F(mp.mpf(b)) - F(mp.mpf(a))
+
+    report = ap_constant(PowerPotential(-0.5), 3.0, window, 10)
+    for d, (side, got) in enumerate(report.trace):
+        edges = window.bounds()[0] + side * np.arange(2**d + 1)
+        with mp.workdps(40):
+            want = max(
+                integral(a, b, alpha) / (b - a) * (integral(a, b, alpha * sigma) / (b - a)) ** -(1 / sigma)
+                for a, b in zip(map(mp.mpf, edges[:-1]), map(mp.mpf, edges[1:]))
+            )
+        assert abs(got - want) <= 2e-15 * want, (side, got, want)
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False), SIDE)
 def test_cube_center_from_a_numpy_float(x, side):
     Z = Cube(np.float64(x), side)
@@ -503,7 +543,7 @@ POTENTIALS = st.recursive(
     ),
     max_leaves=4,
 )
-CENTER = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+CENTER = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
 
 
 @settings(max_examples=300, deadline=None)
