@@ -414,6 +414,11 @@ def run_all(out_dir: Path | None = None, seed: int = 0) -> list[CriterionResult]
     if out_dir is not None:
         from .csvout import emit_csv
 
-        rows = [(r.number, r.name, "PASS" if r.passed else "FAIL", r.details) for r in results]
-        emit_csv(rows, ["number", "name", "status", "details"], Path(out_dir) / "acceptance_report.csv")
+        columns = [
+            [r.number for r in results],
+            [r.name for r in results],
+            ["PASS" if r.passed else "FAIL" for r in results],
+            [r.details for r in results],
+        ]
+        emit_csv(columns, ["number", "name", "status", "details"], Path(out_dir) / "acceptance_report.csv")
     return results

@@ -8,8 +8,9 @@ Subcommands
     chain    chain plan + chained lower bound + waypoint cube averages -> CSV
     verify   full acceptance suite; exit 0 iff everything passes
 
-Outputs are deterministic: every CSV is written by `emit_csv`, and identical
-configs give byte-identical files.
+Outputs are deterministic: every CSV is written by `emit_csv`, which takes
+one sequence per column (a float64 ndarray, a `range` or a list), and
+identical configs give byte-identical files.
 The engines are `explicit` (the closed form for a quadratic potential) and
 `spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
@@ -27,6 +28,8 @@ import argparse
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .bounds import (
     chain_length,
@@ -91,11 +94,10 @@ def _prov_line(cfg: dict, prov: str, xs, ys, ts) -> str:
 
 
 def _evaluate_grid(cfg: dict, base_dir: Path | None):
-    """Build the engine and evaluate its grid once: (samples, potential, provenance line)."""
+    """Build the engine and evaluate its grid once: ((xs, ys, ts), log p[t, x, y], potential, provenance line)."""
     xs, ys, ts = grid_from_config(cfg)
     log_kernel, V, prov = _build_engine(cfg, ts, base_dir)
-    samples = grid_samples(xs, ys, ts, log_kernel(xs, ys, ts))
-    return samples, V, _prov_line(cfg, prov, xs, ys, ts)
+    return (xs, ys, ts), log_kernel(xs, ys, ts), V, _prov_line(cfg, prov, xs, ys, ts)
 
 
 def _bounds_samples(cfg: dict, base_dir: Path | None):
@@ -109,7 +111,8 @@ def _bounds_samples(cfg: dict, base_dir: Path | None):
     fitter's kernel calls per point.
     """
     if cfg.get("engine", "explicit") != "explicit":
-        samples, V, prov_line = _evaluate_grid(cfg, base_dir)
+        axes, log_p, V, prov_line = _evaluate_grid(cfg, base_dir)
+        samples = grid_samples(*axes, log_p)
         return (lambda: samples), V, prov_line
     V = _potential(cfg, base_dir)
     quad = quadratic_from_potential(V)
@@ -124,17 +127,26 @@ def _bounds_samples(cfg: dict, base_dir: Path | None):
 
 
 def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    samples, _, prov_line = _evaluate_grid(cfg, base_dir)
-    rows = [(x, y, t, lp, KernelValue(lp).value) for x, y, t, lp in samples]
-    path = emit_csv(rows, ["x", "y", "t", "log_p", "p"], out / "kernel.csv", prov_line)
-    print(f"wrote {path} ({len(rows)} rows)")
+    (xs, ys, ts), log_p, _, prov_line = _evaluate_grid(cfg, base_dir)
+    nx, ny, nt = len(xs), len(ys), len(ts)
+    # x-major order, as `grid_points` lists the points
+    lp = log_p.transpose(1, 2, 0).ravel()
+    columns = [
+        np.repeat(xs, ny * nt),
+        np.tile(np.repeat(ys, nt), nx),
+        np.tile(ts, nx * ny),
+        lp,
+        [KernelValue(v).value for v in lp.tolist()],
+    ]
+    path = emit_csv(columns, ["x", "y", "t", "log_p", "p"], out / "kernel.csv", prov_line)
+    print(f"wrote {path} ({len(lp)} rows)")
     return EXIT_OK
 
 
 def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     samples, V, prov_line = _bounds_samples(cfg, base_dir)
-    verdict_rows = []
-    slack_rows = []
+    verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
+    slacks = {k: [] for k in ("family", "x", "y", "t", "log_p", "log_env", "slack")}
     all_ok = True
     for i, spec in enumerate(cfg.get("envelopes", DEFAULT_CONFIG["envelopes"])):
         env0 = envelope_from_config(spec, f"envelopes[{i}]", V.n)
@@ -157,24 +169,15 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         }
         const_str = " ".join(f"{k}={v:.6g}" for k, v in consts.items())
         print(f"{env.family}: {verdict} min_slack={fit.min_slack:.6g} {const_str}")
-        verdict_rows.append(
-            (env.family, verdict, fit.min_slack)
-            + tuple(consts.get(k, math.nan) for k in ("c0", "c1", "c2", "c3"))
-        )
-        for x, y, t, lp, le, slack in fit.records:
-            slack_rows.append((env.family, x, y, t, lp, le, slack))
-    emit_csv(
-        verdict_rows,
-        ["family", "verdict", "min_slack", "c0", "c1", "c2", "c3"],
-        out / "bound_verdicts.csv",
-        prov_line,
-    )
-    emit_csv(
-        slack_rows,
-        ["family", "x", "y", "t", "log_p", "log_env", "slack"],
-        out / "bound_slacks.csv",
-        prov_line,
-    )
+        row = (env.family, verdict, fit.min_slack) + tuple(consts.get(k, math.nan) for k in ("c0", "c1", "c2", "c3"))
+        for col, value in zip(verdicts.values(), row):
+            col.append(value)
+        slacks["family"] += [env.family] * len(fit.records)
+        # records are (x, y, t, log_p, log_env, slack): the other slack columns, in order
+        for col, values in zip(list(slacks.values())[1:], zip(*fit.records)):
+            col += values
+    emit_csv(list(verdicts.values()), list(verdicts), out / "bound_verdicts.csv", prov_line)
+    emit_csv(list(slacks.values()), list(slacks), out / "bound_slacks.csv", prov_line)
     print(f"sandwich: {'FEASIBLE' if all_ok else 'INFEASIBLE'}")
     return EXIT_OK if all_ok else EXIT_FAILURE
 
@@ -185,21 +188,18 @@ def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     window = Cube(w["window_center"], w["window_side"])
     depth = w["depth"]
     prov_line = f"config={config_hash(cfg)} window_side={window.side:g} depth={depth}"
-    rows = []
     rh = rh_constant(V, float(w["rh_q"]), window, depth)
-    for side, ratio in rh.trace:
-        rows.append(("rh", rh.exponent, side, ratio))
     ap = ap_constant(V, float(w["ap_p"]), window, depth)
-    for side, ratio in ap.trace:
-        rows.append(("ap", ap.exponent, side, ratio))
-    emit_csv(rows, ["kind", "exponent", "side", "ratio"], out / "weight_trace.csv", prov_line)
+    traces = rh.trace + ap.trace
+    columns = [
+        ["rh"] * len(rh.trace) + ["ap"] * len(ap.trace),
+        [rh.exponent] * len(rh.trace) + [ap.exponent] * len(ap.trace),
+        [side for side, _ in traces],
+        [ratio for _, ratio in traces],
+    ]
+    emit_csv(columns, ["kind", "exponent", "side", "ratio"], out / "weight_trace.csv", prov_line)
     fit = doubling_fit(V, window, depth)
-    emit_csv(
-        [(fit.C, fit.epsilon, fit.residual)],
-        ["C", "epsilon", "residual"],
-        out / "doubling.csv",
-        prov_line,
-    )
+    emit_csv([[fit.C], [fit.epsilon], [fit.residual]], ["C", "epsilon", "residual"], out / "doubling.csv", prov_line)
     print(
         f"rh: constant={rh.constant:.6g} divergent={rh.divergent} | "
         f"ap: constant={ap.constant:.6g} beta={ap.beta:.6g} | "
@@ -218,10 +218,9 @@ def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     if quad.a0 != 0.0:
         quad = type(quad)(0.0, quad.a1, quad.a2)
     traj = integrate_odes(quad, t0, t1, samples=samples)
-    rows = [(s.t, s.alpha, s.beta, s.gamma, s.mu, s.nu, s.log_phi) for s in traj]
     prov_line = f"config={config_hash(cfg)} t0={t0!r} t1={t1!r} samples={samples}"
     schema = ["t", "alpha", "beta", "gamma", "mu", "nu", "log_phi"]
-    path = emit_csv(rows, schema, out / "trajectory.csv", prov_line)
+    path = emit_csv([[getattr(s, k) for s in traj] for k in schema], schema, out / "trajectory.csv", prov_line)
     err = closed_form_error(quad, traj)
     print(f"wrote {path} max_closed_form_error={err:.6g} (tol {rel:g})")
     return EXIT_OK if err <= rel else EXIT_FAILURE
@@ -251,9 +250,8 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     )
     xs = plan.waypoints[:, 0]
     avgs = cube_averages(V, xs, plan.cube_side)
-    rows = list(zip(range(plan.M + 1), xs.tolist(), avgs.tolist()))
     prov_line = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
-    emit_csv(rows, ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
+    emit_csv([range(plan.M + 1), xs, avgs], ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
     return EXIT_OK
 
 

@@ -481,8 +481,8 @@ class WeightClassReport:
     constant is the max of the per-scale trace ratios.  A divergent report
     means some cube integral is analytically non-integrable (or the ratio
     overflowed DIVERGENCE_THRESHOLD); divergent trace entries then show the
-    ratio with the singularity excised at radius side*8^-(depth+2), which
-    grows without bound as the family refines.
+    ratio with the singularity excised at radius window_side*8^-(d+2) at
+    level d, which grows without bound as the family refines.
     """
 
     kind: str
@@ -505,21 +505,25 @@ def _singular_at_0(V: Potential) -> bool:
     return False
 
 
-def _power_means(V: Potential, lo, hi, side: float, q: float, excision: float):
+def _power_means(V: Potential, lo, hi, side, q: float, excision):
     """(power mean M_q = (mean of V^q)^(1/q) on each cube [lo_i, hi_i], divergence flags).
 
-    A mean divides by hi_i - lo_i, which rounded edges can put an ulp off the
-    level's side.  M_1 is the mean (`interval_integral`).  M_inf is the max of
-    V over ESS_SUP_GRID + 1 points per cube; where V(0) is a domain error, a
-    cube reaching 0 gets +inf and a flag.  Any other q integrates V^q with
-    `powered_interval_integral`, excised at radius `excision` where divergent.
+    side and excision are per-cube arrays.  A mean divides by hi_i - lo_i,
+    which rounded edges can put an ulp off side_i.  M_1 is the mean
+    (`interval_integral`).  M_inf is the max of V over ESS_SUP_GRID + 1 points
+    per cube, refined one side (one level) at a time so that only one level's
+    points are held; where V(0) is a domain error, a cube reaching 0 gets +inf
+    and a flag.  Any other q integrates V^q with `powered_interval_integral`,
+    excised at radius excision_i where divergent.
     """
     if q == 1.0:
         return interval_integral(V, lo, hi) / (hi - lo), np.zeros(lo.shape, dtype=bool)
     if q == math.inf:
         flags = (lo <= 0.0) & (hi >= 0.0) & _singular_at_0(V)
         sup = np.full(lo.shape, np.inf)
-        sup[~flags] = np.max(V(lo[~flags][:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
+        for s in np.unique(side).tolist():
+            at = (side == s) & ~flags
+            sup[at] = np.max(V(lo[at][:, None] + np.linspace(0.0, s, ESS_SUP_GRID + 1)), axis=1)
         return sup, flags
     total, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
     with np.errstate(divide="ignore"):
@@ -540,25 +544,37 @@ def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float,
 
     Each trace entry is (side, max ratio at that level); the first level with
     a divergence flag or a ratio above DIVERGENCE_THRESHOLD is divergent_at_side.
+    The cubes of every level are laid end to end, level d from 2^d - 1 on, and
+    each exponent takes two `_power_means` calls: levels 0..depth-1 together
+    (2^depth - 1 cubes), then the deepest level alone, so that no call holds
+    more cubes than the deepest level.
     """
     if V.n != 1 or window.n != 1:
         raise ParameterError("weight-class scans are one-dimensional")
-    trace, divergent_at = [], None
-    for d in range(depth + 1):
-        side = window.side * 2.0**-d
-        # adjacent cubes share each edge, so an edge on 0 is 0 for both of them
-        edges = window.bounds(0)[0] + side * np.arange(2**d + 1)
-        excision = window.side * 8.0 ** -(d + 2)
+    levels = np.arange(depth + 1)
+    starts = 2**levels - 1
+    level = np.repeat(levels, 2**levels)
+    k = np.arange(level.size) - starts[level]
+    side = window.side * 2.0**-level
+    # adjacent cubes share each edge, left + side k, so an edge on 0 is 0 for both of them
+    left = window.bounds(0)[0]
+    lo, hi = left + side * k, left + side * (k + 1)
+    excision = window.side * 8.0 ** -(level + 2)
+    ratios, flags = [], []
+    for part in (slice(0, starts[-1]), slice(starts[-1], None)):
         (num, num_flags), (den, den_flags) = (
-            _power_means(V, edges[:-1], edges[1:], side, e, excision) for e in (a, b)
+            _power_means(V, lo[part], hi[part], side[part], e, excision[part]) for e in (a, b)
         )
-        top = float(np.max(_safe_ratio(num, den)))
-        trace.append((side, top))
-        if divergent_at is None and (np.any(num_flags | den_flags) or top > DIVERGENCE_THRESHOLD):
-            divergent_at = side
+        ratios.append(_safe_ratio(num, den))
+        flags.append(num_flags | den_flags)
+    top = np.maximum.reduceat(np.concatenate(ratios), starts)
+    divergent = np.logical_or.reduceat(np.concatenate(flags), starts) | (top > DIVERGENCE_THRESHOLD)
+    sides = side[starts].tolist()
+    trace = tuple(zip(sides, top.tolist()))
+    divergent_at = sides[int(np.argmax(divergent))] if divergent.any() else None
     return WeightClassReport(
         constant=max(r for _, r in trace),
-        trace=tuple(trace),
+        trace=trace,
         divergent=divergent_at is not None,
         divergent_at_side=divergent_at,
         **report,

@@ -14,7 +14,12 @@ to the whole-space kernel from below.
 
 Mode count: a kernel built for t >= t_min keeps the k lowest modes, enough
 that each dropped mode's bound exp(-lam_j t) max phi_j^2 stays below
-EIGENSUM_TAIL of the kept total at every such t (`_modes_needed`).
+EIGENSUM_TAIL of the kept total at every such t (`_modes_needed`).  At a
+time t the eigensum keeps every cluster of eigenvalues (CLUSTER_RTOL)
+up to the last whose bound exp(-lam t) max_x sum_cluster phi_j(x)^2 is at
+least EIGENSUM_TAIL of the sum of all the cluster bounds; inside a cluster
+the eigenvectors are any orthonormal basis LAPACK picks, and that bound is
+the same for all of them.
 Resolving t needs roughly (2L/pi) sqrt(45/t) modes, which is why t >= 0.05
 is the recommended floor at default resolution.  Evaluating below t_min
 raises ParameterError.
@@ -37,6 +42,10 @@ from .explicit import KernelValue
 from .potentials import Potential
 
 EIGENSUM_TAIL = 1e-16
+# Eigenvalues within CLUSTER_RTOL of each other, relatively, are one cluster:
+# the eigenvectors of a pair that close mix by about eps ||H|| / gap, so
+# their individual maxima are not a property of the operator.
+CLUSTER_RTOL = 1e-6
 
 __all__ = [
     "DiscreteHamiltonian",
@@ -111,6 +120,8 @@ class SpectralKernel:
     phi: np.ndarray  # (m+2, k) node values, boundary rows are zero
     phi_sup: np.ndarray
     orthonormality_defect: float
+    cluster_starts: np.ndarray  # first mode of each eigenvalue cluster, ascending
+    cluster_sup: np.ndarray  # per cluster, max over the nodes of sum phi_j^2
 
     def modes_at(self, x: float) -> np.ndarray:
         """Linear interpolation of every kept eigenvector at one point."""
@@ -134,11 +145,15 @@ class SpectralKernel:
         return np.exp(-np.clip(self.eigenvalues * t, None, 745.0))
 
     def mode_count(self, t: float) -> int:
-        """Number of modes the eigensum keeps at time t."""
-        bounds = self.weights(t) * self.phi_sup**2
-        total = float(np.sum(bounds))
-        keep = bounds >= EIGENSUM_TAIL * total
-        return int(np.max(np.nonzero(keep)) + 1) if np.any(keep) else 1
+        """Number of modes the eigensum keeps at time t: whole clusters, never part of one.
+
+        A cluster's bound takes the weight of its lowest eigenvalue, the
+        largest in it; for a one-mode cluster it is exp(-lam_j t) max phi_j^2.
+        """
+        bounds = self.weights(t)[self.cluster_starts] * self.cluster_sup
+        keep = np.flatnonzero(bounds >= EIGENSUM_TAIL * float(np.sum(bounds)))
+        ends = np.append(self.cluster_starts[1:], len(self.eigenvalues))
+        return int(ends[keep[-1]]) if keep.size else 1
 
     def mass(self, x: float, t: float) -> float:
         """h-weighted integral of p_B(x, ., t) over the box."""
@@ -164,7 +179,9 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     """The lowest eigenpairs of the discretized Hamiltonian on [-L, L], for t >= t_min.
 
     m is the number of interior grid points (= matrix size).  The k modes
-    come from MRRR (`stemr`) on that index range.
+    come from MRRR (`stemr`) on that index range.  A cluster that k cuts
+    keeps only its modes below k: the ones from k on are negligible at every
+    t >= t_min (`_modes_needed`).
     """
     if not (t_min > 0.0 and math.isfinite(t_min)):
         raise ParameterError(f"t_min must be a number > 0, got {t_min}")
@@ -180,6 +197,13 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     defect = float(np.max(np.abs(gram - np.eye(k))))
     if defect > 1e-8:
         raise RuntimeError(f"eigenvector orthonormality defect {defect:.3e} exceeds 1e-8")
+    phi_sup = np.maximum(phi.max(axis=0), -phi.min(axis=0))
+    # a cluster starts wherever lam_{j+1} - lam_j exceeds CLUSTER_RTOL |lam_{j+1}|
+    starts = np.flatnonzero(np.append(True, np.diff(lam) > CLUSTER_RTOL * np.abs(lam[1:])))
+    ends = np.append(starts[1:], k)
+    cluster_sup = phi_sup[starts] ** 2  # max phi_j^2 of a one-mode cluster
+    for c in np.flatnonzero(ends - starts > 1):
+        cluster_sup[c] = np.max(np.sum(phi[:, starts[c] : ends[c]] ** 2, axis=1))
     return SpectralKernel(
         L=L,
         m=m,
@@ -188,8 +212,10 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
         nodes=ham.nodes,
         eigenvalues=lam,
         phi=phi,
-        phi_sup=np.maximum(phi.max(axis=0), -phi.min(axis=0)),
+        phi_sup=phi_sup,
         orthonormality_defect=defect,
+        cluster_starts=starts,
+        cluster_sup=cluster_sup,
     )
 
 

@@ -27,19 +27,24 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def columns_of(rows, width):
+    """The columns of a list of rows, as emit_csv takes them."""
+    return [[row[j] for row in rows] for j in range(width)]
+
+
 def test_emit_csv_empty_and_counts(tmp_path):
-    path = emit_csv([], ["a", "b"], tmp_path / "empty.csv", "run=1")
+    path = emit_csv([[], []], ["a", "b"], tmp_path / "empty.csv", "run=1")
     lines = path.read_text().splitlines()
     assert lines == ["# run=1", "a,b"]
-    rows = [(float(i), float(i * i)) for i in range(18)]
-    path2 = emit_csv(rows, ["x", "x2"], tmp_path / "grid.csv")
+    columns = [[float(i) for i in range(18)], [float(i * i) for i in range(18)]]
+    path2 = emit_csv(columns, ["x", "x2"], tmp_path / "grid.csv")
     assert len(path2.read_text().splitlines()) == 19
 
 
 def test_emit_csv_deterministic(tmp_path):
-    rows = [(1 / 3, 2.0**-40), (math.pi, math.e)]
-    a = emit_csv(rows, ["u", "v"], tmp_path / "a.csv", "p")
-    b = emit_csv(rows, ["u", "v"], tmp_path / "b.csv", "p")
+    columns = [[1 / 3, math.pi], [2.0**-40, math.e]]
+    a = emit_csv(columns, ["u", "v"], tmp_path / "a.csv", "p")
+    b = emit_csv(columns, ["u", "v"], tmp_path / "b.csv", "p")
     assert a.read_bytes() == b.read_bytes()
     assert "0.33333333333333331" in a.read_text()
 
@@ -69,17 +74,36 @@ def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
         + long_run
         + [(np.float32(0.1), None, 2.0**-1074), ("text", 3, -math.inf)]
     )
-    path = emit_csv(rows, ["a", "b", "c"], tmp_path / "mixed.csv", "config=abc M=3")
+    path = emit_csv(columns_of(rows, 3), ["a", "b", "c"], tmp_path / "mixed.csv", "config=abc M=3")
     assert path.read_bytes() == reference_csv(rows, ["a", "b", "c"], "config=abc M=3")
     single = [("plain",), ("",)] + [(v,) for v in SPECIAL_FLOATS]  # a lone empty field is quoted
-    path = emit_csv(single, ["only"], tmp_path / "single.csv")
+    path = emit_csv(columns_of(single, 1), ["only"], tmp_path / "single.csv")
     assert path.read_bytes() == reference_csv(single, ["only"])
 
 
-@pytest.mark.parametrize("rows", [[(1.0,)], [(1.0, 2.0), (1.0, 2.0, 3.0)], [(1, 2.0)] * CHUNK_ROWS + [("a",)]])
-def test_emit_csv_refuses_a_record_of_the_wrong_width(tmp_path, rows):
-    with pytest.raises(ValueError, match="record width"):
-        emit_csv(rows, ["a", "b"], tmp_path / "bad.csv")
+def test_emit_csv_takes_ndarray_and_range_columns(tmp_path):
+    n = 2 * CHUNK_ROWS + 3
+    xs = np.linspace(-1.0, 1.0, n)
+    xs[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    ys = xs[::-1]  # a strided view
+    path = emit_csv([range(n), xs, ys, ["w"] * n], ["i", "x", "y", "w"], tmp_path / "arrays.csv", "M=3")
+    rows = list(zip(range(n), xs.tolist(), ys.tolist(), ["w"] * n))
+    assert path.read_bytes() == reference_csv(rows, ["i", "x", "y", "w"], "M=3")
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[1.0], []],
+        [[1.0, 2.0], [1.0, 2.0, 3.0]],
+        [range(CHUNK_ROWS + 1), np.zeros(CHUNK_ROWS)],
+        [[1.0]],  # one column for a schema of two
+    ],
+)
+def test_emit_csv_refuses_columns_that_do_not_fit_the_schema(tmp_path, columns):
+    with pytest.raises(ValueError, match="column"):
+        emit_csv(columns, ["a", "b"], tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_kernel_subcommand_row_count(tmp_path, capsys):

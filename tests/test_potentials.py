@@ -25,7 +25,16 @@ from heatkernel import (
     m_beta,
     rh_constant,
 )
-from heatkernel.potentials import ESS_SUP_GRID, _horner, interval_integral, powered_interval_integral
+from heatkernel import potentials
+from heatkernel.potentials import (
+    DIVERGENCE_THRESHOLD,
+    ESS_SUP_GRID,
+    _horner,
+    _power_means,
+    _safe_ratio,
+    interval_integral,
+    powered_interval_integral,
+)
 
 
 # independent oracle: integral of |x|^a over [lo, hi] by direct antiderivative
@@ -515,6 +524,74 @@ def test_power_means_divide_by_the_length_integrated():
                 for a, b in zip(map(mp.mpf, edges[:-1]), map(mp.mpf, edges[1:]))
             )
         assert abs(got - want) <= 2e-15 * want, (side, got, want)
+
+
+def per_level_scan(V, window, depth, a, b):
+    """(trace, divergent_at_side) of M_a / M_b with one `_power_means` call per level and exponent."""
+    trace, divergent_at = [], None
+    for d in range(depth + 1):
+        side = window.side * 2.0**-d
+        edges = window.bounds()[0] + side * np.arange(2**d + 1)
+        sides, excision = np.full(2**d, side), np.full(2**d, window.side * 8.0 ** -(d + 2))
+        (num, num_flags), (den, den_flags) = (
+            _power_means(V, edges[:-1], edges[1:], sides, e, excision) for e in (a, b)
+        )
+        top = float(np.max(_safe_ratio(num, den)))
+        trace.append((side, top))
+        if divergent_at is None and (np.any(num_flags | den_flags) or top > DIVERGENCE_THRESHOLD):
+            divergent_at = side
+    return tuple(trace), divergent_at
+
+
+SINGULAR = PowerPotential(-0.5)
+DOUBLE_ROOTS = PolynomialPotential(npoly.polymul([-0.15, 0.2, 1.0], [-0.15, 0.2, 1.0]))  # (x - 0.3)^2 (x + 0.5)^2
+TABLE = TabulatedPotential(np.linspace(-4.0, 4.0, 41), 0.2 + np.linspace(-4.0, 4.0, 41) ** 2)
+
+
+@pytest.mark.parametrize(
+    "V, window, kind, exponent",
+    [
+        (DOUBLE_ROOTS, Cube(0.1, 2.0), "ap", 4.0),  # q = -1/3 < 0, cubes split at the real roots
+        (PowerPotential(0.5), Cube(0.0, 2.0), "rh", 2.0),
+        (PowerPotential(0.5), Cube(0.3, 1.7), "ap", 2.0),
+        (SINGULAR, Cube(0.0, 2.0), "rh", 3.0),  # divergent: excised at window_side 8^-(d+2)
+        (SINGULAR, Cube(-0.45, 3.3), "ap", 3.0),
+        (ScaledPotential(2.5, SINGULAR), Cube(0.0, 2.0), "rh", 3.0),
+        (SumPotential(PolynomialPotential([0.3, 0.0, 1.0]), PowerPotential(0.7)), Cube(0.1, 2.0), "rh", 2.0),
+        (TABLE, Cube(0.2, 3.0), "rh", 2.0),
+        (TABLE, Cube(0.2, 3.0), "ap", 2.0),
+        (PolynomialPotential([0.0, 0.0, 1.0]), Cube(0.0, 4.0), "rh", math.inf),
+        (SINGULAR, Cube(0.0, 2.0), "rh", math.inf),
+        (TABLE, Cube(0.2, 3.0), "rh", math.inf),
+    ],
+)
+@pytest.mark.parametrize("depth", [1, 2, 7])
+def test_level_batched_scan_equals_a_per_level_scan_bit_for_bit(V, window, kind, exponent, depth):
+    if kind == "rh":
+        rep, (a, b) = rh_constant(V, exponent, window, depth), (exponent, 1.0)
+    else:
+        rep, (a, b) = ap_constant(V, exponent, window, depth), (1.0, -1.0 / (exponent - 1.0))
+    trace, divergent_at = per_level_scan(V, window, depth, a, b)
+    assert _bits(rep.trace) == _bits(trace)
+    assert rep.divergent_at_side == divergent_at
+    assert rep.divergent == (divergent_at is not None)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 9])
+def test_scan_calls_power_means_twice_per_exponent(monkeypatch, depth):
+    sizes = []
+
+    def counted(V, lo, *args):
+        sizes.append(len(lo))
+        return _power_means(V, lo, *args)
+
+    monkeypatch.setattr(potentials, "_power_means", counted)
+    for scan in (lambda: rh_constant(SINGULAR, 1.5, Cube(0.0, 2.0), depth),
+                 lambda: ap_constant(TABLE, 2.0, Cube(0.2, 3.0), depth)):
+        sizes.clear()
+        scan()
+        # levels 0..depth-1 together, then the deepest level alone, for each exponent
+        assert sizes == [2**depth - 1, 2**depth - 1, 2**depth, 2**depth]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False), SIDE)

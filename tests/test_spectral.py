@@ -30,7 +30,7 @@ from heatkernel import (
     spectral_log_kernel,
 )
 from heatkernel import spectral
-from heatkernel.spectral import EIGENSUM_TAIL, cached_spectral
+from heatkernel.spectral import CLUSTER_RTOL, EIGENSUM_TAIL, cached_spectral
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 
@@ -225,8 +225,21 @@ def reference_bounds(lam, phi, t):
 
 
 def reference_mode_count(lam, phi, t):
-    bounds = reference_bounds(lam, phi, t)
-    return int(np.nonzero(bounds >= EIGENSUM_TAIL * np.sum(bounds))[0][-1]) + 1
+    """Modes up to the end of the last cluster whose bound is >= EIGENSUM_TAIL of all of them.
+
+    A cluster is a run of eigenvalues each within CLUSTER_RTOL of the one
+    before, relatively.  Its bound, exp(-lam t) at its lowest eigenvalue times
+    max_x sum phi_j(x)^2, is the same in every orthonormal basis of the cluster.
+    """
+    clusters = [[0]]
+    for j in range(1, len(lam)):
+        if lam[j] - lam[j - 1] > CLUSTER_RTOL * abs(lam[j]):
+            clusters.append([j])
+        else:
+            clusters[-1].append(j)
+    weights = np.exp(-np.clip(lam[[c[0] for c in clusters]] * t, None, 745.0))
+    bounds = weights * np.array([np.max(np.sum(phi[:, c] ** 2, axis=1)) for c in clusters])
+    return clusters[np.flatnonzero(bounds >= EIGENSUM_TAIL * np.sum(bounds))[-1]][-1] + 1
 
 
 # nonnegative potentials: a (x - s)^2 + c, a x^4 + b x^2 + c, and the double well a (x^2 - b^2)^2
@@ -241,6 +254,9 @@ nonnegative = st.one_of(
 @settings(max_examples=15, deadline=None)
 @example(coeffs=[0.0, 0.0, 1.0], L=8.0, m=601, t_min=0.05)  # k = 155, a quarter of the modes
 @example(coeffs=[1.0, 0.0, -2.0, 0.0, 1.0], L=8.0, m=1201, t_min=0.05)  # k = 153, an eighth of the modes
+# modes 200 and 201 are a pair localized at the two walls with one eigenvalue: the
+# max of each eigenvector depends on the basis LAPACK picks inside the pair
+@example(coeffs=[0.0, 0.0, 1.0], L=6.0, m=202, t_min=0.02)
 @given(
     coeffs=nonnegative,
     L=st.floats(2.0, 8.0),
@@ -317,3 +333,27 @@ def test_build_refuses_potentials_singular_at_0_for_any_m(V, m):
     # an even m puts no node on 0, so only V(0) itself shows the singularity
     with pytest.raises(DomainError):
         build_spectral(V, 4.0, m, 0.05)
+
+
+def test_mode_count_does_not_depend_on_the_basis_inside_a_cluster(monkeypatch):
+    # V = x^2 on [-6, 6], m = 202: modes 200 and 201 are a pair localized at the
+    # two walls with one eigenvalue, so any rotation of the pair is an eigenbasis
+    V = PolynomialPotential([0.0, 0.0, 1.0])
+    K = build_spectral(V, 6.0, 202, 0.02)
+    assert K.eigenvalues[201] - K.eigenvalues[200] <= CLUSTER_RTOL * K.eigenvalues[201]
+    real = spectral.eigh_tridiagonal
+
+    def rotated(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if kwargs.get("eigvals_only"):
+            return out
+        lam, vecs = out
+        c = math.sqrt(0.5)
+        vecs[:, 200:202] = vecs[:, 200:202] @ np.array([[c, -c], [c, c]])
+        return lam, vecs
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", rotated)
+    R = build_spectral(V, 6.0, 202, 0.02)
+    assert abs(R.phi_sup[200] - K.phi_sup[200]) > 0.1  # each mode's own max moved with the basis
+    for t in (0.02, 0.03, 0.08, 2.02):
+        assert R.mode_count(t) == K.mode_count(t)
