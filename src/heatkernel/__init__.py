@@ -32,7 +32,6 @@ from .errors import (
     ParameterError,
 )
 from .explicit import (
-    KernelValue,
     QuadraticCoeffs,
     a0_shift_check,
     gaussian_kernel,
@@ -66,7 +65,7 @@ from .spectral import (
     build_spectral,
     cached_spectral,
     converged_kernel,
-    dirichlet_interval_kernel,
+    dirichlet_interval_log_kernel,
     eval_spectral,
     pde_residual,
     semigroup_defect,

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .explicit import KernelValue
 from .potentials import Cube, Potential, cube_average, m_beta
 
 # The floor a fitted constant is clipped to, so that every envelope stays valid.
@@ -163,8 +162,8 @@ def interval_clamp_time(epsilon: float) -> float:
     return epsilon**2 / math.log(2.0)
 
 
-def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
-    """Evaluate any envelope family at one point (log-space).
+def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> float:
+    """log of any envelope family at one point.
 
     gaussian_upper      c0 t^{-n/2} exp(-c2 |x-y|^2 / t)
     avg_upper           c0 t^{-n/2} e^{-c2 |x-y|^2/t} exp{-c1 sqrt(m_beta(t avg_x))}
@@ -182,7 +181,7 @@ def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> KernelValue:
     stays eps-deep inside the ball (caller's responsibility).
     """
     _check_envelope(env, x, y, t)
-    return KernelValue(_log_envelope(V, env, x, y, t))
+    return _log_envelope(V, env, x, y, t)
 
 
 def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
@@ -336,8 +335,8 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
 
 def chained_lower_bound(
     V: Potential, plan: ChainPlan, c0: float, c1: float, doubling_C: float
-) -> KernelValue:
-    """Product of on-diagonal bounds over the chain cubes, in log-space.
+) -> float:
+    """log of the product of on-diagonal bounds over the chain cubes.
 
     log p >= log(1/sigma) - (n/2) log t + (n/2) log M + M log(sigma c0)
              - c1 t (C^M  avg of V over the side-sigma*sqrt(t/M) cube at x)
@@ -355,9 +354,9 @@ def chained_lower_bound(
     if avg > 0.0:
         log_decay = math.log(c1 * plan.t) + plan.M * math.log(doubling_C) + math.log(avg)
         if log_decay > 700.0:
-            return KernelValue(-math.inf)
+            return -math.inf
         logv -= math.exp(log_decay)
-    return KernelValue(logv)
+    return logv
 
 
 # ---------------------------------------------------------------------------

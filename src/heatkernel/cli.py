@@ -53,7 +53,7 @@ from .config import (
 )
 from .csvout import emit_csv
 from .errors import ConfigError, ParameterError
-from .explicit import KernelValue, quadratic_kernel, quadratic_log_kernel
+from .explicit import quadratic_kernel, quadratic_log_kernel
 from .ode import closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
 # test checks that tracing restores `cli.cube_average` afterwards.
@@ -121,9 +121,14 @@ def _bounds_samples(cfg: dict, base_dir: Path | None):
 
     def samples():
         for x, y, t in pts:
-            yield x, y, t, quadratic_kernel(quad, x, y, t).log_value
+            yield x, y, t, quadratic_kernel(quad, x, y, t)
 
     return samples, V, _prov_line(cfg, "engine=explicit", xs, ys, ts)
+
+
+def _p(log_p: float) -> float:
+    """p for the CSV's p column: 0 below log p = -745, inf above 709, else e^{log p}."""
+    return 0.0 if log_p < -745.0 else math.inf if log_p > 709.0 else math.exp(log_p)
 
 
 def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
@@ -136,7 +141,7 @@ def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         np.tile(np.repeat(ys, nt), nx),
         np.tile(ts, nx * ny),
         lp,
-        [KernelValue(v).value for v in lp.tolist()],
+        [_p(v) for v in lp.tolist()],
     ]
     path = emit_csv(columns, ["x", "y", "t", "log_p", "p"], out / "kernel.csv", prov_line)
     print(f"wrote {path} ({len(lp)} rows)")
@@ -148,7 +153,9 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
     slacks = {k: [] for k in ("family", "x", "y", "t", "log_p", "log_env", "slack")}
     all_ok = True
-    for i, spec in enumerate(cfg.get("envelopes", DEFAULT_CONFIG["envelopes"])):
+    if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
+        raise ConfigError(f"envelopes must be a list, got {specs!r}")
+    for i, spec in enumerate(specs):
         env0 = envelope_from_config(spec, f"envelopes[{i}]", V.n)
         fit = fit_constants(
             V,
@@ -243,10 +250,10 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     plan = chain_plan(x, y, t, sigma=float(sigma) if sigma is not None else None)
     window = Cube(x, max(4.0 * math.sqrt(t), 4.0))
     dbl = doubling_fit(V, window, 8)
-    bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
+    log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
-        f"spacing={plan.spacing:.6g} log_bound={bound.log_value:.6g}"
+        f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g}"
     )
     xs = plan.waypoints[:, 0]
     avgs = cube_averages(V, xs, plan.cube_side)

@@ -68,9 +68,9 @@ LIMITS = {
     "spectral.half_width": ("a number > 0", lambda v: v > 0),
     "tolerances.rel": ("a number > 0", lambda v: v > 0),
 }
-# Every subcommand that reads the grid holds a Python row per point: at the cap,
-# closed-form `kernel` peaks at about 360 MB and writes a 100 MB CSV in 13 s on a
-# 2-vCPU Xeon VM, and closed-form `bounds` evaluates every point once per family.
+# At the cap, closed-form `kernel` peaks at about 150 MB RSS and writes a 100 MB CSV
+# in about 4 s on a 2-vCPU Xeon VM (one run of a 100^3 grid), and closed-form
+# `bounds` evaluates every point once per family.
 MAX_GRID_POINTS = 1_000_000
 # The constant a family's fit cannot do without.
 REQUIRED_CONSTANT = {
@@ -135,43 +135,45 @@ def config_hash(cfg: dict) -> str:
 
 
 def _need(cfg: dict, key: str, section: str = ""):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{section} must be an object, got {cfg!r}")
     if key not in cfg:
         where = f" in section {section!r}" if section else ""
         raise ConfigError(f"missing key {key!r}{where}")
     return cfg[key]
 
 
-def potential_from_config(spec: dict, base_dir: Path | None = None) -> Potential:
-    """Build a potential from its config section.
+def potential_from_config(spec: dict, base_dir: Path | None = None, where: str = "potential") -> Potential:
+    """Build a potential from its config section; `where` names it in errors, as `potential.base`.
 
     Keys: kind (polynomial | power | constant | tabulated | scaled | sum),
     then coefficients/dimension, exponent, value, table, factor/base, parts.
     """
-    kind = str(_need(spec, "kind", "potential")).lower()
+    kind = str(_need(spec, "kind", where)).lower()
     if "dimension" in spec:
         _number(spec["dimension"], "potential.dimension")
     try:
         if kind == "polynomial":
-            return PolynomialPotential(_need(spec, "coefficients", "potential"))
+            coeffs = _need(spec, "coefficients", where)
+            return PolynomialPotential([_number(c, f"{where}.coefficients[{i}]") for i, c in enumerate(coeffs)])
         if kind == "power":
-            return PowerPotential(float(_need(spec, "exponent", "potential")))
+            return PowerPotential(_number(_need(spec, "exponent", where), f"{where}.exponent"))
         if kind == "constant":
-            value = float(_need(spec, "value", "potential"))
-            return PolynomialPotential([value])
+            return PolynomialPotential([_number(_need(spec, "value", where), f"{where}.value")])
         if kind == "tabulated":
-            table = _need(spec, "table", "potential")
+            table = _need(spec, "table", where)
             path = Path(table)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             return load_tabulated_csv(path)
         if kind == "scaled":
             return ScaledPotential(
-                float(_need(spec, "factor", "potential")),
-                potential_from_config(_need(spec, "base", "potential"), base_dir),
+                _number(_need(spec, "factor", where), f"{where}.factor"),
+                potential_from_config(_need(spec, "base", where), base_dir, f"{where}.base"),
             )
         if kind == "sum":
-            parts = [potential_from_config(p, base_dir) for p in _need(spec, "parts", "potential")]
-            return SumPotential(*parts)
+            parts = enumerate(_need(spec, "parts", where))
+            return SumPotential(*(potential_from_config(p, base_dir, f"{where}.parts[{i}]") for i, p in parts))
     except ConfigError:
         raise
     except Exception as exc:
@@ -218,7 +220,7 @@ def envelope_from_config(spec: dict, where: str, n: int) -> BoundEnvelope:
     dimension n is the potential's, so an `n` key is refused, and so is
     dirichlet_ball, which needs n >= 2, on a one-dimensional potential.
     """
-    family = str(_need(spec, "family", "envelopes"))
+    family = str(_need(spec, "family", where))
     if family not in FAMILIES:
         raise ConfigError(f"unknown envelope family {family!r}; known: {', '.join(FAMILIES)}")
     for key in ("c0", "c1", "c2", "c3", "C"):
@@ -256,9 +258,10 @@ def _linspace_count(spec, name: str):
 def axis_from_config(spec, name: str) -> np.ndarray:
     """[lo, hi, count] -> linspace; a plain list of numbers passes through."""
     count = _linspace_count(spec, name)
+    values = [float(_number(v, f"grid.{name}[{i}]")) for i, v in enumerate(spec if count is None else spec[:2])]
     if count is None:
-        return np.asarray([float(v) for v in spec])
-    lo, hi = float(spec[0]), float(spec[1])
+        return np.asarray(values)
+    lo, hi = values
     if count == 1:
         return np.array([lo])
     return np.linspace(lo, hi, count)

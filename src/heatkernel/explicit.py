@@ -1,8 +1,8 @@
 """Closed-form heat kernels: free Gaussian and the quadratic-potential kernel.
 
-All kernel arithmetic happens in log-space; values are exponentiated on
-demand.  Hyperbolic factors switch to exp-scaled forms at argument 30 so
-the kernel stays finite for t up to 1e4 and |x|, |y| up to 1e3.
+All kernel arithmetic happens in log-space: every kernel returns log p,
+-inf for an exact zero.  Hyperbolic factors switch to exp-scaled forms at
+argument 30 so the kernel stays finite for t up to 1e4 and |x|, |y| up to 1e3.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ HYP_SCALE_ARG = 30.0  # switch point for exp-scaled hyperbolic forms
 T_FLOOR = 1e-12  # delta-limit regime below this is handled by limit tests
 
 __all__ = [
-    "KernelValue",
     "QuadraticCoeffs",
     "gaussian_kernel",
     "gaussian_log_kernel",
@@ -31,26 +30,6 @@ __all__ = [
     "csch",
     "coth_minus_csch",
 ]
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """A kernel sample stored as log p; -inf encodes an exact zero."""
-
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        if self.log_value == -math.inf:
-            return 0.0
-        if self.log_value < -745.0:
-            return 0.0
-        if self.log_value > 709.0:
-            return math.inf
-        return math.exp(self.log_value)
-
-    def __repr__(self):
-        return f"KernelValue(log={self.log_value:.6g}, value={self.value:.6g})"
 
 
 @dataclass(frozen=True)
@@ -116,11 +95,11 @@ def _gaussian_log(n: int, d2, t: float):
     return -0.5 * n * (math.log(4.0 * math.pi) + math.log(t)) - d2 / (4.0 * t)
 
 
-def gaussian_kernel(n: int, x, y, t: float) -> KernelValue:
-    """Free heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t)."""
+def gaussian_kernel(n: int, x, y, t: float) -> float:
+    """log p of the free heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t)."""
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n}")
-    return KernelValue(_gaussian_log(n, _sq_dist(x, y), t))
+    return _gaussian_log(n, _sq_dist(x, y), t)
 
 
 def gaussian_log_kernel(xs, ys, ts) -> np.ndarray:
@@ -162,8 +141,8 @@ def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
     return head - 0.5 * w * (d * d * cs + (x * x + y * y) * th) - c.a1 / (2.0 * w) * (x + y) * th
 
 
-def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> KernelValue:
-    """Exact 1D heat kernel for V(x) = a0 + a1 x + a2 x^2, a2 > 0.
+def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> float:
+    """log p of the exact 1D heat kernel for V(x) = a0 + a1 x + a2 x^2, a2 > 0.
 
     log p = 1/2 log(sqrt(a2) csch(u) / 2pi)
             + (a1^2/4a2 - a0) t
@@ -173,7 +152,7 @@ def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> Kernel
     with u = 2 sqrt(a2) t.  This is the shifted/translated oscillator
     kernel; it does not require V >= 0.
     """
-    return KernelValue(float(_quadratic_log(c, x, y, t)))
+    return float(_quadratic_log(c, x, y, t))
 
 
 def quadratic_log_kernel(c: QuadraticCoeffs, xs, ys, ts) -> np.ndarray:
@@ -191,6 +170,5 @@ def a0_shift_check(c: QuadraticCoeffs, x: float, y: float, t: float) -> float:
     Returns |log p_{a0} - (log p_0 - a0 t)|; zero up to roundoff for any
     a0 (signed included).
     """
-    shifted = quadratic_kernel(c, x, y, t)
     base = quadratic_kernel(QuadraticCoeffs(0.0, c.a1, c.a2), x, y, t)
-    return abs(shifted.log_value - (base.log_value - c.a0 * t))
+    return abs(quadratic_kernel(c, x, y, t) - (base - c.a0 * t))

@@ -38,7 +38,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .explicit import KernelValue
 from .potentials import Potential
 
 EIGENSUM_TAIL = 1e-16
@@ -53,7 +52,7 @@ __all__ = [
     "build_spectral",
     "eval_spectral",
     "spectral_log_kernel",
-    "dirichlet_interval_kernel",
+    "dirichlet_interval_log_kernel",
     "converged_kernel",
     "ProbeGrid",
     "z_lattice",
@@ -107,8 +106,8 @@ class SpectralKernel:
 
     phi has one row per grid node including the boundary zeros, one column
     per mode kept for t >= t_min, normalized so that h * phi.T @ phi = I on
-    the interior.  Treat instances as immutable once built; evaluation never
-    mutates them, so a kernel is safe to share across threads.
+    the interior.  Treat instances as immutable once built: evaluation never
+    mutates them, and `cached_spectral` hands the same instance to every caller.
     """
 
     L: float
@@ -248,38 +247,44 @@ def spectral_log_kernel(K: SpectralKernel, xs, ys, ts) -> np.ndarray:
     return np.where(positive, np.log(np.where(positive, out, 1.0)), -np.inf)
 
 
-def eval_spectral(K: SpectralKernel, x: float, y: float, t: float) -> KernelValue:
+def eval_spectral(K: SpectralKernel, x: float, y: float, t: float) -> float:
     """One point of `spectral_log_kernel`."""
-    return KernelValue(float(spectral_log_kernel(K, [x], [y], [t])[0, 0, 0]))
+    return float(spectral_log_kernel(K, [x], [y], [t])[0, 0, 0])
 
 
-def dirichlet_interval_kernel(a: float, b: float, x: float, y: float, t: float) -> KernelValue:
-    """Sine-series heat kernel of the Dirichlet Laplacian on (a, b).
+def dirichlet_interval_log_kernel(a: float, b: float, xs, ys, ts) -> np.ndarray:
+    """Sine-series heat kernel of the Dirichlet Laplacian on (a, b), as log p shaped [t, x, y].
 
     Gamma_D(x,y,t) = (2/(b-a)) sum_k sin(k pi (x-a)/(b-a)) sin(k pi (y-a)/(b-a))
                      exp(-(k pi/(b-a))^2 t)
 
-    The series keeps enough terms that the next one is below 1e-16 of the sum.
-    Points on the boundary return an exact zero; outside is an error.
+    At each t the series keeps enough terms that the next one is below 1e-16
+    of the sum, and sums them per point in one order, so a one-point call is
+    the grid bit for bit.  Points on the walls, and sums <= 0 (the series'
+    cancellation floor), give -inf; a point outside is an error.
     """
     if not b > a:
         raise ParameterError(f"need b > a, got ({a}, {b})")
-    if not t > 0.0:
-        raise ParameterError(f"time must be > 0, got {t}")
     ell = b - a
-    for pt in (x, y):
-        if pt < a - 1e-14 or pt > b + 1e-14:
-            raise ParameterError(f"point {pt} outside [{a}, {b}]")
-    if min(abs(x - a), abs(x - b), abs(y - a), abs(y - b)) <= 1e-14:
-        return KernelValue(-math.inf)
-    terms = int(math.ceil(ell / math.pi * math.sqrt(40.0 / t))) + 4
-    k = np.arange(1, terms + 1)
-    decay = np.exp(-np.clip((k * math.pi / ell) ** 2 * t, None, 745.0))
-    series = np.sin(k * math.pi * (x - a) / ell) * np.sin(k * math.pi * (y - a) / ell) * decay
-    value = 2.0 / ell * float(np.sum(series))
-    if value <= 0.0:
-        return KernelValue(-math.inf)
-    return KernelValue(math.log(value))
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    pts = np.concatenate([xs, ys])
+    outside = ~((pts >= a - 1e-14) & (pts <= b + 1e-14))
+    if np.any(outside):
+        raise ParameterError(f"point {pts[outside][0]} outside [{a}, {b}]")
+    wall = np.minimum(np.abs(pts - a), np.abs(pts - b)) <= 1e-14
+    walls = wall[: len(xs), None] | wall[None, len(xs) :]
+    out = np.empty((len(ts), len(xs), len(ys)))
+    for i, t in enumerate(ts):
+        if not t > 0.0:
+            raise ParameterError(f"time must be > 0, got {t}")
+        k = np.arange(1, int(math.ceil(ell / math.pi * math.sqrt(40.0 / t))) + 5)
+        decay = np.exp(-np.clip((k * math.pi / ell) ** 2 * t, None, 745.0))
+        sx = np.sin(k * math.pi * (xs[:, None] - a) / ell)
+        sy = np.sin(k * math.pi * (ys[:, None] - a) / ell)
+        out[i] = 2.0 / ell * np.sum(sx[:, None, :] * sy[None, :, :] * decay, axis=-1)
+    positive = (out > 0.0) & ~walls
+    return np.where(positive, np.log(np.where(positive, out, 1.0)), -np.inf)
 
 
 @lru_cache(maxsize=12)
@@ -288,16 +293,14 @@ def cached_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKer
     return build_spectral(V, L, m, t_min)
 
 
+# Node spacing of the boxes `converged_kernel` builds, clamped to 201..4001 nodes.
+CONVERGED_H = 0.01
+
+
 def converged_kernel(
-    V: Potential,
-    x: float,
-    y: float,
-    t: float,
-    rel_tol: float = 1e-4,
-    h_target: float = 0.01,
-    max_doublings: int = 4,
-) -> KernelValue:
-    """Whole-space kernel via domain doubling of the Dirichlet boxes.
+    V: Potential, x: float, y: float, t: float, rel_tol: float = 1e-4, max_doublings: int = 4
+) -> float:
+    """log p of the whole-space kernel, via domain doubling of the Dirichlet boxes.
 
     Truncation only lowers the kernel, so successive values increase
     (up to discretization error); the first doubling that moves the value
@@ -309,13 +312,12 @@ def converged_kernel(
     trace = []
     prev = None
     for _ in range(max_doublings + 1):
-        m = int(round(2.0 * L / h_target)) - 1
-        m = max(201, min(m, 4001))
-        K = cached_spectral(V, L, m, t)
-        val = eval_spectral(K, x, y, t).value
+        m = max(201, min(int(round(2.0 * L / CONVERGED_H)) - 1, 4001))
+        log_p = eval_spectral(cached_spectral(V, L, m, t), x, y, t)
+        val = math.exp(log_p)
         trace.append((L, val))
         if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return KernelValue(math.log(val)) if val > 0 else KernelValue(-math.inf)
+            return log_p
         prev = val
         L *= 2.0
     raise ConvergenceError(
@@ -399,7 +401,7 @@ def semigroup_defect(K, x: float, y: float, t: float, s: float, L: float | None 
         p1 = K.phi[1:-1] @ (K.weights(t) * K.modes_at(x))
         p2 = K.phi[1:-1] @ (K.weights(s) * K.modes_at(y))
         integral = K.h * float(np.dot(p1, p2))
-        direct = eval_spectral(K, x, y, t + s).value
+        log_direct = eval_spectral(K, x, y, t + s)
     else:
         if L is None:
             L = max(abs(x), abs(y)) + 12.0 * math.sqrt(max(t, s)) + 1.0
@@ -407,7 +409,8 @@ def semigroup_defect(K, x: float, y: float, t: float, s: float, L: float | None 
         p1 = np.exp(K([x], zs, [t])[0, 0])
         p2 = np.exp(K(zs, [y], [s])[0, :, 0])
         integral = h * float(np.dot(p1, p2))
-        direct = KernelValue(float(K([x], [y], [t + s])[0, 0, 0])).value
+        log_direct = float(K([x], [y], [t + s])[0, 0, 0])
+    direct = math.exp(log_direct) if log_direct >= -745.0 else 0.0
     if direct <= 0.0:
         return abs(integral - direct)
     return abs(integral - direct) / direct

@@ -66,7 +66,7 @@ def test_closed_form_batched_equals_scalar(coeffs):
     ts = np.append(np.geomspace(0.01, 30.0, 6), 0.5)
     got = quadratic_log_kernel(c, xs, ys, ts)
     assert got.shape == (len(ts), len(xs), len(ys))
-    want = np.array([[[quadratic_kernel(c, x, y, t).log_value for y in ys] for x in xs] for t in ts])
+    want = np.array([[[quadratic_kernel(c, x, y, t) for y in ys] for x in xs] for t in ts])
     assert got.tobytes() == want.tobytes()
 
 
@@ -83,7 +83,7 @@ def test_spectral_batched_equals_scalar_where_resolved(spectral_vxx1):
     assert np.max(np.abs(got[mask] - want[mask])) <= 1e-12
     # the one-point call is the same function
     for k, i, j in [(0, 0, 8), (2, 3, 4), (4, 8, 1)]:
-        assert eval_spectral(spectral_vxx1, XS[i], XS[j], TS[k]).log_value == got[k, i, j]
+        assert eval_spectral(spectral_vxx1, XS[i], XS[j], TS[k]) == got[k, i, j]
 
 
 ONE_POINT_EQUALS_GRID = """
@@ -97,7 +97,7 @@ grid = spectral_log_kernel(K, xs, xs, ts)
 for k, t in enumerate(ts):
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
-            one = eval_spectral(K, x, y, t).log_value
+            one = eval_spectral(K, x, y, t)
             assert one == grid[k, i, j], (x, y, t, one, grid[k, i, j])
 """
 
@@ -126,7 +126,7 @@ def test_spectral_grids_are_bit_symmetric(spectral_vxx1):
     b = spectral_log_kernel(spectral_vxx1, ys, XS, TS)
     assert np.array_equal(a, b.transpose(0, 2, 1))
     for x, y, t in [(0.4, -1.3, 0.05), (-2.0, 2.0, 0.05), (1.9, -1.7, 0.3)]:
-        assert eval_spectral(spectral_vxx1, x, y, t).log_value == eval_spectral(spectral_vxx1, y, x, t).log_value
+        assert eval_spectral(spectral_vxx1, x, y, t) == eval_spectral(spectral_vxx1, y, x, t)
 
 
 def test_spectral_batched_errors(spectral_free):
@@ -162,7 +162,7 @@ def test_kernel_csv_rows_are_x_major(tmp_path, engine):
     assert [r[:3] for r in rows] == grid_points([-1.0, 0.0, 1.0], [0.0, 0.5], [0.1, 0.4])
     if engine == "explicit":
         c = QuadraticCoeffs(0.5, 0.2, 1.0)
-        assert max(abs(r[3] - quadratic_kernel(c, *r[:3]).log_value) for r in rows) <= 1e-12
+        assert max(abs(r[3] - quadratic_kernel(c, *r[:3])) for r in rows) <= 1e-12
 
 
 def test_closed_form_bounds_reads_the_batched_values(tmp_path):
@@ -251,12 +251,12 @@ def sandwich_samples(shift=0.0):
 def ball_samples():
     """2-D points and a free kernel scaled by e^{-1/2}, for dirichlet_ball at n = 2."""
     pts = [((a, 0.1), (b, -0.2)) for a in (-0.3, 0.0, 0.25) for b in (-0.2, 0.1, 0.3)]
-    return [(x, y, t, gaussian_kernel(2, x, y, t).log_value - 0.5) for x, y in pts for t in (0.02, 0.1, 0.3)]
+    return [(x, y, t, gaussian_kernel(2, x, y, t) - 0.5) for x, y in pts for t in (0.02, 0.1, 0.3)]
 
 
 def free_samples(shift=0.0):
     xs = np.linspace(-2, 2, 7)
-    return [(x, y, t, gaussian_kernel(1, x, y, t).log_value + shift) for x, y, t in grid_points(xs, xs, [0.1, 0.5, 1.0])]
+    return [(x, y, t, gaussian_kernel(1, x, y, t) + shift) for x, y, t in grid_points(xs, xs, [0.1, 0.5, 1.0])]
 
 
 # More fits recorded before each envelope formula was written once: family,
@@ -324,13 +324,10 @@ def test_interval_fit_matches_pin():
     assert result.passed
     feasible, min_slack, C = INTERVAL_PIN
     assert f"C={C:.4f}" in result.details
-    from heatkernel.spectral import dirichlet_interval_kernel
+    from heatkernel.spectral import dirichlet_interval_log_kernel
 
-    inner = np.linspace(math.pi / 4.0, 3.0 * math.pi / 4.0, 11)[1:-1]
-    samples = [
-        (x, y, t, dirichlet_interval_kernel(0.0, math.pi, x, y, t).log_value)
-        for x, y, t in grid_points(inner, inner, np.linspace(0.01, 1.0, 6))
-    ]
+    inner, ts = np.linspace(math.pi / 4.0, 3.0 * math.pi / 4.0, 11)[1:-1], np.linspace(0.01, 1.0, 6)
+    samples = grid_samples(inner, inner, ts, dirichlet_interval_log_kernel(0.0, math.pi, inner, inner, ts))
     fit = fit_constants(None, samples, "dirichlet_interval", epsilon=math.pi / 4.0)
     assert fit.feasible is feasible
     assert abs(fit.min_slack - min_slack) <= 1e-12

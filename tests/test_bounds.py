@@ -17,7 +17,6 @@ from heatkernel import (
     chained_lower_bound,
     constant,
     converged_kernel,
-    dirichlet_interval_kernel,
     doubling_fit,
     fefferman_phong_ratio,
     fit_constants,
@@ -32,6 +31,7 @@ from heatkernel import (
     energy_test_family,
     evaluate_envelope,
 )
+from heatkernel.spectral import dirichlet_interval_log_kernel
 from heatkernel.bounds import FAMILIES, _dist
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
@@ -41,7 +41,7 @@ Q_SQ = QuadraticCoeffs(0, 0, 1)
 
 def sampled(K, pts):
     """(x, y, t, log p) samples of a scalar kernel, as fit_constants takes them."""
-    return [(x, y, t, K(x, y, t).log_value) for x, y, t in pts]
+    return [(x, y, t, K(x, y, t)) for x, y, t in pts]
 
 
 def _upper_env(**kw):
@@ -50,15 +50,11 @@ def _upper_env(**kw):
     return BoundEnvelope(**base)
 
 
-def _log_env(V, env, x, y, t):
-    return evaluate_envelope(V, env, x, y, t).log_value
-
-
 def test_avg_upper_zero_potential_is_gaussian_shape():
     e = _upper_env()
     for x, y, t in [(0.0, 1.0, 0.3), (-2.0, 0.5, 1.0)]:
-        got = _log_env(V0, e, x, y, t)
-        want = _log_env(None, _upper_env(family="gaussian_upper"), x, y, t)
+        got = evaluate_envelope(V0, e, x, y, t)
+        want = evaluate_envelope(None, _upper_env(family="gaussian_upper"), x, y, t)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -66,54 +62,54 @@ def test_avg_upper_quadratic_average_term():
     # V = z^2 at x = 0: the averaged decay argument is t * (t/12)
     e = _upper_env(beta=0.5)
     t = 0.9
-    got = _log_env(V_SQ, e, 0.0, 0.0, t)
-    gauss = _log_env(None, _upper_env(family="gaussian_upper", beta=0.5), 0.0, 0.0, t)
+    got = evaluate_envelope(V_SQ, e, 0.0, 0.0, t)
+    gauss = evaluate_envelope(None, _upper_env(family="gaussian_upper", beta=0.5), 0.0, 0.0, t)
     want = gauss - e.c1 * math.sqrt(m_beta(t * t / 12.0, e.beta))
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_avg_upper_monotone_in_c1():
-    lo = _log_env(V_SQ, _upper_env(c1=0.5), 1.0, 0.0, 1.0)
-    hi = _log_env(V_SQ, _upper_env(c1=2.0), 1.0, 0.0, 1.0)
+    lo = evaluate_envelope(V_SQ, _upper_env(c1=0.5), 1.0, 0.0, 1.0)
+    hi = evaluate_envelope(V_SQ, _upper_env(c1=2.0), 1.0, 0.0, 1.0)
     assert hi < lo
 
 
 def test_beta_ordering_weakens_bound():
     # smaller beta gives a larger envelope once the decay argument exceeds 1
     t, x = 2.0, 2.0
-    small = _log_env(V_SQ, _upper_env(beta=0.3), x, 0.0, t)
-    large = _log_env(V_SQ, _upper_env(beta=0.9), x, 0.0, t)
+    small = evaluate_envelope(V_SQ, _upper_env(beta=0.3), x, 0.0, t)
+    large = evaluate_envelope(V_SQ, _upper_env(beta=0.9), x, 0.0, t)
     assert t * (x * x + t / 12.0) > 1.0
     assert small > large
 
 
 def test_symmetrized_properties():
     e = _upper_env(family="symmetrized_upper")
-    a = _log_env(V_SQ, e, 0.4, -1.0, 0.7)
-    b = _log_env(V_SQ, e, -1.0, 0.4, 0.7)
+    a = evaluate_envelope(V_SQ, e, 0.4, -1.0, 0.7)
+    b = evaluate_envelope(V_SQ, e, -1.0, 0.4, 0.7)
     assert a == pytest.approx(b, rel=1e-14)
     # x = y doubles the single-point decay of avg_upper (with the c-roles swapped)
     x = 1.3
     t = 0.6
-    got = _log_env(V_SQ, e, x, x, t)
-    single = _log_env(V_SQ, _upper_env(c1=2.0 * e.c2, c2=e.c1), x, x, t)
+    got = evaluate_envelope(V_SQ, e, x, x, t)
+    single = evaluate_envelope(V_SQ, _upper_env(c1=2.0 * e.c2, c2=e.c1), x, x, t)
     assert got == pytest.approx(single, rel=1e-13)
-    assert _log_env(V0, e, 0.3, 0.9, 0.5) == pytest.approx(
-        _log_env(None, _upper_env(family="gaussian_upper", c2=e.c1), 0.3, 0.9, 0.5), rel=1e-14
+    assert evaluate_envelope(V0, e, 0.3, 0.9, 0.5) == pytest.approx(
+        evaluate_envelope(None, _upper_env(family="gaussian_upper", c2=e.c1), 0.3, 0.9, 0.5), rel=1e-14
     )
 
 
 def test_quadratic_sharp_branches_at_one():
     e = BoundEnvelope(family="quadratic_sharp", n=1, c0=0.2, c1=0.3, c2=0.8, c3=0.4)
     # t = 1 takes the small-t branch, -c0 (x-y)^2/t - c1 t (x^2+y^2); just past it the large-t one
-    small = _log_env(None, e, 1.0, -1.0, 1.0)
-    large = _log_env(None, e, 1.0, -1.0, 1.001)
+    small = evaluate_envelope(None, e, 1.0, -1.0, 1.0)
+    large = evaluate_envelope(None, e, 1.0, -1.0, 1.001)
     assert math.isfinite(small) and math.isfinite(large)
     assert small == pytest.approx(-0.2 * 4.0 - 0.3 * 2.0)
     assert large == pytest.approx(-0.8 * 1.001 - 0.4 * 2.0)
     assert large != small
     # origin small-t shape is the bare power of t
-    assert _log_env(None, e, 0.0, 0.0, 0.25) == pytest.approx(-0.5 * math.log(0.25))
+    assert evaluate_envelope(None, e, 0.0, 0.0, 0.25) == pytest.approx(-0.5 * math.log(0.25))
 
 
 def test_avg_lower_branches():
@@ -122,12 +118,12 @@ def test_avg_lower_branches():
     )
     # near branch at x = 0 for V = z^2 decays like exp(-c1 t^2 / 12)
     t = 0.64
-    got = _log_env(V_SQ, e, 0.0, 0.0, t)
+    got = evaluate_envelope(V_SQ, e, 0.0, 0.0, t)
     want = math.log(e.c0) - 0.5 * math.log(t) - e.c1 * t * (t / 12.0)
     assert got == pytest.approx(want, rel=1e-14)
     # the boundary |x-y| = kappa sqrt(t) selects the far branch
     d = e.kappa * math.sqrt(t)
-    far = _log_env(V_SQ, e, 0.0, d, t)
+    far = evaluate_envelope(V_SQ, e, 0.0, d, t)
     explicit_far = (
         math.log(e.c0)
         - 0.5 * math.log(t)
@@ -137,9 +133,9 @@ def test_avg_lower_branches():
     # far-branch average for V=z^2 at x=0 with side t/d is (t/d)^2/12
     assert far == pytest.approx(explicit_far, rel=1e-12)
     # zero potential: both branches carry the Gaussian-type shape only
-    near0 = _log_env(V0, e, 0.0, 0.01, 1.0)
+    near0 = evaluate_envelope(V0, e, 0.0, 0.01, 1.0)
     assert near0 == pytest.approx(math.log(e.c0) - 0.0, rel=1e-12)
-    far0 = _log_env(V0, e, 0.0, 1.0, 1.0)
+    far0 = evaluate_envelope(V0, e, 0.0, 1.0, 1.0)
     assert far0 == pytest.approx(math.log(e.c0) - e.c3, rel=1e-12)
 
 
@@ -149,14 +145,14 @@ def _interval(eps, C):
 
 def test_interval_lower_bound_clamp():
     eps = 0.8
-    kv = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, 1e-3)
-    assert kv.log_value > -math.inf  # not clamped
+    lv = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, 1e-3)
+    assert lv > -math.inf  # not clamped
     # tiny t: the boundary factor is essentially 1
     want = math.log(0.5) - 0.5 * math.log(1e-3) - 0.04 / (4e-3)
-    assert kv.log_value == pytest.approx(want, rel=1e-6)
+    assert lv == pytest.approx(want, rel=1e-6)
     t_clamp = interval_clamp_time(eps)
-    kv2 = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, t_clamp * 1.0001)
-    assert kv2.log_value == -math.inf and kv2.value == 0.0  # clamped
+    lv2 = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, t_clamp * 1.0001)
+    assert lv2 == -math.inf and math.exp(lv2) == 0.0  # clamped
     with pytest.raises(ParameterError):
         evaluate_envelope(None, _interval(0.0, 0.5), 0.1, 0.2, 0.5)
     with pytest.raises(ParameterError):
@@ -166,13 +162,9 @@ def test_interval_lower_bound_clamp():
 def test_interval_lower_holds_for_sine_series():
     # fitted C in (0,1) makes the bound valid on the sampled window
     eps = math.pi / 4.0
-    pts = grid_points(
-        np.linspace(math.pi / 4, 3 * math.pi / 4, 11)[1:-1],
-        np.linspace(math.pi / 4, 3 * math.pi / 4, 11)[1:-1],
-        np.linspace(0.01, 1.0, 6),
-    )
-    K = lambda x, y, t: dirichlet_interval_kernel(0.0, math.pi, x, y, t)
-    fit = fit_constants(None, sampled(K, pts), "dirichlet_interval", epsilon=eps)
+    inner, ts = np.linspace(math.pi / 4, 3 * math.pi / 4, 11)[1:-1], np.linspace(0.01, 1.0, 6)
+    samples = grid_samples(inner, inner, ts, dirichlet_interval_log_kernel(0.0, math.pi, inner, inner, ts))
+    fit = fit_constants(None, samples, "dirichlet_interval", epsilon=eps)
     assert fit.feasible
     assert 0.0 < fit.envelope.C < 1.0
     assert fit.min_slack >= -1e-12
@@ -184,18 +176,18 @@ def test_ball_lower_bound():
     # x = y leaves only the time-decay factor
     v = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (0.0, 0.0), 0.3)
     want = math.log(C) - math.log(0.3) - math.pi**2 * 4 * 0.3 / 4.0
-    assert v.log_value == pytest.approx(want, rel=1e-12)
+    assert v == pytest.approx(want, rel=1e-12)
     # time-decay factor becomes exactly 1/2 at t = ln2 * 4 eps^2 / (pi^2 n^2)
     t_half = math.log(2.0) / math.pi**2
     a = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (0.0, 0.0), t_half)
     bare = math.log(C) - math.log(t_half)
-    assert math.exp(a.log_value - bare) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(a - bare) == pytest.approx(0.5, rel=1e-12)
     # never exceeds the free kernel scaled by C (4 pi)^{n/2}
     for d in (0.0, 0.5, 2.0):
         for t in (0.05, 0.5, 3.0):
             bl = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (d, 0.0), t)
             g = gaussian_kernel(2, (0.0, 0.0), (d, 0.0), t)
-            assert bl.log_value <= g.log_value + math.log(C * (4 * math.pi))
+            assert bl <= g + math.log(C * (4 * math.pi))
     with pytest.raises(ParameterError):
         evaluate_envelope(None, ball(1, 0.5), 0.0, 0.0, 0.1)
 
@@ -227,7 +219,7 @@ def test_chain_plan_waypoints_and_sigma():
 def test_chained_lower_bound_zero_potential():
     plan = chain_plan(0.0, 1.0, 1.0)
     c0 = 0.1
-    got = chained_lower_bound(V0, plan, c0, 1.0, 1.5).log_value
+    got = chained_lower_bound(V0, plan, c0, 1.0, 1.5)
     want = (
         -math.log(plan.sigma)
         - 0.5 * math.log(plan.t)
@@ -243,7 +235,7 @@ def test_chained_lower_bound_monotone_in_m():
     vals = []
     for y in (0.8, 1.0, 1.2):
         plan = chain_plan(0.0, y, 1.0)
-        vals.append((plan.M, chained_lower_bound(V0, plan, c0, c1, C).log_value))
+        vals.append((plan.M, chained_lower_bound(V0, plan, c0, c1, C)))
     vals.sort()
     assert vals[0][1] > vals[1][1] > vals[2][1]
 
@@ -254,7 +246,7 @@ def test_chained_below_reference_kernel():
         plan = chain_plan(0.0, y, 1.0)
         bound = chained_lower_bound(V_SQ, plan, 0.14, 1.0, max(dbl.C, 1.0))
         ref = converged_kernel(V_SQ, 0.0, y, 1.0, rel_tol=1e-4)
-        assert bound.log_value < ref.log_value
+        assert bound < ref
 
 
 def test_fefferman_phong_constant_function():
@@ -316,8 +308,7 @@ def test_fit_constants_zero_potential():
 
 def test_fit_constants_infeasible_reports_witness():
     # a kernel far above the lower prefactor with zero decay available
-    K = lambda x, y, t: gaussian_kernel(1, x, y, t)
-    tiny = lambda x, y, t: type(K(x, y, t))(K(x, y, t).log_value - 50.0)
+    tiny = lambda x, y, t: gaussian_kernel(1, x, y, t) - 50.0
     pts = grid_points([0.0], [0.0], [0.5])
     fit = fit_constants(V0, sampled(tiny, pts), "avg_lower_near", kappa=0.5)
     assert not fit.feasible
@@ -368,12 +359,12 @@ def test_evaluate_envelope_dispatch_all_families():
     for spec in specs:
         env = BoundEnvelope(**spec)
         if env.family == "dirichlet_ball":
-            kv = evaluate_envelope(V_SQ, env, (0.1, 0.0), (0.4, 0.0), 0.3)
+            lv = evaluate_envelope(V_SQ, env, (0.1, 0.0), (0.4, 0.0), 0.3)
         elif env.family == "avg_lower_near":
-            kv = evaluate_envelope(V_SQ, env, 0.1, 0.1, 0.3)  # on-diagonal point
+            lv = evaluate_envelope(V_SQ, env, 0.1, 0.1, 0.3)  # on-diagonal point
         else:
-            kv = evaluate_envelope(V_SQ, env, 0.1, 0.4, 0.3)
-        assert math.isfinite(kv.log_value)
+            lv = evaluate_envelope(V_SQ, env, 0.1, 0.4, 0.3)
+        assert math.isfinite(lv)
 
 
 @pytest.mark.parametrize(
@@ -438,14 +429,14 @@ def test_fit_records_are_the_evaluated_envelope(family, a1, a2, shift):
     V = PolynomialPotential([a0, a1, a2])
     if family == "dirichlet_ball":
         pts = [((x, 0.0), (y, 0.3)) for x in xs for y in xs]
-        samples = [(x, y, t, gaussian_kernel(2, x, y, t).log_value + shift) for x, y in pts for t in ts]
+        samples = [(x, y, t, gaussian_kernel(2, x, y, t) + shift) for x, y in pts for t in ts]
     else:
         logp = quadratic_log_kernel(QuadraticCoeffs(a0, a1, a2), xs, xs, ts) + shift
         samples = grid_samples(xs, xs, ts, logp)
     fit = fit_constants(V, samples, family, **FIT_OPTIONS.get(family, {}))
     assert fit.records
     for x, y, t, lp, le, slack in fit.records:
-        assert le == evaluate_envelope(V, fit.envelope, x, y, t).log_value
+        assert le == evaluate_envelope(V, fit.envelope, x, y, t)
     assert fit.min_slack == min(r[5] for r in fit.records)
 
 

@@ -17,7 +17,8 @@ from heatkernel import (
     PolynomialPotential,
     ProbeGrid,
     QuadraticCoeffs,
-    dirichlet_interval_kernel,
+    converged_kernel,
+    dirichlet_interval_log_kernel,
     energy_test_family,
     fit_constants,
     gaussian_kernel,
@@ -51,7 +52,7 @@ class Counting:
 
 def per_point(xs, ts, y):
     """p(x, y, t) as an [x, t] array, one scalar `quadratic_kernel` call per point."""
-    return np.exp(np.array([[quadratic_kernel(Q, x, y, t).log_value for t in ts] for x in xs]))
+    return np.exp(np.array([[quadratic_kernel(Q, x, y, t) for t in ts] for x in xs]))
 
 
 def test_log_kernel_calls_per_check():
@@ -96,7 +97,7 @@ def test_moser_ratio_equals_a_per_point_reference(x0, t0, r):
 def test_gaussian_log_kernel_equals_scalar(xs, ys, ts):
     got = gaussian_log_kernel(xs, ys, ts)
     assert got.shape == (len(ts), len(xs), len(ys))
-    want = [[[gaussian_kernel(1, x, y, t).log_value for y in ys] for x in xs] for t in ts]
+    want = [[[gaussian_kernel(1, x, y, t) for y in ys] for x in xs] for t in ts]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -115,9 +116,10 @@ def test_lattice_semigroup_defects_and_refusals():
     [
         lambda: moser_ratio(gaussian_log_kernel, 0.0, 0.0, 1.0, 0.3, nx=41),
         lambda: GRID.refine(factor=0.5),
-        lambda: dirichlet_interval_kernel(0.0, 1.0, 0.5, 0.5, 0.1, terms=10),
+        lambda: dirichlet_interval_log_kernel(0.0, 1.0, [0.5], [0.5], [0.1], terms=10),
         lambda: energy_test_family(Cube(0.0, 1.0), nodes=129),
         lambda: fit_constants(None, [(0.0, 0.0, 1.0, 0.0)], "gaussian_upper", c_floor=1e-9),
+        lambda: converged_kernel(PolynomialPotential([0.0, 0.0, 1.0]), 0.0, 0.0, 0.5, h_target=0.02),
     ],
 )
 def test_removed_knobs_are_refused(call):

@@ -115,6 +115,15 @@ def test_kernel_subcommand_row_count(tmp_path, capsys):
     assert len(lines) == 2 + 3 * 3 * 2  # provenance + header + rows
 
 
+def test_p_column_exponentiation():
+    from heatkernel.cli import _p
+
+    assert _p(-math.inf) == 0.0
+    assert _p(-800.0) == 0.0
+    assert _p(0.0) == 1.0
+    assert _p(800.0) == math.inf
+
+
 def test_kernel_rerun_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     main(["--config", str(cfg), "--out", str(tmp_path / "o1"), "kernel"])
@@ -328,6 +337,22 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
         ("kernel", "grid", {"x": [-1.0, 1.0, 0]}, "grid.x count must be an integer >= 1, got 0"),
         ("bounds", "grid", {"y": [-1.0, 1.0, -2]}, "grid.y count must be an integer >= 1, got -2"),
         ("kernel", "grid", {"t": [0.1, 0.5, True]}, "grid.t count must be an integer >= 1, got True"),
+        ("kernel", "grid", {"x": ["a", 1.0]}, "grid.x[0] must be a number, got 'a'"),
+        ("bounds", "grid", {"t": [0.5, None]}, "grid.t[1] must be a number, got None"),
+        ("kernel", "grid", {"t": [True]}, "grid.t[0] must be a number, got True"),
+        ("kernel", "grid", {"y": [-1.0, "1", 3]}, "grid.y[1] must be a number, got '1'"),
+        ("kernel", "grid", 5, "grid must be an object, got 5"),
+        ("kernel", "potential", 5, "potential must be an object, got 5"),
+        ("kernel", "potential", {"coefficients": [True, 0, 1]}, "potential.coefficients[0] must be a number, got True"),
+        ("weights", "potential", {"kind": "power", "exponent": True}, "potential.exponent must be a number, got True"),
+        (
+            "weights",
+            "potential",
+            {"kind": "sum", "parts": [{"kind": "constant", "value": 1.0}, {"kind": "power", "exponent": "2"}]},
+            "potential.parts[1].exponent must be a number, got '2'",
+        ),
+        ("bounds", "envelopes", 5, "envelopes must be a list, got 5"),
+        ("bounds", "envelopes", [5], "envelopes[0] must be an object, got 5"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, message):

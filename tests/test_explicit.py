@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from heatkernel import (
-    KernelValue,
     ParameterError,
     QuadraticCoeffs,
     a0_shift_check,
@@ -16,25 +15,25 @@ from heatkernel.explicit import _time_factors, coth_minus_csch, csch, log_csch
 
 
 def test_gaussian_normalization_point():
-    assert gaussian_kernel(1, 0.0, 0.0, 1.0 / (4.0 * math.pi)).value == pytest.approx(1.0)
+    assert math.exp(gaussian_kernel(1, 0.0, 0.0, 1.0 / (4.0 * math.pi))) == pytest.approx(1.0)
 
 
 def test_gaussian_mass():
     for t in (0.3, 1.0):
-        m, _ = quad(lambda y: gaussian_kernel(1, 0.2, y, t).value, -40, 40, epsabs=1e-14, epsrel=1e-13)
+        m, _ = quad(lambda y: math.exp(gaussian_kernel(1, 0.2, y, t)), -40, 40, epsabs=1e-14, epsrel=1e-13)
         assert m == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_chapman_kolmogorov():
     t, s, x, y = 0.4, 0.7, -0.3, 1.1
     val, _ = quad(
-        lambda z: gaussian_kernel(1, x, z, t).value * gaussian_kernel(1, z, y, s).value,
+        lambda z: math.exp(gaussian_kernel(1, x, z, t)) * math.exp(gaussian_kernel(1, z, y, s)),
         -60,
         60,
         epsabs=1e-14,
         epsrel=1e-13,
     )
-    assert val == pytest.approx(gaussian_kernel(1, x, y, t + s).value, rel=1e-12)
+    assert val == pytest.approx(math.exp(gaussian_kernel(1, x, y, t + s)), rel=1e-12)
 
 
 def test_gaussian_nd_product():
@@ -42,7 +41,7 @@ def test_gaussian_nd_product():
         g2 = gaussian_kernel(2, x, y, 0.7)
         g1a = gaussian_kernel(1, x[0], y[0], 0.7)
         g1b = gaussian_kernel(1, x[1], y[1], 0.7)
-        assert g2.log_value == pytest.approx(g1a.log_value + g1b.log_value, rel=1e-14)
+        assert g2 == pytest.approx(g1a + g1b, rel=1e-14)
 
 
 def test_gaussian_errors():
@@ -57,13 +56,13 @@ def test_quadratic_origin_oracle():
     for t in (0.1, 0.5, 2.0):
         want = math.sqrt(csch(2.0 * t) / (2.0 * math.pi))
         got = quadratic_kernel(QuadraticCoeffs(0, 0, 1), 0.0, 0.0, t)
-        assert got.value == pytest.approx(want, rel=1e-13)
+        assert math.exp(got) == pytest.approx(want, rel=1e-13)
 
 
 def test_quadratic_symmetry_exact():
     c = QuadraticCoeffs(0.5, -1.2, 2.0)
     for x, y, t in [(0.3, -0.8, 0.2), (1.5, 2.5, 1.0), (-2.0, 0.1, 0.05)]:
-        assert quadratic_kernel(c, x, y, t).log_value == quadratic_kernel(c, y, x, t).log_value
+        assert quadratic_kernel(c, x, y, t) == quadratic_kernel(c, y, x, t)
 
 
 def test_quadratic_small_t_gaussian_limit():
@@ -71,7 +70,7 @@ def test_quadratic_small_t_gaussian_limit():
     for x in np.linspace(-1, 1, 5):
         for y in np.linspace(-1, 1, 5):
             r = math.exp(
-                quadratic_kernel(c, x, y, 1e-4).log_value - gaussian_kernel(1, x, y, 1e-4).log_value
+                quadratic_kernel(c, x, y, 1e-4) - gaussian_kernel(1, x, y, 1e-4)
             )
             assert abs(r - 1.0) < 1e-3
 
@@ -89,8 +88,8 @@ def test_gaussian_domination_when_nonnegative():
         for x in np.linspace(-4, 4, 9):
             for y in np.linspace(-4, 4, 9):
                 for t in (1e-3, 0.1, 1.0, 4.0):
-                    lq = quadratic_kernel(c, x, y, t).log_value
-                    lg = gaussian_kernel(1, x, y, t).log_value
+                    lq = quadratic_kernel(c, x, y, t)
+                    lg = gaussian_kernel(1, x, y, t)
                     assert lq <= lg + 1e-10
 
 
@@ -98,8 +97,7 @@ def test_hyperbolic_stability_extremes():
     c = QuadraticCoeffs(0, 0, 1)
     for t in (1e-12, 1e-6, 1.0, 1e2, 1e4):
         for x in (0.0, 1.0, 1e3):
-            kv = quadratic_kernel(c, x, -x, t)
-            assert math.isfinite(kv.log_value)
+            assert math.isfinite(quadratic_kernel(c, x, -x, t))
 
 
 def test_scaled_hyperbolic_forms_match_direct():
@@ -118,7 +116,7 @@ def test_large_t_factorized_decay():
     worst = 0.0
     for t in np.linspace(3.0, 50.0, 12):
         for x in np.linspace(-3, 3, 7):
-            dev = abs(quadratic_kernel(c, x, x, t).log_value + t + x * x - const)
+            dev = abs(quadratic_kernel(c, x, x, t) + t + x * x - const)
             worst = max(worst, dev)
     assert worst <= 0.05
 
@@ -127,9 +125,9 @@ def test_quadratic_mass_bounds():
     c = QuadraticCoeffs(0, 0, 1)
     for t in (1e-3, 0.01, 0.1, 1.0):
         w = 14.0 * math.sqrt(t) + 1.0
-        m, _ = quad(lambda y: quadratic_kernel(c, 0.0, y, t).value, -w, w, epsabs=1e-14, epsrel=1e-12)
+        m, _ = quad(lambda y: math.exp(quadratic_kernel(c, 0.0, y, t)), -w, w, epsabs=1e-14, epsrel=1e-12)
         assert m <= 1.0 + 1e-8
-    m0, _ = quad(lambda y: quadratic_kernel(c, 0.0, y, 1e-3).value, -1.5, 1.5, epsabs=1e-14, epsrel=1e-12)
+    m0, _ = quad(lambda y: math.exp(quadratic_kernel(c, 0.0, y, 1e-3)), -1.5, 1.5, epsabs=1e-14, epsrel=1e-12)
     assert m0 >= 0.99
 
 
@@ -140,13 +138,6 @@ def test_parameter_validation():
         QuadraticCoeffs(0, 0, -1)
     with pytest.raises(ParameterError):
         quadratic_kernel(QuadraticCoeffs(0, 0, 1), 0.0, 0.0, 1e-13)
-
-
-def test_kernel_value_exponentiation():
-    assert KernelValue(-math.inf).value == 0.0
-    assert KernelValue(-800.0).value == 0.0
-    assert KernelValue(0.0).value == 1.0
-    assert KernelValue(800.0).value == math.inf
 
 
 def _bits(values):

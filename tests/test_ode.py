@@ -88,7 +88,7 @@ def test_assemble_matches_explicit_kernel():
         st = closed_form_state(C_TILT, t)
         for x, y in [(0.0, 0.0), (1.2, -0.4), (-2.0, 2.0)]:
             got = ansatz_log(st, x, y)
-            want = quadratic_kernel(C_TILT, x, y, t).log_value
+            want = quadratic_kernel(C_TILT, x, y, t)
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -105,7 +105,7 @@ def test_end_to_end_kernel_error():
         for x in (-2.0, 0.0, 2.0):
             for y in (-2.0, 1.0):
                 got = ansatz_log(s, x, y)
-                want = quadratic_kernel(C_TILT, x, y, s.t).log_value
+                want = quadratic_kernel(C_TILT, x, y, s.t)
                 worst = max(worst, abs(got - want) / max(abs(want), 1.0))
     assert worst <= 1e-5
 

@@ -19,7 +19,7 @@ from heatkernel import (
     build_spectral,
     constant,
     converged_kernel,
-    dirichlet_interval_kernel,
+    dirichlet_interval_log_kernel,
     eval_spectral,
     gaussian_kernel,
     gaussian_log_kernel,
@@ -35,6 +35,11 @@ from heatkernel.spectral import CLUSTER_RTOL, EIGENSUM_TAIL, cached_spectral
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 
 
+def log_gd(a, b, x, y, t):
+    """One point of `dirichlet_interval_log_kernel`."""
+    return float(dirichlet_interval_log_kernel(a, b, [x], [y], [t])[0, 0, 0])
+
+
 def test_free_eigenvalues(spectral_free):
     # Dirichlet spectrum on [-2, 2]: (k pi / 4)^2 with O(h^2) error
     k = np.arange(1, 6)
@@ -45,8 +50,8 @@ def test_free_eigenvalues(spectral_free):
 
 def test_free_kernel_matches_sine_series(spectral_free):
     for x, y, t in [(0.3, -0.5, 0.05), (0.0, 0.0, 0.2), (1.2, 0.7, 0.1), (-1.0, 1.0, 0.5)]:
-        a = eval_spectral(spectral_free, x, y, t).value
-        b = dirichlet_interval_kernel(-2.0, 2.0, x, y, t).value
+        a = math.exp(eval_spectral(spectral_free, x, y, t))
+        b = math.exp(log_gd(-2.0, 2.0, x, y, t))
         assert a == pytest.approx(b, rel=1e-4, abs=1e-12)
 
 
@@ -70,15 +75,15 @@ def test_eval_symmetry_and_positivity(spectral_vxx1):
     for x, y, t in [(0.4, -1.3, 0.05), (2.0, 1.0, 0.5), (-1.8, 1.8, 1.0)]:
         a = eval_spectral(spectral_vxx1, x, y, t)
         b = eval_spectral(spectral_vxx1, y, x, t)
-        assert a.log_value == b.log_value
-        assert a.value >= 0.0  # truncation negatives clamp to zero
+        assert a == b
+        assert math.exp(a) >= 0.0  # truncation negatives clamp to zero
 
 
 def test_spectral_matches_quadratic_oracle(spectral_vxx1):
     c = QuadraticCoeffs(1.0, 1.0, 1.0)
     for x, y, t in [(0.0, 0.0, 0.05), (1.0, 0.5, 0.1), (-2.0, -1.5, 0.5), (2.0, 2.0, 1.0)]:
-        ps = eval_spectral(spectral_vxx1, x, y, t).value
-        pq = quadratic_kernel(c, x, y, t).value
+        ps = math.exp(eval_spectral(spectral_vxx1, x, y, t))
+        pq = math.exp(quadratic_kernel(c, x, y, t))
         assert ps == pytest.approx(pq, rel=5e-3)
 
 
@@ -99,34 +104,83 @@ def test_build_rejections():
 
 
 def test_dirichlet_boundary_and_peak():
-    assert dirichlet_interval_kernel(0.0, math.pi, 0.0, 1.0, 0.5).value == 0.0
-    got = dirichlet_interval_kernel(0.0, math.pi, math.pi / 2, math.pi / 2, 10.0).value
+    assert math.exp(log_gd(0.0, math.pi, 0.0, 1.0, 0.5)) == 0.0
+    got = math.exp(log_gd(0.0, math.pi, math.pi / 2, math.pi / 2, 10.0))
     assert got == pytest.approx(2.0 / math.pi * math.exp(-10.0), rel=1e-12)
     with pytest.raises(ParameterError):
-        dirichlet_interval_kernel(0.0, math.pi, -0.5, 1.0, 0.5)
+        log_gd(0.0, math.pi, -0.5, 1.0, 0.5)
 
 
 def test_dirichlet_below_free_kernel():
     for x, y, t in [(0.3, 0.6, 0.05), (1.5, -1.5, 0.3), (0.0, 0.0, 1.0)]:
-        gd = dirichlet_interval_kernel(-2.0, 2.0, x, y, t).value
-        g = gaussian_kernel(1, x, y, t).value
+        gd = math.exp(log_gd(-2.0, 2.0, x, y, t))
+        g = math.exp(gaussian_kernel(1, x, y, t))
         assert gd <= g * (1.0 + 1e-8)
+
+
+GD = partial(dirichlet_interval_log_kernel, -2.0, 2.0)
+GD_XS, GD_TS = np.linspace(-2.0, 2.0, 41), np.array([0.01, 0.05, 0.3, 1.0, 4.0])
+
+
+def test_dirichlet_log_kernel_grid_is_bit_symmetric_and_walls_are_minus_inf():
+    grid = GD(GD_XS, GD_XS, GD_TS)
+    assert grid.shape == (len(GD_TS), len(GD_XS), len(GD_XS))
+    assert np.array_equal(grid, grid.transpose(0, 2, 1))
+    assert np.all(grid[:, [0, -1], :] == -np.inf) and np.all(grid[:, :, [0, -1]] == -np.inf)
+    assert np.all(np.isfinite(grid[2:, 1:-1, 1:-1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+    ys=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+    ts=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=3),
+)
+def test_dirichlet_log_kernel_one_point_equals_the_grid(xs, ys, ts):
+    grid = GD(xs, ys, ts)
+    for k, t in enumerate(ts):
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert log_gd(-2.0, 2.0, x, y, t) == grid[k, i, j]
+
+
+def test_dirichlet_log_kernel_is_a_heat_kernel():
+    # Chapman-Kolmogorov on the lattice over the interval itself, where p vanishes at the walls
+    for x, y, t, s in [(0.3, -0.4, 0.2, 0.3), (1.5, -1.7, 0.05, 0.5), (0.0, 0.0, 1.0, 2.0)]:
+        assert semigroup_defect(GD, x, y, t, s, L=2.0) <= 1e-12
+    # it solves the free heat equation, V = 0, at second order
+    grid = ProbeGrid(x_min=-1.0, x_max=1.0, t_min=0.3, t_max=0.31, h=0.02, tau=2e-4)
+    ratio = pde_residual(constant(0.0), GD, 0.3, grid) / pde_residual(constant(0.0), GD, 0.3, grid.refine())
+    assert 3.5 <= ratio <= 4.5
+    # and stays below the free kernel wherever the series resolves it, |x - y| <= 2 sqrt(t)
+    near = np.abs(GD_XS[:, None] - GD_XS[None, :])[None] <= 2.0 * np.sqrt(GD_TS)[:, None, None]
+    excess = GD(GD_XS, GD_XS, GD_TS) - gaussian_log_kernel(GD_XS, GD_XS, GD_TS)
+    assert np.max(excess[near]) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "a, b, xs, ts",
+    [(-2.0, 2.0, [0.0, 2.5], [0.1]), (-2.0, 2.0, [0.0], [0.1, 0.0]), (2.0, 2.0, [2.0], [0.1]), (1.0, -1.0, [0.0], [0.1])],
+)
+def test_dirichlet_log_kernel_refusals(a, b, xs, ts):
+    with pytest.raises(ParameterError):
+        dirichlet_interval_log_kernel(a, b, xs, [0.0], ts)
 
 
 def test_converged_kernel_against_oracles():
     got = converged_kernel(V_SQ, 0.0, 0.0, 0.5, rel_tol=1e-4)
-    want = quadratic_kernel(QuadraticCoeffs(0, 0, 1), 0.0, 0.0, 0.5).value
-    assert got.value == pytest.approx(want, rel=1e-3)
+    want = math.exp(quadratic_kernel(QuadraticCoeffs(0, 0, 1), 0.0, 0.0, 0.5))
+    assert math.exp(got) == pytest.approx(want, rel=1e-3)
     free = converged_kernel(constant(0.0), 0.1, -0.4, 0.3, rel_tol=1e-4)
-    assert free.value == pytest.approx(gaussian_kernel(1, 0.1, -0.4, 0.3).value, rel=1e-4)
+    assert math.exp(free) == pytest.approx(math.exp(gaussian_kernel(1, 0.1, -0.4, 0.3)), rel=1e-4)
 
 
 def test_domain_monotonicity():
     a = cached_spectral(V_SQ, 4.0, 799, 0.3)
     b = cached_spectral(V_SQ, 8.0, 1599, 0.3)
     for x, y, t in [(0.0, 0.0, 0.3), (1.0, -0.5, 0.5), (2.0, 2.0, 1.0)]:
-        va = eval_spectral(a, x, y, t).value
-        vb = eval_spectral(b, x, y, t).value
+        va = math.exp(eval_spectral(a, x, y, t))
+        vb = math.exp(eval_spectral(b, x, y, t))
         assert va <= vb * (1.0 + 1e-6) + 1e-8
 
 
@@ -137,8 +191,8 @@ def test_bounded_potential_comparison():
     for x in np.linspace(-1.5, 1.5, 5):
         for y in np.linspace(-1.5, 1.5, 5):
             for t in (0.1, 0.5, 1.0):
-                lhs = math.exp(-M * t) * dirichlet_interval_kernel(-2.0, 2.0, x, y, t).value
-                pb = eval_spectral(K, x, y, t).value
+                lhs = math.exp(-M * t) * math.exp(log_gd(-2.0, 2.0, x, y, t))
+                pb = math.exp(eval_spectral(K, x, y, t))
                 assert lhs <= pb * (1.0 + 1e-6)
 
 
@@ -163,7 +217,7 @@ def test_pde_residual_negative_control():
     grid = ProbeGrid(-1.0, 1.0, 0.3, 0.31, h=0.02, tau=2e-4)
     res = pde_residual(V_SQ, gaussian_log_kernel, 0.3, grid)
     peak = max(
-        abs(x * x * gaussian_kernel(1, x, 0.3, 0.3).value) for x in np.linspace(-1, 1, 101)
+        abs(x * x * math.exp(gaussian_kernel(1, x, 0.3, 0.3))) for x in np.linspace(-1, 1, 101)
     )
     assert res > 0.1 * peak
 
@@ -190,8 +244,8 @@ def test_orthonormality_defect(spectral_free):
 def test_spectral_below_free_kernel(spectral_vxx1):
     # nonnegative potential: the free Gaussian kernel dominates
     for x, y, t in [(0.0, 0.0, 0.05), (1.0, -0.5, 0.2), (2.0, 2.0, 1.0)]:
-        ps = eval_spectral(spectral_vxx1, x, y, t).value
-        g = gaussian_kernel(1, x, y, t).value
+        ps = math.exp(eval_spectral(spectral_vxx1, x, y, t))
+        g = math.exp(gaussian_kernel(1, x, y, t))
         assert ps <= g * (1.0 + 1e-10)
 
 
