@@ -10,7 +10,6 @@ from .bounds import (
     BoundEnvelope,
     ChainPlan,
     FitResult,
-    GridFunction,
     MAX_CHAIN_M,
     chain_length,
     chain_plan,
@@ -26,14 +25,12 @@ from .bounds import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DomainError,
     IntegrationError,
     ParameterError,
 )
 from .explicit import (
     QuadraticCoeffs,
-    a0_shift_check,
     gaussian_kernel,
     gaussian_log_kernel,
     quadratic_kernel,
@@ -59,12 +56,10 @@ from .potentials import (
     rh_constant,
 )
 from .spectral import (
-    DiscreteHamiltonian,
     ProbeGrid,
     SpectralKernel,
     build_spectral,
     cached_spectral,
-    converged_kernel,
     dirichlet_interval_log_kernel,
     eval_spectral,
     pde_residual,

@@ -30,7 +30,6 @@ __all__ = [
     "BoundEnvelope",
     "FitResult",
     "ChainPlan",
-    "GridFunction",
     "interval_clamp_time",
     "MAX_CHAIN_M",
     "chain_length",
@@ -363,32 +362,19 @@ def chained_lower_bound(
 # energy-form and local-boundedness ratios
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Piecewise-linear function on a uniform grid spanning a cube."""
+def energy_test_family(Z: Cube, count: int = 50, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, values[count, 129]): a deterministic lattice of hats, quadratic bumps and Gaussians on Z.
 
-    xs: tuple[float, ...]
-    values: tuple[float, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.values) or len(self.xs) < 2:
-            raise ParameterError("test function needs matching grids of length >= 2")
-
-
-def energy_test_family(Z: Cube, count: int = 50, seed: int = 0):
-    """Deterministic lattice of hats, quadratic bumps, and Gaussians on Z, sampled at 129 nodes.
-
-    The lattice cycles through the three shapes over a grid of centers and
+    Each row samples one test function at the 129 nodes spanning Z.  The
+    lattice cycles through the three shapes over a grid of centers and
     widths; the seed only jitters the lattice slightly so repeated runs are
     reproducible.
     """
     if Z.n != 1:
         raise ParameterError("test functions are one-dimensional")
     lo, hi = Z.bounds(0)
-    xs = tuple(np.linspace(lo, hi, 129))
+    grid = np.linspace(lo, hi, 129)
     rng = np.random.default_rng(seed)
-    grid = np.asarray(xs)
     out = []
     k = 0
     while len(out) < count:
@@ -398,43 +384,43 @@ def energy_test_family(Z: Cube, count: int = 50, seed: int = 0):
         kind = k % 3
         if kind == 0:
             vals = np.clip(1.0 - np.abs(grid - center) / width, 0.0, None)
-            label = f"hat(c={center:.3f},w={width:.3f})"
         elif kind == 1:
             vals = np.clip(1.0 - ((grid - center) / width) ** 2, 0.0, None)
-            label = f"bump(c={center:.3f},w={width:.3f})"
         else:
             vals = np.exp(-0.5 * ((grid - center) / width) ** 2)
-            label = f"gauss(c={center:.3f},w={width:.3f})"
         if np.max(vals) > 0:
-            out.append(GridFunction(xs=xs, values=tuple(vals), label=label))
+            out.append(vals)
         k += 1
-    return out
+    return grid, np.array(out)
 
 
-def fefferman_phong_ratio(V: Potential, u: GridFunction, Z: Cube, beta: float) -> float:
-    """Energy-form ratio  int(|u'|^2 + V u^2) / [ (m_beta(r^2 avg V)/r^2) int u^2 ].
+def fefferman_phong_ratio(V: Potential, xs, values, Z: Cube, beta: float) -> np.ndarray:
+    """Energy-form ratio  int(|u'|^2 + V u^2) / [ (m_beta(r^2 avg V)/r^2) int u^2 ]  of each row of values.
 
-    The energy inequality asserts this is bounded below by a positive
-    constant uniform over C^1 test functions; u is its own piecewise-linear
-    interpolant here, so the gradient and mass integrals are exact.
+    Each row holds one test function's values at the nodes xs.  The energy
+    inequality asserts this is bounded below by a positive constant uniform
+    over C^1 test functions; u is its own piecewise-linear interpolant here,
+    so the gradient and mass integrals are exact.
     """
     if Z.n != 1:
         raise ParameterError("ratio check is one-dimensional")
-    xs = np.asarray(u.xs)
-    vals = np.asarray(u.values)
+    xs = np.asarray(xs, dtype=float)
+    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    if len(xs) < 2 or vals.shape[1] != len(xs):
+        raise ParameterError("test functions need values at the same >= 2 nodes")
     dx = np.diff(xs)
-    dv = np.diff(vals)
-    grad_energy = float(np.sum(dv * dv / dx))
-    mass = float(np.sum(dx / 3.0 * (vals[:-1] ** 2 + vals[:-1] * vals[1:] + vals[1:] ** 2)))
-    if mass <= 0.0:
+    dv = np.diff(vals, axis=1)
+    grad_energy = np.sum(dv * dv / dx, axis=1)
+    mass = np.sum(dx / 3.0 * (vals[:, :-1] ** 2 + vals[:, :-1] * vals[:, 1:] + vals[:, 1:] ** 2), axis=1)
+    if np.any(mass <= 0.0):
         raise ParameterError("test function has zero L2 mass")
     # 5-point Gauss-Legendre per cell for the V u^2 term
     nodes, weights = np.polynomial.legendre.leggauss(5)
     mid = 0.5 * (xs[:-1] + xs[1:])
     half = 0.5 * dx
     pts = mid[:, None] + half[:, None] * nodes
-    uu = vals[:-1, None] + (pts - xs[:-1, None]) * (dv / dx)[:, None]
-    pot_energy = float(np.sum(half[:, None] * weights * np.asarray(V(pts)) * uu * uu))
+    uu = vals[:, :-1, None] + (pts - xs[:-1, None]) * (dv / dx)[:, :, None]
+    pot_energy = np.sum(half[:, None] * weights * np.asarray(V(pts)) * uu * uu, axis=(1, 2))
     r = Z.side
     weight = m_beta(r * r * cube_average(V, Z), beta) / (r * r)
     if weight <= 0.0:

@@ -221,13 +221,15 @@ def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         raise ConfigError(f"ode.t0 must be < ode.t1, got {t0!r} >= {t1!r}")
     samples, rel = config_number(cfg, "ode.samples"), config_number(cfg, "tolerances.rel")
     V = _potential(cfg, base_dir)
-    quad = quadratic_from_potential(V)
-    if quad.a0 != 0.0:
-        quad = type(quad)(0.0, quad.a1, quad.a2)
+    c = quadratic_from_potential(V)
+    quad = type(c)(0.0, c.a1, c.a2)  # the ansatz runs at a0 = 0
     traj = integrate_odes(quad, t0, t1, samples=samples)
     prov_line = f"config={config_hash(cfg)} t0={t0!r} t1={t1!r} samples={samples}"
     schema = ["t", "alpha", "beta", "gamma", "mu", "nu", "log_phi"]
-    path = emit_csv([[getattr(s, k) for s in traj] for k in schema], schema, out / "trajectory.csv", prov_line)
+    columns = [[getattr(s, k) for s in traj] for k in schema[:-1]]
+    # the shift identity p_{a0} = e^{-a0 t} p_0 makes log_phi the configured kernel's log p(0, 0, t)
+    columns.append([s.log_phi - c.a0 * s.t for s in traj])
+    path = emit_csv(columns, schema, out / "trajectory.csv", prov_line)
     err = closed_form_error(quad, traj)
     print(f"wrote {path} max_closed_form_error={err:.6g} (tol {rel:g})")
     return EXIT_OK if err <= rel else EXIT_FAILURE

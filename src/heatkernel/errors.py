@@ -10,19 +10,7 @@ class DomainError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """ODE integration failed; carries the last time reached."""
-
-    def __init__(self, message: str, last_t: float | None = None):
-        super().__init__(message)
-        self.last_t = last_t
-
-
-class ConvergenceError(RuntimeError):
-    """Domain-doubling (or similar) iteration did not converge; carries the trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """ODE integration failed."""
 
 
 class ConfigError(ValueError):

@@ -25,7 +25,6 @@ __all__ = [
     "gaussian_log_kernel",
     "quadratic_kernel",
     "quadratic_log_kernel",
-    "a0_shift_check",
     "log_csch",
     "csch",
     "coth_minus_csch",
@@ -162,13 +161,3 @@ def quadratic_log_kernel(c: QuadraticCoeffs, xs, ys, ts) -> np.ndarray:
     equals the scalar value bit for bit.
     """
     return _log_grid(xs, ys, ts, lambda X, Y, t: _quadratic_log(c, X, Y, t))
-
-
-def a0_shift_check(c: QuadraticCoeffs, x: float, y: float, t: float) -> float:
-    """Defect of the constant-shift identity p_{a0} = e^{-a0 t} p_0.
-
-    Returns |log p_{a0} - (log p_0 - a0 t)|; zero up to roundoff for any
-    a0 (signed included).
-    """
-    base = quadratic_kernel(QuadraticCoeffs(0.0, c.a1, c.a2), x, y, t)
-    return abs(quadratic_kernel(c, x, y, t) - (base - c.a0 * t))

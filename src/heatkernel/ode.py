@@ -15,8 +15,8 @@ turns the heat equation for V = a1 x + a2 x^2 into six coupled ODEs in t:
 
 The exact solution is singular at t = 0 (delta initial data), so numerical
 integration starts from the closed-form state at some t0 > 0.  Constant
-potential terms a0 are handled by the shift identity in `explicit`, never
-inside the system.
+potential terms a0 are handled by the shift identity p_{a0} = e^{-a0 t} p_0,
+that is log_phi - a0 t, never inside the system.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def integrate_odes(c: QuadraticCoeffs, t0: float, t1: float, samples: int = 201)
         atol=1e-12,
     )
     if not sol.success:
-        last = float(sol.t[-1]) if len(sol.t) else t0
-        raise IntegrationError(f"ODE integration failed: {sol.message}", last_t=last)
+        raise IntegrationError(f"ODE integration failed: {sol.message}")
     return [
         AnsatzState(t=float(ti), alpha=y[0], beta=y[1], gamma=y[2], mu=y[3], nu=y[4], log_phi=y[5])
         for ti, y in zip(sol.t, sol.y.T)

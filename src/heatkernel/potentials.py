@@ -11,7 +11,7 @@ refinements of a user-supplied window; the doubling fit uses nested cubes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -266,17 +266,17 @@ def _abs_power_interval(lo, hi, s, excision=0.0):
     return _power_segment(a_neg, b_neg, s) + _power_segment(a_pos, b_pos, s)
 
 
-@lru_cache(maxsize=1)
-def _gl_rule():
-    """The 33-point Gauss-Legendre rule on [-1, 1], built on first use (it starts LAPACK, ~1 MB of RSS)."""
-    return np.polynomial.legendre.leggauss(33)
+@lru_cache(maxsize=None)
+def _gl_rule(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], built on first use (it starts LAPACK, ~1 MB of RSS)."""
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _gl_interval_integral(f, lo, hi):
-    """33-point Gauss-Legendre on each [lo_i, hi_i], vectorized."""
+def _gl_interval_integral(f, lo, hi, n: int = 33):
+    """n-point Gauss-Legendre on each [lo_i, hi_i], vectorized; exact for polynomials of degree <= 2n - 1."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    nodes, weights = _gl_rule()
+    nodes, weights = _gl_rule(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[..., None] + half[..., None] * nodes
@@ -355,7 +355,7 @@ def _root_split_integral(coeffs, lo: float, hi: float, roots, mult, q: float) ->
     integral into |b - r|^(s+1)/(s+1) times the integral over v in [0, 1] of
     max(+-W, 0)^q, a bounded integrand that 33-point Gauss-Legendre in v resolves.
     """
-    nodes, weights = _gl_rule()
+    nodes, weights = _gl_rule(33)
     v = 0.5 * (nodes + 1.0)
     r = np.clip(roots, lo, hi)
     ends = np.concatenate([[lo], 0.5 * (r[1:] + r[:-1]), [hi]])
@@ -377,9 +377,10 @@ def _root_split_integral(coeffs, lo: float, hi: float, roots, mult, q: float) ->
 def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 0.0):
     """(integral of V**q over each [lo_i, hi_i], analytic-divergence mask).
 
-    Closed form for power kind (|x|^{alpha q}) and integer powers of a
-    polynomial; fixed-order Gauss-Legendre otherwise, split at a polynomial's
-    integrable roots for q < 0 (`_root_split_integral`).  Where the mask is
+    Closed form for power kind (|x|^{alpha q}); Gauss-Legendre otherwise,
+    split at a polynomial's integrable roots for q < 0 (`_root_split_integral`).
+    An integer power q >= 1 of a degree-d polynomial takes d q // 2 + 1 nodes,
+    up to 33, which is exact for d q <= 65.  Where the mask is
     set the integral is analytically divergent: the returned value is the
     improper integral with a ball of radius `excision` removed around the
     singular point (+inf when excision == 0).
@@ -409,11 +410,11 @@ def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 
         for i in map(tuple, np.argwhere(np.any(inside, axis=-1) & ~divergent)):
             vals[i] = _root_split_integral(V.coeffs, lo[i], hi[i], roots[inside[i]], mult[inside[i]], q)
         return np.where(divergent, np.inf, vals), divergent
+    n = 33
     if isinstance(V, PolynomialPotential) and float(q).is_integer() and q >= 1:
-        powed = npoly.polypow(np.asarray(V.coeffs, dtype=float), int(q))
-        return _poly_interval_integral(powed, lo, hi), np.zeros(np.broadcast(lo, hi).shape, dtype=bool)
-    # generic: fixed-order Gauss-Legendre of max(V, 0)^q
-    vals = _gl_interval_integral(lambda x: np.clip(V(x), 0.0, None) ** q, lo, hi)
+        n = min((len(V.coeffs) - 1) * int(q) // 2 + 1, 33)
+    # Gauss-Legendre of max(V, 0)^q
+    vals = _gl_interval_integral(lambda x: np.clip(V(x), 0.0, None) ** q, lo, hi, n)
     return vals, np.zeros(np.broadcast(lo, hi).shape, dtype=bool)
 
 
@@ -625,7 +626,6 @@ class DoublingFit:
     C: float
     epsilon: float
     residual: float
-    pairs: tuple[tuple[float, float], ...] = field(default=())
 
 
 def doubling_fit(V: Potential, window: Cube, depth: int) -> DoublingFit:
@@ -648,9 +648,4 @@ def doubling_fit(V: Potential, window: Cube, depth: int) -> DoublingFit:
     ys = np.log(masses[1:] / masses[0])
     eps, logc = np.polyfit(xs, ys, 1)
     resid = float(np.max(np.abs(ys - (eps * xs + logc))))
-    return DoublingFit(
-        C=float(np.exp(logc)),
-        epsilon=float(eps),
-        residual=resid,
-        pairs=tuple((float(s), float(m)) for s, m in zip(sides, masses)),
-    )
+    return DoublingFit(C=float(np.exp(logc)), epsilon=float(eps), residual=resid)

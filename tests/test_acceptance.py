@@ -77,6 +77,21 @@ def test_c11_determinism(results):
     _check(results, 11)
 
 
+def test_acceptance_suite_calls_no_scalar_kernel(monkeypatch):
+    """Every criterion evaluates its kernels through the batched interface."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar kernel was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "heatkernel" or name.startswith("heatkernel."):
+            for attr in ("quadratic_kernel", "eval_spectral"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    results = acceptance.run_all()
+    assert [r.number for r in results if r.passed] == list(range(1, 12)), [r.details for r in results]
+
+
 def test_verify_cli_twice_byte_identical(tmp_path):
     """Criterion 11 end-to-end: two `verify` runs, identical CSVs, exit 0."""
     # the subprocess imports the package from where this process found it,

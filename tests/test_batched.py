@@ -45,7 +45,7 @@ def scalar_eigensum(K, x, y, t):
     if y < x:
         x, y = y, x
     weights = np.exp(-np.clip(K.eigenvalues * t, None, 745.0))
-    running = np.cumsum(weights * K.modes_at(x) * K.modes_at(y))
+    running = np.cumsum(weights * K.rows([x])[0] * K.rows([y])[0])
     keep = weights * K.phi_sup**2 >= EIGENSUM_TAIL * np.abs(running)
     value = float(running[int(np.max(np.nonzero(keep))) if np.any(keep) else 0])
     return math.log(value) if value > 0.0 else -math.inf

@@ -16,7 +16,6 @@ from heatkernel import (
     chain_plan,
     chained_lower_bound,
     constant,
-    converged_kernel,
     doubling_fit,
     fefferman_phong_ratio,
     fit_constants,
@@ -245,37 +244,35 @@ def test_chained_below_reference_kernel():
     for y in (0.3, 0.7, 1.1):
         plan = chain_plan(0.0, y, 1.0)
         bound = chained_lower_bound(V_SQ, plan, 0.14, 1.0, max(dbl.C, 1.0))
-        ref = converged_kernel(V_SQ, 0.0, y, 1.0, rel_tol=1e-4)
+        ref = quadratic_log_kernel(Q_SQ, [0.0], [y], [1.0])[0, 0, 0]
         assert bound < ref
 
 
 def test_fefferman_phong_constant_function():
     Z = Cube(0.0, 1.0)
-    ones = energy_test_family(Z, count=1, seed=0)[0]
-    flat = type(ones)(xs=ones.xs, values=tuple(1.0 for _ in ones.xs), label="unit")
+    xs, _ = energy_test_family(Z, count=1, seed=0)
+    flat = np.ones((1, len(xs)))
     # r^2 v <= 1: linear branch of the weight gives ratio exactly 1
-    assert fefferman_phong_ratio(constant(0.5), flat, Z, beta=0.5) == pytest.approx(1.0, rel=1e-12)
+    assert fefferman_phong_ratio(constant(0.5), xs, flat, Z, beta=0.5)[0] == pytest.approx(1.0, rel=1e-12)
     # r^2 v > 1: power branch gives (r^2 v)^{1-beta}
     v = 9.0
     want = v / (v**0.5)
-    assert fefferman_phong_ratio(constant(v), flat, Z, beta=0.5) == pytest.approx(want, rel=1e-12)
+    assert fefferman_phong_ratio(constant(v), xs, flat, Z, beta=0.5)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_fefferman_phong_family_floor():
     Z = Cube(0.0, 1.0)
-    family = energy_test_family(Z, count=50, seed=0)
-    assert len(family) == 50
+    xs, family = energy_test_family(Z, count=50, seed=0)
+    assert family.shape == (50, len(xs))
     for V in (constant(1.0), V_SQ, PowerPotential(1.0)):
-        ratios = [fefferman_phong_ratio(V, u, Z, beta=0.5) for u in family]
+        ratios = fefferman_phong_ratio(V, xs, family, Z, beta=0.5)
         assert min(ratios) >= 0.01
 
 
 def test_energy_test_family_deterministic():
     Z = Cube(0.0, 2.0)
-    a = energy_test_family(Z, count=12, seed=7)
-    b = energy_test_family(Z, count=12, seed=7)
-    assert [u.label for u in a] == [u.label for u in b]
-    assert all(np.allclose(u.values, v.values) for u, v in zip(a, b))
+    (_, a), (_, b) = energy_test_family(Z, count=12, seed=7), energy_test_family(Z, count=12, seed=7)
+    assert np.allclose(a, b)
 
 
 def test_moser_ratio_constant_function():

@@ -17,7 +17,6 @@ from heatkernel import (
     PolynomialPotential,
     ProbeGrid,
     QuadraticCoeffs,
-    converged_kernel,
     dirichlet_interval_log_kernel,
     energy_test_family,
     fit_constants,
@@ -119,7 +118,6 @@ def test_lattice_semigroup_defects_and_refusals():
         lambda: dirichlet_interval_log_kernel(0.0, 1.0, [0.5], [0.5], [0.1], terms=10),
         lambda: energy_test_family(Cube(0.0, 1.0), nodes=129),
         lambda: fit_constants(None, [(0.0, 0.0, 1.0, 0.0)], "gaussian_upper", c_floor=1e-9),
-        lambda: converged_kernel(PolynomialPotential([0.0, 0.0, 1.0]), 0.0, 0.0, 0.5, h_target=0.02),
     ],
 )
 def test_removed_knobs_are_refused(call):

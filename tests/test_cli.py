@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heatkernel import PolynomialPotential
+from heatkernel import PolynomialPotential, QuadraticCoeffs, quadratic_kernel
 from heatkernel.cli import main
 from heatkernel.csvout import CHUNK_ROWS, emit_csv
 
@@ -204,6 +204,20 @@ def test_ode_subcommand(tmp_path, capsys):
     assert "max_closed_form_error" in out
     err = float(out.split("max_closed_form_error=")[1].split()[0])
     assert err < 1e-7
+
+
+def test_ode_log_phi_is_the_configured_kernel(tmp_path):
+    # the ansatz runs at a0 = 0; the shift identity puts a0 back into log_phi = log p(0, 0, t)
+    potential = {"kind": "polynomial", "coefficients": [1.0, 0.0, 1.0], "dimension": 1}
+    cfg = write_config(tmp_path, potential=potential)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "ode"]) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 20
+    c = QuadraticCoeffs(1.0, 0.0, 1.0)
+    for row in rows:
+        t = float(row["t"])
+        assert abs(float(row["log_phi"]) - quadratic_kernel(c, 0.0, 0.0, t)) <= 1e-4
 
 
 def test_bounds_subcommand_feasible(tmp_path, capsys):

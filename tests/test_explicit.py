@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from heatkernel import (
     ParameterError,
     QuadraticCoeffs,
-    a0_shift_check,
     gaussian_kernel,
     quadratic_kernel,
 )
@@ -76,9 +75,14 @@ def test_quadratic_small_t_gaussian_limit():
 
 
 def test_a0_shift_identity():
-    assert a0_shift_check(QuadraticCoeffs(5.0, 0.0, 1.0), 0.0, 0.0, 0.5) <= 1e-12
-    assert a0_shift_check(QuadraticCoeffs(0.0, 2.0, 1.0), 0.4, 0.6, 0.3) == 0.0
-    assert a0_shift_check(QuadraticCoeffs(-3.0, 1.0, 2.0), -0.7, 1.1, 0.9) <= 1e-12
+    # p_{a0} = e^{-a0 t} p_0 for any a0, signed included
+    for (a0, a1, a2), (x, y, t), tol in [
+        ((5.0, 0.0, 1.0), (0.0, 0.0, 0.5), 1e-12),
+        ((0.0, 2.0, 1.0), (0.4, 0.6, 0.3), 0.0),
+        ((-3.0, 1.0, 2.0), (-0.7, 1.1, 0.9), 1e-12),
+    ]:
+        base = quadratic_kernel(QuadraticCoeffs(0.0, a1, a2), x, y, t)
+        assert abs(quadratic_kernel(QuadraticCoeffs(a0, a1, a2), x, y, t) - (base - a0 * t)) <= tol
 
 
 def test_gaussian_domination_when_nonnegative():

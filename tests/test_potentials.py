@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
@@ -400,9 +400,7 @@ def assert_same_weight_scans(V, window, W, W_window, q, p):
             assert x == y or abs(x - y) <= 1e-12 * abs(x)
 
 
-# an integer q sends a polynomial to the closed form of V^q expanded about 0, whose
-# cancellation on small cubes away from 0 reaches ~1e-12 of the mean by itself
-RH_Q = st.one_of(st.floats(1.1, 4.0).filter(lambda q: not q.is_integer()), st.just(math.inf))
+RH_Q = st.one_of(st.floats(1.1, 4.0), st.sampled_from([2.0, 3.0, 4.0, math.inf]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -418,6 +416,7 @@ RH_Q = st.one_of(st.floats(1.1, 4.0).filter(lambda q: not q.is_integer()), st.ju
     q=RH_Q,
     p=st.floats(1.1, 4.0),
 )
+@example(a2=1.0, vertex=-1.0, min_v=1.0, center=-1.0, side=1.0, r=1.0, s=1.0, k=1.0, q=3.0, p=2.0)
 def test_weight_classes_invariant_under_scaling_dilation_and_translation(
     a2, vertex, min_v, center, side, r, s, k, q, p
 ):
@@ -524,6 +523,34 @@ def test_power_means_divide_by_the_length_integrated():
                 for a, b in zip(map(mp.mpf, edges[:-1]), map(mp.mpf, edges[1:]))
             )
         assert abs(got - want) <= 2e-15 * want, (side, got, want)
+
+
+def test_integer_power_of_a_polynomial_on_small_cubes_matches_mpmath():
+    # V^3 expanded in monomials about 0 cancelled on these cubes far from 0: the
+    # depth-8 level read 3.6e-10 off; Gauss-Legendre is exact for this degree.
+    mp = pytest.importorskip("mpmath")
+    coeffs = quadratic_with_minimum(2.9241, 2.6041, 0.4646).coeffs
+    window = Cube(2.857128743523547, 1.9554598018883609)
+    report = rh_constant(PolynomialPotential(coeffs), 3.0, window, 8)
+    with mp.workdps(50):
+        c = np.array([mp.mpf(a) for a in coeffs], dtype=object)
+        P1, P3 = npoly.polyint(c), npoly.polyint(npoly.polypow(c, 3))  # object arrays keep 50 digits
+
+        def mean(P, a, b):
+            return (npoly.polyval(b, P) - npoly.polyval(a, P)) / (b - a)
+
+        for d, (side, got) in enumerate(report.trace):
+            edges = list(map(mp.mpf, window.bounds()[0] + side * np.arange(2**d + 1)))
+            want = max(mean(P3, a, b) ** (mp.mpf(1) / 3) / mean(P1, a, b) for a, b in zip(edges, edges[1:]))
+            assert abs(got - want) <= 1e-12 * want, (side, got, want)
+
+
+@pytest.mark.parametrize("q", [2000.0, 2000.5])
+def test_an_overflowing_power_mean_reads_divergent(q):
+    # (1 + x^2)^q overflows on the window; the integer q used to read nan, not divergent
+    with np.errstate(over="ignore"):
+        report = rh_constant(PolynomialPotential([1.0, 0.0, 1.0]), q, Cube(0.0, 2.0), 6)
+    assert report.constant == math.inf and report.divergent
 
 
 def per_level_scan(V, window, depth, a, b):

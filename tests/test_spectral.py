@@ -18,7 +18,6 @@ from heatkernel import (
     SumPotential,
     build_spectral,
     constant,
-    converged_kernel,
     dirichlet_interval_log_kernel,
     eval_spectral,
     gaussian_kernel,
@@ -167,14 +166,6 @@ def test_dirichlet_log_kernel_refusals(a, b, xs, ts):
         dirichlet_interval_log_kernel(a, b, xs, [0.0], ts)
 
 
-def test_converged_kernel_against_oracles():
-    got = converged_kernel(V_SQ, 0.0, 0.0, 0.5, rel_tol=1e-4)
-    want = math.exp(quadratic_kernel(QuadraticCoeffs(0, 0, 1), 0.0, 0.0, 0.5))
-    assert math.exp(got) == pytest.approx(want, rel=1e-3)
-    free = converged_kernel(constant(0.0), 0.1, -0.4, 0.3, rel_tol=1e-4)
-    assert math.exp(free) == pytest.approx(math.exp(gaussian_kernel(1, 0.1, -0.4, 0.3)), rel=1e-4)
-
-
 def test_domain_monotonicity():
     a = cached_spectral(V_SQ, 4.0, 799, 0.3)
     b = cached_spectral(V_SQ, 8.0, 1599, 0.3)
@@ -247,14 +238,6 @@ def test_spectral_below_free_kernel(spectral_vxx1):
         ps = math.exp(eval_spectral(spectral_vxx1, x, y, t))
         g = math.exp(gaussian_kernel(1, x, y, t))
         assert ps <= g * (1.0 + 1e-10)
-
-
-def test_converged_kernel_failure_carries_trace():
-    from heatkernel import ConvergenceError
-
-    with pytest.raises(ConvergenceError) as exc:
-        converged_kernel(V_SQ, 0.0, 0.0, 0.5, rel_tol=0.0, max_doublings=1)
-    assert len(exc.value.trace) == 2  # one evaluation per domain tried
 
 
 def test_semigroup_defect_underflow_falls_back_to_absolute():
