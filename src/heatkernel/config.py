@@ -50,8 +50,9 @@ DEFAULT_CONFIG = {
 # What a number read by `config_number` must be beyond an int or a float: the
 # phrase its error message uses and the test.  The weight scans take 2^depth
 # cubes at the deepest level, and every potential kind is one-dimensional.
-# A spectral build's eigenvector solve returns an m x m array whatever number of
-# modes it keeps: 8 m^2 bytes, 0.97 GB at the cap on spectral.points.
+# A spectral build's eigenvector solve fills an m x k array for the k modes it
+# keeps, and k reaches m when t_min is small: up to 8 m^2 bytes, 0.97 GB at the
+# cap on spectral.points.
 LIMITS = {
     "potential.dimension": ("1", lambda v: v == 1),
     "weights.depth": ("an integer in [3, 20]", lambda v: isinstance(v, int) and 3 <= v <= 20),

@@ -67,6 +67,54 @@ def eigh_tridiagonal(*args, **kwargs):
     return eigh_tridiagonal(*args, **kwargs)
 
 
+def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int):
+    """(lam, vecs): the k lowest eigenpairs of a symmetric tridiagonal matrix, vecs shaped (m, k).
+
+    LAPACK dstemr (MRRR) with the inputs of scipy's
+    `eigh_tridiagonal(select="i", select_range=(0, k - 1), lapack_driver="stemr")`,
+    so the pairs are scipy's bit for bit; called directly, it fills an m x k
+    Z where scipy's wrapper allocates m x m.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    m = len(diagonal)
+    d = np.array(diagonal, dtype=np.float64)  # dstemr overwrites D and E
+    e = np.zeros(m)  # E(m) is workspace
+    e[:-1] = offdiagonal
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ParameterError("tridiagonal matrix has a non-finite entry")
+    if not 1 <= k <= m:
+        raise ParameterError(f"need 1 <= k <= {m} modes, got {k}")
+    capsule = cython_lapack.__pyx_capi__["dstemr"]
+    pythonapi = ctypes.pythonapi
+    pythonapi.PyCapsule_GetName.restype = ctypes.c_char_p
+    pythonapi.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    pythonapi.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    pythonapi.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    address = pythonapi.PyCapsule_GetPointer(capsule, pythonapi.PyCapsule_GetName(capsule))
+    dstemr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
+
+    w = np.zeros(m)
+    z = np.zeros((m, k), order="F")
+    isuppz = np.zeros(2 * k, dtype=np.intc)
+    work, iwork = np.zeros(18 * m), np.zeros(10 * m, dtype=np.intc)
+    n, il, iu, ldz, nzc, tryrac, lwork, liwork = (ctypes.c_int(v) for v in (m, 1, k, m, k, 1, 18 * m, 10 * m))
+    vl, vu = ctypes.c_double(0.0), ctypes.c_double(1.0)  # not referenced when RANGE = 'I'
+    found, info = ctypes.c_int(0), ctypes.c_int(0)
+    ref = ctypes.byref
+    # DSTEMR(JOBZ, RANGE, N, D, E, VL, VU, IL, IU, M, W, Z, LDZ, NZC, ISUPPZ, TRYRAC, WORK, LWORK, IWORK, LIWORK, INFO)
+    dstemr(
+        b"V", b"I", ref(n), d.ctypes.data, e.ctypes.data, ref(vl), ref(vu), ref(il), ref(iu), ref(found),
+        w.ctypes.data, z.ctypes.data, ref(ldz), ref(nzc), isuppz.ctypes.data, ref(tryrac),
+        work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork), ref(info),
+    )
+    if info.value != 0 or found.value < k:
+        raise RuntimeError(f"LAPACK dstemr failed: info={info.value}, {found.value} of {k} modes found")
+    return w[:k], z
+
+
 def _discretize(V: Potential, L: float, m: int):
     """(interior nodes, spacing h, diagonal V(x_i) + 2/h^2, off-diagonal -1/h^2) of -d^2/dx^2 + V on [-L, L]."""
     if not L > 0:
@@ -160,7 +208,7 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     """The lowest eigenpairs of the discretized Hamiltonian on [-L, L], for t >= t_min.
 
     m is the number of interior grid points (= matrix size).  The k modes
-    come from MRRR (`stemr`) on that index range.  A cluster that k cuts
+    come from MRRR (`_lowest_modes`) on that index range.  A cluster that k cuts
     keeps only its modes below k: the ones from k on are negligible at every
     t >= t_min (`_modes_needed`).
     """
@@ -168,7 +216,7 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
         raise ParameterError(f"t_min must be a number > 0, got {t_min}")
     nodes, h, diagonal, offdiagonal = _discretize(V, L, m)
     k = _modes_needed(h, diagonal, offdiagonal, t_min)
-    lam, vecs = eigh_tridiagonal(diagonal, offdiagonal, select="i", select_range=(0, k - 1), lapack_driver="stemr")
+    lam, vecs = _lowest_modes(diagonal, offdiagonal, k)
     phi = np.zeros((m + 2, k))
     np.divide(vecs, math.sqrt(h), out=phi[1:-1])
     del vecs

@@ -404,22 +404,21 @@ def test_spectral_grid_is_read_before_the_build(tmp_path, monkeypatch):
 def test_spectral_memory_cap_exits_2_before_any_eigenvector_solve(tmp_path, monkeypatch, capsys):
     from heatkernel import spectral
 
-    real = spectral.eigh_tridiagonal
+    real = spectral._lowest_modes
 
-    def eigenvalues_only(*args, **kwargs):
-        if not kwargs.get("eigvals_only"):
-            raise AssertionError("an eigenvector solve ran above the memory cap")
-        return real(*args, **kwargs)
+    def no_eigenvector_solve(*args):
+        raise AssertionError("an eigenvector solve ran above the memory cap")
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", eigenvalues_only)
-    # 40001 points need an m x m eigenvector array of 12.8 GB whatever t_min is
+    monkeypatch.setattr(spectral, "_lowest_modes", no_eigenvector_solve)
+    # the build peaks near 8 m k bytes, and k reaches m when t_min is small:
+    # 40001 points could need an m x m eigenvector array of 12.8 GB
     cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 40001})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 2
     err = capsys.readouterr().err
     assert "config error: spectral.points must be an integer in [3, 11000], got 40001" in err
     assert not list((tmp_path / "out").glob("*.csv"))
     # a config under the cap builds
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", real)
+    monkeypatch.setattr(spectral, "_lowest_modes", real)
     cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 401})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0
 

@@ -342,17 +342,14 @@ def test_times_below_t_min_raise(spectral_free):
 
 
 def test_orthonormality_is_checked_on_every_kept_mode(monkeypatch):
-    real = spectral.eigh_tridiagonal
+    real = spectral._lowest_modes
 
-    def one_bad_column(*args, **kwargs):
-        out = real(*args, **kwargs)
-        if kwargs.get("eigvals_only"):
-            return out
-        lam, vecs = out
+    def one_bad_column(*args):
+        lam, vecs = real(*args)
         vecs[:, 5] *= 1.0 + 1e-6  # not among 48 columns sampled evenly over all 799
         return lam, vecs
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", one_bad_column)
+    monkeypatch.setattr(spectral, "_lowest_modes", one_bad_column)
     with pytest.raises(RuntimeError, match="orthonormality defect"):
         build_spectral(V_SQ, 2.0, 799, 0.1)
 
@@ -378,19 +375,94 @@ def test_mode_count_does_not_depend_on_the_basis_inside_a_cluster(monkeypatch):
     V = PolynomialPotential([0.0, 0.0, 1.0])
     K = build_spectral(V, 6.0, 202, 0.02)
     assert K.eigenvalues[201] - K.eigenvalues[200] <= CLUSTER_RTOL * K.eigenvalues[201]
-    real = spectral.eigh_tridiagonal
+    real = spectral._lowest_modes
 
-    def rotated(*args, **kwargs):
-        out = real(*args, **kwargs)
-        if kwargs.get("eigvals_only"):
-            return out
-        lam, vecs = out
+    def rotated(*args):
+        lam, vecs = real(*args)
         c = math.sqrt(0.5)
         vecs[:, 200:202] = vecs[:, 200:202] @ np.array([[c, -c], [c, c]])
         return lam, vecs
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", rotated)
+    monkeypatch.setattr(spectral, "_lowest_modes", rotated)
     R = build_spectral(V, 6.0, 202, 0.02)
     assert abs(R.phi_sup[200] - K.phi_sup[200]) > 0.1  # each mode's own max moved with the basis
     for t in (0.02, 0.03, 0.08, 2.02):
         assert R.mode_count(t) == K.mode_count(t)
+
+
+def scipy_lowest_modes(V, L, m, t_min):
+    """(diagonal, offdiagonal, k) of a build, and scipy's MRRR solve of its k lowest modes."""
+    _, h, diagonal, offdiagonal = spectral._discretize(V, L, m)
+    k = spectral._modes_needed(h, diagonal, offdiagonal, t_min)
+    lam, vecs = eigh_tridiagonal(diagonal, offdiagonal, select="i", select_range=(0, k - 1), lapack_driver="stemr")
+    return diagonal, offdiagonal, k, lam, vecs
+
+
+def assert_lowest_modes_equal_scipy(V, L, m, t_min):
+    diagonal, offdiagonal, k, lam, vecs = scipy_lowest_modes(V, L, m, t_min)
+    got_lam, got_vecs = spectral._lowest_modes(diagonal, offdiagonal, k)
+    assert got_vecs.shape == (m, k)
+    assert np.array_equal(got_lam, lam)
+    assert np.array_equal(got_vecs, vecs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, L, m, t_min",
+    [
+        ([0.0, 0.0, 1.0], 8.0, 3199, 0.1),  # k = 109
+        ([0.0, 0.0, 1.0], 8.0, 2001, 0.05),  # k = 153
+        ([0.0, 0.0, 0.0, 0.0, 1.0], 8.0, 801, 0.02),  # k = 250
+        ([0.0, 0.0, 1.0], 6.0, 202, 0.02),  # every mode, with the wall pair at 200 and 201
+    ],
+)
+def test_lowest_modes_are_scipys_stemr_bit_for_bit(coeffs, L, m, t_min):
+    assert_lowest_modes_equal_scipy(PolynomialPotential(coeffs), L, m, t_min)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    curvature=st.floats(0.05, 4.0),
+    center=st.floats(-2.0, 2.0),
+    floor=st.floats(0.0, 3.0),
+    L=st.floats(2.0, 8.0),
+    m=st.integers(50, 1500),
+    t_min=st.floats(0.02, 1.0),
+)
+def test_lowest_modes_equal_scipy_on_quadratics(curvature, center, floor, L, m, t_min):
+    # V = curvature (x - center)^2 + floor, nonnegative everywhere
+    coeffs = [curvature * center**2 + floor, -2.0 * curvature * center, curvature]
+    assert_lowest_modes_equal_scipy(PolynomialPotential(coeffs), L, m, t_min)
+
+
+def test_build_allocates_m_by_k_not_m_by_m():
+    import tracemalloc
+
+    build_spectral(V_SQ, 8.0, 101, 0.1)  # scipy.linalg and ctypes are imported before tracing
+    tracemalloc.start()
+    try:
+        K = build_spectral(V_SQ, 8.0, 3199, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 109 modes: phi alone is 2.8 MB, an m x m array would be 82 MB
+    assert len(K.eigenvalues) == 109
+    assert peak <= 16e6
+
+
+def test_lowest_modes_refuses_non_finite_entries_and_bad_mode_counts():
+    diagonal, offdiagonal = np.full(5, 2.0), np.full(4, -1.0)
+    for bad in (math.nan, math.inf):
+        d = diagonal.copy()
+        d[2] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            spectral._lowest_modes(d, offdiagonal, 2)
+        e = offdiagonal.copy()
+        e[1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            spectral._lowest_modes(diagonal, e, 2)
+    for k in (0, 6):
+        with pytest.raises(ParameterError, match="modes"):
+            spectral._lowest_modes(diagonal, offdiagonal, k)
+    lam, vecs = spectral._lowest_modes(diagonal, offdiagonal, 5)
+    assert vecs.shape == (5, 5)
+    assert np.allclose(lam, 2.0 - 2.0 * np.cos(np.arange(1, 6) * math.pi / 6))
