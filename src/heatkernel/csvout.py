@@ -8,10 +8,14 @@ QUOTE_MINIMAL would quote it (text holding `,`, `"` or a line break).
 
 The caller passes columns, one sequence per schema column.  Each chunk of
 CHUNK_ROWS rows interleaves its column slices into one flat list and is
-written with one `%` template, so the values are formatted in C.  A chunk
-holding text that may need quoting (or is empty) goes through `csv.writer`
-and `fmt` instead, which is the reference the template path must match
-byte for byte.
+written with one `%` template, so the values are formatted in C.  A float
+column whose chunk repeats values (at least SAMPLE rows, at most half of its
+first SAMPLE values distinct, as grid coordinates are) is formatted once per
+distinct value, keyed by bit pattern so that 0.0 and -0.0 stay apart, and
+enters the template as text; the decision reads that chunk alone and changes
+no byte.  A chunk holding text that may need quoting (or is empty) goes
+through `csv.writer` and `fmt` instead, which is the reference the template
+path must match byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ import csv
 import re
 from pathlib import Path
 
+import numpy as np
+
 CHUNK_ROWS = 4096  # rows per formatted string: bounds the writer's memory
+SAMPLE = 256  # leading values of a float chunk that judge whether it repeats
 _QUOTABLE = re.compile(r'[,"\r\n]')
 
 
@@ -34,12 +41,29 @@ def _needs_writer(text: str) -> bool:
     return not text or _QUOTABLE.search(text) is not None
 
 
+def _repeats(values) -> bool:
+    """Whether a float chunk is long and its first SAMPLE values at most half distinct."""
+    sample = values[:SAMPLE]
+    return len(sample) == SAMPLE and 2 * len(set(sample)) <= SAMPLE
+
+
+def _distinct_text(values) -> list:
+    """`%.17g` of each float of a list or an ndarray, formatting each distinct bit pattern once."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
+    return text[index].tolist()
+
+
 def _field(values):
     """(`%` field, values, whether a value may need quoting) of one column's chunk."""
+    source = values
     if hasattr(values, "tolist"):  # an ndarray: Python scalars format faster
         values = values.tolist()
     types = set(map(type, values))
     if all(issubclass(t, float) for t in types):
+        if _repeats(values):
+            return "%s", _distinct_text(source), False
         return "%.17g", values, False
     if any(issubclass(t, float) for t in types):  # floats among other types
         values = list(map(fmt, values))

@@ -57,8 +57,8 @@ class Cube:
             center = tuple(float(c) for c in center)
         if not side > 0.0:
             raise ParameterError(f"cube side must be > 0, got {side}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "side", float(side))
+        # one write for both fields: the frozen class's `__setattr__` refuses them
+        self.__dict__.update(center=center, side=float(side))
 
     @property
     def n(self) -> int:
@@ -100,6 +100,11 @@ class PolynomialPotential(Potential):
     def __call__(self, x):
         val = npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
         return val if val.ndim else float(val)
+
+    @cached_property
+    def primitive(self) -> tuple[float, ...]:
+        """Antiderivative coefficients, read once from `_poly_primitive` and kept on the instance."""
+        return _poly_primitive(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -231,11 +236,6 @@ def _poly_primitive(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(npoly.polyint(np.asarray(coeffs, dtype=float)).tolist())
 
 
-def _poly_interval_integral(coeffs, lo, hi):
-    anti = _poly_primitive(tuple(coeffs))
-    return _horner(hi, anti) - _horner(lo, anti)
-
-
 def _power_segment(a, b, s):
     """int_a^b x^s dx for 0 <= a <= b; +inf when divergent (a = 0, s <= -1)."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -305,7 +305,8 @@ def interval_integral(V: Potential, lo, hi):
     if V.n != 1:
         raise ParameterError("interval_integral is one-dimensional")
     if isinstance(V, PolynomialPotential):
-        return _poly_interval_integral(V.coeffs, lo, hi)
+        anti = V.primitive
+        return _horner(hi, anti) - _horner(lo, anti)
     if isinstance(V, PowerPotential):
         return _abs_power_interval(lo, hi, V.alpha)
     if isinstance(V, TabulatedPotential):
@@ -443,9 +444,11 @@ def cube_average(V: Potential, Z: Cube) -> float:
     The exact `interval_integral` over the cube's length.  A cube on which V
     is not integrable raises DomainError (`_refuse_divergent`).
     """
-    if V.n != 1 or Z.n != 1:
-        raise ParameterError(f"cube_average is one-dimensional, got potential n={V.n} and cube n={Z.n}")
-    lo, hi = Z.bounds(0)
+    center = Z.center
+    if V.n != 1 or len(center) != 1:
+        raise ParameterError(f"cube_average is one-dimensional, got potential n={V.n} and cube n={len(center)}")
+    half = Z.side / 2.0  # `Z.bounds(0)` inline: the same IEEE operations
+    lo, hi = center[0] - half, center[0] + half
     total = float(interval_integral(V, lo, hi))
     if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
         _refuse_divergent(V, lo, hi, total)
@@ -515,7 +518,8 @@ def _power_means(V: Potential, lo, hi, side, q: float, excision):
     per cube, refined one side (one level) at a time so that only one level's
     points are held; where V(0) is a domain error, a cube reaching 0 gets +inf
     and a flag.  Any other q integrates V^q with `powered_interval_integral`,
-    excised at radius excision_i where divergent.
+    excised at radius excision_i where divergent; a cube where that overflows
+    with no flag is recomputed by `_rescaled_power_means`.
     """
     if q == 1.0:
         return interval_integral(V, lo, hi) / (hi - lo), np.zeros(lo.shape, dtype=bool)
@@ -526,9 +530,31 @@ def _power_means(V: Potential, lo, hi, side, q: float, excision):
             at = (side == s) & ~flags
             sup[at] = np.max(V(lo[at][:, None] + np.linspace(0.0, s, ESS_SUP_GRID + 1)), axis=1)
         return sup, flags
-    total, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
+    with np.errstate(over="ignore"):  # an overflowed cube is recomputed below
+        total, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
     with np.errstate(divide="ignore"):
-        return (np.clip(total, 0.0, None) / (hi - lo)) ** (1.0 / q), flags
+        means = (np.clip(total, 0.0, None) / (hi - lo)) ** (1.0 / q)
+    over = np.flatnonzero(np.isinf(total) & ~flags)
+    if over.size:
+        means[over] = _rescaled_power_means(V, lo[over], hi[over], side[over], q, means[over])
+    return means, flags
+
+
+def _rescaled_power_means(V: Potential, lo, hi, side, q: float, means):
+    """means, with M_q = s (mean of (V/s)^q)^(1/q) on each cube, s the cube's max of V.
+
+    For cubes where the mean of V^q overflows.  s is the q = infinity power
+    mean (the max over the ESS_SUP_GRID refinement), and (V/s)^q, at most
+    about 1, takes 33-point Gauss-Legendre.  A cube whose s is not finite and
+    positive keeps its entry of means.
+    """
+    s = _power_means(V, lo, hi, side, math.inf, None)[0]
+    ok = np.isfinite(s) & (s > 0.0)
+    scale, means = s[ok][:, None], means.copy()
+    with np.errstate(over="ignore", divide="ignore"):
+        total = _gl_interval_integral(lambda x: (np.clip(V(x), 0.0, None) / scale) ** q, lo[ok], hi[ok])
+        means[ok] = s[ok] * (total / (hi[ok] - lo[ok])) ** (1.0 / q)
+    return means
 
 
 def _safe_ratio(num, den):

@@ -188,7 +188,7 @@ def test_closed_form_bounds_reads_the_batched_values(tmp_path):
 
 def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(tmp_path, monkeypatch):
     # the closed-form bounds benchmark's shape: t runs past 1, so both quadratic_sharp branches bind
-    from heatkernel import explicit, potentials
+    from heatkernel import csvout, explicit, potentials
     from heatkernel.config import DEFAULT_CONFIG
 
     cfg = {
@@ -205,8 +205,13 @@ def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(t
         return [(tmp_path / out / name).read_bytes() for name in ("bound_slacks.csv", "bound_verdicts.csv")]
 
     fast = run("fast")
+    # the reference: no memo of time factors or antiderivatives, and every CSV value formatted on its own
     monkeypatch.setattr(potentials, "_horner", npoly.polyval)
     monkeypatch.setattr(explicit, "_time_factors", explicit._time_factors.__wrapped__)
+    monkeypatch.setattr(
+        potentials.PolynomialPotential, "primitive", property(lambda V: potentials._poly_primitive(V.coeffs))
+    )
+    monkeypatch.setattr(csvout, "_repeats", lambda values: False)
     assert run("reference") == fast
 
 

@@ -2,13 +2,14 @@ import csv
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from heatkernel import PolynomialPotential, QuadraticCoeffs, quadratic_kernel
 from heatkernel.cli import main
-from heatkernel.csvout import CHUNK_ROWS, emit_csv
+from heatkernel.csvout import CHUNK_ROWS, SAMPLE, emit_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -79,6 +80,19 @@ def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
     single = [("plain",), ("",)] + [(v,) for v in SPECIAL_FLOATS]  # a lone empty field is quoted
     path = emit_csv(columns_of(single, 1), ["only"], tmp_path / "single.csv")
     assert path.read_bytes() == reference_csv(single, ["only"])
+    # float columns that repeat values, formatted once per distinct value: 0.0 and
+    # -0.0 compare equal, and nans of any sign, payload or identity print as nan.
+    # Each chunk's first SAMPLE values decide: `later` is distinct there and
+    # repeats after it, `sooner` the other way round, in both chunks.
+    n = 2 * CHUNK_ROWS + 5
+    specials = SPECIAL_FLOATS + [float("nan"), -math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]]
+    mixed = [specials[i % len(specials)] for i in range(n)]
+    later = [i / 7.0 if i % CHUNK_ROWS < SAMPLE else specials[i % 3] for i in range(n)]
+    sooner = [-0.0 if i % CHUNK_ROWS < SAMPLE else i / 7.0 for i in range(n)]
+    grid = np.repeat(np.linspace(-2.0, 2.0, 13), 8)[np.arange(n) % 104]  # an ndarray, as `kernel` writes its axes
+    repeated = list(zip(mixed, later, sooner, grid.tolist()))
+    path = emit_csv([mixed, later, sooner, grid], ["a", "b", "c", "d"], tmp_path / "repeated.csv", "M=3")
+    assert path.read_bytes() == reference_csv(repeated, ["a", "b", "c", "d"], "M=3")
 
 
 def test_emit_csv_takes_ndarray_and_range_columns(tmp_path):

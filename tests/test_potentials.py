@@ -545,12 +545,18 @@ def test_integer_power_of_a_polynomial_on_small_cubes_matches_mpmath():
             assert abs(got - want) <= 1e-12 * want, (side, got, want)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("q", [2000.0, 2000.5])
-def test_an_overflowing_power_mean_reads_divergent(q):
-    # (1 + x^2)^q overflows on the window; the integer q used to read nan, not divergent
-    with np.errstate(over="ignore"):
-        report = rh_constant(PolynomialPotential([1.0, 0.0, 1.0]), q, Cube(0.0, 2.0), 6)
-    assert report.constant == math.inf and report.divergent
+def test_an_overflowing_power_mean_is_rescaled(q):
+    # (1 + x^2)^q overflows on every cube of the window, which used to read inf and
+    # divergent; M_q = s (mean (V/s)^q)^(1/q) with s the cube's max of V stays finite
+    V, window = PolynomialPotential([1.0, 0.0, 1.0]), Cube(0.0, 2.0)
+    report = rh_constant(V, q, window, 8)
+    low, high = (rh_constant(V, e, window, 8) for e in (2.0, math.inf))
+    assert math.isfinite(report.constant) and not report.divergent
+    assert low.constant <= report.constant <= high.constant
+    for (_, lo), (_, got), (_, hi) in zip(low.trace, report.trace, high.trace):  # power means grow with q
+        assert lo <= got <= hi
 
 
 def per_level_scan(V, window, depth, a, b):
@@ -650,16 +656,24 @@ POTENTIALS = st.recursive(
 CENTER = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
 
 
+def _one_tuple(c):
+    return (c,)
+
+
+# the forms `Cube` takes a center in (float is its fast path) and sides that are ints
+CENTER_FORM = st.sampled_from([float, np.float64, _one_tuple])
+
+
 @settings(max_examples=300, deadline=None)
-@given(POTENTIALS, st.lists(st.tuples(CENTER, SIDE), min_size=1, max_size=6))
+@given(POTENTIALS, st.lists(st.tuples(CENTER, SIDE | st.integers(1, 4), CENTER_FORM), min_size=1, max_size=6))
 def test_cube_averages_is_cube_average_bitwise(V, cubes):
     expected, errors = [], set()
-    for center, side in cubes:
+    for center, side, form in cubes:
         try:
-            expected.append(cube_average(V, Cube(center, side)))
+            expected.append(cube_average(V, Cube(form(center), side)))
         except (DomainError, ParameterError) as exc:
             errors.add(type(exc))
-    centers, sides = (np.array(col) for col in zip(*cubes))
+    centers, sides = (np.array(col) for col in list(zip(*cubes))[:2])
     if errors:
         with pytest.raises((DomainError, ParameterError)) as info:
             cube_averages(V, centers, sides)
