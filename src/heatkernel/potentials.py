@@ -1,11 +1,11 @@
 """Nonnegative potentials on the line, exact cube averages, and weight-class diagnostics.
 
-Potentials are immutable value objects, all one-dimensional.  Each kind
-carries exact interval integrals (closed-form antiderivatives); a kind
-without one is refused.  `Cube` stays n-dimensional, but every average and
-scan here refuses n != 1.  The reverse-Holder and Muckenhoupt constants are
-sups of power-mean ratios M_a / M_b, M_q = (mean of V^q)^(1/q), over dyadic
-refinements of a user-supplied window; the doubling fit uses nested cubes.
+Potentials are immutable value objects, all one-dimensional; a kind with no
+exact interval integral is refused.  `Cube` stays n-dimensional, but every
+average and scan here refuses n != 1.  The reverse-Holder and Muckenhoupt
+constants are sups of power-mean ratios M_a / M_b, M_q = (mean of V^q)^(1/q),
+over dyadic refinements of a window; V^q is integrated by one rule that
+splits at V's break points.  The doubling fit uses nested cubes.
 """
 
 from __future__ import annotations
@@ -73,23 +73,47 @@ class Cube:
 # potential kinds
 
 
-class Potential:
-    """Base class: V on the line.  Subclasses are frozen dataclasses, safe to share/hash.
+NO_BREAKS = (np.empty(0), np.empty(0))
 
-    n is the dimension of the points V takes; every kind here has n = 1.
+
+class Potential:
+    """Base class: V on the line, n = 1.  Subclasses are frozen dataclasses, safe to share/hash.
+
+    `breaks` are the points where V vanishes, is singular or has a kink, each
+    with an order o: near a break r, V(x) = |x - r|^o W(x), W bounded and > 0.
     """
 
     n = 1
+    # whether V can be rough at a break (a fractional power): a cube with such a break is graded
+    rough = True
 
     def __call__(self, x):
         raise NotImplementedError
 
+    @property
+    def breaks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted points, their orders); a kind with no breaks lists none."""
+        return NO_BREAKS
+
+    def order_at(self, r):
+        """The order of the break at each r, 0 where r is not a break point."""
+        points, orders = self.breaks
+        if not len(points):
+            return np.zeros(np.shape(r))
+        i = np.minimum(np.searchsorted(points, r), len(points) - 1)
+        return np.where(points[i] == r, orders[i], 0.0)
+
+    def near(self, r, h):
+        """W = V(r + h) / |h|^order(r), h != 0; a kind with breaks evaluates it without cancelling or underflowing."""
+        return self(r + h) / np.abs(h) ** self.order_at(r)
+
 
 @dataclass(frozen=True)
 class PolynomialPotential(Potential):
-    """V(x) = sum_i coeffs[i] x^i."""
+    """V(x) = sum_i coeffs[i] x^i.  Its breaks are its real roots, of order their multiplicity."""
 
     coeffs: tuple[float, ...]
+    rough = False
 
     def __init__(self, coeffs: Sequence[float]):
         coeffs = tuple(float(c) for c in coeffs)
@@ -98,22 +122,46 @@ class PolynomialPotential(Potential):
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, x):
-        val = npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
+        x = np.asarray(x, dtype=float)
+        Q, roots = self.factored
+        val = npoly.polyval(x, Q)
+        for r in roots:
+            val = val * (x - r)
         return val if val.ndim else float(val)
 
+    @property
+    def breaks(self):
+        return _poly_real_roots(self.coeffs)[:2]
+
     @cached_property
-    def primitive(self) -> tuple[float, ...]:
-        """Antiderivative coefficients, read once from `_poly_primitive` and kept on the instance."""
-        return _poly_primitive(self.coeffs)
+    def factored(self) -> tuple[np.ndarray, tuple[float, ...]]:
+        """(Q, real roots each repeated by its multiplicity): V = Q(x) prod (x - root), which cancels at no root."""
+        roots, mult = self.breaks
+        if not len(roots):
+            return np.asarray(self.coeffs), ()
+        repeated = np.repeat(roots, mult.astype(int))
+        return npoly.polydiv(self.coeffs, npoly.polyfromroots(repeated))[0], tuple(repeated.tolist())
+
+    @cached_property
+    def gauss(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[tuple[float, float], ...]]:
+        """(Q's coefficients from the top, the roots, (node, weight) pairs of the (d // 2 + 1)-point rule)."""
+        Q, roots = self.factored
+        rule = _gl_rule((len(self.coeffs) - 1) // 2 + 1)
+        return tuple(Q[::-1].tolist()), roots, tuple(zip(*(a.tolist() for a in rule)))
+
+    def near(self, r, h):
+        # the factored form with each x - root taken as (r - root) + h, which is h itself at r = root
+        Q, roots = self.factored
+        w = npoly.polyval(r + h, Q)
+        for root in roots:
+            d = (r - root) + h
+            w = w * np.where(r == root, np.sign(d), d)
+        return w
 
 
 @dataclass(frozen=True)
 class PowerPotential(Potential):
-    """V(x) = |x|**alpha.
-
-    alpha < 0 has a singularity at the origin: pointwise evaluation there is
-    a domain error, while interval integrals use the improper closed form.
-    """
+    """V(x) = |x|**alpha, one break at 0 of order alpha; for alpha < 0, V(0) is a domain error."""
 
     alpha: float
 
@@ -128,13 +176,26 @@ class PowerPotential(Potential):
             val = r**self.alpha
         return val if val.ndim else float(val)
 
+    @property
+    def breaks(self):
+        return np.zeros(1), np.array([self.alpha])
+
+    @property
+    def rough(self):
+        return not self.alpha.is_integer()
+
+    def near(self, r, h):
+        with np.errstate(divide="ignore"):
+            return np.where(r == 0.0, 1.0, np.abs(r + h) ** self.alpha)
+
 
 @dataclass(frozen=True)
 class TabulatedPotential(Potential):
-    """Piecewise-linear interpolant of uniform samples, values >= 0."""
+    """Piecewise-linear interpolant of uniform samples, values >= 0; its nodes are breaks of order (value == 0)."""
 
     xs: tuple[float, ...]
     values: tuple[float, ...]
+    rough = False
 
     def __init__(self, xs: Sequence[float], values: Sequence[float]):
         xs = tuple(float(v) for v in xs)
@@ -159,16 +220,29 @@ class TabulatedPotential(Potential):
 
     @cached_property
     def cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nodes, values, trapezoid integral from the first node to each node)."""
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.values)
-        segs = 0.5 * (vs[1:] + vs[:-1]) * np.diff(xs)
-        return xs, vs, np.concatenate([[0.0], np.cumsum(segs)])
+        """(nodes, values, integral over each segment and a trailing 0)."""
+        xs, vs = np.asarray(self.xs), np.asarray(self.values)
+        return xs, vs, np.append(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs), 0.0)
+
+    @cached_property
+    def breaks(self):
+        xs, vs, _ = self.cumulative
+        return xs, (vs == 0.0).astype(float)
+
+    def near(self, r, h):
+        # along the segment from the node x_i nearest r toward x = r + h, in u = x - x_i:
+        # v_i + u (v_j - v_i) / (x_j - x_i), which keeps its relative accuracy at a zero node
+        xs, vs, _ = self.cumulative
+        i = np.clip(np.rint((r - xs[0]) / (xs[1] - xs[0])).astype(int), 0, len(xs) - 1)
+        u = (r - xs[i]) + h
+        j = np.clip(np.where(u > 0.0, i + 1, i - 1), 0, len(xs) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (vs[i] + u * (vs[j] - vs[i]) / (xs[j] - xs[i])) / np.abs(h) ** self.order_at(r)
 
 
 @dataclass(frozen=True)
 class ScaledPotential(Potential):
-    """c * V with c > 0."""
+    """c * V with c > 0; the breaks of V."""
 
     factor: float
     base: Potential
@@ -186,10 +260,25 @@ class ScaledPotential(Potential):
     def __call__(self, x):
         return self.factor * self.base(x)
 
+    @property
+    def breaks(self):
+        return self.base.breaks
+
+    @property
+    def rough(self):
+        return self.base.rough
+
+    def near(self, r, h):
+        return self.factor * self.base.near(r, h)
+
 
 @dataclass(frozen=True)
 class SumPotential(Potential):
-    """V1 + V2 + ... , all of equal dimension."""
+    """V1 + V2 + ... , all of equal dimension.
+
+    Its breaks are its parts', each of the lowest order of any part there (0
+    for a part with no break there, which is positive there).
+    """
 
     parts: tuple[Potential, ...]
 
@@ -210,6 +299,20 @@ class SumPotential(Potential):
             total = total + p(x)
         return total
 
+    @property
+    def rough(self):
+        return any(p.rough for p in self.parts)
+
+    @cached_property
+    def breaks(self):
+        points = np.unique(np.concatenate([p.breaks[0] for p in self.parts]))
+        return points, np.min([p.order_at(points) for p in self.parts], axis=0)
+
+    def near(self, r, h):
+        # each part's own W, so that no |h|^o underflows: V / |h|^o = sum W_i |h|^(o_i - o)
+        o = self.order_at(r)
+        return sum(p.near(r, h) * np.abs(h) ** (p.order_at(r) - o) for p in self.parts)
+
 
 def constant(c: float) -> PolynomialPotential:
     """V = c >= 0."""
@@ -222,48 +325,17 @@ def constant(c: float) -> PolynomialPotential:
 # exact 1D interval integrals
 
 
-def _horner(x, coeffs: tuple[float, ...]):
-    """sum_i coeffs[i] x^i at a float or an array x: `npoly.polyval`'s IEEE operations in its order."""
-    v = coeffs[-1] + x * 0.0
-    for a in coeffs[-2::-1]:
-        v = a + v * x
-    return v
-
-
-@lru_cache(maxsize=32)
-def _poly_primitive(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    """Antiderivative coefficients of a polynomial, built once per coefficient tuple."""
-    return tuple(npoly.polyint(np.asarray(coeffs, dtype=float)).tolist())
-
-
-def _power_segment(a, b, s):
-    """int_a^b x^s dx for 0 <= a <= b; +inf when divergent (a = 0, s <= -1)."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    out = np.zeros(a.shape)
-    nz = b > a
-    sp1 = s + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if sp1 == 0.0:
-            vals = np.log(b) - np.log(a)
-        else:
-            vals = (b**sp1 - a**sp1) / sp1
-    out[nz] = vals[nz]
-    return out
-
-
 def _abs_power_interval(lo, hi, s, excision=0.0):
-    """int over [lo,hi] of |x|^s, optionally excising (-excision, excision).
-
-    Divergent integrals (singularity in the closure with s <= -1 and no
-    excision) return +inf.  Vectorized over lo/hi arrays.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a_neg = np.maximum(np.maximum(0.0, -hi), excision)
-    b_neg = np.maximum(0.0, -lo)
-    a_pos = np.maximum(np.maximum(0.0, lo), excision)
-    b_pos = np.maximum(0.0, hi)
-    return _power_segment(a_neg, b_neg, s) + _power_segment(a_pos, b_pos, s)
+    """int over [lo, hi] of |x|^s less (-excision, excision), vectorized; +inf where divergent."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    total = 0.0
+    for a, b in ((-hi, -lo), (lo, hi)):  # |x| on x < 0, then on x > 0
+        # 0-d arrays, not numpy scalars: a scalar's ** can round differently from the array loop's
+        a, b = np.broadcast_arrays(np.maximum(np.maximum(a, 0.0), excision), b)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            part = np.log(b) - np.log(a) if s == -1.0 else (b ** (s + 1.0) - a ** (s + 1.0)) / (s + 1.0)
+        total = total + np.where(b > a, np.where((a == 0.0) & (s <= -1.0), np.inf, part), 0.0)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -272,48 +344,49 @@ def _gl_rule(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gl_interval_integral(f, lo, hi, n: int = 33):
-    """n-point Gauss-Legendre on each [lo_i, hi_i], vectorized; exact for polynomials of degree <= 2n - 1."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    nodes, weights = _gl_rule(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[..., None] + half[..., None] * nodes
-    vals = f(pts)
-    return half * np.sum(vals * weights, axis=-1)
+def _poly_interval_integral(V: PolynomialPotential, lo, hi):
+    """Gauss-Legendre with d // 2 + 1 nodes about the centre of each [lo, hi]: exact for degree d.
+
+    For V >= 0 no term is negative, and V in factored form cancels at no root, so
+    a small cube far from 0 or at a root keeps its digits.  One loop serves floats and arrays.
+    """
+    top_down, roots, rule = V.gauss
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    total = 0.0
+    for t, w in rule:
+        x, v = mid + half * t, 0.0
+        for a in top_down:
+            v = a + v * x
+        for r in roots:
+            v = v * (x - r)
+        total = total + w * v
+    return half * total
 
 
-def _tab_primitive(V: TabulatedPotential, x):
-    xs, vs, cum = V.cumulative
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-    x0 = xs[idx]
-    dx = x - x0
-    h = xs[idx + 1] - xs[idx]
-    slope = (vs[idx + 1] - vs[idx]) / h
-    return cum[idx] + vs[idx] * dx + 0.5 * slope * dx * dx
+def _table_integral(V: TabulatedPotential, lo, hi):
+    """Exact integral of the interpolant over each [lo, hi] from its own pieces, all >= 0: nothing cancels."""
+    xs, vs, segs = V.cumulative
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    i, j = (np.clip(np.searchsorted(xs, e, side="right") - 1, 0, len(xs) - 2) for e in (lo, hi))
+    a, b = (vs[k] + (e - xs[k]) * (vs[k + 1] - vs[k]) / (xs[k + 1] - xs[k]) for k, e in ((i, lo), (j, hi)))
+    whole = np.add.reduceat(segs, np.stack([i + 1, np.maximum(j, i + 1)], axis=-1).ravel())[::2].reshape(i.shape)
+    ends = 0.5 * (a + vs[i + 1]) * (xs[i + 1] - lo), 0.5 * (vs[j] + b) * (hi - xs[j])
+    return np.where(i == j, 0.5 * (a + b) * (hi - lo), ends[0] + np.where(j > i + 1, whole, 0.0) + ends[1])
 
 
 def interval_integral(V: Potential, lo, hi):
-    """Exact integral of a 1D potential over [lo, hi] (vectorized).
-
-    Polynomial / power / tabulated kinds use closed forms; scaled and sum
-    compositions propagate linearly.  Power kind returns +inf on intervals
-    where the singularity is non-integrable.
-    """
+    """Exact integral of a 1D potential over [lo, hi] (vectorized); +inf where a power is not integrable."""
     if V.n != 1:
         raise ParameterError("interval_integral is one-dimensional")
     if isinstance(V, PolynomialPotential):
-        anti = V.primitive
-        return _horner(hi, anti) - _horner(lo, anti)
+        return _poly_interval_integral(V, lo, hi)
     if isinstance(V, PowerPotential):
         return _abs_power_interval(lo, hi, V.alpha)
     if isinstance(V, TabulatedPotential):
         lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if np.any(lo_a < V.xs[0] - 1e-12) or np.any(hi_a > V.xs[-1] + 1e-12):
             raise DomainError("interval outside tabulated domain")
-        return _tab_primitive(V, hi) - _tab_primitive(V, lo)
+        return _table_integral(V, lo, hi)
     if isinstance(V, ScaledPotential):
         return V.factor * interval_integral(V.base, lo, hi)
     if isinstance(V, SumPotential):
@@ -329,94 +402,175 @@ ROOT_TOL = 1e-6
 
 
 @lru_cache(maxsize=32)
-def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(real roots, multiplicities) of a polynomial, found once per coefficient tuple.
+def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(real roots, multiplicities as floats, the other roots above the axis), found once per coefficient tuple.
 
-    Real parts of the near-real roots are sorted and split where the gap
-    exceeds ROOT_TOL max(1, |root|); each group is one root at its mean.
+    Near-real roots split where their gap exceeds ROOT_TOL max(1, |root|); a group is one root at its mean.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    roots = npoly.polyroots(c) if len(c) > 1 else np.empty(0, dtype=complex)
+    with np.errstate(all="ignore"):  # a companion matrix past the float range has no roots to give
+        finite = len(c) > 1 and np.all(np.isfinite(c / c[-1]))
+        roots = npoly.polyroots(c) if finite else np.empty(0, dtype=complex)
     real = np.sort(roots.real[np.abs(roots.imag) <= ROOT_TOL * np.maximum(1.0, np.abs(roots))])
     gaps = np.diff(real) > ROOT_TOL * np.maximum(1.0, np.abs(real[1:]))
     groups = np.split(real, np.flatnonzero(gaps) + 1) if real.size else []
     centers = np.array([g.mean() for g in groups])
-    mult = np.array([len(g) for g in groups], dtype=int)
-    centers.flags.writeable = mult.flags.writeable = False
-    return centers, mult
+    mult = np.array([len(g) for g in groups], dtype=float)
+    poles = roots[roots.imag > ROOT_TOL * np.maximum(1.0, np.abs(roots))]
+    centers.flags.writeable = mult.flags.writeable = poles.flags.writeable = False
+    return centers, mult, poles
 
 
-def _root_split_integral(coeffs, lo: float, hi: float, roots, mult, q: float) -> float:
-    """Integral of max(V, 0)**q, q < 0, over [lo, hi] for a polynomial V with integrable roots there.
-
-    The interval is split at the roots (clipped into [lo, hi]) and at the
-    midpoints between them, so each piece has one root r, of multiplicity m,
-    at one end and a point b at the other.  On it V = (x - r)^m W(x) with
-    W(r) != 0, and x = r + (b - r) v^(1/(s+1)), s = m q > -1, turns the
-    integral into |b - r|^(s+1)/(s+1) times the integral over v in [0, 1] of
-    max(+-W, 0)^q, a bounded integrand that 33-point Gauss-Legendre in v resolves.
-    """
-    nodes, weights = _gl_rule(33)
-    v = 0.5 * (nodes + 1.0)
-    r = np.clip(roots, lo, hi)
-    ends = np.concatenate([[lo], 0.5 * (r[1:] + r[:-1]), [hi]])
-    total = 0.0
-    for i, (ri, m) in enumerate(zip(r, mult)):
-        W = npoly.polydiv(coeffs, npoly.polyfromroots([ri] * m))[0]
-        s = m * q
-        for b in (ends[i], ends[i + 1]):
-            if b == ri:
-                continue
-            x = ri + (b - ri) * v ** (1.0 / (s + 1.0))
-            sign = 1.0 if m % 2 == 0 else np.sign(b - ri)  # the sign of (x - r)^m on the piece
-            with np.errstate(divide="ignore"):
-                f = np.clip(sign * npoly.polyval(x, W), 0.0, None) ** q
-            total += abs(b - ri) ** (s + 1.0) / (s + 1.0) * 0.5 * float(np.dot(weights, f))
-    return total
+# The one rule for V^q (`_scaled_powered_integral`): FLAT bounds q log(max V / min V) over a
+# cube's nodes for plain Gauss-Legendre, and a complex root of a polynomial inside the cube's
+# Bernstein ellipse POLE_RHO would cost its 33 nodes digits (about POLE_RHO^-66).  A graded half
+# takes LEVELS pieces of ratio GRADING, each spanning at most SPAN in log |x - r|^(t+1).
+GL_NODES, FLAT, POLE_RHO = 33, 30.0, 1.5
+GRADING, LEVELS, SPAN = 0.25, 25, 40.0
 
 
 def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 0.0):
-    """(integral of V**q over each [lo_i, hi_i], analytic-divergence mask).
+    """(integral of V**q over each [lo_i, hi_i], analytic-divergence mask); inf past the float range."""
+    J, scale, divergent = _scaled_powered_integral(V, lo, hi, q, excision)
+    with np.errstate(over="ignore"):
+        return scale**q * J, divergent
 
-    Closed form for power kind (|x|^{alpha q}); Gauss-Legendre otherwise,
-    split at a polynomial's integrable roots for q < 0 (`_root_split_integral`).
-    An integer power q >= 1 of a degree-d polynomial takes d q // 2 + 1 nodes,
-    up to 33, which is exact for d q <= 65.  Where the mask is
-    set the integral is analytically divergent: the returned value is the
-    improper integral with a ball of radius `excision` removed around the
-    singular point (+inf when excision == 0).
+
+def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
+    """(J, s, mask): the integral of V**q over [lo_i, hi_i] is s_i^q J_i, so that no cube overflows.
+
+    After scale factors, a power has its closed form in units of the cube's
+    farthest point from 0 (nearest when alpha q <= -1).  Any other kind takes
+    one plain Gauss-Legendre call, in units of the max of V on its nodes, on
+    cubes where that is exact (integer q >= 1, degree d, d q // 2 + 1 <= 33
+    nodes) or where no break or near complex root lies and q log(max V /
+    min V) <= FLAT; the rest go to `_graded_pieces`, cut also at near complex
+    roots and at an inner peak of V^q on the nodes.
+    The mask marks a break of order o, o q <= -1, within 1e-12 of the cube: a
+    power then returns the integral less (-excision, excision), any other kind +inf.
     """
     if V.n != 1:
         raise ParameterError("powered_interval_integral is one-dimensional")
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    factor = 1.0
+    while isinstance(V, ScaledPotential):
+        factor, V = factor * V.factor, V.base
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if isinstance(V, PowerPotential):
         s = V.alpha * q
-        touches = (lo <= 1e-300) & (hi >= -1e-300)
-        divergent = touches & (s <= -1.0)
-        return _abs_power_interval(lo, hi, s, np.where(divergent, excision, 0.0)), divergent
-    if isinstance(V, ScaledPotential):
-        vals, div = powered_interval_integral(V.base, lo, hi, q, excision)
-        return V.factor**q * vals, div
-    if isinstance(V, PolynomialPotential) and q < 0:
-        # a root of multiplicity m is non-integrable iff m q <= -1; Gauss-Legendre
-        # cannot see an integrable one, so those intervals are split at their roots
-        # (see `_poly_real_roots`); a root inside [lo, hi] up to 1e-12 counts
-        roots, mult = _poly_real_roots(V.coeffs)
-        lo, hi = np.broadcast_arrays(lo, hi)
-        inside = (lo[..., None] - 1e-12 <= roots) & (roots <= hi[..., None] + 1e-12)
-        divergent = np.any(inside & (mult * q <= -1.0), axis=-1)
-        with np.errstate(divide="ignore"):
-            vals = _gl_interval_integral(lambda x: np.clip(V(x), 0.0, None) ** q, lo, hi)
-        for i in map(tuple, np.argwhere(np.any(inside, axis=-1) & ~divergent)):
-            vals[i] = _root_split_integral(V.coeffs, lo[i], hi[i], roots[inside[i]], mult[inside[i]], q)
-        return np.where(divergent, np.inf, vals), divergent
-    n = 33
-    if isinstance(V, PolynomialPotential) and float(q).is_integer() and q >= 1:
-        n = min((len(V.coeffs) - 1) * int(q) // 2 + 1, 33)
-    # Gauss-Legendre of max(V, 0)^q
-    vals = _gl_interval_integral(lambda x: np.clip(V(x), 0.0, None) ** q, lo, hi, n)
-    return vals, np.zeros(np.broadcast(lo, hi).shape, dtype=bool)
+        divergent = (lo <= 1e-300) & (hi >= -1e-300) & (s <= -1.0)
+        cut = np.where(divergent, excision, 0.0)
+        c = np.where(s > -1.0, np.maximum(-lo, hi), np.maximum(np.maximum(np.maximum(lo, -hi), 0.0), cut))
+        c = np.where(c > 0.0, c, 1.0)
+        return c * _abs_power_interval(lo / c, hi / c, s, cut / c), factor * c**V.alpha, divergent
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    points, orders = V.breaks
+    first = np.searchsorted(points, lo - 1e-12)
+    last = np.searchsorted(points, hi + 1e-12, side="right")
+    bad = np.concatenate([[0], np.cumsum(orders * q <= -1.0)])
+    divergent = bad[last] > bad[first]
+    J, scale = np.full(lo.shape, np.inf), np.full(lo.shape, factor)
+    deg = len(V.coeffs) - 1 if isinstance(V, PolynomialPotential) else -1
+    exact = deg >= 0 and float(q).is_integer() and 1.0 <= q and deg * q <= 65
+    nodes, weights = _gl_rule(int(deg * q) // 2 + 1 if exact else GL_NODES)
+    at = np.flatnonzero(~divergent)
+    mid, half = 0.5 * (lo[at] + hi[at]), 0.5 * (hi[at] - lo[at])
+    x = half * nodes[:, None]  # one column per cube; in place below, as these arrays are large
+    x += mid
+    if (orders < 0).any():  # a node on a singularity moves off it by an ulp
+        x = np.where(np.isin(x, points[orders < 0]), np.nextafter(x, np.inf), x)
+    with np.errstate(over="ignore"):
+        f = np.clip(V(x), 0.0, None)
+    top, low = f.max(axis=0), f if exact else f.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        in_range = abs(q) * np.maximum(abs(np.log(top)), 0.0 if exact else abs(np.log(low))) < 700.0
+        spread = None if exact else abs(q) * np.log(top / low)
+    graded = np.empty(0, dtype=int)
+    if not exact:  # cut points besides the breaks: complex roots near the cube, and V^q's peak among the nodes
+        z = _poly_real_roots(V.coeffs)[2] if deg > 0 else np.empty(0, dtype=complex)
+        near = np.zeros((at.size, z.size), dtype=bool)
+        if z.size:  # within the ellipse with foci lo, hi and focal sum (POLE_RHO + 1/POLE_RHO) half
+            big = np.flatnonzero(half > np.abs(z.imag).min() / (0.5 * (POLE_RHO - 1.0 / POLE_RHO)))
+            w = (z - mid[big, None]) / half[big, None]
+            near[big] = np.abs(w - 1.0) + np.abs(w + 1.0) < POLE_RHO + 1.0 / POLE_RHO
+        graded = np.flatnonzero(~((last == first)[at] & (spread <= FLAT) & ~near.any(axis=-1)))
+        k = np.argmax(f[:, graded] if q > 0 else -f[:, graded], axis=0)
+        peak = np.where((spread[graded] > FLAT) & (k > 0) & (k < len(nodes) - 1), x[k, graded], np.nan)
+    # plain Gauss-Legendre, in units of 1 where V^q stays in range on the nodes, else of the max of V
+    top = np.where(in_range, 1.0, np.where(top > 0.0, top, 1.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.all(top == 1.0):
+            f /= top
+        np.power(f, q, out=f)
+    f *= weights[:, None]
+    J[at], scale[at] = half * f.sum(axis=0), factor * top
+    if graded.size:
+        cubes = at[graded]
+        poles = np.where(near[graded], np.clip(z.real, lo[cubes][:, None], hi[cubes][:, None]), np.nan)
+        inner = np.searchsorted(points, lo[cubes]), np.searchsorted(points, hi[cubes], side="right")
+        extra = np.column_stack([peak, poles])
+        # graded toward every cut where V^q is far from flat, a break is no smooth kink, or a complex root is near
+        zero = np.concatenate([[0], np.cumsum(orders != 0.0)])
+        rough_break = (zero[inner[1]] > zero[inner[0]]) | (V.rough & (inner[1] > inner[0]))
+        steps = np.where((spread[graded] > FLAT) | rough_break | near[graded].any(axis=-1), LEVELS, 0)
+        J[cubes], s = _graded_pieces(V, lo[cubes], hi[cubes], q, *inner, extra, steps)
+        scale[cubes] = factor * s
+    return J.reshape(shape), scale.reshape(shape), divergent.reshape(shape)
+
+
+def _graded_pieces(V: Potential, lo, hi, q: float, first, last, extra, steps):
+    """(J, s) on the cubes [lo_i, hi_i], whose breaks are V.breaks[first_i:last_i], more cuts in extra (or nan).
+
+    Each cube is cut at its ends, breaks and extra cuts; each piece between cuts
+    is halved, and a half from cut r (order o, 0 unless a break) is graded in
+    steps_i pieces toward r.  With t = o q, delta = |x - r| and W = V / delta^o
+    (`near`), V^q dx = delta^(t+1) W^q dlog(delta): Gauss-Legendre in
+    log(delta), and on the innermost piece in v, delta = b v^(1/(t+1)), where
+    V^q dx = b^(t+1)/(t+1) W^q dv.  Sums run in logs less each cube's largest
+    term m: J = sum exp(term - m), s = exp(m / q).
+    """
+    points, orders = V.breaks
+    n = lo.size
+    count = last - first
+    j = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    inside = np.nonzero(~np.isnan(extra))
+    cube = np.concatenate([np.repeat(np.arange(n), count), inside[0], np.arange(n), np.arange(n)])
+    r = np.concatenate([points[j], extra[inside], lo, hi])
+    t = np.concatenate([orders[j] * q, np.zeros(inside[0].size + 2 * n)])
+    # the cuts of each cube in order, one per place, where a break wins
+    order = np.lexsort((np.arange(cube.size) >= j.size, r, cube))
+    cube, r, t = cube[order], r[order], t[order]
+    one = np.concatenate([[True], (np.diff(cube) != 0) | (np.diff(r) != 0.0)])
+    cube, r, t = cube[one], r[one], t[one]
+    # each piece between consecutive cuts as two halves, side by side to keep the cube order
+    a = np.flatnonzero(cube[1:] == cube[:-1])
+    halves, end = np.column_stack([a, a + 1]).ravel(), np.repeat(0.5 * (r[a] + r[a + 1]), 2)
+    halves, end = halves[end != r[halves]], end[end != r[halves]]
+    # the pieces of each half, k = 0..steps, at distances [inner, outer] from r
+    size = steps[cube[halves]] + 1
+    k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    h, end = np.repeat(halves, size), np.repeat(end, size)
+    cube, r, t = cube[h], r[h], t[h]
+    ratio = np.maximum(GRADING, np.exp(-SPAN / (t + 1.0)))
+    outer = np.abs(end - r) * ratio**k
+    inner = np.where(k == steps[cube], 0.0, outer * ratio)
+    nodes, weights = _gl_rule(GL_NODES)
+    u = 0.5 * (nodes + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        graded, span = (inner > 0.0)[:, None], np.log(outer / inner)[:, None]
+        delta = np.where(graded, inner[:, None] * np.exp(span * u), outer[:, None] * u ** (1.0 / (t + 1.0))[:, None])
+        delta = np.maximum(delta, np.finfo(float).tiny)
+        lead = np.where(
+            graded,
+            (t + 1.0)[:, None] * np.log(delta) + np.log(0.5 * span),
+            ((t + 1.0) * np.log(outer) - np.log(2.0 * (t + 1.0)))[:, None],
+        )
+        W = np.clip(V.near(r[:, None], np.sign(end - r)[:, None] * delta), 0.0, None)
+        term = np.where((outer > 0.0)[:, None], lead + np.log(weights) + q * np.log(W), -np.inf)
+    m = np.full(n, -np.inf)
+    np.maximum.at(m, cube, term.max(axis=1))
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(over="ignore"):  # where a term is +inf, so is the integral
+        return np.bincount(cube, np.exp(term - m[cube, None]).sum(axis=1), minlength=n), np.exp(m / q)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +634,11 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightClassReport:
-    """Scan of a weight-class ratio over a dyadic cube family.
+    """Scan of a weight-class ratio over a dyadic cube family; constant is the max of the trace ratios.
 
-    constant is the max of the per-scale trace ratios.  A divergent report
-    means some cube integral is analytically non-integrable (or the ratio
-    overflowed DIVERGENCE_THRESHOLD); divergent trace entries then show the
-    ratio with the singularity excised at radius window_side*8^-(d+2) at
-    level d, which grows without bound as the family refines.
+    A divergent report has a cube integral analytically non-integrable (or a ratio above
+    DIVERGENCE_THRESHOLD); a power's trace then shows the ratio excised at radius
+    window_side 8^-(d+2) at level d, which grows without bound as the family refines.
     """
 
     kind: str
@@ -501,60 +653,26 @@ class WeightClassReport:
 ESS_SUP_GRID = 2**10  # refinement points per cube for the q = infinity scan
 
 
-def _singular_at_0(V: Potential) -> bool:
-    try:
-        V(0.0)
-    except DomainError:
-        return True
-    return False
-
-
 def _power_means(V: Potential, lo, hi, side, q: float, excision):
     """(power mean M_q = (mean of V^q)^(1/q) on each cube [lo_i, hi_i], divergence flags).
 
-    side and excision are per-cube arrays.  A mean divides by hi_i - lo_i,
-    which rounded edges can put an ulp off side_i.  M_1 is the mean
-    (`interval_integral`).  M_inf is the max of V over ESS_SUP_GRID + 1 points
-    per cube, refined one side (one level) at a time so that only one level's
-    points are held; where V(0) is a domain error, a cube reaching 0 gets +inf
-    and a flag.  Any other q integrates V^q with `powered_interval_integral`,
-    excised at radius excision_i where divergent; a cube where that overflows
-    with no flag is recomputed by `_rescaled_power_means`.
+    A mean divides by hi_i - lo_i, which rounded edges can put an ulp off side_i.  M_inf is
+    the max of V on ESS_SUP_GRID + 1 points per cube, one side at a time (+inf and a flag
+    where V is singular); any other q != 1 is s (J / length)^(1/q) of `_scaled_powered_integral`.
     """
     if q == 1.0:
         return interval_integral(V, lo, hi) / (hi - lo), np.zeros(lo.shape, dtype=bool)
     if q == math.inf:
-        flags = (lo <= 0.0) & (hi >= 0.0) & _singular_at_0(V)
+        points, orders = V.breaks
+        flags = np.any((lo[:, None] <= points[orders < 0.0]) & (points[orders < 0.0] <= hi[:, None]), axis=-1)
         sup = np.full(lo.shape, np.inf)
         for s in np.unique(side).tolist():
             at = (side == s) & ~flags
             sup[at] = np.max(V(lo[at][:, None] + np.linspace(0.0, s, ESS_SUP_GRID + 1)), axis=1)
         return sup, flags
-    with np.errstate(over="ignore"):  # an overflowed cube is recomputed below
-        total, flags = powered_interval_integral(V, lo, hi, q, excision=excision)
-    with np.errstate(divide="ignore"):
-        means = (np.clip(total, 0.0, None) / (hi - lo)) ** (1.0 / q)
-    over = np.flatnonzero(np.isinf(total) & ~flags)
-    if over.size:
-        means[over] = _rescaled_power_means(V, lo[over], hi[over], side[over], q, means[over])
-    return means, flags
-
-
-def _rescaled_power_means(V: Potential, lo, hi, side, q: float, means):
-    """means, with M_q = s (mean of (V/s)^q)^(1/q) on each cube, s the cube's max of V.
-
-    For cubes where the mean of V^q overflows.  s is the q = infinity power
-    mean (the max over the ESS_SUP_GRID refinement), and (V/s)^q, at most
-    about 1, takes 33-point Gauss-Legendre.  A cube whose s is not finite and
-    positive keeps its entry of means.
-    """
-    s = _power_means(V, lo, hi, side, math.inf, None)[0]
-    ok = np.isfinite(s) & (s > 0.0)
-    scale, means = s[ok][:, None], means.copy()
-    with np.errstate(over="ignore", divide="ignore"):
-        total = _gl_interval_integral(lambda x: (np.clip(V(x), 0.0, None) / scale) ** q, lo[ok], hi[ok])
-        means[ok] = s[ok] * (total / (hi[ok] - lo[ok])) ** (1.0 / q)
-    return means
+    J, scale, flags = _scaled_powered_integral(V, lo, hi, q, excision=excision)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return scale * (np.clip(J, 0.0, None) / (hi - lo)) ** (1.0 / q), flags
 
 
 def _safe_ratio(num, den):

@@ -29,7 +29,6 @@ from heatkernel import potentials
 from heatkernel.potentials import (
     DIVERGENCE_THRESHOLD,
     ESS_SUP_GRID,
-    _horner,
     _power_means,
     _safe_ratio,
     interval_integral,
@@ -465,42 +464,52 @@ COEFF = st.floats(-8.0, 8.0, allow_nan=False)
 SIDE = st.floats(1e-4, 4.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(COEFF, min_size=1, max_size=5),
-    st.lists(st.tuples(st.floats(-5.0, 5.0), SIDE), min_size=1, max_size=6),
-)
-def test_polynomial_cube_average_is_its_antiderivative_difference_bitwise(coeffs, cubes):
-    V = PolynomialPotential(coeffs)
-    anti = npoly.polyint(np.asarray(coeffs, dtype=float))
-    los, his, scalar = [], [], []
-    for center, side in cubes:
-        Z = Cube(center, side)
-        lo, hi = Z.bounds()
-        want = (npoly.polyval(hi, anti) - npoly.polyval(lo, anti)) / Z.side
-        assert _bits(cube_average(V, Z)) == _bits(want)
-        los.append(lo)
-        his.append(hi)
-        scalar.append(float(interval_integral(V, lo, hi)))
-    assert _bits(interval_integral(V, np.array(los), np.array(his))) == _bits(scalar)
+def test_polynomial_cube_average_matches_mpmath_and_cube_averages_bitwise():
+    # the depth-8 cubes far from 0 where an antiderivative about 0 read 2.9e-12 off: Gauss-Legendre
+    # about each cube's centre sums nonnegative terms only
+    mp = pytest.importorskip("mpmath")
+    V = quadratic_with_minimum(2.9241, 2.6041, 0.4646)
+    window = Cube(2.857128743523547, 1.9554598018883609)
+    side = window.side / 2**8
+    centers = window.bounds()[0] + side * (np.arange(2**8) + 0.5)
+    scalar = [cube_average(V, Cube(c, side)) for c in centers]
+    assert _bits(cube_averages(V, centers, side)) == _bits(scalar)
+    with mp.workdps(50):
+        P = npoly.polyint(np.array([mp.mpf(a) for a in V.coeffs], dtype=object))
+        for c, got in zip(centers, scalar):
+            lo, hi = (mp.mpf(e) for e in Cube(c, side).bounds())
+            want = (npoly.polyval(hi, P) - npoly.polyval(lo, P)) / mp.mpf(side)
+            assert abs(got - want) <= 1e-14 * want, (c, got, want)
 
 
 # signed zeros, subnormals and magnitudes up to 1e300, whose products overflow
-HORNER_COEFF = st.one_of(
+POLYVAL_COEFF = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
     st.floats(-1e300, 1e300),
 )
-HORNER_X = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+POLYVAL_X = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(HORNER_COEFF, min_size=1, max_size=7), st.lists(HORNER_X, min_size=1, max_size=6))
-def test_horner_is_polyval_bitwise(coeffs, xs):
-    coeffs = tuple(coeffs)
+@given(
+    st.lists(POLYVAL_COEFF, min_size=1, max_size=7),
+    st.lists(st.tuples(POLYVAL_X, POLYVAL_X), min_size=1, max_size=6),
+)
+def test_polynomial_gauss_legendre_evaluates_v_bitwise(coeffs, intervals):
+    # interval_integral takes V at each node with V's own IEEE operations (npoly.polyval of the
+    # quotient, times the real-root factors), for a float and for an array of intervals alike
     with np.errstate(all="ignore"):
-        for x in xs:
-            assert _bits(_horner(x, coeffs)) == _bits(npoly.polyval(x, coeffs))
-        assert _bits(_horner(np.array(xs), coeffs)) == _bits(npoly.polyval(np.array(xs), coeffs))
+        V = PolynomialPotential(coeffs)
+        nodes, weights = np.polynomial.legendre.leggauss((len(coeffs) - 1) // 2 + 1)
+        lo, hi = (np.array(col) for col in zip(*intervals))
+        total, mid, half = 0.0, 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for t, w in zip(nodes.tolist(), weights.tolist()):
+            total = total + w * V(mid + half * t)
+        want = half * total
+        assert _bits(interval_integral(V, lo, hi)) == _bits(want)
+        assert _bits([interval_integral(V, a, b) for a, b in intervals]) == _bits(want)
+        if not V.breaks[0].size:  # with no real root, V is polyval of its coefficients
+            assert _bits(V(mid)) == _bits(npoly.polyval(mid, coeffs))
 
 
 def test_power_means_divide_by_the_length_integrated():
@@ -763,3 +772,139 @@ def test_wrapped_singular_powers_are_refused_on_cubes_reaching_0(V):
     got = cube_averages(V, [1.0, -2.0], 0.5)
     assert np.all(np.isfinite(got))
     assert _bits(got) == _bits([cube_average(V, Cube(c, 0.5)) for c in (1.0, -2.0)])
+
+
+# ---------------------------------------------------------------------------
+# the one rule for V^q: break points, substitution, geometric grading
+
+
+def _mp_table(xs, vs):
+    """Exact mean of V^q on [lo, hi] for the piecewise-linear interpolant, in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    X, Y = [mp.mpf(a) for a in xs], [mp.mpf(a) for a in vs]
+
+    def mean(lo, hi, q):
+        lo, hi, total = mp.mpf(lo), mp.mpf(hi), mp.mpf(0)
+        for i in range(len(X) - 1):
+            a, b = max(lo, X[i]), min(hi, X[i + 1])
+            if a < b:
+                va, vb = (Y[i] + (Y[i + 1] - Y[i]) * (e - X[i]) / (X[i + 1] - X[i]) for e in (a, b))
+                total += va**q * (b - a) if va == vb else (b - a) * (vb ** (q + 1) - va ** (q + 1)) / ((vb - va) * (q + 1))
+        return (total / (hi - lo)) ** (1 / mp.mpf(q))
+
+    return mean
+
+
+def _mp_quad(f, breaks):
+    """Mean of f^q on [lo, hi] by mpmath quadrature, split geometrically toward each break."""
+    mp = pytest.importorskip("mpmath")
+
+    def mean(lo, hi, q):
+        pts = set(np.linspace(lo, hi, 17).tolist())
+        for b in breaks:
+            if lo <= b <= hi:
+                pts |= {b} | {b + s * d * 0.5**k for s, d in ((-1, b - lo), (1, hi - b)) for k in range(1, 30)}
+        with mp.workdps(30):
+            total = mp.quad(lambda x: f(x) ** q, sorted(p for p in pts if lo <= p <= hi))
+            return (total / (mp.mpf(hi) - mp.mpf(lo))) ** (1 / mp.mpf(q))
+
+    return mean
+
+
+def _rule_cases():
+    mp = pytest.importorskip("mpmath")
+    cubic = [0.15625, -1.1875, 2.0, 1.0]  # (x - 1/4)^2 (x + 5/2), exact in binary
+    tab_x = np.linspace(-2.0, 2.0, 41)
+    tab_v = 0.5 + np.abs(np.sin(3.0 * tab_x))
+    tab_v[22] = 0.0  # an isolated zero node at 0.2, inside the cube with 9 kinks
+    root = lambda x: (x - mp.mpf(0.25)) ** 2 * (x + mp.mpf(2.5))  # noqa: E731
+    return [
+        ("no real root", PolynomialPotential([4.5, -4.0, 1.0]), -0.5, 1.0, _mp_quad(lambda x: 4.5 - 4 * x + x * x, [])),
+        ("root inside", PolynomialPotential(cubic), -0.7, 1.1, _mp_quad(root, [0.25])),
+        ("power", PowerPotential(0.5), -0.3, 1.2, _mp_quad(lambda x: abs(x) ** mp.mpf(0.5), [0.0])),
+        ("scaled", ScaledPotential(2.5, PolynomialPotential(cubic)), -0.4, 1.0, _mp_quad(lambda x: 2.5 * root(x), [0.25])),
+        ("table", TabulatedPotential(tab_x, tab_v), -0.33, 0.71, _mp_table(tab_x, tab_v)),
+        (
+            "sum",
+            SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(0.7)),
+            -0.6,
+            1.0,
+            _mp_quad(lambda x: x * x + abs(x) ** mp.mpf(0.7), [0.0]),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("q", [-0.9, -0.5, 1.5, 3.0, 300.0, 2000.0])
+def test_power_means_of_every_kind_match_mpmath(q):
+    for name, V, lo, hi, mean in _rule_cases():
+        (got,), (flag,) = _power_means(V, np.array([lo]), np.array([hi]), np.array([hi - lo]), q, np.array([0.0]))
+        # the double root at 1/4 makes V^q non-integrable for 2 q <= -1, and only there
+        assert flag == (name in ("root inside", "scaled") and q < 0), name
+        if not flag:
+            want = mean(lo, hi, q)
+            assert abs(got - want) <= 1e-12 * want, (name, got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weight_readings_the_plain_rule_got_wrong():
+    mp = pytest.importorskip("mpmath")
+    # a node of 33-point Gauss-Legendre sat on the zero of x^2 + |x|^0.7 and read inf
+    ap = ap_constant(SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(0.7)), 2.0, Cube(0.0, 2.0), 12)
+    assert math.isfinite(ap.constant) and not ap.divergent
+    # (1 + x^2)^300 peaks at the cube's ends, which 33 plain nodes underweighted (1.4717241)
+    rh = rh_constant(PolynomialPotential([1.0, 0.0, 1.0]), 300.0, Cube(0.0, 2.0), 1)
+    with mp.workdps(30):
+        want = (mp.quad(lambda x: (1 + x * x) ** 300, [-1, 0, 1]) / 2) ** (mp.mpf(1) / 300) / (mp.mpf(4) / 3)
+    assert abs(rh.trace[0][1] - want) <= 1e-12 * want
+    # the square of a table over a cube holding 100 of its nodes: a quadratic on each segment
+    xs = np.linspace(-4.0, 4.0, 801)
+    V = TabulatedPotential(xs, 1.0 + np.sin(3.0 * xs) ** 2)
+    (got,), _ = _power_means(V, np.array([-0.503]), np.array([0.497]), np.array([1.0]), 2.0, np.array([0.0]))
+    want = _mp_table(xs, V.values)(-0.503, 0.497, 2)
+    assert abs(got - want) <= 1e-14 * want
+
+
+def _scaled_kind(V, c):
+    """c V built in V's own kind where it has one, so that M_q(c V) takes its own path."""
+    if isinstance(V, PolynomialPotential):
+        return PolynomialPotential([c * a for a in V.coeffs])
+    if isinstance(V, TabulatedPotential):
+        return TabulatedPotential(V.xs, [c * v for v in V.values])
+    if isinstance(V, SumPotential):
+        return SumPotential(*(_scaled_kind(p, c) for p in V.parts))
+    return ScaledPotential(c, V)
+
+
+# subnormal values carry no relative precision, so the 1e-13 homogeneity cannot hold for them
+NONNEGATIVE_POTENTIALS = st.recursive(
+    st.one_of(
+        st.tuples(st.floats(0.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.1, 3.0)).map(
+            lambda m: quadratic_with_minimum(m[2], m[1], m[0])
+        ),
+        st.floats(-0.45, 3.0).map(PowerPotential),
+        st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=2, max_size=12).map(_tabulated),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.floats(0.1, 10.0), inner).map(lambda fv: ScaledPotential(*fv)),
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: SumPotential(*parts)),
+    ),
+    max_leaves=3,
+)
+EXPONENTS = (-1.0, -0.5, 1.0, 1.5, 2.0, 3.0, 300.0)
+
+
+@settings(max_examples=60, deadline=None)
+# c a power of 2, so that c V in V's own kind is exactly c times V: a polynomial with a near-double
+# root is ill-conditioned, and rounding its coefficients times c would move its power means
+@given(NONNEGATIVE_POTENTIALS, st.floats(-3.0, 3.0), st.floats(1e-3, 2.0), st.integers(-3, 3).map(lambda k: 2.0**k))
+def test_power_means_grow_with_q_and_scale_with_v(V, center, side, c):
+    lo, hi = np.array([center - side / 2.0]), np.array([center + side / 2.0])
+    means = []
+    for q in EXPONENTS:
+        (m,), (flag,) = _power_means(V, lo, hi, np.array([side]), q, np.array([0.0]))
+        (mc,), _ = _power_means(_scaled_kind(V, c), lo, hi, np.array([side]), q, np.array([0.0]))
+        if not flag and 0.0 < m < math.inf:
+            assert abs(mc - c * m) <= 1e-13 * c * m, (q, m, mc)
+        means.append(m)
+    # M_a <= M_b for a < b, a divergent or infinite mean included
+    assert all(a <= b * (1.0 + 1e-12) for a, b in zip(means, means[1:])), means
