@@ -10,9 +10,9 @@ Subcommands
 
 Outputs are deterministic: every CSV is written by `emit_csv`, which takes
 one sequence per column (a float64 ndarray, a `range` or a list), and
-identical configs give byte-identical files.  A float column that repeats
-values, as the grid axes x, y and t of `kernel.csv` and `bound_slacks.csv`
-do, has each distinct value formatted once.
+identical configs give byte-identical files.  The floats of each chunk of
+rows are formatted together in numpy, each distinct value once when at most
+half are distinct, as with the grid axes x, y and t of `kernel.csv`.
 The engines are `explicit` (the closed form for a quadratic potential) and
 `spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`

@@ -6,29 +6,45 @@ rule: a float (numpy float64 included) prints as `%.17g`, any other value
 as `str(value)`; lines end in LF.  A field is quoted only where `csv`'s
 QUOTE_MINIMAL would quote it (text holding `,`, `"` or a line break).
 
-The caller passes columns, one sequence per schema column.  Each chunk of
-CHUNK_ROWS rows interleaves its column slices into one flat list and is
-written with one `%` template, so the values are formatted in C.  A float
-column whose chunk repeats values (at least SAMPLE rows, at most half of its
-first SAMPLE values distinct, as grid coordinates are) is formatted once per
-distinct value, keyed by bit pattern so that 0.0 and -0.0 stay apart, and
-enters the template as text; the decision reads that chunk alone and changes
-no byte.  A chunk holding text that may need quoting (or is empty) goes
-through `csv.writer` and `fmt` instead, which is the reference the template
-path must match byte for byte.
+The caller passes columns, one sequence per schema column, written CHUNK_ROWS
+rows at a time.  Each column of a chunk becomes a byte matrix, one
+NUL-padded row per value, and the chunk is written as the side-by-side
+rows with the NULs dropped:
+- floats, all float columns of the chunk at once, by `_kernel_rows` in
+  numpy integer arithmetic: the 17 significant digits of each value are its
+  53-bit mantissa times a power of 5, shifted and rounded half to even,
+  and a lookup table lays them out as `%g`'s fixed notation.  Zero,
+  subnormals, inf, nan and each value that `%.17g` writes in exponent
+  notation (decimal exponent below -4 or above 16) go to Python's `%`, one
+  at a time, as does a chunk of fewer than _BULK floats.  When at most half
+  of the chunk's floats are distinct (grid coordinates repeat), each
+  distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
+- a `range` by the same digit tables;
+- any other value as its text, UTF-8 encoded.
+A chunk holding text that may need quoting (or is empty, or holds a NUL)
+goes through `csv.writer` and `fmt` instead, which is the reference the
+byte matrix must match byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from pathlib import Path
 
 import numpy as np
 
 CHUNK_ROWS = 4096  # rows per formatted string: bounds the writer's memory
-SAMPLE = 256  # leading values of a float chunk that judge whether it repeats
-_QUOTABLE = re.compile(r'[,"\r\n]')
+_WIDTH = 24  # bytes of the longest `%.17g` text of a float64, -2.2250738585072014e-308
+_BULK = 256  # floats below which Python's `%` (about 0.6 us each) beats the kernel's ~60 numpy calls
+_GATHER = 1024  # rows a byte gather handles at once: bounds its index and text temporaries
+_QUOTABLE = re.compile(r'[,"\r\n\0]')  # NUL too: the byte matrix drops it, csv.writer keeps it
+_FIXED = range(-4, 17)  # decimal exponents that `%.17g` writes in fixed notation
+_POW5 = [5**s for s in range(23)]  # 5^s < 2^52 for every scale used
+_POW5_LO = np.array([p & 0xFFFFFFFF for p in _POW5], dtype=np.uint64)
+_POW5_HI = np.array([p >> 32 for p in _POW5], dtype=np.uint64)
+_MARKS = int.from_bytes(b"\0-.\0", "little")  # source bytes 20..23: NUL, minus, point, NUL
 
 
 def fmt(value) -> str:
@@ -38,56 +54,248 @@ def fmt(value) -> str:
 
 
 def _needs_writer(text: str) -> bool:
+    """Whether a text takes `csv.writer`: it may need quoting, or holds a NUL."""
     return not text or _QUOTABLE.search(text) is not None
 
 
-def _repeats(values) -> bool:
-    """Whether a float chunk is long and its first SAMPLE values at most half distinct."""
-    sample = values[:SAMPLE]
-    return len(sample) == SAMPLE and 2 * len(set(sample)) <= SAMPLE
+@functools.cache
+def _quads() -> tuple:
+    """For each of 0..9999: its four ASCII digits as one little-endian uint32, the same with
+    leading zeros as NUL bytes, and its number of trailing zero digits (4 for 0)."""
+    q = np.arange(10_000, dtype=np.uint16)
+    ascii = np.empty((len(q), 4), dtype=np.uint8)
+    leading = np.empty_like(ascii)
+    for k, scale in enumerate((1000, 100, 10, 1)):
+        ascii[:, k] = q // scale % 10 + 48
+        leading[:, k] = np.where(q >= scale, ascii[:, k], 0)
+    zeros = sum((q % scale == 0).astype(np.int8) for scale in (10, 100, 1000, 10_000))
+    return ascii.view(np.uint32)[:, 0], leading.view(np.uint32)[:, 0], zeros
 
 
-def _distinct_text(values) -> list:
-    """`%.17g` of each float of a list or an ndarray, formatting each distinct bit pattern once."""
-    bits = np.asarray(values, dtype=float).view(np.int64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
-    return text[index].tolist()
+@functools.cache
+def _layouts() -> np.ndarray:
+    """Which source byte `%.17g` writes at each of a value's _WIDTH output bytes.
+
+    A value's source row is '000' and its 17 digits, then NUL, '-' and '.'
+    (bytes 20, 21, 22).  Row ((X + 4) * 2 + negative) * 17 + kept - 1 is
+    the layout of decimal exponent X with `kept` significant digits: the
+    sign, the integer digits (a lone 0 when X < 0), then a point and the
+    fraction up to its last significant digit, then NUL padding.
+    """
+    NUL, MINUS, POINT, ZERO = 20, 21, 22, 0
+    table = np.full((len(_FIXED), 2, 17, _WIDTH), NUL, dtype=np.intp)
+    for X in _FIXED:
+        for negative in (0, 1):
+            for kept in range(1, 18):
+                whole = [ZERO] if X < 0 else [3 + j for j in range(X + 1)]
+                fraction = [ZERO] * (-X - 1) + [3 + j for j in range(max(X + 1, 0), kept)]
+                row = [MINUS] * negative + whole + ([POINT] + fraction if fraction else [])
+                table[X + 4, negative, kept - 1, : len(row)] = row
+    return table.reshape(-1, _WIDTH)
 
 
-def _field(values):
-    """(`%` field, values, whether a value may need quoting) of one column's chunk."""
-    source = values
-    if hasattr(values, "tolist"):  # an ndarray: Python scalars format faster
-        values = values.tolist()
+def _scaled(mantissa, k, s):
+    """(floor, round half to even) of mantissa * 5^s / 2^k, for mantissa < 2^61, s <= 22 and 1 <= k <= 63.
+
+    The product (< 2^113) is formed in two uint64 limbs from 32-bit halves;
+    the k bits shifted out of it all lie in the low limb.
+    """
+    ml, mh, pl, ph = mantissa & 0xFFFFFFFF, mantissa >> 32, _POW5_LO[s], _POW5_HI[s]
+    lo = ml * pl
+    mid = ml * ph
+    mid += mh * pl
+    mid += lo >> 32
+    lo &= 0xFFFFFFFF
+    lo |= mid << 32
+    hi = mh * ph
+    hi += mid >> 32
+    left = 64 - k
+    floor = hi << left
+    floor |= lo >> k
+    lo <<= left  # the remainder at the top of a word: half is 2^63
+    lo += floor & 1
+    return floor, floor + (lo > 2**63)
+
+
+def _printf_rows(values) -> np.ndarray:
+    """`'%.17g' % v` of each float as a NUL-padded (n, _WIDTH) uint8 matrix, one value at a time."""
+    text = np.array(["%.17g" % v for v in values.tolist()], dtype=f"S{_WIDTH}")
+    return text.view(np.uint8).reshape(len(values), _WIDTH)
+
+
+def _float_rows(values) -> np.ndarray:
+    """`'%.17g' % v` of each value of a float64 array as a NUL-padded (n, _WIDTH) uint8 matrix.
+
+    The kernel takes CHUNK_ROWS values a call, which bounds its temporaries.
+    """
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if len(v) < _BULK:
+        return _printf_rows(v)
+    rows = np.empty((len(v), _WIDTH), dtype=np.uint8)
+    for i in range(0, len(v), CHUNK_ROWS):
+        rows[i : i + CHUNK_ROWS] = _kernel_rows(v[i : i + CHUNK_ROWS])
+    return rows
+
+
+def _decimal(v):
+    """(17 significant digits as an integer in [10^16, 10^17), decimal exponent X, whether
+    `%.17g` leaves fixed notation) of each value of a float64 array; a value that leaves
+    it, or is zero, subnormal, inf or nan, reads 10^16 and X = 0."""
+    magnitude = np.abs(v)
+    inside = (magnitude >= 9e-5) & (magnitude < 1e17)  # decimal exponent -5..16; nan is outside
+    magnitude[~inside] = 1.0
+    bits = magnitude.view(np.uint64)
+    mantissa = ((bits & (2**52 - 1)) | 2**52) << 8  # v = mantissa * 2^(biased exponent - 1083)
+    shift = 1083 - (bits >> 52)
+    # s = 16 - X for the decimal exponent X, off by one at worst (the 17 digits then miss
+    # [10^16, 10^17) and are rescaled); s stays in 0..22 since X is -5..16
+    s = np.clip(16 - np.floor(np.log10(magnitude)), 0, 22).astype(np.uint64)
+    floor, digits = _scaled(mantissa, shift - s, s)
+    off = (floor < 10**16) | (floor >= 10**17)
+    if off.any():
+        s[off] = np.where(floor[off] < 10**16, s[off] + 1, s[off] - 1)
+        digits[off] = _scaled(mantissa[off], shift[off] - s[off], s[off])[1]
+    X = 16 - s.astype(np.int64)
+    # digits == 10^17: rounded up to the next power of 10, which no double with X in _FIXED
+    # does (the nearest below 10^-3 .. 10^17 all print below it); Python's % would take it
+    fallback = ~inside | (X < _FIXED.start) | (X >= _FIXED.stop) | (digits == 10**17)
+    digits[fallback], X[fallback] = 10**16, 0
+    return digits, X, fallback
+
+
+def _source(digits):
+    """(the source rows of `_layouts`, number of trailing zero digits) of 17-digit integers."""
+    upper, lower = np.divmod(digits, 10**8)
+    lead, upper = np.divmod(upper.astype(np.int32), 10**8)
+    quads = [*np.divmod(upper, 10**4), *np.divmod(lower.astype(np.int32), 10**4)]
+    ascii, _, trailing = _quads()
+    zeros = trailing[quads[3]]
+    if (zeros == 4).any():
+        for q, full in zip(quads[2::-1], (4, 8, 12)):
+            zeros = np.where(zeros == full, full + trailing[q], zeros)
+    source = np.empty((len(digits), 6), dtype=np.uint32)
+    source[:, 0] = ascii[lead]
+    for j, q in enumerate(quads, 1):
+        source[:, j] = ascii[q]
+    source[:, 5] = _MARKS
+    return source, zeros
+
+
+def _kernel_rows(v) -> np.ndarray:
+    """`_float_rows` of a contiguous float64 array in numpy integer arithmetic, bar the values `_FIXED` leaves out."""
+    digits, X, fallback = _decimal(v)
+    source, zeros = _source(digits)
+    layout = ((X + 4) * 2 + (v < 0)) * 17 + (16 - zeros)
+    rows, flat = np.empty((len(v), _WIDTH), dtype=np.uint8), source.view(np.uint8).ravel()
+    for i in range(0, len(v), _GATHER):
+        at = _layouts().take(layout[i : i + _GATHER], axis=0)
+        at += 24 * np.arange(i, i + len(at))[:, None]  # source rows are 24 bytes
+        rows[i : i + _GATHER] = flat.take(at)
+    if fallback.any():
+        rows[fallback] = _printf_rows(v[fallback])
+    return rows
+
+
+def _distinct(bits):
+    """The sorted distinct values of an int64 array when at most half of its values are distinct, else None."""
+    ordered = np.sort(bits)
+    first = np.empty(len(bits), dtype=bool)
+    first[:1], first[1:] = True, ordered[1:] != ordered[:-1]
+    return ordered[first] if 2 * np.count_nonzero(first) <= len(bits) else None
+
+
+def _float_texts(arrays) -> list:
+    """The `_write_rows` text of float64 arrays of one length n, formatted in one call: once per
+    distinct bit pattern when at most half of them are distinct."""
+    values, n = np.concatenate(arrays), len(arrays[0])
+    if len(values) < _BULK or (distinct := _distinct(values.view(np.int64))) is None:
+        rows = _float_rows(values)
+        return [(rows[i : i + n], None) for i in range(0, len(rows), n)]
+    index = np.searchsorted(distinct, values.view(np.int64)).astype(np.int32)
+    del values  # before the kernel's temporaries
+    rows = _float_rows(distinct.view(np.float64))
+    return [(rows, index[i : i + n]) for i in range(0, len(index), n)]
+
+
+def _int_rows(values: range) -> np.ndarray:
+    """str(i) of each i of a range within +-(10^16 - 1) as a NUL-padded uint8 matrix, one row per value."""
+    v = np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    magnitude = np.abs(v)
+    quads = -(-len(str(magnitude.max())) // 4)  # 4-digit groups of the longest value
+    ascii, leading, _ = _quads()
+    rows = np.empty((len(v), quads + 1), dtype=np.uint32)
+    rows[:, 0] = np.where(v < 0, ord("-"), 0)
+    for j in range(quads):
+        scale = 10 ** (4 * (quads - 1 - j))
+        q = magnitude // scale % 10**4
+        # in full after a nonzero group, else with its leading zeros as NUL
+        rows[:, j + 1] = np.where(magnitude >= 10**4 * scale, ascii[q], leading[q])
+    rows[magnitude == 0, quads] = ord("0") << 24
+    return rows.view(np.uint8)
+
+
+def _floats(values):
+    """The values as a float64 array when each is a float (numpy float64 included), else None."""
+    if isinstance(values, np.ndarray):
+        return values if values.dtype == np.float64 else None
+    if isinstance(values, range) or not all(issubclass(t, float) for t in set(map(type, values))):
+        return None
+    return np.array(values, dtype=np.float64)
+
+
+def _short_range(values) -> bool:
+    return isinstance(values, range) and max(abs(values[0]), abs(values[-1])) < 10**16
+
+
+def _text(values):
+    """The `_write_rows` text of a column of other values, UTF-8 encoded; None when one may need quoting."""
+    if isinstance(values, np.ndarray):  # numpy scalars follow the rule value by value
+        values = list(values)
     types = set(map(type, values))
-    if all(issubclass(t, float) for t in types):
-        if _repeats(values):
-            return "%s", _distinct_text(source), False
-        return "%.17g", values, False
-    if any(issubclass(t, float) for t in types):  # floats among other types
-        values = list(map(fmt, values))
+    texts = list(map(fmt if any(issubclass(t, float) for t in types) else str, values))
+    distinct = list(set(texts))
     # ints and bools print as digits or True/False; anything else may need quotes
-    return "%s", values, not all(issubclass(t, int) for t in types)
+    if not all(issubclass(t, int) for t in types) and any(map(_needs_writer, distinct)):
+        return None
+    encoded = np.array([text.encode() for text in distinct])
+    index = {text: i for i, text in enumerate(distinct)}
+    rows = encoded.view(np.uint8).reshape(len(distinct), encoded.itemsize)
+    return rows, np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts))
+
+
+def _write_rows(fh, texts, count: int) -> None:
+    """Write count rows of columns side by side as CSV lines, _GATHER rows at a time.
+
+    Each column's text is a pair (rows, index): a NUL-padded byte matrix,
+    one row per value when index is None, else one row per distinct text
+    with index[i] the row of value i.  NUL bytes are dropped.
+    """
+    width = sum(rows.shape[1] for rows, _ in texts) + len(texts)
+    for start in range(0, count, _GATHER):
+        out = np.empty((min(_GATHER, count - start), width), dtype=np.uint8)
+        at = 0
+        for rows, index in texts:
+            out[:, at : at + rows.shape[1]] = rows[start : start + _GATHER] if index is None else rows[index[start : start + _GATHER]]
+            out[:, at + rows.shape[1]] = ord(",")
+            at += rows.shape[1] + 1
+        out[:, -1] = ord("\n")
+        fh.write(out.tobytes().translate(None, b"\0").decode())
 
 
 def _write_chunk(fh, writer, columns, start: int, stop: int) -> None:
-    """Write rows start..stop with one `%` template, or with `csv.writer` where a text needs quoting.
-
-    The columns' slices are interleaved row by row into one flat list
-    (`flat[j::width] = values`), which becomes the tuple the template formats.
-    """
-    width = len(columns)
-    flat, specs = [None] * ((stop - start) * width), []
-    for j, col in enumerate(columns):
-        spec, values, text = _field(col[start:stop])
-        if text and any(map(_needs_writer, set(map(str, values)))):
-            writer.writerows(zip(*([fmt(v) for v in c[start:stop]] for c in columns)))
-            return
-        flat[j::width] = values
-        specs.append(spec)
-    flat = tuple(flat)  # frees the list before the chunk is formatted
-    fh.write((",".join(specs) + "\n") * (stop - start) % flat)
+    """Write rows start..stop through `_write_rows`, or with `csv.writer` where a text needs quoting."""
+    chunk = [col[start:stop] for col in columns]
+    floats = [_floats(values) for values in chunk]
+    texts = {}
+    for j, values in enumerate(chunk):
+        if floats[j] is None:
+            texts[j] = (_int_rows(values), None) if _short_range(values) else _text(values)
+            if texts[j] is None:
+                writer.writerows(zip(*([fmt(v) for v in c] for c in chunk)))
+                return
+    if float_columns := [j for j, f in enumerate(floats) if f is not None]:
+        texts.update(zip(float_columns, _float_texts([floats[j] for j in float_columns])))
+    _write_rows(fh, [texts[j] for j in range(len(chunk))], stop - start)
 
 
 def emit_csv(columns, schema, path, provenance: str = "") -> Path:

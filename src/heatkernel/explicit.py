@@ -111,19 +111,21 @@ def gaussian_log_kernel(xs, ys, ts) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _time_factors(c: QuadraticCoeffs, t: float):
+def _time_factors(a0: float, a1: float, a2: float, t: float):
     """The closed form's t-only factors (w, csch u, tanh(u/2), head), u = 2 w t.
 
-    w = sqrt(a2) and head = log p(0, 0, t).  `ode.closed_form_state` reads
-    its ansatz coefficients from the same factors.  Memoised per (c, t);
-    coefficients that compare equal, as +-0.0 do, give bit-identical factors.
+    w = sqrt(a2) and head = log p(0, 0, t) for V = a0 + a1 x + a2 x^2.
+    `ode.closed_form_state` reads its ansatz coefficients from the same
+    factors.  Memoised per (a0, a1, a2, t), a key of plain numbers, so a
+    lookup hashes and compares in C; numbers that compare equal, as +-0.0
+    do, give bit-identical factors.
     """
-    w = math.sqrt(c.a2)
+    w = math.sqrt(a2)
     u = 2.0 * w * t
     th = coth_minus_csch(u)
-    head = 0.5 * (0.5 * math.log(c.a2) + log_csch(u) - LOG_2PI)
-    head += (c.a1**2 / (4.0 * c.a2) - c.a0) * t
-    head -= c.a1**2 / (4.0 * w**3) * th
+    head = 0.5 * (0.5 * math.log(a2) + log_csch(u) - LOG_2PI)
+    head += (a1**2 / (4.0 * a2) - a0) * t
+    head -= a1**2 / (4.0 * w**3) * th
     return w, csch(u), th, head
 
 
@@ -135,7 +137,7 @@ def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
     """
     if not t >= T_FLOOR:
         raise ParameterError(f"time must be >= {T_FLOOR}, got {t}")
-    w, cs, th, head = _time_factors(c, t)
+    w, cs, th, head = _time_factors(c.a0, c.a1, c.a2, t)
     d = x - y  # squared by multiplication: `**` on a Python float calls pow, which can round differently
     return head - 0.5 * w * (d * d * cs + (x * x + y * y) * th) - c.a1 / (2.0 * w) * (x + y) * th
 

@@ -67,7 +67,7 @@ def closed_form_state(c: QuadraticCoeffs, t: float) -> AnsatzState:
     _require_reduced(c)
     if not t > 0.0:
         raise ParameterError(f"time must be > 0, got {t}")
-    w, cs, th, log_phi = _time_factors(c, t)
+    w, cs, th, log_phi = _time_factors(c.a0, c.a1, c.a2, t)
     alpha = w * (cs + th)  # coth = csch + (coth - csch)
     mu = c.a1 / (2.0 * w) * th
     return AnsatzState(t=t, alpha=alpha, beta=-w * cs, gamma=alpha, mu=mu, nu=mu, log_phi=log_phi)

@@ -206,7 +206,7 @@ def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(t
 
     fast = run("fast")
     # the reference: no memo of time factors or of Gauss-Legendre rules, polynomials through polyval,
-    # and every CSV value formatted on its own
+    # and every CSV value formatted on its own by Python's `%`
     def polyval_mean(V, lo, hi):
         nodes, weights = np.polynomial.legendre.leggauss((len(V.coeffs) - 1) // 2 + 1)
         total, mid, half = 0.0, 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -216,7 +216,8 @@ def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(t
 
     monkeypatch.setattr(potentials, "_poly_interval_integral", polyval_mean)
     monkeypatch.setattr(explicit, "_time_factors", explicit._time_factors.__wrapped__)
-    monkeypatch.setattr(csvout, "_repeats", lambda values: False)
+    monkeypatch.setattr(csvout, "_distinct", lambda bits: None)
+    monkeypatch.setattr(csvout, "_float_rows", csvout._printf_rows)
     assert run("reference") == fast
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from heatkernel import PolynomialPotential, QuadraticCoeffs, quadratic_kernel
 from heatkernel.cli import main
-from heatkernel.csvout import CHUNK_ROWS, SAMPLE, emit_csv
+from heatkernel.csvout import CHUNK_ROWS, emit_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -80,15 +80,21 @@ def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
     single = [("plain",), ("",)] + [(v,) for v in SPECIAL_FLOATS]  # a lone empty field is quoted
     path = emit_csv(columns_of(single, 1), ["only"], tmp_path / "single.csv")
     assert path.read_bytes() == reference_csv(single, ["only"])
+    # text that needs no quoting, UTF-8 beyond ASCII included, and a NUL, which csv.writer writes as it is
+    for texts in (["naïve ∂x", "plain", "ünï"], ["nul\0here", "plain", "x"]):
+        rows = list(zip(texts, [1.5, -0.25, 3.0], range(3)))
+        path = emit_csv(columns_of(rows, 3), ["a", "b", "c"], tmp_path / "texts.csv")
+        assert path.read_bytes() == reference_csv(rows, ["a", "b", "c"])
     # float columns that repeat values, formatted once per distinct value: 0.0 and
     # -0.0 compare equal, and nans of any sign, payload or identity print as nan.
-    # Each chunk's first SAMPLE values decide: `later` is distinct there and
-    # repeats after it, `sooner` the other way round, in both chunks.
+    # The whole chunk decides: `later` is distinct in each chunk's first 256 rows and
+    # repeats after them, so it is formatted per distinct value; `sooner` repeats in
+    # its first 256 rows only, so it is formatted value by value.
     n = 2 * CHUNK_ROWS + 5
     specials = SPECIAL_FLOATS + [float("nan"), -math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]]
     mixed = [specials[i % len(specials)] for i in range(n)]
-    later = [i / 7.0 if i % CHUNK_ROWS < SAMPLE else specials[i % 3] for i in range(n)]
-    sooner = [-0.0 if i % CHUNK_ROWS < SAMPLE else i / 7.0 for i in range(n)]
+    later = [i / 7.0 if i % CHUNK_ROWS < 256 else specials[i % 3] for i in range(n)]
+    sooner = [-0.0 if i % CHUNK_ROWS < 256 else i / 7.0 for i in range(n)]
     grid = np.repeat(np.linspace(-2.0, 2.0, 13), 8)[np.arange(n) % 104]  # an ndarray, as `kernel` writes its axes
     repeated = list(zip(mixed, later, sooner, grid.tolist()))
     path = emit_csv([mixed, later, sooner, grid], ["a", "b", "c", "d"], tmp_path / "repeated.csv", "M=3")
@@ -103,6 +109,47 @@ def test_emit_csv_takes_ndarray_and_range_columns(tmp_path):
     path = emit_csv([range(n), xs, ys, ["w"] * n], ["i", "x", "y", "w"], tmp_path / "arrays.csv", "M=3")
     rows = list(zip(range(n), xs.tolist(), ys.tolist(), ["w"] * n))
     assert path.read_bytes() == reference_csv(rows, ["i", "x", "y", "w"], "M=3")
+    # only a float64 array takes the float path: other dtypes print value by value, as
+    # their numpy scalars do in a list, whether or not the chunk holds text
+    singles = np.array([0.1, -2.5, 1e-7], dtype=np.float32)
+    for text in ([], [["w"] * 3]):
+        path = emit_csv([singles, list(singles), range(-1, 2), *text], ["a", "b", "i", "w"][: 3 + len(text)], tmp_path / "f32.csv")
+        assert path.read_text().splitlines()[1:] == [f"{v},{v},{i}" + ",w" * len(text) for i, v in enumerate(["0.1", "-2.5", "1e-07"], -1)]
+
+
+def test_chain_csv_over_three_chunks_matches_csv_writer(tmp_path):
+    from heatkernel.bounds import chain_plan
+    from heatkernel.potentials import cube_averages
+
+    x, y, t = -0.3, 1.6762, 0.1  # M = floor(256 |y - x|^2 / t) + 1 = 10000
+    cfg = write_config(tmp_path, potential={"kind": "polynomial", "coefficients": [0.5, -0.7, 1.3]}, chain={"x": x, "y": y, "t": t})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "chain"]) == 0
+    plan = chain_plan(x, y, t)
+    assert 2 * CHUNK_ROWS < plan.M + 1 <= 3 * CHUNK_ROWS
+    xs = plan.waypoints[:, 0]
+    avgs = cube_averages(PolynomialPotential([0.5, -0.7, 1.3]), xs, plan.cube_side)
+    body = (tmp_path / "out" / "chain_waypoints.csv").read_bytes().split(b"\n", 1)[1]  # after the provenance line
+    rows = list(zip(range(plan.M + 1), xs.tolist(), avgs.tolist()))
+    assert body == reference_csv(rows, ["i", "x_i", "avg_V_cube_i"])
+
+
+def test_closed_form_kernel_csv_with_tiny_p_matches_csv_writer(tmp_path):
+    # far-apart points at short times: p falls below 1e-4, and the axes hold 0.0, so
+    # values that %.17g writes in exponent notation take the one-at-a-time path
+    axes = {"x": [-3.0, 3.0, 7], "y": [-3.0, 3.0, 7], "t": [0.02, 1.5, 5]}
+    cfg = write_config(tmp_path, potential={"kind": "polynomial", "coefficients": [0.5, 0.2, 1.0]}, grid=axes)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0
+    c = QuadraticCoeffs(0.5, 0.2, 1.0)
+    xs, ys, ts = (np.linspace(*axes[k]).tolist() for k in "xyt")
+    rows = []
+    for x in xs:
+        for y in ys:
+            for t in ts:
+                lp = quadratic_kernel(c, x, y, t)
+                rows.append((x, y, t, lp, 0.0 if lp < -745.0 else math.inf if lp > 709.0 else math.exp(lp)))
+    assert sum(0.0 < p < 1e-4 for *_, p in rows) > 20 and 0.0 in xs
+    body = (tmp_path / "out" / "kernel.csv").read_bytes().split(b"\n", 1)[1]  # after the provenance line
+    assert body == reference_csv(rows, ["x", "y", "t", "log_p", "p"])
 
 
 @pytest.mark.parametrize(

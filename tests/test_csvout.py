@@ -1,0 +1,117 @@
+"""The bulk float formatter of `csvout` against Python's `'%.17g' % v`."""
+
+import math
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from heatkernel import csvout
+
+
+def text(rows) -> list:
+    """The str of each row of a NUL-padded byte matrix."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in rows]
+
+
+def formatted(values) -> list:
+    """The kernel's text of each value, whatever their number."""
+    return text(csvout._kernel_rows(np.array(values, dtype=np.float64)))
+
+
+def printf(values) -> list:
+    return ["%.17g" % v for v in np.array(values, dtype=np.float64).tolist()]
+
+
+def from_bits(pattern: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_any_bit_pattern_prints_as_printf(patterns):
+    values = [from_bits(p) for p in patterns]
+    assert formatted(values) == printf(values)
+
+
+fixed_range = st.floats(min_value=1e-4, max_value=1e17, exclude_max=True)
+
+
+@given(st.lists(st.tuples(fixed_range, st.booleans()), min_size=1, max_size=50))
+def test_values_in_the_fixed_notation_range_print_as_printf(draws):
+    values = [-v if negative else v for v, negative in draws]
+    assert formatted(values) == printf(values)
+
+
+@given(st.lists(st.tuples(st.integers(10**16, 10**17 - 1), st.integers(-21, 0)), min_size=1, max_size=50))
+def test_values_read_from_17_digit_decimals_print_as_printf(decimals):
+    values = [float(f"{digits}e{exponent}") for digits, exponent in decimals]
+    assert formatted(values) == printf(values)
+
+
+@given(st.integers(1, 20), st.integers(0, 2**60), st.booleans())
+def test_half_way_ties_round_to_even(s, draw, negative):
+    # j / 2^(s+1) with j an odd multiple of 5^s is exactly half way between two 17-digit decimals
+    lo, hi = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+    j = (lo + draw % (hi - lo - 1)) | 1
+    value = (-1) ** negative * j / 2 ** (s + 1)
+    assert Fraction(value) * 10**s % 1 == Fraction(1, 2)
+    assert formatted([value]) == printf([value])
+
+
+POWERS = [10.0**k for k in range(-6, 19)]
+PINNED = (
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, from_bits(0x7FF8000000000001), from_bits(0xFFF0000000000123)]
+    + [5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308, 1.7976931348623157e308]
+    + [9.9999999999999995e-05, 1e-4, -1e-4, 1e-14, 99999999999999984.0, 1e17, 1e16 - 2.0, 1234567890123456.25]
+    + POWERS
+    + [float(np.nextafter(p, 0.0)) for p in POWERS]
+    + [float(np.nextafter(p, math.inf)) for p in POWERS]
+)
+
+
+@pytest.mark.parametrize("value", PINNED, ids=[f"{v!r}" for v in PINNED])
+def test_pinned_values_print_as_printf(value):
+    assert formatted([value, -value]) == printf([value, -value])
+
+
+def test_a_whole_chunk_prints_as_printf_including_a_strided_view():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([PINNED, rng.normal(size=2000) * 10.0 ** rng.integers(-6, 19, 2000)])
+    assert formatted(values) == printf(values)
+    assert text(csvout._float_rows(values[::-3])) == printf(values[::-3])
+
+
+@given(st.integers(2**60, 2**61 - 1), st.integers(0, 22), st.integers(1, 63), st.sampled_from([None, -1, 0, 1]))
+def test_scaled_floors_and_rounds_half_to_even(mantissa, s, k, tie):
+    if tie is not None:  # the bits shifted out are a half, or one off it either way
+        s, k = 0, min(k, 60)
+        mantissa = (mantissa >> k << k) + (1 << (k - 1)) + tie * (k > 1)
+    k = max(k, (mantissa * 5**s).bit_length() - 64)  # the quotient fits a uint64
+    floor, rounded = csvout._scaled(np.array([mantissa], np.uint64), np.array([k], np.uint64), np.array([s]))
+    quotient, rest = divmod(mantissa * 5**s, 2**k)
+    want = quotient + (2 * rest > 2**k or (2 * rest == 2**k and quotient % 2 == 1))
+    assert (int(floor[0]), int(rounded[0])) == (quotient, want)
+
+
+def test_scaled_rounds_up_to_the_next_power_of_ten():
+    # (10^17 - 1/4) as mantissa / 2^2: the 17 digits round up to 10^17
+    floor, rounded = csvout._scaled(np.array([4 * 10**17 - 1], np.uint64), np.array([2], np.uint64), np.array([0]))
+    assert (int(floor[0]), int(rounded[0])) == (10**17 - 1, 10**17)
+
+
+@pytest.mark.parametrize("k", range(-3, 18))
+def test_no_double_in_the_fixed_range_rounds_up_to_a_power_of_ten(k):
+    # only the double nearest below 10^k could: its 17 digits stay below 10^17, so the
+    # kernel's round-up guard (such values would go to Python's %) never fires
+    nearest = float(Fraction(10) ** k)
+    below = nearest if Fraction(nearest) < Fraction(10) ** k else float(np.nextafter(nearest, 0.0))
+    digits, X, fallback = csvout._decimal(np.array([below]))
+    assert not fallback[0] and X[0] == k - 1 and formatted([below]) == printf([below])
+
+
+def test_ranges_print_as_str():
+    for r in [range(0, 10242), range(-5000, 5000, 7), range(10**16 - 5, 10**16 - 1), range(-(10**16 - 1), -(10**16 - 9)), range(1)]:
+        assert text(csvout._int_rows(r)) == [str(i) for i in r]

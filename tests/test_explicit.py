@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -148,14 +149,36 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _factors(c, t, memo=True):
+    return (_time_factors if memo else _time_factors.__wrapped__)(c.a0, c.a1, c.a2, t)
+
+
 def test_time_factors_are_memoised_per_coefficients():
     _time_factors.cache_clear()
     c1, c2 = QuadraticCoeffs(0.5, 0.3, 1.2), QuadraticCoeffs(0.9, 0.3, 1.2)
-    first, second = _time_factors(c1, 0.4), _time_factors(c2, 0.4)
-    assert _bits(first) == _bits(_time_factors.__wrapped__(c1, 0.4))
-    assert _bits(second) == _bits(_time_factors.__wrapped__(c2, 0.4))
+    first, second = _factors(c1, 0.4), _factors(c2, 0.4)
+    assert _bits(first) == _bits(_factors(c1, 0.4, memo=False))
+    assert _bits(second) == _bits(_factors(c2, 0.4, memo=False))
     assert first != second
-    assert _time_factors(c1, 0.4) is first and _time_factors.cache_info().hits == 1
+    assert _factors(c1, 0.4) is first and _time_factors.cache_info().hits == 1
+
+
+def test_a_kernel_call_runs_no_python_hash_or_eq():
+    # the memo's key is plain numbers: a scalar kernel call hashes and compares them in C
+    c = QuadraticCoeffs(0.5, 0.3, 1.2)
+    quadratic_kernel(c, 0.1, 0.2, 0.4)  # fills the memo
+    calls = []
+
+    def trace(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(trace)
+    try:
+        quadratic_kernel(QuadraticCoeffs(0.5, 0.3, 1.2), 0.1, 0.2, 0.4)
+    finally:
+        sys.setprofile(None)
+    assert "__hash__" not in calls and "__eq__" not in calls and "_time_factors" not in calls
 
 
 @pytest.mark.parametrize("a1", [0.0, -0.0, 0.7])
@@ -164,7 +187,7 @@ def test_signed_zero_coefficients_give_bit_identical_factors(a1):
     signs = (1.0, -1.0) if a1 == 0.0 else (1.0,)
     variants = [QuadraticCoeffs(a0, s * a1, 1.3) for a0 in (0.0, -0.0) for s in signs]
     for t in (0.05, 2.5):
-        want = _bits(_time_factors.__wrapped__(variants[0], t))
-        assert all(_bits(_time_factors.__wrapped__(c, t)) == want for c in variants)
+        want = _bits(_factors(variants[0], t, memo=False))
+        assert all(_bits(_factors(c, t, memo=False)) == want for c in variants)
         _time_factors.cache_clear()
-        assert all(_bits(_time_factors(c, t)) == want for c in variants)
+        assert all(_bits(_factors(c, t)) == want for c in variants)
