@@ -198,7 +198,7 @@ def c6_sandwich_feasibility() -> CriterionResult:
             v = getattr(f.envelope, name)
             if v is not None and not v > 0:
                 consts_positive = False
-    both_branches = len(fits["avg_lower_near"].records) > 0 and len(fits["avg_lower_far"].records) > 0
+    both_branches = len(fits["avg_lower_near"].records[0]) > 0 and len(fits["avg_lower_far"].records[0]) > 0
     dom = float(np.max(log_p - gaussian_log_kernel(SANDWICH_XS, SANDWICH_XS, SANDWICH_TS)))
     passed = all_feasible and consts_positive and both_branches and dom <= 1e-10
     verdicts = " ".join(f"{k}:{'F' if v.feasible else 'X'}" for k, v in fits.items())

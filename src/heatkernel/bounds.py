@@ -4,12 +4,19 @@ Every envelope evaluates in log-space.  The theory only asserts that
 positive constants exist; `fit_constants` turns that into a checkable
 statement by fitting the free constant against a computed kernel on a grid
 and reporting feasibility plus per-point slack.
+
+Each family's log-envelope is written once, in helpers on arrays with one
+entry per point (one row per point when points are n-dimensional), which
+`evaluate_envelope` and `fit_constants` call with numpy's warnings off:
+entries that a mask then drops may divide by zero or overflow.  exp, log
+and pow go through Python (`_libm`), as numpy's SIMD versions can differ
+from libm in the last bit; +, -, *, / and sqrt give the same bits in both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,74 +93,78 @@ class BoundEnvelope:
                 raise ParameterError(f"family {self.family} needs constant {name}")
 
 
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """f of each entry of a, one call per distinct value."""
+    values, at = np.unique(a, return_inverse=True)
+    return np.array([f(v) for v in values.tolist()], dtype=float)[at].reshape(a.shape)
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """a ** 2 as a Python float squares: libm's pow, which can differ from a * a."""
+    return _libm(lambda v: v**2, a)
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| of each point pair."""
+    dx = x - y
+    return np.sqrt(dx * dx if dx.ndim == 1 else np.sum(dx * dx, axis=1))
+
+
+@np.errstate(all="ignore")
 def _dist(x, y) -> float:
-    if isinstance(x, float) and isinstance(y, float):
-        # the same IEEE operations as the array path on one coordinate
-        dx = x - y
-        return math.sqrt(dx * dx)
-    dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
-    return float(np.sqrt(np.sum(dx * dx)))
+    """|x - y| of one point pair, numbers or n-vectors."""
+    return float(_distances(np.array(x, dtype=float, ndmin=2), np.array(y, dtype=float, ndmin=2))[0])
 
 
-# Each family's log-envelope is written once, in the helpers below;
-# `evaluate_envelope` and `fit_constants` both call them.
+def _cube_means(V: Potential, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Means of V over the cubes (centers[i], sides[i]), one `cube_average` call each."""
+    return np.array([cube_average(V, Cube(c, s)) for c, s in zip(centers.tolist(), sides.tolist())], dtype=float)
 
 
-def _log_gaussian(c0: float, n: int, t: float, c: float = 0.0, d2: float = 0.0) -> float:
+def _log_gaussian(c0: float, n: int, t, c: float = 0.0, d2=0.0):
     """log c0 - (n/2) log t - c |x-y|^2 / t, with d2 = |x-y|^2."""
-    return math.log(c0) - 0.5 * n * math.log(t) - c * d2 / t
+    return math.log(c0) - 0.5 * n * _libm(math.log, t) - c * d2 / t
 
 
-def _upper_decay(V: Potential, beta: float, x, y, t: float) -> float:
-    """sqrt(m_beta(t avg_x)), plus the same at y unless y is None.
-
-    The averages are over the cubes of side sqrt(t) centered at the points.
-    """
-    side = math.sqrt(t)
-    decay = math.sqrt(m_beta(t * cube_average(V, Cube(x, side)), beta))
-    if y is not None:
-        decay += math.sqrt(m_beta(t * cube_average(V, Cube(y, side)), beta))
-    return decay
+def _upper_decay(V: Potential, beta: float, x, y, t):
+    """sqrt(m_beta(t avg_x)), plus the same at y unless y is None; avg over the side-sqrt(t) cube."""
+    side = np.sqrt(t)
+    decay = np.sqrt(m_beta(t * _cube_means(V, x, side), beta))
+    return decay if y is None else decay + np.sqrt(m_beta(t * _cube_means(V, y, side), beta))
 
 
-def _is_near(kappa: float, d: float, t: float) -> bool:
-    """The averaged lower envelope's branch test |x-y| < kappa sqrt(t)."""
-    return d < kappa * math.sqrt(t)
-
-
-def _lower_terms(V: Potential, n: int, c0: float, c2, c3, near: bool, x, d: float, t: float):
-    """(base, log D) of the averaged lower envelope, whose log is base - c1 D.
+def _lower_terms(V: Potential, n: int, c0: float, c2, c3, near, x, d, t):
+    """(base, log D) of the averaged lower envelope, whose log is base - c1 D; log D = -inf where avg = 0.
 
     near: base = log c0 - (n/2) log t,                D = t avg_{sqrt(t)}(x)
     far:  base = log c0 - (n/2) log t - c3 |x-y|^2/t, D = t c2^{|x-y|^2/t} avg_{t/|x-y|}(x)
-    A vanishing average gives D = 0, log D = -inf.
     """
-    if near:
-        base, avg = _log_gaussian(c0, n, t), cube_average(V, Cube(x, math.sqrt(t)))
-        return base, math.log(t * avg) if avg > 0.0 else -math.inf
-    base, avg = _log_gaussian(c0, n, t, c3, d * d), cube_average(V, Cube(x, t / d))
-    if avg <= 0.0:
-        return base, -math.inf
-    return base, math.log(t) + (d * d / t) * math.log(c2) + math.log(avg)
+    avg = _cube_means(V, x, np.where(near, np.sqrt(t), t / d))
+    base = _log_gaussian(c0, n, t, c3 or 0.0, np.where(near, 0.0, d * d))
+    log_d = np.full(t.shape, -math.inf)
+    at = near & (avg > 0.0)
+    log_d[at] = _libm(math.log, t[at] * avg[at])
+    if (at := ~near & (avg > 0.0)).any():
+        da, ta = d[at], t[at]
+        log_d[at] = _libm(math.log, ta) + (da * da / ta) * math.log(c2) + _libm(math.log, avg[at])
+    return base, log_d
 
 
-def _sharp_terms(x: float, y: float, t: float):
+def _sharp_terms(x, y, t):
     """(-(1/2) log t, (x-y)^2, x^2 + y^2), the terms of both quadratic_sharp branches."""
-    return -0.5 * math.log(t), (x - y) ** 2, x * x + y * y
+    return -0.5 * _libm(math.log, t), _square(x - y), x * x + y * y
 
 
-def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t: float, log_c: float = 0.0) -> float:
-    """log C + shape of a Dirichlet comparison family; the shape alone at log_c = 0.
-
-    -inf where the interval factor 1 - 2 e^{-eps^2/t} clamps at zero.
-    """
+def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t, log_c: float = 0.0):
+    """log C + shape of a Dirichlet comparison family (the shape alone at log_c = 0);
+    -inf where the interval factor 1 - 2 e^{-eps^2/t} clamps at zero."""
     if family == "dirichlet_interval":
-        factor = 1.0 - 2.0 * math.exp(-(epsilon**2) / t)
-        if factor <= 0.0:
-            return -math.inf
-        return log_c - 0.5 * math.log(t) - (x - y) ** 2 / (4.0 * t) + math.log(factor)
-    d2 = _dist(x, y) ** 2
-    return log_c - 0.5 * n * math.log(t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
+        factor = 1.0 - 2.0 * _libm(math.exp, -(epsilon**2) / t)
+        log_factor = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
+        shape = log_c - 0.5 * _libm(math.log, t) - _square(x - y) / (4.0 * t) + log_factor
+        return np.where(factor > 0.0, shape, -math.inf)
+    d2 = _square(_distances(x, y))
+    return log_c - 0.5 * n * _libm(math.log, t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
 
 
 def interval_clamp_time(epsilon: float) -> float:
@@ -161,6 +172,7 @@ def interval_clamp_time(epsilon: float) -> float:
     return epsilon**2 / math.log(2.0)
 
 
+@np.errstate(all="ignore")
 def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> float:
     """log of any envelope family at one point.
 
@@ -180,7 +192,8 @@ def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> float:
     stays eps-deep inside the ball (caller's responsibility).
     """
     _check_envelope(env, x, y, t)
-    return _log_envelope(V, env, x, y, t)
+    x, y = (np.asarray(p, dtype=float)[None] for p in (x, y))
+    return float(_log_envelope(V, env, x, y, np.array([t], dtype=float))[0])
 
 
 def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
@@ -198,7 +211,7 @@ def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
             raise ParameterError("quadratic_sharp is one-dimensional")
     elif family in ("avg_lower_near", "avg_lower_far"):
         env._need("kappa")
-        env._need(*(("c0", "c1") if _is_near(env.kappa, _dist(x, y), t) else ("c0", "c1", "c2", "c3")))
+        env._need(*(("c0", "c1") if _dist(x, y) < env.kappa * math.sqrt(t) else ("c0", "c1", "c2", "c3")))
     else:
         env._need("epsilon", "C")
         if not 0.0 < env.C < 1.0:
@@ -207,11 +220,11 @@ def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
             raise ParameterError("dirichlet_ball needs n >= 2")
 
 
-def _log_envelope(V, env: BoundEnvelope, x, y, t) -> float:
-    """log of the envelope at one point, for an env and a point that `_check_envelope` accepts."""
+def _log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
+    """log of the envelope at each point, for an env and points that `_check_envelope` accepts."""
     family = env.family
     if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
-        d2 = _dist(x, y) ** 2
+        d2 = _square(_distances(x, y))
         if family == "gaussian_upper":
             return _log_gaussian(env.c0, env.n, t, env.c2, d2)
         both = family == "symmetrized_upper"
@@ -220,17 +233,12 @@ def _log_envelope(V, env: BoundEnvelope, x, y, t) -> float:
         return _log_gaussian(env.c0, env.n, t, c_gauss, d2) - c_decay * decay
     if family == "quadratic_sharp":
         shape, d2, s = _sharp_terms(x, y, t)
-        if t <= 1.0:
-            return shape - env.c0 * d2 / t - env.c1 * t * s
-        return -env.c2 * t - env.c3 * s
+        return np.where(t <= 1.0, shape - env.c0 * d2 / t - env.c1 * t * s, -env.c2 * t - env.c3 * s)
     if family in ("avg_lower_near", "avg_lower_far"):
-        d = _dist(x, y)
-        near = _is_near(env.kappa, d, t)
-        base, log_d = _lower_terms(V, env.n, env.c0, env.c2, env.c3, near, x, d, t)
+        d = _distances(x, y)
+        base, log_d = _lower_terms(V, env.n, env.c0, env.c2, env.c3, d < env.kappa * np.sqrt(t), x, d, t)
         log_decay = math.log(env.c1) + log_d
-        if log_decay > 700.0:
-            return -math.inf
-        return base - math.exp(log_decay)
+        return np.where(log_decay > 700.0, -math.inf, base - _libm(math.exp, np.minimum(log_decay, 700.0)))
     return _dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C))
 
 
@@ -324,17 +332,13 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
         raise ParameterError("sigma must lie in (0, 1)")
     bound = chain_sigma_bound(xv, yv, t)
     if not sigma < bound:
-        raise ParameterError(
-            f"sigma={sigma} violates the adjacent-cube condition; need sigma < {bound:.6g} here"
-        )
+        raise ParameterError(f"sigma={sigma} violates the adjacent-cube condition; need sigma < {bound:.6g} here")
     pts = xv[None, :] + np.linspace(0.0, 1.0, M + 1)[:, None] * (yv - xv)[None, :]
     pts.flags.writeable = False
     return ChainPlan(x=tuple(xv), y=tuple(yv), t=t, M=M, waypoints=pts, sigma=sigma)
 
 
-def chained_lower_bound(
-    V: Potential, plan: ChainPlan, c0: float, c1: float, doubling_C: float
-) -> float:
+def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, doubling_C: float) -> float:
     """log of the product of on-diagonal bounds over the chain cubes.
 
     log p >= log(1/sigma) - (n/2) log t + (n/2) log M + M log(sigma c0)
@@ -472,7 +476,14 @@ class FitResult:
     feasible: bool
     min_slack: float
     witness: tuple | None
-    records: list = field(default_factory=list)  # (x, y, t, log_p, log_env, slack)
+    records: tuple = ()  # columns x, y, t, log_p, log_env, slack: float arrays, one entry per point
+
+
+def _least(q: np.ndarray):
+    """(value, index) of q's first least entry, as a strict `<` scan from +inf finds it: (inf, None) if none."""
+    q = np.where(q < math.inf, q, math.inf)
+    i = int(np.argmin(q))
+    return (float(q[i]), i) if q[i] < math.inf else (math.inf, None)
 
 
 def grid_points(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]):
@@ -481,11 +492,8 @@ def grid_points(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]):
 
 
 def grid_samples(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float], log_p):
-    """(x, y, t, log p) in the x-major order of `grid_points`.
-
-    log_p is a kernel evaluated on the grid, shaped [t, x, y] as the
-    engines' `log_kernel(xs, ys, ts)` returns it.
-    """
+    """(x, y, t, log p) in the x-major order of `grid_points`, from log_p shaped [t, x, y]
+    as the engines' `log_kernel(xs, ys, ts)` returns it."""
     values = np.asarray(log_p, dtype=float).transpose(1, 2, 0).ravel().tolist()
     pts = grid_points(xs, ys, ts)
     if len(values) != len(pts):
@@ -493,6 +501,7 @@ def grid_samples(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float], 
     return [pt + (lp,) for pt, lp in zip(pts, values)]
 
 
+@np.errstate(all="ignore")
 def fit_constants(
     V: Potential,
     samples,
@@ -505,132 +514,122 @@ def fit_constants(
 ) -> FitResult:
     """Fit the free envelope constants against kernel samples.
 
-    samples is an iterable of (x, y, t, log p), read once, as `grid_samples`
-    makes them from one evaluation of the grid.
-    Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8,
-    then take the decay coefficient as the infimum of admissible values
-    over the grid (clipped at C_FLOOR); lower families mirror this with a
-    supremum and a safety prefactor c0 = (4 pi)^{-n/2} / 2.  FEASIBLE means
-    every fitted constant came out strictly positive and no grid point
-    violates the bound.  Every record's log_env is `evaluate_envelope` of
-    the fitted envelope, whose checks run once per fit; a lower slack where
-    kernel and envelope are both exact zeros is 0.
+    samples is an iterable of (x, y, t, log p), read once into one array per
+    field, as `grid_samples` makes them; a time <= 0 or a NaN log p is refused.
+    Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8, then
+    take the decay coefficient as the infimum of admissible values over the
+    grid (clipped at C_FLOOR), a masked min of one quotient array; lower
+    families mirror this with a max and a safety prefactor c0 = (4 pi)^{-n/2} / 2.
+    FEASIBLE means every fitted constant came out strictly positive and no grid
+    point violates the bound.  A lower slack where kernel and envelope are both
+    exact zeros is 0.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown envelope family {family!r}")
-    pts = [tuple(s) for s in samples]
+    pts = list(map(tuple, samples))
     if not pts:
         raise ParameterError("empty sample grid")
-    if any(len(p) != 4 for p in pts):
+    if set(map(len, pts)) != {4}:
         raise ParameterError("samples must be (x, y, t, log_p) tuples")
-    if not all(p[2] > 0 for p in pts):
+    x, y, t, lp = (np.array(column, dtype=float) for column in zip(*pts))
+    if not np.all(t > 0):
         raise ParameterError("time must be > 0")
+    if np.isnan(lp).any():
+        raise ParameterError(f"log p is NaN at (x, y, t) = {pts[int(np.argmax(np.isnan(lp)))][:3]}")
 
     c0_upper = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
-    sel, ok, blame = pts, True, None  # points recorded, constants admissible, witness overriding the slack's
+    sel, ok, blame = slice(None), True, None  # points recorded, constants admissible, witness overriding the slack's
     if family == "gaussian_upper":
         env = BoundEnvelope(family=family, n=n, c0=c0_upper, c2=0.125)
     elif family in ("avg_upper", "symmetrized_upper"):
-        env, ok, blame = _fit_decay(V, family, pts, n, c0_upper, beta)
+        env, ok, blame = _fit_decay(V, family, x, y, t, lp, n, c0_upper, beta)
     elif family == "quadratic_sharp":
-        env, ok = _fit_quadratic_sharp(pts)
+        env, ok = _fit_quadratic_sharp(x, y, t, lp)
     elif family in ("avg_lower_near", "avg_lower_far"):
-        env, sel = _fit_lower_c1(V, family, pts, n, kappa)
+        env, sel = _fit_lower_c1(V, family, x, y, t, lp, n, kappa)
     else:
-        env, ok = _fit_dirichlet_C(family, pts, n, epsilon)
+        env, ok = _fit_dirichlet_C(family, x, y, t, lp, n, epsilon)
 
-    _check_envelope(env, *sel[0][:3])  # sel's points share a branch: one check covers them all
-    upper = family in UPPER_FAMILIES
-    records = []
-    min_slack, witness = math.inf, None
-    for x, y, t, lp in sel:
-        le = _log_envelope(V, env, x, y, t)
-        if upper:
-            slack = le - lp if lp > -math.inf else math.inf
-        else:
-            slack = lp - le if le > -math.inf else (math.inf if lp > -math.inf else 0.0)
-        records.append((x, y, t, lp, le, slack))
-        if slack < min_slack:
-            min_slack, witness = slack, (x, y, t)
-    return FitResult(env, ok and min_slack >= -1e-12, min_slack, blame or witness, records)
+    at = np.arange(len(pts))[sel]
+    x, y, t, lp = x[at], y[at], t[at], lp[at]
+    _check_envelope(env, x[0], y[0], t[0])  # the recorded points share a branch: one check covers them all
+    log_env = _log_envelope(V, env, x, y, t)
+    if family in UPPER_FAMILIES:
+        slack = np.where(lp > -math.inf, log_env - lp, math.inf)
+    else:
+        slack = np.where(log_env > -math.inf, lp - log_env, np.where(lp > -math.inf, math.inf, 0.0))
+    min_slack, i = _least(slack)
+    if blame is None and i is not None:
+        blame = at[i]
+    witness = None if blame is None else pts[blame][:3]
+    return FitResult(env, bool(ok and min_slack >= -1e-12), min_slack, witness, (x, y, t, lp, log_env, slack))
 
 
-def _fit_decay(V, family, pts, n, c0, beta):
+def _fit_decay(V, family, x, y, t, lp, n, c0, beta):
     """avg_upper / symmetrized_upper: the decay coefficient is the least (base - log p) / decay.
-
-    Returns (envelope, admissible, the point of the least quotient when it is <= 0).
-    """
+    Returns (envelope, admissible, the index of the least quotient when it is <= 0)."""
     if beta is None:
         raise ParameterError(f"{family} fit needs beta")
     both = family == "symmetrized_upper"
-    least, at = math.inf, None
-    for x, y, t, lp in pts:
-        if lp == -math.inf:
-            continue
-        decay = _upper_decay(V, beta, x, y if both else None, t)
-        if decay > 0.0:
-            q = (_log_gaussian(c0, n, t, 0.125, _dist(x, y) ** 2) - lp) / decay
-            if q < least:
-                least, at = q, (x, y, t)
-    ok = at is None or least > 0.0  # no quotient: the decay never bites
-    cdecay = max(least if at is not None else 1.0, C_FLOOR)
+    at = np.flatnonzero(lp != -math.inf)  # a vanishing kernel bounds nothing
+    decay = _upper_decay(V, beta, x[at], y[at] if both else None, t[at])
+    base = _log_gaussian(c0, n, t[at], 0.125, _square(_distances(x[at], y[at])))
+    quotient = np.full(len(lp), math.inf)
+    quotient[at] = np.where(decay > 0.0, (base - lp[at]) / decay, math.inf)
+    least, i = _least(quotient)
+    ok = i is None or least > 0.0  # no quotient: the decay never bites
+    cdecay = max(least if i is not None else 1.0, C_FLOOR)
     c1, c2 = (0.125, cdecay) if both else (cdecay, 0.125)
     env = BoundEnvelope(family=family, n=n, c0=c0, c1=c1, c2=c2, beta=beta)
-    return env, ok, None if ok else at
+    return env, ok, None if ok else i
 
 
-def _fit_quadratic_sharp(pts):
+def _fit_quadratic_sharp(x, y, t, lp):
     """Two stages per branch: c0 takes half of the small-t budget, c1 the rest; c2 then c3 likewise."""
-    small, large = [], []
-    for x, y, t, lp in pts:
-        if lp > -math.inf:
-            shape, d2, s = _sharp_terms(x, y, t)
-            (small if t <= 1.0 else large).append((t, lp, shape - lp, d2, s))
+    shape, d2, s = _sharp_terms(x, y, t)
+    budget = shape - lp
+    small, large = (lp > -math.inf) & (t <= 1.0), (lp > -math.inf) & ~(t <= 1.0)
 
-    def least(quotients, default):
-        return (max(min(quotients), C_FLOOR), min(quotients) > 0) if quotients else (default, True)
+    def least(where, quotients, default):
+        lowest = float(np.min(quotients[where])) if where.any() else None
+        return (default, True) if lowest is None else (max(lowest, C_FLOOR), lowest > 0)
 
-    c0, ok0 = least([budget * t / d2 / 2.0 for t, _, budget, d2, _ in small if d2 > 0], 0.125)
-    c1, ok1 = least([(budget - c0 * d2 / t) / (t * s) for t, _, budget, d2, s in small if s > 0], 1.0)
-    c2, ok2 = least([-lp / t / 2.0 for t, lp, *_ in large], 1.0)
-    c3, ok3 = least([(-lp - c2 * t) / s for t, lp, _, _, s in large if s > 0], 1.0)
+    c0, ok0 = least(small & (d2 > 0), budget * t / d2 / 2.0, 0.125)
+    c1, ok1 = least(small & (s > 0), (budget - c0 * d2 / t) / (t * s), 1.0)
+    c2, ok2 = least(large, -lp / t / 2.0, 1.0)
+    c3, ok3 = least(large & (s > 0), (-lp - c2 * t) / s, 1.0)
     env = BoundEnvelope(family="quadratic_sharp", n=1, c0=c0, c1=c1, c2=c2, c3=c3)
     return env, ok0 and ok1 and ok2 and ok3
 
 
-def _fit_lower_c1(V, family, pts, n, kappa):
-    """avg_lower_near / avg_lower_far on their regime's points: c1 is the largest (base - log p) / D."""
+def _fit_lower_c1(V, family, x, y, t, lp, n, kappa):
+    """avg_lower_near / avg_lower_far on their regime's points (the mask returned):
+    c1 is the largest (base - log p) / D."""
     if kappa is None:
         kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
     near = family == "avg_lower_near"
     c0, c2, c3 = 0.5 * (4.0 * math.pi) ** (-0.5 * n), 2.0, 0.5
-    sel, quotients = [], []
-    for x, y, t, lp in pts:
-        d = _dist(x, y)
-        if _is_near(kappa, d, t) != near:
-            continue
-        sel.append((x, y, t, lp))
-        base, log_d = _lower_terms(V, n, c0, c2, c3, near, x, d, t)
-        if lp > -math.inf and -math.inf < log_d <= 700.0:
-            quotients.append((base - lp) / math.exp(log_d))
-    if not sel:
+    d = _distances(x, y)
+    sel = (d < kappa * np.sqrt(t)) == near  # the branch test |x-y| < kappa sqrt(t)
+    if not sel.any():
         raise ParameterError(f"no grid points fall in the {family} regime")
-    c1 = max(max(quotients, default=0.0), C_FLOOR)
+    base, log_d = _lower_terms(V, n, c0, c2, c3, np.full(sel.sum(), near), x[sel], d[sel], t[sel])
+    lp = lp[sel]
+    use = (lp > -math.inf) & (log_d > -math.inf) & (log_d <= 700.0)
+    quotients = (base[use] - lp[use]) / _libm(math.exp, log_d[use])
+    c1 = max(float(quotients.max()) if quotients.size else 0.0, C_FLOOR)
     far = {} if near else {"c2": c2, "c3": c3}
     return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel
 
 
-def _fit_dirichlet_C(family, pts, n, epsilon):
+def _fit_dirichlet_C(family, x, y, t, lp, n, epsilon):
     """Dirichlet comparison families: C is the least p / exp(shape), capped at 0.99."""
     if epsilon is None:
         raise ParameterError(f"{family} fit needs epsilon")
-    ratios = []
-    for x, y, t, lp in pts:
-        shape = _dirichlet_log(family, n, epsilon, x, y, t)
-        if shape > -math.inf and lp > -math.inf:
-            ratios.append(math.exp(min(lp - shape, 700.0)))
-    if not ratios:
+    shape = _dirichlet_log(family, n, epsilon, x, y, t)
+    use = (shape > -math.inf) & (lp > -math.inf)
+    if not use.any():
         raise ParameterError("no usable grid points for the Dirichlet fit")
-    c_raw = min(ratios)
+    c_raw = float(np.min(_libm(math.exp, np.minimum(lp[use] - shape[use], 700.0))))
     C = min(c_raw, 0.99) if c_raw > 0.0 else C_FLOOR
     return BoundEnvelope(family=family, n=n, epsilon=epsilon, C=C), c_raw > 0.0

@@ -18,10 +18,13 @@ The engines are `explicit` (the closed form for a quadratic potential) and
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
 evaluates its grid once, and so does `bounds` on the spectral engine.  On the
 closed form, `bounds` evaluates `quadratic_kernel` point by point as each
-family's fit reads its samples.  `chain` averages V over all of its waypoint
-cubes in one `cube_averages` call, and refuses a chain longer than
-MAX_CHAIN_M links before planning it.  A relative `tabulated.table` path
-resolves against the directory of the config file.
+family's fit reads its samples.  `bounds` parses every envelope before it
+builds the engine, and writes each column of the fits' records (arrays of
+x, y, t, log_p, log_env and slack) to `bound_slacks.csv` as one
+concatenation.  `chain` averages V over all of its waypoint cubes in one
+`cube_averages` call, and refuses a chain longer than MAX_CHAIN_M links
+before planning it.  A relative `tabulated.table` path resolves against the
+directory of the config file.
 """
 
 from __future__ import annotations
@@ -71,23 +74,22 @@ def _potential(cfg: dict, base_dir: Path | None):
     return potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
 
 
-def _build_engine(cfg: dict, ts, base_dir: Path | None = None):
-    """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], potential, provenance).
+def _build_engine(cfg: dict, ts, V):
+    """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], provenance) for the potential V.
 
     ts are the grid's times, read before anything is built; the spectral
     kernel is built for t >= the earliest, and its provenance reports the
     modes kept there.
     """
     engine = cfg.get("engine", "explicit")
-    V = _potential(cfg, base_dir)
     if engine == "explicit":
         quad = quadratic_from_potential(V)
-        return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), V, "engine=explicit"
+        return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), "engine=explicit"
     if engine == "spectral":
         L, m = float(config_number(cfg, "spectral.half_width")), config_number(cfg, "spectral.points")
         K = build_spectral(V, L, m, float(min(ts)))
         prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(K.t_min)}"
-        return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), V, prov
+        return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), prov
     raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
 
 
@@ -95,15 +97,15 @@ def _prov_line(cfg: dict, prov: str, xs, ys, ts) -> str:
     return f"config={config_hash(cfg)} {prov} grid={len(xs)}x{len(ys)}x{len(ts)}"
 
 
-def _evaluate_grid(cfg: dict, base_dir: Path | None):
-    """Build the engine and evaluate its grid once: ((xs, ys, ts), log p[t, x, y], potential, provenance line)."""
+def _evaluate_grid(cfg: dict, V):
+    """Build the engine for V and evaluate its grid once: ((xs, ys, ts), log p[t, x, y], provenance line)."""
     xs, ys, ts = grid_from_config(cfg)
-    log_kernel, V, prov = _build_engine(cfg, ts, base_dir)
-    return (xs, ys, ts), log_kernel(xs, ys, ts), V, _prov_line(cfg, prov, xs, ys, ts)
+    log_kernel, prov = _build_engine(cfg, ts, V)
+    return (xs, ys, ts), log_kernel(xs, ys, ts), _prov_line(cfg, prov, xs, ys, ts)
 
 
-def _bounds_samples(cfg: dict, base_dir: Path | None):
-    """(samples() -> x-major (x, y, t, log p) samples, potential, provenance line).
+def _bounds_samples(cfg: dict, V):
+    """(samples() -> x-major (x, y, t, log p) samples of V's kernel, provenance line).
 
     The spectral engine evaluates the grid once and every family
     fits against that evaluation.  The closed form keeps its scalar path:
@@ -113,10 +115,9 @@ def _bounds_samples(cfg: dict, base_dir: Path | None):
     fitter's kernel calls per point.
     """
     if cfg.get("engine", "explicit") != "explicit":
-        axes, log_p, V, prov_line = _evaluate_grid(cfg, base_dir)
+        axes, log_p, prov_line = _evaluate_grid(cfg, V)
         samples = grid_samples(*axes, log_p)
-        return (lambda: samples), V, prov_line
-    V = _potential(cfg, base_dir)
+        return (lambda: samples), prov_line
     quad = quadratic_from_potential(V)
     xs, ys, ts = grid_from_config(cfg)
     pts = grid_points(xs, ys, ts)
@@ -125,7 +126,7 @@ def _bounds_samples(cfg: dict, base_dir: Path | None):
         for x, y, t in pts:
             yield x, y, t, quadratic_kernel(quad, x, y, t)
 
-    return samples, V, _prov_line(cfg, "engine=explicit", xs, ys, ts)
+    return samples, _prov_line(cfg, "engine=explicit", xs, ys, ts)
 
 
 def _p(log_p: float) -> float:
@@ -134,7 +135,7 @@ def _p(log_p: float) -> float:
 
 
 def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    (xs, ys, ts), log_p, _, prov_line = _evaluate_grid(cfg, base_dir)
+    (xs, ys, ts), log_p, prov_line = _evaluate_grid(cfg, _potential(cfg, base_dir))
     nx, ny, nt = len(xs), len(ys), len(ts)
     # x-major order, as `grid_points` lists the points
     lp = log_p.transpose(1, 2, 0).ravel()
@@ -151,14 +152,17 @@ def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
 
 
 def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    samples, V, prov_line = _bounds_samples(cfg, base_dir)
-    verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
-    slacks = {k: [] for k in ("family", "x", "y", "t", "log_p", "log_env", "slack")}
-    all_ok = True
+    V = _potential(cfg, base_dir)
     if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
         raise ConfigError(f"envelopes must be a list, got {specs!r}")
-    for i, spec in enumerate(specs):
-        env0 = envelope_from_config(spec, f"envelopes[{i}]", V.n)
+    envelopes = [envelope_from_config(spec, f"envelopes[{i}]", V.n) for i, spec in enumerate(specs)]
+    samples, prov_line = _bounds_samples(cfg, V)
+    verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
+    families = []
+    # the fits' record columns x, y, t, log_p, log_env and slack, one array per fit
+    records = {k: [np.empty(0)] for k in ("x", "y", "t", "log_p", "log_env", "slack")}
+    all_ok = True
+    for env0 in envelopes:
         fit = fit_constants(
             V,
             samples(),
@@ -181,12 +185,12 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         row = (env.family, verdict, fit.min_slack) + tuple(consts.get(k, math.nan) for k in ("c0", "c1", "c2", "c3"))
         for col, value in zip(verdicts.values(), row):
             col.append(value)
-        slacks["family"] += [env.family] * len(fit.records)
-        # records are (x, y, t, log_p, log_env, slack): the other slack columns, in order
-        for col, values in zip(list(slacks.values())[1:], zip(*fit.records)):
-            col += values
+        families += [env.family] * len(fit.records[0])
+        for col, values in zip(records.values(), fit.records):
+            col.append(values)
     emit_csv(list(verdicts.values()), list(verdicts), out / "bound_verdicts.csv", prov_line)
-    emit_csv(list(slacks.values()), list(slacks), out / "bound_slacks.csv", prov_line)
+    slack_columns = [families] + [np.concatenate(col) for col in records.values()]
+    emit_csv(slack_columns, ["family", *records], out / "bound_slacks.csv", prov_line)
     print(f"sandwich: {'FEASIBLE' if all_ok else 'INFEASIBLE'}")
     return EXIT_OK if all_ok else EXIT_FAILURE
 

@@ -223,7 +223,7 @@ def envelope_from_config(spec: dict, where: str, n: int) -> BoundEnvelope:
     """
     family = str(_need(spec, "family", where))
     if family not in FAMILIES:
-        raise ConfigError(f"unknown envelope family {family!r}; known: {', '.join(FAMILIES)}")
+        raise ConfigError(f"{where}.family: unknown envelope family {family!r}; known: {', '.join(FAMILIES)}")
     for key in ("c0", "c1", "c2", "c3", "C"):
         if key in spec:
             raise ConfigError(f"{where}.{key} cannot be set: bounds fits it")
@@ -238,7 +238,7 @@ def envelope_from_config(spec: dict, where: str, n: int) -> BoundEnvelope:
     try:
         return BoundEnvelope(family=family, n=n, **kwargs)
     except Exception as exc:
-        raise ConfigError(f"envelope section: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _linspace_count(spec, name: str):

@@ -24,19 +24,22 @@ from .errors import DomainError, ParameterError
 DIVERGENCE_THRESHOLD = 1e8
 
 
-def m_beta(x: float, beta: float) -> float:
-    """Piecewise weight: identity below 1, power beta above 1.
+def m_beta(x, beta: float):
+    """Piecewise weight: identity below 1, power beta above 1, of a number or elementwise of an array.
 
     Continuous at the knee x = 1, nondecreasing, and <= x everywhere on
-    [0, inf) since 0 < beta <= 1.
+    [0, inf) since 0 < beta <= 1.  A number gives a float.  The powers go
+    through Python's `**`: numpy's SIMD power can differ from libm's in
+    the last bit.
     """
     if not 0.0 < beta <= 1.0:
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if x < 0.0:
-        raise ParameterError(f"m_beta argument must be >= 0, got {x}")
-    if x <= 1.0:
-        return x
-    return x**beta
+    a = np.array(x, dtype=float, ndmin=1)
+    if np.any(a < 0.0):
+        raise ParameterError(f"m_beta argument must be >= 0, got {a[a < 0.0][0]}")
+    above = a > 1.0
+    a[above] = [v**beta for v in a[above].tolist()]
+    return a.reshape(np.shape(x)) if np.ndim(x) else float(a[0])
 
 
 # ---------------------------------------------------------------------------

@@ -431,10 +431,10 @@ def test_fit_records_are_the_evaluated_envelope(family, a1, a2, shift):
         logp = quadratic_log_kernel(QuadraticCoeffs(a0, a1, a2), xs, xs, ts) + shift
         samples = grid_samples(xs, xs, ts, logp)
     fit = fit_constants(V, samples, family, **FIT_OPTIONS.get(family, {}))
-    assert fit.records
-    for x, y, t, lp, le, slack in fit.records:
+    assert len(fit.records[0])
+    for x, y, t, lp, le, slack in zip(*fit.records):
         assert le == evaluate_envelope(V, fit.envelope, x, y, t)
-    assert fit.min_slack == min(r[5] for r in fit.records)
+    assert fit.min_slack == min(fit.records[5])
 
 
 def test_lower_slack_is_zero_where_kernel_and_envelope_vanish():
@@ -443,13 +443,13 @@ def test_lower_slack_is_zero_where_kernel_and_envelope_vanish():
     late = 2.0 * interval_clamp_time(eps)
     samples = [(0.0, 0.1, 0.1, -1.0), (0.0, 0.1, late, -math.inf), (0.0, 0.2, late, -2.0)]
     fit = fit_constants(None, samples, "dirichlet_interval", epsilon=eps)
-    assert [r[4] for r in fit.records][1:] == [-math.inf, -math.inf]
-    assert [r[5] for r in fit.records][1:] == [0.0, math.inf]
+    assert list(fit.records[4][1:]) == [-math.inf, -math.inf]
+    assert list(fit.records[5][1:]) == [0.0, math.inf]
     # the far branch's decay exp(c1 t 2^{|x-y|^2/t} avg) overflows to a zero envelope at (0, 3.5, 0.01)
     samples = [(0.0, 0.5, 0.1, -3.0), (0.0, 3.5, 0.01, -math.inf)]
     fit = fit_constants(V_SQ, samples, "avg_lower_far", kappa=0.125)
-    assert fit.records[1][4:] == (-math.inf, 0.0)
-    assert math.isfinite(fit.records[0][5])
+    assert (fit.records[4][1], fit.records[5][1]) == (-math.inf, 0.0)
+    assert math.isfinite(fit.records[5][0])
 
 
 def test_lower_fit_verdict_comes_from_the_records():

@@ -554,3 +554,22 @@ def test_envelope_dimension_comes_from_the_potential(tmp_path, capsys, envelopes
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "bounds"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"family": "avg_upper", "beta": 7}, "envelopes[2]: beta must be in (0, 1], got 7.0"),
+        ({"family": "avg_lower_far", "kappa": 1.5}, "envelopes[2]: kappa must be in (0, 1), got 1.5"),
+        ({"family": "nonsense"}, "envelopes[2].family: unknown envelope family 'nonsense'"),
+    ],
+)
+@pytest.mark.parametrize("engine", ["explicit", "spectral"])
+def test_a_bad_envelope_exits_2_before_any_fit(tmp_path, capsys, bad, message, engine):
+    envelopes = [{"family": "avg_upper", "beta": 0.9}, {"family": "quadratic_sharp"}, bad]
+    cfg = write_config(tmp_path, envelopes=envelopes, engine=engine, spectral={"half_width": 4.0, "points": 101})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "bounds"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+    assert not list((tmp_path / "out").glob("*.csv"))
