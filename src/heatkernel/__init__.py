@@ -19,7 +19,6 @@ from .bounds import (
     fit_constants,
     grid_points,
     grid_samples,
-    interval_clamp_time,
     moser_ratio,
     energy_test_family,
 )
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .explicit import (
     QuadraticCoeffs,
-    gaussian_kernel,
     gaussian_log_kernel,
     quadratic_kernel,
     quadratic_log_kernel,

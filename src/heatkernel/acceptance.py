@@ -273,12 +273,12 @@ def c8_chain_construction() -> CriterionResult:
     )
 
 
-def c9_inequality_checks(seed: int = 0) -> CriterionResult:
+def c9_inequality_checks() -> CriterionResult:
     potentials = {"const": constant(1.0), "square": V_SQUARE, "abs": PowerPotential(1.0)}
     min_ratio = math.inf
     for side in (0.5, 1.0, 2.0):
         Z = Cube(0.0, side)
-        xs, values = energy_test_family(Z, count=50, seed=seed)
+        xs, values = energy_test_family(Z, count=50, seed=0)
         for V in potentials.values():
             min_ratio = min(min_ratio, float(np.min(fefferman_phong_ratio(V, xs, values, Z, beta=0.5))))
     ok_fp = min_ratio >= 0.01
@@ -383,15 +383,8 @@ CRITERIA = [
 ]
 
 
-def run_all(out_dir: Path | None = None, seed: int = 0) -> list[CriterionResult]:
-    results = []
-    for fn in CRITERIA:
-        if fn is c11_determinism:
-            results.append(fn(out_dir))
-        elif fn is c9_inequality_checks:
-            results.append(fn(seed))
-        else:
-            results.append(fn())
+def run_all(out_dir: Path | None = None) -> list[CriterionResult]:
+    results = [fn(out_dir) if fn is c11_determinism else fn() for fn in CRITERIA]
     if out_dir is not None:
         from .csvout import emit_csv
 

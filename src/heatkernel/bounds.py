@@ -33,28 +33,6 @@ UPPER_FAMILIES = ("gaussian_upper", "avg_upper", "symmetrized_upper", "quadratic
 LOWER_FAMILIES = ("avg_lower_near", "avg_lower_far", "dirichlet_interval", "dirichlet_ball")
 FAMILIES = UPPER_FAMILIES + LOWER_FAMILIES
 
-__all__ = [
-    "BoundEnvelope",
-    "FitResult",
-    "ChainPlan",
-    "interval_clamp_time",
-    "MAX_CHAIN_M",
-    "chain_length",
-    "chain_plan",
-    "chain_sigma_bound",
-    "chained_lower_bound",
-    "fefferman_phong_ratio",
-    "energy_test_family",
-    "moser_ratio",
-    "evaluate_envelope",
-    "fit_constants",
-    "grid_points",
-    "grid_samples",
-    "FAMILIES",
-    "UPPER_FAMILIES",
-    "LOWER_FAMILIES",
-]
-
 
 @dataclass(frozen=True)
 class BoundEnvelope:
@@ -167,11 +145,6 @@ def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t, log_c: float = 
     return log_c - 0.5 * n * _libm(math.log, t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
 
 
-def interval_clamp_time(epsilon: float) -> float:
-    """Time beyond which the interval lower bound clamps to zero."""
-    return epsilon**2 / math.log(2.0)
-
-
 @np.errstate(all="ignore")
 def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> float:
     """log of any envelope family at one point.
@@ -274,11 +247,6 @@ class ChainPlan:
     def spacing(self) -> float:
         return _dist(self.x, self.y) / self.M
 
-    @property
-    def far_regime(self) -> bool:
-        """Whether |x-y| >= sqrt(t)/8, the regime the chaining argument targets."""
-        return _dist(self.x, self.y) >= math.sqrt(self.t) / 8.0
-
 
 # A plan holds an (M+1) x n waypoint array, 8 MB per axis at the cap.
 MAX_CHAIN_M = 1_000_000
@@ -312,8 +280,8 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
 
     The M arithmetic (`chain_length`) is well defined for any separation up
     to MAX_CHAIN_M links; the chaining argument itself targets the far regime
-    |x-y| >= sqrt(t)/8, exposed as plan.far_regime (near-regime callers
-    normally want the avg_lower_near family instead).  sigma defaults to
+    |x-y| >= sqrt(t)/8 (near-regime callers normally want the
+    avg_lower_near family instead).  sigma defaults to
     1/(16 sqrt(n)), the largest value for which points of adjacent cubes
     are always closer than (1/8) sqrt(t/M); a larger one must stay below
     `chain_sigma_bound`.

@@ -48,6 +48,7 @@ from .bounds import (
 from .config import (
     DEFAULT_CONFIG,
     ENGINES,
+    check_spectral_grid,
     config_hash,
     config_number,
     envelope_from_config,
@@ -74,12 +75,12 @@ def _potential(cfg: dict, base_dir: Path | None):
     return potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
 
 
-def _build_engine(cfg: dict, ts, V):
+def _build_engine(cfg: dict, xs, ys, ts, V):
     """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], provenance) for the potential V.
 
-    ts are the grid's times, read before anything is built; the spectral
-    kernel is built for t >= the earliest, and its provenance reports the
-    modes kept there.
+    xs, ys and ts are the grid's axes, read and checked before anything is
+    built; the spectral kernel is built for t >= the earliest time, and its
+    provenance reports the modes kept there.
     """
     engine = cfg.get("engine", "explicit")
     if engine == "explicit":
@@ -87,6 +88,7 @@ def _build_engine(cfg: dict, ts, V):
         return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), "engine=explicit"
     if engine == "spectral":
         L, m = float(config_number(cfg, "spectral.half_width")), config_number(cfg, "spectral.points")
+        check_spectral_grid(xs, ys, L)
         K = build_spectral(V, L, m, float(min(ts)))
         prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(K.t_min)}"
         return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), prov
@@ -100,7 +102,7 @@ def _prov_line(cfg: dict, prov: str, xs, ys, ts) -> str:
 def _evaluate_grid(cfg: dict, V):
     """Build the engine for V and evaluate its grid once: ((xs, ys, ts), log p[t, x, y], provenance line)."""
     xs, ys, ts = grid_from_config(cfg)
-    log_kernel, prov = _build_engine(cfg, ts, V)
+    log_kernel, prov = _build_engine(cfg, xs, ys, ts, V)
     return (xs, ys, ts), log_kernel(xs, ys, ts), _prov_line(cfg, prov, xs, ys, ts)
 
 
@@ -273,7 +275,7 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
 def cmd_verify(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(out_dir=out, seed=int(cfg.get("seed", 0)))
+    results = acceptance.run_all(out_dir=out)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -289,8 +291,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", type=Path, help="JSON config file (see README for keys)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--tol", type=float, help="override tolerances.rel")
-    parser.add_argument("--seed", type=int, help="seed for test-function lattices")
     parser.add_argument(
         "command",
         choices=["kernel", "bounds", "weights", "ode", "chain", "verify"],
@@ -299,10 +299,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-        if args.tol is not None:
-            cfg = {**cfg, "tolerances": {**cfg.get("tolerances", {}), "rel": args.tol}}
-        if args.seed is not None:
-            cfg = {**cfg, "seed": args.seed}
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         handler = {

@@ -52,7 +52,8 @@ DEFAULT_CONFIG = {
 # cubes at the deepest level, and every potential kind is one-dimensional.
 # A spectral build's eigenvector solve fills an m x k array for the k modes it
 # keeps, and k reaches m when t_min is small: up to 8 m^2 bytes, 0.97 GB at the
-# cap on spectral.points.
+# cap on spectral.points.  `ode` peaks at 128 MB RSS with 100,000 samples and
+# 82 MB with 120 (one run each on a 2-vCPU Xeon VM).
 LIMITS = {
     "potential.dimension": ("1", lambda v: v == 1),
     "weights.depth": ("an integer in [3, 20]", lambda v: isinstance(v, int) and 3 <= v <= 20),
@@ -60,7 +61,7 @@ LIMITS = {
     "weights.rh_q": ("a number > 1", lambda v: v > 1),
     "weights.ap_p": ("a number > 1", lambda v: v > 1),
     "ode.t0": ("a number > 0", lambda v: v > 0),
-    "ode.samples": ("an integer >= 2", lambda v: isinstance(v, int) and v >= 2),
+    "ode.samples": ("an integer in [2, 100000]", lambda v: isinstance(v, int) and 2 <= v <= 100_000),
     "chain.t": ("a number > 0", lambda v: v > 0),
     "chain.sigma": ("a number in (0, 1)", lambda v: 0 < v < 1),
     "chain.c0": ("a number > 0", lambda v: v > 0),
@@ -73,6 +74,12 @@ LIMITS = {
 # in about 4 s on a 2-vCPU Xeon VM (one run of a 100^3 grid), and closed-form
 # `bounds` evaluates every point once per family.
 MAX_GRID_POINTS = 1_000_000
+# The spectral engine holds P x P arrays per time slice for the P distinct x
+# and y values: a 2000x1x1 `kernel` grid peaks at 128 MB RSS (same VM).
+MAX_SPECTRAL_POINTS = 2000
+# The first evaluation of a polynomial factors it through a d x d companion
+# matrix, 8 d^2 bytes for d + 1 coefficients.
+MAX_COEFFICIENTS = 257
 # The constant a family's fit cannot do without.
 REQUIRED_CONSTANT = {
     "avg_upper": "beta",
@@ -155,8 +162,11 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
         _number(spec["dimension"], "potential.dimension")
     try:
         if kind == "polynomial":
-            coeffs = _need(spec, "coefficients", where)
-            return PolynomialPotential([_number(c, f"{where}.coefficients[{i}]") for i, c in enumerate(coeffs)])
+            key = f"{where}.coefficients"
+            coeffs = [_number(c, f"{key}[{i}]") for i, c in enumerate(_need(spec, "coefficients", where))]
+            if len(coeffs) > MAX_COEFFICIENTS:
+                raise ConfigError(f"{key} has {len(coeffs)} entries, above the cap of {MAX_COEFFICIENTS}")
+            return PolynomialPotential(coeffs)
         if kind == "power":
             return PowerPotential(_number(_need(spec, "exponent", where), f"{where}.exponent"))
         if kind == "constant":
@@ -286,3 +296,14 @@ def grid_from_config(cfg: dict):
     if np.any(ts <= 0):
         raise ConfigError("grid times must be > 0")
     return xs, ys, ts
+
+
+def check_spectral_grid(xs, ys, half_width: float) -> None:
+    """Raise ConfigError, naming the axis, unless every x and y lies in [-half_width, half_width]
+    and the two axes hold at most MAX_SPECTRAL_POINTS distinct values."""
+    for name, axis in (("x", xs), ("y", ys)):
+        if np.any(outside := np.abs(axis) > half_width):
+            box = f"[-spectral.half_width, spectral.half_width] = [{-half_width!r}, {half_width!r}]"
+            raise ConfigError(f"grid.{name} has the point {float(axis[outside][0])!r} outside {box}")
+    if (count := len(np.unique(np.concatenate([xs, ys])))) > MAX_SPECTRAL_POINTS:
+        raise ConfigError(f"grid.x and grid.y have {count} distinct points, above the cap of {MAX_SPECTRAL_POINTS}")

@@ -19,17 +19,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 HYP_SCALE_ARG = 30.0  # switch point for exp-scaled hyperbolic forms
 T_FLOOR = 1e-12  # delta-limit regime below this is handled by limit tests
 
-__all__ = [
-    "QuadraticCoeffs",
-    "gaussian_kernel",
-    "gaussian_log_kernel",
-    "quadratic_kernel",
-    "quadratic_log_kernel",
-    "log_csch",
-    "csch",
-    "coth_minus_csch",
-]
-
 
 @dataclass(frozen=True)
 class QuadraticCoeffs:
@@ -42,11 +31,6 @@ class QuadraticCoeffs:
     def __post_init__(self):
         if not self.a2 > 0.0:
             raise ParameterError(f"quadratic coefficient a2 must be > 0, got {self.a2}")
-
-    @property
-    def nonnegative(self) -> bool:
-        """True when V >= 0 everywhere (a1^2 <= 4 a0 a2)."""
-        return self.a1**2 <= 4.0 * self.a0 * self.a2
 
 
 def log_csch(u: float) -> float:
@@ -67,16 +51,6 @@ def csch(u: float) -> float:
     return 2.0 * e1 / (1.0 - e2)
 
 
-def coth_minus_csch(u: float) -> float:
-    """coth u - csch u; identical to tanh(u/2), stable for all u > 0."""
-    return math.tanh(0.5 * u)
-
-
-def _sq_dist(x, y) -> float:
-    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(np.sum(dx * dx))
-
-
 def _log_grid(xs, ys, ts, log_at) -> np.ndarray:
     """log_at(X, Y, t) at each t of ts, X the column of xs and Y the row of ys: log p shaped [t, x, y]."""
     X = np.asarray(xs, dtype=float)[:, None]
@@ -87,27 +61,20 @@ def _log_grid(xs, ys, ts, log_at) -> np.ndarray:
     return out
 
 
-def _gaussian_log(n: int, d2, t: float):
-    """log p of the free kernel at one time t; d2 = |x-y|^2 is a float or an array."""
+def _gaussian_log(X, Y, t: float):
+    """log p of the free kernel at one time t > 0."""
     if not t > 0.0:
         raise ParameterError(f"time must be > 0, got {t}")
-    return -0.5 * n * (math.log(4.0 * math.pi) + math.log(t)) - d2 / (4.0 * t)
-
-
-def gaussian_kernel(n: int, x, y, t: float) -> float:
-    """log p of the free heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t)."""
-    if n < 1:
-        raise ParameterError(f"dimension must be >= 1, got {n}")
-    return _gaussian_log(n, _sq_dist(x, y), t)
+    return -0.5 * (math.log(4.0 * math.pi) + math.log(t)) - (X - Y) ** 2 / (4.0 * t)
 
 
 def gaussian_log_kernel(xs, ys, ts) -> np.ndarray:
-    """log p of the one-dimensional free kernel on a grid, shaped [t, x, y].
+    """log p of the one-dimensional free heat kernel (4 pi t)^{-1/2} exp(-(x-y)^2 / 4t), shaped [t, x, y].
 
-    Same formula and operation order as `gaussian_kernel(1, ...)`, so each
-    entry equals the scalar value bit for bit.
+    Each entry depends only on its own x, y and t, so a one-point call,
+    `gaussian_log_kernel([x], [y], [t])[0, 0, 0]`, is the grid bit for bit.
     """
-    return _log_grid(xs, ys, ts, lambda X, Y, t: _gaussian_log(1, (X - Y) ** 2, t))
+    return _log_grid(xs, ys, ts, _gaussian_log)
 
 
 @lru_cache(maxsize=64)
@@ -122,7 +89,7 @@ def _time_factors(a0: float, a1: float, a2: float, t: float):
     """
     w = math.sqrt(a2)
     u = 2.0 * w * t
-    th = coth_minus_csch(u)
+    th = math.tanh(0.5 * u)  # coth u - csch u, stable for all u > 0
     head = 0.5 * (0.5 * math.log(a2) + log_csch(u) - LOG_2PI)
     head += (a1**2 / (4.0 * a2) - a0) * t
     head -= a1**2 / (4.0 * w**3) * th

@@ -28,14 +28,6 @@ import numpy as np
 from .errors import IntegrationError, ParameterError
 from .explicit import QuadraticCoeffs, _time_factors
 
-__all__ = [
-    "AnsatzState",
-    "closed_form_state",
-    "integrate_odes",
-    "closed_form_error",
-    "ansatz_log",
-]
-
 
 @dataclass(frozen=True)
 class AnsatzState:

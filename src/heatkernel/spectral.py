@@ -46,26 +46,6 @@ EIGENSUM_TAIL = 1e-16
 # their individual maxima are not a property of the operator.
 CLUSTER_RTOL = 1e-6
 
-__all__ = [
-    "SpectralKernel",
-    "build_spectral",
-    "eval_spectral",
-    "spectral_log_kernel",
-    "dirichlet_interval_log_kernel",
-    "ProbeGrid",
-    "z_lattice",
-    "pde_residual",
-    "semigroup_defect",
-    "cached_spectral",
-]
-
-
-def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on first call: `import heatkernel` loads no scipy.linalg."""
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(*args, **kwargs)
-
 
 def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int):
     """(lam, vecs): the k lowest eigenpairs of a symmetric tridiagonal matrix, vecs shaped (m, k).
@@ -196,6 +176,8 @@ def _modes_needed(h: float, diagonal: np.ndarray, offdiagonal: np.ndarray, t_min
     in [1/(m h), 1/h].  So mode j is below EIGENSUM_TAIL of the kept total once
     (mu_j + min V - lam_1) t_min > log(m / EIGENSUM_TAIL) + 1 (an e-fold for rounding).
     """
+    from scipy.linalg import eigh_tridiagonal  # here, so that `import heatkernel` loads no scipy.linalg
+
     m = len(diagonal)
     lam1 = eigh_tridiagonal(diagonal, offdiagonal, eigvals_only=True, select="i", select_range=(0, 0))[0]
     v_min = float(np.min(diagonal)) - 2.0 / h**2

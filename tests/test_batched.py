@@ -23,7 +23,7 @@ from heatkernel import (
     Cube,
     eval_spectral,
     fit_constants,
-    gaussian_kernel,
+    gaussian_log_kernel,
     grid_points,
     grid_samples,
     quadratic_kernel,
@@ -259,15 +259,22 @@ def sandwich_samples(shift=0.0):
     return grid_samples(xs, xs, ts, logp)
 
 
+def gaussian_nd_log(x, y, t):
+    """log p of the free heat kernel on R^n, n = len(x), as (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) in log space."""
+    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return -0.5 * dx.size * (math.log(4.0 * math.pi) + math.log(t)) - float(np.sum(dx * dx)) / (4.0 * t)
+
+
 def ball_samples():
     """2-D points and a free kernel scaled by e^{-1/2}, for dirichlet_ball at n = 2."""
     pts = [((a, 0.1), (b, -0.2)) for a in (-0.3, 0.0, 0.25) for b in (-0.2, 0.1, 0.3)]
-    return [(x, y, t, gaussian_kernel(2, x, y, t) - 0.5) for x, y in pts for t in (0.02, 0.1, 0.3)]
+    return [(x, y, t, gaussian_nd_log(x, y, t) - 0.5) for x, y in pts for t in (0.02, 0.1, 0.3)]
 
 
 def free_samples(shift=0.0):
     xs = np.linspace(-2, 2, 7)
-    return [(x, y, t, gaussian_kernel(1, x, y, t) + shift) for x, y, t in grid_points(xs, xs, [0.1, 0.5, 1.0])]
+    pts = grid_points(xs, xs, [0.1, 0.5, 1.0])
+    return [(x, y, t, float(gaussian_log_kernel([x], [y], [t])[0, 0, 0]) + shift) for x, y, t in pts]
 
 
 # More fits recorded before each envelope formula was written once: family,

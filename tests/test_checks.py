@@ -20,7 +20,6 @@ from heatkernel import (
     dirichlet_interval_log_kernel,
     energy_test_family,
     fit_constants,
-    gaussian_kernel,
     gaussian_log_kernel,
     moser_ratio,
     pde_residual,
@@ -96,7 +95,7 @@ def test_moser_ratio_equals_a_per_point_reference(x0, t0, r):
 def test_gaussian_log_kernel_equals_scalar(xs, ys, ts):
     got = gaussian_log_kernel(xs, ys, ts)
     assert got.shape == (len(ts), len(xs), len(ys))
-    want = [[[gaussian_kernel(1, x, y, t) for y in ys] for x in xs] for t in ts]
+    want = [[[gaussian_log_kernel([x], [y], [t])[0, 0, 0] for y in ys] for x in xs] for t in ts]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -123,3 +122,35 @@ def test_lattice_semigroup_defects_and_refusals():
 def test_removed_knobs_are_refused(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("argv", [["--tol", "1e-3", "ode"], ["--seed", "3", "verify"]])
+def test_removed_cli_options_are_refused(argv, capsys):
+    from heatkernel.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: heatkernel")
+
+
+def test_removed_names_are_gone_and_the_package_declares_the_api_once():
+    import importlib
+    import pkgutil
+
+    import heatkernel
+    from heatkernel import bounds, explicit
+
+    for module, name in [
+        (heatkernel, "gaussian_kernel"),
+        (explicit, "gaussian_kernel"),
+        (explicit, "coth_minus_csch"),
+        (heatkernel, "interval_clamp_time"),
+        (bounds, "interval_clamp_time"),
+        (explicit.QuadraticCoeffs, "nonnegative"),
+        (bounds.ChainPlan, "far_regime"),
+    ]:
+        assert not hasattr(module, name), name
+    names = [m.name for m in pkgutil.iter_modules(heatkernel.__path__)]
+    assert "explicit" in names
+    assert [n for n in names if hasattr(importlib.import_module(f"heatkernel.{n}"), "__all__")] == []

@@ -362,7 +362,7 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
         ("weights", "weights", {"depth": 40}, "weights.depth must be an integer in [3, 20], got 40"),
         ("weights", "weights", {"window_side": 0}, "weights.window_side must be a number > 0, got 0"),
         ("weights", "weights", {"rh_q": "2.0"}, "weights.rh_q must be a number > 1, got '2.0'"),
-        ("ode", "ode", {"samples": "x"}, "ode.samples must be an integer >= 2, got 'x'"),
+        ("ode", "ode", {"samples": "x"}, "ode.samples must be an integer in [2, 100000], got 'x'"),
         ("ode", "tolerances", {"rel": "x"}, "tolerances.rel must be a number > 0, got 'x'"),
         ("chain", "chain", {"t": "x"}, "chain.t must be a number > 0, got 'x'"),
         ("chain", "chain", {"t": -1}, "chain.t must be a number > 0, got -1"),
@@ -428,6 +428,16 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
         ),
         ("bounds", "envelopes", 5, "envelopes must be a list, got 5"),
         ("bounds", "envelopes", [5], "envelopes[0] must be an object, got 5"),
+        ("ode", "ode", {"samples": 100_001}, "ode.samples must be an integer in [2, 100000], got 100001"),
+        (
+            "kernel",
+            "potential",
+            {
+                "kind": "sum",
+                "parts": [{"kind": "constant", "value": 1.0}, {"kind": "polynomial", "coefficients": [1.0] * 258}],
+            },
+            "potential.parts[1].coefficients has 258 entries, above the cap of 257",
+        ),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, message):
@@ -482,6 +492,53 @@ def test_spectral_memory_cap_exits_2_before_any_eigenvector_solve(tmp_path, monk
     monkeypatch.setattr(spectral, "_lowest_modes", real)
     cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 401})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (
+            {"x": [-10.0, 0.0], "y": [0.0], "t": [0.5]},
+            "grid.x has the point -10.0 outside [-spectral.half_width, spectral.half_width] = [-8.0, 8.0]",
+        ),
+        (
+            {"x": [0.0], "y": [-1.0, 8.5, 3], "t": [0.5]},
+            "grid.y has the point 8.5 outside [-spectral.half_width, spectral.half_width] = [-8.0, 8.0]",
+        ),
+        # 2001 + 1 distinct points: a P x P array per time slice
+        (
+            {"x": [-1.0, 1.0, 2001], "y": [5.0], "t": [0.5]},
+            "grid.x and grid.y have 2002 distinct points, above the cap of 2000",
+        ),
+    ],
+)
+def test_spectral_grid_is_checked_before_any_eigen_solve(tmp_path, monkeypatch, capsys, grid, message):
+    from heatkernel import cli, spectral
+
+    def no_solve(*args):
+        raise AssertionError("an eigen-solve ran for a grid the spectral engine cannot evaluate")
+
+    monkeypatch.setattr(spectral, "_lowest_modes", no_solve)
+    monkeypatch.setattr(cli, "build_spectral", no_solve)
+    cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 401}, grid=grid)
+    for command in ("kernel", "bounds"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_spectral_grid_and_coefficient_caps_edges():
+    from heatkernel.config import MAX_COEFFICIENTS, MAX_SPECTRAL_POINTS, check_spectral_grid, potential_from_config
+    from heatkernel.errors import ConfigError
+
+    # a 1000x1000 grid with no shared value, and points on the walls, pass
+    assert MAX_SPECTRAL_POINTS == 2000
+    check_spectral_grid(np.linspace(-8.0, 0.0, 1000), np.linspace(0.5, 8.0, 1000), 8.0)
+    with pytest.raises(ConfigError, match="grid.y has the point 8.0000001 outside"):
+        check_spectral_grid(np.array([0.0]), np.array([8.0000001]), 8.0)
+    # degree 256 builds; a polynomial outside the config stays uncapped
+    assert len(potential_from_config({"kind": "polynomial", "coefficients": [1.0] * MAX_COEFFICIENTS}).coeffs) == 257
+    assert len(PolynomialPotential([1.0] * 1000).coeffs) == 1000
 
 
 def test_grid_cap_exits_2_before_any_axis_is_built(tmp_path, monkeypatch, capsys):

@@ -8,47 +8,40 @@ from scipy.integrate import quad
 from heatkernel import (
     ParameterError,
     QuadraticCoeffs,
-    gaussian_kernel,
+    gaussian_log_kernel,
     quadratic_kernel,
 )
-from heatkernel.explicit import _time_factors, coth_minus_csch, csch, log_csch
+from heatkernel.explicit import _time_factors, csch, log_csch
 
 
 def test_gaussian_normalization_point():
-    assert math.exp(gaussian_kernel(1, 0.0, 0.0, 1.0 / (4.0 * math.pi))) == pytest.approx(1.0)
+    assert math.exp(gaussian_log_kernel([0.0], [0.0], [1.0 / (4.0 * math.pi)])[0, 0, 0]) == pytest.approx(1.0)
 
 
 def test_gaussian_mass():
     for t in (0.3, 1.0):
-        m, _ = quad(lambda y: math.exp(gaussian_kernel(1, 0.2, y, t)), -40, 40, epsabs=1e-14, epsrel=1e-13)
+        m, _ = quad(
+            lambda y: math.exp(gaussian_log_kernel([0.2], [y], [t])[0, 0, 0]), -40, 40, epsabs=1e-14, epsrel=1e-13
+        )
         assert m == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_chapman_kolmogorov():
     t, s, x, y = 0.4, 0.7, -0.3, 1.1
     val, _ = quad(
-        lambda z: math.exp(gaussian_kernel(1, x, z, t)) * math.exp(gaussian_kernel(1, z, y, s)),
+        lambda z: math.exp(gaussian_log_kernel([x], [z], [t])[0, 0, 0])
+        * math.exp(gaussian_log_kernel([z], [y], [s])[0, 0, 0]),
         -60,
         60,
         epsabs=1e-14,
         epsrel=1e-13,
     )
-    assert val == pytest.approx(math.exp(gaussian_kernel(1, x, y, t + s)), rel=1e-12)
-
-
-def test_gaussian_nd_product():
-    for x, y in [((0.1, -0.2), (0.5, 0.3)), ((0.3, -0.2), (0.1, 0.5))]:
-        g2 = gaussian_kernel(2, x, y, 0.7)
-        g1a = gaussian_kernel(1, x[0], y[0], 0.7)
-        g1b = gaussian_kernel(1, x[1], y[1], 0.7)
-        assert g2 == pytest.approx(g1a + g1b, rel=1e-14)
+    assert val == pytest.approx(math.exp(gaussian_log_kernel([x], [y], [t + s])[0, 0, 0]), rel=1e-12)
 
 
 def test_gaussian_errors():
     with pytest.raises(ParameterError):
-        gaussian_kernel(1, 0.0, 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        gaussian_kernel(0, 0.0, 0.0, 1.0)
+        gaussian_log_kernel([0.0], [0.0], [0.0])
 
 
 def test_quadratic_origin_oracle():
@@ -69,9 +62,7 @@ def test_quadratic_small_t_gaussian_limit():
     c = QuadraticCoeffs(0, 0, 1)
     for x in np.linspace(-1, 1, 5):
         for y in np.linspace(-1, 1, 5):
-            r = math.exp(
-                quadratic_kernel(c, x, y, 1e-4) - gaussian_kernel(1, x, y, 1e-4)
-            )
+            r = math.exp(quadratic_kernel(c, x, y, 1e-4) - gaussian_log_kernel([x], [y], [1e-4])[0, 0, 0])
             assert abs(r - 1.0) < 1e-3
 
 
@@ -89,12 +80,12 @@ def test_a0_shift_identity():
 def test_gaussian_domination_when_nonnegative():
     # a1^2 <= 4 a0 a2 keeps V >= 0, so the free kernel dominates
     for c in (QuadraticCoeffs(0, 0, 1), QuadraticCoeffs(1, 1, 1), QuadraticCoeffs(2.0, -2.0, 0.5)):
-        assert c.nonnegative
+        assert c.a1**2 <= 4.0 * c.a0 * c.a2
         for x in np.linspace(-4, 4, 9):
             for y in np.linspace(-4, 4, 9):
                 for t in (1e-3, 0.1, 1.0, 4.0):
                     lq = quadratic_kernel(c, x, y, t)
-                    lg = gaussian_kernel(1, x, y, t)
+                    lg = gaussian_log_kernel([x], [y], [t])[0, 0, 0]
                     assert lq <= lg + 1e-10
 
 
@@ -111,7 +102,7 @@ def test_scaled_hyperbolic_forms_match_direct():
         assert log_csch(u) == pytest.approx(math.log(1.0 / math.sinh(u)), rel=1e-13)
         assert csch(u) == pytest.approx(1.0 / math.sinh(u), rel=1e-13)
         direct = 1.0 / math.tanh(u) - 1.0 / math.sinh(u)
-        assert coth_minus_csch(u) == pytest.approx(direct, rel=1e-12)
+        assert _time_factors(0, 0, 1, u / 2)[2] == pytest.approx(direct, rel=1e-12)  # coth u - csch u, a2 = 1
 
 
 def test_large_t_factorized_decay():

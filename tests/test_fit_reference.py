@@ -23,12 +23,18 @@ from heatkernel.bounds import (
     grid_points,
     grid_samples,
 )
-from heatkernel.explicit import gaussian_kernel, quadratic_kernel
+from heatkernel.explicit import gaussian_log_kernel, quadratic_kernel
 from heatkernel.potentials import cube_average
 from heatkernel.spectral import dirichlet_interval_log_kernel
 
 # ---------------------------------------------------------------------------
 # the scalar reference
+
+
+def gaussian_nd_log(x, y, t):
+    """log p of the free heat kernel on R^n, n = len(x), as (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) in log space."""
+    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return -0.5 * dx.size * (math.log(4.0 * math.pi) + math.log(t)) - float(np.sum(dx * dx)) / (4.0 * t)
 
 
 def ref_m_beta(x, beta):
@@ -289,7 +295,7 @@ def test_minus_inf_log_p_matches_the_reference_on_the_dirichlet_families():
     axis = np.linspace(-1.0, 1.0, 4).tolist()
     pairs = [((x, 0.0), (y, 0.3)) for x in axis for y in axis]
     samples = [
-        (x, y, t, -math.inf if i % 5 == 2 else gaussian_kernel(2, x, y, t))
+        (x, y, t, -math.inf if i % 5 == 2 else gaussian_nd_log(x, y, t))
         for i, (x, y, t) in enumerate((x, y, t) for x, y in pairs for t in (0.05, 0.4, 1.5))
     ]
     assert_fit_matches_reference(None, samples, "dirichlet_ball", epsilon=0.5, n=2)
@@ -317,7 +323,8 @@ def test_both_lower_regimes_match_the_reference(family, potential):
     if potential == "quadratic":
         V, samples = PolynomialPotential([0.2, -0.3, 1.5]), closed_form_samples([0.2, -0.3, 1.5], axis, axis, ts)
     else:
-        V, samples = constant(0.0), [(x, y, t, gaussian_kernel(1, x, y, t)) for x, y, t in grid_points(axis, axis, ts)]
+        V, pts = constant(0.0), grid_points(axis, axis, ts)
+        samples = [(x, y, t, float(gaussian_log_kernel([x], [y], [t])[0, 0, 0])) for x, y, t in pts]
     fit = assert_fit_matches_reference(V, samples, family, kappa=0.125)
     x, y, t = fit.records[:3]
     assert np.all((np.abs(x - y) < 0.125 * np.sqrt(t)) == (family == "avg_lower_near"))

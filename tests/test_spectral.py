@@ -20,7 +20,6 @@ from heatkernel import (
     constant,
     dirichlet_interval_log_kernel,
     eval_spectral,
-    gaussian_kernel,
     gaussian_log_kernel,
     pde_residual,
     quadratic_kernel,
@@ -113,7 +112,7 @@ def test_dirichlet_boundary_and_peak():
 def test_dirichlet_below_free_kernel():
     for x, y, t in [(0.3, 0.6, 0.05), (1.5, -1.5, 0.3), (0.0, 0.0, 1.0)]:
         gd = math.exp(log_gd(-2.0, 2.0, x, y, t))
-        g = math.exp(gaussian_kernel(1, x, y, t))
+        g = math.exp(gaussian_log_kernel([x], [y], [t])[0, 0, 0])
         assert gd <= g * (1.0 + 1e-8)
 
 
@@ -208,7 +207,7 @@ def test_pde_residual_negative_control():
     grid = ProbeGrid(-1.0, 1.0, 0.3, 0.31, h=0.02, tau=2e-4)
     res = pde_residual(V_SQ, gaussian_log_kernel, 0.3, grid)
     peak = max(
-        abs(x * x * math.exp(gaussian_kernel(1, x, 0.3, 0.3))) for x in np.linspace(-1, 1, 101)
+        abs(x * x * math.exp(gaussian_log_kernel([x], [0.3], [0.3])[0, 0, 0])) for x in np.linspace(-1, 1, 101)
     )
     assert res > 0.1 * peak
 
@@ -236,7 +235,7 @@ def test_spectral_below_free_kernel(spectral_vxx1):
     # nonnegative potential: the free Gaussian kernel dominates
     for x, y, t in [(0.0, 0.0, 0.05), (1.0, -0.5, 0.2), (2.0, 2.0, 1.0)]:
         ps = math.exp(eval_spectral(spectral_vxx1, x, y, t))
-        g = math.exp(gaussian_kernel(1, x, y, t))
+        g = math.exp(gaussian_log_kernel([x], [y], [t])[0, 0, 0])
         assert ps <= g * (1.0 + 1e-10)
 
 
