@@ -221,23 +221,19 @@ def _log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """Waypoints for the far-regime chaining construction.
+    """Waypoints on the line for the far-regime chaining construction.
 
     M is the smallest integer with 256 |y-x|^2 / t < M, which makes the
     waypoint spacing |y-x|/M < (1/16) sqrt(t/M).  waypoints is a read-only
-    (M+1, n) array of equally spaced points from x to y.
+    (M+1,) array of equally spaced points from x to y.
     """
 
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: float
+    y: float
     t: float
     M: int
     waypoints: np.ndarray
     sigma: float
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
     @property
     def cube_side(self) -> float:
@@ -245,10 +241,10 @@ class ChainPlan:
 
     @property
     def spacing(self) -> float:
-        return _dist(self.x, self.y) / self.M
+        return abs(self.x - self.y) / self.M
 
 
-# A plan holds an (M+1) x n waypoint array, 8 MB per axis at the cap.
+# A plan holds an (M+1,) waypoint array, 8 MB at the cap.
 MAX_CHAIN_M = 1_000_000
 
 
@@ -257,7 +253,7 @@ def chain_length(x, y, t: float) -> int:
 
     Raises ParameterError, naming the estimate, when M would exceed MAX_CHAIN_M.
     """
-    r = _dist(x, y)
+    r = abs(x - y)
     ratio = 256.0 * r * r / t
     if not ratio < MAX_CHAIN_M:
         raise ParameterError(f"the chain needs M = {ratio:.6g} links, above the cap of {MAX_CHAIN_M}")
@@ -267,12 +263,10 @@ def chain_length(x, y, t: float) -> int:
 def chain_sigma_bound(x, y, t: float) -> float:
     """The sigma below which the cubes of adjacent waypoints are close enough.
 
-    The condition is spacing / sqrt(t/M) + sigma sqrt(n) < 1/8.
+    The condition is spacing / sqrt(t/M) + sigma < 1/8.
     """
-    n = np.size(x)
     M = chain_length(x, y, t)
-    spacing_ratio = (_dist(x, y) / M) / math.sqrt(t / M)
-    return (0.125 - spacing_ratio) / math.sqrt(n)
+    return 0.125 - (abs(x - y) / M) / math.sqrt(t / M)
 
 
 def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
@@ -281,36 +275,32 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     The M arithmetic (`chain_length`) is well defined for any separation up
     to MAX_CHAIN_M links; the chaining argument itself targets the far regime
     |x-y| >= sqrt(t)/8 (near-regime callers normally want the
-    avg_lower_near family instead).  sigma defaults to
-    1/(16 sqrt(n)), the largest value for which points of adjacent cubes
-    are always closer than (1/8) sqrt(t/M); a larger one must stay below
-    `chain_sigma_bound`.
+    avg_lower_near family instead).  sigma defaults to 1/16, the largest
+    value for which points of adjacent cubes are always closer than
+    (1/8) sqrt(t/M); a larger one must stay below `chain_sigma_bound`.
     """
     if not t > 0:
         raise ParameterError("time must be > 0")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    if xv.shape != yv.shape:
-        raise ParameterError("x and y must share a dimension")
-    n = len(xv)
-    M = chain_length(xv, yv, t)
+    x, y = float(x), float(y)
+    M = chain_length(x, y, t)
     if sigma is None:
-        sigma = 1.0 / (16.0 * math.sqrt(n))
+        sigma = 1.0 / 16.0
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1)")
-    bound = chain_sigma_bound(xv, yv, t)
+    bound = chain_sigma_bound(x, y, t)
     if not sigma < bound:
         raise ParameterError(f"sigma={sigma} violates the adjacent-cube condition; need sigma < {bound:.6g} here")
-    pts = xv[None, :] + np.linspace(0.0, 1.0, M + 1)[:, None] * (yv - xv)[None, :]
+    pts = x + np.linspace(0.0, 1.0, M + 1) * (y - x)
     pts.flags.writeable = False
-    return ChainPlan(x=tuple(xv), y=tuple(yv), t=t, M=M, waypoints=pts, sigma=sigma)
+    return ChainPlan(x=x, y=y, t=t, M=M, waypoints=pts, sigma=sigma)
 
 
 def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, doubling_C: float) -> float:
     """log of the product of on-diagonal bounds over the chain cubes.
 
-    log p >= log(1/sigma) - (n/2) log t + (n/2) log M + M log(sigma c0)
-             - c1 t (C^M  avg of V over the side-sigma*sqrt(t/M) cube at x)
+    log p >= log(1/sigma) - (1/2) log t + (1/2) log M + M log(sigma c0)
+             - c1 t (C^M  avg of V over the side-sigma*sqrt(t/M) cube at x),
+    the n-dimensional bound at n = 1.
 
     The doubling constant C transports cube averages along the chain.  The
     value is typically astronomically small (log of order -M); that is the
@@ -318,9 +308,8 @@ def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, dou
     """
     if not (c0 > 0 and c1 > 0 and doubling_C > 0):
         raise ParameterError("constants must be > 0")
-    n = plan.n
-    logv = -math.log(plan.sigma) - 0.5 * n * math.log(plan.t)
-    logv += 0.5 * n * math.log(plan.M) + plan.M * math.log(plan.sigma * c0)
+    logv = -math.log(plan.sigma) - 0.5 * math.log(plan.t)
+    logv += 0.5 * math.log(plan.M) + plan.M * math.log(plan.sigma * c0)
     avg = cube_average(V, Cube(plan.x, plan.cube_side))
     if avg > 0.0:
         log_decay = math.log(c1 * plan.t) + plan.M * math.log(doubling_C) + math.log(avg)
@@ -342,9 +331,7 @@ def energy_test_family(Z: Cube, count: int = 50, seed: int = 0) -> tuple[np.ndar
     widths; the seed only jitters the lattice slightly so repeated runs are
     reproducible.
     """
-    if Z.n != 1:
-        raise ParameterError("test functions are one-dimensional")
-    lo, hi = Z.bounds(0)
+    lo, hi = Z.bounds()
     grid = np.linspace(lo, hi, 129)
     rng = np.random.default_rng(seed)
     out = []
@@ -374,8 +361,6 @@ def fefferman_phong_ratio(V: Potential, xs, values, Z: Cube, beta: float) -> np.
     over C^1 test functions; u is its own piecewise-linear interpolant here,
     so the gradient and mass integrals are exact.
     """
-    if Z.n != 1:
-        raise ParameterError("ratio check is one-dimensional")
     xs = np.asarray(xs, dtype=float)
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if len(xs) < 2 or vals.shape[1] != len(xs):

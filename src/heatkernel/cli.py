@@ -157,7 +157,7 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     V = _potential(cfg, base_dir)
     if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
         raise ConfigError(f"envelopes must be a list, got {specs!r}")
-    envelopes = [envelope_from_config(spec, f"envelopes[{i}]", V.n) for i, spec in enumerate(specs)]
+    envelopes = [envelope_from_config(spec, f"envelopes[{i}]") for i, spec in enumerate(specs)]
     samples, prov_line = _bounds_samples(cfg, V)
     verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
     families = []
@@ -265,10 +265,10 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
         f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g}"
     )
-    xs = plan.waypoints[:, 0]
-    avgs = cube_averages(V, xs, plan.cube_side)
+    avgs = cube_averages(V, plan.waypoints, plan.cube_side)
     prov_line = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
-    emit_csv([range(plan.M + 1), xs, avgs], ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
+    columns = [range(plan.M + 1), plan.waypoints, avgs]
+    emit_csv(columns, ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
     return EXIT_OK
 
 

@@ -170,7 +170,9 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
         if kind == "power":
             return PowerPotential(_number(_need(spec, "exponent", where), f"{where}.exponent"))
         if kind == "constant":
-            return PolynomialPotential([_number(_need(spec, "value", where), f"{where}.value")])
+            if (value := _number(_need(spec, "value", where), f"{where}.value")) < 0:
+                raise ConfigError(f"{where}.value must be a number >= 0, got {value!r}")
+            return PolynomialPotential([value])
         if kind == "tabulated":
             table = _need(spec, "table", where)
             path = Path(table)
@@ -193,7 +195,7 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:
-    """Load a tabulated potential from CSV columns (coordinate, value)."""
+    """Load a tabulated potential from CSV columns (coordinate, value); a NaN or an infinity is refused."""
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -207,6 +209,8 @@ def load_tabulated_csv(path) -> TabulatedPotential:
                 if line_no == 1:
                     continue  # header row
                 raise ConfigError(f"{path}: line {line_no}: expected 'coordinate,value'")
+            if not all(map(math.isfinite, rows[-1])):
+                raise ConfigError(f"{path}: line {line_no}: coordinate and value must be finite, got {line!r}")
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 samples")
     xs, vals = zip(*rows)
@@ -223,13 +227,13 @@ def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
     return QuadraticCoeffs(a0=coeffs[0], a1=coeffs[1], a2=coeffs[2])
 
 
-def envelope_from_config(spec: dict, where: str, n: int) -> BoundEnvelope:
+def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     """Keys: family plus any of beta, kappa, epsilon; `where` (`envelopes[i]`) names the entry.
 
     `bounds` fits c0..c3 and C, so setting one is a config error, and so is
     leaving out the constant REQUIRED_CONSTANT names for the family.  The
-    dimension n is the potential's, so an `n` key is refused, and so is
-    dirichlet_ball, which needs n >= 2, on a one-dimensional potential.
+    dimension n is the potential's, and every potential is one-dimensional,
+    so an `n` key is refused, and so is dirichlet_ball, which needs n >= 2.
     """
     family = str(_need(spec, "family", where))
     if family not in FAMILIES:
@@ -242,11 +246,11 @@ def envelope_from_config(spec: dict, where: str, n: int) -> BoundEnvelope:
         raise ConfigError(f"{where}.{required} is required for family {family}")
     if "n" in spec:
         raise ConfigError(f"{where}.n cannot be set: the dimension is the potential's")
-    if family == "dirichlet_ball" and n < 2:
-        raise ConfigError(f"{where}.family dirichlet_ball needs dimension >= 2, got {n}")
+    if family == "dirichlet_ball":
+        raise ConfigError(f"{where}.family dirichlet_ball needs dimension >= 2, got 1")
     kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
     try:
-        return BoundEnvelope(family=family, n=n, **kwargs)
+        return BoundEnvelope(family=family, **kwargs)
     except Exception as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -1,11 +1,11 @@
 """Nonnegative potentials on the line, exact cube averages, and weight-class diagnostics.
 
-Potentials are immutable value objects, all one-dimensional; a kind with no
-exact interval integral is refused.  `Cube` stays n-dimensional, but every
-average and scan here refuses n != 1.  The reverse-Holder and Muckenhoupt
-constants are sups of power-mean ratios M_a / M_b, M_q = (mean of V^q)^(1/q),
-over dyadic refinements of a window; V^q is integrated by one rule that
-splits at V's break points.  The doubling fit uses nested cubes.
+Potentials are immutable value objects on the line, and a `Cube` is an
+interval; a kind with no exact interval integral is refused.  The
+reverse-Holder and Muckenhoupt constants are sups of power-mean ratios
+M_a / M_b, M_q = (mean of V^q)^(1/q), over dyadic refinements of a window;
+V^q is integrated by one rule that splits at V's break points.  The
+doubling fit uses nested cubes.
 """
 
 from __future__ import annotations
@@ -48,28 +48,19 @@ def m_beta(x, beta: float):
 
 @dataclass(frozen=True)
 class Cube:
-    """Axis-aligned cube: center in R^n, side length > 0."""
+    """A cube on the line, the interval of side length > 0 about center."""
 
-    center: tuple[float, ...]
+    center: float
     side: float
 
-    def __init__(self, center, side: float):
-        if isinstance(center, float) or np.ndim(center) == 0:
-            center = (float(center),)
-        else:
-            center = tuple(float(c) for c in center)
+    def __init__(self, center: float, side: float):
         if not side > 0.0:
             raise ParameterError(f"cube side must be > 0, got {side}")
         # one write for both fields: the frozen class's `__setattr__` refuses them
-        self.__dict__.update(center=center, side=float(side))
+        self.__dict__.update(center=float(center), side=float(side))
 
-    @property
-    def n(self) -> int:
-        return len(self.center)
-
-    def bounds(self, axis: int = 0) -> tuple[float, float]:
-        c = self.center[axis]
-        return c - self.side / 2.0, c + self.side / 2.0
+    def bounds(self) -> tuple[float, float]:
+        return self.center - self.side / 2.0, self.center + self.side / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +71,12 @@ NO_BREAKS = (np.empty(0), np.empty(0))
 
 
 class Potential:
-    """Base class: V on the line, n = 1.  Subclasses are frozen dataclasses, safe to share/hash.
+    """Base class: V on the line.  Subclasses are frozen dataclasses, safe to share/hash.
 
     `breaks` are the points where V vanishes, is singular or has a kink, each
     with an order o: near a break r, V(x) = |x - r|^o W(x), W bounded and > 0.
     """
 
-    n = 1
     # whether V can be rough at a break (a fractional power): a cube with such a break is graded
     rough = True
 
@@ -194,7 +184,7 @@ class PowerPotential(Potential):
 
 @dataclass(frozen=True)
 class TabulatedPotential(Potential):
-    """Piecewise-linear interpolant of uniform samples, values >= 0; its nodes are breaks of order (value == 0)."""
+    """Piecewise-linear interpolant of uniform samples, finite values >= 0; nodes are breaks of order (value == 0)."""
 
     xs: tuple[float, ...]
     values: tuple[float, ...]
@@ -208,8 +198,8 @@ class TabulatedPotential(Potential):
         steps = np.diff(xs)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
             raise ParameterError("tabulated grid must be uniform and increasing")
-        if any(v < 0 for v in values):
-            raise ParameterError("tabulated values must be >= 0")
+        if not all(0.0 <= v < math.inf for v in values):
+            raise ParameterError("tabulated values must be finite and >= 0")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
 
@@ -256,10 +246,6 @@ class ScaledPotential(Potential):
         object.__setattr__(self, "factor", float(factor))
         object.__setattr__(self, "base", base)
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
     def __call__(self, x):
         return self.factor * self.base(x)
 
@@ -277,7 +263,7 @@ class ScaledPotential(Potential):
 
 @dataclass(frozen=True)
 class SumPotential(Potential):
-    """V1 + V2 + ... , all of equal dimension.
+    """V1 + V2 + ...
 
     Its breaks are its parts', each of the lowest order of any part there (0
     for a part with no break there, which is positive there).
@@ -288,13 +274,7 @@ class SumPotential(Potential):
     def __init__(self, *parts: Potential):
         if not parts:
             raise ParameterError("sum potential needs at least one part")
-        if len({p.n for p in parts}) != 1:
-            raise ParameterError("sum parts must share the same dimension")
         object.__setattr__(self, "parts", tuple(parts))
-
-    @property
-    def n(self) -> int:
-        return self.parts[0].n
 
     def __call__(self, x):
         total = self.parts[0](x)
@@ -378,9 +358,7 @@ def _table_integral(V: TabulatedPotential, lo, hi):
 
 
 def interval_integral(V: Potential, lo, hi):
-    """Exact integral of a 1D potential over [lo, hi] (vectorized); +inf where a power is not integrable."""
-    if V.n != 1:
-        raise ParameterError("interval_integral is one-dimensional")
+    """Exact integral of V over [lo, hi] (vectorized); +inf where a power is not integrable."""
     if isinstance(V, PolynomialPotential):
         return _poly_interval_integral(V, lo, hi)
     if isinstance(V, PowerPotential):
@@ -452,8 +430,6 @@ def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
     The mask marks a break of order o, o q <= -1, within 1e-12 of the cube: a
     power then returns the integral less (-excision, excision), any other kind +inf.
     """
-    if V.n != 1:
-        raise ParameterError("powered_interval_integral is one-dimensional")
     factor = 1.0
     while isinstance(V, ScaledPotential):
         factor, V = factor * V.factor, V.base
@@ -596,16 +572,13 @@ def _refuse_divergent(V: Potential, lo, hi, total) -> None:
 
 
 def cube_average(V: Potential, Z: Cube) -> float:
-    """Mean of V over the cube Z, both one-dimensional.
+    """Mean of V over the cube Z.
 
     The exact `interval_integral` over the cube's length.  A cube on which V
     is not integrable raises DomainError (`_refuse_divergent`).
     """
-    center = Z.center
-    if V.n != 1 or len(center) != 1:
-        raise ParameterError(f"cube_average is one-dimensional, got potential n={V.n} and cube n={len(center)}")
-    half = Z.side / 2.0  # `Z.bounds(0)` inline: the same IEEE operations
-    lo, hi = center[0] - half, center[0] + half
+    half = Z.side / 2.0  # `Z.bounds()` inline: the same IEEE operations
+    lo, hi = Z.center - half, Z.center + half
     total = float(interval_integral(V, lo, hi))
     if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
         _refuse_divergent(V, lo, hi, total)
@@ -613,15 +586,13 @@ def cube_average(V: Potential, Z: Cube) -> float:
 
 
 def cube_averages(V: Potential, centers, sides) -> np.ndarray:
-    """Means of a one-dimensional V over the cubes (centers[i], sides[i]), in one call.
+    """Means of V over the cubes (centers[i], sides[i]), in one call.
 
     centers and sides broadcast against each other.  Each value equals
     `cube_average(V, Cube(c, s))` bit for bit, and a cube that one refuses
     raises the same exception type here.  One `interval_integral` call
     covers every cube.
     """
-    if V.n != 1:
-        raise ParameterError(f"cube_averages is one-dimensional, got a potential with n={V.n}")
     centers, sides = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(sides, dtype=float))
     if not np.all(sides > 0.0):
         raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
@@ -697,15 +668,13 @@ def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float,
     (2^depth - 1 cubes), then the deepest level alone, so that no call holds
     more cubes than the deepest level.
     """
-    if V.n != 1 or window.n != 1:
-        raise ParameterError("weight-class scans are one-dimensional")
     levels = np.arange(depth + 1)
     starts = 2**levels - 1
     level = np.repeat(levels, 2**levels)
     k = np.arange(level.size) - starts[level]
     side = window.side * 2.0**-level
     # adjacent cubes share each edge, left + side k, so an edge on 0 is 0 for both of them
-    left = window.bounds(0)[0]
+    left = window.bounds()[0]
     lo, hi = left + side * k, left + side * (k + 1)
     excision = window.side * 8.0 ** -(level + 2)
     ratios, flags = [], []
@@ -749,14 +718,14 @@ def ap_constant(V: Potential, p: float, window: Cube, depth: int) -> WeightClass
     """Muckenhoupt quantity sup_Q (mean_Q V) * (mean_Q V^{-1/(p-1)})^{p-1}.
 
     Per cube that is M_1 / M_sigma with sigma = -1/(p-1).  The report
-    carries the companion exponent beta = 2/(2 + n(p-1)) used by the
-    averaged upper envelope.
+    carries the companion exponent beta = 2/(2 + n(p-1)), n = 1, used by
+    the averaged upper envelope.
     """
     if not p > 1.0:
         raise ParameterError(f"Muckenhoupt exponent must be > 1, got {p}")
     if depth < 1:
         raise ParameterError("depth must be >= 1")
-    beta = 2.0 / (2.0 + V.n * (p - 1.0))
+    beta = 2.0 / (2.0 + (p - 1.0))
     return _power_mean_scan(V, window, depth, 1.0, -1.0 / (p - 1.0), kind="muckenhoupt", exponent=p, beta=beta)
 
 
@@ -783,15 +752,13 @@ def doubling_fit(V: Potential, window: Cube, depth: int) -> DoublingFit:
     """
     if depth < 3:
         raise ParameterError("doubling fit needs at least 3 nested pairs (depth >= 3)")
-    if V.n != 1 or window.n != 1:
-        raise ParameterError("doubling fit is one-dimensional")
-    c = window.center[0]
+    c = window.center
     sides = window.side * 2.0 ** -np.arange(depth + 1)
     masses = interval_integral(V, c - sides / 2.0, c + sides / 2.0)
     masses = np.asarray(masses, dtype=float)
     if not np.all(np.isfinite(masses)) or masses[0] <= 0:
         raise ParameterError("doubling fit needs finite positive cube masses")
-    xs = np.log(sides[1:] / sides[0]) * window.n
+    xs = np.log(sides[1:] / sides[0])
     ys = np.log(masses[1:] / masses[0])
     eps, logc = np.polyfit(xs, ys, 1)
     resid = float(np.max(np.abs(ys - (eps * xs + logc))))

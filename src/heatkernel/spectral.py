@@ -101,8 +101,6 @@ def _discretize(V: Potential, L: float, m: int):
         raise ParameterError(f"half-width must be > 0, got {L}")
     if m < 3:
         raise ParameterError(f"need at least 3 grid points, got {m}")
-    if V.n != 1:
-        raise ParameterError("spectral builds are one-dimensional")
     V(0.0)  # a kind singular at 0 raises DomainError there, even when the nodes straddle 0
     h = 2.0 * L / (m + 1)
     nodes = np.linspace(-L, L, m + 2)[1:-1]

@@ -490,7 +490,7 @@ def test_chain_waypoints_match_a_per_waypoint_reference(tmp_path, kind):
 
     V = potential_from_config(potential)
     plan = chain_plan(-0.3, 0.4, 0.5)
-    rows = [(i, pt[0], cube_average(V, Cube(tuple(pt), plan.cube_side))) for i, pt in enumerate(plan.waypoints)]
+    rows = [(i, x, cube_average(V, Cube(x, plan.cube_side))) for i, x in enumerate(plan.waypoints.tolist())]
     prov = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
     ref = io.StringIO()
     ref.write(f"# {prov}\n")

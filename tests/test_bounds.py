@@ -205,9 +205,9 @@ def test_chain_plan_sizes():
 
 def test_chain_plan_waypoints_and_sigma():
     plan = chain_plan(-1.0, 2.0, 0.25)
-    assert plan.waypoints.shape == (plan.M + 1, 1)
-    assert plan.waypoints[0, 0] == -1.0 and plan.waypoints[-1, 0] == 2.0
-    steps = np.diff(plan.waypoints[:, 0])
+    assert plan.waypoints.shape == (plan.M + 1,)
+    assert plan.waypoints[0] == -1.0 and plan.waypoints[-1] == 2.0
+    steps = np.diff(plan.waypoints)
     assert np.allclose(steps, steps[0])
     # spacing invariant from the M construction
     assert plan.spacing < math.sqrt(plan.t / plan.M) / 16.0

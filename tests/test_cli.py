@@ -126,7 +126,7 @@ def test_chain_csv_over_three_chunks_matches_csv_writer(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "chain"]) == 0
     plan = chain_plan(x, y, t)
     assert 2 * CHUNK_ROWS < plan.M + 1 <= 3 * CHUNK_ROWS
-    xs = plan.waypoints[:, 0]
+    xs = plan.waypoints
     avgs = cube_averages(PolynomialPotential([0.5, -0.7, 1.3]), xs, plan.cube_side)
     body = (tmp_path / "out" / "chain_waypoints.csv").read_bytes().split(b"\n", 1)[1]  # after the provenance line
     rows = list(zip(range(plan.M + 1), xs.tolist(), avgs.tolist()))
@@ -313,6 +313,34 @@ def test_tabulated_from_csv(tmp_path):
     assert V(0.5) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("bad_row, line", [("0.5,nan", 7), ("0.5,inf", 7), ("inf,0.25", 7), ("-1.0,-inf", 2)])
+@pytest.mark.parametrize("command", ["weights", "chain"])
+def test_tabulated_csv_with_a_nonfinite_entry_exits_2(tmp_path, monkeypatch, capsys, bad_row, line, command):
+    from heatkernel import potentials
+
+    def no_integral(*args):
+        raise AssertionError("integrated a table with a non-finite entry")
+
+    rows = [f"{x!r},{x * x!r}" for x in np.linspace(-1.0, 1.0, 9).tolist()]
+    rows[line - 2] = bad_row  # after the header on line 1
+    table = tmp_path / "table.csv"
+    table.write_text("coordinate,value\n" + "\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, potential={"kind": "tabulated", "table": str(table)})
+    monkeypatch.setattr(potentials, "interval_integral", no_integral)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    message = f"config error: {table}: line {line}: coordinate and value must be finite, got {bad_row!r}"
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_tabulated_potential_refuses_a_nonfinite_or_negative_value(value):
+    from heatkernel import ParameterError, TabulatedPotential
+
+    with pytest.raises(ParameterError, match="tabulated values must be finite and >= 0"):
+        TabulatedPotential([0.0, 1.0, 2.0], [1.0, value, 1.0])
+
+
 def test_shipped_config_matches_builtin():
     from pathlib import Path
 
@@ -437,6 +465,13 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
                 "parts": [{"kind": "constant", "value": 1.0}, {"kind": "polynomial", "coefficients": [1.0] * 258}],
             },
             "potential.parts[1].coefficients has 258 entries, above the cap of 257",
+        ),
+        ("weights", "potential", {"kind": "constant", "value": -1}, "potential.value must be a number >= 0, got -1"),
+        (
+            "chain",
+            "potential",
+            {"kind": "sum", "parts": [{"kind": "power", "exponent": 2}, {"kind": "constant", "value": -0.5}]},
+            "potential.parts[1].value must be a number >= 0, got -0.5",
         ),
     ],
 )

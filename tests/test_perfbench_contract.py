@@ -1,0 +1,41 @@
+"""What the benchmark in perfbench/ needs of the package, checked from here.
+
+perfbench's tracer wraps package functions by name and silently leaves out
+every per-layer metric whose function is gone, so a renamed or deleted
+function would make a traced run report fewer metrics than BENCHMARK.json
+declares.  These tests read perfbench/ and never change it.
+"""
+
+import inspect
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the per-layer metrics that perfbench/run.py adds itself, beside the tracer's
+RUN_METRICS = {"setup.import_s", "trace.wall_s", "trace.overhead_est_s", "machine.reference_s"}
+
+
+def test_the_tracer_finds_every_per_layer_metric(monkeypatch):
+    import heatkernel.cli  # noqa: F401  (loads every module that the tracer wraps)
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer as tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        found = set(tracer.metrics())
+    finally:
+        tracer.uninstall()
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert len(declared) == 30
+    assert found | RUN_METRICS == declared
+
+
+def test_fit_constants_takes_the_family_third():
+    # the tracer labels each fit's seconds by its third positional argument
+    from heatkernel import bounds
+
+    assert list(inspect.signature(bounds.fit_constants).parameters)[2] == "family"
