@@ -36,7 +36,6 @@ from .explicit import (
 )
 from .ode import AnsatzState, ansatz_log, closed_form_error, closed_form_state, integrate_odes
 from .potentials import (
-    Cube,
     DoublingFit,
     PolynomialPotential,
     Potential,

@@ -29,7 +29,6 @@ from .config import DEFAULT_CONFIG
 from .explicit import QuadraticCoeffs, gaussian_log_kernel, quadratic_log_kernel
 from .ode import ansatz_log, closed_form_error, integrate_odes
 from .potentials import (
-    Cube,
     PolynomialPotential,
     PowerPotential,
     ap_constant,
@@ -212,22 +211,21 @@ def c6_sandwich_feasibility() -> CriterionResult:
 
 def c7_weight_diagnostics() -> CriterionResult:
     Vp = PowerPotential(-0.5)
-    window = Cube(0.0, 2.0)
-    rh15 = rh_constant(Vp, 1.5, window, 20)
+    rh15 = rh_constant(Vp, 1.5, 0.0, 2.0, 20)
     tail = [r for _, r in rh15.trace[10:]]
     stable = (max(tail) - min(tail)) <= 1e-6 * max(tail) and math.isfinite(rh15.constant)
     ok_convergent = stable and not rh15.divergent
 
-    rh3 = rh_constant(Vp, 3.0, window, 20)
+    rh3 = rh_constant(Vp, 3.0, 0.0, 2.0, 20)
     last = [r for _, r in rh3.trace[-11:]]
     monotone = all(b > a for a, b in zip(last, last[1:]))
     ok_divergent = rh3.divergent and monotone and last[-1] > 10.0 * last[0]
 
-    d_sq = doubling_fit(V_SQUARE, window, 12)
-    d_pw = doubling_fit(Vp, window, 12)
+    d_sq = doubling_fit(V_SQUARE, 0.0, 2.0, 12)
+    d_pw = doubling_fit(Vp, 0.0, 2.0, 12)
     ok_doubling = abs(d_sq.epsilon - 3.0) <= 1e-6 and abs(d_pw.epsilon - 0.5) <= 1e-6
 
-    ap = ap_constant(constant(3.7), 2.0, window, 6)
+    ap = ap_constant(constant(3.7), 2.0, 0.0, 2.0, 6)
     ok_ap = abs(ap.constant - 1.0) <= 1e-10 and abs(ap.beta - 2.0 / 3.0) <= 1e-12
 
     passed = ok_convergent and ok_divergent and ok_doubling and ok_ap
@@ -259,7 +257,7 @@ def c8_chain_construction() -> CriterionResult:
 
     _, fits = _sandwich_fits()
     near = fits["avg_lower_near"].envelope
-    dbl = doubling_fit(V_SQUARE, Cube(0.0, 4.0), 8)
+    dbl = doubling_fit(V_SQUARE, 0.0, 4.0, 8)
     ys = np.linspace(0.15, 1.2, 20)
     chained = [chained_lower_bound(V_SQUARE, chain_plan(0.0, y, 1.0), near.c0, near.c1, max(dbl.C, 1.0)) for y in ys]
     worst = float(np.max(chained - LOG_P_SQUARE([0.0], ys, [1.0])[0, 0]))
@@ -277,10 +275,9 @@ def c9_inequality_checks() -> CriterionResult:
     potentials = {"const": constant(1.0), "square": V_SQUARE, "abs": PowerPotential(1.0)}
     min_ratio = math.inf
     for side in (0.5, 1.0, 2.0):
-        Z = Cube(0.0, side)
-        xs, values = energy_test_family(Z, count=50, seed=0)
+        xs, values = energy_test_family(0.0, side, count=50, seed=0)
         for V in potentials.values():
-            min_ratio = min(min_ratio, float(np.min(fefferman_phong_ratio(V, xs, values, Z, beta=0.5))))
+            min_ratio = min(min_ratio, float(np.min(fefferman_phong_ratio(V, xs, values, 0.0, side, beta=0.5))))
     ok_fp = min_ratio >= 0.01
 
     rng = np.random.default_rng(1)
@@ -310,8 +307,8 @@ def c10_dirichlet_comparisons() -> CriterionResult:
     fit = fit_constants(None, grid_samples(inner, inner, fit_ts, log_gd), "dirichlet_interval", epsilon=eps)
     ok_interval = fit.feasible and 0.0 < fit.envelope.C < 1.0
 
-    rh = rh_constant(V_SQUARE, math.inf, Cube(0.0, 4.0), 8)
-    M = rh.constant * cube_average(V_SQUARE, Cube(0.0, 4.0))
+    rh = rh_constant(V_SQUARE, math.inf, 0.0, 4.0, 8)
+    M = rh.constant * cube_average(V_SQUARE, 0.0, 4.0)
     xs, ts = np.linspace(-1.5, 1.5, 7), np.array([0.1, 0.3, 0.5, 1.0])
     PB = np.exp(spectral_log_kernel(cached_spectral(V_SQUARE, 2.0, 799, min(ts)), xs, xs, ts))
     lhs = np.exp(-M * ts)[:, None, None] * np.exp(dirichlet_interval_log_kernel(-2.0, 2.0, xs, xs, ts))

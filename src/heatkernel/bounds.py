@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .potentials import Cube, Potential, cube_average, m_beta
+from .potentials import Potential, checked_cube, cube_average, m_beta
 
 # The floor a fitted constant is clipped to, so that every envelope stays valid.
 C_FLOOR = 1e-9
@@ -96,7 +96,7 @@ def _dist(x, y) -> float:
 
 def _cube_means(V: Potential, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Means of V over the cubes (centers[i], sides[i]), one `cube_average` call each."""
-    return np.array([cube_average(V, Cube(c, s)) for c, s in zip(centers.tolist(), sides.tolist())], dtype=float)
+    return np.array([cube_average(V, c, s) for c, s in zip(centers.tolist(), sides.tolist())], dtype=float)
 
 
 def _log_gaussian(c0: float, n: int, t, c: float = 0.0, d2=0.0):
@@ -310,7 +310,7 @@ def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, dou
         raise ParameterError("constants must be > 0")
     logv = -math.log(plan.sigma) - 0.5 * math.log(plan.t)
     logv += 0.5 * math.log(plan.M) + plan.M * math.log(plan.sigma * c0)
-    avg = cube_average(V, Cube(plan.x, plan.cube_side))
+    avg = cube_average(V, plan.x, plan.cube_side)
     if avg > 0.0:
         log_decay = math.log(c1 * plan.t) + plan.M * math.log(doubling_C) + math.log(avg)
         if log_decay > 700.0:
@@ -323,39 +323,41 @@ def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, dou
 # energy-form and local-boundedness ratios
 
 
-def energy_test_family(Z: Cube, count: int = 50, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, values[count, 129]): a deterministic lattice of hats, quadratic bumps and Gaussians on Z.
+def energy_test_family(center: float, side: float, count: int = 50, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, values[count, 129]): a deterministic lattice of hats, quadratic bumps and Gaussians on a cube.
 
-    Each row samples one test function at the 129 nodes spanning Z.  The
-    lattice cycles through the three shapes over a grid of centers and
-    widths; the seed only jitters the lattice slightly so repeated runs are
-    reproducible.
+    Each row samples one test function at the 129 nodes spanning the cube
+    (center, side).  The lattice cycles through the three shapes over a grid
+    of centers and widths; the seed only jitters the lattice slightly so
+    repeated runs are reproducible.
     """
-    lo, hi = Z.bounds()
+    center, side = checked_cube(center, side)
+    lo, hi = center - side / 2.0, center + side / 2.0
     grid = np.linspace(lo, hi, 129)
     rng = np.random.default_rng(seed)
     out = []
     k = 0
     while len(out) < count:
         frac = (k % 7 + 0.5) / 7.0
-        width = (0.15 + 0.25 * ((k // 7) % 3)) * Z.side
-        center = lo + frac * Z.side + rng.uniform(-0.02, 0.02) * Z.side
+        width = (0.15 + 0.25 * ((k // 7) % 3)) * side
+        middle = lo + frac * side + rng.uniform(-0.02, 0.02) * side
         kind = k % 3
         if kind == 0:
-            vals = np.clip(1.0 - np.abs(grid - center) / width, 0.0, None)
+            vals = np.clip(1.0 - np.abs(grid - middle) / width, 0.0, None)
         elif kind == 1:
-            vals = np.clip(1.0 - ((grid - center) / width) ** 2, 0.0, None)
+            vals = np.clip(1.0 - ((grid - middle) / width) ** 2, 0.0, None)
         else:
-            vals = np.exp(-0.5 * ((grid - center) / width) ** 2)
+            vals = np.exp(-0.5 * ((grid - middle) / width) ** 2)
         if np.max(vals) > 0:
             out.append(vals)
         k += 1
     return grid, np.array(out)
 
 
-def fefferman_phong_ratio(V: Potential, xs, values, Z: Cube, beta: float) -> np.ndarray:
+def fefferman_phong_ratio(V: Potential, xs, values, center: float, side: float, beta: float) -> np.ndarray:
     """Energy-form ratio  int(|u'|^2 + V u^2) / [ (m_beta(r^2 avg V)/r^2) int u^2 ]  of each row of values.
 
+    r is the side of the cube (center, side) and avg V the mean of V over it.
     Each row holds one test function's values at the nodes xs.  The energy
     inequality asserts this is bounded below by a positive constant uniform
     over C^1 test functions; u is its own piecewise-linear interpolant here,
@@ -378,8 +380,8 @@ def fefferman_phong_ratio(V: Potential, xs, values, Z: Cube, beta: float) -> np.
     pts = mid[:, None] + half[:, None] * nodes
     uu = vals[:, :-1, None] + (pts - xs[:-1, None]) * (dv / dx)[:, :, None]
     pot_energy = np.sum(half[:, None] * weights * np.asarray(V(pts)) * uu * uu, axis=(1, 2))
-    r = Z.side
-    weight = m_beta(r * r * cube_average(V, Z), beta) / (r * r)
+    r = float(side)
+    weight = m_beta(r * r * cube_average(V, center, side), beta) / (r * r)
     if weight <= 0.0:
         raise ParameterError("potential average vanishes; ratio undefined")
     return (grad_energy + pot_energy) / (weight * mass)

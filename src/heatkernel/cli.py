@@ -63,7 +63,7 @@ from .explicit import quadratic_kernel, quadratic_log_kernel
 from .ode import closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
 # test checks that tracing restores `cli.cube_average` afterwards.
-from .potentials import Cube, ap_constant, cube_average, cube_averages, doubling_fit, rh_constant
+from .potentials import ap_constant, cube_average, cube_averages, doubling_fit, rh_constant
 from .spectral import build_spectral, spectral_log_kernel
 
 EXIT_OK = 0
@@ -157,6 +157,8 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     V = _potential(cfg, base_dir)
     if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
         raise ConfigError(f"envelopes must be a list, got {specs!r}")
+    if not specs:
+        raise ConfigError("envelopes must be a non-empty list")
     envelopes = [envelope_from_config(spec, f"envelopes[{i}]") for i, spec in enumerate(specs)]
     samples, prov_line = _bounds_samples(cfg, V)
     verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
@@ -200,20 +202,19 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
 def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     V = _potential(cfg, base_dir)
     w = {k: config_number(cfg, f"weights.{k}") for k in DEFAULT_CONFIG["weights"]}
-    window = Cube(w["window_center"], w["window_side"])
-    depth = w["depth"]
-    prov_line = f"config={config_hash(cfg)} window_side={window.side:g} depth={depth}"
-    rh = rh_constant(V, float(w["rh_q"]), window, depth)
-    ap = ap_constant(V, float(w["ap_p"]), window, depth)
+    center, side, depth = float(w["window_center"]), float(w["window_side"]), w["depth"]
+    prov_line = f"config={config_hash(cfg)} window_side={side:g} depth={depth}"
+    rh = rh_constant(V, float(w["rh_q"]), center, side, depth)
+    ap = ap_constant(V, float(w["ap_p"]), center, side, depth)
     traces = rh.trace + ap.trace
     columns = [
         ["rh"] * len(rh.trace) + ["ap"] * len(ap.trace),
         [rh.exponent] * len(rh.trace) + [ap.exponent] * len(ap.trace),
-        [side for side, _ in traces],
+        [s for s, _ in traces],
         [ratio for _, ratio in traces],
     ]
     emit_csv(columns, ["kind", "exponent", "side", "ratio"], out / "weight_trace.csv", prov_line)
-    fit = doubling_fit(V, window, depth)
+    fit = doubling_fit(V, center, side, depth)
     emit_csv([[fit.C], [fit.epsilon], [fit.residual]], ["C", "epsilon", "residual"], out / "doubling.csv", prov_line)
     print(
         f"rh: constant={rh.constant:.6g} divergent={rh.divergent} | "
@@ -258,8 +259,7 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         )
     V = _potential(cfg, base_dir)
     plan = chain_plan(x, y, t, sigma=float(sigma) if sigma is not None else None)
-    window = Cube(x, max(4.0 * math.sqrt(t), 4.0))
-    dbl = doubling_fit(V, window, 8)
+    dbl = doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
     log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "

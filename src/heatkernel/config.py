@@ -1,8 +1,9 @@
 """JSON run configurations: parsing, validation, and object construction.
 
 The schema is a nested map of flat sections; every key is documented in the
-README.  Configs are canonicalized (sorted keys, fixed separators) before
-hashing so identical settings always produce identical provenance stamps.
+README, and a key it does not know is refused.  Configs are canonicalized
+(sorted keys, fixed separators) before hashing so identical settings always
+produce identical provenance stamps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bounds import FAMILIES, BoundEnvelope
 from .errors import ConfigError
-from .explicit import QuadraticCoeffs
+from .explicit import T_FLOOR, QuadraticCoeffs
 from .potentials import (
     PolynomialPotential,
     Potential,
@@ -50,6 +51,9 @@ DEFAULT_CONFIG = {
 # What a number read by `config_number` must be beyond an int or a float: the
 # phrase its error message uses and the test.  The weight scans take 2^depth
 # cubes at the deepest level, and every potential kind is one-dimensional.
+# `ode` integrates for a time linear in t1 (1.5 s at t1 = 1e4 and 8.3 s at 1e5
+# with 10 samples on a 2-vCPU Xeon VM), and the closed form it checks against
+# is finite for t up to 1e4.
 # A spectral build's eigenvector solve fills an m x k array for the k modes it
 # keeps, and k reaches m when t_min is small: up to 8 m^2 bytes, 0.97 GB at the
 # cap on spectral.points.  `ode` peaks at 128 MB RSS with 100,000 samples and
@@ -61,6 +65,7 @@ LIMITS = {
     "weights.rh_q": ("a number > 1", lambda v: v > 1),
     "weights.ap_p": ("a number > 1", lambda v: v > 1),
     "ode.t0": ("a number > 0", lambda v: v > 0),
+    "ode.t1": ("a number in (0, 1e4]", lambda v: 0 < v <= 1e4),
     "ode.samples": ("an integer in [2, 100000]", lambda v: isinstance(v, int) and 2 <= v <= 100_000),
     "chain.t": ("a number > 0", lambda v: v > 0),
     "chain.sigma": ("a number in (0, 1)", lambda v: 0 < v < 1),
@@ -80,10 +85,25 @@ MAX_SPECTRAL_POINTS = 2000
 # The first evaluation of a polynomial factors it through a d x d companion
 # matrix, 8 d^2 bytes for d + 1 coefficients.
 MAX_COEFFICIENTS = 257
-# The constant a family's fit cannot do without.
-REQUIRED_CONSTANT = {
+# The keys of a number section that default to the chaining construction's
+# own values, not to DEFAULT_CONFIG's.
+OPTIONAL_KEYS = {"chain": ("sigma", "c0", "c1")}
+# The keys a potential of each kind reads besides `kind` and `dimension`.
+POTENTIAL_KEYS = {
+    "polynomial": ("coefficients",),
+    "power": ("exponent",),
+    "constant": ("value",),
+    "tabulated": ("table",),
+    "scaled": ("factor", "base"),
+    "sum": ("parts",),
+}
+# The one constant a family's fit reads, and an envelope's only key besides
+# `family`; every one but kappa (1/8 by default) is required.
+FAMILY_CONSTANT = {
     "avg_upper": "beta",
     "symmetrized_upper": "beta",
+    "avg_lower_near": "kappa",
+    "avg_lower_far": "kappa",
     "dirichlet_interval": "epsilon",
     "dirichlet_ball": "epsilon",
 }
@@ -105,8 +125,9 @@ def config_number(cfg: dict, path: str, default=None):
     return _number(section[key], path)
 
 
-def _number(value, where: str):
-    what, ok = LIMITS.get(where, ("a number", lambda v: True))
+def _number(value, where: str, rule: str | None = None):
+    """value, if it is a number that keeps the LIMITS entry of rule (by default, of where)."""
+    what, ok = LIMITS.get(rule or where, ("a number", lambda v: True))
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
         raise ConfigError(f"{where} must be {what}, got {value!r}")
     return value
@@ -122,7 +143,19 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _reject_nonfinite(cfg, "")
+    _refuse_unknown(cfg, DEFAULT_CONFIG, "")
+    for name, section in cfg.items():
+        if name != "potential" and isinstance(section, dict) and isinstance(DEFAULT_CONFIG[name], dict):
+            _refuse_unknown(section, (*DEFAULT_CONFIG[name], *OPTIONAL_KEYS.get(name, ())), name)
     return cfg
+
+
+def _refuse_unknown(spec: dict, known, where: str) -> None:
+    """Raise ConfigError naming the first key of spec not in known, as in `weights.dept`."""
+    for key in spec:
+        if key not in known:
+            name = f"{where}.{key}" if where else key
+            raise ConfigError(f"{name} is not a known key; known: {', '.join(known)}")
 
 
 def _reject_nonfinite(value, where: str):
@@ -155,43 +188,47 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
     """Build a potential from its config section; `where` names it in errors, as `potential.base`.
 
     Keys: kind (polynomial | power | constant | tabulated | scaled | sum),
-    then coefficients/dimension, exponent, value, table, factor/base, parts.
+    dimension, and the POTENTIAL_KEYS of the kind; any other key is refused.
     """
     kind = str(_need(spec, "kind", where)).lower()
+    if kind not in POTENTIAL_KEYS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
     if "dimension" in spec:
-        _number(spec["dimension"], "potential.dimension")
+        _number(spec["dimension"], f"{where}.dimension", "potential.dimension")
     try:
         if kind == "polynomial":
             key = f"{where}.coefficients"
             coeffs = [_number(c, f"{key}[{i}]") for i, c in enumerate(_need(spec, "coefficients", where))]
             if len(coeffs) > MAX_COEFFICIENTS:
                 raise ConfigError(f"{key} has {len(coeffs)} entries, above the cap of {MAX_COEFFICIENTS}")
-            return PolynomialPotential(coeffs)
-        if kind == "power":
-            return PowerPotential(_number(_need(spec, "exponent", where), f"{where}.exponent"))
-        if kind == "constant":
+            V = PolynomialPotential(coeffs)
+        elif kind == "power":
+            V = PowerPotential(_number(_need(spec, "exponent", where), f"{where}.exponent"))
+        elif kind == "constant":
             if (value := _number(_need(spec, "value", where), f"{where}.value")) < 0:
                 raise ConfigError(f"{where}.value must be a number >= 0, got {value!r}")
-            return PolynomialPotential([value])
-        if kind == "tabulated":
+            V = PolynomialPotential([value])
+        elif kind == "tabulated":
             table = _need(spec, "table", where)
             path = Path(table)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            return load_tabulated_csv(path)
-        if kind == "scaled":
-            return ScaledPotential(
+            V = load_tabulated_csv(path)
+        elif kind == "scaled":
+            V = ScaledPotential(
                 _number(_need(spec, "factor", where), f"{where}.factor"),
                 potential_from_config(_need(spec, "base", where), base_dir, f"{where}.base"),
             )
-        if kind == "sum":
+        else:
             parts = enumerate(_need(spec, "parts", where))
-            return SumPotential(*(potential_from_config(p, base_dir, f"{where}.parts[{i}]") for i, p in parts))
+            V = SumPotential(*(potential_from_config(p, base_dir, f"{where}.parts[{i}]") for i, p in parts))
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"potential section: {exc}") from exc
-    raise ConfigError(f"unknown potential kind {kind!r}")
+    # after the kind's own keys, so that a bad value of one is named first
+    _refuse_unknown(spec, ("kind", "dimension", *POTENTIAL_KEYS[kind]), where)
+    return V
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:
@@ -228,10 +265,10 @@ def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
 
 
 def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
-    """Keys: family plus any of beta, kappa, epsilon; `where` (`envelopes[i]`) names the entry.
+    """Keys: family plus the FAMILY_CONSTANT of the family; `where` (`envelopes[i]`) names the entry.
 
     `bounds` fits c0..c3 and C, so setting one is a config error, and so is
-    leaving out the constant REQUIRED_CONSTANT names for the family.  The
+    leaving out a required FAMILY_CONSTANT or giving any other key.  The
     dimension n is the potential's, and every potential is one-dimensional,
     so an `n` key is refused, and so is dirichlet_ball, which needs n >= 2.
     """
@@ -241,13 +278,14 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     for key in ("c0", "c1", "c2", "c3", "C"):
         if key in spec:
             raise ConfigError(f"{where}.{key} cannot be set: bounds fits it")
-    required = REQUIRED_CONSTANT.get(family)
-    if required is not None and required not in spec:
-        raise ConfigError(f"{where}.{required} is required for family {family}")
+    constant = FAMILY_CONSTANT.get(family)
+    if constant not in (None, "kappa") and constant not in spec:
+        raise ConfigError(f"{where}.{constant} is required for family {family}")
     if "n" in spec:
         raise ConfigError(f"{where}.n cannot be set: the dimension is the potential's")
     if family == "dirichlet_ball":
         raise ConfigError(f"{where}.family dirichlet_ball needs dimension >= 2, got 1")
+    _refuse_unknown(spec, ("family", constant) if constant else ("family",), where)
     kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
     try:
         return BoundEnvelope(family=family, **kwargs)
@@ -286,7 +324,8 @@ def grid_from_config(cfg: dict):
     """The grid's axes (xs, ys, ts).
 
     A grid of more than MAX_GRID_POINTS points raises ConfigError before any
-    axis is built.
+    axis is built.  On the explicit engine, so does a time below the closed
+    form's T_FLOOR, once the axes are built.
     """
     grid = _need(cfg, "grid")
     names = ("x", "y", "t")
@@ -299,6 +338,8 @@ def grid_from_config(cfg: dict):
     xs, ys, ts = (axis_from_config(spec, name) for spec, name in zip(specs, names))
     if np.any(ts <= 0):
         raise ConfigError("grid times must be > 0")
+    if cfg.get("engine", "explicit") == "explicit" and (t_min := float(ts.min())) < T_FLOOR:
+        raise ConfigError(f"grid.t must be >= {T_FLOOR:g} on the explicit engine, got {t_min!r}")
     return xs, ys, ts
 
 

@@ -1,11 +1,11 @@
 """Nonnegative potentials on the line, exact cube averages, and weight-class diagnostics.
 
-Potentials are immutable value objects on the line, and a `Cube` is an
-interval; a kind with no exact interval integral is refused.  The
-reverse-Holder and Muckenhoupt constants are sups of power-mean ratios
-M_a / M_b, M_q = (mean of V^q)^(1/q), over dyadic refinements of a window;
-V^q is integrated by one rule that splits at V's break points.  The
-doubling fit uses nested cubes.
+Potentials are immutable value objects on the line, and a cube is an
+interval given by two numbers, its center and side; a kind with no exact
+interval integral is refused.  The reverse-Holder and Muckenhoupt constants
+are sups of power-mean ratios M_a / M_b, M_q = (mean of V^q)^(1/q), over
+dyadic refinements of a window; V^q is integrated by one rule that splits at
+V's break points.  The doubling fit uses nested cubes.
 """
 
 from __future__ import annotations
@@ -40,27 +40,6 @@ def m_beta(x, beta: float):
     above = a > 1.0
     a[above] = [v**beta for v in a[above].tolist()]
     return a.reshape(np.shape(x)) if np.ndim(x) else float(a[0])
-
-
-# ---------------------------------------------------------------------------
-# cubes
-
-
-@dataclass(frozen=True)
-class Cube:
-    """A cube on the line, the interval of side length > 0 about center."""
-
-    center: float
-    side: float
-
-    def __init__(self, center: float, side: float):
-        if not side > 0.0:
-            raise ParameterError(f"cube side must be > 0, got {side}")
-        # one write for both fields: the frozen class's `__setattr__` refuses them
-        self.__dict__.update(center=float(center), side=float(side))
-
-    def bounds(self) -> tuple[float, float]:
-        return self.center - self.side / 2.0, self.center + self.side / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +550,34 @@ def _refuse_divergent(V: Potential, lo, hi, total) -> None:
         raise DomainError("potential is not integrable on this cube: a power with alpha <= -1 at 0")
 
 
-def cube_average(V: Potential, Z: Cube) -> float:
-    """Mean of V over the cube Z.
+def checked_cube(center, side) -> tuple[float, float]:
+    """(center, side) of a cube as floats; a side that is not > 0 raises ParameterError."""
+    if not side > 0.0:
+        raise ParameterError(f"cube side must be > 0, got {side}")
+    return float(center), float(side)
 
-    The exact `interval_integral` over the cube's length.  A cube on which V
-    is not integrable raises DomainError (`_refuse_divergent`).
+
+def cube_average(V: Potential, center: float, side: float) -> float:
+    """Mean of V over the cube of the given center and side.
+
+    The exact `interval_integral` over [center - side/2, center + side/2],
+    divided by side.  A cube on which V is not integrable raises DomainError
+    (`_refuse_divergent`).
     """
-    half = Z.side / 2.0  # `Z.bounds()` inline: the same IEEE operations
-    lo, hi = Z.center - half, Z.center + half
+    center, side = checked_cube(center, side)
+    half = side / 2.0
+    lo, hi = center - half, center + half
     total = float(interval_integral(V, lo, hi))
     if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
         _refuse_divergent(V, lo, hi, total)
-    return total / Z.side
+    return total / side
 
 
 def cube_averages(V: Potential, centers, sides) -> np.ndarray:
     """Means of V over the cubes (centers[i], sides[i]), in one call.
 
     centers and sides broadcast against each other.  Each value equals
-    `cube_average(V, Cube(c, s))` bit for bit, and a cube that one refuses
+    `cube_average(V, c, s)` bit for bit, and a cube that one refuses
     raises the same exception type here.  One `interval_integral` call
     covers every cube.
     """
@@ -658,8 +646,10 @@ def _safe_ratio(num, den):
     return out
 
 
-def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float, **report) -> WeightClassReport:
-    """Report of M_a(V) / M_b(V) on the 2^d dyadic cubes of the window, d = 0..depth.
+def _power_mean_scan(
+    V: Potential, center: float, side: float, depth: int, a: float, b: float, **report
+) -> WeightClassReport:
+    """Report of M_a(V) / M_b(V) on the 2^d dyadic cubes of the window (center, side), d = 0..depth.
 
     Each trace entry is (side, max ratio at that level); the first level with
     a divergence flag or a ratio above DIVERGENCE_THRESHOLD is divergent_at_side.
@@ -668,27 +658,28 @@ def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float,
     (2^depth - 1 cubes), then the deepest level alone, so that no call holds
     more cubes than the deepest level.
     """
+    center, side = checked_cube(center, side)
     levels = np.arange(depth + 1)
     starts = 2**levels - 1
     level = np.repeat(levels, 2**levels)
     k = np.arange(level.size) - starts[level]
-    side = window.side * 2.0**-level
+    sides = side * 2.0**-level
     # adjacent cubes share each edge, left + side k, so an edge on 0 is 0 for both of them
-    left = window.bounds()[0]
-    lo, hi = left + side * k, left + side * (k + 1)
-    excision = window.side * 8.0 ** -(level + 2)
+    left = center - side / 2.0
+    lo, hi = left + sides * k, left + sides * (k + 1)
+    excision = side * 8.0 ** -(level + 2)
     ratios, flags = [], []
     for part in (slice(0, starts[-1]), slice(starts[-1], None)):
         (num, num_flags), (den, den_flags) = (
-            _power_means(V, lo[part], hi[part], side[part], e, excision[part]) for e in (a, b)
+            _power_means(V, lo[part], hi[part], sides[part], e, excision[part]) for e in (a, b)
         )
         ratios.append(_safe_ratio(num, den))
         flags.append(num_flags | den_flags)
     top = np.maximum.reduceat(np.concatenate(ratios), starts)
     divergent = np.logical_or.reduceat(np.concatenate(flags), starts) | (top > DIVERGENCE_THRESHOLD)
-    sides = side[starts].tolist()
-    trace = tuple(zip(sides, top.tolist()))
-    divergent_at = sides[int(np.argmax(divergent))] if divergent.any() else None
+    level_sides = sides[starts].tolist()
+    trace = tuple(zip(level_sides, top.tolist()))
+    divergent_at = level_sides[int(np.argmax(divergent))] if divergent.any() else None
     return WeightClassReport(
         constant=max(r for _, r in trace),
         trace=trace,
@@ -698,8 +689,8 @@ def _power_mean_scan(V: Potential, window: Cube, depth: int, a: float, b: float,
     )
 
 
-def rh_constant(V: Potential, q: float, window: Cube, depth: int) -> WeightClassReport:
-    """Reverse-Holder ratio sup over the dyadic family of the window.
+def rh_constant(V: Potential, q: float, center: float, side: float, depth: int) -> WeightClassReport:
+    """Reverse-Holder ratio sup over the dyadic family of the window (center, side).
 
     Per cube: M_q / M_1, (mean of V^q)^(1/q) / (mean of V); for q = infinity
     the numerator is the max of V over an ESS_SUP_GRID-point refinement.  The
@@ -711,11 +702,11 @@ def rh_constant(V: Potential, q: float, window: Cube, depth: int) -> WeightClass
         raise ParameterError("depth must be >= 1")
     if q == math.inf and 2**depth > 4096:
         raise ParameterError("q = infinity scan supports depth <= 12")
-    return _power_mean_scan(V, window, depth, q, 1.0, kind="reverse_holder", exponent=q)
+    return _power_mean_scan(V, center, side, depth, q, 1.0, kind="reverse_holder", exponent=q)
 
 
-def ap_constant(V: Potential, p: float, window: Cube, depth: int) -> WeightClassReport:
-    """Muckenhoupt quantity sup_Q (mean_Q V) * (mean_Q V^{-1/(p-1)})^{p-1}.
+def ap_constant(V: Potential, p: float, center: float, side: float, depth: int) -> WeightClassReport:
+    """Muckenhoupt quantity sup_Q (mean_Q V) * (mean_Q V^{-1/(p-1)})^{p-1} over the window (center, side).
 
     Per cube that is M_1 / M_sigma with sigma = -1/(p-1).  The report
     carries the companion exponent beta = 2/(2 + n(p-1)), n = 1, used by
@@ -726,7 +717,8 @@ def ap_constant(V: Potential, p: float, window: Cube, depth: int) -> WeightClass
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     beta = 2.0 / (2.0 + (p - 1.0))
-    return _power_mean_scan(V, window, depth, 1.0, -1.0 / (p - 1.0), kind="muckenhoupt", exponent=p, beta=beta)
+    sigma = -1.0 / (p - 1.0)
+    return _power_mean_scan(V, center, side, depth, 1.0, sigma, kind="muckenhoupt", exponent=p, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -744,16 +736,16 @@ class DoublingFit:
     residual: float
 
 
-def doubling_fit(V: Potential, window: Cube, depth: int) -> DoublingFit:
+def doubling_fit(V: Potential, center: float, side: float, depth: int) -> DoublingFit:
     """Fit log(mass ratio) = epsilon * log(volume ratio) + log C.
 
-    The family is the window and its concentric dyadic shrinkings; each
-    depth contributes the pair (Z_d, window).
+    The family is the window (center, side) and its concentric dyadic
+    shrinkings; each depth contributes the pair (Z_d, window).
     """
     if depth < 3:
         raise ParameterError("doubling fit needs at least 3 nested pairs (depth >= 3)")
-    c = window.center
-    sides = window.side * 2.0 ** -np.arange(depth + 1)
+    c, side = checked_cube(center, side)
+    sides = side * 2.0 ** -np.arange(depth + 1)
     masses = interval_integral(V, c - sides / 2.0, c + sides / 2.0)
     masses = np.asarray(masses, dtype=float)
     if not np.all(np.isfinite(masses)) or masses[0] <= 0:

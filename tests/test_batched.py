@@ -20,7 +20,6 @@ from heatkernel import (
     QuadraticCoeffs,
     TabulatedPotential,
     ap_constant,
-    Cube,
     eval_spectral,
     fit_constants,
     gaussian_log_kernel,
@@ -394,7 +393,7 @@ def test_root_mask_matches_per_cube_scan(coeffs, q):
 def test_ap_scan_sees_double_roots(p):
     # (x^2 - 1)^2: polyroots splits the double roots +-1 off the real axis by 5e-9 and 3e-8;
     # at p = 3 (q = -1/2) only their multiplicity 2 makes 1/V^{1/2} non-integrable
-    report = ap_constant(PolynomialPotential([1.0, 0.0, -2.0, 0.0, 1.0]), p, Cube(0.3, 2.0), 8)
+    report = ap_constant(PolynomialPotential([1.0, 0.0, -2.0, 0.0, 1.0]), p, 0.3, 2.0, 8)
     assert report.divergent
 
 
@@ -402,9 +401,9 @@ def test_ap_scan_sees_double_roots(p):
 def test_ap_scan_sees_roots_of_high_multiplicity(degree, divergent):
     # at p = 4 (q = -1/3): x^(-4/3) is not integrable at 0, x^(-2/3) is
     V = PolynomialPotential([0.0] * degree + [1.0])
-    report = ap_constant(V, 4.0, Cube(0.3, 2.0), 8)
+    report = ap_constant(V, 4.0, 0.3, 2.0, 8)
     assert report.divergent == divergent
-    assert report.divergent == ap_constant(PowerPotential(float(degree)), 4.0, Cube(0.3, 2.0), 8).divergent
+    assert report.divergent == ap_constant(PowerPotential(float(degree)), 4.0, 0.3, 2.0, 8).divergent
 
 
 def test_ap_scan_finds_polynomial_roots_once(monkeypatch):
@@ -415,7 +414,7 @@ def test_ap_scan_finds_polynomial_roots_once(monkeypatch):
     monkeypatch.setattr(potentials.npoly, "polyroots", lambda c: calls.append(1) or real(c))
     potentials._poly_real_roots.cache_clear()
     # x^2 at p = 2: the double root at 0 makes 1/V non-integrable
-    report = ap_constant(PolynomialPotential([0.0, 0.0, 1.0]), 2.0, Cube(0.3, 2.0), 8)
+    report = ap_constant(PolynomialPotential([0.0, 0.0, 1.0]), 2.0, 0.3, 2.0, 8)
     assert report.divergent
     assert len(calls) == 1
 
@@ -426,7 +425,9 @@ def test_closed_form_bounds_averages_eight_cubes_per_point(tmp_path, monkeypatch
 
     averaged = []
     real_average = bounds.cube_average
-    monkeypatch.setattr(bounds, "cube_average", lambda V, Z: averaged.append(1) or real_average(V, Z))
+    monkeypatch.setattr(
+        bounds, "cube_average", lambda V, center, side: averaged.append(1) or real_average(V, center, side)
+    )
     grid = {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.1, 2.0, 2]}
     polys = ([0.8, 0.3, 1.2], [0.5, 0.0, 2.0], [0.8, 0.3, 1.2])
     for i, coeffs in enumerate(polys):
@@ -490,7 +491,7 @@ def test_chain_waypoints_match_a_per_waypoint_reference(tmp_path, kind):
 
     V = potential_from_config(potential)
     plan = chain_plan(-0.3, 0.4, 0.5)
-    rows = [(i, x, cube_average(V, Cube(x, plan.cube_side))) for i, x in enumerate(plan.waypoints.tolist())]
+    rows = [(i, x, cube_average(V, x, plan.cube_side)) for i, x in enumerate(plan.waypoints.tolist())]
     prov = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
     ref = io.StringIO()
     ref.write(f"# {prov}\n")

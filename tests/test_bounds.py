@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from heatkernel import (
     BoundEnvelope,
-    Cube,
     ParameterError,
     PolynomialPotential,
     PowerPotential,
@@ -242,7 +241,7 @@ def test_chained_lower_bound_monotone_in_m():
 
 
 def test_chained_below_reference_kernel():
-    dbl = doubling_fit(V_SQ, Cube(0.0, 4.0), 8)
+    dbl = doubling_fit(V_SQ, 0.0, 4.0, 8)
     for y in (0.3, 0.7, 1.1):
         plan = chain_plan(0.0, y, 1.0)
         bound = chained_lower_bound(V_SQ, plan, 0.14, 1.0, max(dbl.C, 1.0))
@@ -251,29 +250,26 @@ def test_chained_below_reference_kernel():
 
 
 def test_fefferman_phong_constant_function():
-    Z = Cube(0.0, 1.0)
-    xs, _ = energy_test_family(Z, count=1, seed=0)
+    xs, _ = energy_test_family(0.0, 1.0, count=1, seed=0)
     flat = np.ones((1, len(xs)))
     # r^2 v <= 1: linear branch of the weight gives ratio exactly 1
-    assert fefferman_phong_ratio(constant(0.5), xs, flat, Z, beta=0.5)[0] == pytest.approx(1.0, rel=1e-12)
+    assert fefferman_phong_ratio(constant(0.5), xs, flat, 0.0, 1.0, beta=0.5)[0] == pytest.approx(1.0, rel=1e-12)
     # r^2 v > 1: power branch gives (r^2 v)^{1-beta}
     v = 9.0
     want = v / (v**0.5)
-    assert fefferman_phong_ratio(constant(v), xs, flat, Z, beta=0.5)[0] == pytest.approx(want, rel=1e-12)
+    assert fefferman_phong_ratio(constant(v), xs, flat, 0.0, 1.0, beta=0.5)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_fefferman_phong_family_floor():
-    Z = Cube(0.0, 1.0)
-    xs, family = energy_test_family(Z, count=50, seed=0)
+    xs, family = energy_test_family(0.0, 1.0, count=50, seed=0)
     assert family.shape == (50, len(xs))
     for V in (constant(1.0), V_SQ, PowerPotential(1.0)):
-        ratios = fefferman_phong_ratio(V, xs, family, Z, beta=0.5)
+        ratios = fefferman_phong_ratio(V, xs, family, 0.0, 1.0, beta=0.5)
         assert min(ratios) >= 0.01
 
 
 def test_energy_test_family_deterministic():
-    Z = Cube(0.0, 2.0)
-    (_, a), (_, b) = energy_test_family(Z, count=12, seed=7), energy_test_family(Z, count=12, seed=7)
+    (_, a), (_, b) = energy_test_family(0.0, 2.0, count=12, seed=7), energy_test_family(0.0, 2.0, count=12, seed=7)
     assert np.allclose(a, b)
 
 

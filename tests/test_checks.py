@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from heatkernel import (
-    Cube,
     ParameterError,
     PolynomialPotential,
     ProbeGrid,
@@ -115,7 +114,7 @@ def test_lattice_semigroup_defects_and_refusals():
         lambda: moser_ratio(gaussian_log_kernel, 0.0, 0.0, 1.0, 0.3, nx=41),
         lambda: GRID.refine(factor=0.5),
         lambda: dirichlet_interval_log_kernel(0.0, 1.0, [0.5], [0.5], [0.1], terms=10),
-        lambda: energy_test_family(Cube(0.0, 1.0), nodes=129),
+        lambda: energy_test_family(0.0, 1.0, nodes=129),
         lambda: fit_constants(None, [(0.0, 0.0, 1.0, 0.0)], "gaussian_upper", c_floor=1e-9),
     ],
 )

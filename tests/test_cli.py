@@ -473,11 +473,70 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
             {"kind": "sum", "parts": [{"kind": "power", "exponent": 2}, {"kind": "constant", "value": -0.5}]},
             "potential.parts[1].value must be a number >= 0, got -0.5",
         ),
+        ("ode", "ode", {"t1": 1e5}, "ode.t1 must be a number in (0, 1e4], got 100000.0"),
+        ("ode", "ode", {"t1": -1.0}, "ode.t1 must be a number in (0, 1e4], got -1.0"),
+        ("bounds", "envelopes", [], "envelopes must be a non-empty list"),
+        ("kernel", "grid", {"t": [1e-13, 0.5]}, "grid.t must be >= 1e-12 on the explicit engine, got 1e-13"),
+        ("bounds", "grid", {"t": [0.5, 1e-13]}, "grid.t must be >= 1e-12 on the explicit engine, got 1e-13"),
+        (
+            "kernel",
+            "potential",
+            {"kind": "sum", "parts": [{"kind": "power", "exponent": 2, "dimension": 2}]},
+            "potential.parts[0].dimension must be 1, got 2",
+        ),
+        (
+            "weights",
+            "potential",
+            {"kind": "scaled", "factor": 2.0, "base": {"kind": "power", "exponent": 2, "dimension": "x"}},
+            "potential.base.dimension must be 1, got 'x'",
+        ),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, message):
     base = json.loads(write_config(tmp_path).read_text()).get(section, {})
     cfg = write_config(tmp_path, **{section: {**base, **entry} if isinstance(entry, dict) else entry})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("kernel", {"grd": {}}, "grd is not a known key"),
+        ("kernel", {"grid": {"x": [0.0], "y": [0.0], "t": [1.0], "z": [0.0]}}, "grid.z is not a known key"),
+        ("weights", {"weights": {"dept": 3}}, "weights.dept is not a known key"),
+        ("chain", {"chain": {"x": 0.0, "y": 1.0, "t": 1.0, "sigmaa": 0.01}}, "chain.sigmaa is not a known key"),
+        ("ode", {"ode": {"t0": 0.05, "t1": 0.5, "samples": 20, "t2": 1.0}}, "ode.t2 is not a known key"),
+        ("kernel", {"spectral": {"points": 401, "width": 4.0}}, "spectral.width is not a known key"),
+        ("ode", {"tolerances": {"abs": 1e-4}}, "tolerances.abs is not a known key"),
+        (
+            "weights",
+            {"potential": {"kind": "power", "exponent": 2, "exponnet": 3}},
+            "potential.exponnet is not a known key",
+        ),
+        (
+            "chain",
+            {"potential": {"kind": "sum", "parts": [{"kind": "constant", "value": 1.0, "coefficients": [1.0]}]}},
+            "potential.parts[0].coefficients is not a known key",
+        ),
+        ("bounds", {"envelopes": [{"family": "quadratic_sharp", "beta": 0.5}]}, "envelopes[0].beta is not a known key"),
+        (
+            "bounds",
+            {"envelopes": [{"family": "avg_lower_far"}, {"family": "avg_upper", "beta": 0.9, "kappa": 0.3}]},
+            "envelopes[1].kappa is not a known key",
+        ),
+    ],
+)
+def test_unknown_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys, command, overrides, message):
+    from heatkernel import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the config was checked")
+
+    for name in ("build_spectral", "quadratic_log_kernel", "fit_constants", "rh_constant", "integrate_odes", "chain_plan"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))

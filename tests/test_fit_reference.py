@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from heatkernel import Cube, ParameterError, PolynomialPotential, QuadraticCoeffs, constant, fit_constants
+from heatkernel import ParameterError, PolynomialPotential, QuadraticCoeffs, constant, fit_constants
 from heatkernel.bounds import (
     C_FLOOR,
     FAMILIES,
@@ -47,9 +47,9 @@ def ref_log_gaussian(c0, n, t, c=0.0, d2=0.0):
 
 def ref_upper_decay(V, beta, x, y, t):
     side = math.sqrt(t)
-    decay = math.sqrt(ref_m_beta(t * cube_average(V, Cube(x, side)), beta))
+    decay = math.sqrt(ref_m_beta(t * cube_average(V, x, side), beta))
     if y is not None:
-        decay += math.sqrt(ref_m_beta(t * cube_average(V, Cube(y, side)), beta))
+        decay += math.sqrt(ref_m_beta(t * cube_average(V, y, side), beta))
     return decay
 
 
@@ -59,9 +59,9 @@ def ref_is_near(kappa, d, t):
 
 def ref_lower_terms(V, n, c0, c2, c3, near, x, d, t):
     if near:
-        base, avg = ref_log_gaussian(c0, n, t), cube_average(V, Cube(x, math.sqrt(t)))
+        base, avg = ref_log_gaussian(c0, n, t), cube_average(V, x, math.sqrt(t))
         return base, math.log(t * avg) if avg > 0.0 else -math.inf
-    base, avg = ref_log_gaussian(c0, n, t, c3, d * d), cube_average(V, Cube(x, t / d))
+    base, avg = ref_log_gaussian(c0, n, t, c3, d * d), cube_average(V, x, t / d)
     if avg <= 0.0:
         return base, -math.inf
     return base, math.log(t) + (d * d / t) * math.log(c2) + math.log(avg)

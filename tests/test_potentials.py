@@ -8,7 +8,6 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from heatkernel import (
-    Cube,
     Potential,
     DomainError,
     ParameterError,
@@ -22,6 +21,7 @@ from heatkernel import (
     cube_average,
     cube_averages,
     doubling_fit,
+    energy_test_family,
     m_beta,
     rh_constant,
 )
@@ -77,7 +77,7 @@ def test_one_dimensional_signatures():
         lambda: PolynomialPotential([0.0, 0.0, 1.0], n=2),
         lambda: PowerPotential(2.0, n=2),
         lambda: constant(1.0, n=2),
-        lambda: cube_average(constant(1.0), Cube(0.0, 1.0), method="quad"),
+        lambda: cube_average(constant(1.0), 0.0, 1.0, method="quad"),
     ):
         with pytest.raises(TypeError):
             make()
@@ -89,20 +89,20 @@ def test_cube_average_quadratic_formula():
     # mean of a2 z^2 + a1 z + a0 over the side-r cube at x is a2(x^2 + r^2/12) + a1 x + a0
     for a0, a1, a2, x, r in [(0, 0, 1, 1.0, 1.0), (2.0, -1.5, 3.0, 0.4, 0.7), (1, 1, 1, -2.0, 2.5)]:
         V = PolynomialPotential([a0, a1, a2])
-        got = cube_average(V, Cube(x, r))
+        got = cube_average(V, x, r)
         assert got == pytest.approx(a2 * (x * x + r * r / 12.0) + a1 * x + a0, rel=1e-14)
-    assert cube_average(PolynomialPotential([0, 0, 1]), Cube(1.0, 1.0)) == pytest.approx(13.0 / 12.0)
+    assert cube_average(PolynomialPotential([0, 0, 1]), 1.0, 1.0) == pytest.approx(13.0 / 12.0)
 
 
 def test_cube_average_constant():
     for side in (0.1, 1.0, 7.0):
-        assert cube_average(constant(4.2), Cube(-3.0, side)) == pytest.approx(4.2)
+        assert cube_average(constant(4.2), -3.0, side) == pytest.approx(4.2)
 
 
 def test_cube_average_closed_vs_quadrature():
     V = PolynomialPotential([1.0, -2.0, 0.5, 0.25])
     for center, side in [(0.0, 1.0), (2.5, 0.3), (-1.0, 4.0)]:
-        closed = cube_average(V, Cube(center, side))
+        closed = cube_average(V, center, side)
         lo, hi = center - side / 2.0, center + side / 2.0
         adaptive = quad(lambda x: float(V(x)), lo, hi, epsabs=1e-300, epsrel=1e-10, limit=200)[0] / (hi - lo)
         assert closed == pytest.approx(adaptive, rel=1e-12)
@@ -110,11 +110,10 @@ def test_cube_average_closed_vs_quadrature():
 
 def test_cube_average_singular_power_closed_form():
     V = PowerPotential(-0.5)
-    Z = Cube(0.0, 2.0)
     # integrable singularity handled by closed form: mean of |x|^{-1/2} over [-1,1] is 2
-    assert cube_average(V, Z) == pytest.approx(2.0, rel=1e-14)
+    assert cube_average(V, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(DomainError, match="alpha <= -1"):
-        cube_average(PowerPotential(-1.5), Z)
+        cube_average(PowerPotential(-1.5), 0.0, 2.0)
 
 
 def test_tabulated_roundtrip():
@@ -122,7 +121,7 @@ def test_tabulated_roundtrip():
     V = TabulatedPotential(xs, xs**2)
     assert V(0.5) == pytest.approx(0.25, abs=2e-3)
     # integral of the interpolant equals trapezoid exactly
-    got = cube_average(V, Cube(0.0, 2.0))
+    got = cube_average(V, 0.0, 2.0)
     assert got == pytest.approx(np.trapezoid(xs**2, xs) / 2.0, rel=1e-14)
     with pytest.raises(DomainError):
         V(1.5)
@@ -132,9 +131,8 @@ def test_tabulated_roundtrip():
 
 def test_compositions():
     V = SumPotential(ScaledPotential(2.0, PolynomialPotential([0, 0, 1])), constant(1.0))
-    Z = Cube(0.5, 1.0)
-    want = 2.0 * cube_average(PolynomialPotential([0, 0, 1]), Z) + 1.0
-    assert cube_average(V, Z) == pytest.approx(want, rel=1e-14)
+    want = 2.0 * cube_average(PolynomialPotential([0, 0, 1]), 0.5, 1.0) + 1.0
+    assert cube_average(V, 0.5, 1.0) == pytest.approx(want, rel=1e-14)
     assert V(2.0) == pytest.approx(9.0)
 
 
@@ -160,14 +158,14 @@ def test_m_beta_properties():
 
 def test_rh_constant_unit_weight():
     for q in (1.5, 3.0, math.inf):
-        rep = rh_constant(constant(1.0), q, Cube(0.0, 2.0), 6)
+        rep = rh_constant(constant(1.0), q, 0.0, 2.0, 6)
         assert rep.constant == pytest.approx(1.0, abs=1e-12)
         assert not rep.divergent
 
 
 def test_rh_power_convergent():
     # |x|^{-1/2} is reverse-Holder for q < 2; the singular cube realizes the sup
-    rep = rh_constant(PowerPotential(-0.5), 1.5, Cube(0.0, 2.0), 12)
+    rep = rh_constant(PowerPotential(-0.5), 1.5, 0.0, 2.0, 12)
     # oracle: mean(V^q)^{1/q} / mean(V) over [0, s] = (4 s^{-3/4})^{2/3} / (2 s^{-1/2})
     oracle = 4.0 ** (2.0 / 3.0) / 2.0
     assert rep.constant == pytest.approx(oracle, rel=1e-12)
@@ -176,7 +174,7 @@ def test_rh_power_convergent():
 
 
 def test_rh_power_divergent():
-    rep = rh_constant(PowerPotential(-0.5), 3.0, Cube(0.0, 2.0), 20)
+    rep = rh_constant(PowerPotential(-0.5), 3.0, 0.0, 2.0, 20)
     assert rep.divergent
     assert rep.divergent_at_side == 2.0  # window itself contains the singularity
     tail = [r for _, r in rep.trace[-11:]]
@@ -188,16 +186,16 @@ def test_rh_jensen_lower_bound():
     # power-mean inequality: ratio >= 1 on integrable inputs
     for V in (PolynomialPotential([1.0, 0.5, 2.0]), PowerPotential(0.5), constant(2.0)):
         for q in (1.5, 2.0, 4.0):
-            rep = rh_constant(V, q, Cube(0.3, 1.7), 8)
+            rep = rh_constant(V, q, 0.3, 1.7, 8)
             assert all(r >= 1.0 - 1e-10 for _, r in rep.trace)
 
 
-def rh_infinity_trace(V, window, depth):
+def rh_infinity_trace(V, center, window_side, depth):
     """Per level, the max over its cubes of (max of V on ESS_SUP_GRID + 1 points) / (mean of V)."""
     trace = []
     for d in range(depth + 1):
-        side = window.side * 2.0**-d
-        edges = window.bounds()[0] + side * np.arange(2**d + 1)
+        side = window_side * 2.0**-d
+        edges = (center - window_side / 2.0) + side * np.arange(2**d + 1)
         lo, hi = edges[:-1], edges[1:]
         sup = np.max(V(lo[:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
         trace.append((side, float(np.max(sup / (interval_integral(V, lo, hi) / (hi - lo))))))
@@ -205,15 +203,15 @@ def rh_infinity_trace(V, window, depth):
 
 
 def test_rh_infinity():
-    rep = rh_constant(PolynomialPotential([0, 0, 1]), math.inf, Cube(0.0, 4.0), 8)
+    rep = rh_constant(PolynomialPotential([0, 0, 1]), math.inf, 0.0, 4.0, 8)
     # sup over [0,s] of z^2 is s^2, mean is s^2/3: ratio 3 at the origin cubes
     assert rep.constant == pytest.approx(3.0, rel=1e-9)
-    assert rep.trace == rh_infinity_trace(PolynomialPotential([0, 0, 1]), Cube(0.0, 4.0), 8)
-    assert rh_constant(PowerPotential(0.5), math.inf, Cube(0.3, 1.7), 8).trace == rh_infinity_trace(
-        PowerPotential(0.5), Cube(0.3, 1.7), 8
+    assert rep.trace == rh_infinity_trace(PolynomialPotential([0, 0, 1]), 0.0, 4.0, 8)
+    assert rh_constant(PowerPotential(0.5), math.inf, 0.3, 1.7, 8).trace == rh_infinity_trace(
+        PowerPotential(0.5), 0.3, 1.7, 8
     )
     with pytest.raises(ParameterError):
-        rh_constant(PolynomialPotential([0, 0, 1]), math.inf, Cube(0.0, 4.0), 20)
+        rh_constant(PolynomialPotential([0, 0, 1]), math.inf, 0.0, 4.0, 20)
 
 
 @pytest.mark.parametrize(
@@ -226,25 +224,25 @@ def test_rh_infinity():
 )
 def test_rh_infinity_flags_cubes_reaching_a_singularity_of_any_kind(V):
     # decided by V(0) raising DomainError, so a scaled or summed power is flagged as the bare one is
-    rep = rh_constant(V, math.inf, Cube(0.0, 2.0), 4)
+    rep = rh_constant(V, math.inf, 0.0, 2.0, 4)
     assert rep.divergent and rep.divergent_at_side == 2.0
     assert all(r == math.inf for _, r in rep.trace)
-    away = rh_constant(V, math.inf, Cube(3.0, 2.0), 4)
-    assert not away.divergent and away.trace == rh_infinity_trace(V, Cube(3.0, 2.0), 4)
+    away = rh_constant(V, math.inf, 3.0, 2.0, 4)
+    assert not away.divergent and away.trace == rh_infinity_trace(V, 3.0, 2.0, 4)
 
 
 def test_rh_parameter_errors():
     with pytest.raises(ParameterError):
-        rh_constant(constant(1.0), 1.0, Cube(0.0, 2.0), 4)
+        rh_constant(constant(1.0), 1.0, 0.0, 2.0, 4)
     with pytest.raises(ParameterError):
-        rh_constant(constant(1.0), 2.0, Cube(0.0, 2.0), 0)
+        rh_constant(constant(1.0), 2.0, 0.0, 2.0, 0)
 
 
 def test_ap_constants():
-    rep = ap_constant(constant(5.0), 2.0, Cube(0.0, 2.0), 6)
+    rep = ap_constant(constant(5.0), 2.0, 0.0, 2.0, 6)
     assert rep.constant == pytest.approx(1.0, abs=1e-12)
     assert rep.beta == pytest.approx(2.0 / 3.0)
-    rep3 = ap_constant(constant(0.1), 3.0, Cube(0.0, 2.0), 4)
+    rep3 = ap_constant(constant(0.1), 3.0, 0.0, 2.0, 4)
     assert rep3.constant == pytest.approx(1.0, abs=1e-12)
     assert rep3.beta == pytest.approx(2.0 / (2.0 + 2.0))
 
@@ -252,20 +250,20 @@ def test_ap_constants():
 def test_ap_power_cross_check():
     # oracle for V = |x|^{1/2}, p = 2 on cubes touching 0:
     # mean(V) * mean(1/V) = (2/3) s^{1/2} * 2 s^{-1/2} = 4/3
-    rep = ap_constant(PowerPotential(0.5), 2.0, Cube(0.0, 2.0), 10)
+    rep = ap_constant(PowerPotential(0.5), 2.0, 0.0, 2.0, 10)
     assert rep.constant == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert not rep.divergent
 
 
 def test_ap_divergent_dual_weight():
     # V = x^2 has 1/V non-integrable at 0 for p = 2
-    rep = ap_constant(PolynomialPotential([0, 0, 1]), 2.0, Cube(0.0, 2.0), 6)
+    rep = ap_constant(PolynomialPotential([0, 0, 1]), 2.0, 0.0, 2.0, 6)
     assert rep.divergent
 
 
 def test_ap_polynomial_root_of_integrable_order():
     # x^2 is A_p for p > 3: on [0, s] or [-s, s], mean(x^2) mean(|x|^{-0.8})^{2.5} = (1/3) 5^{2.5}
-    rep = ap_constant(PolynomialPotential([0, 0, 1]), 3.5, Cube(0.0, 2.0), 6)
+    rep = ap_constant(PolynomialPotential([0, 0, 1]), 3.5, 0.0, 2.0, 6)
     assert not rep.divergent
     assert rep.constant == pytest.approx(5.0**2.5 / 3.0, rel=1e-12)
     for side, ratio in rep.trace[:2]:
@@ -293,28 +291,28 @@ def test_powered_integral_at_polynomial_roots_against_weighted_quadrature(p):
 
 
 def test_doubling_fit_exact_cases():
-    window = Cube(0.0, 2.0)
-    lebesgue = doubling_fit(constant(1.0), window, 8)
+    window = (0.0, 2.0)
+    lebesgue = doubling_fit(constant(1.0), *window, 8)
     assert lebesgue.epsilon == pytest.approx(1.0, abs=1e-12)
     assert lebesgue.C == pytest.approx(1.0, abs=1e-12)
 
-    cubic = doubling_fit(PolynomialPotential([0, 0, 1]), window, 12)
+    cubic = doubling_fit(PolynomialPotential([0, 0, 1]), *window, 12)
     assert cubic.epsilon == pytest.approx(3.0, abs=1e-6)
     assert cubic.residual < 1e-10
 
-    root = doubling_fit(PowerPotential(-0.5), window, 12)
+    root = doubling_fit(PowerPotential(-0.5), *window, 12)
     assert root.epsilon == pytest.approx(0.5, abs=1e-6)
 
 
 def test_doubling_fit_needs_pairs():
     with pytest.raises(ParameterError):
-        doubling_fit(constant(1.0), Cube(0.0, 2.0), 2)
+        doubling_fit(constant(1.0), 0.0, 2.0, 2)
 
 
 def test_rh_matches_independent_quadrature(rng):
     # dual route: scan ratios against direct quad on a smooth potential
     V = PolynomialPotential([1.0, 0.0, 1.0])
-    rep = rh_constant(V, 2.0, Cube(0.0, 2.0), 3)
+    rep = rh_constant(V, 2.0, 0.0, 2.0, 3)
     for side, got in rep.trace:
         best = 0.0
         k = int(round(2.0 / side))
@@ -330,7 +328,7 @@ def test_rh_matches_independent_quadrature(rng):
 def test_rh_constant_tabulated_potential():
     xs = np.linspace(-1, 1, 201)
     V = TabulatedPotential(xs, 1.0 + xs**2)
-    rep = rh_constant(V, 2.0, Cube(0.0, 2.0), 6)
+    rep = rh_constant(V, 2.0, 0.0, 2.0, 6)
     assert not rep.divergent
     assert 1.0 - 1e-10 <= rep.constant < 2.0
 
@@ -379,8 +377,8 @@ def test_powered_integrals_fuzzed(rng):
 
 def test_rh_ratio_scale_invariance():
     V = PowerPotential(-0.5)
-    base = rh_constant(V, 1.5, Cube(0.0, 2.0), 8)
-    scaled = rh_constant(ScaledPotential(37.0, V), 1.5, Cube(0.0, 2.0), 8)
+    base = rh_constant(V, 1.5, 0.0, 2.0, 8)
+    scaled = rh_constant(ScaledPotential(37.0, V), 1.5, 0.0, 2.0, 8)
     for (s1, r1), (s2, r2) in zip(base.trace, scaled.trace):
         assert s1 == s2
         assert r1 == pytest.approx(r2, rel=1e-12)
@@ -392,8 +390,9 @@ def quadratic_with_minimum(a2, vertex, min_v):
 
 
 def assert_same_weight_scans(V, window, W, W_window, q, p):
+    """window and W_window are (center, side) pairs."""
     for scan, exponent in ((rh_constant, q), (ap_constant, p)):
-        a, b = scan(V, exponent, window, 5), scan(W, exponent, W_window, 5)
+        a, b = scan(V, exponent, *window, 5), scan(W, exponent, *W_window, 5)
         assert a.divergent == b.divergent
         for (_, x), (_, y) in zip(a.trace, b.trace):
             assert x == y or abs(x - y) <= 1e-12 * abs(x)
@@ -422,7 +421,7 @@ def test_weight_classes_invariant_under_scaling_dilation_and_translation(
     # W(x) = k V(r x + s) maps the dyadic cubes of ((c - s)/r, side/r) onto those of (c, side)
     V = quadratic_with_minimum(a2, vertex, min_v)
     W = quadratic_with_minimum(k * a2 * r * r, (vertex - s) / r, k * min_v)
-    assert_same_weight_scans(V, Cube(center, side), W, Cube((center - s) / r, side / r), q, p)
+    assert_same_weight_scans(V, (center, side), W, ((center - s) / r, side / r), q, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -442,18 +441,18 @@ def test_power_weight_classes_invariant_under_dilation(alpha, side, offset, r, k
     V = PowerPotential(alpha)
     W = ScaledPotential(k * r**alpha, V)
     center = offset * side
-    assert_same_weight_scans(V, Cube(center, side), W, Cube(center / r, side / r), q, p)
+    assert_same_weight_scans(V, (center, side), W, (center / r, side / r), q, p)
 
 
 def test_scans_of_a_non_dyadic_window_meet_0_on_a_shared_cube_edge():
     # Each cube's right edge is the next cube's left edge, so an edge at 0 is 0 exactly
     # whatever the side: these scans must read as their dyadic dilations do.
     V = PowerPotential(0.875)
-    assert_same_weight_scans(V, Cube(0.0, 0.8864315433389292), V, Cube(0.0, 2.0), math.inf, 1.1336156699668196)
+    assert_same_weight_scans(V, (0.0, 0.8864315433389292), V, (0.0, 2.0), math.inf, 1.1336156699668196)
     V = PowerPotential(-0.37421275436823376)
-    rep = rh_constant(V, math.inf, Cube(-1.029148227873756, 2.058296455747512), 5)
+    rep = rh_constant(V, math.inf, -1.029148227873756, 2.058296455747512, 5)
     assert all(r == math.inf for _, r in rep.trace)
-    assert_same_weight_scans(V, Cube(-1.029148227873756, 2.058296455747512), V, Cube(-1.0, 2.0), math.inf, 2.0)
+    assert_same_weight_scans(V, (-1.029148227873756, 2.058296455747512), V, (-1.0, 2.0), math.inf, 2.0)
 
 
 def _bits(a):
@@ -469,15 +468,15 @@ def test_polynomial_cube_average_matches_mpmath_and_cube_averages_bitwise():
     # about each cube's centre sums nonnegative terms only
     mp = pytest.importorskip("mpmath")
     V = quadratic_with_minimum(2.9241, 2.6041, 0.4646)
-    window = Cube(2.857128743523547, 1.9554598018883609)
-    side = window.side / 2**8
-    centers = window.bounds()[0] + side * (np.arange(2**8) + 0.5)
-    scalar = [cube_average(V, Cube(c, side)) for c in centers]
+    center, window_side = 2.857128743523547, 1.9554598018883609
+    side = window_side / 2**8
+    centers = (center - window_side / 2.0) + side * (np.arange(2**8) + 0.5)
+    scalar = [cube_average(V, c, side) for c in centers]
     assert _bits(cube_averages(V, centers, side)) == _bits(scalar)
     with mp.workdps(50):
         P = npoly.polyint(np.array([mp.mpf(a) for a in V.coeffs], dtype=object))
         for c, got in zip(centers, scalar):
-            lo, hi = (mp.mpf(e) for e in Cube(c, side).bounds())
+            lo, hi = mp.mpf(c - side / 2.0), mp.mpf(c + side / 2.0)
             want = (npoly.polyval(hi, P) - npoly.polyval(lo, P)) / mp.mpf(side)
             assert abs(got - want) <= 1e-14 * want, (c, got, want)
 
@@ -517,15 +516,16 @@ def test_power_means_divide_by_the_length_integrated():
     # nominal side; the per-level maxima must match an exact evaluation on the
     # same float edges.  Dividing by the side puts the depth-10 level 966 ulp off.
     mp = pytest.importorskip("mpmath")
-    window, alpha, sigma = Cube(-0.45, 3.3), mp.mpf(-0.5), mp.mpf(-0.5)  # A_3: M_1 / M_sigma, sigma = -1/(3-1)
+    # A_3: M_1 / M_sigma, sigma = -1/(3-1)
+    (center, window_side), alpha, sigma = (-0.45, 3.3), mp.mpf(-0.5), mp.mpf(-0.5)
 
     def integral(a, b, s):  # of |x|^s over [a, b]
         F = lambda x: mp.sign(x) * abs(x) ** (s + 1) / (s + 1)  # noqa: E731
         return F(mp.mpf(b)) - F(mp.mpf(a))
 
-    report = ap_constant(PowerPotential(-0.5), 3.0, window, 10)
+    report = ap_constant(PowerPotential(-0.5), 3.0, center, window_side, 10)
     for d, (side, got) in enumerate(report.trace):
-        edges = window.bounds()[0] + side * np.arange(2**d + 1)
+        edges = (center - window_side / 2.0) + side * np.arange(2**d + 1)
         with mp.workdps(40):
             want = max(
                 integral(a, b, alpha) / (b - a) * (integral(a, b, alpha * sigma) / (b - a)) ** -(1 / sigma)
@@ -539,8 +539,8 @@ def test_integer_power_of_a_polynomial_on_small_cubes_matches_mpmath():
     # depth-8 level read 3.6e-10 off; Gauss-Legendre is exact for this degree.
     mp = pytest.importorskip("mpmath")
     coeffs = quadratic_with_minimum(2.9241, 2.6041, 0.4646).coeffs
-    window = Cube(2.857128743523547, 1.9554598018883609)
-    report = rh_constant(PolynomialPotential(coeffs), 3.0, window, 8)
+    center, window_side = 2.857128743523547, 1.9554598018883609
+    report = rh_constant(PolynomialPotential(coeffs), 3.0, center, window_side, 8)
     with mp.workdps(50):
         c = np.array([mp.mpf(a) for a in coeffs], dtype=object)
         P1, P3 = npoly.polyint(c), npoly.polyint(npoly.polypow(c, 3))  # object arrays keep 50 digits
@@ -549,7 +549,7 @@ def test_integer_power_of_a_polynomial_on_small_cubes_matches_mpmath():
             return (npoly.polyval(b, P) - npoly.polyval(a, P)) / (b - a)
 
         for d, (side, got) in enumerate(report.trace):
-            edges = list(map(mp.mpf, window.bounds()[0] + side * np.arange(2**d + 1)))
+            edges = list(map(mp.mpf, (center - window_side / 2.0) + side * np.arange(2**d + 1)))
             want = max(mean(P3, a, b) ** (mp.mpf(1) / 3) / mean(P1, a, b) for a, b in zip(edges, edges[1:]))
             assert abs(got - want) <= 1e-12 * want, (side, got, want)
 
@@ -559,22 +559,22 @@ def test_integer_power_of_a_polynomial_on_small_cubes_matches_mpmath():
 def test_an_overflowing_power_mean_is_rescaled(q):
     # (1 + x^2)^q overflows on every cube of the window, which used to read inf and
     # divergent; M_q = s (mean (V/s)^q)^(1/q) with s the cube's max of V stays finite
-    V, window = PolynomialPotential([1.0, 0.0, 1.0]), Cube(0.0, 2.0)
-    report = rh_constant(V, q, window, 8)
-    low, high = (rh_constant(V, e, window, 8) for e in (2.0, math.inf))
+    V = PolynomialPotential([1.0, 0.0, 1.0])
+    report = rh_constant(V, q, 0.0, 2.0, 8)
+    low, high = (rh_constant(V, e, 0.0, 2.0, 8) for e in (2.0, math.inf))
     assert math.isfinite(report.constant) and not report.divergent
     assert low.constant <= report.constant <= high.constant
     for (_, lo), (_, got), (_, hi) in zip(low.trace, report.trace, high.trace):  # power means grow with q
         assert lo <= got <= hi
 
 
-def per_level_scan(V, window, depth, a, b):
+def per_level_scan(V, center, window_side, depth, a, b):
     """(trace, divergent_at_side) of M_a / M_b with one `_power_means` call per level and exponent."""
     trace, divergent_at = [], None
     for d in range(depth + 1):
-        side = window.side * 2.0**-d
-        edges = window.bounds()[0] + side * np.arange(2**d + 1)
-        sides, excision = np.full(2**d, side), np.full(2**d, window.side * 8.0 ** -(d + 2))
+        side = window_side * 2.0**-d
+        edges = (center - window_side / 2.0) + side * np.arange(2**d + 1)
+        sides, excision = np.full(2**d, side), np.full(2**d, window_side * 8.0 ** -(d + 2))
         (num, num_flags), (den, den_flags) = (
             _power_means(V, edges[:-1], edges[1:], sides, e, excision) for e in (a, b)
         )
@@ -593,27 +593,28 @@ TABLE = TabulatedPotential(np.linspace(-4.0, 4.0, 41), 0.2 + np.linspace(-4.0, 4
 @pytest.mark.parametrize(
     "V, window, kind, exponent",
     [
-        (DOUBLE_ROOTS, Cube(0.1, 2.0), "ap", 4.0),  # q = -1/3 < 0, cubes split at the real roots
-        (PowerPotential(0.5), Cube(0.0, 2.0), "rh", 2.0),
-        (PowerPotential(0.5), Cube(0.3, 1.7), "ap", 2.0),
-        (SINGULAR, Cube(0.0, 2.0), "rh", 3.0),  # divergent: excised at window_side 8^-(d+2)
-        (SINGULAR, Cube(-0.45, 3.3), "ap", 3.0),
-        (ScaledPotential(2.5, SINGULAR), Cube(0.0, 2.0), "rh", 3.0),
-        (SumPotential(PolynomialPotential([0.3, 0.0, 1.0]), PowerPotential(0.7)), Cube(0.1, 2.0), "rh", 2.0),
-        (TABLE, Cube(0.2, 3.0), "rh", 2.0),
-        (TABLE, Cube(0.2, 3.0), "ap", 2.0),
-        (PolynomialPotential([0.0, 0.0, 1.0]), Cube(0.0, 4.0), "rh", math.inf),
-        (SINGULAR, Cube(0.0, 2.0), "rh", math.inf),
-        (TABLE, Cube(0.2, 3.0), "rh", math.inf),
+        (DOUBLE_ROOTS, (0.1, 2.0), "ap", 4.0),  # q = -1/3 < 0, cubes split at the real roots
+        (PowerPotential(0.5), (0.0, 2.0), "rh", 2.0),
+        (PowerPotential(0.5), (0.3, 1.7), "ap", 2.0),
+        (SINGULAR, (0.0, 2.0), "rh", 3.0),  # divergent: excised at window_side 8^-(d+2)
+        (SINGULAR, (-0.45, 3.3), "ap", 3.0),
+        (ScaledPotential(2.5, SINGULAR), (0.0, 2.0), "rh", 3.0),
+        (SumPotential(PolynomialPotential([0.3, 0.0, 1.0]), PowerPotential(0.7)), (0.1, 2.0), "rh", 2.0),
+        (TABLE, (0.2, 3.0), "rh", 2.0),
+        (TABLE, (0.2, 3.0), "ap", 2.0),
+        (PolynomialPotential([0.0, 0.0, 1.0]), (0.0, 4.0), "rh", math.inf),
+        (SINGULAR, (0.0, 2.0), "rh", math.inf),
+        (TABLE, (0.2, 3.0), "rh", math.inf),
     ],
 )
 @pytest.mark.parametrize("depth", [1, 2, 7])
 def test_level_batched_scan_equals_a_per_level_scan_bit_for_bit(V, window, kind, exponent, depth):
+    center, side = window
     if kind == "rh":
-        rep, (a, b) = rh_constant(V, exponent, window, depth), (exponent, 1.0)
+        rep, (a, b) = rh_constant(V, exponent, center, side, depth), (exponent, 1.0)
     else:
-        rep, (a, b) = ap_constant(V, exponent, window, depth), (1.0, -1.0 / (exponent - 1.0))
-    trace, divergent_at = per_level_scan(V, window, depth, a, b)
+        rep, (a, b) = ap_constant(V, exponent, center, side, depth), (1.0, -1.0 / (exponent - 1.0))
+    trace, divergent_at = per_level_scan(V, center, side, depth, a, b)
     assert _bits(rep.trace) == _bits(trace)
     assert rep.divergent_at_side == divergent_at
     assert rep.divergent == (divergent_at is not None)
@@ -628,20 +629,22 @@ def test_scan_calls_power_means_twice_per_exponent(monkeypatch, depth):
         return _power_means(V, lo, *args)
 
     monkeypatch.setattr(potentials, "_power_means", counted)
-    for scan in (lambda: rh_constant(SINGULAR, 1.5, Cube(0.0, 2.0), depth),
-                 lambda: ap_constant(TABLE, 2.0, Cube(0.2, 3.0), depth)):
+    for scan in (lambda: rh_constant(SINGULAR, 1.5, 0.0, 2.0, depth),
+                 lambda: ap_constant(TABLE, 2.0, 0.2, 3.0, depth)):
         sizes.clear()
         scan()
         # levels 0..depth-1 together, then the deepest level alone, for each exponent
         assert sizes == [2**depth - 1, 2**depth - 1, 2**depth, 2**depth]
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False), SIDE)
+@given(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)), SIDE)
 def test_cube_center_from_a_numpy_float(x, side):
-    Z = Cube(np.float64(x), side)
-    assert Z == Cube(x, side)
-    assert type(Z.center) is float
-    assert Cube(np.array(x), side) == Z
+    # a numpy float or 0-d array centre gives a Python float with the bits of the float centre's
+    for V in (PolynomialPotential([1.0, -2.0, 0.5, 0.25]), PowerPotential(0.5)):
+        want = cube_average(V, x, side)
+        for form in (np.float64, np.array):
+            got = cube_average(V, form(x), side)
+            assert type(got) is float and _bits(got) == _bits(want)
 
 
 def _tabulated(values):
@@ -665,7 +668,7 @@ POTENTIALS = st.recursive(
 CENTER = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
 
 
-# the forms `Cube` takes a center in, and sides that are ints
+# the forms a center comes in, and sides that are ints
 CENTER_FORM = st.sampled_from([float, np.float64])
 
 
@@ -675,7 +678,7 @@ def test_cube_averages_is_cube_average_bitwise(V, cubes):
     expected, errors = [], set()
     for center, side, form in cubes:
         try:
-            expected.append(cube_average(V, Cube(form(center), side)))
+            expected.append(cube_average(V, form(center), side))
         except (DomainError, ParameterError) as exc:
             errors.add(type(exc))
     centers, sides = (np.array(col) for col in list(zip(*cubes))[:2])
@@ -700,36 +703,50 @@ def test_cube_averages_checks_and_refusals():
     V = PowerPotential(-0.5)
     got = cube_averages(V, centers, 0.5)
     assert got.shape == (4,)
-    assert _bits(got) == _bits([cube_average(V, Cube(c, 0.5)) for c in centers])
+    assert _bits(got) == _bits([cube_average(V, c, 0.5) for c in centers])
     assert cube_averages(V, centers.reshape(2, 2), 0.5).shape == (2, 2)
     # alpha <= -1 is refused as soon as one cube contains 0, as cube_average refuses it
     for alpha in (-1.0, -1.5):
         assert np.all(np.isfinite(cube_averages(PowerPotential(alpha), [1.0, 2.0], 0.5)))
         with pytest.raises(DomainError):
-            cube_average(PowerPotential(alpha), Cube(0.2, 0.5))
+            cube_average(PowerPotential(alpha), 0.2, 0.5)
         with pytest.raises(DomainError):
             cube_averages(PowerPotential(alpha), [1.0, 0.2], 0.5)
     # an edge at 0, or within 1e-15 of it (`_refuse_divergent`), counts as containing 0
     for center in (0.25, 0.25 + 1e-16, -0.25 - 1e-16):
         with pytest.raises(DomainError):
-            cube_average(PowerPotential(-1.0), Cube(center, 0.5))
+            cube_average(PowerPotential(-1.0), center, 0.5)
         with pytest.raises(DomainError):
             cube_averages(PowerPotential(-1.0), [2.0, center], 0.5)
     # a cube that leaves the table
     T = _tabulated([1.0, 2.0, 0.5])
     with pytest.raises(DomainError):
-        cube_average(T, Cube(3.9, 0.5))
+        cube_average(T, 3.9, 0.5)
     with pytest.raises(DomainError):
         cube_averages(T, [0.0, 3.9], 0.5)
     with pytest.raises(ParameterError, match="side must be > 0"):
         cube_averages(T, [0.0, 1.0], [0.5, 0.0])
     with pytest.raises(ParameterError, match="side must be > 0"):
         cube_averages(T, 0.0, math.nan)
+    with pytest.raises(ParameterError, match=r"cube side must be > 0, got -1.0"):
+        cube_average(T, 0.0, -1.0)
     # a kind with no closed form is refused by both
     with pytest.raises(ParameterError, match="no interval integral for _Bump"):
-        cube_average(_Bump(), Cube(0.0, 0.5))
+        cube_average(_Bump(), 0.0, 0.5)
     with pytest.raises(ParameterError, match="no interval integral for _Bump"):
         cube_averages(_Bump(), centers, 0.5)
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, math.nan])
+def test_scans_refuse_a_window_side_that_is_not_positive(side):
+    for scan in (
+        lambda: rh_constant(constant(1.0), 2.0, 0.0, side, 4),
+        lambda: ap_constant(constant(1.0), 2.0, 0.0, side, 4),
+        lambda: doubling_fit(constant(1.0), 0.0, side, 4),
+        lambda: energy_test_family(0.0, side),
+    ):
+        with pytest.raises(ParameterError, match=f"cube side must be > 0, got {side}"):
+            scan()
 
 
 @pytest.mark.parametrize(
@@ -744,13 +761,13 @@ def test_wrapped_singular_powers_are_refused_on_cubes_reaching_0(V):
     # refused by what V integrates to, not by its kind: the wrappers used to return inf
     for center in (0.0, 0.25, 0.25 + 1e-16, -0.25 - 1e-16):
         with pytest.raises(DomainError, match="alpha <= -1"):
-            cube_average(V, Cube(center, 0.5))
+            cube_average(V, center, 0.5)
         with pytest.raises(DomainError, match="alpha <= -1"):
             cube_averages(V, [2.0, center], 0.5)
     # away from 0 the averages stay finite and agree bit for bit
     got = cube_averages(V, [1.0, -2.0], 0.5)
     assert np.all(np.isfinite(got))
-    assert _bits(got) == _bits([cube_average(V, Cube(c, 0.5)) for c in (1.0, -2.0)])
+    assert _bits(got) == _bits([cube_average(V, c, 0.5) for c in (1.0, -2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +845,10 @@ def test_power_means_of_every_kind_match_mpmath(q):
 def test_weight_readings_the_plain_rule_got_wrong():
     mp = pytest.importorskip("mpmath")
     # a node of 33-point Gauss-Legendre sat on the zero of x^2 + |x|^0.7 and read inf
-    ap = ap_constant(SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(0.7)), 2.0, Cube(0.0, 2.0), 12)
+    ap = ap_constant(SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(0.7)), 2.0, 0.0, 2.0, 12)
     assert math.isfinite(ap.constant) and not ap.divergent
     # (1 + x^2)^300 peaks at the cube's ends, which 33 plain nodes underweighted (1.4717241)
-    rh = rh_constant(PolynomialPotential([1.0, 0.0, 1.0]), 300.0, Cube(0.0, 2.0), 1)
+    rh = rh_constant(PolynomialPotential([1.0, 0.0, 1.0]), 300.0, 0.0, 2.0, 1)
     with mp.workdps(30):
         want = (mp.quad(lambda x: (1 + x * x) ** 300, [-1, 0, 1]) / 2) ** (mp.mpf(1) / 300) / (mp.mpf(4) / 3)
     assert abs(rh.trace[0][1] - want) <= 1e-12 * want
