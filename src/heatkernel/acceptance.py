@@ -25,7 +25,7 @@ from .bounds import (
     grid_samples,
     moser_ratio,
 )
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, resolve
 from .explicit import QuadraticCoeffs, gaussian_log_kernel, quadratic_log_kernel
 from .ode import ansatz_log, closed_form_error, integrate_odes
 from .potentials import (
@@ -327,10 +327,10 @@ def c10_dirichlet_comparisons() -> CriterionResult:
 def _pipeline_once(out: Path) -> int:
     from .cli import cmd_chain, cmd_kernel, cmd_weights
 
-    cfg = DEFAULT_CONFIG
-    rc = cmd_kernel(cfg, out)
-    rc |= cmd_weights(cfg, out)
-    rc |= cmd_chain(cfg, out)
+    run = resolve(DEFAULT_CONFIG)
+    rc = cmd_kernel(run, out)
+    rc |= cmd_weights(run, out)
+    rc |= cmd_chain(run, out)
     return rc
 
 

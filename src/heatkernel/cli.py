@@ -8,6 +8,13 @@ Subcommands
     chain    chain plan + chained lower bound + waypoint cube averages -> CSV
     verify   full acceptance suite; exit 0 iff everything passes
 
+`main` resolves the config once (`config.resolve`) before any subcommand
+runs, so a bad value in any section exits 2 naming its key, whatever the
+subcommand.  Each `cmd_*(run, out)` reads plain values from the resolved
+run.  The only config refusals left here are `missing key 'grid'`, from
+`kernel` and `bounds`, the two that read a grid, and the quadratic potential
+that `ode` and the explicit engine need (`quadratic_from_potential`).
+
 Outputs are deterministic: every CSV is written by `emit_csv`, which takes
 one sequence per column (a float64 ndarray, a `range` or a list), and
 identical configs give byte-identical files.  The floats of each chunk of
@@ -18,13 +25,11 @@ The engines are `explicit` (the closed form for a quadratic potential) and
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
 evaluates its grid once, and so does `bounds` on the spectral engine.  On the
 closed form, `bounds` evaluates `quadratic_kernel` point by point as each
-family's fit reads its samples.  `bounds` parses every envelope before it
-builds the engine, and writes each column of the fits' records (arrays of
-x, y, t, log_p, log_env and slack) to `bound_slacks.csv` as one
-concatenation.  `chain` averages V over all of its waypoint cubes in one
-`cube_averages` call, and refuses a chain longer than MAX_CHAIN_M links
-before planning it.  A relative `tabulated.table` path resolves against the
-directory of the config file.
+family's fit reads its samples.  `bounds` writes each column of the fits'
+records (arrays of x, y, t, log_p, log_env and slack) to `bound_slacks.csv`
+as one concatenation.  `chain` averages V over all of its waypoint cubes in one
+`cube_averages` call.  A relative `tabulated.table` path resolves against
+the directory of the config file.
 """
 
 from __future__ import annotations
@@ -36,29 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    chain_length,
-    chain_plan,
-    chain_sigma_bound,
-    chained_lower_bound,
-    fit_constants,
-    grid_points,
-    grid_samples,
-)
-from .config import (
-    DEFAULT_CONFIG,
-    ENGINES,
-    check_spectral_grid,
-    config_hash,
-    config_number,
-    envelope_from_config,
-    grid_from_config,
-    load_config,
-    potential_from_config,
-    quadratic_from_potential,
-)
+from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_points, grid_samples
+from .config import DEFAULT_CONFIG, load_config, quadratic_from_potential, resolve
 from .csvout import emit_csv
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .explicit import quadratic_kernel, quadratic_log_kernel
 from .ode import closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
@@ -71,43 +57,37 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def _potential(cfg: dict, base_dir: Path | None):
-    return potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
+def _grid(run: dict):
+    """The run's grid axes (xs, ys, ts), which `kernel` and `bounds` need."""
+    if run["grid"] is None:
+        raise ConfigError("missing key 'grid'")
+    return run["grid"]
 
 
-def _build_engine(cfg: dict, xs, ys, ts, V):
-    """Return (log_kernel(xs, ys, ts) -> log p[t, x, y], provenance) for the potential V.
+def _prov_line(run: dict, prov: str, xs, ys, ts) -> str:
+    return f"config={run['hash']} {prov} grid={len(xs)}x{len(ys)}x{len(ts)}"
 
-    xs, ys and ts are the grid's axes, read and checked before anything is
-    built; the spectral kernel is built for t >= the earliest time, and its
+
+def _evaluate_grid(run: dict):
+    """Build the engine and evaluate the grid once: ((xs, ys, ts), log p[t, x, y], provenance line).
+
+    The spectral kernel is built for t >= the earliest time, and its
     provenance reports the modes kept there.
     """
-    engine = cfg.get("engine", "explicit")
-    if engine == "explicit":
-        quad = quadratic_from_potential(V)
-        return (lambda xs, ys, ts: quadratic_log_kernel(quad, xs, ys, ts)), "engine=explicit"
-    if engine == "spectral":
-        L, m = float(config_number(cfg, "spectral.half_width")), config_number(cfg, "spectral.points")
-        check_spectral_grid(xs, ys, L)
-        K = build_spectral(V, L, m, float(min(ts)))
+    xs, ys, ts = _grid(run)
+    if run["engine"] == "explicit":
+        quad = quadratic_from_potential(run["potential"])
+        log_p, prov = quadratic_log_kernel(quad, xs, ys, ts), "engine=explicit"
+    else:
+        L, m = run["spectral"]["half_width"], run["spectral"]["points"]
+        K = build_spectral(run["potential"], L, m, float(min(ts)))
+        log_p = spectral_log_kernel(K, xs, ys, ts)
         prov = f"engine=spectral L={L:g} m={m} modes={K.mode_count(K.t_min)}"
-        return (lambda xs, ys, ts: spectral_log_kernel(K, xs, ys, ts)), prov
-    raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
+    return (xs, ys, ts), log_p, _prov_line(run, prov, xs, ys, ts)
 
 
-def _prov_line(cfg: dict, prov: str, xs, ys, ts) -> str:
-    return f"config={config_hash(cfg)} {prov} grid={len(xs)}x{len(ys)}x{len(ts)}"
-
-
-def _evaluate_grid(cfg: dict, V):
-    """Build the engine for V and evaluate its grid once: ((xs, ys, ts), log p[t, x, y], provenance line)."""
-    xs, ys, ts = grid_from_config(cfg)
-    log_kernel, prov = _build_engine(cfg, xs, ys, ts, V)
-    return (xs, ys, ts), log_kernel(xs, ys, ts), _prov_line(cfg, prov, xs, ys, ts)
-
-
-def _bounds_samples(cfg: dict, V):
-    """(samples() -> x-major (x, y, t, log p) samples of V's kernel, provenance line).
+def _bounds_samples(run: dict):
+    """(samples() -> x-major (x, y, t, log p) samples of the potential's kernel, provenance line).
 
     The spectral engine evaluates the grid once and every family
     fits against that evaluation.  The closed form keeps its scalar path:
@@ -116,19 +96,19 @@ def _bounds_samples(cfg: dict, V):
     microseconds a point, and perfbench's trace counts these calls as the
     fitter's kernel calls per point.
     """
-    if cfg.get("engine", "explicit") != "explicit":
-        axes, log_p, prov_line = _evaluate_grid(cfg, V)
+    if run["engine"] != "explicit":
+        axes, log_p, prov_line = _evaluate_grid(run)
         samples = grid_samples(*axes, log_p)
         return (lambda: samples), prov_line
-    quad = quadratic_from_potential(V)
-    xs, ys, ts = grid_from_config(cfg)
+    quad = quadratic_from_potential(run["potential"])
+    xs, ys, ts = _grid(run)
     pts = grid_points(xs, ys, ts)
 
     def samples():
         for x, y, t in pts:
             yield x, y, t, quadratic_kernel(quad, x, y, t)
 
-    return samples, _prov_line(cfg, "engine=explicit", xs, ys, ts)
+    return samples, _prov_line(run, "engine=explicit", xs, ys, ts)
 
 
 def _p(log_p: float) -> float:
@@ -136,8 +116,8 @@ def _p(log_p: float) -> float:
     return 0.0 if log_p < -745.0 else math.inf if log_p > 709.0 else math.exp(log_p)
 
 
-def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    (xs, ys, ts), log_p, prov_line = _evaluate_grid(cfg, _potential(cfg, base_dir))
+def cmd_kernel(run: dict, out: Path) -> int:
+    (xs, ys, ts), log_p, prov_line = _evaluate_grid(run)
     nx, ny, nt = len(xs), len(ys), len(ts)
     # x-major order, as `grid_points` lists the points
     lp = log_p.transpose(1, 2, 0).ravel()
@@ -153,20 +133,15 @@ def cmd_kernel(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    V = _potential(cfg, base_dir)
-    if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
-        raise ConfigError(f"envelopes must be a list, got {specs!r}")
-    if not specs:
-        raise ConfigError("envelopes must be a non-empty list")
-    envelopes = [envelope_from_config(spec, f"envelopes[{i}]") for i, spec in enumerate(specs)]
-    samples, prov_line = _bounds_samples(cfg, V)
+def cmd_bounds(run: dict, out: Path) -> int:
+    V = run["potential"]
+    samples, prov_line = _bounds_samples(run)
     verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
     families = []
     # the fits' record columns x, y, t, log_p, log_env and slack, one array per fit
     records = {k: [np.empty(0)] for k in ("x", "y", "t", "log_p", "log_env", "slack")}
     all_ok = True
-    for env0 in envelopes:
+    for env0 in run["envelopes"]:
         fit = fit_constants(
             V,
             samples(),
@@ -199,13 +174,12 @@ def cmd_bounds(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
-def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    V = _potential(cfg, base_dir)
-    w = {k: config_number(cfg, f"weights.{k}") for k in DEFAULT_CONFIG["weights"]}
-    center, side, depth = float(w["window_center"]), float(w["window_side"]), w["depth"]
-    prov_line = f"config={config_hash(cfg)} window_side={side:g} depth={depth}"
-    rh = rh_constant(V, float(w["rh_q"]), center, side, depth)
-    ap = ap_constant(V, float(w["ap_p"]), center, side, depth)
+def cmd_weights(run: dict, out: Path) -> int:
+    V, w = run["potential"], run["weights"]
+    center, side, depth = w["window_center"], w["window_side"], w["depth"]
+    prov_line = f"config={run['hash']} window_side={side:g} depth={depth}"
+    rh = rh_constant(V, w["rh_q"], center, side, depth)
+    ap = ap_constant(V, w["ap_p"], center, side, depth)
     traces = rh.trace + ap.trace
     columns = [
         ["rh"] * len(rh.trace) + ["ap"] * len(ap.trace),
@@ -224,16 +198,13 @@ def cmd_weights(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    t0, t1 = float(config_number(cfg, "ode.t0")), float(config_number(cfg, "ode.t1"))
-    if t0 >= t1:
-        raise ConfigError(f"ode.t0 must be < ode.t1, got {t0!r} >= {t1!r}")
-    samples, rel = config_number(cfg, "ode.samples"), config_number(cfg, "tolerances.rel")
-    V = _potential(cfg, base_dir)
-    c = quadratic_from_potential(V)
+def cmd_ode(run: dict, out: Path) -> int:
+    t0, t1, samples = (run["ode"][k] for k in ("t0", "t1", "samples"))
+    rel = run["tolerances"]["rel"]
+    c = quadratic_from_potential(run["potential"])
     quad = type(c)(0.0, c.a1, c.a2)  # the ansatz runs at a0 = 0
     traj = integrate_odes(quad, t0, t1, samples=samples)
-    prov_line = f"config={config_hash(cfg)} t0={t0!r} t1={t1!r} samples={samples}"
+    prov_line = f"config={run['hash']} t0={t0!r} t1={t1!r} samples={samples}"
     schema = ["t", "alpha", "beta", "gamma", "mu", "nu", "log_phi"]
     columns = [[getattr(s, k) for s in traj] for k in schema[:-1]]
     # the shift identity p_{a0} = e^{-a0 t} p_0 makes log_phi the configured kernel's log p(0, 0, t)
@@ -244,21 +215,10 @@ def cmd_ode(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
     return EXIT_OK if err <= rel else EXIT_FAILURE
 
 
-def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
-    x, y, t = (float(config_number(cfg, f"chain.{k}")) for k in ("x", "y", "t"))
-    sigma = config_number(cfg, "chain.sigma")
-    c0 = float(config_number(cfg, "chain.c0", 0.5 * (4.0 * math.pi) ** -0.5))
-    c1 = float(config_number(cfg, "chain.c1", 1.0))
-    try:
-        chain_length(x, y, t)
-    except ParameterError as exc:
-        raise ConfigError(f"chain.y is too far from chain.x for chain.t={t:g}: {exc}") from exc
-    if sigma is not None and not sigma < (sigma_max := chain_sigma_bound(x, y, t)):
-        raise ConfigError(
-            f"chain.sigma must be < {sigma_max:.6g} here (the adjacent-cube condition), got {sigma!r}"
-        )
-    V = _potential(cfg, base_dir)
-    plan = chain_plan(x, y, t, sigma=float(sigma) if sigma is not None else None)
+def cmd_chain(run: dict, out: Path) -> int:
+    V = run["potential"]
+    x, y, t, sigma, c0, c1 = (run["chain"][k] for k in ("x", "y", "t", "sigma", "c0", "c1"))
+    plan = chain_plan(x, y, t, sigma=sigma)
     dbl = doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
     log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     print(
@@ -266,13 +226,13 @@ def cmd_chain(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
         f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g}"
     )
     avgs = cube_averages(V, plan.waypoints, plan.cube_side)
-    prov_line = f"config={config_hash(cfg)} M={plan.M} sigma={plan.sigma:.17g}"
+    prov_line = f"config={run['hash']} M={plan.M} sigma={plan.sigma:.17g}"
     columns = [range(plan.M + 1), plan.waypoints, avgs]
     emit_csv(columns, ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out: Path, base_dir: Path | None = None) -> int:
+def cmd_verify(run: dict, out: Path) -> int:
     from . import acceptance
 
     results = acceptance.run_all(out_dir=out)
@@ -299,6 +259,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
+        run = resolve(cfg, args.config.parent if args.config else None)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         handler = {
@@ -309,8 +270,7 @@ def main(argv=None) -> int:
             "chain": cmd_chain,
             "verify": cmd_verify,
         }[args.command]
-        base_dir = args.config.parent if args.config else None
-        return handler(cfg, out, base_dir)
+        return handler(run, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,9 +1,11 @@
 """JSON run configurations: parsing, validation, and object construction.
 
 The schema is a nested map of flat sections; every key is documented in the
-README, and a key it does not know is refused.  Configs are canonicalized
-(sorted keys, fixed separators) before hashing so identical settings always
-produce identical provenance stamps.
+README, and a key it does not know is refused.  `resolve` reads, defaults and
+checks every section once, whatever the subcommand, and returns the plain
+values the subcommands read.  Configs are canonicalized (sorted keys, fixed
+separators) before hashing so identical settings always produce identical
+provenance stamps.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import FAMILIES, BoundEnvelope
-from .errors import ConfigError
+from .bounds import FAMILIES, BoundEnvelope, chain_length, chain_sigma_bound
+from .errors import ConfigError, ParameterError
 from .explicit import T_FLOOR, QuadraticCoeffs
 from .potentials import (
     PolynomialPotential,
@@ -48,7 +50,7 @@ DEFAULT_CONFIG = {
 }
 
 
-# What a number read by `config_number` must be beyond an int or a float: the
+# What a number of the config must be beyond an int or a float: the
 # phrase its error message uses and the test.  The weight scans take 2^depth
 # cubes at the deepest level, and every potential kind is one-dimensional.
 # `ode` integrates for a time linear in t1 (1.5 s at t1 = 1e4 and 8.3 s at 1e5
@@ -85,9 +87,12 @@ MAX_SPECTRAL_POINTS = 2000
 # The first evaluation of a polynomial factors it through a d x d companion
 # matrix, 8 d^2 bytes for d + 1 coefficients.
 MAX_COEFFICIENTS = 257
+# The sections of numbers only, each read whole by `resolve`.
+NUMBER_SECTIONS = ("weights", "ode", "chain", "spectral", "tolerances")
 # The keys of a number section that default to the chaining construction's
-# own values, not to DEFAULT_CONFIG's.
-OPTIONAL_KEYS = {"chain": ("sigma", "c0", "c1")}
+# own values, not to DEFAULT_CONFIG's: no sigma (chain_plan picks it), and the
+# averaged lower envelope's c0 = (1/2)(4 pi)^(-1/2) and c1 = 1.
+OPTIONAL_KEYS = {"chain": {"sigma": None, "c0": 0.5 * (4.0 * math.pi) ** -0.5, "c1": 1.0}}
 # The keys a potential of each kind reads besides `kind` and `dimension`.
 POTENTIAL_KEYS = {
     "polynomial": ("coefficients",),
@@ -107,22 +112,6 @@ FAMILY_CONSTANT = {
     "dirichlet_interval": "epsilon",
     "dirichlet_ball": "epsilon",
 }
-
-
-def config_number(cfg: dict, path: str, default=None):
-    """The number at a `section.key` path of cfg, such as `weights.depth`.
-
-    A missing key takes its DEFAULT_CONFIG value, or `default` for keys that
-    have none.  A value that is not an int or a float (a bool or a string
-    included), or that breaks its LIMITS entry, raises ConfigError naming the path.
-    """
-    section_name, key = path.split(".")
-    section = cfg.get(section_name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{section_name} must be an object, got {section!r}")
-    if key not in section:
-        return DEFAULT_CONFIG.get(section_name, {}).get(key, default)
-    return _number(section[key], path)
 
 
 def _number(value, where: str, rule: str | None = None):
@@ -170,6 +159,45 @@ def _reject_nonfinite(value, where: str):
             _reject_nonfinite(item, f"{where}[{i}]")
 
 
+def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
+    """Read, default and check every section of cfg: the values the subcommands read.
+
+    Keys: `hash` (config_hash of cfg as given), `engine`, `potential`,
+    `envelopes` (BoundEnvelopes), `grid` ((xs, ys, ts), or None when cfg has
+    none) and each of NUMBER_SECTIONS, a dict with every default filled; a key
+    whose default is an int (which its LIMITS entry requires) stays an int,
+    the others are floats.  A bad value anywhere raises ConfigError naming its
+    key, before any subcommand's work.  A relative `tabulated.table` path
+    resolves against base_dir.
+    """
+    if (engine := cfg.get("engine", "explicit")) not in ENGINES:
+        raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
+    run = {"hash": config_hash(cfg), "engine": engine}
+    for name in NUMBER_SECTIONS:
+        if not isinstance(section := cfg.get(name, {}), dict):
+            raise ConfigError(f"{name} must be an object, got {section!r}")
+        defaults = {**DEFAULT_CONFIG[name], **OPTIONAL_KEYS.get(name, {})}
+        values = {k: _number(section[k], f"{name}.{k}") if k in section else v for k, v in defaults.items()}
+        run[name] = {k: v if v is None or isinstance(defaults[k], int) else float(v) for k, v in values.items()}
+    if (t0 := run["ode"]["t0"]) >= (t1 := run["ode"]["t1"]):
+        raise ConfigError(f"ode.t0 must be < ode.t1, got {t0!r} >= {t1!r}")
+    x, y, t, sigma = (run["chain"][k] for k in ("x", "y", "t", "sigma"))
+    try:
+        chain_length(x, y, t)
+    except ParameterError as exc:
+        raise ConfigError(f"chain.y is too far from chain.x for chain.t={t:g}: {exc}") from exc
+    if sigma is not None and not sigma < (sigma_max := chain_sigma_bound(x, y, t)):
+        raise ConfigError(f"chain.sigma must be < {sigma_max:.6g} here (the adjacent-cube condition), got {sigma!r}")
+    run["potential"] = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
+    if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
+        raise ConfigError(f"envelopes must be a list, got {specs!r}")
+    if not specs:
+        raise ConfigError("envelopes must be a non-empty list")
+    run["envelopes"] = [envelope_from_config(spec, f"envelopes[{i}]") for i, spec in enumerate(specs)]
+    run["grid"] = grid_from_config(cfg, run["spectral"]["half_width"]) if "grid" in cfg else None
+    return run
+
+
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -213,7 +241,10 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
             path = Path(table)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            V = load_tabulated_csv(path)
+            try:
+                V = load_tabulated_csv(path)
+            except OSError as exc:
+                raise ConfigError(f"{where}.table: cannot read {path}: {exc.strerror}") from exc
         elif kind == "scaled":
             V = ScaledPotential(
                 _number(_need(spec, "factor", where), f"{where}.factor"),
@@ -225,7 +256,7 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
     except ConfigError:
         raise
     except Exception as exc:
-        raise ConfigError(f"potential section: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     # after the kind's own keys, so that a bad value of one is named first
     _refuse_unknown(spec, ("kind", "dimension", *POTENTIAL_KEYS[kind]), where)
     return V
@@ -320,12 +351,15 @@ def axis_from_config(spec, name: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def grid_from_config(cfg: dict):
+def grid_from_config(cfg: dict, half_width: float | None = None):
     """The grid's axes (xs, ys, ts).
 
     A grid of more than MAX_GRID_POINTS points raises ConfigError before any
-    axis is built.  On the explicit engine, so does a time below the closed
-    form's T_FLOOR, once the axes are built.
+    axis is built.  So do, once the axes are built, a time <= 0; on the
+    explicit engine, a time below the closed form's T_FLOOR; and on the
+    spectral engine, an x or y outside [-half_width, half_width]
+    (spectral.half_width) or more than MAX_SPECTRAL_POINTS distinct values
+    across the two axes.  Each message names the axis.
     """
     grid = _need(cfg, "grid")
     names = ("x", "y", "t")
@@ -336,19 +370,16 @@ def grid_from_config(cfg: dict):
         shape = "x".join(map(str, counts))
         raise ConfigError(f"grid has {shape} = {points} points, above the cap of {MAX_GRID_POINTS}")
     xs, ys, ts = (axis_from_config(spec, name) for spec, name in zip(specs, names))
-    if np.any(ts <= 0):
-        raise ConfigError("grid times must be > 0")
-    if cfg.get("engine", "explicit") == "explicit" and (t_min := float(ts.min())) < T_FLOOR:
+    if not (t_min := float(ts.min())) > 0:
+        raise ConfigError(f"grid.t must be > 0, got {t_min!r}")
+    engine = cfg.get("engine", "explicit")
+    if engine == "explicit" and t_min < T_FLOOR:
         raise ConfigError(f"grid.t must be >= {T_FLOOR:g} on the explicit engine, got {t_min!r}")
+    if engine == "spectral":
+        for name, axis in (("x", xs), ("y", ys)):
+            if np.any(outside := np.abs(axis) > half_width):
+                box = f"[-spectral.half_width, spectral.half_width] = [{-half_width!r}, {half_width!r}]"
+                raise ConfigError(f"grid.{name} has the point {float(axis[outside][0])!r} outside {box}")
+        if (count := len(np.unique(np.concatenate([xs, ys])))) > MAX_SPECTRAL_POINTS:
+            raise ConfigError(f"grid.x and grid.y have {count} distinct points, above the cap of {MAX_SPECTRAL_POINTS}")
     return xs, ys, ts
-
-
-def check_spectral_grid(xs, ys, half_width: float) -> None:
-    """Raise ConfigError, naming the axis, unless every x and y lies in [-half_width, half_width]
-    and the two axes hold at most MAX_SPECTRAL_POINTS distinct values."""
-    for name, axis in (("x", xs), ("y", ys)):
-        if np.any(outside := np.abs(axis) > half_width):
-            box = f"[-spectral.half_width, spectral.half_width] = [{-half_width!r}, {half_width!r}]"
-            raise ConfigError(f"grid.{name} has the point {float(axis[outside][0])!r} outside {box}")
-    if (count := len(np.unique(np.concatenate([xs, ys])))) > MAX_SPECTRAL_POINTS:
-        raise ConfigError(f"grid.x and grid.y have {count} distinct points, above the cap of {MAX_SPECTRAL_POINTS}")

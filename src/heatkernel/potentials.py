@@ -95,10 +95,12 @@ class PolynomialPotential(Potential):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        Q, roots = self.factored
+        Q, roots, check = self.factored
         val = npoly.polyval(x, Q)
         for r in roots:
             val = val * (x - r)
+        if check:
+            val = self._checked(x, val)
         return val if val.ndim else float(val)
 
     @property
@@ -106,24 +108,49 @@ class PolynomialPotential(Potential):
         return _poly_real_roots(self.coeffs)[:2]
 
     @cached_property
-    def factored(self) -> tuple[np.ndarray, tuple[float, ...]]:
-        """(Q, real roots each repeated by its multiplicity): V = Q(x) prod (x - root), which cancels at no root."""
+    def factored(self) -> tuple[np.ndarray, tuple[float, ...], bool]:
+        """(Q, real roots each repeated by its multiplicity, check): V = Q(x) prod (x - root), which cancels at no root.
+
+        The division's remainder is dropped, so its values need `_checked` (check) when the
+        remainder is not 0, or when a coefficient or a root is below 1e-150 or above 1e150 in
+        size and the products could leave the normal range.  A division that overflows takes
+        out no root.
+        """
         roots, mult = self.breaks
-        if not len(roots):
-            return np.asarray(self.coeffs), ()
         repeated = np.repeat(roots, mult.astype(int))
-        return npoly.polydiv(self.coeffs, npoly.polyfromroots(repeated))[0], tuple(repeated.tolist())
+        with np.errstate(all="ignore"):
+            Q, rest = npoly.polydiv(self.coeffs, npoly.polyfromroots(repeated))
+        if not len(roots) or not np.all(np.isfinite(rest)):
+            return np.asarray(self.coeffs), (), False
+        c = np.abs(self.coeffs)
+        check = np.any(rest) or np.any((c > 0.0) & (c < 1e-150)) or np.abs(roots).max() > 1e150
+        return Q, tuple(repeated.tolist()), bool(check)
+
+    def _checked(self, x, v):
+        """v, the factored form's values at x, where they agree with polyval within its error bound
+        (d + 1) eps sum |c_i| |x|^i (Higham, Accuracy and Stability, 5.1), and polyval's elsewhere.
+
+        A root far from 0 comes out of the eigensolve inexact, and the dropped remainder of the
+        division by it is not small away from it: 1 + x^2 + 1e-8 x^3 read V(0) = 0.  Near a
+        root, where polyval cancels, the factored form keeps V's digits.
+        """
+        c = self.coeffs
+        plain = npoly.polyval(x, c)
+        agree = np.abs(v - plain) <= len(c) * np.finfo(float).eps * npoly.polyval(np.abs(x), np.abs(c))
+        return np.where(agree, v, plain)
 
     @cached_property
     def gauss(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[tuple[float, float], ...]]:
         """(Q's coefficients from the top, the roots, (node, weight) pairs of the (d // 2 + 1)-point rule)."""
-        Q, roots = self.factored
+        Q, roots, _ = self.factored
         rule = _gl_rule((len(self.coeffs) - 1) // 2 + 1)
         return tuple(Q[::-1].tolist()), roots, tuple(zip(*(a.tolist() for a in rule)))
 
     def near(self, r, h):
         # the factored form with each x - root taken as (r - root) + h, which is h itself at r = root
-        Q, roots = self.factored
+        Q, roots, _ = self.factored
+        if not roots:  # the division overflowed and the breaks stay in Q
+            return super().near(r, h)
         w = npoly.polyval(r + h, Q)
         for root in roots:
             d = (r - root) + h
@@ -313,6 +340,7 @@ def _poly_interval_integral(V: PolynomialPotential, lo, hi):
     a small cube far from 0 or at a root keeps its digits.  One loop serves floats and arrays.
     """
     top_down, roots, rule = V.gauss
+    check = V.factored[2]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     total = 0.0
     for t, w in rule:
@@ -321,7 +349,7 @@ def _poly_interval_integral(V: PolynomialPotential, lo, hi):
             v = a + v * x
         for r in roots:
             v = v * (x - r)
-        total = total + w * v
+        total = total + w * (V._checked(x, v) if check else v)
     return half * total
 
 

@@ -622,14 +622,17 @@ def test_spectral_grid_is_checked_before_any_eigen_solve(tmp_path, monkeypatch, 
 
 
 def test_spectral_grid_and_coefficient_caps_edges():
-    from heatkernel.config import MAX_COEFFICIENTS, MAX_SPECTRAL_POINTS, check_spectral_grid, potential_from_config
+    from heatkernel.config import MAX_COEFFICIENTS, MAX_SPECTRAL_POINTS, grid_from_config, potential_from_config
     from heatkernel.errors import ConfigError
+
+    def spectral_grid(x, y):
+        return grid_from_config({"engine": "spectral", "grid": {"x": x, "y": y, "t": [0.5]}}, 8.0)
 
     # a 1000x1000 grid with no shared value, and points on the walls, pass
     assert MAX_SPECTRAL_POINTS == 2000
-    check_spectral_grid(np.linspace(-8.0, 0.0, 1000), np.linspace(0.5, 8.0, 1000), 8.0)
+    spectral_grid([-8.0, 0.0, 1000], [0.5, 8.0, 1000])
     with pytest.raises(ConfigError, match="grid.y has the point 8.0000001 outside"):
-        check_spectral_grid(np.array([0.0]), np.array([8.0000001]), 8.0)
+        spectral_grid([0.0], [8.0000001])
     # degree 256 builds; a polynomial outside the config stays uncapped
     assert len(potential_from_config({"kind": "polynomial", "coefficients": [1.0] * MAX_COEFFICIENTS}).coeffs) == 257
     assert len(PolynomialPotential([1.0] * 1000).coeffs) == 1000
@@ -723,4 +726,73 @@ def test_a_bad_envelope_exits_2_before_any_fit(tmp_path, capsys, bad, message, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {message}" in captured.err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_a_far_real_root_leaves_the_spectral_kernel_of_its_polynomial(tmp_path):
+    # V = 1 + x^2 + 1e-8 x^3 read V(0) = 0 once divided by its inexact root near -1e8, and
+    # the kernel came out as x^2's, log p(0, 0, 0.5) = -0.99959 in place of -1.49959
+    spectral, grid = {"half_width": 4.0, "points": 401}, {"x": [0.0], "y": [0.0], "t": [0.5]}
+    log_p = []
+    for coeffs in ([1.0, 0.0, 1.0, 1e-8], [1.0, 0.0, 1.0]):
+        potential = {"kind": "polynomial", "coefficients": coeffs}
+        cfg = write_config(tmp_path, engine="spectral", spectral=spectral, grid=grid, potential=potential)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0
+        log_p.append(float((tmp_path / "out" / "kernel.csv").read_text().splitlines()[2].split(",")[3]))
+    assert log_p[0] == pytest.approx(-1.49959, abs=1e-5)
+    assert log_p[0] == pytest.approx(log_p[1], abs=1e-7)
+
+
+# Bad values in every section: `resolve` checks them all before any subcommand runs,
+# whether or not the subcommand reads the section.
+BAD_SECTIONS = [
+    ({"engine": "foo"}, "unknown engine 'foo'; known: explicit, spectral"),
+    ({"spectral": {"half_width": 8.0, "points": 2}}, "spectral.points must be an integer in [3, 11000], got 2"),
+    ({"chain": {"x": 0.0, "y": 1.0, "t": -1}}, "chain.t must be a number > 0, got -1"),
+    (
+        {"chain": {"x": 0.0, "y": 3000.0, "t": 0.001}},
+        "chain.y is too far from chain.x for chain.t=0.001: the chain needs M = 2.304e+12 links",
+    ),
+    ({"ode": {"t0": 1.0, "t1": 0.5, "samples": 20}}, "ode.t0 must be < ode.t1, got 1.0 >= 0.5"),
+    ({"envelopes": []}, "envelopes must be a non-empty list"),
+    ({"envelopes": [{"family": "avg_upper", "beta": 7}]}, "envelopes[0]: beta must be in (0, 1], got 7.0"),
+    ({"tolerances": {"rel": -1}}, "tolerances.rel must be a number > 0, got -1"),
+    ({"weights": {"depth": 40}}, "weights.depth must be an integer in [3, 20], got 40"),
+    ({"grid": {"x": [0.0], "y": [0.0], "t": [0.0, 0.5]}}, "grid.t must be > 0, got 0.0"),
+    (
+        {"engine": "spectral", "spectral": {"half_width": 0.5, "points": 401}},
+        "grid.x has the point -1.0 outside [-spectral.half_width, spectral.half_width] = [-0.5, 0.5]",
+    ),
+    (
+        {"potential": {"kind": "tabulated", "table": "missing.csv"}},
+        "potential.table: cannot read {dir}/missing.csv: No such file or directory",
+    ),
+    (
+        {"potential": {"kind": "sum", "parts": [{"kind": "tabulated", "table": "missing.csv"}]}},
+        "potential.parts[0].table: cannot read {dir}/missing.csv: No such file or directory",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, message", BAD_SECTIONS)
+@pytest.mark.parametrize("command", ["kernel", "bounds", "weights", "ode", "chain", "verify"])
+def test_a_bad_value_in_any_section_exits_2_under_every_subcommand(
+    tmp_path, monkeypatch, capsys, command, overrides, message
+):
+    from heatkernel import acceptance, cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the config was checked")
+
+    for name in (
+        "build_spectral", "quadratic_log_kernel", "quadratic_kernel", "fit_constants", "rh_constant",
+        "ap_constant", "doubling_fit", "integrate_odes", "chain_plan", "cube_averages", "emit_csv",
+    ):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(acceptance, "run_all", no_work)
+    base = json.loads(write_config(tmp_path).read_text())
+    sections = {k: {**base[k], **v} if isinstance(base.get(k), dict) else v for k, v in overrides.items()}
+    cfg = write_config(tmp_path, **sections)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    assert f"config error: {message.format(dir=tmp_path)}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))

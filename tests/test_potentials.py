@@ -463,6 +463,51 @@ COEFF = st.floats(-8.0, 8.0, allow_nan=False)
 SIDE = st.floats(1e-4, 4.0)
 
 
+@pytest.mark.parametrize("c3", [1e-2, 1e-4, 1e-6, 1e-8, 1e-12])
+def test_a_far_inexact_root_costs_no_digits_near_0(c3):
+    # V = 1 + x^2 + c3 x^3 has one real root near -1/c3; dropping the remainder of the division
+    # by its inexact value left V off by 4.3e-13 at c3 = 1e-2 and 1.3e-4 at 1e-6, and V(0) = 0
+    # for c3 <= 1e-8.  The root stays a break.
+    V = PolynomialPotential([1.0, 0.0, 1.0, c3])
+    x = np.linspace(-3.0, 3.0, 61)
+    want = npoly.polyval(x, V.coeffs)
+    assert np.max(np.abs(V(x) - want) / want) <= 1e-15
+    assert V(0.0) == 1.0
+    assert cube_average(V, 0.0, 1.0) == pytest.approx(13.0 / 12.0, rel=1e-15)
+    assert V.breaks[0] == pytest.approx([-1.0 / c3], rel=1e-3)
+
+
+@pytest.mark.parametrize("r", [3.0, 30.0, 100.0])
+def test_an_inexact_double_root_keeps_its_break_and_its_digits(r):
+    # the division leaves a remainder, and 1/V^(1/3) is integrable at a double root while 1/V is not
+    V = PolynomialPotential(npoly.polymul(npoly.polyfromroots([r, r]), [1.0, 0.0, 1.0]))
+    assert V.factored[2]  # the values are checked against polyval
+    assert V.breaks[0] == pytest.approx([r], rel=1e-14) and V.breaks[1].tolist() == [2.0]
+    assert ap_constant(V, 2.0, r + 0.3, 2.0, 8).divergent
+    finite = ap_constant(V, 4.0, r + 0.3, 2.0, 8)
+    assert not finite.divergent and 16.0 < finite.constant < 16.6
+    # the pair's mean is a few ulps of r off: 2.8e-8 of V at 1e-6 from r = 100, where polyval reads 1.8e-8 for 1.0e-8
+    x = r + 1e-6
+    assert V(x) == pytest.approx((x - r) ** 2 * (1.0 + x * x), rel=1e-7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(COEFF, st.floats(-1e-6, 1e-6)), min_size=1, max_size=7))
+@example([0.0, 2.9375, 2.09841291992319e-61, 1.0, 8.011902838301598e-220])  # overflowed in polydiv
+@example([1.0, 0.0, 1.0, 1e-8])
+@example([0.25, -1.0, 1.0])  # (x - 0.5)^2
+@example([1.0, 0.0, -2.0, 0.0, 1.0])  # (x^2 - 1)^2
+@example([0.0, 1.175494351e-38, 1.0])  # two roots 1.2e-38 apart, taken as one double root
+@example([5e-324, 5e-324])  # subnormal
+@example([0.0, 0.0, -0.25, 2.225073858507203e-309])  # a root near 1e308
+def test_polynomial_values_match_polyval(coeffs):
+    # the suite turns RuntimeWarnings into errors, so factoring must not overflow either
+    V = PolynomialPotential(coeffs)
+    x = np.linspace(-3.0, 3.0, 61)
+    bound = 1e-14 * npoly.polyval(np.abs(x), np.abs(V.coeffs))
+    assert np.all(np.abs(V(x) - npoly.polyval(x, V.coeffs)) <= bound)
+
+
 def test_polynomial_cube_average_matches_mpmath_and_cube_averages_bitwise():
     # the depth-8 cubes far from 0 where an antiderivative about 0 read 2.9e-12 off: Gauss-Legendre
     # about each cube's centre sums nonnegative terms only
