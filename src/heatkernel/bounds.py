@@ -15,6 +15,7 @@ from libm in the last bit; +, -, *, / and sqrt give the same bits in both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -469,8 +470,9 @@ def fit_constants(
 ) -> FitResult:
     """Fit the free envelope constants against kernel samples.
 
-    samples is an iterable of (x, y, t, log p), read once into one array per
-    field, as `grid_samples` makes them; a time <= 0 or a NaN log p is refused.
+    samples is an iterable of (x, y, t, log p), as `grid_samples` makes them,
+    read once into one n x 4 array (one array per field when x and y are
+    vectors); a time <= 0 or a NaN log p is refused.
     Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8, then
     take the decay coefficient as the infimum of admissible values over the
     grid (clipped at C_FLOOR), a masked min of one quotient array; lower
@@ -481,16 +483,19 @@ def fit_constants(
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown envelope family {family!r}")
-    pts = list(map(tuple, samples))
+    pts = list(samples)
     if not pts:
         raise ParameterError("empty sample grid")
     if set(map(len, pts)) != {4}:
         raise ParameterError("samples must be (x, y, t, log_p) tuples")
-    x, y, t, lp = (np.array(column, dtype=float) for column in zip(*pts))
+    try:  # numbers: one n x 4 array
+        x, y, t, lp = np.fromiter(itertools.chain.from_iterable(pts), float, 4 * len(pts)).reshape(-1, 4).T
+    except ValueError:  # points x and y that are vectors: one array per field
+        x, y, t, lp = (np.array(column, dtype=float) for column in zip(*pts))
     if not np.all(t > 0):
         raise ParameterError("time must be > 0")
     if np.isnan(lp).any():
-        raise ParameterError(f"log p is NaN at (x, y, t) = {pts[int(np.argmax(np.isnan(lp)))][:3]}")
+        raise ParameterError(f"log p is NaN at (x, y, t) = {tuple(pts[int(np.argmax(np.isnan(lp)))][:3])}")
 
     c0_upper = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
     sel, ok, blame = slice(None), True, None  # points recorded, constants admissible, witness overriding the slack's
@@ -516,7 +521,7 @@ def fit_constants(
     min_slack, i = _least(slack)
     if blame is None and i is not None:
         blame = at[i]
-    witness = None if blame is None else pts[blame][:3]
+    witness = None if blame is None else tuple(pts[blame][:3])
     return FitResult(env, bool(ok and min_slack >= -1e-12), min_slack, witness, (x, y, t, lp, log_env, slack))
 
 

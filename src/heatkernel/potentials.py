@@ -54,6 +54,12 @@ class Potential:
 
     `breaks` are the points where V vanishes, is singular or has a kink, each
     with an order o: near a break r, V(x) = |x - r|^o W(x), W bounded and > 0.
+    `cube_memo` holds the cube averages `cube_average` has computed for this
+    instance: it never changes a value and takes no part in equality or
+    hashing.  It serves closed-form `bounds`, which asks for 8 scalar averages
+    per grid point, most of them repeats (`bounds._cube_means`); once that
+    loop is one batched call over the distinct cubes, the memo should go
+    unless something else still repeats scalar averages.
     """
 
     # whether V can be rough at a break (a fractional power): a cube with such a break is graded
@@ -78,6 +84,11 @@ class Potential:
     def near(self, r, h):
         """W = V(r + h) / |h|^order(r), h != 0; a kind with breaks evaluates it without cancelling or underflowing."""
         return self(r + h) / np.abs(h) ** self.order_at(r)
+
+    @cached_property
+    def cube_memo(self) -> dict[tuple[float, float], float]:
+        """{(center, side): mean} of the cubes `cube_average` has averaged V over, at most CUBE_MEMO_CAP of them."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -585,20 +596,32 @@ def checked_cube(center, side) -> tuple[float, float]:
     return float(center), float(side)
 
 
+# Entries of one potential's `cube_memo`: 2^17 of them take about 20 MB.  A closed-form
+# `bounds` job on a 13x13x8 grid stores 1,230; past the cap a cube is averaged and not stored.
+CUBE_MEMO_CAP = 2**17
+
+
 def cube_average(V: Potential, center: float, side: float) -> float:
     """Mean of V over the cube of the given center and side.
 
     The exact `interval_integral` over [center - side/2, center + side/2],
     divided by side.  A cube on which V is not integrable raises DomainError
-    (`_refuse_divergent`).
+    (`_refuse_divergent`).  A cube V has already been averaged over returns
+    the stored value (`Potential.cube_memo`); a refused cube is never stored.
     """
     center, side = checked_cube(center, side)
+    memo = V.cube_memo
+    if (mean := memo.get((center, side))) is not None:
+        return mean
     half = side / 2.0
     lo, hi = center - half, center + half
     total = float(interval_integral(V, lo, hi))
     if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
         _refuse_divergent(V, lo, hi, total)
-    return total / side
+    mean = total / side
+    if len(memo) < CUBE_MEMO_CAP:
+        memo[center, side] = mean
+    return mean
 
 
 def cube_averages(V: Potential, centers, sides) -> np.ndarray:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -204,8 +205,8 @@ def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(t
         return [(tmp_path / out / name).read_bytes() for name in ("bound_slacks.csv", "bound_verdicts.csv")]
 
     fast = run("fast")
-    # the reference: no memo of time factors or of Gauss-Legendre rules, polynomials through polyval,
-    # and every CSV value formatted on its own by Python's `%`
+    # the reference: no memo of time factors, of Gauss-Legendre rules or of cube averages, polynomials
+    # through polyval, and every CSV value formatted on its own by Python's `%`
     def polyval_mean(V, lo, hi):
         nodes, weights = np.polynomial.legendre.leggauss((len(V.coeffs) - 1) // 2 + 1)
         total, mid, half = 0.0, 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -215,6 +216,7 @@ def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(t
 
     monkeypatch.setattr(potentials, "_poly_interval_integral", polyval_mean)
     monkeypatch.setattr(explicit, "_time_factors", explicit._time_factors.__wrapped__)
+    monkeypatch.setattr(potentials, "CUBE_MEMO_CAP", 0)
     monkeypatch.setattr(csvout, "_distinct", lambda bits: None)
     monkeypatch.setattr(csvout, "_float_rows", csvout._printf_rows)
     assert run("reference") == fast
@@ -225,6 +227,12 @@ def test_fit_constants_rejects_malformed_samples():
         fit_constants(None, [], "avg_upper", beta=0.9)
     with pytest.raises(ParameterError):
         fit_constants(None, [(0.0, 0.0, 0.5)], "avg_upper", beta=0.9)
+    with pytest.raises(ParameterError, match="samples must be"):
+        fit_constants(None, [(0.0, 0.0, 0.5, -1.0), (0.0, 0.0, 0.5)], "avg_upper", beta=0.9)
+    # rows of any sequence type: the witness is a tuple
+    nan_row = [[0.0, 0.5, 0.5, -1.0], [0.25, 0.5, 0.5, math.nan]]
+    with pytest.raises(ParameterError, match=re.escape("log p is NaN at (x, y, t) = (0.25, 0.5, 0.5)")):
+        fit_constants(PolynomialPotential([1.0]), nan_row, "gaussian_upper")
     samples = [(0.0, 0.5, 0.5, -1.0), (0.0, 0.5, -0.1, -1.0)]
     for family in ("gaussian_upper", "avg_upper", "quadratic_sharp"):  # checked before any fit
         with pytest.raises(ParameterError, match="time must be > 0"):

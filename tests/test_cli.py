@@ -490,6 +490,7 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
             {"kind": "scaled", "factor": 2.0, "base": {"kind": "power", "exponent": 2, "dimension": "x"}},
             "potential.base.dimension must be 1, got 'x'",
         ),
+        ("ode", "ode", {"t0": 1e-7}, "ode.t0 must be >= 1e-06, got 1e-07"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, message):
@@ -498,6 +499,13 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, section, entry, mes
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_ode_runs_from_the_t0_floor(tmp_path, capsys):
+    # at t0 = 1e-6 the trajectory still meets the closed form to 9.5e-7; 1e-12 read 0.34 and exited 1
+    cfg = write_config(tmp_path, ode={"t0": 1e-6, "t1": 1.0, "samples": 20})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "ode"]) == 0
+    assert "max_closed_form_error=9.5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

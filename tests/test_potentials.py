@@ -684,12 +684,90 @@ def test_scan_calls_power_means_twice_per_exponent(monkeypatch, depth):
 
 @given(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)), SIDE)
 def test_cube_center_from_a_numpy_float(x, side):
-    # a numpy float or 0-d array centre gives a Python float with the bits of the float centre's
-    for V in (PolynomialPotential([1.0, -2.0, 0.5, 0.25]), PowerPotential(0.5)):
-        want = cube_average(V, x, side)
+    # a numpy float or 0-d array centre gives a Python float with the bits of the float centre's,
+    # each computed on its own instance, so that no memo serves it
+    for make in (lambda: PolynomialPotential([1.0, -2.0, 0.5, 0.25]), lambda: PowerPotential(0.5)):
+        want = cube_average(make(), x, side)
         for form in (np.float64, np.array):
-            got = cube_average(V, form(x), side)
+            got = cube_average(make(), form(x), side)
             assert type(got) is float and _bits(got) == _bits(want)
+
+
+# one of each kind with a closed form, built anew for each use so that its memo starts empty
+MEMO_KINDS = {
+    "polynomial": lambda: PolynomialPotential([0.8, 0.3, 1.2]),
+    "power": lambda: PowerPotential(0.5),
+    "tabulated": lambda: TabulatedPotential(np.linspace(-4.0, 4.0, 17), np.linspace(0.0, 4.0, 17) ** 2),
+    "scaled": lambda: ScaledPotential(2.5, PowerPotential(1.5)),
+    "sum": lambda: SumPotential(PolynomialPotential([1.0, 0.0, 1.0]), PowerPotential(0.7)),
+}
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_cube_average_memo_repeats_the_computed_bits(kind):
+    V = MEMO_KINDS[kind]()
+    cubes = [(0.3, 0.5), (-1.25, 2.0), (0.0, 1.0), (0.3, 0.25)]
+    first = [cube_average(V, c, s) for c, s in cubes]
+    assert V.cube_memo == dict(zip(cubes, first))
+    for (c, s), want in zip(cubes, first):
+        assert _bits(cube_average(V, c, s)) == _bits(want)  # from the memo
+        assert _bits(cube_average(MEMO_KINDS[kind](), c, s)) == _bits(want)  # computed afresh
+    assert len(V.cube_memo) == len(cubes)
+    # the memo is no field: it changes neither equality nor the hash
+    assert V == MEMO_KINDS[kind]() and hash(V) == hash(MEMO_KINDS[kind]())
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_cube_average_memo_keys_a_center_by_its_float(kind):
+    for center in (0.0, 0.3, -1.25):
+        side = 0.75
+        want = _bits(cube_average(MEMO_KINDS[kind](), center, side))
+        forms = [np.float64(center), np.array(center)] + ([-0.0] if center == 0.0 else [])
+        V = MEMO_KINDS[kind]()
+        for form in forms:
+            assert _bits(cube_average(MEMO_KINDS[kind](), form, side)) == want  # computed
+            assert _bits(cube_average(V, form, side)) == want  # the first computed, then from the memo
+        assert len(V.cube_memo) == 1
+
+
+def test_a_refused_cube_raises_every_time_and_is_never_stored():
+    V = PolynomialPotential([0.8, 0.3, 1.2])
+    cube_average(V, 0.5, 1.0)
+    for side in (0.0, -1.0, math.nan):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                cube_average(V, 0.5, side)
+    assert list(V.cube_memo) == [(0.5, 1.0)]
+    singular = PowerPotential(-1.5)
+    for center, side in ((0.25, 0.5), (0.0, 1.0), (-0.25, 0.5), (0.25 + 1e-16, 0.5)):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                cube_average(singular, center, side)
+    assert singular.cube_memo == {}
+
+
+def test_the_cube_memo_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(potentials, "CUBE_MEMO_CAP", 3)
+    V = PolynomialPotential([0.8, 0.3, 1.2])
+    cubes = [(0.1 * i, 0.5) for i in range(6)]
+    for _ in range(2):
+        got = [cube_average(V, c, s) for c, s in cubes]
+        assert list(V.cube_memo) == cubes[:3]
+        assert _bits(got) == _bits(cube_averages(PolynomialPotential([0.8, 0.3, 1.2]), *zip(*cubes)))
+    monkeypatch.setattr(potentials, "CUBE_MEMO_CAP", 0)
+    W = PowerPotential(0.5)
+    cube_average(W, 0.3, 0.5)
+    assert W.cube_memo == {}
+
+
+def test_cube_averages_neither_reads_nor_fills_the_memo():
+    V = PolynomialPotential([0.8, 0.3, 1.2])
+    want = cube_averages(V, [0.3, -1.0], [0.5, 2.0])
+    assert V.cube_memo == {}
+    V.cube_memo[0.3, 0.5] = 123.0  # a planted value: cube_average reads it, cube_averages does not
+    assert cube_average(V, 0.3, 0.5) == 123.0
+    assert _bits(cube_averages(V, [0.3, -1.0], [0.5, 2.0])) == _bits(want)
+    assert V.cube_memo == {(0.3, 0.5): 123.0}
 
 
 def _tabulated(values):
