@@ -14,7 +14,7 @@ from .bounds import (
     chain_length,
     chain_plan,
     chained_lower_bound,
-    evaluate_envelope,
+    log_envelope,
     fefferman_phong_ratio,
     fit_constants,
     grid_points,

@@ -88,12 +88,8 @@ def c1_oracle_equivalence() -> CriterionResult:
         mask = pq >= 1e-3 * peak
         worst_point = max(worst_point, float(np.max(np.abs(ps - pq)[mask] / pq[mask])))
     passed = worst_sup <= 5e-3 and worst_point <= 5e-3
-    return _result(
-        1,
-        "oracle equivalence (explicit vs spectral)",
-        passed,
-        f"sup-relative {worst_sup:.3e}, pointwise(>=1e-3 peak) {worst_point:.3e}, tol 5e-3",
-    )
+    details = f"sup-relative {worst_sup:.3e}, pointwise(>=1e-3 peak) {worst_point:.3e}, tol 5e-3"
+    return _result(1, "oracle equivalence (explicit vs spectral)", passed, details)
 
 
 def c2_ode_round_trip() -> CriterionResult:
@@ -105,24 +101,16 @@ def c2_ode_round_trip() -> CriterionResult:
     got = ansatz_log(final, xs[:, None], ys[None, :])
     log_err = float(np.max(np.abs(got - quadratic_log_kernel(c, xs, ys, [final.t])[0])))
     passed = comp_err <= 1e-6 and log_err <= 1e-5
-    return _result(
-        2,
-        "ODE round trip vs closed form",
-        passed,
-        f"max component error {comp_err:.3e} (tol 1e-6), kernel log error {log_err:.3e} (tol 1e-5)",
-    )
+    details = f"max component error {comp_err:.3e} (tol 1e-6), kernel log error {log_err:.3e} (tol 1e-5)"
+    return _result(2, "ODE round trip vs closed form", passed, details)
 
 
 def c3_semigroup() -> CriterionResult:
     dq = semigroup_defect(LOG_P_SQUARE, 0.0, 0.0, 0.25, 0.25)
     dg = semigroup_defect(gaussian_log_kernel, 0.0, 0.0, 0.25, 0.25)
     passed = dq <= 1e-4 and dg <= 1e-10
-    return _result(
-        3,
-        "semigroup (Chapman-Kolmogorov) defects",
-        passed,
-        f"quadratic {dq:.3e} (tol 1e-4), gaussian {dg:.3e} (tol 1e-10)",
-    )
+    details = f"quadratic {dq:.3e} (tol 1e-4), gaussian {dg:.3e} (tol 1e-10)"
+    return _result(3, "semigroup (Chapman-Kolmogorov) defects", passed, details)
 
 
 def c4_pde_residual() -> CriterionResult:
@@ -139,13 +127,11 @@ def c4_pde_residual() -> CriterionResult:
     vp_peak = float(np.max(np.abs(xs * xs * free)))
     control_stuck = g_fine > 0.1 * vp_peak and not 3.5 <= g_coarse / g_fine <= 4.5
     passed = 3.5 <= ratio <= 4.5 and control_stuck
-    return _result(
-        4,
-        "PDE residual convergence + negative control",
-        passed,
+    details = (
         f"refinement ratio {ratio:.3f} in [3.5, 4.5]; control residual {g_fine:.3e} "
-        f"> 0.1*|Vp| peak {0.1 * vp_peak:.3e} and non-converging",
+        f"> 0.1*|Vp| peak {0.1 * vp_peak:.3e} and non-converging"
     )
+    return _result(4, "PDE residual convergence + negative control", passed, details)
 
 
 def _mass(t: float) -> float:
@@ -191,22 +177,14 @@ def _sandwich_fits():
 def c6_sandwich_feasibility() -> CriterionResult:
     log_p, fits = _sandwich_fits()
     all_feasible = all(f.feasible for f in fits.values())
-    consts_positive = True
-    for f in fits.values():
-        for name in ("c0", "c1", "c2", "c3"):
-            v = getattr(f.envelope, name)
-            if v is not None and not v > 0:
-                consts_positive = False
+    consts = [getattr(f.envelope, name) for f in fits.values() for name in ("c0", "c1", "c2", "c3")]
+    consts_positive = all(v > 0 for v in consts if v is not None)
     both_branches = len(fits["avg_lower_near"].records[0]) > 0 and len(fits["avg_lower_far"].records[0]) > 0
     dom = float(np.max(log_p - gaussian_log_kernel(SANDWICH_XS, SANDWICH_XS, SANDWICH_TS)))
     passed = all_feasible and consts_positive and both_branches and dom <= 1e-10
     verdicts = " ".join(f"{k}:{'F' if v.feasible else 'X'}" for k, v in fits.items())
-    return _result(
-        6,
-        "sandwich envelope feasibility + gaussian domination",
-        passed,
-        f"{verdicts}; gaussian domination slack {dom:.3e} <= 1e-10",
-    )
+    details = f"{verdicts}; gaussian domination slack {dom:.3e} <= 1e-10"
+    return _result(6, "sandwich envelope feasibility + gaussian domination", passed, details)
 
 
 def c7_weight_diagnostics() -> CriterionResult:
@@ -229,14 +207,12 @@ def c7_weight_diagnostics() -> CriterionResult:
     ok_ap = abs(ap.constant - 1.0) <= 1e-10 and abs(ap.beta - 2.0 / 3.0) <= 1e-12
 
     passed = ok_convergent and ok_divergent and ok_doubling and ok_ap
-    return _result(
-        7,
-        "weight-class diagnostics",
-        passed,
+    details = (
         f"rh(q=1.5) sup {rh15.constant:.6f} stable; rh(q=3) divergent growth "
         f"{last[-1] / last[0]:.2f}x/10 depths; doubling eps {d_sq.epsilon:.8f}, "
-        f"{d_pw.epsilon:.8f}; ap const {ap.constant:.12f}, beta {ap.beta:.6f}",
+        f"{d_pw.epsilon:.8f}; ap const {ap.constant:.12f}, beta {ap.beta:.6f}"
     )
+    return _result(7, "weight-class diagnostics", passed, details)
 
 
 def c8_chain_construction() -> CriterionResult:
@@ -262,13 +238,11 @@ def c8_chain_construction() -> CriterionResult:
     chained = [chained_lower_bound(V_SQUARE, chain_plan(0.0, y, 1.0), near.c0, near.c1, max(dbl.C, 1.0)) for y in ys]
     worst = float(np.max(chained - LOG_P_SQUARE([0.0], ys, [1.0])[0, 0]))
     passed = ok_m and ok_spacing and worst <= 1e-9
-    return _result(
-        8,
-        "chain plan sizes, spacing invariant, chained lower bound",
-        passed,
+    details = (
         f"M(1.0)={m257}, M(0.01)={m3}; spacing ok on 1000 draws; "
-        f"max log(chained) - log(kernel) = {worst:.1f} (must be < 0)",
+        f"max log(chained) - log(kernel) = {worst:.1f} (must be < 0)"
     )
+    return _result(8, "chain plan sizes, spacing invariant, chained lower bound", passed, details)
 
 
 def c9_inequality_checks() -> CriterionResult:
@@ -291,13 +265,11 @@ def c9_inequality_checks() -> CriterionResult:
             max_ratio[name] = max(max_ratio[name], moser_ratio(log_kernel, 0.0, x0, t0, r))
     ok_moser = all(math.isfinite(v) and v <= 100.0 for v in max_ratio.values())
     passed = ok_fp and ok_moser
-    return _result(
-        9,
-        "energy-form floor and local-boundedness ratios",
-        passed,
+    details = (
         f"energy-form ratio min {min_ratio:.4f} >= 0.01; local-boundedness max "
-        f"gaussian {max_ratio['gaussian']:.3f}, quadratic {max_ratio['quadratic']:.3f} (<= 100)",
+        f"gaussian {max_ratio['gaussian']:.3f}, quadratic {max_ratio['quadratic']:.3f} (<= 100)"
     )
+    return _result(9, "energy-form floor and local-boundedness ratios", passed, details)
 
 
 def c10_dirichlet_comparisons() -> CriterionResult:
@@ -315,13 +287,11 @@ def c10_dirichlet_comparisons() -> CriterionResult:
     worst = float(np.max((lhs - PB) / PB))
     ok_dom = worst <= 1e-6
     passed = ok_interval and ok_dom
-    return _result(
-        10,
-        "Dirichlet comparisons (interval lower bound, truncated-kernel domination)",
-        passed,
+    details = (
         f"interval fit C={fit.envelope.C:.4f} in (0,1), min slack {fit.min_slack:.3e}; "
-        f"exp(-Mt)Gamma_D vs p_B worst rel violation {worst:.3e} <= 1e-6 (M={M:.4f})",
+        f"exp(-Mt)Gamma_D vs p_B worst rel violation {worst:.3e} <= 1e-6 (M={M:.4f})"
     )
+    return _result(10, "Dirichlet comparisons (interval lower bound, truncated-kernel domination)", passed, details)
 
 
 def _pipeline_once(out: Path) -> int:
@@ -339,30 +309,19 @@ def c11_determinism(out_dir: Path | None = None) -> CriterionResult:
     import contextlib
     import io
 
-    if out_dir is None:
-        tmp = tempfile.TemporaryDirectory()
-        base = Path(tmp.name)
-    else:
-        base = Path(out_dir) / "determinism"
-        tmp = None
-    a, b = base / "a", base / "b"
-    a.mkdir(parents=True, exist_ok=True)
-    b.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc_a = _pipeline_once(a)
-        rc_b = _pipeline_once(b)
-    names = sorted(p.name for p in a.glob("*.csv"))
-    identical = bool(names) and all(filecmp.cmp(a / n, b / n, shallow=False) for n in names)
-    if tmp is not None:
-        tmp.cleanup()
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) if out_dir is None else Path(out_dir) / "determinism"
+        a, b = base / "a", base / "b"
+        a.mkdir(parents=True, exist_ok=True)
+        b.mkdir(parents=True, exist_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc_a = _pipeline_once(a)
+            rc_b = _pipeline_once(b)
+        names = sorted(p.name for p in a.glob("*.csv"))
+        identical = bool(names) and all(filecmp.cmp(a / n, b / n, shallow=False) for n in names)
     passed = identical and rc_a == 0 and rc_b == 0
-    return _result(
-        11,
-        "deterministic artifacts",
-        passed,
-        f"{len(names)} CSV artifacts byte-identical across two runs, exit codes 0",
-    )
+    details = f"{len(names)} CSV artifacts byte-identical across two runs, exit codes 0"
+    return _result(11, "deterministic artifacts", passed, details)
 
 
 CRITERIA = [

@@ -7,7 +7,7 @@ and reporting feasibility plus per-point slack.
 
 Each family's log-envelope is written once, in helpers on arrays with one
 entry per point (one row per point when points are n-dimensional), which
-`evaluate_envelope` and `fit_constants` call with numpy's warnings off:
+`log_envelope` and `fit_constants` call with numpy's warnings off:
 entries that a mask then drops may divide by zero or overflow.  exp, log
 and pow go through Python (`_libm`), as numpy's SIMD versions can differ
 from libm in the last bit; +, -, *, / and sqrt give the same bits in both.
@@ -89,12 +89,6 @@ def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx if dx.ndim == 1 else np.sum(dx * dx, axis=1))
 
 
-@np.errstate(all="ignore")
-def _dist(x, y) -> float:
-    """|x - y| of one point pair, numbers or n-vectors."""
-    return float(_distances(np.array(x, dtype=float, ndmin=2), np.array(y, dtype=float, ndmin=2))[0])
-
-
 def _cube_means(V: Potential, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Means of V over the cubes (centers[i], sides[i]), one `cube_average` call each."""
     return np.array([cube_average(V, c, s) for c, s in zip(centers.tolist(), sides.tolist())], dtype=float)
@@ -147,8 +141,11 @@ def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t, log_c: float = 
 
 
 @np.errstate(all="ignore")
-def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> float:
-    """log of any envelope family at one point.
+def log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
+    """log of any envelope family at each point (x[i], y[i], t[i]).
+
+    x and y hold one number per point, or one row per point when points are
+    n-dimensional, and t one time per point.
 
     gaussian_upper      c0 t^{-n/2} exp(-c2 |x-y|^2 / t)
     avg_upper           c0 t^{-n/2} e^{-c2 |x-y|^2/t} exp{-c1 sqrt(m_beta(t avg_x))}
@@ -165,37 +162,10 @@ def evaluate_envelope(V, env: BoundEnvelope, x, y, t) -> float:
     (x - eps, y + eps) sits inside the interval, or the segment from x to y
     stays eps-deep inside the ball (caller's responsibility).
     """
+    x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
+    if not (t.ndim == 1 and x.ndim in (1, 2) and x.shape == y.shape and len(x) == len(t)):
+        raise ParameterError(f"need one x, y and t per point, got shapes {x.shape}, {y.shape} and {t.shape}")
     _check_envelope(env, x, y, t)
-    x, y = (np.asarray(p, dtype=float)[None] for p in (x, y))
-    return float(_log_envelope(V, env, x, y, np.array([t], dtype=float))[0])
-
-
-def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
-    """Raise ParameterError unless t > 0 and env has what its family needs (at a far point: c2, c3)."""
-    if not t > 0:
-        raise ParameterError("time must be > 0")
-    family = env.family
-    if family == "gaussian_upper":
-        env._need("c0", "c2")
-    elif family in ("avg_upper", "symmetrized_upper"):
-        env._need("c0", "c1", "c2", "beta")
-    elif family == "quadratic_sharp":
-        env._need("c0", "c1", "c2", "c3")
-        if env.n != 1:
-            raise ParameterError("quadratic_sharp is one-dimensional")
-    elif family in ("avg_lower_near", "avg_lower_far"):
-        env._need("kappa")
-        env._need(*(("c0", "c1") if _dist(x, y) < env.kappa * math.sqrt(t) else ("c0", "c1", "c2", "c3")))
-    else:
-        env._need("epsilon", "C")
-        if not 0.0 < env.C < 1.0:
-            raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
-        if family == "dirichlet_ball" and env.n < 2:
-            raise ParameterError("dirichlet_ball needs n >= 2")
-
-
-def _log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
-    """log of the envelope at each point, for an env and points that `_check_envelope` accepts."""
     family = env.family
     if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
         d2 = _square(_distances(x, y))
@@ -214,6 +184,30 @@ def _log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
         log_decay = math.log(env.c1) + log_d
         return np.where(log_decay > 700.0, -math.inf, base - _libm(math.exp, np.minimum(log_decay, 700.0)))
     return _dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C))
+
+
+def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
+    """Raise ParameterError unless every t > 0 and env has what its family needs (at a far point: c2, c3)."""
+    if not np.all(t > 0):
+        raise ParameterError("time must be > 0")
+    family = env.family
+    if family == "gaussian_upper":
+        env._need("c0", "c2")
+    elif family in ("avg_upper", "symmetrized_upper"):
+        env._need("c0", "c1", "c2", "beta")
+    elif family == "quadratic_sharp":
+        env._need("c0", "c1", "c2", "c3")
+        if env.n != 1:
+            raise ParameterError("quadratic_sharp is one-dimensional")
+    elif family in ("avg_lower_near", "avg_lower_far"):
+        env._need("kappa")
+        env._need(*(("c0", "c1") if np.all(_distances(x, y) < env.kappa * np.sqrt(t)) else ("c0", "c1", "c2", "c3")))
+    else:
+        env._need("epsilon", "C")
+        if not 0.0 < env.C < 1.0:
+            raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
+        if family == "dirichlet_ball" and env.n < 2:
+            raise ParameterError("dirichlet_ball needs n >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +506,7 @@ def fit_constants(
 
     at = np.arange(len(pts))[sel]
     x, y, t, lp = x[at], y[at], t[at], lp[at]
-    _check_envelope(env, x[0], y[0], t[0])  # the recorded points share a branch: one check covers them all
-    log_env = _log_envelope(V, env, x, y, t)
+    log_env = log_envelope(V, env, x, y, t)
     if family in UPPER_FAMILIES:
         slack = np.where(lp > -math.inf, log_env - lp, math.inf)
     else:

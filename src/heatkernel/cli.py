@@ -142,15 +142,8 @@ def cmd_bounds(run: dict, out: Path) -> int:
     records = {k: [np.empty(0)] for k in ("x", "y", "t", "log_p", "log_env", "slack")}
     all_ok = True
     for env0 in run["envelopes"]:
-        fit = fit_constants(
-            V,
-            samples(),
-            env0.family,
-            n=env0.n,
-            beta=env0.beta,
-            kappa=env0.kappa,
-            epsilon=env0.epsilon,
-        )
+        options = {k: getattr(env0, k) for k in ("n", "beta", "kappa", "epsilon")}
+        fit = fit_constants(V, samples(), env0.family, **options)
         env = fit.envelope
         verdict = "FEASIBLE" if fit.feasible else "INFEASIBLE"
         all_ok &= fit.feasible
@@ -244,6 +237,16 @@ def cmd_verify(run: dict, out: Path) -> int:
     return EXIT_OK if not failed else EXIT_FAILURE
 
 
+COMMANDS = {
+    "kernel": cmd_kernel,
+    "bounds": cmd_bounds,
+    "weights": cmd_weights,
+    "ode": cmd_ode,
+    "chain": cmd_chain,
+    "verify": cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="heatkernel",
@@ -251,10 +254,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", type=Path, help="JSON config file (see README for keys)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument(
-        "command",
-        choices=["kernel", "bounds", "weights", "ode", "chain", "verify"],
-    )
+    parser.add_argument("command", choices=list(COMMANDS))
     args = parser.parse_args(argv)
 
     try:
@@ -262,15 +262,7 @@ def main(argv=None) -> int:
         run = resolve(cfg, args.config.parent if args.config else None)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "kernel": cmd_kernel,
-            "bounds": cmd_bounds,
-            "weights": cmd_weights,
-            "ode": cmd_ode,
-            "chain": cmd_chain,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(run, out)
+        return COMMANDS[args.command](run, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -58,7 +58,9 @@ DEFAULT_CONFIG = {
 # is finite for t up to 1e4.
 # A spectral build's eigenvector solve fills an m x k array for the k modes it
 # keeps, and k reaches m when t_min is small: up to 8 m^2 bytes, 0.97 GB at the
-# cap on spectral.points.  `ode` peaks at 128 MB RSS with 100,000 samples and
+# cap on spectral.points.  The build peaks near 1.2 times that array (traced at
+# m = 2000 with k = m; 4.0 times before it wrote the array in place), so about
+# 1.2 GB at the cap.  `ode` peaks at 128 MB RSS with 100,000 samples and
 # 82 MB with 120 (one run each on a 2-vCPU Xeon VM).
 LIMITS = {
     "potential.dimension": ("1", lambda v: v == 1),

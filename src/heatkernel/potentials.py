@@ -396,7 +396,9 @@ def interval_integral(V: Potential, lo, hi):
 # A double root comes out of the companion-matrix eigensolve split by about
 # sqrt(machine eps) ~ 1.5e-8 of its size, along either axis.  Roots within
 # ROOT_TOL of their size of each other are one root, and a root that close to
-# the real axis is real.
+# the real axis is real.  A root of multiplicity k >= 3 comes out as a k-gon
+# of radius about eps^(1/k) of its size: ROOT_TOL^(2/k), as ROOT_TOL^(2/2) is
+# for a pair, bounds it (1e-4 for k = 3, 1e-3 for k = 4).
 ROOT_TOL = 1e-6
 
 
@@ -404,12 +406,32 @@ ROOT_TOL = 1e-6
 def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(real roots, multiplicities as floats, the other roots above the axis), found once per coefficient tuple.
 
-    Near-real roots split where their gap exceeds ROOT_TOL max(1, |root|); a group is one root at its mean.
+    First the k >= 3 roots nearest a root (the largest such k) become k copies of their mean's real part when
+    they lie about equally far from it, within ROOT_TOL^(2/k) max(1, |mean|), and it lies within ROOT_TOL
+    max(1, |mean|) of the axis.  Then near-real roots split where their gap exceeds ROOT_TOL max(1, |root|);
+    a group is one root at its mean.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     with np.errstate(all="ignore"):  # a companion matrix past the float range has no roots to give
         finite = len(c) > 1 and np.all(np.isfinite(c / c[-1]))
         roots = npoly.polyroots(c) if finite else np.empty(0, dtype=complex)
+    # a root of a k-gon has two others within 2 ROOT_TOL^(2/k) of its size; k = degree is the loosest bound.
+    # Sums past the float range (roots near 1e308) are inf or nan and pass no test.
+    free = np.ones(len(roots), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(roots) >= 3:
+            second = np.sort(np.abs(roots[:, None] - roots), axis=1)[:, 2]
+            free = second <= 2.0 * ROOT_TOL ** (2.0 / len(roots)) * (1.0 + np.abs(roots) + second)
+        for i in np.flatnonzero(free):
+            near = np.flatnonzero(free)
+            near = near[np.argsort(np.abs(roots[near] - roots[i]), kind="stable")]
+            for k in range(len(near) if free[i] else 0, 2, -1):
+                mean = roots[near[:k]].mean()
+                spread, scale = np.abs(roots[near[:k]] - mean), max(1.0, abs(mean))
+                regular = spread.max() <= min(2.0 * spread.min(), ROOT_TOL ** (2.0 / k) * scale)
+                if regular and abs(mean.imag) <= ROOT_TOL * scale:
+                    roots[near[:k]], free[near[:k]] = mean.real, False
+                    break
     real = np.sort(roots.real[np.abs(roots.imag) <= ROOT_TOL * np.maximum(1.0, np.abs(roots))])
     gaps = np.diff(real) > ROOT_TOL * np.maximum(1.0, np.abs(real[1:]))
     groups = np.split(real, np.flatnonzero(gaps) + 1) if real.size else []
@@ -590,10 +612,12 @@ def _refuse_divergent(V: Potential, lo, hi, total) -> None:
 
 
 def checked_cube(center, side) -> tuple[float, float]:
-    """(center, side) of a cube as floats; a side that is not > 0 raises ParameterError."""
+    """(center, side) of a cube as floats; a center that is not finite, or a side not > 0, raises ParameterError."""
     if not side > 0.0:
         raise ParameterError(f"cube side must be > 0, got {side}")
-    return float(center), float(side)
+    if not math.isfinite(center := float(center)):
+        raise ParameterError(f"cube center must be finite, got {center}")
+    return center, float(side)
 
 
 # Entries of one potential's `cube_memo`: 2^17 of them take about 20 MB.  A closed-form
@@ -607,12 +631,15 @@ def cube_average(V: Potential, center: float, side: float) -> float:
     The exact `interval_integral` over [center - side/2, center + side/2],
     divided by side.  A cube on which V is not integrable raises DomainError
     (`_refuse_divergent`).  A cube V has already been averaged over returns
-    the stored value (`Potential.cube_memo`); a refused cube is never stored.
+    the stored value (`Potential.cube_memo`), looked up before `checked_cube`
+    since only checked cubes are stored; a refused cube is never stored.
     """
-    center, side = checked_cube(center, side)
     memo = V.cube_memo
-    if (mean := memo.get((center, side))) is not None:
-        return mean
+    try:
+        return memo[center, side]
+    except (KeyError, TypeError):  # not averaged yet, or unhashable (a 0-d array: computed, then stored by its floats)
+        pass
+    center, side = checked_cube(center, side)
     half = side / 2.0
     lo, hi = center - half, center + half
     total = float(interval_integral(V, lo, hi))
@@ -635,6 +662,8 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
     centers, sides = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(sides, dtype=float))
     if not np.all(sides > 0.0):
         raise ParameterError(f"cube side must be > 0, got {sides[~(sides > 0.0)].flat[0]}")
+    if not np.all(np.isfinite(centers)):
+        raise ParameterError(f"cube center must be finite, got {centers[~np.isfinite(centers)].flat[0]}")
     lo, hi = centers - sides / 2.0, centers + sides / 2.0
     total = interval_integral(V, lo, hi)
     _refuse_divergent(V, lo, hi, total)

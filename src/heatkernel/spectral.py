@@ -47,13 +47,15 @@ EIGENSUM_TAIL = 1e-16
 CLUSTER_RTOL = 1e-6
 
 
-def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int):
+def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int, out: np.ndarray | None = None):
     """(lam, vecs): the k lowest eigenpairs of a symmetric tridiagonal matrix, vecs shaped (m, k).
 
     LAPACK dstemr (MRRR) with the inputs of scipy's
     `eigh_tridiagonal(select="i", select_range=(0, k - 1), lapack_driver="stemr")`,
     so the pairs are scipy's bit for bit; called directly, it fills an m x k
-    Z where scipy's wrapper allocates m x m.
+    Z where scipy's wrapper allocates m x m.  Given `out`, an (m, k) float64
+    array whose columns are contiguous, dstemr writes the eigenvectors there
+    (LDZ = its column stride) and vecs is `out`.
     """
     import ctypes
 
@@ -76,11 +78,14 @@ def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int):
     address = pythonapi.PyCapsule_GetPointer(capsule, pythonapi.PyCapsule_GetName(capsule))
     dstemr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
 
+    z = np.zeros((m, k), order="F") if out is None else out
+    if z.shape != (m, k) or z.dtype != np.float64 or z.strides[0] != 8 or z.strides[1] < 8 * m:
+        raise ParameterError(f"eigenvectors need an (m, k) = ({m}, {k}) float64 array with contiguous columns")
     w = np.zeros(m)
-    z = np.zeros((m, k), order="F")
     isuppz = np.zeros(2 * k, dtype=np.intc)
     work, iwork = np.zeros(18 * m), np.zeros(10 * m, dtype=np.intc)
-    n, il, iu, ldz, nzc, tryrac, lwork, liwork = (ctypes.c_int(v) for v in (m, 1, k, m, k, 1, 18 * m, 10 * m))
+    ldz = z.strides[1] // 8  # the column stride: phi's interior skips its two boundary rows
+    n, il, iu, ldz, nzc, tryrac, lwork, liwork = (ctypes.c_int(v) for v in (m, 1, k, ldz, k, 1, 18 * m, 10 * m))
     vl, vu = ctypes.c_double(0.0), ctypes.c_double(1.0)  # not referenced when RANGE = 'I'
     found, info = ctypes.c_int(0), ctypes.c_int(0)
     ref = ctypes.byref
@@ -118,8 +123,11 @@ class SpectralKernel:
 
     phi has one row per grid node including the boundary zeros, one column
     per mode kept for t >= t_min, normalized so that h * phi.T @ phi = I on
-    the interior.  Treat instances as immutable once built: evaluation never
-    mutates them, and `cached_spectral` hands the same instance to every caller.
+    the interior.  It is Fortran-ordered: dstemr writes each eigenvector into
+    its column's interior, which is then divided by sqrt(h) in place, so the
+    build holds no second m x k array.  Treat instances as immutable once
+    built: evaluation never mutates them, and `cached_spectral` hands the
+    same instance to every caller.
     """
 
     L: float
@@ -188,20 +196,22 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     """The lowest eigenpairs of the discretized Hamiltonian on [-L, L], for t >= t_min.
 
     m is the number of interior grid points (= matrix size).  The k modes
-    come from MRRR (`_lowest_modes`) on that index range.  A cluster that k cuts
-    keeps only its modes below k: the ones from k on are negligible at every
-    t >= t_min (`_modes_needed`).
+    come from MRRR (`_lowest_modes`) on that index range, written into phi
+    in place.  A cluster that k cuts keeps only its modes below k: the ones
+    from k on are negligible at every t >= t_min (`_modes_needed`).
     """
     if not (t_min > 0.0 and math.isfinite(t_min)):
         raise ParameterError(f"t_min must be a number > 0, got {t_min}")
     nodes, h, diagonal, offdiagonal = _discretize(V, L, m)
     k = _modes_needed(h, diagonal, offdiagonal, t_min)
-    lam, vecs = _lowest_modes(diagonal, offdiagonal, k)
-    phi = np.zeros((m + 2, k))
-    np.divide(vecs, math.sqrt(h), out=phi[1:-1])
-    del vecs
-    gram = h * phi[1:-1].T @ phi[1:-1]
-    defect = float(np.max(np.abs(gram - np.eye(k))))
+    phi = np.zeros((m + 2, k), order="F")
+    lam, _ = _lowest_modes(diagonal, offdiagonal, k, phi[1:-1])
+    phi[1:-1] /= math.sqrt(h)
+    defect, width = 0.0, -(-k // 16)  # max |h phi^T phi - I| over blocks of columns: no k x k array
+    for a in range(0, k, width):
+        block = h * (phi[1:-1].T @ phi[1:-1, a : a + width])
+        block[a + np.arange(block.shape[1]), np.arange(block.shape[1])] -= 1.0
+        defect = max(defect, float(np.max(np.abs(block))))
     if defect > 1e-8:
         raise RuntimeError(f"eigenvector orthonormality defect {defect:.3e} exceeds 1e-8")
     phi_sup = np.maximum(phi.max(axis=0), -phi.min(axis=0))
@@ -209,8 +219,8 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     starts = np.flatnonzero(np.append(True, np.diff(lam) > CLUSTER_RTOL * np.abs(lam[1:])))
     ends = np.append(starts[1:], k)
     cluster_sup = phi_sup[starts] ** 2  # max phi_j^2 of a one-mode cluster
-    for c in np.flatnonzero(ends - starts > 1):
-        cluster_sup[c] = np.max(np.sum(phi[:, starts[c] : ends[c]] ** 2, axis=1))
+    for c in np.flatnonzero(ends - starts > 1):  # rows summed over contiguous copies: one order whatever phi's layout
+        cluster_sup[c] = np.max(np.sum(np.ascontiguousarray(phi[:, starts[c] : ends[c]]) ** 2, axis=1))
     return SpectralKernel(
         L=L,
         m=m,

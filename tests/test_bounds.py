@@ -25,10 +25,10 @@ from heatkernel import (
     moser_ratio,
     quadratic_log_kernel,
     energy_test_family,
-    evaluate_envelope,
+    log_envelope,
 )
 from heatkernel.spectral import dirichlet_interval_log_kernel
-from heatkernel.bounds import FAMILIES, _dist
+from heatkernel.bounds import FAMILIES
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 V0 = constant(0.0)
@@ -55,8 +55,8 @@ def _upper_env(**kw):
 def test_avg_upper_zero_potential_is_gaussian_shape():
     e = _upper_env()
     for x, y, t in [(0.0, 1.0, 0.3), (-2.0, 0.5, 1.0)]:
-        got = evaluate_envelope(V0, e, x, y, t)
-        want = evaluate_envelope(None, _upper_env(family="gaussian_upper"), x, y, t)
+        got = log_envelope(V0, e, [x], [y], [t])[0]
+        want = log_envelope(None, _upper_env(family="gaussian_upper"), [x], [y], [t])[0]
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -64,54 +64,54 @@ def test_avg_upper_quadratic_average_term():
     # V = z^2 at x = 0: the averaged decay argument is t * (t/12)
     e = _upper_env(beta=0.5)
     t = 0.9
-    got = evaluate_envelope(V_SQ, e, 0.0, 0.0, t)
-    gauss = evaluate_envelope(None, _upper_env(family="gaussian_upper", beta=0.5), 0.0, 0.0, t)
+    got = log_envelope(V_SQ, e, [0.0], [0.0], [t])[0]
+    gauss = log_envelope(None, _upper_env(family="gaussian_upper", beta=0.5), [0.0], [0.0], [t])[0]
     want = gauss - e.c1 * math.sqrt(m_beta(t * t / 12.0, e.beta))
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_avg_upper_monotone_in_c1():
-    lo = evaluate_envelope(V_SQ, _upper_env(c1=0.5), 1.0, 0.0, 1.0)
-    hi = evaluate_envelope(V_SQ, _upper_env(c1=2.0), 1.0, 0.0, 1.0)
+    lo = log_envelope(V_SQ, _upper_env(c1=0.5), [1.0], [0.0], [1.0])[0]
+    hi = log_envelope(V_SQ, _upper_env(c1=2.0), [1.0], [0.0], [1.0])[0]
     assert hi < lo
 
 
 def test_beta_ordering_weakens_bound():
     # smaller beta gives a larger envelope once the decay argument exceeds 1
     t, x = 2.0, 2.0
-    small = evaluate_envelope(V_SQ, _upper_env(beta=0.3), x, 0.0, t)
-    large = evaluate_envelope(V_SQ, _upper_env(beta=0.9), x, 0.0, t)
+    small = log_envelope(V_SQ, _upper_env(beta=0.3), [x], [0.0], [t])[0]
+    large = log_envelope(V_SQ, _upper_env(beta=0.9), [x], [0.0], [t])[0]
     assert t * (x * x + t / 12.0) > 1.0
     assert small > large
 
 
 def test_symmetrized_properties():
     e = _upper_env(family="symmetrized_upper")
-    a = evaluate_envelope(V_SQ, e, 0.4, -1.0, 0.7)
-    b = evaluate_envelope(V_SQ, e, -1.0, 0.4, 0.7)
+    a = log_envelope(V_SQ, e, [0.4], [-1.0], [0.7])[0]
+    b = log_envelope(V_SQ, e, [-1.0], [0.4], [0.7])[0]
     assert a == pytest.approx(b, rel=1e-14)
     # x = y doubles the single-point decay of avg_upper (with the c-roles swapped)
     x = 1.3
     t = 0.6
-    got = evaluate_envelope(V_SQ, e, x, x, t)
-    single = evaluate_envelope(V_SQ, _upper_env(c1=2.0 * e.c2, c2=e.c1), x, x, t)
+    got = log_envelope(V_SQ, e, [x], [x], [t])[0]
+    single = log_envelope(V_SQ, _upper_env(c1=2.0 * e.c2, c2=e.c1), [x], [x], [t])[0]
     assert got == pytest.approx(single, rel=1e-13)
-    assert evaluate_envelope(V0, e, 0.3, 0.9, 0.5) == pytest.approx(
-        evaluate_envelope(None, _upper_env(family="gaussian_upper", c2=e.c1), 0.3, 0.9, 0.5), rel=1e-14
+    assert log_envelope(V0, e, [0.3], [0.9], [0.5])[0] == pytest.approx(
+        log_envelope(None, _upper_env(family="gaussian_upper", c2=e.c1), [0.3], [0.9], [0.5])[0], rel=1e-14
     )
 
 
 def test_quadratic_sharp_branches_at_one():
     e = BoundEnvelope(family="quadratic_sharp", n=1, c0=0.2, c1=0.3, c2=0.8, c3=0.4)
     # t = 1 takes the small-t branch, -c0 (x-y)^2/t - c1 t (x^2+y^2); just past it the large-t one
-    small = evaluate_envelope(None, e, 1.0, -1.0, 1.0)
-    large = evaluate_envelope(None, e, 1.0, -1.0, 1.001)
+    small = log_envelope(None, e, [1.0], [-1.0], [1.0])[0]
+    large = log_envelope(None, e, [1.0], [-1.0], [1.001])[0]
     assert math.isfinite(small) and math.isfinite(large)
     assert small == pytest.approx(-0.2 * 4.0 - 0.3 * 2.0)
     assert large == pytest.approx(-0.8 * 1.001 - 0.4 * 2.0)
     assert large != small
     # origin small-t shape is the bare power of t
-    assert evaluate_envelope(None, e, 0.0, 0.0, 0.25) == pytest.approx(-0.5 * math.log(0.25))
+    assert log_envelope(None, e, [0.0], [0.0], [0.25])[0] == pytest.approx(-0.5 * math.log(0.25))
 
 
 def test_avg_lower_branches():
@@ -120,12 +120,12 @@ def test_avg_lower_branches():
     )
     # near branch at x = 0 for V = z^2 decays like exp(-c1 t^2 / 12)
     t = 0.64
-    got = evaluate_envelope(V_SQ, e, 0.0, 0.0, t)
+    got = log_envelope(V_SQ, e, [0.0], [0.0], [t])[0]
     want = math.log(e.c0) - 0.5 * math.log(t) - e.c1 * t * (t / 12.0)
     assert got == pytest.approx(want, rel=1e-14)
     # the boundary |x-y| = kappa sqrt(t) selects the far branch
     d = e.kappa * math.sqrt(t)
-    far = evaluate_envelope(V_SQ, e, 0.0, d, t)
+    far = log_envelope(V_SQ, e, [0.0], [d], [t])[0]
     explicit_far = (
         math.log(e.c0)
         - 0.5 * math.log(t)
@@ -135,9 +135,9 @@ def test_avg_lower_branches():
     # far-branch average for V=z^2 at x=0 with side t/d is (t/d)^2/12
     assert far == pytest.approx(explicit_far, rel=1e-12)
     # zero potential: both branches carry the Gaussian-type shape only
-    near0 = evaluate_envelope(V0, e, 0.0, 0.01, 1.0)
+    near0 = log_envelope(V0, e, [0.0], [0.01], [1.0])[0]
     assert near0 == pytest.approx(math.log(e.c0) - 0.0, rel=1e-12)
-    far0 = evaluate_envelope(V0, e, 0.0, 1.0, 1.0)
+    far0 = log_envelope(V0, e, [0.0], [1.0], [1.0])[0]
     assert far0 == pytest.approx(math.log(e.c0) - e.c3, rel=1e-12)
 
 
@@ -147,18 +147,18 @@ def _interval(eps, C):
 
 def test_interval_lower_bound_clamp():
     eps = 0.8
-    lv = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, 1e-3)
+    lv = log_envelope(None, _interval(eps, 0.5), [0.2], [0.4], [1e-3])[0]
     assert lv > -math.inf  # not clamped
     # tiny t: the boundary factor is essentially 1
     want = math.log(0.5) - 0.5 * math.log(1e-3) - 0.04 / (4e-3)
     assert lv == pytest.approx(want, rel=1e-6)
     t_clamp = eps**2 / math.log(2.0)  # the factor 1 - 2 e^{-eps^2/t} reaches 0
-    lv2 = evaluate_envelope(None, _interval(eps, 0.5), 0.2, 0.4, t_clamp * 1.0001)
+    lv2 = log_envelope(None, _interval(eps, 0.5), [0.2], [0.4], [t_clamp * 1.0001])[0]
     assert lv2 == -math.inf and math.exp(lv2) == 0.0  # clamped
     with pytest.raises(ParameterError):
-        evaluate_envelope(None, _interval(0.0, 0.5), 0.1, 0.2, 0.5)
+        log_envelope(None, _interval(0.0, 0.5), [0.1], [0.2], [0.5])
     with pytest.raises(ParameterError):
-        evaluate_envelope(None, _interval(1.0, 1.5), 0.1, 0.2, 0.5)
+        log_envelope(None, _interval(1.0, 1.5), [0.1], [0.2], [0.5])
 
 
 def test_interval_lower_holds_for_sine_series():
@@ -176,22 +176,22 @@ def test_ball_lower_bound():
     C = 0.5
     ball = lambda n, eps: BoundEnvelope(family="dirichlet_ball", n=n, epsilon=eps, C=C)  # noqa: E731
     # x = y leaves only the time-decay factor
-    v = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (0.0, 0.0), 0.3)
+    v = log_envelope(None, ball(2, 1.0), [(0.0, 0.0)], [(0.0, 0.0)], [0.3])[0]
     want = math.log(C) - math.log(0.3) - math.pi**2 * 4 * 0.3 / 4.0
     assert v == pytest.approx(want, rel=1e-12)
     # time-decay factor becomes exactly 1/2 at t = ln2 * 4 eps^2 / (pi^2 n^2)
     t_half = math.log(2.0) / math.pi**2
-    a = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (0.0, 0.0), t_half)
+    a = log_envelope(None, ball(2, 1.0), [(0.0, 0.0)], [(0.0, 0.0)], [t_half])[0]
     bare = math.log(C) - math.log(t_half)
     assert math.exp(a - bare) == pytest.approx(0.5, rel=1e-12)
     # never exceeds the free kernel scaled by C (4 pi)^{n/2}
     for d in (0.0, 0.5, 2.0):
         for t in (0.05, 0.5, 3.0):
-            bl = evaluate_envelope(None, ball(2, 1.0), (0.0, 0.0), (d, 0.0), t)
+            bl = log_envelope(None, ball(2, 1.0), [(0.0, 0.0)], [(d, 0.0)], [t])[0]
             g = gaussian_nd_log((0.0, 0.0), (d, 0.0), t)
             assert bl <= g + math.log(C * (4 * math.pi))
     with pytest.raises(ParameterError):
-        evaluate_envelope(None, ball(1, 0.5), 0.0, 0.0, 0.1)
+        log_envelope(None, ball(1, 0.5), [0.0], [0.0], [0.1])
 
 
 def test_chain_plan_sizes():
@@ -354,11 +354,11 @@ def test_evaluate_envelope_dispatch_all_families():
     for spec in specs:
         env = BoundEnvelope(**spec)
         if env.family == "dirichlet_ball":
-            lv = evaluate_envelope(V_SQ, env, (0.1, 0.0), (0.4, 0.0), 0.3)
+            lv = log_envelope(V_SQ, env, [(0.1, 0.0)], [(0.4, 0.0)], [0.3])[0]
         elif env.family == "avg_lower_near":
-            lv = evaluate_envelope(V_SQ, env, 0.1, 0.1, 0.3)  # on-diagonal point
+            lv = log_envelope(V_SQ, env, [0.1], [0.1], [0.3])[0]  # on-diagonal point
         else:
-            lv = evaluate_envelope(V_SQ, env, 0.1, 0.4, 0.3)
+            lv = log_envelope(V_SQ, env, [0.1], [0.4], [0.3])[0]
         assert math.isfinite(lv)
 
 
@@ -385,7 +385,48 @@ def test_evaluate_envelope_dispatch_all_families():
 )
 def test_evaluate_envelope_checks_its_envelope(spec, t):
     with pytest.raises(ParameterError):
-        evaluate_envelope(V_SQ, BoundEnvelope(**spec), 0.1, 0.4, t)
+        log_envelope(V_SQ, BoundEnvelope(**spec), [0.1], [0.4], [t])
+
+
+ENVELOPE_SPECS = {
+    "gaussian_upper": {"c0": 0.3, "c2": 0.25},
+    "avg_upper": {"c0": 0.3, "c1": 1.0, "c2": 0.25, "beta": 0.9},
+    "symmetrized_upper": {"c0": 0.3, "c1": 0.25, "c2": 1.0, "beta": 0.9},
+    "quadratic_sharp": {"c0": 0.2, "c1": 0.3, "c2": 0.8, "c3": 0.4},
+    "avg_lower_near": {"c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5, "kappa": 0.125},
+    "avg_lower_far": {"c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5, "kappa": 0.125},
+    "dirichlet_interval": {"epsilon": 0.5, "C": 0.5},
+    "dirichlet_ball": {"epsilon": 0.5, "C": 0.5, "n": 2},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_log_envelope_of_a_batch_is_each_point_bit_for_bit(family):
+    env = BoundEnvelope(family=family, **ENVELOPE_SPECS[family])
+    xs, ys = np.array([0.1, -0.7, 0.0, 1.3, 0.1]), np.array([0.1, 0.4, 2.5, -1.0, 0.12])
+    ts = np.array([0.3, 0.05, 1.7, 0.6, 2.0])
+    if family == "dirichlet_ball":
+        xs, ys = np.stack([xs, 0.5 * xs], axis=1), np.stack([ys, ys], axis=1)
+    batch = log_envelope(V_SQ, env, xs, ys, ts)
+    assert batch.shape == (5,)
+    for i in range(5):
+        one = log_envelope(V_SQ, env, xs[i : i + 1], ys[i : i + 1], ts[i : i + 1])
+        assert one.tobytes() == batch[i : i + 1].tobytes()
+
+
+def test_log_envelope_checks_every_point():
+    near_only = BoundEnvelope(family="avg_lower_near", c0=0.1, c1=1.0, kappa=0.125)
+    assert np.all(np.isfinite(log_envelope(V_SQ, near_only, [0.1, 0.2], [0.1, 0.21], [0.3, 0.3])))
+    with pytest.raises(ParameterError, match="needs constant c2"):  # the second point is far
+        log_envelope(V_SQ, near_only, [0.1, 0.2], [0.1, 0.9], [0.3, 0.3])
+    gauss = BoundEnvelope(family="gaussian_upper", c0=0.3, c2=0.25)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="time must be > 0"):
+            log_envelope(None, gauss, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.5, bad, 0.5])
+    for x, y, t in (([0.1, 0.2], [0.0], [0.5, 0.5]), ([0.1], [0.0], [0.5, 0.5]), (0.1, 0.0, 0.5)):
+        with pytest.raises(ParameterError, match="one x, y and t per point"):
+            log_envelope(None, gauss, x, y, t)
+    assert log_envelope(None, gauss, [], [], []).shape == (0,)
 
 
 def test_fit_dirichlet_ball_needs_dimension():
@@ -431,7 +472,7 @@ def test_fit_records_are_the_evaluated_envelope(family, a1, a2, shift):
     fit = fit_constants(V, samples, family, **FIT_OPTIONS.get(family, {}))
     assert len(fit.records[0])
     for x, y, t, lp, le, slack in zip(*fit.records):
-        assert le == evaluate_envelope(V, fit.envelope, x, y, t)
+        assert le == log_envelope(V, fit.envelope, [x], [y], [t])[0]
     assert fit.min_slack == min(fit.records[5])
 
 
@@ -458,11 +499,3 @@ def test_lower_fit_verdict_comes_from_the_records():
     fit = fit_constants(V_SQ, [(0.0, 0.5, 0.1, -3.0), (0.0, 0.9, 0.1, -math.inf)], "avg_lower_far", kappa=0.125)
     assert not fit.feasible
     assert fit.min_slack == -math.inf and fit.witness == (0.0, 0.9, 0.1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
-def test_dist_of_floats_matches_the_array_path_bitwise(x, y):
-    with np.errstate(over="ignore"):
-        arrays = _dist(np.array([x]), np.array([y]))
-    assert np.float64(_dist(x, y)).tobytes() == np.float64(arrays).tobytes()

@@ -583,7 +583,8 @@ def test_spectral_memory_cap_exits_2_before_any_eigenvector_solve(tmp_path, monk
         raise AssertionError("an eigenvector solve ran above the memory cap")
 
     monkeypatch.setattr(spectral, "_lowest_modes", no_eigenvector_solve)
-    # the build peaks near 8 m k bytes, and k reaches m when t_min is small:
+    # the build peaks near 1.2 times its 8 m k-byte eigenvector array (4.0 times
+    # before the solve wrote phi in place), and k reaches m when t_min is small:
     # 40001 points could need an m x m eigenvector array of 12.8 GB
     cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 8.0, "points": 40001})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 2

@@ -19,7 +19,7 @@ from heatkernel.bounds import (
     UPPER_FAMILIES,
     BoundEnvelope,
     _check_envelope,
-    _dist,
+    _distances,
     grid_points,
     grid_samples,
 )
@@ -35,6 +35,11 @@ def gaussian_nd_log(x, y, t):
     """log p of the free heat kernel on R^n, n = len(x), as (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) in log space."""
     dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return -0.5 * dx.size * (math.log(4.0 * math.pi) + math.log(t)) - float(np.sum(dx * dx)) / (4.0 * t)
+
+
+def _dist(x, y):
+    """|x - y| of one point pair, numbers or n-vectors, as the fitter's array path computes it."""
+    return float(_distances(np.array(x, dtype=float, ndmin=2), np.array(y, dtype=float, ndmin=2))[0])
 
 
 def ref_m_beta(x, beta):
@@ -123,7 +128,7 @@ def ref_fit_constants(V, samples, family, *, n=1, beta=None, kappa=None, epsilon
     else:
         env, ok = ref_fit_dirichlet_C(family, pts, n, epsilon)
 
-    _check_envelope(env, *sel[0][:3])
+    _check_envelope(env, *(np.array(column, dtype=float) for column in list(zip(*sel))[:3]))
     upper = family in UPPER_FAMILIES
     records = []
     min_slack, witness = math.inf, None

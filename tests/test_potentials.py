@@ -491,6 +491,27 @@ def test_an_inexact_double_root_keeps_its_break_and_its_digits(r):
     assert V(x) == pytest.approx((x - r) ** 2 * (1.0 + x * x), rel=1e-7)
 
 
+@pytest.mark.parametrize(
+    "root, k",
+    [(3.0, 3), (3.0, 4), (0.5, 4), (3.0, 5), (100.0, 3), (-2.0, 3)],
+)
+def test_a_root_of_multiplicity_3_or_more_is_one_break(root, k):
+    # the eigensolve splits it into a k-gon of radius about eps^(1/k): at (x - 3)^3 a break at
+    # 3.00003, at (x - 3)^4 two at 2.99934 and 3.00066, at (x - 0.5)^4 none (all four off the axis)
+    V = PolynomialPotential(npoly.polymul(npoly.polyfromroots([root] * k), [1.0, 0.0, 1.0]))
+    points, orders = V.breaks
+    assert len(points) == 1 and abs(points[0] - root) <= 1e-12 and orders.tolist() == [float(k)]
+    assert len(potentials._poly_real_roots(V.coeffs)[2]) == 1  # i, and no pole from the split root
+
+
+def test_close_simple_roots_stay_apart_and_a_double_root_at_0_is_exact():
+    V = PolynomialPotential(npoly.polymul(npoly.polyfromroots([1.0, 1.001, 1.002]), [1.0, 0.0, 1.0]))
+    points, orders = V.breaks
+    assert points == pytest.approx([1.0, 1.001, 1.002], abs=1e-8) and orders.tolist() == [1.0, 1.0, 1.0]
+    points, orders = PolynomialPotential([0.0, 0.0, 1.0]).breaks
+    assert points.tolist() == [0.0] and orders.tolist() == [2.0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(COEFF, st.floats(-1e-6, 1e-6)), min_size=1, max_size=7))
 @example([0.0, 2.9375, 2.09841291992319e-61, 1.0, 8.011902838301598e-220])  # overflowed in polydiv
@@ -744,6 +765,18 @@ def test_a_refused_cube_raises_every_time_and_is_never_stored():
             with pytest.raises(DomainError):
                 cube_average(singular, center, side)
     assert singular.cube_memo == {}
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_center_is_refused_and_never_stored(kind, center):
+    V = MEMO_KINDS[kind]()
+    for form in (center, np.float64(center), np.array(center)):
+        with pytest.raises(ParameterError, match=f"cube center must be finite, got {center}"):
+            cube_average(V, form, 1.0)
+        with pytest.raises(ParameterError, match=f"cube center must be finite, got {center}"):
+            cube_averages(V, [0.5, form], [1.0, 1.0])
+    assert V.cube_memo == {}
 
 
 def test_the_cube_memo_stops_at_its_cap(monkeypatch):

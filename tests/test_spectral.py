@@ -448,6 +448,30 @@ def test_build_allocates_m_by_k_not_m_by_m():
     assert peak <= 16e6
 
 
+@pytest.mark.parametrize(
+    "m, t_min, bound",
+    [
+        (600, 1e-6, 1.3),  # k = m
+        (3199, 0.1, 1.5),  # k = 109
+    ],
+)
+def test_build_peaks_near_its_eigenvector_array(m, t_min, bound):
+    # dstemr writes phi in place and the defect is taken over column blocks: no second
+    # m x k array and no k x k one (with them the peaks were 4.0 and 2.1 times 8 m k)
+    import tracemalloc
+
+    build_spectral(V_SQ, 8.0, 101, 0.1)  # scipy.linalg and ctypes are imported before tracing
+    tracemalloc.start()
+    try:
+        K = build_spectral(V_SQ, 8.0, m, t_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = len(K.eigenvalues)
+    assert k == (m if t_min == 1e-6 else 109)
+    assert peak <= bound * 8 * m * k
+
+
 def test_lowest_modes_refuses_non_finite_entries_and_bad_mode_counts():
     diagonal, offdiagonal = np.full(5, 2.0), np.full(4, -1.0)
     for bad in (math.nan, math.inf):
@@ -465,3 +489,17 @@ def test_lowest_modes_refuses_non_finite_entries_and_bad_mode_counts():
     lam, vecs = spectral._lowest_modes(diagonal, offdiagonal, 5)
     assert vecs.shape == (5, 5)
     assert np.allclose(lam, 2.0 - 2.0 * np.cos(np.arange(1, 6) * math.pi / 6))
+    for out in (np.zeros((5, 2)), np.zeros((5, 3), order="F"), np.zeros((5, 2), dtype=np.float32, order="F")):
+        with pytest.raises(ParameterError, match="contiguous columns"):
+            spectral._lowest_modes(diagonal, offdiagonal, 2, out)
+
+
+def test_lowest_modes_write_into_a_strided_output():
+    # the interior rows of a Fortran-ordered array: LDZ is its column stride, the padding rows stay 0
+    diagonal, offdiagonal = np.full(5, 2.0), np.full(4, -1.0)
+    want_lam, want = spectral._lowest_modes(diagonal, offdiagonal, 3)
+    padded = np.zeros((7, 3), order="F")
+    lam, vecs = spectral._lowest_modes(diagonal, offdiagonal, 3, padded[1:-1])
+    assert vecs.base is padded
+    assert np.array_equal(lam, want_lam) and np.array_equal(padded[1:-1], want)
+    assert not padded[0].any() and not padded[-1].any()
