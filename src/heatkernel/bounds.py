@@ -6,11 +6,11 @@ statement by fitting the free constant against a computed kernel on a grid
 and reporting feasibility plus per-point slack.
 
 Each family's log-envelope is written once, in helpers on arrays with one
-entry per point (one row per point when points are n-dimensional), which
-`log_envelope` and `fit_constants` call with numpy's warnings off:
-entries that a mask then drops may divide by zero or overflow.  exp, log
-and pow go through Python (`_libm`), as numpy's SIMD versions can differ
-from libm in the last bit; +, -, *, / and sqrt give the same bits in both.
+entry per point, which `log_envelope` and `fit_constants` call with numpy's
+warnings off: entries that a mask then drops may divide by zero or overflow.
+exp, log and pow go through Python (`_libm`), as numpy's SIMD versions can
+differ from libm in the last bit; +, -, *, / and sqrt give the same bits in
+both.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ C_FLOOR = 1e-9
 MOSER_NODES = 41
 
 UPPER_FAMILIES = ("gaussian_upper", "avg_upper", "symmetrized_upper", "quadratic_sharp")
-LOWER_FAMILIES = ("avg_lower_near", "avg_lower_far", "dirichlet_interval", "dirichlet_ball")
+LOWER_FAMILIES = ("avg_lower_near", "avg_lower_far", "dirichlet_interval")
 FAMILIES = UPPER_FAMILIES + LOWER_FAMILIES
 
 
@@ -44,7 +44,6 @@ class BoundEnvelope:
     """
 
     family: str
-    n: int = 1
     c0: float | None = None
     c1: float | None = None
     c2: float | None = None
@@ -84,9 +83,9 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x - y| of each point pair."""
+    """|x - y| of each point pair, as sqrt(dx * dx)."""
     dx = x - y
-    return np.sqrt(dx * dx if dx.ndim == 1 else np.sum(dx * dx, axis=1))
+    return np.sqrt(dx * dx)
 
 
 def _cube_means(V: Potential, centers: np.ndarray, sides: np.ndarray) -> np.ndarray:
@@ -94,9 +93,9 @@ def _cube_means(V: Potential, centers: np.ndarray, sides: np.ndarray) -> np.ndar
     return np.array([cube_average(V, c, s) for c, s in zip(centers.tolist(), sides.tolist())], dtype=float)
 
 
-def _log_gaussian(c0: float, n: int, t, c: float = 0.0, d2=0.0):
-    """log c0 - (n/2) log t - c |x-y|^2 / t, with d2 = |x-y|^2."""
-    return math.log(c0) - 0.5 * n * _libm(math.log, t) - c * d2 / t
+def _log_gaussian(c0: float, t, c: float = 0.0, d2=0.0):
+    """log c0 - (1/2) log t - c |x-y|^2 / t, with d2 = |x-y|^2."""
+    return math.log(c0) - 0.5 * _libm(math.log, t) - c * d2 / t
 
 
 def _upper_decay(V: Potential, beta: float, x, y, t):
@@ -106,14 +105,14 @@ def _upper_decay(V: Potential, beta: float, x, y, t):
     return decay if y is None else decay + np.sqrt(m_beta(t * _cube_means(V, y, side), beta))
 
 
-def _lower_terms(V: Potential, n: int, c0: float, c2, c3, near, x, d, t):
+def _lower_terms(V: Potential, c0: float, c2, c3, near, x, d, t):
     """(base, log D) of the averaged lower envelope, whose log is base - c1 D; log D = -inf where avg = 0.
 
-    near: base = log c0 - (n/2) log t,                D = t avg_{sqrt(t)}(x)
-    far:  base = log c0 - (n/2) log t - c3 |x-y|^2/t, D = t c2^{|x-y|^2/t} avg_{t/|x-y|}(x)
+    near: base = log c0 - (1/2) log t,                D = t avg_{sqrt(t)}(x)
+    far:  base = log c0 - (1/2) log t - c3 |x-y|^2/t, D = t c2^{|x-y|^2/t} avg_{t/|x-y|}(x)
     """
     avg = _cube_means(V, x, np.where(near, np.sqrt(t), t / d))
-    base = _log_gaussian(c0, n, t, c3 or 0.0, np.where(near, 0.0, d * d))
+    base = _log_gaussian(c0, t, c3 or 0.0, np.where(near, 0.0, d * d))
     log_d = np.full(t.shape, -math.inf)
     at = near & (avg > 0.0)
     log_d[at] = _libm(math.log, t[at] * avg[at])
@@ -128,62 +127,56 @@ def _sharp_terms(x, y, t):
     return -0.5 * _libm(math.log, t), _square(x - y), x * x + y * y
 
 
-def _dirichlet_log(family: str, n: int, epsilon: float, x, y, t, log_c: float = 0.0):
-    """log C + shape of a Dirichlet comparison family (the shape alone at log_c = 0);
-    -inf where the interval factor 1 - 2 e^{-eps^2/t} clamps at zero."""
-    if family == "dirichlet_interval":
-        factor = 1.0 - 2.0 * _libm(math.exp, -(epsilon**2) / t)
-        log_factor = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
-        shape = log_c - 0.5 * _libm(math.log, t) - _square(x - y) / (4.0 * t) + log_factor
-        return np.where(factor > 0.0, shape, -math.inf)
-    d2 = _square(_distances(x, y))
-    return log_c - 0.5 * n * _libm(math.log, t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
+def _dirichlet_log(epsilon: float, x, y, t, log_c: float = 0.0):
+    """log C + shape of the dirichlet_interval family (the shape alone at log_c = 0);
+    -inf where the factor 1 - 2 e^{-eps^2/t} clamps at zero."""
+    factor = 1.0 - 2.0 * _libm(math.exp, -(epsilon**2) / t)
+    log_factor = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
+    shape = log_c - 0.5 * _libm(math.log, t) - _square(x - y) / (4.0 * t) + log_factor
+    return np.where(factor > 0.0, shape, -math.inf)
 
 
 @np.errstate(all="ignore")
 def log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
     """log of any envelope family at each point (x[i], y[i], t[i]).
 
-    x and y hold one number per point, or one row per point when points are
-    n-dimensional, and t one time per point.
+    x, y and t hold one number per point, in three 1-D arrays of one length.
 
-    gaussian_upper      c0 t^{-n/2} exp(-c2 |x-y|^2 / t)
-    avg_upper           c0 t^{-n/2} e^{-c2 |x-y|^2/t} exp{-c1 sqrt(m_beta(t avg_x))}
-    symmetrized_upper   c0 t^{-n/2} e^{-c1 |x-y|^2/t} exp{-c2 [sqrt(m_beta(t avg_x)) + sqrt(m_beta(t avg_y))]}
-    quadratic_sharp     n = 1; t <= 1: t^{-1/2} exp(-c0 |x-y|^2/t - c1 t (x^2+y^2)),
+    gaussian_upper      c0 t^{-1/2} exp(-c2 |x-y|^2 / t)
+    avg_upper           c0 t^{-1/2} e^{-c2 |x-y|^2/t} exp{-c1 sqrt(m_beta(t avg_x))}
+    symmetrized_upper   c0 t^{-1/2} e^{-c1 |x-y|^2/t} exp{-c2 [sqrt(m_beta(t avg_x)) + sqrt(m_beta(t avg_y))]}
+    quadratic_sharp     t <= 1: t^{-1/2} exp(-c0 |x-y|^2/t - c1 t (x^2+y^2)),
                         t > 1: exp(-c2 t - c3 (x^2+y^2)); no continuity is imposed at t = 1
-    avg_lower_near/far  near (|x-y| < kappa sqrt(t)): c0 t^{-n/2} exp{-c1 t avg_x}
-                        far: c0 t^{-n/2} e^{-c3 |x-y|^2/t} exp{-c1 t c2^{|x-y|^2/t} avg'_x}
+    avg_lower_near/far  near (|x-y| < kappa sqrt(t)): c0 t^{-1/2} exp{-c1 t avg_x}
+                        far: c0 t^{-1/2} e^{-c3 |x-y|^2/t} exp{-c1 t c2^{|x-y|^2/t} avg'_x}
     dirichlet_interval  (C / sqrt(t)) e^{-|x-y|^2/4t} (1 - 2 e^{-eps^2/t}), clamped at zero
-    dirichlet_ball      n >= 2; (C / t^{n/2}) e^{-pi^2 n^2 t / 4 eps^2} e^{-|x-y|^2 / 4t}
 
     avg_x is the mean of V over the cube of side sqrt(t) at x, avg'_x over the
-    side t/|x-y|.  The Dirichlet comparisons need 0 < C < 1, and hold when
-    (x - eps, y + eps) sits inside the interval, or the segment from x to y
-    stays eps-deep inside the ball (caller's responsibility).
+    side t/|x-y|.  The Dirichlet comparison needs 0 < C < 1, and holds when
+    (x - eps, y + eps) sits inside the interval (caller's responsibility).
     """
     x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
-    if not (t.ndim == 1 and x.ndim in (1, 2) and x.shape == y.shape and len(x) == len(t)):
+    if not (t.ndim == 1 and x.shape == y.shape == t.shape):
         raise ParameterError(f"need one x, y and t per point, got shapes {x.shape}, {y.shape} and {t.shape}")
     _check_envelope(env, x, y, t)
     family = env.family
     if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
         d2 = _square(_distances(x, y))
         if family == "gaussian_upper":
-            return _log_gaussian(env.c0, env.n, t, env.c2, d2)
+            return _log_gaussian(env.c0, t, env.c2, d2)
         both = family == "symmetrized_upper"
         c_gauss, c_decay = (env.c1, env.c2) if both else (env.c2, env.c1)
         decay = _upper_decay(V, env.beta, x, y if both else None, t)
-        return _log_gaussian(env.c0, env.n, t, c_gauss, d2) - c_decay * decay
+        return _log_gaussian(env.c0, t, c_gauss, d2) - c_decay * decay
     if family == "quadratic_sharp":
         shape, d2, s = _sharp_terms(x, y, t)
         return np.where(t <= 1.0, shape - env.c0 * d2 / t - env.c1 * t * s, -env.c2 * t - env.c3 * s)
     if family in ("avg_lower_near", "avg_lower_far"):
         d = _distances(x, y)
-        base, log_d = _lower_terms(V, env.n, env.c0, env.c2, env.c3, d < env.kappa * np.sqrt(t), x, d, t)
+        base, log_d = _lower_terms(V, env.c0, env.c2, env.c3, d < env.kappa * np.sqrt(t), x, d, t)
         log_decay = math.log(env.c1) + log_d
         return np.where(log_decay > 700.0, -math.inf, base - _libm(math.exp, np.minimum(log_decay, 700.0)))
-    return _dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C))
+    return _dirichlet_log(env.epsilon, x, y, t, math.log(env.C))
 
 
 def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
@@ -197,8 +190,6 @@ def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
         env._need("c0", "c1", "c2", "beta")
     elif family == "quadratic_sharp":
         env._need("c0", "c1", "c2", "c3")
-        if env.n != 1:
-            raise ParameterError("quadratic_sharp is one-dimensional")
     elif family in ("avg_lower_near", "avg_lower_far"):
         env._need("kappa")
         env._need(*(("c0", "c1") if np.all(_distances(x, y) < env.kappa * np.sqrt(t)) else ("c0", "c1", "c2", "c3")))
@@ -206,8 +197,6 @@ def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
         env._need("epsilon", "C")
         if not 0.0 < env.C < 1.0:
             raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
-        if family == "dirichlet_ball" and env.n < 2:
-            raise ParameterError("dirichlet_ball needs n >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +446,19 @@ def fit_constants(
     samples,
     family: str,
     *,
-    n: int = 1,
     beta: float | None = None,
     kappa: float | None = None,
     epsilon: float | None = None,
 ) -> FitResult:
     """Fit the free envelope constants against kernel samples.
 
-    samples is an iterable of (x, y, t, log p), as `grid_samples` makes them,
-    read once into one n x 4 array (one array per field when x and y are
-    vectors); a time <= 0 or a NaN log p is refused.
-    Upper families fix c0 = 2 (4 pi)^{-n/2} and Gaussian coefficient 1/8, then
+    samples is an iterable of (x, y, t, log p) tuples of numbers, as
+    `grid_samples` makes them, read once into one N x 4 array; a time <= 0 or
+    a NaN log p is refused.
+    Upper families fix c0 = 2 (4 pi)^{-1/2} and Gaussian coefficient 1/8, then
     take the decay coefficient as the infimum of admissible values over the
     grid (clipped at C_FLOOR), a masked min of one quotient array; lower
-    families mirror this with a max and a safety prefactor c0 = (4 pi)^{-n/2} / 2.
+    families mirror this with a max and a safety prefactor c0 = (4 pi)^{-1/2} / 2.
     FEASIBLE means every fitted constant came out strictly positive and no grid
     point violates the bound.  A lower slack where kernel and envelope are both
     exact zeros is 0.
@@ -480,29 +468,29 @@ def fit_constants(
     pts = list(samples)
     if not pts:
         raise ParameterError("empty sample grid")
-    if set(map(len, pts)) != {4}:
-        raise ParameterError("samples must be (x, y, t, log_p) tuples")
-    try:  # numbers: one n x 4 array
+    try:
+        if set(map(len, pts)) != {4}:
+            raise ValueError
         x, y, t, lp = np.fromiter(itertools.chain.from_iterable(pts), float, 4 * len(pts)).reshape(-1, 4).T
-    except ValueError:  # points x and y that are vectors: one array per field
-        x, y, t, lp = (np.array(column, dtype=float) for column in zip(*pts))
+    except (TypeError, ValueError):
+        raise ParameterError("samples must be (x, y, t, log_p) tuples of numbers") from None
     if not np.all(t > 0):
         raise ParameterError("time must be > 0")
     if np.isnan(lp).any():
         raise ParameterError(f"log p is NaN at (x, y, t) = {tuple(pts[int(np.argmax(np.isnan(lp)))][:3])}")
 
-    c0_upper = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
+    c0_upper = 2.0 * (4.0 * math.pi) ** -0.5
     sel, ok, blame = slice(None), True, None  # points recorded, constants admissible, witness overriding the slack's
     if family == "gaussian_upper":
-        env = BoundEnvelope(family=family, n=n, c0=c0_upper, c2=0.125)
+        env = BoundEnvelope(family=family, c0=c0_upper, c2=0.125)
     elif family in ("avg_upper", "symmetrized_upper"):
-        env, ok, blame = _fit_decay(V, family, x, y, t, lp, n, c0_upper, beta)
+        env, ok, blame = _fit_decay(V, family, x, y, t, lp, c0_upper, beta)
     elif family == "quadratic_sharp":
         env, ok = _fit_quadratic_sharp(x, y, t, lp)
     elif family in ("avg_lower_near", "avg_lower_far"):
-        env, sel = _fit_lower_c1(V, family, x, y, t, lp, n, kappa)
+        env, sel = _fit_lower_c1(V, family, x, y, t, lp, kappa)
     else:
-        env, ok = _fit_dirichlet_C(family, x, y, t, lp, n, epsilon)
+        env, ok = _fit_dirichlet_C(family, x, y, t, lp, epsilon)
 
     at = np.arange(len(pts))[sel]
     x, y, t, lp = x[at], y[at], t[at], lp[at]
@@ -518,7 +506,7 @@ def fit_constants(
     return FitResult(env, bool(ok and min_slack >= -1e-12), min_slack, witness, (x, y, t, lp, log_env, slack))
 
 
-def _fit_decay(V, family, x, y, t, lp, n, c0, beta):
+def _fit_decay(V, family, x, y, t, lp, c0, beta):
     """avg_upper / symmetrized_upper: the decay coefficient is the least (base - log p) / decay.
     Returns (envelope, admissible, the index of the least quotient when it is <= 0)."""
     if beta is None:
@@ -526,14 +514,14 @@ def _fit_decay(V, family, x, y, t, lp, n, c0, beta):
     both = family == "symmetrized_upper"
     at = np.flatnonzero(lp != -math.inf)  # a vanishing kernel bounds nothing
     decay = _upper_decay(V, beta, x[at], y[at] if both else None, t[at])
-    base = _log_gaussian(c0, n, t[at], 0.125, _square(_distances(x[at], y[at])))
+    base = _log_gaussian(c0, t[at], 0.125, _square(_distances(x[at], y[at])))
     quotient = np.full(len(lp), math.inf)
     quotient[at] = np.where(decay > 0.0, (base - lp[at]) / decay, math.inf)
     least, i = _least(quotient)
     ok = i is None or least > 0.0  # no quotient: the decay never bites
     cdecay = max(least if i is not None else 1.0, C_FLOOR)
     c1, c2 = (0.125, cdecay) if both else (cdecay, 0.125)
-    env = BoundEnvelope(family=family, n=n, c0=c0, c1=c1, c2=c2, beta=beta)
+    env = BoundEnvelope(family=family, c0=c0, c1=c1, c2=c2, beta=beta)
     return env, ok, None if ok else i
 
 
@@ -551,38 +539,38 @@ def _fit_quadratic_sharp(x, y, t, lp):
     c1, ok1 = least(small & (s > 0), (budget - c0 * d2 / t) / (t * s), 1.0)
     c2, ok2 = least(large, -lp / t / 2.0, 1.0)
     c3, ok3 = least(large & (s > 0), (-lp - c2 * t) / s, 1.0)
-    env = BoundEnvelope(family="quadratic_sharp", n=1, c0=c0, c1=c1, c2=c2, c3=c3)
+    env = BoundEnvelope(family="quadratic_sharp", c0=c0, c1=c1, c2=c2, c3=c3)
     return env, ok0 and ok1 and ok2 and ok3
 
 
-def _fit_lower_c1(V, family, x, y, t, lp, n, kappa):
+def _fit_lower_c1(V, family, x, y, t, lp, kappa):
     """avg_lower_near / avg_lower_far on their regime's points (the mask returned):
     c1 is the largest (base - log p) / D."""
     if kappa is None:
         kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
     near = family == "avg_lower_near"
-    c0, c2, c3 = 0.5 * (4.0 * math.pi) ** (-0.5 * n), 2.0, 0.5
+    c0, c2, c3 = 0.5 * (4.0 * math.pi) ** -0.5, 2.0, 0.5
     d = _distances(x, y)
     sel = (d < kappa * np.sqrt(t)) == near  # the branch test |x-y| < kappa sqrt(t)
     if not sel.any():
         raise ParameterError(f"no grid points fall in the {family} regime")
-    base, log_d = _lower_terms(V, n, c0, c2, c3, np.full(sel.sum(), near), x[sel], d[sel], t[sel])
+    base, log_d = _lower_terms(V, c0, c2, c3, np.full(sel.sum(), near), x[sel], d[sel], t[sel])
     lp = lp[sel]
     use = (lp > -math.inf) & (log_d > -math.inf) & (log_d <= 700.0)
     quotients = (base[use] - lp[use]) / _libm(math.exp, log_d[use])
     c1 = max(float(quotients.max()) if quotients.size else 0.0, C_FLOOR)
     far = {} if near else {"c2": c2, "c3": c3}
-    return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel
+    return BoundEnvelope(family=family, c0=c0, c1=c1, kappa=kappa, **far), sel
 
 
-def _fit_dirichlet_C(family, x, y, t, lp, n, epsilon):
-    """Dirichlet comparison families: C is the least p / exp(shape), capped at 0.99."""
+def _fit_dirichlet_C(family, x, y, t, lp, epsilon):
+    """dirichlet_interval: C is the least p / exp(shape), capped at 0.99."""
     if epsilon is None:
         raise ParameterError(f"{family} fit needs epsilon")
-    shape = _dirichlet_log(family, n, epsilon, x, y, t)
+    shape = _dirichlet_log(epsilon, x, y, t)
     use = (shape > -math.inf) & (lp > -math.inf)
     if not use.any():
         raise ParameterError("no usable grid points for the Dirichlet fit")
     c_raw = float(np.min(_libm(math.exp, np.minimum(lp[use] - shape[use], 700.0))))
     C = min(c_raw, 0.99) if c_raw > 0.0 else C_FLOOR
-    return BoundEnvelope(family=family, n=n, epsilon=epsilon, C=C), c_raw > 0.0
+    return BoundEnvelope(family=family, epsilon=epsilon, C=C), c_raw > 0.0

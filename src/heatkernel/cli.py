@@ -142,7 +142,7 @@ def cmd_bounds(run: dict, out: Path) -> int:
     records = {k: [np.empty(0)] for k in ("x", "y", "t", "log_p", "log_env", "slack")}
     all_ok = True
     for env0 in run["envelopes"]:
-        options = {k: getattr(env0, k) for k in ("n", "beta", "kappa", "epsilon")}
+        options = {k: getattr(env0, k) for k in ("beta", "kappa", "epsilon")}
         fit = fit_constants(V, samples(), env0.family, **options)
         env = fit.envelope
         verdict = "FEASIBLE" if fit.feasible else "INFEASIBLE"

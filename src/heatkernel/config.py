@@ -118,7 +118,6 @@ FAMILY_CONSTANT = {
     "avg_lower_near": "kappa",
     "avg_lower_far": "kappa",
     "dirichlet_interval": "epsilon",
-    "dirichlet_ball": "epsilon",
 }
 
 
@@ -198,7 +197,7 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
         raise ConfigError(f"chain.y is too far from chain.x for chain.t={t:g}: {exc}") from exc
     if sigma is not None and not sigma < (sigma_max := chain_sigma_bound(x, y, t)):
         raise ConfigError(f"chain.sigma must be < {sigma_max:.6g} here (the adjacent-cube condition), got {sigma!r}")
-    run["potential"] = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir)
+    run["potential"] = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir, engine=engine)
     if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
         raise ConfigError(f"envelopes must be a list, got {specs!r}")
     if not specs:
@@ -222,11 +221,17 @@ def _need(cfg: dict, key: str, section: str = ""):
     return cfg[key]
 
 
-def potential_from_config(spec: dict, base_dir: Path | None = None, where: str = "potential") -> Potential:
+def potential_from_config(
+    spec: dict, base_dir: Path | None = None, where: str = "potential", engine: str = "explicit"
+) -> Potential:
     """Build a potential from its config section; `where` names it in errors, as `potential.base`.
 
     Keys: kind (polynomial | power | constant | tabulated | scaled | sum),
     dimension, and the POTENTIAL_KEYS of the kind; any other key is refused.
+    A polynomial must be >= 0 on the line: V = 0, or an even degree, a
+    positive leading coefficient and real roots (`breaks`) of even order.  A
+    power needs an exponent > -1, and >= 0 on the spectral engine, whose
+    nodes must see a bounded V.
     """
     kind = str(_need(spec, "kind", where)).lower()
     if kind not in POTENTIAL_KEYS:
@@ -240,8 +245,16 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
             if len(coeffs) > MAX_COEFFICIENTS:
                 raise ConfigError(f"{key} has {len(coeffs)} entries, above the cap of {MAX_COEFFICIENTS}")
             V = PolynomialPotential(coeffs)
+            c = np.trim_zeros(np.asarray(V.coeffs), "b")
+            if len(c) and (len(c) % 2 == 0 or c[-1] < 0 or np.any(V.breaks[1] % 2)):
+                raise ConfigError(f"{key} must give a polynomial >= 0 everywhere, got {coeffs!r}")
         elif kind == "power":
-            V = PowerPotential(_number(_need(spec, "exponent", where), f"{where}.exponent"))
+            key = f"{where}.exponent"
+            if not (alpha := _number(_need(spec, "exponent", where), key)) > -1:  # else not locally integrable
+                raise ConfigError(f"{key} must be > -1, got {alpha!r}")
+            if alpha < 0 and engine == "spectral":
+                raise ConfigError(f"{key} must be >= 0 on the spectral engine, got {alpha!r}")
+            V = PowerPotential(alpha)
         elif kind == "constant":
             if (value := _number(_need(spec, "value", where), f"{where}.value")) < 0:
                 raise ConfigError(f"{where}.value must be a number >= 0, got {value!r}")
@@ -258,11 +271,11 @@ def potential_from_config(spec: dict, base_dir: Path | None = None, where: str =
         elif kind == "scaled":
             V = ScaledPotential(
                 _number(_need(spec, "factor", where), f"{where}.factor"),
-                potential_from_config(_need(spec, "base", where), base_dir, f"{where}.base"),
+                potential_from_config(_need(spec, "base", where), base_dir, f"{where}.base", engine),
             )
         else:
             parts = enumerate(_need(spec, "parts", where))
-            V = SumPotential(*(potential_from_config(p, base_dir, f"{where}.parts[{i}]") for i, p in parts))
+            V = SumPotential(*(potential_from_config(p, base_dir, f"{where}.parts[{i}]", engine) for i, p in parts))
     except ConfigError:
         raise
     except Exception as exc:
@@ -309,9 +322,7 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     """Keys: family plus the FAMILY_CONSTANT of the family; `where` (`envelopes[i]`) names the entry.
 
     `bounds` fits c0..c3 and C, so setting one is a config error, and so is
-    leaving out a required FAMILY_CONSTANT or giving any other key.  The
-    dimension n is the potential's, and every potential is one-dimensional,
-    so an `n` key is refused, and so is dirichlet_ball, which needs n >= 2.
+    leaving out a required FAMILY_CONSTANT or giving any other key.
     """
     family = str(_need(spec, "family", where))
     if family not in FAMILIES:
@@ -322,10 +333,6 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     constant = FAMILY_CONSTANT.get(family)
     if constant not in (None, "kappa") and constant not in spec:
         raise ConfigError(f"{where}.{constant} is required for family {family}")
-    if "n" in spec:
-        raise ConfigError(f"{where}.n cannot be set: the dimension is the potential's")
-    if family == "dirichlet_ball":
-        raise ConfigError(f"{where}.family dirichlet_ball needs dimension >= 2, got 1")
     _refuse_unknown(spec, ("family", constant) if constant else ("family",), where)
     kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
     try:

@@ -500,7 +500,7 @@ def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
     with np.errstate(over="ignore"):
         f = np.clip(V(x), 0.0, None)
     top, low = f.max(axis=0), f if exact else f.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a subnormal min V: spread inf
         in_range = abs(q) * np.maximum(abs(np.log(top)), 0.0 if exact else abs(np.log(low))) < 700.0
         spread = None if exact else abs(q) * np.log(top / low)
     graded = np.empty(0, dtype=int)

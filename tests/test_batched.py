@@ -266,18 +266,6 @@ def sandwich_samples(shift=0.0):
     return grid_samples(xs, xs, ts, logp)
 
 
-def gaussian_nd_log(x, y, t):
-    """log p of the free heat kernel on R^n, n = len(x), as (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) in log space."""
-    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return -0.5 * dx.size * (math.log(4.0 * math.pi) + math.log(t)) - float(np.sum(dx * dx)) / (4.0 * t)
-
-
-def ball_samples():
-    """2-D points and a free kernel scaled by e^{-1/2}, for dirichlet_ball at n = 2."""
-    pts = [((a, 0.1), (b, -0.2)) for a in (-0.3, 0.0, 0.25) for b in (-0.2, 0.1, 0.3)]
-    return [(x, y, t, gaussian_nd_log(x, y, t) - 0.5) for x, y in pts for t in (0.02, 0.1, 0.3)]
-
-
 def free_samples(shift=0.0):
     xs = np.linspace(-2, 2, 7)
     pts = grid_points(xs, xs, [0.1, 0.5, 1.0])
@@ -290,10 +278,6 @@ MORE_PINS = {
     "gaussian_upper": (
         lambda: (PolynomialPotential([0.0, 0.0, 1.0]), sandwich_samples(), {}),
         (True, 0.6939802362917354, (0.0, 0.0, 0.05), {"c0": 0.5641895835477563, "c2": 0.125}),
-    ),
-    "dirichlet_ball": (
-        lambda: (None, ball_samples(), {"epsilon": 0.6, "n": 2}),
-        (True, 0.0, ((-0.3, 0.1), (-0.2, -0.2), 0.02), {"C": 0.08351634720694918}),
     ),
     # log p five units above the kernel: no positive decay coefficient exists
     "avg_upper": (

@@ -35,19 +35,13 @@ V0 = constant(0.0)
 Q_SQ = QuadraticCoeffs(0, 0, 1)
 
 
-def gaussian_nd_log(x, y, t):
-    """log p of the free heat kernel on R^n, n = len(x), as (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) in log space."""
-    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return -0.5 * dx.size * (math.log(4.0 * math.pi) + math.log(t)) - float(np.sum(dx * dx)) / (4.0 * t)
-
-
 def sampled(K, pts):
     """(x, y, t, log p) samples of a scalar kernel, as fit_constants takes them."""
     return [(x, y, t, K(x, y, t)) for x, y, t in pts]
 
 
 def _upper_env(**kw):
-    base = dict(family="avg_upper", n=1, c0=1.0, c1=1.0, c2=0.25, beta=0.5)
+    base = dict(family="avg_upper", c0=1.0, c1=1.0, c2=0.25, beta=0.5)
     base.update(kw)
     return BoundEnvelope(**base)
 
@@ -102,7 +96,7 @@ def test_symmetrized_properties():
 
 
 def test_quadratic_sharp_branches_at_one():
-    e = BoundEnvelope(family="quadratic_sharp", n=1, c0=0.2, c1=0.3, c2=0.8, c3=0.4)
+    e = BoundEnvelope(family="quadratic_sharp", c0=0.2, c1=0.3, c2=0.8, c3=0.4)
     # t = 1 takes the small-t branch, -c0 (x-y)^2/t - c1 t (x^2+y^2); just past it the large-t one
     small = log_envelope(None, e, [1.0], [-1.0], [1.0])[0]
     large = log_envelope(None, e, [1.0], [-1.0], [1.001])[0]
@@ -116,7 +110,7 @@ def test_quadratic_sharp_branches_at_one():
 
 def test_avg_lower_branches():
     e = BoundEnvelope(
-        family="avg_lower_near", n=1, c0=0.1, c1=1.0, c2=2.0, c3=0.5, kappa=0.125
+        family="avg_lower_near", c0=0.1, c1=1.0, c2=2.0, c3=0.5, kappa=0.125
     )
     # near branch at x = 0 for V = z^2 decays like exp(-c1 t^2 / 12)
     t = 0.64
@@ -170,28 +164,6 @@ def test_interval_lower_holds_for_sine_series():
     assert fit.feasible
     assert 0.0 < fit.envelope.C < 1.0
     assert fit.min_slack >= -1e-12
-
-
-def test_ball_lower_bound():
-    C = 0.5
-    ball = lambda n, eps: BoundEnvelope(family="dirichlet_ball", n=n, epsilon=eps, C=C)  # noqa: E731
-    # x = y leaves only the time-decay factor
-    v = log_envelope(None, ball(2, 1.0), [(0.0, 0.0)], [(0.0, 0.0)], [0.3])[0]
-    want = math.log(C) - math.log(0.3) - math.pi**2 * 4 * 0.3 / 4.0
-    assert v == pytest.approx(want, rel=1e-12)
-    # time-decay factor becomes exactly 1/2 at t = ln2 * 4 eps^2 / (pi^2 n^2)
-    t_half = math.log(2.0) / math.pi**2
-    a = log_envelope(None, ball(2, 1.0), [(0.0, 0.0)], [(0.0, 0.0)], [t_half])[0]
-    bare = math.log(C) - math.log(t_half)
-    assert math.exp(a - bare) == pytest.approx(0.5, rel=1e-12)
-    # never exceeds the free kernel scaled by C (4 pi)^{n/2}
-    for d in (0.0, 0.5, 2.0):
-        for t in (0.05, 0.5, 3.0):
-            bl = log_envelope(None, ball(2, 1.0), [(0.0, 0.0)], [(d, 0.0)], [t])[0]
-            g = gaussian_nd_log((0.0, 0.0), (d, 0.0), t)
-            assert bl <= g + math.log(C * (4 * math.pi))
-    with pytest.raises(ParameterError):
-        log_envelope(None, ball(1, 0.5), [0.0], [0.0], [0.1])
 
 
 def test_chain_plan_sizes():
@@ -349,13 +321,10 @@ def test_evaluate_envelope_dispatch_all_families():
         {"family": "avg_lower_near", "c0": 0.1, "c1": 1.0, "kappa": 0.125},
         {"family": "avg_lower_far", "c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5, "kappa": 0.125},
         {"family": "dirichlet_interval", "epsilon": 0.5, "C": 0.5},
-        {"family": "dirichlet_ball", "epsilon": 0.5, "C": 0.5, "n": 2},
     ]
     for spec in specs:
         env = BoundEnvelope(**spec)
-        if env.family == "dirichlet_ball":
-            lv = log_envelope(V_SQ, env, [(0.1, 0.0)], [(0.4, 0.0)], [0.3])[0]
-        elif env.family == "avg_lower_near":
+        if env.family == "avg_lower_near":
             lv = log_envelope(V_SQ, env, [0.1], [0.1], [0.3])[0]  # on-diagonal point
         else:
             lv = log_envelope(V_SQ, env, [0.1], [0.4], [0.3])[0]
@@ -369,18 +338,14 @@ def test_evaluate_envelope_dispatch_all_families():
         ({"family": "avg_upper", "c0": 0.3, "c1": 1.0, "c2": 0.25}, 0.3),
         ({"family": "avg_lower_far", "c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5}, 0.3),
         ({"family": "avg_lower_near", "c0": 0.1, "c1": 1.0, "kappa": 0.125}, 0.3),  # a far point needs c2, c3
-        ({"family": "quadratic_sharp", "c0": 0.2, "c1": 0.3, "c2": 0.8, "c3": 0.4, "n": 2}, 0.3),
         ({"family": "dirichlet_interval", "epsilon": 0.5, "C": 1.5}, 0.3),
-        ({"family": "dirichlet_ball", "epsilon": 0.5, "C": 0.5, "n": 1}, 0.3),
     ],
     ids=[
         "t<=0",
         "avg_upper-no-beta",
         "avg_lower_far-no-kappa",
         "avg_lower-far-point-no-c2",
-        "quadratic_sharp-n2",
         "interval-C>1",
-        "ball-n1",
     ],
 )
 def test_evaluate_envelope_checks_its_envelope(spec, t):
@@ -396,7 +361,6 @@ ENVELOPE_SPECS = {
     "avg_lower_near": {"c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5, "kappa": 0.125},
     "avg_lower_far": {"c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5, "kappa": 0.125},
     "dirichlet_interval": {"epsilon": 0.5, "C": 0.5},
-    "dirichlet_ball": {"epsilon": 0.5, "C": 0.5, "n": 2},
 }
 
 
@@ -405,8 +369,6 @@ def test_log_envelope_of_a_batch_is_each_point_bit_for_bit(family):
     env = BoundEnvelope(family=family, **ENVELOPE_SPECS[family])
     xs, ys = np.array([0.1, -0.7, 0.0, 1.3, 0.1]), np.array([0.1, 0.4, 2.5, -1.0, 0.12])
     ts = np.array([0.3, 0.05, 1.7, 0.6, 2.0])
-    if family == "dirichlet_ball":
-        xs, ys = np.stack([xs, 0.5 * xs], axis=1), np.stack([ys, ys], axis=1)
     batch = log_envelope(V_SQ, env, xs, ys, ts)
     assert batch.shape == (5,)
     for i in range(5):
@@ -423,16 +385,26 @@ def test_log_envelope_checks_every_point():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ParameterError, match="time must be > 0"):
             log_envelope(None, gauss, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.5, bad, 0.5])
-    for x, y, t in (([0.1, 0.2], [0.0], [0.5, 0.5]), ([0.1], [0.0], [0.5, 0.5]), (0.1, 0.0, 0.5)):
+    rows = ([[0.1, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])  # 2-D points
+    for x, y, t in (([0.1, 0.2], [0.0], [0.5, 0.5]), ([0.1], [0.0], [0.5, 0.5]), (0.1, 0.0, 0.5), rows):
         with pytest.raises(ParameterError, match="one x, y and t per point"):
             log_envelope(None, gauss, x, y, t)
     assert log_envelope(None, gauss, [], [], []).shape == (0,)
 
 
-def test_fit_dirichlet_ball_needs_dimension():
+def test_fit_refuses_dirichlet_ball_and_vector_samples():
     K = lambda x, y, t: float(gaussian_log_kernel([x], [y], [t])[0, 0, 0])
-    with pytest.raises(ParameterError):
-        fit_constants(None, sampled(K, [(0.0, 0.0, 0.5)]), "dirichlet_ball", epsilon=0.5, n=1)
+    with pytest.raises(ParameterError, match="unknown envelope family 'dirichlet_ball'"):
+        fit_constants(None, sampled(K, [(0.0, 0.0, 0.5)]), "dirichlet_ball", epsilon=0.5)
+    with pytest.raises(ParameterError, match="unknown envelope family 'dirichlet_ball'"):
+        BoundEnvelope(family="dirichlet_ball", epsilon=0.5, C=0.5)
+    for samples in (
+        [((0.0, 0.0), (0.5, 0.0), 0.5, -1.0)],  # 2-D points
+        [(0.0, 0.0, 0.5, -1.0), (0.0, 0.5, -1.0)],  # a short tuple
+        [(0.0, 0.0, 0.5, -1.0), (0.0, 0.5, "t", -1.0)],  # not a number
+    ):
+        with pytest.raises(ParameterError, match=r"^samples must be \(x, y, t, log_p\) tuples of numbers$"):
+            fit_constants(None, samples, "gaussian_upper")
 
 
 def test_fit_lower_defaults_kappa():
@@ -448,7 +420,6 @@ FIT_OPTIONS = {
     "avg_lower_near": {"kappa": 0.25},
     "avg_lower_far": {"kappa": 0.25},
     "dirichlet_interval": {"epsilon": 0.5},
-    "dirichlet_ball": {"epsilon": 0.5, "n": 2},
 }
 
 
@@ -463,12 +434,8 @@ def test_fit_records_are_the_evaluated_envelope(family, a1, a2, shift):
     xs, ts = np.linspace(-1.5, 1.5, 5), [0.05, 0.5, 2.0]
     a0 = a1 * a1 / (4.0 * a2) + 0.1  # V >= 0.1
     V = PolynomialPotential([a0, a1, a2])
-    if family == "dirichlet_ball":
-        pts = [((x, 0.0), (y, 0.3)) for x in xs for y in xs]
-        samples = [(x, y, t, gaussian_nd_log(x, y, t) + shift) for x, y in pts for t in ts]
-    else:
-        logp = quadratic_log_kernel(QuadraticCoeffs(a0, a1, a2), xs, xs, ts) + shift
-        samples = grid_samples(xs, xs, ts, logp)
+    logp = quadratic_log_kernel(QuadraticCoeffs(a0, a1, a2), xs, xs, ts) + shift
+    samples = grid_samples(xs, xs, ts, logp)
     fit = fit_constants(V, samples, family, **FIT_OPTIONS.get(family, {}))
     assert len(fit.records[0])
     for x, y, t, lp, le, slack in zip(*fit.records):
@@ -499,3 +466,40 @@ def test_lower_fit_verdict_comes_from_the_records():
     fit = fit_constants(V_SQ, [(0.0, 0.5, 0.1, -3.0), (0.0, 0.9, 0.1, -math.inf)], "avg_lower_far", kappa=0.125)
     assert not fit.feasible
     assert fit.min_slack == -math.inf and fit.witness == (0.0, 0.9, 0.1)
+
+
+SCALED_FAMILIES = {
+    "avg_upper": {"beta": 0.99},
+    "symmetrized_upper": {"beta": 0.99},
+    "avg_lower_near": {"kappa": 0.125},
+    "avg_lower_far": {"kappa": 0.125},
+}
+
+
+def scaled_fits(r, s):
+    """The fits of V_r(x) = r^2 V(r (x - s)), V = 0.6 + 0.4 x + 1.3 x^2, on the grid mapped as (x/r + s, t/r^2)."""
+    a0, a1, a2 = 0.6, 0.4, 1.3
+    coeffs = (r * r * (a0 - a1 * r * s + a2 * r * r * s * s), r * r * (a1 * r - 2.0 * a2 * r * r * s), r**4 * a2)
+    xs, ts = np.linspace(-2.0, 2.0, 9) / r + s, np.linspace(0.05, 3.0, 6) / (r * r)
+    samples = grid_samples(xs, xs, ts, quadratic_log_kernel(QuadraticCoeffs(*coeffs), xs, xs, ts))
+    V = PolynomialPotential(coeffs)
+    return {family: fit_constants(V, samples, family, **options) for family, options in SCALED_FAMILIES.items()}
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(r=st.floats(0.25, 4.0), s=st.floats(-1.0, 1.0))
+def test_fits_are_invariant_under_parabolic_scaling_and_translation(r, s):
+    # p_r(x, y, t) = r p(r (x - s), r (y - s), r^2 t) is the kernel of -Laplacian + V_r, and every
+    # envelope term (t^(-1/2), |x-y|^2/t, t times a cube mean of V) maps the same way, so the fitted
+    # constants, min_slack and verdicts are those of r = 1, s = 0.  quadratic_sharp is left out:
+    # its switch at t = 1 does not scale.  min_slack reads 0 at r = 1, so it is compared on max(1, |.|).
+    want, got = scaled_fits(1.0, 0.0), scaled_fits(r, s)
+    for family in SCALED_FAMILIES:
+        a, b = want[family], got[family]
+        assert a.feasible is b.feasible
+        assert abs(b.min_slack - a.min_slack) <= 1e-12 * max(1.0, abs(a.min_slack))
+        for name in ("c0", "c1", "c2", "c3", "kappa", "beta"):
+            u, v = getattr(a.envelope, name), getattr(b.envelope, name)
+            assert (u is None) == (v is None), name
+            if u is not None:
+                assert abs(v - u) <= 1e-12 * abs(u), (family, name, u, v)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from heatkernel import (
+    BoundEnvelope,
     ParameterError,
     PolynomialPotential,
     ProbeGrid,
@@ -116,6 +117,9 @@ def test_lattice_semigroup_defects_and_refusals():
         lambda: dirichlet_interval_log_kernel(0.0, 1.0, [0.5], [0.5], [0.1], terms=10),
         lambda: energy_test_family(0.0, 1.0, nodes=129),
         lambda: fit_constants(None, [(0.0, 0.0, 1.0, 0.0)], "gaussian_upper", c_floor=1e-9),
+        # every envelope is one-dimensional
+        lambda: BoundEnvelope(family="quadratic_sharp", c0=0.2, c1=0.3, c2=0.8, c3=0.4, n=2),
+        lambda: fit_constants(None, [(0.0, 0.0, 1.0, 0.0)], "gaussian_upper", n=2),
     ],
 )
 def test_removed_knobs_are_refused(call):

@@ -10,6 +10,7 @@ import pytest
 from heatkernel import PolynomialPotential, QuadraticCoeffs, quadratic_kernel
 from heatkernel.cli import main
 from heatkernel.csvout import CHUNK_ROWS, emit_csv
+from heatkernel.errors import ConfigError
 
 
 def write_config(tmp_path, **overrides):
@@ -424,8 +425,8 @@ def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
         (
             "bounds",
             "envelopes",
-            [{"family": "dirichlet_ball", "n": 2}],
-            "envelopes[0].epsilon is required for family dirichlet_ball",
+            [{"family": "dirichlet_interval", "kappa": 0.5}],
+            "envelopes[0].epsilon is required for family dirichlet_interval",
         ),
         ("chain", "chain", {"sigma": 1.5}, "chain.sigma must be a number in (0, 1), got 1.5"),
         ("chain", "chain", {"c1": -1}, "chain.c1 must be a number > 0, got -1"),
@@ -548,6 +549,86 @@ def test_unknown_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys, comm
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+GRID_1 = {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.1, 0.5, 2]}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        # each exited 1 from the numerics: a negative polynomial in doubling_fit, a power with
+        # exponent <= -1 in doubling_fit, a singular power in the spectral build's discretization
+        (
+            "weights",
+            {"potential": {"kind": "polynomial", "coefficients": [0, 2.9375, 0, 1]}},
+            "potential.coefficients must give a polynomial >= 0 everywhere, got [0, 2.9375, 0, 1]",
+        ),
+        (
+            "chain",
+            {"potential": {"kind": "sum", "parts": [{"kind": "polynomial", "coefficients": [-1e-8, 0, 1]}]}},
+            "potential.parts[0].coefficients must give a polynomial >= 0 everywhere, got [-1e-08, 0, 1]",
+        ),
+        (
+            "weights",
+            {"potential": {"kind": "power", "exponent": -1}},
+            "potential.exponent must be > -1, got -1",
+        ),
+        (
+            "chain",
+            {"potential": {"kind": "scaled", "factor": 2.0, "base": {"kind": "power", "exponent": -2}}},
+            "potential.base.exponent must be > -1, got -2",
+        ),
+        (
+            "bounds",
+            {"engine": "spectral", "grid": GRID_1, "potential": {"kind": "power", "exponent": -1.5}},
+            "potential.exponent must be > -1, got -1.5",
+        ),
+        (
+            "bounds",
+            {
+                "engine": "spectral",
+                "grid": GRID_1,
+                "potential": {
+                    "kind": "sum",
+                    "parts": [{"kind": "constant", "value": 1}, {"kind": "power", "exponent": -0.5}],
+                },
+            },
+            "potential.parts[1].exponent must be >= 0 on the spectral engine, got -0.5",
+        ),
+    ],
+)
+def test_a_potential_the_numerics_cannot_take_exits_2(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "coeffs, nonnegative",
+    [
+        ([0, 2.9375, 0, 1], False),  # odd degree
+        ([-1, 0, 1], False),  # two simple roots
+        ([-1], False),
+        ([-1e-8, 0, 1], False),  # roots at +-1e-4
+        ([0, 0, -1], False),  # negative leading coefficient
+        ([0.25, -1, 1], True),  # (x - 1/2)^2
+        ([0, 0, 1], True),
+        ([1, 0, -2, 0, 1], True),  # (x^2 - 1)^2
+        ([0], True),
+        ([2.0, 0.0, 0.0], True),  # trailing zeros: a constant
+    ],
+)
+def test_a_polynomial_must_be_nonnegative(coeffs, nonnegative):
+    from heatkernel.config import potential_from_config
+
+    spec = {"kind": "polynomial", "coefficients": coeffs}
+    if nonnegative:
+        assert potential_from_config(spec).coeffs == tuple(map(float, coeffs))
+    else:
+        with pytest.raises(ConfigError, match=r"^potential\.coefficients must give a polynomial >= 0 everywhere"):
+            potential_from_config(spec)
 
 
 def test_spectral_grid_is_read_before_the_build(tmp_path, monkeypatch):
@@ -704,15 +785,16 @@ def test_grid_axis_count_is_parsed_or_refused():
     [
         (
             [{"family": "avg_upper", "beta": 0.9, "n": 2}],
-            "envelopes[0].n cannot be set: the dimension is the potential's",
+            "envelopes[0].n is not a known key; known: family, beta",
         ),
         (
             [{"family": "avg_upper", "beta": 0.9}, {"family": "dirichlet_ball", "epsilon": 0.5}],
-            "envelopes[1].family dirichlet_ball needs dimension >= 2, got 1",
+            "envelopes[1].family: unknown envelope family 'dirichlet_ball'; known: gaussian_upper,",
         ),
     ],
+    ids=["n", "dirichlet_ball"],
 )
-def test_envelope_dimension_comes_from_the_potential(tmp_path, capsys, envelopes, message):
+def test_envelopes_have_no_dimension(tmp_path, capsys, envelopes, message):
     cfg = write_config(tmp_path, envelopes=envelopes)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "bounds"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -740,14 +822,17 @@ def test_a_bad_envelope_exits_2_before_any_fit(tmp_path, capsys, bad, message, e
 
 def test_a_far_real_root_leaves_the_spectral_kernel_of_its_polynomial(tmp_path):
     # V = 1 + x^2 + 1e-8 x^3 read V(0) = 0 once divided by its inexact root near -1e8, and
-    # the kernel came out as x^2's, log p(0, 0, 0.5) = -0.99959 in place of -1.49959
-    spectral, grid = {"half_width": 4.0, "points": 401}, {"x": [0.0], "y": [0.0], "t": [0.5]}
+    # the kernel came out as x^2's, log p(0, 0, 0.5) = -0.99959 in place of -1.49959.
+    # V < 0 below that root, so a config refuses it; the box [-4, 4] sees only V > 0.
+    from heatkernel import build_spectral, spectral_log_kernel
+
+    potential = {"kind": "polynomial", "coefficients": [1.0, 0.0, 1.0, 1e-8]}
+    cfg = write_config(tmp_path, engine="spectral", spectral={"half_width": 4.0, "points": 401}, potential=potential)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 2
     log_p = []
     for coeffs in ([1.0, 0.0, 1.0, 1e-8], [1.0, 0.0, 1.0]):
-        potential = {"kind": "polynomial", "coefficients": coeffs}
-        cfg = write_config(tmp_path, engine="spectral", spectral=spectral, grid=grid, potential=potential)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 0
-        log_p.append(float((tmp_path / "out" / "kernel.csv").read_text().splitlines()[2].split(",")[3]))
+        K = build_spectral(PolynomialPotential(coeffs), 4.0, 401, 0.5)
+        log_p.append(float(spectral_log_kernel(K, [0.0], [0.0], [0.5])[0, 0, 0]))
     assert log_p[0] == pytest.approx(-1.49959, abs=1e-5)
     assert log_p[0] == pytest.approx(log_p[1], abs=1e-7)
 

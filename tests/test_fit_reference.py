@@ -31,23 +31,17 @@ from heatkernel.spectral import dirichlet_interval_log_kernel
 # the scalar reference
 
 
-def gaussian_nd_log(x, y, t):
-    """log p of the free heat kernel on R^n, n = len(x), as (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) in log space."""
-    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return -0.5 * dx.size * (math.log(4.0 * math.pi) + math.log(t)) - float(np.sum(dx * dx)) / (4.0 * t)
-
-
 def _dist(x, y):
-    """|x - y| of one point pair, numbers or n-vectors, as the fitter's array path computes it."""
-    return float(_distances(np.array(x, dtype=float, ndmin=2), np.array(y, dtype=float, ndmin=2))[0])
+    """|x - y| of one point pair, as the fitter's array path computes it."""
+    return float(_distances(np.array([x], dtype=float), np.array([y], dtype=float))[0])
 
 
 def ref_m_beta(x, beta):
     return x if x <= 1.0 else x**beta
 
 
-def ref_log_gaussian(c0, n, t, c=0.0, d2=0.0):
-    return math.log(c0) - 0.5 * n * math.log(t) - c * d2 / t
+def ref_log_gaussian(c0, t, c=0.0, d2=0.0):
+    return math.log(c0) - 0.5 * math.log(t) - c * d2 / t
 
 
 def ref_upper_decay(V, beta, x, y, t):
@@ -62,11 +56,11 @@ def ref_is_near(kappa, d, t):
     return d < kappa * math.sqrt(t)
 
 
-def ref_lower_terms(V, n, c0, c2, c3, near, x, d, t):
+def ref_lower_terms(V, c0, c2, c3, near, x, d, t):
     if near:
-        base, avg = ref_log_gaussian(c0, n, t), cube_average(V, x, math.sqrt(t))
+        base, avg = ref_log_gaussian(c0, t), cube_average(V, x, math.sqrt(t))
         return base, math.log(t * avg) if avg > 0.0 else -math.inf
-    base, avg = ref_log_gaussian(c0, n, t, c3, d * d), cube_average(V, x, t / d)
+    base, avg = ref_log_gaussian(c0, t, c3, d * d), cube_average(V, x, t / d)
     if avg <= 0.0:
         return base, -math.inf
     return base, math.log(t) + (d * d / t) * math.log(c2) + math.log(avg)
@@ -76,14 +70,11 @@ def ref_sharp_terms(x, y, t):
     return -0.5 * math.log(t), (x - y) ** 2, x * x + y * y
 
 
-def ref_dirichlet_log(family, n, epsilon, x, y, t, log_c=0.0):
-    if family == "dirichlet_interval":
-        factor = 1.0 - 2.0 * math.exp(-(epsilon**2) / t)
-        if factor <= 0.0:
-            return -math.inf
-        return log_c - 0.5 * math.log(t) - (x - y) ** 2 / (4.0 * t) + math.log(factor)
-    d2 = _dist(x, y) ** 2
-    return log_c - 0.5 * n * math.log(t) - math.pi**2 * n**2 * t / (4.0 * epsilon**2) - d2 / (4.0 * t)
+def ref_dirichlet_log(epsilon, x, y, t, log_c=0.0):
+    factor = 1.0 - 2.0 * math.exp(-(epsilon**2) / t)
+    if factor <= 0.0:
+        return -math.inf
+    return log_c - 0.5 * math.log(t) - (x - y) ** 2 / (4.0 * t) + math.log(factor)
 
 
 def ref_log_envelope(V, env, x, y, t):
@@ -91,11 +82,11 @@ def ref_log_envelope(V, env, x, y, t):
     if family in ("gaussian_upper", "avg_upper", "symmetrized_upper"):
         d2 = _dist(x, y) ** 2
         if family == "gaussian_upper":
-            return ref_log_gaussian(env.c0, env.n, t, env.c2, d2)
+            return ref_log_gaussian(env.c0, t, env.c2, d2)
         both = family == "symmetrized_upper"
         c_gauss, c_decay = (env.c1, env.c2) if both else (env.c2, env.c1)
         decay = ref_upper_decay(V, env.beta, x, y if both else None, t)
-        return ref_log_gaussian(env.c0, env.n, t, c_gauss, d2) - c_decay * decay
+        return ref_log_gaussian(env.c0, t, c_gauss, d2) - c_decay * decay
     if family == "quadratic_sharp":
         shape, d2, s = ref_sharp_terms(x, y, t)
         if t <= 1.0:
@@ -104,29 +95,29 @@ def ref_log_envelope(V, env, x, y, t):
     if family in ("avg_lower_near", "avg_lower_far"):
         d = _dist(x, y)
         near = ref_is_near(env.kappa, d, t)
-        base, log_d = ref_lower_terms(V, env.n, env.c0, env.c2, env.c3, near, x, d, t)
+        base, log_d = ref_lower_terms(V, env.c0, env.c2, env.c3, near, x, d, t)
         log_decay = math.log(env.c1) + log_d
         if log_decay > 700.0:
             return -math.inf
         return base - math.exp(log_decay)
-    return ref_dirichlet_log(family, env.n, env.epsilon, x, y, t, math.log(env.C))
+    return ref_dirichlet_log(env.epsilon, x, y, t, math.log(env.C))
 
 
-def ref_fit_constants(V, samples, family, *, n=1, beta=None, kappa=None, epsilon=None):
+def ref_fit_constants(V, samples, family, *, beta=None, kappa=None, epsilon=None):
     """(envelope, feasible, min_slack, witness, records as (x, y, t, log_p, log_env, slack) tuples)."""
     pts = [tuple(s) for s in samples]
-    c0_upper = 2.0 * (4.0 * math.pi) ** (-0.5 * n)
+    c0_upper = 2.0 * (4.0 * math.pi) ** -0.5
     sel, ok, blame = pts, True, None
     if family == "gaussian_upper":
-        env = BoundEnvelope(family=family, n=n, c0=c0_upper, c2=0.125)
+        env = BoundEnvelope(family=family, c0=c0_upper, c2=0.125)
     elif family in ("avg_upper", "symmetrized_upper"):
-        env, ok, blame = ref_fit_decay(V, family, pts, n, c0_upper, beta)
+        env, ok, blame = ref_fit_decay(V, family, pts, c0_upper, beta)
     elif family == "quadratic_sharp":
         env, ok = ref_fit_quadratic_sharp(pts)
     elif family in ("avg_lower_near", "avg_lower_far"):
-        env, sel = ref_fit_lower_c1(V, family, pts, n, kappa)
+        env, sel = ref_fit_lower_c1(V, family, pts, kappa)
     else:
-        env, ok = ref_fit_dirichlet_C(family, pts, n, epsilon)
+        env, ok = ref_fit_dirichlet_C(family, pts, epsilon)
 
     _check_envelope(env, *(np.array(column, dtype=float) for column in list(zip(*sel))[:3]))
     upper = family in UPPER_FAMILIES
@@ -144,7 +135,7 @@ def ref_fit_constants(V, samples, family, *, n=1, beta=None, kappa=None, epsilon
     return env, ok and min_slack >= -1e-12, min_slack, blame or witness, records
 
 
-def ref_fit_decay(V, family, pts, n, c0, beta):
+def ref_fit_decay(V, family, pts, c0, beta):
     both = family == "symmetrized_upper"
     least, at = math.inf, None
     for x, y, t, lp in pts:
@@ -152,13 +143,13 @@ def ref_fit_decay(V, family, pts, n, c0, beta):
             continue
         decay = ref_upper_decay(V, beta, x, y if both else None, t)
         if decay > 0.0:
-            q = (ref_log_gaussian(c0, n, t, 0.125, _dist(x, y) ** 2) - lp) / decay
+            q = (ref_log_gaussian(c0, t, 0.125, _dist(x, y) ** 2) - lp) / decay
             if q < least:
                 least, at = q, (x, y, t)
     ok = at is None or least > 0.0
     cdecay = max(least if at is not None else 1.0, C_FLOOR)
     c1, c2 = (0.125, cdecay) if both else (cdecay, 0.125)
-    env = BoundEnvelope(family=family, n=n, c0=c0, c1=c1, c2=c2, beta=beta)
+    env = BoundEnvelope(family=family, c0=c0, c1=c1, c2=c2, beta=beta)
     return env, ok, None if ok else at
 
 
@@ -176,38 +167,38 @@ def ref_fit_quadratic_sharp(pts):
     c1, ok1 = least([(budget - c0 * d2 / t) / (t * s) for t, _, budget, d2, s in small if s > 0], 1.0)
     c2, ok2 = least([-lp / t / 2.0 for t, lp, *_ in large], 1.0)
     c3, ok3 = least([(-lp - c2 * t) / s for t, lp, _, _, s in large if s > 0], 1.0)
-    env = BoundEnvelope(family="quadratic_sharp", n=1, c0=c0, c1=c1, c2=c2, c3=c3)
+    env = BoundEnvelope(family="quadratic_sharp", c0=c0, c1=c1, c2=c2, c3=c3)
     return env, ok0 and ok1 and ok2 and ok3
 
 
-def ref_fit_lower_c1(V, family, pts, n, kappa):
+def ref_fit_lower_c1(V, family, pts, kappa):
     if kappa is None:
         kappa = 0.125
     near = family == "avg_lower_near"
-    c0, c2, c3 = 0.5 * (4.0 * math.pi) ** (-0.5 * n), 2.0, 0.5
+    c0, c2, c3 = 0.5 * (4.0 * math.pi) ** -0.5, 2.0, 0.5
     sel, quotients = [], []
     for x, y, t, lp in pts:
         d = _dist(x, y)
         if ref_is_near(kappa, d, t) != near:
             continue
         sel.append((x, y, t, lp))
-        base, log_d = ref_lower_terms(V, n, c0, c2, c3, near, x, d, t)
+        base, log_d = ref_lower_terms(V, c0, c2, c3, near, x, d, t)
         if lp > -math.inf and -math.inf < log_d <= 700.0:
             quotients.append((base - lp) / math.exp(log_d))
     c1 = max(max(quotients, default=0.0), C_FLOOR)
     far = {} if near else {"c2": c2, "c3": c3}
-    return BoundEnvelope(family=family, n=n, c0=c0, c1=c1, kappa=kappa, **far), sel
+    return BoundEnvelope(family=family, c0=c0, c1=c1, kappa=kappa, **far), sel
 
 
-def ref_fit_dirichlet_C(family, pts, n, epsilon):
+def ref_fit_dirichlet_C(family, pts, epsilon):
     ratios = []
     for x, y, t, lp in pts:
-        shape = ref_dirichlet_log(family, n, epsilon, x, y, t)
+        shape = ref_dirichlet_log(epsilon, x, y, t)
         if shape > -math.inf and lp > -math.inf:
             ratios.append(math.exp(min(lp - shape, 700.0)))
     c_raw = min(ratios)
     C = min(c_raw, 0.99) if c_raw > 0.0 else C_FLOOR
-    return BoundEnvelope(family=family, n=n, epsilon=epsilon, C=C), c_raw > 0.0
+    return BoundEnvelope(family=family, epsilon=epsilon, C=C), c_raw > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +238,7 @@ OPTIONS = {
     "avg_lower_far": {"kappa": 0.125},
 }
 QUADRATIC_FAMILIES = tuple(OPTIONS)
-ALL_OPTIONS = {**OPTIONS, "dirichlet_interval": {"epsilon": 0.5}, "dirichlet_ball": {"epsilon": 0.5, "n": 2}}
+ALL_OPTIONS = {**OPTIONS, "dirichlet_interval": {"epsilon": 0.5}}
 
 
 def closed_form_samples(coeffs, xs, ys, ts):
@@ -297,13 +288,6 @@ def test_minus_inf_log_p_matches_the_reference_on_the_dirichlet_families():
     samples = grid_samples(inner, inner, ts, dirichlet_interval_log_kernel(0.0, math.pi, inner, inner, ts))
     samples = [(x, y, t, -math.inf if i % 4 == 3 else lp) for i, (x, y, t, lp) in enumerate(samples)]
     assert_fit_matches_reference(None, samples, "dirichlet_interval", epsilon=math.pi / 4.0)
-    axis = np.linspace(-1.0, 1.0, 4).tolist()
-    pairs = [((x, 0.0), (y, 0.3)) for x in axis for y in axis]
-    samples = [
-        (x, y, t, -math.inf if i % 5 == 2 else gaussian_nd_log(x, y, t))
-        for i, (x, y, t) in enumerate((x, y, t) for x, y in pairs for t in (0.05, 0.4, 1.5))
-    ]
-    assert_fit_matches_reference(None, samples, "dirichlet_ball", epsilon=0.5, n=2)
 
 
 @pytest.mark.parametrize("family", ["gaussian_upper", "symmetrized_upper"])
@@ -338,7 +322,5 @@ def test_both_lower_regimes_match_the_reference(family, potential):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_nan_log_p_is_refused_naming_the_point(family):
     samples = [(0.0, 0.0, 1.0, -1.0), (0.5, 0.0, 1.0, math.nan), (0.0, 0.5, 0.5, -1.2)]
-    if family == "dirichlet_ball":
-        samples = [((x, 0.0), (y, 0.0), t, lp) for x, y, t, lp in samples]
     with pytest.raises(ParameterError, match=r"log p is NaN at .*0\.5.*1\.0"):
         fit_constants(PolynomialPotential([1.0, 0.0, 1.0]), samples, family, **ALL_OPTIONS[family])

@@ -39,3 +39,17 @@ def test_fit_constants_takes_the_family_third():
     from heatkernel import bounds
 
     assert list(inspect.signature(bounds.fit_constants).parameters)[2] == "family"
+
+
+def test_every_benchmark_config_resolves(monkeypatch, tmp_path):
+    # the config refusals must not reach a benchmark job: none of its potentials is negative or singular
+    from heatkernel.config import resolve
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for jobs in workloads.make_rounds(workload, 0, 15.0, tmp_path):
+            for job in jobs:
+                resolve(job.config)
