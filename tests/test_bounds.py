@@ -339,6 +339,7 @@ def test_evaluate_envelope_dispatch_all_families():
         ({"family": "avg_lower_far", "c0": 0.1, "c1": 1.0, "c2": 2.0, "c3": 0.5}, 0.3),
         ({"family": "avg_lower_near", "c0": 0.1, "c1": 1.0, "kappa": 0.125}, 0.3),  # a far point needs c2, c3
         ({"family": "dirichlet_interval", "epsilon": 0.5, "C": 1.5}, 0.3),
+        ({"family": "dirichlet_ball", "epsilon": 0.5, "C": 0.5}, 0.3),  # in one dimension the ball is the interval
     ],
     ids=[
         "t<=0",
@@ -346,6 +347,7 @@ def test_evaluate_envelope_dispatch_all_families():
         "avg_lower_far-no-kappa",
         "avg_lower-far-point-no-c2",
         "interval-C>1",
+        "ball-n1",
     ],
 )
 def test_evaluate_envelope_checks_its_envelope(spec, t):
@@ -392,12 +394,16 @@ def test_log_envelope_checks_every_point():
     assert log_envelope(None, gauss, [], [], []).shape == (0,)
 
 
-def test_fit_refuses_dirichlet_ball_and_vector_samples():
+def test_fit_dirichlet_ball_needs_dimension():
+    # Every envelope is one-dimensional, so the ball family (which needs n > 1) is unknown.
     K = lambda x, y, t: float(gaussian_log_kernel([x], [y], [t])[0, 0, 0])
     with pytest.raises(ParameterError, match="unknown envelope family 'dirichlet_ball'"):
         fit_constants(None, sampled(K, [(0.0, 0.0, 0.5)]), "dirichlet_ball", epsilon=0.5)
     with pytest.raises(ParameterError, match="unknown envelope family 'dirichlet_ball'"):
         BoundEnvelope(family="dirichlet_ball", epsilon=0.5, C=0.5)
+
+
+def test_fit_refuses_vector_samples():
     for samples in (
         [((0.0, 0.0), (0.5, 0.0), 0.5, -1.0)],  # 2-D points
         [(0.0, 0.0, 0.5, -1.0), (0.0, 0.5, -1.0)],  # a short tuple
