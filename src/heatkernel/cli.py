@@ -12,8 +12,9 @@ Subcommands
 runs, so a bad value in any section exits 2 naming its key, whatever the
 subcommand.  Each `cmd_*(run, out)` reads plain values from the resolved
 run.  The only config refusals left here are `missing key 'grid'`, from
-`kernel` and `bounds`, the two that read a grid, and the quadratic potential
-that `ode` and the explicit engine need (`quadratic_from_potential`).
+`kernel` and `bounds`, the two that read a grid; the quadratic potential
+that `ode` and the explicit engine need (`quadratic_from_potential`); and a
+potential without finite positive mass on a doubling cube (`_doubling_fit`).
 
 Outputs are deterministic: every CSV is written by `emit_csv`, which takes
 one sequence per column (a float64 ndarray, a `range` or a list), and
@@ -44,7 +45,7 @@ import numpy as np
 from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_points, grid_samples
 from .config import DEFAULT_CONFIG, load_config, quadratic_from_potential, resolve
 from .csvout import emit_csv
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .explicit import quadratic_kernel, quadratic_log_kernel
 from .ode import closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
@@ -111,6 +112,14 @@ def _bounds_samples(run: dict):
     return samples, _prov_line(run, "engine=explicit", xs, ys, ts)
 
 
+def _doubling_fit(V, center: float, side: float, depth: int):
+    """`doubling_fit`, whose window and depth the config has checked: a refusal is the potential's, before any CSV."""
+    try:
+        return doubling_fit(V, center, side, depth)
+    except ParameterError as exc:
+        raise ConfigError(f"potential: {exc}") from exc
+
+
 def _p(log_p: float) -> float:
     """p for the CSV's p column: 0 below log p = -745, inf above 709, else e^{log p}."""
     return 0.0 if log_p < -745.0 else math.inf if log_p > 709.0 else math.exp(log_p)
@@ -173,6 +182,7 @@ def cmd_weights(run: dict, out: Path) -> int:
     prov_line = f"config={run['hash']} window_side={side:g} depth={depth}"
     rh = rh_constant(V, w["rh_q"], center, side, depth)
     ap = ap_constant(V, w["ap_p"], center, side, depth)
+    fit = _doubling_fit(V, center, side, depth)
     traces = rh.trace + ap.trace
     columns = [
         ["rh"] * len(rh.trace) + ["ap"] * len(ap.trace),
@@ -181,7 +191,6 @@ def cmd_weights(run: dict, out: Path) -> int:
         [ratio for _, ratio in traces],
     ]
     emit_csv(columns, ["kind", "exponent", "side", "ratio"], out / "weight_trace.csv", prov_line)
-    fit = doubling_fit(V, center, side, depth)
     emit_csv([[fit.C], [fit.epsilon], [fit.residual]], ["C", "epsilon", "residual"], out / "doubling.csv", prov_line)
     print(
         f"rh: constant={rh.constant:.6g} divergent={rh.divergent} | "
@@ -212,7 +221,7 @@ def cmd_chain(run: dict, out: Path) -> int:
     V = run["potential"]
     x, y, t, sigma, c0, c1 = (run["chain"][k] for k in ("x", "y", "t", "sigma", "c0", "c1"))
     plan = chain_plan(x, y, t, sigma=sigma)
-    dbl = doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
+    dbl = _doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
     log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "

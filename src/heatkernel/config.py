@@ -130,7 +130,7 @@ def _number(value, where: str, rule: str | None = None):
 
 
 def load_config(path) -> dict:
-    """Read a JSON config file; parse errors carry line/column diagnostics."""
+    """Read a JSON config file holding an object (checked by `resolve`); parse errors carry line/column diagnostics."""
     text = Path(path).read_text()
     try:
         cfg = json.loads(text)
@@ -138,11 +138,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _reject_nonfinite(cfg, "")
-    _refuse_unknown(cfg, DEFAULT_CONFIG, "")
-    for name, section in cfg.items():
-        if name != "potential" and isinstance(section, dict) and isinstance(DEFAULT_CONFIG[name], dict):
-            _refuse_unknown(section, (*DEFAULT_CONFIG[name], *OPTIONAL_KEYS.get(name, ())), name)
     return cfg
 
 
@@ -174,9 +169,14 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
     none) and each of NUMBER_SECTIONS, a dict with every default filled; a key
     whose default is an int (which its LIMITS entry requires) stays an int,
     the others are floats.  A bad value anywhere raises ConfigError naming its
-    key, before any subcommand's work.  A relative `tabulated.table` path
-    resolves against base_dir.
+    key, before any subcommand's work: first a NaN or an infinity, then a key
+    the schema does not know.  A relative `tabulated.table` path resolves against base_dir.
     """
+    _reject_nonfinite(cfg, "")
+    _refuse_unknown(cfg, DEFAULT_CONFIG, "")
+    for name, section in cfg.items():
+        if name != "potential" and isinstance(section, dict) and isinstance(DEFAULT_CONFIG[name], dict):
+            _refuse_unknown(section, (*DEFAULT_CONFIG[name], *OPTIONAL_KEYS.get(name, ())), name)
     if (engine := cfg.get("engine", "explicit")) not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
     run = {"hash": config_hash(cfg), "engine": engine}

@@ -171,12 +171,14 @@ class PolynomialPotential(Potential):
 
 @dataclass(frozen=True)
 class PowerPotential(Potential):
-    """V(x) = |x|**alpha, one break at 0 of order alpha; for alpha < 0, V(0) is a domain error."""
+    """V(x) = |x|**alpha, finite alpha > -1 (locally integrable), a break at 0 of order alpha; alpha < 0 raises at 0."""
 
     alpha: float
 
     def __init__(self, alpha: float):
-        object.__setattr__(self, "alpha", float(alpha))
+        if not -1.0 < (alpha := float(alpha)) < math.inf:
+            raise ParameterError(f"power exponent must be a finite number > -1, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     def __call__(self, x):
         r = np.abs(np.asarray(x, dtype=float))
@@ -376,7 +378,7 @@ def _table_integral(V: TabulatedPotential, lo, hi):
 
 
 def interval_integral(V: Potential, lo, hi):
-    """Exact integral of V over [lo, hi] (vectorized); +inf where a power is not integrable."""
+    """Exact integral of V over [lo, hi] (vectorized); inf or nan only where it leaves the float range."""
     if isinstance(V, PolynomialPotential):
         return _poly_interval_integral(V, lo, hi)
     if isinstance(V, PowerPotential):
@@ -596,21 +598,6 @@ def _graded_pieces(V: Potential, lo, hi, q: float, first, last, extra, steps):
 # cube averages
 
 
-def _refuse_divergent(V: Potential, lo, hi, total) -> None:
-    """Raise DomainError if some cube [lo_i, hi_i] has an infinite integral total_i.
-
-    The kinds that can diverge (a power with alpha <= -1, alone, scaled or
-    summed) diverge at 0 only, and an edge within 1e-15 of 0 counts as
-    reaching it: such a cube is judged by its integral stretched to 0.
-    """
-    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    near = ((0.0 < lo) & (lo <= 1e-15)) | ((-1e-15 <= hi) & (hi < 0.0))
-    if near.any():  # skipped otherwise: an empty interval_integral call alone costs ~35 us
-        total = np.append(total, interval_integral(V, np.minimum(lo[near], 0.0), np.maximum(hi[near], 0.0)))
-    if np.isinf(total).any():
-        raise DomainError("potential is not integrable on this cube: a power with alpha <= -1 at 0")
-
-
 def checked_cube(center, side) -> tuple[float, float]:
     """(center, side) of a cube as floats; a center that is not finite, or a side not > 0, raises ParameterError."""
     if not side > 0.0:
@@ -629,10 +616,10 @@ def cube_average(V: Potential, center: float, side: float) -> float:
     """Mean of V over the cube of the given center and side.
 
     The exact `interval_integral` over [center - side/2, center + side/2],
-    divided by side.  A cube on which V is not integrable raises DomainError
-    (`_refuse_divergent`).  A cube V has already been averaged over returns
-    the stored value (`Potential.cube_memo`), looked up before `checked_cube`
-    since only checked cubes are stored; a refused cube is never stored.
+    divided by side; every potential is locally integrable, so an integral
+    that is inf or nan has left the float range, and raises DomainError giving
+    it.  A cube V has already been averaged over returns the stored value
+    (`Potential.cube_memo`), looked up before `checked_cube`; a refused cube is never stored.
     """
     memo = V.cube_memo
     try:
@@ -640,11 +627,9 @@ def cube_average(V: Potential, center: float, side: float) -> float:
     except (KeyError, TypeError):  # not averaged yet, or unhashable (a 0-d array: computed, then stored by its floats)
         pass
     center, side = checked_cube(center, side)
-    half = side / 2.0
-    lo, hi = center - half, center + half
-    total = float(interval_integral(V, lo, hi))
-    if math.isinf(total) or 0.0 < lo <= 1e-15 or -1e-15 <= hi < 0.0:
-        _refuse_divergent(V, lo, hi, total)
+    lo, hi = center - side / 2.0, center + side / 2.0
+    if not math.isfinite(total := float(interval_integral(V, lo, hi))):
+        raise DomainError(f"the integral of V over [{lo!r}, {hi!r}] is {total}, not a finite number")
     mean = total / side
     if len(memo) < CUBE_MEMO_CAP:
         memo[center, side] = mean
@@ -665,8 +650,11 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
     if not np.all(np.isfinite(centers)):
         raise ParameterError(f"cube center must be finite, got {centers[~np.isfinite(centers)].flat[0]}")
     lo, hi = centers - sides / 2.0, centers + sides / 2.0
-    total = interval_integral(V, lo, hi)
-    _refuse_divergent(V, lo, hi, total)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as cube_average refuses it
+        total = interval_integral(V, lo, hi)
+    if not np.all(finite := np.isfinite(total)):
+        lo, hi, bad = (float(a[~finite].flat[0]) for a in np.broadcast_arrays(lo, hi, total))
+        raise DomainError(f"the integral of V over [{lo!r}, {hi!r}] is {bad}, not a finite number")
     return total / sides
 
 
@@ -820,16 +808,18 @@ def doubling_fit(V: Potential, center: float, side: float, depth: int) -> Doubli
     """Fit log(mass ratio) = epsilon * log(volume ratio) + log C.
 
     The family is the window (center, side) and its concentric dyadic
-    shrinkings; each depth contributes the pair (Z_d, window).
+    shrinkings; each depth contributes the pair (Z_d, window).  The first cube
+    of the family whose mass is not finite and > 0 is named in a ParameterError.
     """
     if depth < 3:
         raise ParameterError("doubling fit needs at least 3 nested pairs (depth >= 3)")
     c, side = checked_cube(center, side)
     sides = side * 2.0 ** -np.arange(depth + 1)
-    masses = interval_integral(V, c - sides / 2.0, c + sides / 2.0)
-    masses = np.asarray(masses, dtype=float)
-    if not np.all(np.isfinite(masses)) or masses[0] <= 0:
-        raise ParameterError("doubling fit needs finite positive cube masses")
+    masses = np.asarray(interval_integral(V, c - sides / 2.0, c + sides / 2.0), dtype=float)
+    if not np.all(good := np.isfinite(masses) & (masses > 0.0)):
+        i = int(np.argmin(good))
+        cube = f"the cube of center {c!r} and side {float(sides[i])!r}"
+        raise ParameterError(f"doubling fit needs finite positive cube masses, got {masses[i]} on {cube}")
     xs = np.log(sides[1:] / sides[0])
     ys = np.log(masses[1:] / masses[0])
     eps, logc = np.polyfit(xs, ys, 1)

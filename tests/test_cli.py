@@ -9,11 +9,12 @@ import pytest
 
 from heatkernel import PolynomialPotential, QuadraticCoeffs, quadratic_kernel
 from heatkernel.cli import main
+from heatkernel.config import resolve
 from heatkernel.csvout import CHUNK_ROWS, emit_csv
 from heatkernel.errors import ConfigError
 
 
-def write_config(tmp_path, **overrides):
+def config_dict(**overrides):
     cfg = {
         "potential": {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0], "dimension": 1},
         "engine": "explicit",
@@ -24,9 +25,20 @@ def write_config(tmp_path, **overrides):
         "chain": {"x": 0.0, "y": 1.0, "t": 1.0},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(config_dict(**overrides)))
     return path
+
+
+def assert_resolve_refuses(overrides, err):
+    """resolve refuses the config given as a dict with the message main printed for it as a file."""
+    with pytest.raises(ConfigError) as info:
+        resolve(config_dict(**overrides))
+    assert err == f"config error: {info.value}\n"
 
 
 def columns_of(rows, width):
@@ -364,8 +376,10 @@ def test_nonfinite_config_numbers_exit_2(tmp_path, capsys, overrides, command, w
     assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), command])
     assert rc == 2
-    assert f"config error: {where} must be a finite number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {where} must be a finite number" in err
     assert not list((tmp_path / "out").glob("*.csv"))
+    assert_resolve_refuses(overrides, err)
 
 
 @pytest.mark.parametrize(
@@ -547,8 +561,10 @@ def test_unknown_keys_exit_2_before_any_work(tmp_path, monkeypatch, capsys, comm
         monkeypatch.setattr(cli, name, no_work)
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
     assert not list((tmp_path / "out").glob("*.csv"))
+    assert_resolve_refuses(overrides, err)
 
 
 GRID_1 = {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3], "t": [0.1, 0.5, 2]}
@@ -602,6 +618,31 @@ def test_a_potential_the_numerics_cannot_take_exits_2(tmp_path, capsys, command,
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, potential, chain, bad",
+    [
+        ("weights", {"kind": "constant", "value": 0}, None, "0.0 on the cube of center 0.0 and side 2.0"),
+        ("chain", {"kind": "constant", "value": 0}, None, "0.0 on the cube of center 0.0 and side 4.0"),
+        # x^2 zeroed on [-0.5, 0.5]: the window has mass, its halvings from side 1 on have none
+        ("weights", {"kind": "tabulated", "table": "zero_middle.csv"}, None, "0.0 on the cube of center 0.0 and side 1.0"),
+        (
+            "chain",
+            {"kind": "tabulated", "table": "zero_middle.csv"},
+            {"x": 0.0, "y": 0.1, "t": 1.0},
+            "0.0 on the cube of center 0.0 and side 1.0",
+        ),
+    ],
+)
+def test_a_potential_without_mass_on_a_doubling_cube_exits_2(tmp_path, capsys, command, potential, chain, bad):
+    xs = np.linspace(-2.0, 2.0, 81).tolist()
+    (tmp_path / "zero_middle.csv").write_text("".join(f"{x!r},{0.0 if abs(x) <= 0.5 else x * x!r}\n" for x in xs))
+    cfg = write_config(tmp_path, potential=potential, **({"chain": chain} if chain else {}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    message = f"config error: potential: doubling fit needs finite positive cube masses, got {bad}\n"
+    assert capsys.readouterr().err == message
     assert not list((tmp_path / "out").glob("*.csv"))
 
 

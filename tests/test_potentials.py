@@ -112,8 +112,9 @@ def test_cube_average_singular_power_closed_form():
     V = PowerPotential(-0.5)
     # integrable singularity handled by closed form: mean of |x|^{-1/2} over [-1,1] is 2
     assert cube_average(V, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(DomainError, match="alpha <= -1"):
-        cube_average(PowerPotential(-1.5), 0.0, 2.0)
+    # |x|^-1.5 is not locally integrable, so no such potential is made
+    with pytest.raises(ParameterError, match="power exponent must be a finite number > -1, got -1.5"):
+        PowerPotential(-1.5)
 
 
 def test_tabulated_roundtrip():
@@ -307,6 +308,20 @@ def test_doubling_fit_exact_cases():
 def test_doubling_fit_needs_pairs():
     with pytest.raises(ParameterError):
         doubling_fit(constant(1.0), 0.0, 2.0, 2)
+
+
+def test_doubling_fit_names_the_first_cube_without_finite_positive_mass():
+    # a table that is 0 on [-0.5, 0.5]: the window has mass, and its shrinkings from side 1 on have none
+    xs = np.linspace(-2.0, 2.0, 81)
+    table = TabulatedPotential(xs, np.where(np.abs(xs) <= 0.5, 0.0, xs**2))
+    for V, window, bad in (
+        (table, (0.0, 2.0), "0.0 on the cube of center 0.0 and side 1.0"),
+        (table, (0.0, 4.0), "0.0 on the cube of center 0.0 and side 1.0"),
+        (constant(0.0), (0.0, 4.0), "0.0 on the cube of center 0.0 and side 4.0"),
+        (PowerPotential(300.0), (500.0, 800.0), "nan on the cube of center 500.0 and side 800.0"),
+    ):
+        with pytest.raises(ParameterError, match=f"^doubling fit needs finite positive cube masses, got {bad}$"):
+            doubling_fit(V, *window, 6)
 
 
 def test_rh_matches_independent_quadrature(rng):
@@ -759,12 +774,35 @@ def test_a_refused_cube_raises_every_time_and_is_never_stored():
             with pytest.raises(ParameterError):
                 cube_average(V, 0.5, side)
     assert list(V.cube_memo) == [(0.5, 1.0)]
-    singular = PowerPotential(-1.5)
-    for center, side in ((0.25, 0.5), (0.0, 1.0), (-0.25, 0.5), (0.25 + 1e-16, 0.5)):
+    overflowing = PolynomialPotential([0.0, 0.0, 1e308])
+    for center, side in ((10.0, 1.0), (0.0, 40.0), (-10.0, 1.0), (10.0 + 1e-15, 1.0)):
         for _ in range(2):
             with pytest.raises(DomainError):
-                cube_average(singular, center, side)
-    assert singular.cube_memo == {}
+                cube_average(overflowing, center, side)
+    assert overflowing.cube_memo == {}
+
+
+@pytest.mark.parametrize(
+    "V, center, side, total",
+    [
+        (PolynomialPotential([0.0, 0.0, 1e308]), 10.0, 1.0, "inf"),  # overflows
+        (PowerPotential(300.0), 500.0, 800.0, "nan"),  # inf - inf
+    ],
+)
+def test_a_cube_integral_past_the_float_range_is_refused(V, center, side, total):
+    lo, hi = center - side / 2.0, center + side / 2.0
+    message = f"the integral of V over [{lo!r}, {hi!r}] is {total}, not a finite number"
+    for average in (lambda: cube_average(V, center, side), lambda: cube_averages(V, [center, center], side)):
+        with pytest.raises(DomainError) as info:
+            average()
+        assert str(info.value) == message  # the value, and no word of an exponent
+    assert V.cube_memo == {}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_a_power_exponent_must_be_a_finite_number(alpha):
+    with pytest.raises(ParameterError, match=f"power exponent must be a finite number > -1, got {alpha}"):
+        PowerPotential(alpha)
 
 
 @pytest.mark.parametrize("kind", MEMO_KINDS)
@@ -807,12 +845,12 @@ def _tabulated(values):
     return TabulatedPotential(np.linspace(-4.0, 4.0, len(values)), values)
 
 
-# every kind with a closed form, scaled and summed; alpha <= -1 and tables
-# that do not cover a cube make some draws raise
+# every kind with a closed form, scaled and summed, with each power's exponent in
+# (-1, 3]; tables that do not cover a cube make some draws raise
 POTENTIALS = st.recursive(
     st.one_of(
         st.lists(COEFF, min_size=1, max_size=5).map(PolynomialPotential),
-        st.floats(-2.0, 3.0).map(PowerPotential),
+        st.floats(-1.0, 3.0, exclude_min=True).map(PowerPotential),
         st.lists(st.floats(0.0, 10.0), min_size=2, max_size=12).map(_tabulated),
     ),
     lambda inner: st.one_of(
@@ -861,19 +899,6 @@ def test_cube_averages_checks_and_refusals():
     assert got.shape == (4,)
     assert _bits(got) == _bits([cube_average(V, c, 0.5) for c in centers])
     assert cube_averages(V, centers.reshape(2, 2), 0.5).shape == (2, 2)
-    # alpha <= -1 is refused as soon as one cube contains 0, as cube_average refuses it
-    for alpha in (-1.0, -1.5):
-        assert np.all(np.isfinite(cube_averages(PowerPotential(alpha), [1.0, 2.0], 0.5)))
-        with pytest.raises(DomainError):
-            cube_average(PowerPotential(alpha), 0.2, 0.5)
-        with pytest.raises(DomainError):
-            cube_averages(PowerPotential(alpha), [1.0, 0.2], 0.5)
-    # an edge at 0, or within 1e-15 of it (`_refuse_divergent`), counts as containing 0
-    for center in (0.25, 0.25 + 1e-16, -0.25 - 1e-16):
-        with pytest.raises(DomainError):
-            cube_average(PowerPotential(-1.0), center, 0.5)
-        with pytest.raises(DomainError):
-            cube_averages(PowerPotential(-1.0), [2.0, center], 0.5)
     # a cube that leaves the table
     T = _tabulated([1.0, 2.0, 0.5])
     with pytest.raises(DomainError):
@@ -908,22 +933,18 @@ def test_scans_refuse_a_window_side_that_is_not_positive(side):
 @pytest.mark.parametrize(
     "V",
     [
-        ScaledPotential(2.0, PowerPotential(-1.5)),
-        SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(-1.0)),
-        SumPotential(constant(1.0), ScaledPotential(0.5, PowerPotential(-2.0))),
+        (lambda: ScaledPotential(2.0, PowerPotential(-1.5)), -1.5),
+        (lambda: SumPotential(PolynomialPotential([0.0, 0.0, 1.0]), PowerPotential(-1.0)), -1.0),
+        (lambda: SumPotential(constant(1.0), ScaledPotential(0.5, PowerPotential(-2.0))), -2.0),
+        (lambda: PowerPotential(-1.0), -1.0),
     ],
 )
 def test_wrapped_singular_powers_are_refused_on_cubes_reaching_0(V):
-    # refused by what V integrates to, not by its kind: the wrappers used to return inf
-    for center in (0.0, 0.25, 0.25 + 1e-16, -0.25 - 1e-16):
-        with pytest.raises(DomainError, match="alpha <= -1"):
-            cube_average(V, center, 0.5)
-        with pytest.raises(DomainError, match="alpha <= -1"):
-            cube_averages(V, [2.0, center], 0.5)
-    # away from 0 the averages stay finite and agree bit for bit
-    got = cube_averages(V, [1.0, -2.0], 0.5)
-    assert np.all(np.isfinite(got))
-    assert _bits(got) == _bits([cube_average(V, c, 0.5) for c in (1.0, -2.0)])
+    # |x|^alpha with alpha <= -1 is not locally integrable, so no cube ever sees it: bare,
+    # scaled or summed, the power is refused where it is made
+    make, alpha = V
+    with pytest.raises(ParameterError, match=f"power exponent must be a finite number > -1, got {alpha}"):
+        make()
 
 
 # ---------------------------------------------------------------------------
