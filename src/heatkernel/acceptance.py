@@ -22,6 +22,7 @@ from .bounds import (
     energy_test_family,
     fefferman_phong_ratio,
     fit_constants,
+    fit_options,
     grid_samples,
     moser_ratio,
 )
@@ -156,20 +157,15 @@ SANDWICH_GRID = None
 
 
 def _sandwich_fits():
-    """(log p on the sandwich grid, shaped [t, x, y]; the five envelope fits against it), cached."""
+    """(log p on the sandwich grid, shaped [t, x, y]; the default config's five envelope fits against it), cached."""
     global SANDWICH_GRID
     if SANDWICH_GRID is not None:
         return SANDWICH_GRID
     xs, ts = SANDWICH_XS, SANDWICH_TS
     log_p = LOG_P_SQUARE(xs, xs, ts)
     samples = grid_samples(xs, xs, ts, log_p)
-    fits = {
-        "avg_upper": fit_constants(V_SQUARE, samples, "avg_upper", beta=0.99),
-        "symmetrized_upper": fit_constants(V_SQUARE, samples, "symmetrized_upper", beta=0.99),
-        "quadratic_sharp": fit_constants(V_SQUARE, samples, "quadratic_sharp"),
-        "avg_lower_near": fit_constants(V_SQUARE, samples, "avg_lower_near", kappa=0.125),
-        "avg_lower_far": fit_constants(V_SQUARE, samples, "avg_lower_far", kappa=0.125),
-    }
+    envelopes = resolve(DEFAULT_CONFIG)["envelopes"]
+    fits = {env.family: fit_constants(V_SQUARE, samples, env.family, **fit_options(env)) for env in envelopes}
     SANDWICH_GRID = (log_p, fits)
     return SANDWICH_GRID
 

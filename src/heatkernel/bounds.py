@@ -5,6 +5,8 @@ positive constants exist; `fit_constants` turns that into a checkable
 statement by fitting the free constant against a computed kernel on a grid
 and reporting feasibility plus per-point slack.
 
+Each envelope family is declared once, in `FAMILY_TABLE`, which every other
+module reads: its side of the kernel, option, constants, fit and fitted points.
 Each family's log-envelope is written once, in helpers on arrays with one
 entry per point, which `log_envelope` and `fit_constants` call with numpy's
 warnings off: entries that a mask then drops may divide by zero or overflow.
@@ -30,9 +32,7 @@ C_FLOOR = 1e-9
 # Lattice points per axis of each `moser_ratio` cylinder; odd, as Simpson's rule wants.
 MOSER_NODES = 41
 
-UPPER_FAMILIES = ("gaussian_upper", "avg_upper", "symmetrized_upper", "quadratic_sharp")
-LOWER_FAMILIES = ("avg_lower_near", "avg_lower_far", "dirichlet_interval")
-FAMILIES = UPPER_FAMILIES + LOWER_FAMILIES
+C0_UPPER = 2.0 * (4.0 * math.pi) ** -0.5
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ class BoundEnvelope:
             raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
         if self.kappa is not None and not 0.0 < self.kappa < 1.0:
             raise ParameterError(f"kappa must be in (0, 1), got {self.kappa}")
-
-    def _need(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise ParameterError(f"family {self.family} needs constant {name}")
 
 
 def _libm(f, a: np.ndarray) -> np.ndarray:
@@ -122,15 +117,25 @@ def _lower_terms(V: Potential, c0: float, c2, c3, near, x, d, t):
     return base, log_d
 
 
+def _near(kappa: float, x, y, t) -> np.ndarray:
+    """The near regime of the averaged lower families: |x - y| < kappa sqrt(t)."""
+    return _distances(x, y) < kappa * np.sqrt(t)
+
+
 def _sharp_terms(x, y, t):
     """(-(1/2) log t, (x-y)^2, x^2 + y^2), the terms of both quadratic_sharp branches."""
     return -0.5 * _libm(math.log, t), _square(x - y), x * x + y * y
 
 
+def _dirichlet_factor(epsilon: float, t) -> np.ndarray:
+    """The factor 1 - 2 e^{-eps^2/t} of the dirichlet_interval family, > 0 where t < eps^2 / ln 2."""
+    return 1.0 - 2.0 * _libm(math.exp, -(epsilon**2) / t)
+
+
 def _dirichlet_log(epsilon: float, x, y, t, log_c: float = 0.0):
     """log C + shape of the dirichlet_interval family (the shape alone at log_c = 0);
     -inf where the factor 1 - 2 e^{-eps^2/t} clamps at zero."""
-    factor = 1.0 - 2.0 * _libm(math.exp, -(epsilon**2) / t)
+    factor = _dirichlet_factor(epsilon, t)
     log_factor = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
     shape = log_c - 0.5 * _libm(math.log, t) - _square(x - y) / (4.0 * t) + log_factor
     return np.where(factor > 0.0, shape, -math.inf)
@@ -172,31 +177,24 @@ def log_envelope(V, env: BoundEnvelope, x, y, t) -> np.ndarray:
         shape, d2, s = _sharp_terms(x, y, t)
         return np.where(t <= 1.0, shape - env.c0 * d2 / t - env.c1 * t * s, -env.c2 * t - env.c3 * s)
     if family in ("avg_lower_near", "avg_lower_far"):
-        d = _distances(x, y)
-        base, log_d = _lower_terms(V, env.c0, env.c2, env.c3, d < env.kappa * np.sqrt(t), x, d, t)
+        base, log_d = _lower_terms(V, env.c0, env.c2, env.c3, _near(env.kappa, x, y, t), x, _distances(x, y), t)
         log_decay = math.log(env.c1) + log_d
         return np.where(log_decay > 700.0, -math.inf, base - _libm(math.exp, np.minimum(log_decay, 700.0)))
     return _dirichlet_log(env.epsilon, x, y, t, math.log(env.C))
 
 
 def _check_envelope(env: BoundEnvelope, x, y, t) -> None:
-    """Raise ParameterError unless every t > 0 and env has what its family needs (at a far point: c2, c3)."""
+    """Raise ParameterError unless every t > 0 and env has the constants its family reads (c2, c3 at far points)."""
     if not np.all(t > 0):
         raise ParameterError("time must be > 0")
-    family = env.family
-    if family == "gaussian_upper":
-        env._need("c0", "c2")
-    elif family in ("avg_upper", "symmetrized_upper"):
-        env._need("c0", "c1", "c2", "beta")
-    elif family == "quadratic_sharp":
-        env._need("c0", "c1", "c2", "c3")
-    elif family in ("avg_lower_near", "avg_lower_far"):
-        env._need("kappa")
-        env._need(*(("c0", "c1") if np.all(_distances(x, y) < env.kappa * np.sqrt(t)) else ("c0", "c1", "c2", "c3")))
-    else:
-        env._need("epsilon", "C")
-        if not 0.0 < env.C < 1.0:
-            raise ParameterError(f"{family} needs C in (0, 1), got {env.C}")
+    _, option, _, constants, _, _ = FAMILY_TABLE[env.family]
+    if option == "kappa" and env.kappa is not None and not np.all(_near(env.kappa, x, y, t)):
+        constants += ("c2", "c3")
+    for name in constants:
+        if getattr(env, name) is None:
+            raise ParameterError(f"family {env.family} needs constant {name}")
+    if "C" in constants and not 0.0 < env.C < 1.0:
+        raise ParameterError(f"{env.family} needs C in (0, 1), got {env.C}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +452,8 @@ def fit_constants(
 
     samples is an iterable of (x, y, t, log p) tuples of numbers, as
     `grid_samples` makes them, read once into one N x 4 array; a time <= 0 or
-    a NaN log p is refused.
+    a NaN log p is refused, and so is a family option left out without a
+    default in FAMILY_TABLE, or one that leaves no point to fit (`fit_mask`).
     Upper families fix c0 = 2 (4 pi)^{-1/2} and Gaussian coefficient 1/8, then
     take the decay coefficient as the infimum of admissible values over the
     grid (clipped at C_FLOOR), a masked min of one quotient array; lower
@@ -465,6 +464,7 @@ def fit_constants(
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown envelope family {family!r}")
+    bound, option, default, _, fit, _ = FAMILY_TABLE[family]
     pts = list(samples)
     if not pts:
         raise ParameterError("empty sample grid")
@@ -478,24 +478,16 @@ def fit_constants(
         raise ParameterError("time must be > 0")
     if np.isnan(lp).any():
         raise ParameterError(f"log p is NaN at (x, y, t) = {tuple(pts[int(np.argmax(np.isnan(lp)))][:3])}")
+    if (value := {"beta": beta, "kappa": kappa, "epsilon": epsilon}.get(option)) is None:
+        value = default
+    if option is not None and value is None:
+        raise ParameterError(f"{family} fit needs {option}")
 
-    c0_upper = 2.0 * (4.0 * math.pi) ** -0.5
-    sel, ok, blame = slice(None), True, None  # points recorded, constants admissible, witness overriding the slack's
-    if family == "gaussian_upper":
-        env = BoundEnvelope(family=family, c0=c0_upper, c2=0.125)
-    elif family in ("avg_upper", "symmetrized_upper"):
-        env, ok, blame = _fit_decay(V, family, x, y, t, lp, c0_upper, beta)
-    elif family == "quadratic_sharp":
-        env, ok = _fit_quadratic_sharp(x, y, t, lp)
-    elif family in ("avg_lower_near", "avg_lower_far"):
-        env, sel = _fit_lower_c1(V, family, x, y, t, lp, kappa)
-    else:
-        env, ok = _fit_dirichlet_C(family, x, y, t, lp, epsilon)
-
-    at = np.arange(len(pts))[sel]
+    env, ok, blame, sel = fit(V, family, value, x, y, t, lp, fit_mask(family, value, x, y, t))
+    at = np.flatnonzero(sel)
     x, y, t, lp = x[at], y[at], t[at], lp[at]
     log_env = log_envelope(V, env, x, y, t)
-    if family in UPPER_FAMILIES:
+    if bound == "upper":
         slack = np.where(lp > -math.inf, log_env - lp, math.inf)
     else:
         slack = np.where(log_env > -math.inf, lp - log_env, np.where(lp > -math.inf, math.inf, 0.0))
@@ -506,26 +498,51 @@ def fit_constants(
     return FitResult(env, bool(ok and min_slack >= -1e-12), min_slack, witness, (x, y, t, lp, log_env, slack))
 
 
-def _fit_decay(V, family, x, y, t, lp, c0, beta):
-    """avg_upper / symmetrized_upper: the decay coefficient is the least (base - log p) / decay.
-    Returns (envelope, admissible, the index of the least quotient when it is <= 0)."""
-    if beta is None:
-        raise ParameterError(f"{family} fit needs beta")
+@np.errstate(all="ignore")
+def fit_mask(family: str, value, x, y, t) -> np.ndarray:
+    """The points (x[i], y[i], t[i]) that family fits at its option's value, as a bool array;
+    ParameterError, giving the bound that leaves none, if there are none."""
+    _, option, _, _, _, mask = FAMILY_TABLE[family]
+    if mask is None:
+        return np.ones(t.shape, dtype=bool)
+    keep = mask(value, x, y, t)
+    if keep.any():
+        return keep
+    if option == "kappa":  # near: |x - y| / sqrt(t) < kappa, far: >= kappa
+        name, q = "|x - y| / sqrt(t)", _distances(x, y) / np.sqrt(t)
+    else:  # usable: epsilon > sqrt(t ln 2)
+        name, q = "sqrt(t ln 2)", np.sqrt(t * math.log(2.0))
+    raise ParameterError(f"{family} fits no point at {option} = {value:g}: {name} is in [{q.min():.6g}, {q.max():.6g}]")
+
+
+def fit_options(env: BoundEnvelope) -> dict:
+    """The keyword of `fit_constants` that env's family reads, with env's value; {} if it reads none."""
+    option = FAMILY_TABLE[env.family][1]
+    return {} if option is None else {option: getattr(env, option)}
+
+
+def _fit_gaussian(V, family, value, x, y, t, lp, keep):
+    """gaussian_upper: nothing to fit."""
+    return BoundEnvelope(family=family, c0=C0_UPPER, c2=0.125), True, None, keep
+
+
+def _fit_decay(V, family, beta, x, y, t, lp, keep):
+    """avg_upper / symmetrized_upper: the decay coefficient is the least (base - log p) / decay, the witness if <= 0."""
     both = family == "symmetrized_upper"
     at = np.flatnonzero(lp != -math.inf)  # a vanishing kernel bounds nothing
     decay = _upper_decay(V, beta, x[at], y[at] if both else None, t[at])
-    base = _log_gaussian(c0, t[at], 0.125, _square(_distances(x[at], y[at])))
+    base = _log_gaussian(C0_UPPER, t[at], 0.125, _square(_distances(x[at], y[at])))
     quotient = np.full(len(lp), math.inf)
     quotient[at] = np.where(decay > 0.0, (base - lp[at]) / decay, math.inf)
     least, i = _least(quotient)
     ok = i is None or least > 0.0  # no quotient: the decay never bites
     cdecay = max(least if i is not None else 1.0, C_FLOOR)
     c1, c2 = (0.125, cdecay) if both else (cdecay, 0.125)
-    env = BoundEnvelope(family=family, c0=c0, c1=c1, c2=c2, beta=beta)
-    return env, ok, None if ok else i
+    env = BoundEnvelope(family=family, c0=C0_UPPER, c1=c1, c2=c2, beta=beta)
+    return env, ok, None if ok else i, keep
 
 
-def _fit_quadratic_sharp(x, y, t, lp):
+def _fit_quadratic_sharp(V, family, value, x, y, t, lp, keep):
     """Two stages per branch: c0 takes half of the small-t budget, c1 the rest; c2 then c3 likewise."""
     shape, d2, s = _sharp_terms(x, y, t)
     budget = shape - lp
@@ -539,38 +556,50 @@ def _fit_quadratic_sharp(x, y, t, lp):
     c1, ok1 = least(small & (s > 0), (budget - c0 * d2 / t) / (t * s), 1.0)
     c2, ok2 = least(large, -lp / t / 2.0, 1.0)
     c3, ok3 = least(large & (s > 0), (-lp - c2 * t) / s, 1.0)
-    env = BoundEnvelope(family="quadratic_sharp", c0=c0, c1=c1, c2=c2, c3=c3)
-    return env, ok0 and ok1 and ok2 and ok3
+    env = BoundEnvelope(family=family, c0=c0, c1=c1, c2=c2, c3=c3)
+    return env, ok0 and ok1 and ok2 and ok3, None, keep
 
 
-def _fit_lower_c1(V, family, x, y, t, lp, kappa):
-    """avg_lower_near / avg_lower_far on their regime's points (the mask returned):
-    c1 is the largest (base - log p) / D."""
-    if kappa is None:
-        kappa = 0.125  # default branch split |x-y| = sqrt(t)/8
+def _fit_lower(V, family, kappa, x, y, t, lp, keep):
+    """avg_lower_near / avg_lower_far, fitted and recorded on their regime: c1 is the largest (base - log p) / D."""
     near = family == "avg_lower_near"
     c0, c2, c3 = 0.5 * (4.0 * math.pi) ** -0.5, 2.0, 0.5
-    d = _distances(x, y)
-    sel = (d < kappa * np.sqrt(t)) == near  # the branch test |x-y| < kappa sqrt(t)
-    if not sel.any():
-        raise ParameterError(f"no grid points fall in the {family} regime")
-    base, log_d = _lower_terms(V, c0, c2, c3, np.full(sel.sum(), near), x[sel], d[sel], t[sel])
-    lp = lp[sel]
+    base, log_d = _lower_terms(V, c0, c2, c3, np.full(keep.sum(), near), x[keep], _distances(x, y)[keep], t[keep])
+    lp = lp[keep]
     use = (lp > -math.inf) & (log_d > -math.inf) & (log_d <= 700.0)
     quotients = (base[use] - lp[use]) / _libm(math.exp, log_d[use])
     c1 = max(float(quotients.max()) if quotients.size else 0.0, C_FLOOR)
     far = {} if near else {"c2": c2, "c3": c3}
-    return BoundEnvelope(family=family, c0=c0, c1=c1, kappa=kappa, **far), sel
+    return BoundEnvelope(family=family, c0=c0, c1=c1, kappa=kappa, **far), True, None, keep
 
 
-def _fit_dirichlet_C(family, x, y, t, lp, epsilon):
-    """dirichlet_interval: C is the least p / exp(shape), capped at 0.99."""
-    if epsilon is None:
-        raise ParameterError(f"{family} fit needs epsilon")
+def _fit_dirichlet(V, family, epsilon, x, y, t, lp, keep):
+    """dirichlet_interval, recorded on every point: C is the least p / exp(shape), capped at 0.99."""
     shape = _dirichlet_log(epsilon, x, y, t)
     use = (shape > -math.inf) & (lp > -math.inf)
     if not use.any():
         raise ParameterError("no usable grid points for the Dirichlet fit")
     c_raw = float(np.min(_libm(math.exp, np.minimum(lp[use] - shape[use], 700.0))))
     C = min(c_raw, 0.99) if c_raw > 0.0 else C_FLOOR
-    return BoundEnvelope(family=family, epsilon=epsilon, C=C), c_raw > 0.0
+    return BoundEnvelope(family=family, epsilon=epsilon, C=C), c_raw > 0.0, None, np.ones_like(keep)
+
+
+# Every envelope family, declared once, as (bound, option, default, constants, fit, mask):
+#   bound      "upper" or "lower";
+#   option     the one keyword its fit and its config entry take, or None; default, its value when
+#              left out, or None if it is required;
+#   constants  what its envelope reads, in the order a missing one is named (c2, c3 too at far points);
+#   fit        fit(V, family, value, x, y, t, log p, keep) -> (envelope, admissible, witness index or
+#              None, the points recorded), where keep is what mask(value, x, y, t) selects (all if None).
+FAMILY_TABLE = {
+    "gaussian_upper": ("upper", None, None, ("c0", "c2"), _fit_gaussian, None),
+    "avg_upper": ("upper", "beta", None, ("c0", "c1", "c2", "beta"), _fit_decay, None),
+    "symmetrized_upper": ("upper", "beta", None, ("c0", "c1", "c2", "beta"), _fit_decay, None),
+    "quadratic_sharp": ("upper", None, None, ("c0", "c1", "c2", "c3"), _fit_quadratic_sharp, None),
+    "avg_lower_near": ("lower", "kappa", 0.125, ("kappa", "c0", "c1"), _fit_lower, _near),
+    "avg_lower_far": ("lower", "kappa", 0.125, ("kappa", "c0", "c1"), _fit_lower, lambda *a: ~_near(*a)),
+    "dirichlet_interval": (
+        "lower", "epsilon", None, ("epsilon", "C"), _fit_dirichlet, lambda eps, x, y, t: _dirichlet_factor(eps, t) > 0.0
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)

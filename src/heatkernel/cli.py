@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import chain_plan, chained_lower_bound, fit_constants, grid_points, grid_samples
+from .bounds import chain_plan, chained_lower_bound, fit_constants, fit_options, grid_points, grid_samples
 from .config import DEFAULT_CONFIG, load_config, quadratic_from_potential, resolve
 from .csvout import emit_csv
 from .errors import ConfigError, ParameterError
@@ -120,9 +120,12 @@ def _doubling_fit(V, center: float, side: float, depth: int):
         raise ConfigError(f"potential: {exc}") from exc
 
 
-def _p(log_p: float) -> float:
-    """p for the CSV's p column: 0 below log p = -745, inf above 709, else e^{log p}."""
-    return 0.0 if log_p < -745.0 else math.inf if log_p > 709.0 else math.exp(log_p)
+def _p_column(lp: np.ndarray) -> np.ndarray:
+    """p for the CSV's p column: 0 below log p = -745, inf above 709, else math.exp's bits (NaN stays NaN)."""
+    p = np.where(lp < -745.0, 0.0, math.inf)
+    rest = ~(lp < -745.0) & ~(lp > 709.0)
+    p[rest] = list(map(math.exp, lp[rest].tolist()))
+    return p
 
 
 def cmd_kernel(run: dict, out: Path) -> int:
@@ -130,48 +133,30 @@ def cmd_kernel(run: dict, out: Path) -> int:
     nx, ny, nt = len(xs), len(ys), len(ts)
     # x-major order, as `grid_points` lists the points
     lp = log_p.transpose(1, 2, 0).ravel()
-    columns = [
-        np.repeat(xs, ny * nt),
-        np.tile(np.repeat(ys, nt), nx),
-        np.tile(ts, nx * ny),
-        lp,
-        [_p(v) for v in lp.tolist()],
-    ]
+    columns = [np.repeat(xs, ny * nt), np.tile(np.repeat(ys, nt), nx), np.tile(ts, nx * ny), lp, _p_column(lp)]
     path = emit_csv(columns, ["x", "y", "t", "log_p", "p"], out / "kernel.csv", prov_line)
     print(f"wrote {path} ({len(lp)} rows)")
     return EXIT_OK
 
 
 def cmd_bounds(run: dict, out: Path) -> int:
-    V = run["potential"]
     samples, prov_line = _bounds_samples(run)
-    verdicts = {k: [] for k in ("family", "verdict", "min_slack", "c0", "c1", "c2", "c3")}
-    families = []
-    # the fits' record columns x, y, t, log_p, log_env and slack, one array per fit
-    records = {k: [np.empty(0)] for k in ("x", "y", "t", "log_p", "log_env", "slack")}
-    all_ok = True
+    fits, rows = [], []
     for env0 in run["envelopes"]:
-        options = {k: getattr(env0, k) for k in ("beta", "kappa", "epsilon")}
-        fit = fit_constants(V, samples(), env0.family, **options)
-        env = fit.envelope
-        verdict = "FEASIBLE" if fit.feasible else "INFEASIBLE"
-        all_ok &= fit.feasible
-        consts = {
-            k: getattr(env, k)
-            for k in ("c0", "c1", "c2", "c3", "beta", "kappa", "epsilon", "C")
-            if getattr(env, k) is not None
-        }
+        fit = fit_constants(run["potential"], samples(), env0.family, **fit_options(env0))
+        env, verdict = fit.envelope, "FEASIBLE" if fit.feasible else "INFEASIBLE"
+        names = ("c0", "c1", "c2", "c3", "beta", "kappa", "epsilon", "C")
+        consts = {k: v for k in names if (v := getattr(env, k)) is not None}
         const_str = " ".join(f"{k}={v:.6g}" for k, v in consts.items())
         print(f"{env.family}: {verdict} min_slack={fit.min_slack:.6g} {const_str}")
-        row = (env.family, verdict, fit.min_slack) + tuple(consts.get(k, math.nan) for k in ("c0", "c1", "c2", "c3"))
-        for col, value in zip(verdicts.values(), row):
-            col.append(value)
-        families += [env.family] * len(fit.records[0])
-        for col, values in zip(records.values(), fit.records):
-            col.append(values)
-    emit_csv(list(verdicts.values()), list(verdicts), out / "bound_verdicts.csv", prov_line)
-    slack_columns = [families] + [np.concatenate(col) for col in records.values()]
-    emit_csv(slack_columns, ["family", *records], out / "bound_slacks.csv", prov_line)
+        rows.append((env.family, verdict, fit.min_slack, *(consts.get(k, math.nan) for k in names[:4])))
+        fits.append(fit)
+    columns = [list(col) for col in zip(*rows)]
+    emit_csv(columns, ["family", "verdict", "min_slack", *names[:4]], out / "bound_verdicts.csv", prov_line)
+    families = [fit.envelope.family for fit in fits for _ in fit.records[0]]
+    columns = [families] + [np.concatenate([np.empty(0)] + [fit.records[j] for fit in fits]) for j in range(6)]
+    emit_csv(columns, ["family", "x", "y", "t", "log_p", "log_env", "slack"], out / "bound_slacks.csv", prov_line)
+    all_ok = all(fit.feasible for fit in fits)
     print(f"sandwich: {'FEASIBLE' if all_ok else 'INFEASIBLE'}")
     return EXIT_OK if all_ok else EXIT_FAILURE
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import FAMILIES, BoundEnvelope, chain_length, chain_sigma_bound
+from .bounds import FAMILIES, FAMILY_TABLE, BoundEnvelope, chain_length, chain_sigma_bound, fit_mask
 from .errors import ConfigError, ParameterError
 from .explicit import T_FLOOR, QuadraticCoeffs
 from .potentials import (
@@ -110,15 +110,6 @@ POTENTIAL_KEYS = {
     "scaled": ("factor", "base"),
     "sum": ("parts",),
 }
-# The one constant a family's fit reads, and an envelope's only key besides
-# `family`; every one but kappa (1/8 by default) is required.
-FAMILY_CONSTANT = {
-    "avg_upper": "beta",
-    "symmetrized_upper": "beta",
-    "avg_lower_near": "kappa",
-    "avg_lower_far": "kappa",
-    "dirichlet_interval": "epsilon",
-}
 
 
 def _number(value, where: str, rule: str | None = None):
@@ -170,7 +161,9 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
     whose default is an int (which its LIMITS entry requires) stays an int,
     the others are floats.  A bad value anywhere raises ConfigError naming its
     key, before any subcommand's work: first a NaN or an infinity, then a key
-    the schema does not know.  A relative `tabulated.table` path resolves against base_dir.
+    the schema does not know; last, an envelope that cfg lists and that has
+    no point of the grid to fit (`bounds.fit_mask`), named by its option.  A
+    relative `tabulated.table` path resolves against base_dir.
     """
     _reject_nonfinite(cfg, "")
     _refuse_unknown(cfg, DEFAULT_CONFIG, "")
@@ -204,6 +197,14 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
         raise ConfigError("envelopes must be a non-empty list")
     run["envelopes"] = [envelope_from_config(spec, f"envelopes[{i}]") for i, spec in enumerate(specs)]
     run["grid"] = grid_from_config(cfg, run["spectral"]["half_width"]) if "grid" in cfg else None
+    if "envelopes" in cfg and run["grid"] is not None:  # an envelope with no grid point to fit
+        x, y, t = (axis.ravel() for axis in np.meshgrid(*run["grid"], indexing="ij"))
+        for i, env in enumerate(run["envelopes"]):
+            option = FAMILY_TABLE[env.family][1]
+            try:
+                fit_mask(env.family, getattr(env, option) if option else None, x, y, t)
+            except ParameterError as exc:
+                raise ConfigError(f"envelopes[{i}].{option}: {exc}") from exc
     return run
 
 
@@ -319,10 +320,11 @@ def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
 
 
 def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
-    """Keys: family plus the FAMILY_CONSTANT of the family; `where` (`envelopes[i]`) names the entry.
+    """Keys: family plus the option of the family in `bounds.FAMILY_TABLE`, which takes
+    its default there when left out; `where` (`envelopes[i]`) names the entry.
 
     `bounds` fits c0..c3 and C, so setting one is a config error, and so is
-    leaving out a required FAMILY_CONSTANT or giving any other key.
+    leaving out an option without a default or giving any other key.
     """
     family = str(_need(spec, "family", where))
     if family not in FAMILIES:
@@ -330,11 +332,11 @@ def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:
     for key in ("c0", "c1", "c2", "c3", "C"):
         if key in spec:
             raise ConfigError(f"{where}.{key} cannot be set: bounds fits it")
-    constant = FAMILY_CONSTANT.get(family)
-    if constant not in (None, "kappa") and constant not in spec:
-        raise ConfigError(f"{where}.{constant} is required for family {family}")
-    _refuse_unknown(spec, ("family", constant) if constant else ("family",), where)
-    kwargs = {k: float(_number(spec[k], f"{where}.{k}")) for k in ("beta", "kappa", "epsilon") if k in spec}
+    _, option, default, *_ = FAMILY_TABLE[family]
+    if option is not None and default is None and option not in spec:
+        raise ConfigError(f"{where}.{option} is required for family {family}")
+    _refuse_unknown(spec, ("family", option) if option else ("family",), where)
+    kwargs = {option: float(_number(spec.get(option, default), f"{where}.{option}"))} if option else {}
     try:
         return BoundEnvelope(family=family, **kwargs)
     except Exception as exc:

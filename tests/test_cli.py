@@ -190,12 +190,12 @@ def test_kernel_subcommand_row_count(tmp_path, capsys):
 
 
 def test_p_column_exponentiation():
-    from heatkernel.cli import _p
+    from heatkernel.cli import _p_column
 
-    assert _p(-math.inf) == 0.0
-    assert _p(-800.0) == 0.0
-    assert _p(0.0) == 1.0
-    assert _p(800.0) == math.inf
+    p = _p_column(np.array([-math.inf, -800.0, 0.0, 800.0, math.inf, math.nan, -745.0, 709.0, 0.3]))
+    assert p[:5].tolist() == [0.0, 0.0, 1.0, math.inf, math.inf]
+    assert math.isnan(p[5])
+    assert p[6:].tolist() == [math.exp(-745.0), math.exp(709.0), math.exp(0.3)]
 
 
 def test_kernel_rerun_byte_identical(tmp_path):
@@ -848,17 +848,55 @@ def test_envelopes_have_no_dimension(tmp_path, capsys, envelopes, message):
         ({"family": "avg_upper", "beta": 7}, "envelopes[2]: beta must be in (0, 1], got 7.0"),
         ({"family": "avg_lower_far", "kappa": 1.5}, "envelopes[2]: kappa must be in (0, 1), got 1.5"),
         ({"family": "nonsense"}, "envelopes[2].family: unknown envelope family 'nonsense'"),
+        # a time is usable only below epsilon^2 / ln 2, where 1 - 2 e^(-epsilon^2/t) > 0
+        (
+            {"family": "dirichlet_interval", "epsilon": 0.1},
+            "envelopes[2].epsilon: dirichlet_interval fits no point at epsilon = 0.1: "
+            "sqrt(t ln 2) is in [0.263277, 0.588705]",
+        ),
     ],
 )
 @pytest.mark.parametrize("engine", ["explicit", "spectral"])
 def test_a_bad_envelope_exits_2_before_any_fit(tmp_path, capsys, bad, message, engine):
     envelopes = [{"family": "avg_upper", "beta": 0.9}, {"family": "quadratic_sharp"}, bad]
-    cfg = write_config(tmp_path, envelopes=envelopes, engine=engine, spectral={"half_width": 4.0, "points": 101})
+    overrides = {"envelopes": envelopes, "engine": engine, "spectral": {"half_width": 4.0, "points": 101}}
+    cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "bounds"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {message}" in captured.err
     assert not list((tmp_path / "out").glob("*.csv"))
+    assert_resolve_refuses(overrides, captured.err)
+
+
+@pytest.mark.parametrize(
+    "grid, envelope, message",
+    [
+        (
+            {"x": [0.0, 1.0, 3], "y": [2.0, 3.0, 3], "t": [0.5, 1.0, 2]},
+            {"family": "avg_lower_near"},
+            "envelopes[1].kappa: avg_lower_near fits no point at kappa = 0.125: |x - y| / sqrt(t) is in [1, 4.24264]",
+        ),
+        (
+            {"x": [0.5], "y": [0.5], "t": [0.5, 1.0, 3]},
+            {"family": "avg_lower_far", "kappa": 0.125},
+            "envelopes[1].kappa: avg_lower_far fits no point at kappa = 0.125: |x - y| / sqrt(t) is in [0, 0]",
+        ),
+    ],
+    ids=["no_near_point", "no_far_point"],
+)
+@pytest.mark.parametrize("engine", ["explicit", "spectral"])
+def test_a_lower_regime_without_grid_points_exits_2_before_any_fit(tmp_path, capsys, grid, envelope, message, engine):
+    # at the parent, bounds printed avg_upper's verdict and exited 1 at the fit
+    envelopes = [{"family": "avg_upper", "beta": 0.9}, envelope]
+    overrides = {"grid": grid, "envelopes": envelopes, "engine": engine, "spectral": {"half_width": 4.0, "points": 101}}
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "bounds"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not list((tmp_path / "out").glob("*.csv"))
+    assert_resolve_refuses(overrides, captured.err)
 
 
 def test_a_far_real_root_leaves_the_spectral_kernel_of_its_polynomial(tmp_path):

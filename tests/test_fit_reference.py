@@ -16,7 +16,7 @@ from heatkernel import ParameterError, PolynomialPotential, QuadraticCoeffs, con
 from heatkernel.bounds import (
     C_FLOOR,
     FAMILIES,
-    UPPER_FAMILIES,
+    FAMILY_TABLE,
     BoundEnvelope,
     _check_envelope,
     _distances,
@@ -120,7 +120,7 @@ def ref_fit_constants(V, samples, family, *, beta=None, kappa=None, epsilon=None
         env, ok = ref_fit_dirichlet_C(family, pts, epsilon)
 
     _check_envelope(env, *(np.array(column, dtype=float) for column in list(zip(*sel))[:3]))
-    upper = family in UPPER_FAMILIES
+    upper = FAMILY_TABLE[family][0] == "upper"
     records = []
     min_slack, witness = math.inf, None
     for x, y, t, lp in sel:
@@ -258,7 +258,7 @@ def test_closed_form_grid_matches_the_reference(coeffs, family):
     axis, ts = np.linspace(-2.0, 2.0, 13), np.linspace(0.05, 3.0, 8)
     samples = closed_form_samples(coeffs, axis, axis, ts)
     fit = assert_fit_matches_reference(PolynomialPotential(coeffs), samples, family, **OPTIONS[family])
-    if family in UPPER_FAMILIES:
+    if FAMILY_TABLE[family][0] == "upper":
         assert len(fit.records[0]) == 13 * 13 * 8
 
 
