@@ -17,6 +17,7 @@ from .bounds import (
     log_envelope,
     fefferman_phong_ratio,
     fit_constants,
+    grid_columns,
     grid_points,
     grid_samples,
     moser_ratio,
@@ -34,7 +35,7 @@ from .explicit import (
     quadratic_kernel,
     quadratic_log_kernel,
 )
-from .ode import AnsatzState, ansatz_log, closed_form_error, closed_form_state, integrate_odes
+from .ode import ANSATZ_COEFFS, ansatz_log, closed_form_error, closed_form_states, integrate_odes
 from .potentials import (
     DoublingFit,
     PolynomialPotential,

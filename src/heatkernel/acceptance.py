@@ -95,12 +95,11 @@ def c1_oracle_equivalence() -> CriterionResult:
 
 def c2_ode_round_trip() -> CriterionResult:
     c = QuadraticCoeffs(0.0, 1.0, 1.0)
-    traj = integrate_odes(c, 0.01, 2.0, samples=161)
-    comp_err = closed_form_error(c, traj)
-    final = traj[-1]
+    ts, coeffs = integrate_odes(c, 0.01, 2.0, samples=161)
+    comp_err = closed_form_error(c, ts, coeffs)
     xs, ys = np.array([-2.0, -0.5, 0.0, 1.0, 2.0]), np.array([-1.5, 0.0, 0.7, 2.0])
-    got = ansatz_log(final, xs[:, None], ys[None, :])
-    log_err = float(np.max(np.abs(got - quadratic_log_kernel(c, xs, ys, [final.t])[0])))
+    got = ansatz_log(coeffs[-1], xs[:, None], ys[None, :])
+    log_err = float(np.max(np.abs(got - quadratic_log_kernel(c, xs, ys, [ts[-1]])[0])))
     passed = comp_err <= 1e-6 and log_err <= 1e-5
     details = f"max component error {comp_err:.3e} (tol 1e-6), kernel log error {log_err:.3e} (tol 1e-5)"
     return _result(2, "ODE round trip vs closed form", passed, details)
@@ -186,13 +185,13 @@ def c6_sandwich_feasibility() -> CriterionResult:
 def c7_weight_diagnostics() -> CriterionResult:
     Vp = PowerPotential(-0.5)
     rh15 = rh_constant(Vp, 1.5, 0.0, 2.0, 20)
-    tail = [r for _, r in rh15.trace[10:]]
-    stable = (max(tail) - min(tail)) <= 1e-6 * max(tail) and math.isfinite(rh15.constant)
+    tail = rh15.ratios[10:]
+    stable = (tail.max() - tail.min()) <= 1e-6 * tail.max() and math.isfinite(rh15.constant)
     ok_convergent = stable and not rh15.divergent
 
     rh3 = rh_constant(Vp, 3.0, 0.0, 2.0, 20)
-    last = [r for _, r in rh3.trace[-11:]]
-    monotone = all(b > a for a, b in zip(last, last[1:]))
+    last = rh3.ratios[-11:]
+    monotone = np.all(last[1:] > last[:-1])
     ok_divergent = rh3.divergent and monotone and last[-1] > 10.0 * last[0]
 
     d_sq = doubling_fit(V_SQUARE, 0.0, 2.0, 12)

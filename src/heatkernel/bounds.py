@@ -128,8 +128,13 @@ def _sharp_terms(x, y, t):
 
 
 def _dirichlet_factor(epsilon: float, t) -> np.ndarray:
-    """The factor 1 - 2 e^{-eps^2/t} of the dirichlet_interval family, > 0 where t < eps^2 / ln 2."""
-    return 1.0 - 2.0 * _libm(math.exp, -(epsilon**2) / t)
+    """The factor 1 - 2 e^{-eps^2/t} of the dirichlet_interval family, > 0 where t < eps^2 / ln 2;
+    ParameterError if eps^2 overflows."""
+    try:
+        square = epsilon**2
+    except OverflowError:
+        raise ParameterError(f"dirichlet_interval needs a finite epsilon**2, got epsilon = {epsilon:g}") from None
+    return 1.0 - 2.0 * _libm(math.exp, -square / t)
 
 
 def _dirichlet_log(epsilon: float, x, y, t, log_c: float = 0.0):
@@ -423,13 +428,18 @@ def _least(q: np.ndarray):
     return (float(q[i]), i) if q[i] < math.inf else (math.inf, None)
 
 
+def grid_columns(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]):
+    """(x, y, t) of every grid point as three float arrays, in the grid's one order: x-major, t fastest."""
+    return tuple(a.ravel() for a in np.meshgrid(*(np.asarray(v, dtype=float) for v in (xs, ys, ts)), indexing="ij"))
+
+
 def grid_points(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]):
-    """All (x, y, t) triples in deterministic x-major order."""
-    return [(float(x), float(y), float(t)) for x in xs for y in ys for t in ts]
+    """All (x, y, t) triples, as tuples of floats in the order of `grid_columns`."""
+    return list(zip(*(a.tolist() for a in grid_columns(xs, ys, ts))))
 
 
 def grid_samples(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float], log_p):
-    """(x, y, t, log p) in the x-major order of `grid_points`, from log_p shaped [t, x, y]
+    """(x, y, t, log p) in the order of `grid_points`, from log_p shaped [t, x, y]
     as the engines' `log_kernel(xs, ys, ts)` returns it."""
     values = np.asarray(log_p, dtype=float).transpose(1, 2, 0).ravel().tolist()
     pts = grid_points(xs, ys, ts)

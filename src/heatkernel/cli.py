@@ -12,9 +12,11 @@ Subcommands
 runs, so a bad value in any section exits 2 naming its key, whatever the
 subcommand.  Each `cmd_*(run, out)` reads plain values from the resolved
 run.  The only config refusals left here are `missing key 'grid'`, from
-`kernel` and `bounds`, the two that read a grid; the quadratic potential
-that `ode` and the explicit engine need (`quadratic_from_potential`); and a
-potential without finite positive mass on a doubling cube (`_doubling_fit`).
+`kernel` and `bounds`, the two that read a grid; a default envelope with no
+grid point to fit (`check_envelopes`, which `bounds` runs before any fit);
+the quadratic potential that `ode` and the explicit engine need
+(`quadratic_from_potential`); and a potential without finite positive mass
+on a doubling cube (`_doubling_fit`).
 
 Outputs are deterministic: every CSV is written by `emit_csv`, which takes
 one sequence per column (a float64 ndarray, a `range` or a list), and
@@ -42,12 +44,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import chain_plan, chained_lower_bound, fit_constants, fit_options, grid_points, grid_samples
-from .config import DEFAULT_CONFIG, load_config, quadratic_from_potential, resolve
+from .bounds import chain_plan, chained_lower_bound, fit_constants, fit_options, grid_columns, grid_points, grid_samples
+from .config import DEFAULT_CONFIG, check_envelopes, load_config, quadratic_from_potential, resolve
 from .csvout import emit_csv
 from .errors import ConfigError, ParameterError
 from .explicit import quadratic_kernel, quadratic_log_kernel
-from .ode import closed_form_error, integrate_odes
+from .ode import ANSATZ_COEFFS, closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
 # test checks that tracing restores `cli.cube_average` afterwards.
 from .potentials import ap_constant, cube_average, cube_averages, doubling_fit, rh_constant
@@ -129,17 +131,16 @@ def _p_column(lp: np.ndarray) -> np.ndarray:
 
 
 def cmd_kernel(run: dict, out: Path) -> int:
-    (xs, ys, ts), log_p, prov_line = _evaluate_grid(run)
-    nx, ny, nt = len(xs), len(ys), len(ts)
-    # x-major order, as `grid_points` lists the points
-    lp = log_p.transpose(1, 2, 0).ravel()
-    columns = [np.repeat(xs, ny * nt), np.tile(np.repeat(ys, nt), nx), np.tile(ts, nx * ny), lp, _p_column(lp)]
+    axes, log_p, prov_line = _evaluate_grid(run)
+    lp = log_p.transpose(1, 2, 0).ravel()  # [t, x, y] to the order of `grid_columns`
+    columns = [*grid_columns(*axes), lp, _p_column(lp)]
     path = emit_csv(columns, ["x", "y", "t", "log_p", "p"], out / "kernel.csv", prov_line)
     print(f"wrote {path} ({len(lp)} rows)")
     return EXIT_OK
 
 
 def cmd_bounds(run: dict, out: Path) -> int:
+    check_envelopes(run["envelopes"], _grid(run))  # the default envelopes too, before any output
     samples, prov_line = _bounds_samples(run)
     fits, rows = [], []
     for env0 in run["envelopes"]:
@@ -168,12 +169,12 @@ def cmd_weights(run: dict, out: Path) -> int:
     rh = rh_constant(V, w["rh_q"], center, side, depth)
     ap = ap_constant(V, w["ap_p"], center, side, depth)
     fit = _doubling_fit(V, center, side, depth)
-    traces = rh.trace + ap.trace
+    n, m = len(rh.ratios), len(ap.ratios)
     columns = [
-        ["rh"] * len(rh.trace) + ["ap"] * len(ap.trace),
-        [rh.exponent] * len(rh.trace) + [ap.exponent] * len(ap.trace),
-        [s for s, _ in traces],
-        [ratio for _, ratio in traces],
+        ["rh"] * n + ["ap"] * m,
+        np.repeat([rh.exponent, ap.exponent], [n, m]),
+        np.concatenate([rh.sides, ap.sides]),
+        np.concatenate([rh.ratios, ap.ratios]),
     ]
     emit_csv(columns, ["kind", "exponent", "side", "ratio"], out / "weight_trace.csv", prov_line)
     emit_csv([[fit.C], [fit.epsilon], [fit.residual]], ["C", "epsilon", "residual"], out / "doubling.csv", prov_line)
@@ -190,14 +191,12 @@ def cmd_ode(run: dict, out: Path) -> int:
     rel = run["tolerances"]["rel"]
     c = quadratic_from_potential(run["potential"])
     quad = type(c)(0.0, c.a1, c.a2)  # the ansatz runs at a0 = 0
-    traj = integrate_odes(quad, t0, t1, samples=samples)
+    ts, coeffs = integrate_odes(quad, t0, t1, samples=samples)
     prov_line = f"config={run['hash']} t0={t0!r} t1={t1!r} samples={samples}"
-    schema = ["t", "alpha", "beta", "gamma", "mu", "nu", "log_phi"]
-    columns = [[getattr(s, k) for s in traj] for k in schema[:-1]]
     # the shift identity p_{a0} = e^{-a0 t} p_0 makes log_phi the configured kernel's log p(0, 0, t)
-    columns.append([s.log_phi - c.a0 * s.t for s in traj])
-    path = emit_csv(columns, schema, out / "trajectory.csv", prov_line)
-    err = closed_form_error(quad, traj)
+    columns = [ts, *coeffs.T[:-1], coeffs[:, -1] - c.a0 * ts]
+    path = emit_csv(columns, ("t", *ANSATZ_COEFFS), out / "trajectory.csv", prov_line)
+    err = closed_form_error(quad, ts, coeffs)
     print(f"wrote {path} max_closed_form_error={err:.6g} (tol {rel:g})")
     return EXIT_OK if err <= rel else EXIT_FAILURE
 

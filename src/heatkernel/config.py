@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import FAMILIES, FAMILY_TABLE, BoundEnvelope, chain_length, chain_sigma_bound, fit_mask
+from .bounds import FAMILIES, FAMILY_TABLE, BoundEnvelope, chain_length, chain_sigma_bound, fit_mask, grid_columns
 from .errors import ConfigError, ParameterError
 from .explicit import T_FLOOR, QuadraticCoeffs
 from .potentials import (
@@ -197,15 +197,21 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
         raise ConfigError("envelopes must be a non-empty list")
     run["envelopes"] = [envelope_from_config(spec, f"envelopes[{i}]") for i, spec in enumerate(specs)]
     run["grid"] = grid_from_config(cfg, run["spectral"]["half_width"]) if "grid" in cfg else None
-    if "envelopes" in cfg and run["grid"] is not None:  # an envelope with no grid point to fit
-        x, y, t = (axis.ravel() for axis in np.meshgrid(*run["grid"], indexing="ij"))
-        for i, env in enumerate(run["envelopes"]):
-            option = FAMILY_TABLE[env.family][1]
-            try:
-                fit_mask(env.family, getattr(env, option) if option else None, x, y, t)
-            except ParameterError as exc:
-                raise ConfigError(f"envelopes[{i}].{option}: {exc}") from exc
+    if "envelopes" in cfg and run["grid"] is not None:
+        check_envelopes(run["envelopes"], run["grid"])
     return run
+
+
+def check_envelopes(envelopes, grid) -> None:
+    """Raise ConfigError, naming `envelopes[i]` and its option, at the first envelope that has
+    no point of grid (xs, ys, ts) to fit (`bounds.fit_mask`)."""
+    x, y, t = grid_columns(*grid)
+    for i, env in enumerate(envelopes):
+        option = FAMILY_TABLE[env.family][1]
+        try:
+            fit_mask(env.family, getattr(env, option) if option else None, x, y, t)
+        except ParameterError as exc:
+            raise ConfigError(f"envelopes[{i}].{option}: {exc}") from exc
 
 
 def config_hash(cfg: dict) -> str:

@@ -82,7 +82,7 @@ def _time_factors(a0: float, a1: float, a2: float, t: float):
     """The closed form's t-only factors (w, csch u, tanh(u/2), head), u = 2 w t.
 
     w = sqrt(a2) and head = log p(0, 0, t) for V = a0 + a1 x + a2 x^2.
-    `ode.closed_form_state` reads its ansatz coefficients from the same
+    `ode.closed_form_states` reads its ansatz coefficients from the same
     factors.  Memoised per (a0, a1, a2, t), a key of plain numbers, so a
     lookup hashes and compares in C; numbers that compare equal, as +-0.0
     do, give bit-identical factors.

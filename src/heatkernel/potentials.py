@@ -662,22 +662,28 @@ def cube_averages(V: Potential, centers, sides) -> np.ndarray:
 # weight-class reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no single truth value, so == is identity
 class WeightClassReport:
-    """Scan of a weight-class ratio over a dyadic cube family; constant is the max of the trace ratios.
+    """Scan of a weight-class ratio over a dyadic cube family, d = 0..depth.
 
-    A divergent report has a cube integral analytically non-integrable (or a ratio above
-    DIVERGENCE_THRESHOLD); a power's trace then shows the ratio excised at radius
-    window_side 8^-(d+2) at level d, which grows without bound as the family refines.
+    sides[d] is the cube side of level d and ratios[d] the max ratio over its
+    cubes, two read-only float arrays; constant is the max of the ratios.  A
+    divergent report has a cube integral analytically non-integrable (or a
+    ratio above DIVERGENCE_THRESHOLD), first at level side divergent_at_side;
+    a power's ratios then show the ratio excised at radius window_side
+    8^-(d+2) at level d, which grow without bound as the family refines.
     """
 
-    kind: str
     exponent: float
     constant: float
-    trace: tuple[tuple[float, float], ...]
-    divergent: bool
+    sides: np.ndarray
+    ratios: np.ndarray
     divergent_at_side: float | None
     beta: float | None = None
+
+    @property
+    def divergent(self) -> bool:
+        return self.divergent_at_side is not None
 
 
 ESS_SUP_GRID = 2**10  # refinement points per cube for the q = infinity scan
@@ -719,7 +725,7 @@ def _power_mean_scan(
 ) -> WeightClassReport:
     """Report of M_a(V) / M_b(V) on the 2^d dyadic cubes of the window (center, side), d = 0..depth.
 
-    Each trace entry is (side, max ratio at that level); the first level with
+    Level d reports its cube side and its max ratio; the first level with
     a divergence flag or a ratio above DIVERGENCE_THRESHOLD is divergent_at_side.
     The cubes of every level are laid end to end, level d from 2^d - 1 on, and
     each exponent takes two `_power_means` calls: levels 0..depth-1 together
@@ -745,15 +751,11 @@ def _power_mean_scan(
         flags.append(num_flags | den_flags)
     top = np.maximum.reduceat(np.concatenate(ratios), starts)
     divergent = np.logical_or.reduceat(np.concatenate(flags), starts) | (top > DIVERGENCE_THRESHOLD)
-    level_sides = sides[starts].tolist()
-    trace = tuple(zip(level_sides, top.tolist()))
-    divergent_at = level_sides[int(np.argmax(divergent))] if divergent.any() else None
+    level_sides = sides[starts]
+    level_sides.flags.writeable = top.flags.writeable = False
+    divergent_at = float(level_sides[np.argmax(divergent)]) if divergent.any() else None
     return WeightClassReport(
-        constant=max(r for _, r in trace),
-        trace=trace,
-        divergent=divergent_at is not None,
-        divergent_at_side=divergent_at,
-        **report,
+        constant=float(np.max(top)), sides=level_sides, ratios=top, divergent_at_side=divergent_at, **report
     )
 
 
@@ -770,7 +772,7 @@ def rh_constant(V: Potential, q: float, center: float, side: float, depth: int) 
         raise ParameterError("depth must be >= 1")
     if q == math.inf and 2**depth > 4096:
         raise ParameterError("q = infinity scan supports depth <= 12")
-    return _power_mean_scan(V, center, side, depth, q, 1.0, kind="reverse_holder", exponent=q)
+    return _power_mean_scan(V, center, side, depth, q, 1.0, exponent=q)
 
 
 def ap_constant(V: Potential, p: float, center: float, side: float, depth: int) -> WeightClassReport:
@@ -786,7 +788,7 @@ def ap_constant(V: Potential, p: float, center: float, side: float, depth: int) 
         raise ParameterError("depth must be >= 1")
     beta = 2.0 / (2.0 + (p - 1.0))
     sigma = -1.0 / (p - 1.0)
-    return _power_mean_scan(V, center, side, depth, 1.0, sigma, kind="muckenhoupt", exponent=p, beta=beta)
+    return _power_mean_scan(V, center, side, depth, 1.0, sigma, exponent=p, beta=beta)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from heatkernel.config import resolve
 from heatkernel.csvout import CHUNK_ROWS, emit_csv
 from heatkernel.errors import ConfigError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def config_dict(**overrides):
     cfg = {
@@ -203,6 +205,18 @@ def test_kernel_rerun_byte_identical(tmp_path):
     main(["--config", str(cfg), "--out", str(tmp_path / "o1"), "kernel"])
     main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "kernel"])
     assert (tmp_path / "o1" / "kernel.csv").read_bytes() == (tmp_path / "o2" / "kernel.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", [None, "tilted.json"], ids=["default", "tilted"])
+@pytest.mark.parametrize("command", ["ode", "bounds"])
+def test_ode_and_bounds_rerun_byte_identical(tmp_path, capsys, command, config):
+    # acceptance c11 reruns only kernel, weights and chain; tilted.json has a1 != 0, so mu and nu are not 0
+    args = [] if config is None else ["--config", str(CONFIGS / config)]
+    runs = []
+    for out in (tmp_path / "o1", tmp_path / "o2"):
+        assert main([*args, "--out", str(out), command]) == 0
+        runs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_explicit_engine_rejects_nonquadratic(tmp_path, capsys):
@@ -854,6 +868,11 @@ def test_envelopes_have_no_dimension(tmp_path, capsys, envelopes, message):
             "envelopes[2].epsilon: dirichlet_interval fits no point at epsilon = 0.1: "
             "sqrt(t ln 2) is in [0.263277, 0.588705]",
         ),
+        # epsilon^2 overflows a float
+        (
+            {"family": "dirichlet_interval", "epsilon": 1e200},
+            "envelopes[2].epsilon: dirichlet_interval needs a finite epsilon**2, got epsilon = 1e+200",
+        ),
     ],
 )
 @pytest.mark.parametrize("engine", ["explicit", "spectral"])
@@ -897,6 +916,24 @@ def test_a_lower_regime_without_grid_points_exits_2_before_any_fit(tmp_path, cap
     assert captured.err == f"config error: {message}\n"
     assert not list((tmp_path / "out").glob("*.csv"))
     assert_resolve_refuses(overrides, captured.err)
+
+
+@pytest.mark.parametrize("engine", ["explicit", "spectral"])
+def test_a_default_envelope_without_grid_points_exits_2_before_any_fit(tmp_path, capsys, engine):
+    # unchecked, the default envelopes made bounds print four verdicts, then exit 1 at avg_lower_far's fit
+    grid = {"x": [0.0], "y": [0.0], "t": [0.5]}
+    cfg = {"engine": engine, "grid": grid, "spectral": {"half_width": 4.0, "points": 101}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "bounds"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "envelopes[4].kappa: avg_lower_far fits no point at kappa = 0.125: |x - y| / sqrt(t) is in [0, 0]"
+    assert captured.err == f"config error: {message}\n"
+    assert not list((tmp_path / "out").glob("*.csv"))
+    # the config itself is sound: the default envelopes are checked by bounds, which fits them
+    resolve(cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "kernel"]) == 0
 
 
 def test_a_far_real_root_leaves_the_spectral_kernel_of_its_polynomial(tmp_path):

@@ -178,7 +178,7 @@ def test_rh_power_divergent():
     rep = rh_constant(PowerPotential(-0.5), 3.0, 0.0, 2.0, 20)
     assert rep.divergent
     assert rep.divergent_at_side == 2.0  # window itself contains the singularity
-    tail = [r for _, r in rep.trace[-11:]]
+    tail = rep.ratios[-11:].tolist()
     assert all(b > a for a, b in zip(tail, tail[1:]))
     assert tail[-1] > 10.0 * tail[0]
 
@@ -188,27 +188,34 @@ def test_rh_jensen_lower_bound():
     for V in (PolynomialPotential([1.0, 0.5, 2.0]), PowerPotential(0.5), constant(2.0)):
         for q in (1.5, 2.0, 4.0):
             rep = rh_constant(V, q, 0.3, 1.7, 8)
-            assert all(r >= 1.0 - 1e-10 for _, r in rep.trace)
+            assert all(r >= 1.0 - 1e-10 for r in rep.ratios)
+
+
+def levels(report):
+    """A weight report's (sides, ratios) as two lists of floats."""
+    return report.sides.tolist(), report.ratios.tolist()
 
 
 def rh_infinity_trace(V, center, window_side, depth):
-    """Per level, the max over its cubes of (max of V on ESS_SUP_GRID + 1 points) / (mean of V)."""
-    trace = []
+    """(sides, ratios): per level, its side and the max over its cubes of
+    (max of V on ESS_SUP_GRID + 1 points) / (mean of V)."""
+    sides, ratios = [], []
     for d in range(depth + 1):
         side = window_side * 2.0**-d
         edges = (center - window_side / 2.0) + side * np.arange(2**d + 1)
         lo, hi = edges[:-1], edges[1:]
         sup = np.max(V(lo[:, None] + np.linspace(0.0, side, ESS_SUP_GRID + 1)), axis=1)
-        trace.append((side, float(np.max(sup / (interval_integral(V, lo, hi) / (hi - lo))))))
-    return tuple(trace)
+        sides.append(side)
+        ratios.append(float(np.max(sup / (interval_integral(V, lo, hi) / (hi - lo)))))
+    return sides, ratios
 
 
 def test_rh_infinity():
     rep = rh_constant(PolynomialPotential([0, 0, 1]), math.inf, 0.0, 4.0, 8)
     # sup over [0,s] of z^2 is s^2, mean is s^2/3: ratio 3 at the origin cubes
     assert rep.constant == pytest.approx(3.0, rel=1e-9)
-    assert rep.trace == rh_infinity_trace(PolynomialPotential([0, 0, 1]), 0.0, 4.0, 8)
-    assert rh_constant(PowerPotential(0.5), math.inf, 0.3, 1.7, 8).trace == rh_infinity_trace(
+    assert levels(rep) == rh_infinity_trace(PolynomialPotential([0, 0, 1]), 0.0, 4.0, 8)
+    assert levels(rh_constant(PowerPotential(0.5), math.inf, 0.3, 1.7, 8)) == rh_infinity_trace(
         PowerPotential(0.5), 0.3, 1.7, 8
     )
     with pytest.raises(ParameterError):
@@ -227,9 +234,9 @@ def test_rh_infinity_flags_cubes_reaching_a_singularity_of_any_kind(V):
     # decided by V(0) raising DomainError, so a scaled or summed power is flagged as the bare one is
     rep = rh_constant(V, math.inf, 0.0, 2.0, 4)
     assert rep.divergent and rep.divergent_at_side == 2.0
-    assert all(r == math.inf for _, r in rep.trace)
+    assert all(r == math.inf for r in rep.ratios)
     away = rh_constant(V, math.inf, 3.0, 2.0, 4)
-    assert not away.divergent and away.trace == rh_infinity_trace(V, 3.0, 2.0, 4)
+    assert not away.divergent and levels(away) == rh_infinity_trace(V, 3.0, 2.0, 4)
 
 
 def test_rh_parameter_errors():
@@ -267,7 +274,7 @@ def test_ap_polynomial_root_of_integrable_order():
     rep = ap_constant(PolynomialPotential([0, 0, 1]), 3.5, 0.0, 2.0, 6)
     assert not rep.divergent
     assert rep.constant == pytest.approx(5.0**2.5 / 3.0, rel=1e-12)
-    for side, ratio in rep.trace[:2]:
+    for ratio in rep.ratios[:2]:
         assert ratio == pytest.approx(5.0**2.5 / 3.0, rel=1e-12)
 
 
@@ -328,7 +335,7 @@ def test_rh_matches_independent_quadrature(rng):
     # dual route: scan ratios against direct quad on a smooth potential
     V = PolynomialPotential([1.0, 0.0, 1.0])
     rep = rh_constant(V, 2.0, 0.0, 2.0, 3)
-    for side, got in rep.trace:
+    for side, got in zip(*levels(rep)):
         best = 0.0
         k = int(round(2.0 / side))
         for j in range(k):
@@ -394,7 +401,7 @@ def test_rh_ratio_scale_invariance():
     V = PowerPotential(-0.5)
     base = rh_constant(V, 1.5, 0.0, 2.0, 8)
     scaled = rh_constant(ScaledPotential(37.0, V), 1.5, 0.0, 2.0, 8)
-    for (s1, r1), (s2, r2) in zip(base.trace, scaled.trace):
+    for s1, r1, s2, r2 in zip(*levels(base), *levels(scaled)):
         assert s1 == s2
         assert r1 == pytest.approx(r2, rel=1e-12)
 
@@ -409,7 +416,7 @@ def assert_same_weight_scans(V, window, W, W_window, q, p):
     for scan, exponent in ((rh_constant, q), (ap_constant, p)):
         a, b = scan(V, exponent, *window, 5), scan(W, exponent, *W_window, 5)
         assert a.divergent == b.divergent
-        for (_, x), (_, y) in zip(a.trace, b.trace):
+        for x, y in zip(levels(a)[1], levels(b)[1]):
             assert x == y or abs(x - y) <= 1e-12 * abs(x)
 
 
@@ -466,7 +473,7 @@ def test_scans_of_a_non_dyadic_window_meet_0_on_a_shared_cube_edge():
     assert_same_weight_scans(V, (0.0, 0.8864315433389292), V, (0.0, 2.0), math.inf, 1.1336156699668196)
     V = PowerPotential(-0.37421275436823376)
     rep = rh_constant(V, math.inf, -1.029148227873756, 2.058296455747512, 5)
-    assert all(r == math.inf for _, r in rep.trace)
+    assert all(r == math.inf for r in rep.ratios)
     assert_same_weight_scans(V, (-1.029148227873756, 2.058296455747512), V, (-1.0, 2.0), math.inf, 2.0)
 
 
@@ -605,7 +612,7 @@ def test_power_means_divide_by_the_length_integrated():
         return F(mp.mpf(b)) - F(mp.mpf(a))
 
     report = ap_constant(PowerPotential(-0.5), 3.0, center, window_side, 10)
-    for d, (side, got) in enumerate(report.trace):
+    for d, (side, got) in enumerate(zip(*levels(report))):
         edges = (center - window_side / 2.0) + side * np.arange(2**d + 1)
         with mp.workdps(40):
             want = max(
@@ -629,7 +636,7 @@ def test_integer_power_of_a_polynomial_on_small_cubes_matches_mpmath():
         def mean(P, a, b):
             return (npoly.polyval(b, P) - npoly.polyval(a, P)) / (b - a)
 
-        for d, (side, got) in enumerate(report.trace):
+        for d, (side, got) in enumerate(zip(*levels(report))):
             edges = list(map(mp.mpf, (center - window_side / 2.0) + side * np.arange(2**d + 1)))
             want = max(mean(P3, a, b) ** (mp.mpf(1) / 3) / mean(P1, a, b) for a, b in zip(edges, edges[1:]))
             assert abs(got - want) <= 1e-12 * want, (side, got, want)
@@ -645,13 +652,13 @@ def test_an_overflowing_power_mean_is_rescaled(q):
     low, high = (rh_constant(V, e, 0.0, 2.0, 8) for e in (2.0, math.inf))
     assert math.isfinite(report.constant) and not report.divergent
     assert low.constant <= report.constant <= high.constant
-    for (_, lo), (_, got), (_, hi) in zip(low.trace, report.trace, high.trace):  # power means grow with q
+    for lo, got, hi in zip(low.ratios, report.ratios, high.ratios):  # power means grow with q
         assert lo <= got <= hi
 
 
 def per_level_scan(V, center, window_side, depth, a, b):
-    """(trace, divergent_at_side) of M_a / M_b with one `_power_means` call per level and exponent."""
-    trace, divergent_at = [], None
+    """(sides, ratios, divergent_at_side) of M_a / M_b with one `_power_means` call per level and exponent."""
+    level_sides, ratios, divergent_at = [], [], None
     for d in range(depth + 1):
         side = window_side * 2.0**-d
         edges = (center - window_side / 2.0) + side * np.arange(2**d + 1)
@@ -660,10 +667,11 @@ def per_level_scan(V, center, window_side, depth, a, b):
             _power_means(V, edges[:-1], edges[1:], sides, e, excision) for e in (a, b)
         )
         top = float(np.max(_safe_ratio(num, den)))
-        trace.append((side, top))
+        level_sides.append(side)
+        ratios.append(top)
         if divergent_at is None and (np.any(num_flags | den_flags) or top > DIVERGENCE_THRESHOLD):
             divergent_at = side
-    return tuple(trace), divergent_at
+    return level_sides, ratios, divergent_at
 
 
 SINGULAR = PowerPotential(-0.5)
@@ -695,8 +703,8 @@ def test_level_batched_scan_equals_a_per_level_scan_bit_for_bit(V, window, kind,
         rep, (a, b) = rh_constant(V, exponent, center, side, depth), (exponent, 1.0)
     else:
         rep, (a, b) = ap_constant(V, exponent, center, side, depth), (1.0, -1.0 / (exponent - 1.0))
-    trace, divergent_at = per_level_scan(V, center, side, depth, a, b)
-    assert _bits(rep.trace) == _bits(trace)
+    sides, ratios, divergent_at = per_level_scan(V, center, side, depth, a, b)
+    assert _bits(rep.sides) == _bits(sides) and _bits(rep.ratios) == _bits(ratios)
     assert rep.divergent_at_side == divergent_at
     assert rep.divergent == (divergent_at is not None)
 
@@ -1028,7 +1036,7 @@ def test_weight_readings_the_plain_rule_got_wrong():
     rh = rh_constant(PolynomialPotential([1.0, 0.0, 1.0]), 300.0, 0.0, 2.0, 1)
     with mp.workdps(30):
         want = (mp.quad(lambda x: (1 + x * x) ** 300, [-1, 0, 1]) / 2) ** (mp.mpf(1) / 300) / (mp.mpf(4) / 3)
-    assert abs(rh.trace[0][1] - want) <= 1e-12 * want
+    assert abs(rh.ratios.tolist()[0] - want) <= 1e-12 * want
     # the square of a table over a cube holding 100 of its nodes: a quadratic on each segment
     xs = np.linspace(-4.0, 4.0, 801)
     V = TabulatedPotential(xs, 1.0 + np.sin(3.0 * xs) ** 2)
