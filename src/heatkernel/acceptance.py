@@ -11,7 +11,7 @@ import filecmp
 import math
 import tempfile
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ Q_SQUARE = QuadraticCoeffs(0.0, 0.0, 1.0)
 LOG_P_SQUARE = partial(quadratic_log_kernel, Q_SQUARE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionResult:
     number: int
     name: str
@@ -152,21 +152,17 @@ def c5_mass_positivity() -> CriterionResult:
 
 
 SANDWICH_XS, SANDWICH_TS = np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8)
-SANDWICH_GRID = None
 
 
+@cache
 def _sandwich_fits():
-    """(log p on the sandwich grid, shaped [t, x, y]; the default config's five envelope fits against it), cached."""
-    global SANDWICH_GRID
-    if SANDWICH_GRID is not None:
-        return SANDWICH_GRID
+    """(log p on the sandwich grid, shaped [t, x, y]; the default config's five envelope fits against it)."""
     xs, ts = SANDWICH_XS, SANDWICH_TS
     log_p = LOG_P_SQUARE(xs, xs, ts)
     samples = grid_samples(xs, xs, ts, log_p)
     envelopes = resolve(DEFAULT_CONFIG)["envelopes"]
     fits = {env.family: fit_constants(V_SQUARE, samples, env.family, **fit_options(env)) for env in envelopes}
-    SANDWICH_GRID = (log_p, fits)
-    return SANDWICH_GRID
+    return log_p, fits
 
 
 def c6_sandwich_feasibility() -> CriterionResult:
@@ -244,7 +240,7 @@ def c9_inequality_checks() -> CriterionResult:
     potentials = {"const": constant(1.0), "square": V_SQUARE, "abs": PowerPotential(1.0)}
     min_ratio = math.inf
     for side in (0.5, 1.0, 2.0):
-        xs, values = energy_test_family(0.0, side, count=50, seed=0)
+        xs, values = energy_test_family(0.0, side, count=50)
         for V in potentials.values():
             min_ratio = min(min_ratio, float(np.min(fefferman_phong_ratio(V, xs, values, 0.0, side, beta=0.5))))
     ok_fp = min_ratio >= 0.01

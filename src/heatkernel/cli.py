@@ -20,9 +20,9 @@ on a doubling cube (`_doubling_fit`).
 
 Outputs are deterministic: every CSV is written by `emit_csv`, which takes
 one sequence per column (a float64 ndarray, a `range` or a list), and
-identical configs give byte-identical files.  The floats of each chunk of
-rows are formatted together in numpy, each distinct value once when at most
-half are distinct, as with the grid axes x, y and t of `kernel.csv`.
+identical configs give byte-identical files.  The float64 arrays of each
+chunk of rows are formatted together in numpy, each distinct value once when
+at most half are distinct, as with the grid axes x, y and t of `kernel.csv`.
 The engines are `explicit` (the closed form for a quadratic potential) and
 `spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
@@ -211,9 +211,10 @@ def cmd_chain(run: dict, out: Path) -> int:
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
         f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g}"
     )
-    avgs = cube_averages(V, plan.waypoints, plan.cube_side)
+    waypoints = plan.waypoints
+    avgs = cube_averages(V, waypoints, plan.cube_side)
     prov_line = f"config={run['hash']} M={plan.M} sigma={plan.sigma:.17g}"
-    columns = [range(plan.M + 1), plan.waypoints, avgs]
+    columns = [range(plan.M + 1), waypoints, avgs]
     emit_csv(columns, ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)
     return EXIT_OK
 

@@ -9,18 +9,19 @@ QUOTE_MINIMAL would quote it (text holding `,`, `"` or a line break).
 The caller passes columns, one sequence per schema column, written CHUNK_ROWS
 rows at a time.  Each column of a chunk becomes a byte matrix, one
 NUL-padded row per value, and the chunk is written as the side-by-side
-rows with the NULs dropped:
-- floats, all float columns of the chunk at once, by `_kernel_rows` in
+rows with the NULs dropped.  Each kind of column takes one path:
+- a float64 array: all of the chunk's at once, by `_kernel_rows` in
   numpy integer arithmetic: the 17 significant digits of each value are its
   53-bit mantissa times a power of 5, shifted and rounded half to even,
   and a lookup table lays them out as `%g`'s fixed notation.  Zero,
   subnormals, inf, nan and each value that `%.17g` writes in exponent
-  notation (decimal exponent below -4 or above 16) go to Python's `%`, one
+  notation (decimal exponent below -4 or above 16) go to `fmt`, one
   at a time, as does a chunk of fewer than _BULK floats.  When at most half
   of the chunk's floats are distinct (grid coordinates repeat), each
   distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
 - a `range` by the same digit tables;
-- any other value as its text, UTF-8 encoded.
+- any other column (text, ints, bools, a short list of floats) value by
+  value through `fmt`, UTF-8 encoded.
 A chunk holding text that may need quoting (or is empty, or holds a NUL)
 goes through `csv.writer` and `fmt` instead, which is the reference the
 byte matrix must match byte for byte.
@@ -118,8 +119,8 @@ def _scaled(mantissa, k, s):
 
 
 def _printf_rows(values) -> np.ndarray:
-    """`'%.17g' % v` of each float as a NUL-padded (n, _WIDTH) uint8 matrix, one value at a time."""
-    text = np.array(["%.17g" % v for v in values.tolist()], dtype=f"S{_WIDTH}")
+    """`fmt` of each float as a NUL-padded (n, _WIDTH) uint8 matrix, one value at a time."""
+    text = np.array(list(map(fmt, values.tolist())), dtype=f"S{_WIDTH}")
     return text.view(np.uint8).reshape(len(values), _WIDTH)
 
 
@@ -234,28 +235,15 @@ def _int_rows(values: range) -> np.ndarray:
     return rows.view(np.uint8)
 
 
-def _floats(values):
-    """The values as a float64 array when each is a float (numpy float64 included), else None."""
-    if isinstance(values, np.ndarray):
-        return values if values.dtype == np.float64 else None
-    if isinstance(values, range) or not all(issubclass(t, float) for t in set(map(type, values))):
-        return None
-    return np.array(values, dtype=np.float64)
-
-
 def _short_range(values) -> bool:
     return isinstance(values, range) and max(abs(values[0]), abs(values[-1])) < 10**16
 
 
 def _text(values):
-    """The `_write_rows` text of a column of other values, UTF-8 encoded; None when one may need quoting."""
-    if isinstance(values, np.ndarray):  # numpy scalars follow the rule value by value
-        values = list(values)
-    types = set(map(type, values))
-    texts = list(map(fmt if any(issubclass(t, float) for t in types) else str, values))
+    """The `_write_rows` text of a column printed value by value, UTF-8 encoded; None when one may need quoting."""
+    texts = list(map(fmt, values))
     distinct = list(set(texts))
-    # ints and bools print as digits or True/False; anything else may need quotes
-    if not all(issubclass(t, int) for t in types) and any(map(_needs_writer, distinct)):
+    if any(map(_needs_writer, distinct)):
         return None
     encoded = np.array([text.encode() for text in distinct])
     index = {text: i for i, text in enumerate(distinct)}
@@ -285,16 +273,16 @@ def _write_rows(fh, texts, count: int) -> None:
 def _write_chunk(fh, writer, columns, start: int, stop: int) -> None:
     """Write rows start..stop through `_write_rows`, or with `csv.writer` where a text needs quoting."""
     chunk = [col[start:stop] for col in columns]
-    floats = [_floats(values) for values in chunk]
+    floats = [j for j, values in enumerate(chunk) if isinstance(values, np.ndarray) and values.dtype == np.float64]
     texts = {}
     for j, values in enumerate(chunk):
-        if floats[j] is None:
+        if j not in floats:
             texts[j] = (_int_rows(values), None) if _short_range(values) else _text(values)
             if texts[j] is None:
                 writer.writerows(zip(*([fmt(v) for v in c] for c in chunk)))
                 return
-    if float_columns := [j for j, f in enumerate(floats) if f is not None]:
-        texts.update(zip(float_columns, _float_texts([floats[j] for j in float_columns])))
+    if floats:
+        texts.update(zip(floats, _float_texts([chunk[j] for j in floats])))
     _write_rows(fh, [texts[j] for j in range(len(chunk))], stop - start)
 
 

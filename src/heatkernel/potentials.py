@@ -452,13 +452,6 @@ GL_NODES, FLAT, POLE_RHO = 33, 30.0, 1.5
 GRADING, LEVELS, SPAN = 0.25, 25, 40.0
 
 
-def powered_interval_integral(V: Potential, lo, hi, q: float, excision: float = 0.0):
-    """(integral of V**q over each [lo_i, hi_i], analytic-divergence mask); inf past the float range."""
-    J, scale, divergent = _scaled_powered_integral(V, lo, hi, q, excision)
-    with np.errstate(over="ignore"):
-        return scale**q * J, divergent
-
-
 def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
     """(J, s, mask): the integral of V**q over [lo_i, hi_i] is s_i^q J_i, so that no cube overflows.
 

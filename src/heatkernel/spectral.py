@@ -47,15 +47,15 @@ EIGENSUM_TAIL = 1e-16
 CLUSTER_RTOL = 1e-6
 
 
-def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int, out: np.ndarray | None = None):
-    """(lam, vecs): the k lowest eigenpairs of a symmetric tridiagonal matrix, vecs shaped (m, k).
+def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int, out: np.ndarray):
+    """(lam, out): the k lowest eigenpairs of a symmetric tridiagonal matrix, eigenvectors in out.
 
     LAPACK dstemr (MRRR) with the inputs of scipy's
     `eigh_tridiagonal(select="i", select_range=(0, k - 1), lapack_driver="stemr")`,
     so the pairs are scipy's bit for bit; called directly, it fills an m x k
-    Z where scipy's wrapper allocates m x m.  Given `out`, an (m, k) float64
-    array whose columns are contiguous, dstemr writes the eigenvectors there
-    (LDZ = its column stride) and vecs is `out`.
+    Z where scipy's wrapper allocates m x m.  out is an (m, k) float64 array
+    whose columns are contiguous, and dstemr writes the eigenvectors there
+    (LDZ = its column stride).
     """
     import ctypes
 
@@ -78,13 +78,12 @@ def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int, out: np
     address = pythonapi.PyCapsule_GetPointer(capsule, pythonapi.PyCapsule_GetName(capsule))
     dstemr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
 
-    z = np.zeros((m, k), order="F") if out is None else out
-    if z.shape != (m, k) or z.dtype != np.float64 or z.strides[0] != 8 or z.strides[1] < 8 * m:
+    if out.shape != (m, k) or out.dtype != np.float64 or out.strides[0] != 8 or out.strides[1] < 8 * m:
         raise ParameterError(f"eigenvectors need an (m, k) = ({m}, {k}) float64 array with contiguous columns")
     w = np.zeros(m)
     isuppz = np.zeros(2 * k, dtype=np.intc)
     work, iwork = np.zeros(18 * m), np.zeros(10 * m, dtype=np.intc)
-    ldz = z.strides[1] // 8  # the column stride: phi's interior skips its two boundary rows
+    ldz = out.strides[1] // 8  # the column stride: phi's interior skips its two boundary rows
     n, il, iu, ldz, nzc, tryrac, lwork, liwork = (ctypes.c_int(v) for v in (m, 1, k, ldz, k, 1, 18 * m, 10 * m))
     vl, vu = ctypes.c_double(0.0), ctypes.c_double(1.0)  # not referenced when RANGE = 'I'
     found, info = ctypes.c_int(0), ctypes.c_int(0)
@@ -92,12 +91,12 @@ def _lowest_modes(diagonal: np.ndarray, offdiagonal: np.ndarray, k: int, out: np
     # DSTEMR(JOBZ, RANGE, N, D, E, VL, VU, IL, IU, M, W, Z, LDZ, NZC, ISUPPZ, TRYRAC, WORK, LWORK, IWORK, LIWORK, INFO)
     dstemr(
         b"V", b"I", ref(n), d.ctypes.data, e.ctypes.data, ref(vl), ref(vu), ref(il), ref(iu), ref(found),
-        w.ctypes.data, z.ctypes.data, ref(ldz), ref(nzc), isuppz.ctypes.data, ref(tryrac),
+        w.ctypes.data, out.ctypes.data, ref(ldz), ref(nzc), isuppz.ctypes.data, ref(tryrac),
         work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork), ref(info),
     )
     if info.value != 0 or found.value < k:
         raise RuntimeError(f"LAPACK dstemr failed: info={info.value}, {found.value} of {k} modes found")
-    return w[:k], z
+    return w[:k], out
 
 
 def _discretize(V: Potential, L: float, m: int):
@@ -117,7 +116,7 @@ def _discretize(V: Potential, L: float, m: int):
     return nodes, h, vals + 2.0 / h**2, np.full(m - 1, -1.0 / h**2)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # array fields have no single truth value, so == is identity
 class SpectralKernel:
     """The lowest eigenpairs of the discrete Dirichlet Hamiltonian.
 
@@ -125,9 +124,9 @@ class SpectralKernel:
     per mode kept for t >= t_min, normalized so that h * phi.T @ phi = I on
     the interior.  It is Fortran-ordered: dstemr writes each eigenvector into
     its column's interior, which is then divided by sqrt(h) in place, so the
-    build holds no second m x k array.  Treat instances as immutable once
-    built: evaluation never mutates them, and `cached_spectral` hands the
-    same instance to every caller.
+    build holds no second m x k array.  Instances are frozen and compare by
+    identity: evaluation never mutates their arrays, and `cached_spectral`
+    hands the same instance to every caller.
     """
 
     L: float

@@ -33,7 +33,7 @@ from heatkernel import (
 import heatkernel
 from heatkernel import acceptance
 from heatkernel.cli import main
-from heatkernel.potentials import powered_interval_integral
+from heatkernel.potentials import _scaled_powered_integral
 from heatkernel.spectral import EIGENSUM_TAIL
 
 XS = np.linspace(-2.0, 2.0, 9)
@@ -378,7 +378,7 @@ def test_root_mask_matches_per_cube_scan(coeffs, q):
     lefts = -1.5 + 0.125 * np.arange(24)
     lo, hi = lefts, lefts + 0.125
     want = per_cube_root_flags(coeffs, lo, hi, q)
-    assert np.array_equal(powered_interval_integral(PolynomialPotential(coeffs), lo, hi, q)[1], want)
+    assert np.array_equal(_scaled_powered_integral(PolynomialPotential(coeffs), lo, hi, q)[2], want)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

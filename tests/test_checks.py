@@ -116,6 +116,7 @@ def test_lattice_semigroup_defects_and_refusals():
         lambda: GRID.refine(factor=0.5),
         lambda: dirichlet_interval_log_kernel(0.0, 1.0, [0.5], [0.5], [0.1], terms=10),
         lambda: energy_test_family(0.0, 1.0, nodes=129),
+        lambda: energy_test_family(0.0, 1.0, seed=0),
         lambda: fit_constants(None, [(0.0, 0.0, 1.0, 0.0)], "gaussian_upper", c_floor=1e-9),
         # every envelope is one-dimensional
         lambda: BoundEnvelope(family="quadratic_sharp", c0=0.2, c1=0.3, c2=0.8, c3=0.4, n=2),
@@ -142,7 +143,7 @@ def test_removed_names_are_gone_and_the_package_declares_the_api_once():
     import pkgutil
 
     import heatkernel
-    from heatkernel import bounds, explicit
+    from heatkernel import acceptance, bounds, explicit, potentials
 
     for module, name in [
         (heatkernel, "gaussian_kernel"),
@@ -152,6 +153,8 @@ def test_removed_names_are_gone_and_the_package_declares_the_api_once():
         (bounds, "interval_clamp_time"),
         (explicit.QuadraticCoeffs, "nonnegative"),
         (bounds.ChainPlan, "far_regime"),
+        (potentials, "powered_interval_integral"),
+        (acceptance, "SANDWICH_GRID"),
     ]:
         assert not hasattr(module, name), name
     names = [m.name for m in pkgutil.iter_modules(heatkernel.__path__)]

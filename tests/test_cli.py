@@ -100,7 +100,7 @@ def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
         rows = list(zip(texts, [1.5, -0.25, 3.0], range(3)))
         path = emit_csv(columns_of(rows, 3), ["a", "b", "c"], tmp_path / "texts.csv")
         assert path.read_bytes() == reference_csv(rows, ["a", "b", "c"])
-    # float columns that repeat values, formatted once per distinct value: 0.0 and
+    # float64 arrays that repeat values, formatted once per distinct value: 0.0 and
     # -0.0 compare equal, and nans of any sign, payload or identity print as nan.
     # The whole chunk decides: `later` is distinct in each chunk's first 256 rows and
     # repeats after them, so it is formatted per distinct value; `sooner` repeats in
@@ -112,7 +112,7 @@ def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
     sooner = [-0.0 if i % CHUNK_ROWS < 256 else i / 7.0 for i in range(n)]
     grid = np.repeat(np.linspace(-2.0, 2.0, 13), 8)[np.arange(n) % 104]  # an ndarray, as `kernel` writes its axes
     repeated = list(zip(mixed, later, sooner, grid.tolist()))
-    path = emit_csv([mixed, later, sooner, grid], ["a", "b", "c", "d"], tmp_path / "repeated.csv", "M=3")
+    path = emit_csv([*map(np.array, (mixed, later, sooner)), grid], ["a", "b", "c", "d"], tmp_path / "repeated.csv", "M=3")
     assert path.read_bytes() == reference_csv(repeated, ["a", "b", "c", "d"], "M=3")
 
 

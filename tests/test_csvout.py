@@ -115,3 +115,24 @@ def test_no_double_in_the_fixed_range_rounds_up_to_a_power_of_ten(k):
 def test_ranges_print_as_str():
     for r in [range(0, 10242), range(-5000, 5000, 7), range(10**16 - 5, 10**16 - 1), range(-(10**16 - 1), -(10**16 - 9)), range(1)]:
         assert text(csvout._int_rows(r)) == [str(i) for i in r]
+
+
+LIST_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-5, 1e17, 0.1, 0.1, -2.5]
+COLUMN_VALUES = {
+    "short": LIST_FLOATS,  # below _BULK: one value at a time
+    "repeated": [LIST_FLOATS[i % len(LIST_FLOATS)] for i in range(2 * csvout._BULK)],  # once per distinct value
+    "distinct": LIST_FLOATS + [i / 7.0 for i in range(csvout.CHUNK_ROWS + 9)],  # the kernel, over two chunks
+}
+
+
+@pytest.mark.parametrize("text", [None, "plain", "needs,quotes"])
+@pytest.mark.parametrize("kind", COLUMN_VALUES)
+def test_a_float_list_writes_the_bytes_of_the_same_float64_array(tmp_path, kind, text):
+    values = COLUMN_VALUES[kind]
+    texts = [] if text is None else [[text] * len(values)]
+    schema = ["v", "w"][: 1 + len(texts)]
+    from_list = csvout.emit_csv([values, *texts], schema, tmp_path / "list.csv").read_bytes()
+    from_array = csvout.emit_csv([np.array(values), *texts], schema, tmp_path / "array.csv").read_bytes()
+    assert from_list == from_array
+    lines = from_list.decode().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == printf(values)

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, target
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from heatkernel import (
@@ -11,7 +13,8 @@ from heatkernel import (
     gaussian_log_kernel,
     quadratic_kernel,
 )
-from heatkernel.explicit import _time_factors, csch, log_csch
+from heatkernel.explicit import _time_factors, csch, log_csch, quadratic_log_kernel
+from heatkernel.spectral import z_lattice
 
 
 def test_gaussian_normalization_point():
@@ -182,3 +185,40 @@ def test_signed_zero_coefficients_give_bit_identical_factors(a1):
         assert all(_bits(_factors(c, t, memo=False)) == want for c in variants)
         _time_factors.cache_clear()
         assert all(_bits(_factors(c, t)) == want for c in variants)
+
+
+# random quadratics V = a0 + a1 x + a2 x^2 and points (x, y, t)
+quadratics = st.tuples(st.floats(-1.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.25, 4.0))
+coordinates, times = st.floats(-3.0, 3.0), st.floats(0.01, 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratics, coordinates, coordinates, times)
+def test_closed_form_is_symmetric_bit_for_bit(coeffs, x, y, t):
+    lp = quadratic_log_kernel(QuadraticCoeffs(*coeffs), [x, y], [x, y], [t])[0]
+    assert _bits(lp) == _bits(lp.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratics, coordinates, coordinates, times)
+def test_closed_form_completes_the_square(coeffs, x, y, t):
+    # a0 + a1 x + a2 x^2 = a2 (x + s)^2 + floor with s = a1 / 2 a2: the kernel is a2 z^2's at
+    # z = x + s, less floor * t
+    a0, a1, a2 = coeffs
+    s, floor = a1 / (2.0 * a2), a0 - a1 * a1 / (4.0 * a2)
+    lp = quadratic_log_kernel(QuadraticCoeffs(a0, a1, a2), [x], [y], [t])[0, 0, 0]
+    centred = quadratic_log_kernel(QuadraticCoeffs(0.0, 0.0, a2), [x + s], [y + s], [t])[0, 0, 0]
+    error = abs(lp - (centred - floor * t)) / (1.0 + abs(lp))
+    target(error, label="relative identity error")
+    assert error <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratics, coordinates, times)
+def test_closed_form_is_sub_markov_when_v_is_nonnegative(coeffs, x, t):
+    a0, a1, a2 = coeffs
+    assume(a0 >= a1 * a1 / (4.0 * a2))
+    # the mass sits within 14 sqrt(t) of x and of the well's centre -a1 / 2 a2
+    zs, h = z_lattice(abs(x) + abs(a1 / (2.0 * a2)) + 14.0 * math.sqrt(t) + 1.0, t)
+    mass = h * float(np.sum(np.exp(quadratic_log_kernel(QuadraticCoeffs(*coeffs), [x], zs, [t])[0, 0])))
+    assert mass <= 1.0 + 1e-8

@@ -399,7 +399,7 @@ def scipy_lowest_modes(V, L, m, t_min):
 
 def assert_lowest_modes_equal_scipy(V, L, m, t_min):
     diagonal, offdiagonal, k, lam, vecs = scipy_lowest_modes(V, L, m, t_min)
-    got_lam, got_vecs = spectral._lowest_modes(diagonal, offdiagonal, k)
+    got_lam, got_vecs = spectral._lowest_modes(diagonal, offdiagonal, k, np.zeros((m, k), order="F"))
     assert got_vecs.shape == (m, k)
     assert np.array_equal(got_lam, lam)
     assert np.array_equal(got_vecs, vecs)
@@ -478,15 +478,15 @@ def test_lowest_modes_refuses_non_finite_entries_and_bad_mode_counts():
         d = diagonal.copy()
         d[2] = bad
         with pytest.raises(ParameterError, match="non-finite"):
-            spectral._lowest_modes(d, offdiagonal, 2)
+            spectral._lowest_modes(d, offdiagonal, 2, np.zeros((5, 2), order="F"))
         e = offdiagonal.copy()
         e[1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
-            spectral._lowest_modes(diagonal, e, 2)
+            spectral._lowest_modes(diagonal, e, 2, np.zeros((5, 2), order="F"))
     for k in (0, 6):
         with pytest.raises(ParameterError, match="modes"):
-            spectral._lowest_modes(diagonal, offdiagonal, k)
-    lam, vecs = spectral._lowest_modes(diagonal, offdiagonal, 5)
+            spectral._lowest_modes(diagonal, offdiagonal, k, np.zeros((5, k), order="F"))
+    lam, vecs = spectral._lowest_modes(diagonal, offdiagonal, 5, np.zeros((5, 5), order="F"))
     assert vecs.shape == (5, 5)
     assert np.allclose(lam, 2.0 - 2.0 * np.cos(np.arange(1, 6) * math.pi / 6))
     for out in (np.zeros((5, 2)), np.zeros((5, 3), order="F"), np.zeros((5, 2), dtype=np.float32, order="F")):
@@ -497,7 +497,7 @@ def test_lowest_modes_refuses_non_finite_entries_and_bad_mode_counts():
 def test_lowest_modes_write_into_a_strided_output():
     # the interior rows of a Fortran-ordered array: LDZ is its column stride, the padding rows stay 0
     diagonal, offdiagonal = np.full(5, 2.0), np.full(4, -1.0)
-    want_lam, want = spectral._lowest_modes(diagonal, offdiagonal, 3)
+    want_lam, want = spectral._lowest_modes(diagonal, offdiagonal, 3, np.zeros((5, 3), order="F"))
     padded = np.zeros((7, 3), order="F")
     lam, vecs = spectral._lowest_modes(diagonal, offdiagonal, 3, padded[1:-1])
     assert vecs.base is padded
