@@ -33,6 +33,7 @@ C_FLOOR = 1e-9
 MOSER_NODES = 41
 
 C0_UPPER = 2.0 * (4.0 * math.pi) ** -0.5
+C0_LOWER = 0.5 * (4.0 * math.pi) ** -0.5
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,12 @@ class ChainPlan:
     def spacing(self) -> float:
         return abs(self.x - self.y) / self.M
 
+    @property
+    def sigma_bound(self) -> float:
+        """The sigma below which the cubes of adjacent waypoints are close enough:
+        spacing / sqrt(t/M) + sigma < 1/8."""
+        return 0.125 - self.spacing / math.sqrt(self.t / self.M)
+
 
 # A plan's waypoints are an (M+1,) array, 8 MB at the cap.
 MAX_CHAIN_M = 1_000_000
@@ -251,15 +258,6 @@ def chain_length(x, y, t: float) -> int:
     return int(math.floor(ratio)) + 1
 
 
-def chain_sigma_bound(x, y, t: float) -> float:
-    """The sigma below which the cubes of adjacent waypoints are close enough.
-
-    The condition is spacing / sqrt(t/M) + sigma < 1/8.
-    """
-    M = chain_length(x, y, t)
-    return 0.125 - (abs(x - y) / M) / math.sqrt(t / M)
-
-
 def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     """Partition the x-to-y segment for semigroup chaining.
 
@@ -268,20 +266,17 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     |x-y| >= sqrt(t)/8 (near-regime callers normally want the
     avg_lower_near family instead).  sigma defaults to 1/16, the largest
     value for which points of adjacent cubes are always closer than
-    (1/8) sqrt(t/M); a larger one must stay below `chain_sigma_bound`.
+    (1/8) sqrt(t/M); a larger one must stay below the plan's `sigma_bound`.
     """
     if not t > 0:
         raise ParameterError("time must be > 0")
     x, y = float(x), float(y)
-    M = chain_length(x, y, t)
-    if sigma is None:
-        sigma = 1.0 / 16.0
-    if not 0.0 < sigma < 1.0:
+    plan = ChainPlan(x=x, y=y, t=t, M=chain_length(x, y, t), sigma=1.0 / 16.0 if sigma is None else sigma)
+    if not 0.0 < plan.sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1)")
-    bound = chain_sigma_bound(x, y, t)
-    if not sigma < bound:
+    if not plan.sigma < (bound := plan.sigma_bound):
         raise ParameterError(f"sigma={sigma} violates the adjacent-cube condition; need sigma < {bound:.6g} here")
-    return ChainPlan(x=x, y=y, t=t, M=M, sigma=sigma)
+    return plan
 
 
 def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, doubling_C: float) -> float:
@@ -575,7 +570,7 @@ def _fit_quadratic_sharp(V, family, value, x, y, t, lp, keep):
 def _fit_lower(V, family, kappa, x, y, t, lp, keep):
     """avg_lower_near / avg_lower_far, fitted and recorded on their regime: c1 is the largest (base - log p) / D."""
     near = family == "avg_lower_near"
-    c0, c2, c3 = 0.5 * (4.0 * math.pi) ** -0.5, 2.0, 0.5
+    c0, c2, c3 = C0_LOWER, 2.0, 0.5
     base, log_d = _lower_terms(V, c0, c2, c3, np.full(keep.sum(), near), x[keep], _distances(x, y)[keep], t[keep])
     lp = lp[keep]
     use = (lp > -math.inf) & (log_d > -math.inf) & (log_d <= 700.0)

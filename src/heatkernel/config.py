@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import FAMILIES, FAMILY_TABLE, BoundEnvelope, chain_length, chain_sigma_bound, fit_mask, grid_columns
+from .bounds import C0_LOWER, FAMILIES, FAMILY_TABLE, BoundEnvelope, ChainPlan, chain_length, fit_mask, grid_columns
 from .errors import ConfigError, ParameterError
 from .explicit import T_FLOOR, QuadraticCoeffs
 from .potentials import (
@@ -99,8 +99,8 @@ ODE_T0_FLOOR = 1e-6
 NUMBER_SECTIONS = ("weights", "ode", "chain", "spectral", "tolerances")
 # The keys of a number section that default to the chaining construction's
 # own values, not to DEFAULT_CONFIG's: no sigma (chain_plan picks it), and the
-# averaged lower envelope's c0 = (1/2)(4 pi)^(-1/2) and c1 = 1.
-OPTIONAL_KEYS = {"chain": {"sigma": None, "c0": 0.5 * (4.0 * math.pi) ** -0.5, "c1": 1.0}}
+# averaged lower envelope's c0 = C0_LOWER and c1 = 1.
+OPTIONAL_KEYS = {"chain": {"sigma": None, "c0": C0_LOWER, "c1": 1.0}}
 # The keys a potential of each kind reads besides `kind` and `dimension`.
 POTENTIAL_KEYS = {
     "polynomial": ("coefficients",),
@@ -185,10 +185,10 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
         raise ConfigError(f"ode.t0 must be < ode.t1, got {t0!r} >= {t1!r}")
     x, y, t, sigma = (run["chain"][k] for k in ("x", "y", "t", "sigma"))
     try:
-        chain_length(x, y, t)
+        plan = ChainPlan(x, y, t, chain_length(x, y, t), sigma)
     except ParameterError as exc:
         raise ConfigError(f"chain.y is too far from chain.x for chain.t={t:g}: {exc}") from exc
-    if sigma is not None and not sigma < (sigma_max := chain_sigma_bound(x, y, t)):
+    if sigma is not None and not sigma < (sigma_max := plan.sigma_bound):
         raise ConfigError(f"chain.sigma must be < {sigma_max:.6g} here (the adjacent-cube condition), got {sigma!r}")
     run["potential"] = potential_from_config(cfg.get("potential", DEFAULT_CONFIG["potential"]), base_dir, engine=engine)
     if not isinstance(specs := cfg.get("envelopes", DEFAULT_CONFIG["envelopes"]), list):
@@ -370,13 +370,10 @@ def axis_from_config(spec, name: str) -> np.ndarray:
     values = [float(_number(v, f"grid.{name}[{i}]")) for i, v in enumerate(spec if count is None else spec[:2])]
     if count is None:
         return np.asarray(values)
-    lo, hi = values
-    if count == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, count)
+    return np.linspace(*values, count)
 
 
-def grid_from_config(cfg: dict, half_width: float | None = None):
+def grid_from_config(cfg: dict, half_width: float):
     """The grid's axes (xs, ys, ts).
 
     A grid of more than MAX_GRID_POINTS points raises ConfigError before any

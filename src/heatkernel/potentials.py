@@ -705,12 +705,8 @@ def _power_means(V: Potential, lo, hi, side, q: float, excision):
 
 
 def _safe_ratio(num, den):
-    num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
-    out = np.ones(num.shape)
-    pos = den > 0
-    out[pos] = num[pos] / den[pos]
-    out[~pos & (num > 0)] = np.inf
-    return out
+    """num / den where den > 0; elsewhere inf where num > 0, else 1."""
+    return np.divide(num, den, out=np.where(num > 0, np.inf, 1.0), where=den > 0)
 
 
 def _power_mean_scan(
@@ -725,6 +721,8 @@ def _power_mean_scan(
     (2^depth - 1 cubes), then the deepest level alone, so that no call holds
     more cubes than the deepest level.
     """
+    if depth < 1:
+        raise ParameterError("depth must be >= 1")
     center, side = checked_cube(center, side)
     levels = np.arange(depth + 1)
     starts = 2**levels - 1
@@ -761,8 +759,6 @@ def rh_constant(V: Potential, q: float, center: float, side: float, depth: int) 
     """
     if not (q == math.inf or q > 1.0):
         raise ParameterError(f"reverse-Holder exponent must be > 1, got {q}")
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
     if q == math.inf and 2**depth > 4096:
         raise ParameterError("q = infinity scan supports depth <= 12")
     return _power_mean_scan(V, center, side, depth, q, 1.0, exponent=q)
@@ -777,8 +773,6 @@ def ap_constant(V: Potential, p: float, center: float, side: float, depth: int) 
     """
     if not p > 1.0:
         raise ParameterError(f"Muckenhoupt exponent must be > 1, got {p}")
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
     beta = 2.0 / (2.0 + (p - 1.0))
     sigma = -1.0 / (p - 1.0)
     return _power_mean_scan(V, center, side, depth, 1.0, sigma, exponent=p, beta=beta)

@@ -527,3 +527,39 @@ def test_fits_are_invariant_under_parabolic_scaling_and_translation(r, s):
             assert (u is None) == (v is None), name
             if u is not None:
                 assert abs(v - u) <= 1e-12 * abs(u), (family, name, u, v)
+
+
+def _never_positive(xs, ys, ts):
+    """A log_kernel that is -inf everywhere, shaped [t, x, y]."""
+    return np.full((len(ts), len(xs), len(ys)), -math.inf)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chain_plan(0.0, 1.0, 1.0, sigma=1.5), "sigma must lie in (0, 1)"),
+        (lambda: chained_lower_bound(V_SQ, chain_plan(0.0, 1.0, 1.0), 0.1, 0.0, 2.0), "constants must be > 0"),
+        (
+            lambda: fefferman_phong_ratio(V_SQ, [0.0], [[1.0]], 0.0, 1.0, 0.5),
+            "test functions need values at the same >= 2 nodes",
+        ),
+        (
+            lambda: fefferman_phong_ratio(V_SQ, [0.0, 0.5, 1.0], [[0.0, 0.0, 0.0]], 0.5, 1.0, 0.5),
+            "test function has zero L2 mass",
+        ),
+        (
+            lambda: fefferman_phong_ratio(V0, [0.0, 0.5, 1.0], [[0.0, 1.0, 0.0]], 0.5, 1.0, 0.5),
+            "potential average vanishes; ratio undefined",
+        ),
+        (lambda: moser_ratio(_never_positive, 0.0, 0.0, 1.0, 0.25), "vanishing L2 mass on the comparison cylinder"),
+        (lambda: fit_constants(V_SQ, [(0.0, 0.0, 0.5, -1.0)], "avg_upper"), "avg_upper fit needs beta"),
+        (
+            lambda: fit_constants(V_SQ, [(0.0, 0.0, 0.5, -math.inf)], "dirichlet_interval", epsilon=1.0),
+            "no usable grid points for the Dirichlet fit",
+        ),
+    ],
+)
+def test_every_bounds_refusal_raises_its_message(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message

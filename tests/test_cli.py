@@ -274,6 +274,22 @@ def test_chain_length_cap_exits_2_before_any_plan(tmp_path, monkeypatch, capsys)
     assert main(["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"), "chain"]) == 0
 
 
+def test_resolve_checks_chain_sigma_without_the_traced_chain_plan(tmp_path, monkeypatch, capsys):
+    from heatkernel import bounds, cli
+
+    def traced_only(*args, **kwargs):
+        raise AssertionError("resolve called chain_plan")
+
+    monkeypatch.setattr(bounds, "chain_plan", traced_only)
+    monkeypatch.setattr(cli, "chain_plan", traced_only)
+    ok = write_config(tmp_path, chain={"x": 0.0, "y": 1.0, "t": 1.0, "sigma": 0.0625})
+    assert main(["--config", str(ok), "--out", str(tmp_path / "out"), "kernel"]) == 0
+    bad = write_config(tmp_path, chain={"x": 0.0, "y": 1.0, "t": 1.0, "sigma": 0.1})
+    assert main(["--config", str(bad), "--out", str(tmp_path / "out"), "kernel"]) == 2
+    message = "chain.sigma must be < 0.0626217 here (the adjacent-cube condition), got 0.1"
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_weights_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "weights"])
@@ -775,6 +791,7 @@ def test_spectral_grid_and_coefficient_caps_edges():
 
     # a 1000x1000 grid with no shared value, and points on the walls, pass
     assert MAX_SPECTRAL_POINTS == 2000
+    assert [axis.tolist() for axis in spectral_grid([0.0], [0.0])] == [[0.0], [0.0], [0.5]]
     spectral_grid([-8.0, 0.0, 1000], [0.5, 8.0, 1000])
     with pytest.raises(ConfigError, match="grid.y has the point 8.0000001 outside"):
         spectral_grid([0.0], [8.0000001])
@@ -812,26 +829,26 @@ def test_grid_cap_edge():
     from heatkernel.errors import ConfigError
 
     assert MAX_GRID_POINTS == 1_000_000
-    xs, ys, ts = grid_from_config({"grid": {"x": [0.0, 1.0, 100], "y": [0.0, 1.0, 100], "t": [0.1, 1.0, 100]}})
+    xs, ys, ts = grid_from_config({"grid": {"x": [0.0, 1.0, 100], "y": [0.0, 1.0, 100], "t": [0.1, 1.0, 100]}}, 8.0)
     assert len(xs) * len(ys) * len(ts) == MAX_GRID_POINTS
     # one point more, 101 x 9901 x 1, with a plain-list x axis and t axis
     over = {"x": np.linspace(0.0, 1.0, 101).tolist(), "y": [0.0, 1.0, 9901], "t": [0.5]}
     with pytest.raises(ConfigError, match=r"grid has 101x9901x1 = 1000001 points, above the cap of 1000000"):
-        grid_from_config({"grid": over})
+        grid_from_config({"grid": over}, 8.0)
 
 
 def test_grid_axis_count_is_parsed_or_refused():
     from heatkernel.config import grid_from_config
     from heatkernel.errors import ConfigError
 
-    xs, ys, ts = grid_from_config({"grid": {"x": [-1, 1, 3], "y": [-1.0, 1.0, 3.0], "t": [0.1, 1, 1]}})
+    xs, ys, ts = grid_from_config({"grid": {"x": [-1, 1, 3], "y": [-1.0, 1.0, 3.0], "t": [0.1, 1, 1]}}, 8.0)
     assert xs.tolist() == [-1.0, 0.0, 1.0]  # [lo, hi, count]
     assert ys.tolist() == [-1.0, 1.0, 3.0]  # a float last entry: three values
     assert ts.tolist() == [0.1]
     for name, count in [("x", 0), ("y", -2), ("t", True), ("t", False)]:
         grid = {"x": [-1, 1, 3], "y": [-1, 1, 3], "t": [0.1, 1, 2], name: [0.1, 1, count]}
         with pytest.raises(ConfigError, match=rf"^grid\.{name} count must be an integer >= 1, got {count!r}$"):
-            grid_from_config({"grid": grid})
+            grid_from_config({"grid": grid}, 8.0)
 
 
 
@@ -1005,4 +1022,46 @@ def test_a_bad_value_in_any_section_exits_2_under_every_subcommand(
     cfg = write_config(tmp_path, **sections)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     assert f"config error: {message.format(dir=tmp_path)}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("kernel", None, "{dir}/config.json: top level must be a JSON object"),
+        ("weights", {"weights": 5}, "weights must be an object, got 5"),
+        ("kernel", {"potential": {"coefficients": [1.0]}}, "missing key 'kind' in section 'potential'"),
+        ("kernel", {"potential": {"kind": "wave"}}, "unknown potential kind 'wave'"),
+        (
+            "weights",
+            {"potential": {"kind": "scaled", "factor": -1.0, "base": {"kind": "constant", "value": 1.0}}},
+            "potential: scale factor must be > 0 to preserve nonnegativity",
+        ),
+        (
+            "weights",
+            {"potential": {"kind": "tabulated", "table": "bad_line.csv"}},
+            "{dir}/bad_line.csv: line 3: expected 'coordinate,value'",
+        ),
+        (
+            "weights",
+            {"potential": {"kind": "tabulated", "table": "one_row.csv"}},
+            "{dir}/one_row.csv: need at least 2 samples",
+        ),
+        (
+            "kernel",
+            {"potential": {"kind": "polynomial", "coefficients": [0, 0, 0]}},
+            "explicit engine requires a quadratic potential with positive x^2 coefficient",
+        ),
+        ("kernel", {"grid": {"x": 0.5, "y": [0.0], "t": [0.5]}}, "grid axis 'x' must be a list"),
+    ],
+)
+def test_every_config_refusal_exits_2_with_its_message(tmp_path, capsys, command, overrides, message):
+    (tmp_path / "bad_line.csv").write_text("coordinate,value\n0.0,1.0\nnot a row\n1.0,1.0\n")
+    (tmp_path / "one_row.csv").write_text("coordinate,value\n0.0,1.0\n")
+    if overrides is None:
+        (cfg := tmp_path / "config.json").write_text("[1.0]")
+    else:
+        cfg = write_config(tmp_path, **overrides)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(dir=tmp_path)}\n"
     assert not list((tmp_path / "out").glob("*.csv"))

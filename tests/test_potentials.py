@@ -1087,3 +1087,30 @@ def test_power_means_grow_with_q_and_scale_with_v(V, center, side, c):
         means.append(m)
     # M_a <= M_b for a < b, a divergent or infinite mean included
     assert all(a <= b * (1.0 + 1e-12) for a, b in zip(means, means[1:])), means
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PolynomialPotential([]), "polynomial needs at least one coefficient"),
+        (lambda: TabulatedPotential([0.0, 1.0], [1.0]), "tabulated potential needs >= 2 matching samples"),
+        (lambda: TabulatedPotential([0.0, 1.0, 3.0], [1.0] * 3), "tabulated grid must be uniform and increasing"),
+        (
+            lambda: ScaledPotential(-1.0, PolynomialPotential([1.0])),
+            "scale factor must be > 0 to preserve nonnegativity",
+        ),
+        (lambda: SumPotential(), "sum potential needs at least one part"),
+        (lambda: constant(-1.0), "constant potential must be >= 0"),
+        (
+            lambda: ap_constant(PolynomialPotential([1.0]), 1.0, 0.0, 2.0, 4),
+            "Muckenhoupt exponent must be > 1, got 1.0",
+        ),
+        # the depth is refused before the cube, by both scans
+        (lambda: ap_constant(PolynomialPotential([1.0]), 2.0, 0.0, -1.0, 0), "depth must be >= 1"),
+        (lambda: rh_constant(PolynomialPotential([1.0]), math.inf, 0.0, -1.0, 0), "depth must be >= 1"),
+    ],
+)
+def test_every_potentials_refusal_raises_its_message(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message

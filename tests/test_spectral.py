@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import ai_zeros
 
 from heatkernel import (
     DomainError,
     ParameterError,
     PolynomialPotential,
+    Potential,
     PowerPotential,
     ProbeGrid,
     QuadraticCoeffs,
@@ -503,3 +505,85 @@ def test_lowest_modes_write_into_a_strided_output():
     assert vecs.base is padded
     assert np.array_equal(lam, want_lam) and np.array_equal(padded[1:-1], want)
     assert not padded[0].any() and not padded[-1].any()
+
+
+XS9 = np.linspace(-2.0, 2.0, 9)
+
+
+def resolved(log_p):
+    """The points of each time slice of log_p, shaped [t, x, y], where p is at least 1e-3 of the slice max."""
+    return log_p >= np.max(log_p, axis=(1, 2), keepdims=True) + math.log(1e-3)
+
+
+def test_abs_x_oracle_is_converged_and_symmetric(abs_x_kernel, abs_x_modes):
+    K = abs_x_modes(0.1)
+    lam = -ai_zeros(K)[1]  # the even modes', the lower of the two parities
+    assert lam[-1] * 0.1 >= 40.0 > lam[-2] * 0.1 and 1650 <= K <= 1750
+    ts = [0.1, 0.2, 1.0, 3.0]
+    coarse, fine = (abs_x_kernel(XS9, XS9, ts, modes=k) for k in (K, 2 * K))
+    at = resolved(fine)
+    assert np.max(np.abs(coarse[at] - fine[at])) <= 1e-12
+    p = np.exp(fine)
+    assert np.all(np.abs(p - p.transpose(0, 2, 1))[at] <= 1e-12 * p[at])
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0, 3.0])
+def test_abs_x_oracle_lattice_mass_is_at_most_one(abs_x_kernel, t):
+    zs, h = spectral.z_lattice(8.0, t)
+    mass = h * np.sum(np.exp(abs_x_kernel(XS9, zs, [t])[0]), axis=1)
+    assert np.all((0.0 < mass) & (mass <= 1.0))
+
+
+# The worst |d log p| measured at t = 0.1 was 1.53e-3 at m = 2001 and 3.23e-4 at
+# m = 3199; each bound sits under 5% above it, so a finer build must lower it.
+@pytest.mark.parametrize("m, bound", [(2001, 1.6e-3), (3199, 3.39e-4)])
+def test_fd_eigensum_error_against_the_abs_x_oracle_is_pinned(abs_x_kernel, m, bound):
+    exact = abs_x_kernel(XS9, XS9, [0.1])
+    got = spectral_log_kernel(build_spectral(PowerPotential(1.0), 8.0, m, 0.1), XS9, XS9, [0.1])
+    at = resolved(exact)
+    assert np.max(np.abs(got[at] - exact[at])) <= bound
+
+
+@pytest.mark.parametrize("coeffs", [[0.7, 0.4, 1.3], [0.0, 0.0, 1.0], [1.0, 0.0, -2.0, 0.0, 1.0]])
+def test_eigensum_a0_shift(coeffs):
+    # V + c has the eigenvectors of V and eigenvalues shifted by c: log p drops by c t, the mode count stays
+    ts = [0.05, 0.2, 1.0, 3.0]
+    K = cached_spectral(PolynomialPotential(coeffs), 8.0, 2001, 0.05)
+    log_p = spectral_log_kernel(K, XS9, XS9, ts)
+    at = resolved(log_p)
+    ct = np.broadcast_to(np.asarray(ts)[:, None, None], log_p.shape)[at]
+    for c in (0.5, 3.0, 10.0):
+        shifted = build_spectral(PolynomialPotential([coeffs[0] + c, *coeffs[1:]]), 8.0, 2001, 0.05)
+        assert [shifted.mode_count(t) for t in ts] == [K.mode_count(t) for t in ts]
+        got = spectral_log_kernel(shifted, XS9, XS9, ts)[at]
+        assert np.max(np.abs(got - (log_p[at] - c * ct))) <= 1e-10
+
+
+class _UnboundedAwayFromZero(Potential):
+    """V = 0 on [-1, 1] and infinite outside it."""
+
+    def __call__(self, x):
+        return np.where(np.abs(x) <= 1.0, 0.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_spectral(V_SQ, 0.0, 101, 0.05), ParameterError, "half-width must be > 0, got 0.0"),
+        (
+            lambda: build_spectral(_UnboundedAwayFromZero(), 4.0, 101, 0.05),
+            DomainError,
+            "potential is unbounded on the computational box",
+        ),
+        (lambda: ProbeGrid(-1.0, 1.0, 0.3, 0.4, h=0.0, tau=2e-4), ParameterError, "probe steps must be > 0"),
+        (
+            lambda: semigroup_defect(gaussian_log_kernel, 0.0, 0.0, 0.0, 0.25),
+            ParameterError,
+            "semigroup times must be > 0",
+        ),
+    ],
+)
+def test_every_spectral_refusal_raises_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
