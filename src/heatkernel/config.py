@@ -293,22 +293,22 @@ def potential_from_config(
 
 
 def load_tabulated_csv(path) -> TabulatedPotential:
-    """Load a tabulated potential from CSV columns (coordinate, value); a NaN or an infinity is refused."""
+    """Load a tabulated potential from CSV rows (coordinate, value) after `#` lines and an optional header; a NaN or an infinity is refused."""
     rows = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except (ValueError, IndexError):
-                if line_no == 1:
-                    continue  # header row
-                raise ConfigError(f"{path}: line {line_no}: expected 'coordinate,value'")
-            if not all(map(math.isfinite, rows[-1])):
-                raise ConfigError(f"{path}: line {line_no}: coordinate and value must be finite, got {line!r}")
+        lines = [(n, text) for n, line in enumerate(fh, 1) if (text := line.strip()) and not text.startswith("#")]
+    for i, (line_no, line) in enumerate(lines):
+        try:
+            row = tuple(map(float, line.split(",")))
+        except ValueError:
+            if i == 0:
+                continue  # the first line that is neither blank nor a comment may be a header
+            row = ()  # refused below with a row of the wrong width
+        if len(row) != 2:
+            raise ConfigError(f"{path}: line {line_no}: expected 'coordinate,value'")
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}: line {line_no}: coordinate and value must be finite, got {line!r}")
+        rows.append(row)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 samples")
     xs, vals = zip(*rows)

@@ -7,18 +7,18 @@ as `str(value)`; lines end in LF.  A field is quoted only where `csv`'s
 QUOTE_MINIMAL would quote it (text holding `,`, `"` or a line break).
 
 The caller passes columns, one sequence per schema column, written CHUNK_ROWS
-rows at a time.  Each column of a chunk becomes a byte matrix, one
-NUL-padded row per value, and the chunk is written as the side-by-side
-rows with the NULs dropped.  Each kind of column takes one path:
-- a float64 array: all of the chunk's at once, by `_kernel_rows` in
-  numpy integer arithmetic: the 17 significant digits of each value are its
-  53-bit mantissa times a power of 5, shifted and rounded half to even,
-  and a lookup table lays them out as `%g`'s fixed notation.  Zero,
-  subnormals, inf, nan and each value that `%.17g` writes in exponent
-  notation (decimal exponent below -4 or above 16) go to `fmt`, one
-  at a time, as does a chunk of fewer than _BULK floats.  When at most half
-  of the chunk's floats are distinct (grid coordinates repeat), each
-  distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
+rows at a time.  Each column of a chunk is formatted on its own into a byte
+matrix, one NUL-padded row per value, and the chunk is written as the
+side-by-side rows with the NULs dropped.  Each kind of column takes one path:
+- a float64 array by `_kernel_rows` in numpy integer arithmetic: the 17
+  significant digits of each value are its 53-bit mantissa times a power of
+  5, shifted and rounded half to even, and a lookup table lays them out as
+  `%g`'s fixed notation.  Zero, subnormals, inf, nan and each value that
+  `%.17g` writes in exponent notation (decimal exponent below -4 or above
+  16) go to `fmt`, one at a time, as does a column's chunk of fewer than
+  _BULK floats.  When at most half of a column's chunk is distinct (grid
+  coordinates repeat), each distinct bit pattern of it is formatted once, so
+  0.0 and -0.0 stay apart;
 - a `range` by the same digit tables;
 - any other column (text, ints, bools, a short list of floats) value by
   value through `fmt`, UTF-8 encoded.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import re
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ CHUNK_ROWS = 4096  # rows per formatted string: bounds the writer's memory
 _WIDTH = 24  # bytes of the longest `%.17g` text of a float64, -2.2250738585072014e-308
 _BULK = 256  # floats below which Python's `%` (about 0.6 us each) beats the kernel's ~60 numpy calls
 _GATHER = 1024  # rows a byte gather handles at once: bounds its index and text temporaries
-_QUOTABLE = re.compile(r'[,"\r\n\0]')  # NUL too: the byte matrix drops it, csv.writer keeps it
+_QUOTABLE = ',"\r\n\0'  # NUL too: the byte matrix drops it, csv.writer keeps it
 _FIXED = range(-4, 17)  # decimal exponents that `%.17g` writes in fixed notation
 _POW5 = [5**s for s in range(23)]  # 5^s < 2^52 for every scale used
 _POW5_LO = np.array([p & 0xFFFFFFFF for p in _POW5], dtype=np.uint64)
@@ -52,11 +51,6 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def _needs_writer(text: str) -> bool:
-    """Whether a text takes `csv.writer`: it may need quoting, or holds a NUL."""
-    return not text or _QUOTABLE.search(text) is not None
 
 
 @functools.cache
@@ -125,17 +119,9 @@ def _printf_rows(values) -> np.ndarray:
 
 
 def _float_rows(values) -> np.ndarray:
-    """`'%.17g' % v` of each value of a float64 array as a NUL-padded (n, _WIDTH) uint8 matrix.
-
-    The kernel takes CHUNK_ROWS values a call, which bounds its temporaries.
-    """
+    """`'%.17g' % v` of each value of a float64 array of at most CHUNK_ROWS values as a NUL-padded (n, _WIDTH) uint8 matrix."""
     v = np.ascontiguousarray(values, dtype=np.float64)
-    if len(v) < _BULK:
-        return _printf_rows(v)
-    rows = np.empty((len(v), _WIDTH), dtype=np.uint8)
-    for i in range(0, len(v), CHUNK_ROWS):
-        rows[i : i + CHUNK_ROWS] = _kernel_rows(v[i : i + CHUNK_ROWS])
-    return rows
+    return _printf_rows(v) if len(v) < _BULK else _kernel_rows(v)
 
 
 def _decimal(v):
@@ -197,25 +183,20 @@ def _kernel_rows(v) -> np.ndarray:
     return rows
 
 
-def _distinct(bits):
-    """The sorted distinct values of an int64 array when at most half of its values are distinct, else None."""
-    ordered = np.sort(bits)
+def _float_text(values) -> np.ndarray:
+    """`_float_rows` of a float64 column's chunk, each distinct bit pattern formatted once when at
+    most half of them are distinct, so 0.0 and -0.0 stay apart."""
+    if len(values) < _BULK:
+        return _printf_rows(values)
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
     first = np.empty(len(bits), dtype=bool)
-    first[:1], first[1:] = True, ordered[1:] != ordered[:-1]
-    return ordered[first] if 2 * np.count_nonzero(first) <= len(bits) else None
-
-
-def _float_texts(arrays) -> list:
-    """The `_write_rows` text of float64 arrays of one length n, formatted in one call: once per
-    distinct bit pattern when at most half of them are distinct."""
-    values, n = np.concatenate(arrays), len(arrays[0])
-    if len(values) < _BULK or (distinct := _distinct(values.view(np.int64))) is None:
-        rows = _float_rows(values)
-        return [(rows[i : i + n], None) for i in range(0, len(rows), n)]
-    index = np.searchsorted(distinct, values.view(np.int64)).astype(np.int32)
-    del values  # before the kernel's temporaries
-    rows = _float_rows(distinct.view(np.float64))
-    return [(rows, index[i : i + n]) for i in range(0, len(index), n)]
+    first[0], first[1:] = True, bits[order[1:]] != bits[order[:-1]]
+    if 2 * np.count_nonzero(first) > len(bits):
+        return _float_rows(values)
+    index = np.empty(len(bits), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1  # each value's row among the distinct ones, in sorted order
+    return _float_rows(values[order[first]])[index]
 
 
 def _int_rows(values: range) -> np.ndarray:
@@ -235,35 +216,36 @@ def _int_rows(values: range) -> np.ndarray:
     return rows.view(np.uint8)
 
 
-def _short_range(values) -> bool:
-    return isinstance(values, range) and max(abs(values[0]), abs(values[-1])) < 10**16
-
-
 def _text(values):
     """The `_write_rows` text of a column printed value by value, UTF-8 encoded; None when one may need quoting."""
     texts = list(map(fmt, values))
-    distinct = list(set(texts))
-    if any(map(_needs_writer, distinct)):
+    joined = "".join(texts)
+    if not all(texts) or any(c in joined for c in _QUOTABLE):  # an empty text takes csv.writer too
         return None
-    encoded = np.array([text.encode() for text in distinct])
-    index = {text: i for i, text in enumerate(distinct)}
-    rows = encoded.view(np.uint8).reshape(len(distinct), encoded.itemsize)
-    return rows, np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts))
+    encoded = np.array(list(map(str.encode, texts)))
+    return encoded.view(np.uint8).reshape(len(texts), encoded.itemsize)
 
 
-def _write_rows(fh, texts, count: int) -> None:
-    """Write count rows of columns side by side as CSV lines, _GATHER rows at a time.
+def _column_text(values):
+    """The NUL-padded byte matrix of one column's chunk, one row per value; None when a text may need quoting."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return _float_text(values)
+    if isinstance(values, range) and max(abs(values[0]), abs(values[-1])) < 10**16:
+        return _int_rows(values)
+    return _text(values)
 
-    Each column's text is a pair (rows, index): a NUL-padded byte matrix,
-    one row per value when index is None, else one row per distinct text
-    with index[i] the row of value i.  NUL bytes are dropped.
+
+def _write_rows(fh, texts) -> None:
+    """Write columns side by side as CSV lines, _GATHER rows at a time.
+
+    Each column's text is a NUL-padded byte matrix, one row per value; NUL bytes are dropped.
     """
-    width = sum(rows.shape[1] for rows, _ in texts) + len(texts)
+    width, count = sum(rows.shape[1] for rows in texts) + len(texts), len(texts[0])
     for start in range(0, count, _GATHER):
         out = np.empty((min(_GATHER, count - start), width), dtype=np.uint8)
         at = 0
-        for rows, index in texts:
-            out[:, at : at + rows.shape[1]] = rows[start : start + _GATHER] if index is None else rows[index[start : start + _GATHER]]
+        for rows in texts:
+            out[:, at : at + rows.shape[1]] = rows[start : start + _GATHER]
             out[:, at + rows.shape[1]] = ord(",")
             at += rows.shape[1] + 1
         out[:, -1] = ord("\n")
@@ -273,17 +255,13 @@ def _write_rows(fh, texts, count: int) -> None:
 def _write_chunk(fh, writer, columns, start: int, stop: int) -> None:
     """Write rows start..stop through `_write_rows`, or with `csv.writer` where a text needs quoting."""
     chunk = [col[start:stop] for col in columns]
-    floats = [j for j, values in enumerate(chunk) if isinstance(values, np.ndarray) and values.dtype == np.float64]
-    texts = {}
-    for j, values in enumerate(chunk):
-        if j not in floats:
-            texts[j] = (_int_rows(values), None) if _short_range(values) else _text(values)
-            if texts[j] is None:
-                writer.writerows(zip(*([fmt(v) for v in c] for c in chunk)))
-                return
-    if floats:
-        texts.update(zip(floats, _float_texts([chunk[j] for j in floats])))
-    _write_rows(fh, [texts[j] for j in range(len(chunk))], stop - start)
+    texts = []
+    for values in chunk:
+        if (text := _column_text(values)) is None:
+            writer.writerows(zip(*([fmt(v) for v in c] for c in chunk)))
+            return
+        texts.append(text)
+    _write_rows(fh, texts)
 
 
 def emit_csv(columns, schema, path, provenance: str = "") -> Path:

@@ -217,8 +217,7 @@ def test_closed_form_bounds_equals_a_polyval_run_without_memoised_time_factors(t
     monkeypatch.setattr(potentials, "_poly_interval_integral", polyval_mean)
     monkeypatch.setattr(explicit, "_time_factors", explicit._time_factors.__wrapped__)
     monkeypatch.setattr(potentials, "CUBE_MEMO_CAP", 0)
-    monkeypatch.setattr(csvout, "_distinct", lambda bits: None)
-    monkeypatch.setattr(csvout, "_float_rows", csvout._printf_rows)
+    monkeypatch.setattr(csvout, "_float_text", csvout._printf_rows)
     assert run("reference") == fast
 
 

@@ -102,7 +102,7 @@ def test_emit_csv_matches_csv_writer_byte_for_byte(tmp_path):
         assert path.read_bytes() == reference_csv(rows, ["a", "b", "c"])
     # float64 arrays that repeat values, formatted once per distinct value: 0.0 and
     # -0.0 compare equal, and nans of any sign, payload or identity print as nan.
-    # The whole chunk decides: `later` is distinct in each chunk's first 256 rows and
+    # Each column's whole chunk decides: `later` is distinct in each chunk's first 256 rows and
     # repeats after them, so it is formatted per distinct value; `sooner` repeats in
     # its first 256 rows only, so it is formatted value by value.
     n = 2 * CHUNK_ROWS + 5
@@ -373,6 +373,37 @@ def test_tabulated_csv_with_a_nonfinite_entry_exits_2(tmp_path, monkeypatch, cap
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     message = f"config error: {table}: line {line}: coordinate and value must be finite, got {bad_row!r}"
     assert message in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_weights_reads_a_table_written_by_emit_csv_with_a_provenance_line(tmp_path):
+    xs = np.linspace(-4.0, 4.0, 81)
+    written = emit_csv([xs, 1.0 + xs * xs], ["coordinate", "value"], tmp_path / "written.csv", "provenance")
+    assert written.read_text().startswith("# provenance\ncoordinate,value\n")
+    bare = tmp_path / "bare.csv"  # the same samples under a header alone
+    bare.write_text("coordinate,value\n" + "".join(f"{x!r},{1.0 + x * x!r}\n" for x in xs.tolist()))
+    traces = []
+    for table in (written, bare):
+        cfg = write_config(tmp_path, potential={"kind": "tabulated", "table": str(table)})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / table.stem), "weights"]) == 0
+        traces.append((tmp_path / table.stem / "weight_trace.csv").read_text().splitlines()[1:])
+    assert traces[0] == traces[1] and len(traces[0]) > 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("coordinate,value\n-1.0,1.0\n0,0.5,7\n1.0,1.0\n", 3),
+        ("0,0.5,7\n-1.0,1.0\n1.0,1.0\n", 1),  # numbers, so not a header
+        ("# a comment\n\ncoordinate,value\n-1.0,1.0\n0.5\n1.0,1.0\n", 5),
+    ],
+)
+def test_a_table_row_of_other_than_two_fields_exits_2(tmp_path, capsys, text, line):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    cfg = write_config(tmp_path, potential={"kind": "tabulated", "table": str(table)})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "weights"]) == 2
+    assert capsys.readouterr().err == f"config error: {table}: line {line}: expected 'coordinate,value'\n"
     assert not list((tmp_path / "out").glob("*.csv"))
 
 

@@ -1,5 +1,7 @@
-"""The bulk float formatter of `csvout` against Python's `'%.17g' % v`."""
+"""The bulk float formatter of `csvout` against Python's `'%.17g' % v`, and its per-column rule against `csv.writer`."""
 
+import csv
+import io
 import math
 import struct
 from fractions import Fraction
@@ -136,3 +138,39 @@ def test_a_float_list_writes_the_bytes_of_the_same_float64_array(tmp_path, kind,
     assert from_list == from_array
     lines = from_list.decode().splitlines()[1:]
     assert [line.split(",")[0] for line in lines] == printf(values)
+
+
+HALF = 256
+SIGNED = [0.0, -0.0, math.nan, -math.nan, from_bits(0x7FF8000000000001), 1.5]
+EXPONENTS = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5, 1e17, -1e17, 1.2345e-7]
+QUOTED_LATE = ["plain"] * (csvout.CHUNK_ROWS + 3) + ["needs,quotes"] + ["plain"] * (csvout.CHUNK_ROWS + 1)
+# columns of one file, and the lengths `_float_rows` is called with (None: not checked)
+COLUMN_CASES = {
+    # a grid axis beside a column of distinct values: only the first is deduplicated
+    "repeated beside distinct": ([np.repeat(np.linspace(-2.0, 2.0, 13), 40), np.arange(520) / 7.0], [13, 520]),
+    "exactly half distinct": ([np.tile(np.arange(HALF) / 7.0, 2)], [HALF]),
+    "one past half distinct": ([np.concatenate([np.arange(HALF + 1) / 7.0, np.zeros(HALF - 1)])], [2 * HALF]),
+    "signed zeros and nan payloads": ([np.array(SIGNED * HALF)], [len(SIGNED)]),
+    # distinct values enough for the kernel, which hands these to `fmt`
+    "subnormals and exponent notation": ([np.tile(EXPONENTS + [i / 7.0 for i in range(292)], 2)], [300]),
+    "shorter than _BULK with repeats": ([np.array([0.1, -0.0, 0.1, math.nan] * (csvout._BULK // 8))], []),
+    # quoting is decided per chunk: the first chunk is written as byte matrices
+    "quotes in the second chunk only": ([np.arange(len(QUOTED_LATE)) / 7.0, QUOTED_LATE, range(len(QUOTED_LATE))], None),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES)
+def test_each_float64_column_is_formatted_on_its_own(tmp_path, monkeypatch, case):
+    columns, calls = COLUMN_CASES[case]
+    lengths, float_rows = [], csvout._float_rows
+    monkeypatch.setattr(csvout, "_float_rows", lambda values: lengths.append(len(values)) or float_rows(values))
+    schema = [f"c{j}" for j in range(len(columns))]
+    written = csvout.emit_csv(columns, schema, tmp_path / "columns.csv", "M=1").read_bytes()
+    reference = io.StringIO()
+    reference.write("# M=1\n")
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(schema)
+    values = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
+    writer.writerows(zip(*([csvout.fmt(v) for v in col] for col in values)))
+    assert written == reference.getvalue().encode()
+    assert calls is None or lengths == calls
