@@ -20,9 +20,11 @@ on a doubling cube (`_doubling_fit`).
 
 Outputs are deterministic: every CSV is written by `emit_csv`, which takes
 one sequence per column (a float64 ndarray, a `range` or a list), and
-identical configs give byte-identical files.  Each float64 column is formatted
-on its own in numpy, each distinct value once when at most half of that
-column's chunk of rows is distinct, as in the grid axes x, y and t of `kernel.csv`.
+identical configs give byte-identical files.  Each column is formatted on its
+own in numpy, a float64 one each distinct value once when at most half of its
+chunk of rows is distinct, as in the grid axes x, y and t of `kernel.csv`.  A
+text holding `,`, `"` or a line feed is quoted as `csv`'s QUOTE_MINIMAL quotes
+it, and a text holding a NUL raises ValueError.
 The engines are `explicit` (the closed form for a quadratic potential) and
 `spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`

@@ -3,13 +3,19 @@
 Files are byte-identical across runs of the same config: row order is the
 caller's, and the provenance line carries no wall-clock data.  Formatting
 rule: a float (numpy float64 included) prints as `%.17g`, any other value
-as `str(value)`; lines end in LF.  A field is quoted only where `csv`'s
-QUOTE_MINIMAL would quote it (text holding `,`, `"` or a line break).
+as `str(value)`; lines end in LF, and the file is UTF-8.  A field is quoted
+where `csv.writer(lineterminator="\n")` quotes it under QUOTE_MINIMAL: a
+text holding `,`, `"` or a line feed (a lone `\r` stays bare) is wrapped in
+double quotes with its inner quotes doubled, and an empty text alone on its
+line is written `""`.  A text holding a NUL raises ValueError naming its
+column: no caller writes one.
 
 The caller passes columns, one sequence per schema column, written CHUNK_ROWS
-rows at a time.  Each column of a chunk is formatted on its own into a byte
-matrix, one NUL-padded row per value, and the chunk is written as the
-side-by-side rows with the NULs dropped.  Each kind of column takes one path:
+rows at a time after the header, which takes the same path as one row of
+one-element columns.  Each column of a chunk is formatted on its own into a
+byte matrix, one NUL-padded row per value, and the chunk's bytes are written
+as the side-by-side rows with the NULs dropped.  Each kind of column takes
+one path:
 - a float64 array by `_kernel_rows` in numpy integer arithmetic: the 17
   significant digits of each value are its 53-bit mantissa times a power of
   5, shifted and rounded half to even, and a lookup table lays them out as
@@ -21,15 +27,11 @@ side-by-side rows with the NULs dropped.  Each kind of column takes one path:
   0.0 and -0.0 stay apart;
 - a `range` by the same digit tables;
 - any other column (text, ints, bools, a short list of floats) value by
-  value through `fmt`, UTF-8 encoded.
-A chunk holding text that may need quoting (or is empty, or holds a NUL)
-goes through `csv.writer` and `fmt` instead, which is the reference the
-byte matrix must match byte for byte.
+  value through `fmt`, each distinct text quoted and UTF-8 encoded once.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 from pathlib import Path
 
@@ -39,7 +41,6 @@ CHUNK_ROWS = 4096  # rows per formatted string: bounds the writer's memory
 _WIDTH = 24  # bytes of the longest `%.17g` text of a float64, -2.2250738585072014e-308
 _BULK = 256  # floats below which Python's `%` (about 0.6 us each) beats the kernel's ~60 numpy calls
 _GATHER = 1024  # rows a byte gather handles at once: bounds its index and text temporaries
-_QUOTABLE = ',"\r\n\0'  # NUL too: the byte matrix drops it, csv.writer keeps it
 _FIXED = range(-4, 17)  # decimal exponents that `%.17g` writes in fixed notation
 _POW5 = [5**s for s in range(23)]  # 5^s < 2^52 for every scale used
 _POW5_LO = np.array([p & 0xFFFFFFFF for p in _POW5], dtype=np.uint64)
@@ -216,31 +217,39 @@ def _int_rows(values: range) -> np.ndarray:
     return rows.view(np.uint8)
 
 
-def _text(values):
-    """The `_write_rows` text of a column printed value by value, UTF-8 encoded; None when one may need quoting."""
+def _text(values, name, alone: bool) -> np.ndarray:
+    """The byte matrix of a column printed value by value through `fmt`, each distinct text quoted and encoded once.
+
+    Distinct texts are keyed by the text, so 0.0 and -0.0, or 1 and True, never share a row.  A
+    text holding `,`, `"` or a line feed, or empty and alone on its line, is quoted as `csv`'s
+    QUOTE_MINIMAL quotes it, inner quotes doubled; one holding a NUL raises ValueError.
+    """
     texts = list(map(fmt, values))
-    joined = "".join(texts)
-    if not all(texts) or any(c in joined for c in _QUOTABLE):  # an empty text takes csv.writer too
-        return None
-    encoded = np.array(list(map(str.encode, texts)))
-    return encoded.view(np.uint8).reshape(len(texts), encoded.itemsize)
+    distinct = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    if any("\0" in text for text in distinct):
+        raise ValueError(f"column {name!r} holds a NUL, which a NUL-padded byte matrix cannot carry")
+    quote = [(alone and not t) or "," in t or '"' in t or "\n" in t for t in distinct]
+    encoded = np.array([('"%s"' % t.replace('"', '""') if q else t).encode() for t, q in zip(distinct, quote)])
+    index = np.fromiter(map(distinct.__getitem__, texts), dtype=np.intp, count=len(texts))
+    return encoded.view(np.uint8).reshape(len(distinct), encoded.itemsize)[index]
 
 
-def _column_text(values):
-    """The NUL-padded byte matrix of one column's chunk, one row per value; None when a text may need quoting."""
+def _column_text(values, name, alone: bool) -> np.ndarray:
+    """The NUL-padded byte matrix of one column's chunk, one row per value."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         return _float_text(values)
     if isinstance(values, range) and max(abs(values[0]), abs(values[-1])) < 10**16:
         return _int_rows(values)
-    return _text(values)
+    return _text(values, name, alone)
 
 
-def _write_rows(fh, texts) -> None:
-    """Write columns side by side as CSV lines, _GATHER rows at a time.
+def _write_rows(fh, columns, schema, count: int) -> None:
+    """Write count rows of columns side by side as CSV lines, _GATHER rows at a time.
 
-    Each column's text is a NUL-padded byte matrix, one row per value; NUL bytes are dropped.
+    Each column is formatted into a NUL-padded byte matrix, one row per value; NUL bytes are dropped.
     """
-    width, count = sum(rows.shape[1] for rows in texts) + len(texts), len(texts[0])
+    texts = [_column_text(values, name, len(schema) == 1) for values, name in zip(columns, schema)]
+    width = sum(rows.shape[1] for rows in texts) + max(len(texts), 1)  # a comma after each column, the last a line feed
     for start in range(0, count, _GATHER):
         out = np.empty((min(_GATHER, count - start), width), dtype=np.uint8)
         at = 0
@@ -249,19 +258,7 @@ def _write_rows(fh, texts) -> None:
             out[:, at + rows.shape[1]] = ord(",")
             at += rows.shape[1] + 1
         out[:, -1] = ord("\n")
-        fh.write(out.tobytes().translate(None, b"\0").decode())
-
-
-def _write_chunk(fh, writer, columns, start: int, stop: int) -> None:
-    """Write rows start..stop through `_write_rows`, or with `csv.writer` where a text needs quoting."""
-    chunk = [col[start:stop] for col in columns]
-    texts = []
-    for values in chunk:
-        if (text := _column_text(values)) is None:
-            writer.writerows(zip(*([fmt(v) for v in c] for c in chunk)))
-            return
-        texts.append(text)
-    _write_rows(fh, texts)
+        fh.write(out.tobytes().translate(None, b"\0"))
 
 
 def emit_csv(columns, schema, path, provenance: str = "") -> Path:
@@ -278,11 +275,11 @@ def emit_csv(columns, schema, path, provenance: str = "") -> Path:
     rows = lengths[0] if lengths else 0
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         if provenance:
-            fh.write(f"# {provenance}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(schema)
+            fh.write(f"# {provenance}\n".encode())
+        _write_rows(fh, [[name] for name in schema], schema, 1)
         for start in range(0, rows, CHUNK_ROWS):
-            _write_chunk(fh, writer, columns, start, min(start + CHUNK_ROWS, rows))
+            stop = min(start + CHUNK_ROWS, rows)
+            _write_rows(fh, [col[start:stop] for col in columns], schema, stop - start)
     return path

@@ -399,19 +399,36 @@ def interval_integral(V: Potential, lo, hi):
 # sqrt(machine eps) ~ 1.5e-8 of its size, along either axis.  Roots within
 # ROOT_TOL of their size of each other are one root, and a root that close to
 # the real axis is real.  A root of multiplicity k >= 3 comes out as a k-gon
-# of radius about eps^(1/k) of its size: ROOT_TOL^(2/k), as ROOT_TOL^(2/2) is
-# for a pair, bounds it (1e-4 for k = 3, 1e-3 for k = 4).
+# of radius about eps^(1/k) of its size, or wider when another root is near:
+# ROOT_TOL^(2/degree) bounds where one is looked for, and the derivatives
+# decide (`_multiple_root`).
 ROOT_TOL = 1e-6
+
+
+def _multiple_root(derivatives: list, sizes: list, start: float, k: int) -> tuple[float, bool]:
+    """(r, whether the polynomial p has a root of multiplicity k at r), given p, p', p'', ...
+    as derivatives and the same of the polynomial with coefficients |c| as sizes.
+
+    r is Newton's refinement of start on p^(k-1), of which such a root is a simple root.  It
+    counts when |p^(j)(r)| <= ROOT_TOL^2 sizes[j](|r|) for each j < k: rounding's size, or
+    that of a cluster of radius about ROOT_TOL of r's size, as for a pair.
+    """
+    r = start
+    for _ in range(8):
+        r -= npoly.polyval(r, derivatives[k - 1]) / npoly.polyval(r, derivatives[k])
+    tests = zip(derivatives[:k], sizes)
+    return r, all(abs(npoly.polyval(r, d)) <= ROOT_TOL**2 * npoly.polyval(abs(r), s) for d, s in tests)
 
 
 @lru_cache(maxsize=32)
 def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(real roots, multiplicities as floats, the other roots above the axis), found once per coefficient tuple.
 
-    First the k >= 3 roots nearest a root (the largest such k) become k copies of their mean's real part when
-    they lie about equally far from it, within ROOT_TOL^(2/k) max(1, |mean|), and it lies within ROOT_TOL
-    max(1, |mean|) of the axis.  Then near-real roots split where their gap exceeds ROOT_TOL max(1, |root|);
-    a group is one root at its mean.
+    First the k >= 3 roots nearest a root (the largest such k) become k copies of a real r when they
+    lie about equally far from their mean, it lies within ROOT_TOL max(1, |mean|) of the axis, and
+    `_multiple_root` finds a root of multiplicity k at r, within their spread of the mean; the other
+    roots are then those of the quotient by the multiple roots.  Then near-real roots split where
+    their gap exceeds ROOT_TOL max(1, |root|); a group is one root at its mean.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     with np.errstate(all="ignore"):  # a companion matrix past the float range has no roots to give
@@ -419,21 +436,29 @@ def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray,
         roots = npoly.polyroots(c) if finite else np.empty(0, dtype=complex)
     # a root of a k-gon has two others within 2 ROOT_TOL^(2/k) of its size; k = degree is the loosest bound.
     # Sums past the float range (roots near 1e308) are inf or nan and pass no test.
-    free = np.ones(len(roots), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
+    free, multiple = np.ones(len(roots), dtype=bool), np.zeros(len(roots), dtype=bool)
+    with np.errstate(all="ignore"):
         if len(roots) >= 3:
             second = np.sort(np.abs(roots[:, None] - roots), axis=1)[:, 2]
             free = second <= 2.0 * ROOT_TOL ** (2.0 / len(roots)) * (1.0 + np.abs(roots) + second)
+            derivatives, sizes = [c], [np.abs(c)]  # p, p', ..., p^(degree), and the same of |c|
+            for _ in range(len(roots)):
+                derivatives.append(npoly.polyder(derivatives[-1]))
+                sizes.append(npoly.polyder(sizes[-1]))
         for i in np.flatnonzero(free):
             near = np.flatnonzero(free)
             near = near[np.argsort(np.abs(roots[near] - roots[i]), kind="stable")]
             for k in range(len(near) if free[i] else 0, 2, -1):
                 mean = roots[near[:k]].mean()
                 spread, scale = np.abs(roots[near[:k]] - mean), max(1.0, abs(mean))
-                regular = spread.max() <= min(2.0 * spread.min(), ROOT_TOL ** (2.0 / k) * scale)
-                if regular and abs(mean.imag) <= ROOT_TOL * scale:
-                    roots[near[:k]], free[near[:k]] = mean.real, False
-                    break
+                if spread.max() <= 2.0 * spread.min() and abs(mean.imag) <= ROOT_TOL * scale:
+                    r, holds = _multiple_root(derivatives, sizes, mean.real, k)
+                    if holds and abs(r - mean) <= spread.max():
+                        roots[near[:k]], free[near[:k]], multiple[near[:k]] = r, False, True
+                        break
+        if multiple.any():
+            quotient = npoly.polydiv(c, npoly.polyfromroots(roots[multiple].real))[0]
+            roots = np.concatenate([roots[multiple], npoly.polyroots(quotient)])
     real = np.sort(roots.real[np.abs(roots.imag) <= ROOT_TOL * np.maximum(1.0, np.abs(roots))])
     gaps = np.diff(real) > ROOT_TOL * np.maximum(1.0, np.abs(real[1:]))
     groups = np.split(real, np.flatnonzero(gaps) + 1) if real.size else []

@@ -181,10 +181,8 @@ def _modes_needed(h: float, diagonal: np.ndarray, offdiagonal: np.ndarray, t_min
     in [1/(m h), 1/h].  So mode j is below EIGENSUM_TAIL of the kept total once
     (mu_j + min V - lam_1) t_min > log(m / EIGENSUM_TAIL) + 1 (an e-fold for rounding).
     """
-    from scipy.linalg import eigh_tridiagonal  # here, so that `import heatkernel` loads no scipy.linalg
-
     m = len(diagonal)
-    lam1 = eigh_tridiagonal(diagonal, offdiagonal, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    lam1 = _lowest_modes(diagonal, offdiagonal, 1, np.zeros((m, 1), order="F"))[0][0]
     v_min = float(np.min(diagonal)) - 2.0 / h**2
     mu = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (math.pi / (2 * (m + 1)))) ** 2
     gap = (math.log(m / EIGENSUM_TAIL) + 1.0) / t_min

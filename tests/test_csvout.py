@@ -3,12 +3,16 @@
 import csv
 import io
 import math
+import re
 import struct
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatkernel import csvout
@@ -166,11 +170,61 @@ def test_each_float64_column_is_formatted_on_its_own(tmp_path, monkeypatch, case
     monkeypatch.setattr(csvout, "_float_rows", lambda values: lengths.append(len(values)) or float_rows(values))
     schema = [f"c{j}" for j in range(len(columns))]
     written = csvout.emit_csv(columns, schema, tmp_path / "columns.csv", "M=1").read_bytes()
-    reference = io.StringIO()
-    reference.write("# M=1\n")
-    writer = csv.writer(reference, lineterminator="\n")
+    assert written == reference(columns, schema, "M=1")
+    assert calls is None or lengths == calls
+
+
+def reference(columns, schema, provenance) -> bytes:
+    """The file `csv.writer` writes over `fmt` of each value: the rule the byte matrices must match."""
+    buf = io.StringIO()
+    buf.write(f"# {provenance}\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(schema)
     values = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
     writer.writerows(zip(*([csvout.fmt(v) for v in col] for col in values)))
-    assert written == reference.getvalue().encode()
-    assert calls is None or lengths == calls
+    return buf.getvalue().encode()
+
+
+TEXT = st.text(alphabet=[",", '"', "\n", "\r", " ", "é", "a"], max_size=4)  # the empty string included
+
+
+@st.composite
+def random_columns(draw):
+    """1-3 columns of one length: float64 bit patterns, heavily repeated texts, or ranges."""
+    n, rng = draw(st.integers(1, 700)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "text", "range"]), min_size=1, max_size=3)):
+        if kind == "float":  # a few drawn patterns repeated, or every value a random pattern
+            pool = np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20)), dtype=np.uint64)
+            repeated = draw(st.booleans())
+            bits = pool[rng.integers(0, len(pool), n)] if repeated else rng.integers(0, 2**64, n, dtype=np.uint64)
+            columns.append(bits.view(np.float64))
+        elif kind == "text":
+            pool = draw(st.lists(TEXT, min_size=1, max_size=5))
+            columns.append([pool[i] for i in rng.integers(0, len(pool), n)])
+        else:
+            start, step = draw(st.integers(-(10**17), 10**17)), draw(st.integers(1, 10**13)) * draw(st.sampled_from([-1, 1]))
+            columns.append(range(start, start + n * step, step))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_columns(), st.sampled_from([1, 3, 64, 300]))
+def test_random_columns_write_the_bytes_of_csv_writer(columns, chunk_rows):
+    schema = [f"c{j}" for j in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvout, "CHUNK_ROWS", chunk_rows):
+        written = csvout.emit_csv(columns, schema, Path(tmp) / "random.csv", "M=1").read_bytes()
+    assert written == reference(columns, schema, "M=1")
+
+
+@pytest.mark.parametrize(
+    "columns, schema, name",
+    [
+        ([[1.5, 2.0], ["plain", "nul\0here"]], ["x", "w"], "w"),
+        ([["nul\0"]], ["only"], "only"),
+        ([[1.5]], ["x\0"], "x\0"),  # in the header
+    ],
+)
+def test_a_text_holding_a_nul_is_refused_naming_its_column(tmp_path, columns, schema, name):
+    with pytest.raises(ValueError, match=re.escape(f"column {name!r} holds a NUL")):
+        csvout.emit_csv(columns, schema, tmp_path / "nul.csv")

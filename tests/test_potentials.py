@@ -524,6 +524,17 @@ def test_a_root_of_multiplicity_3_or_more_is_one_break(root, k):
     assert len(potentials._poly_real_roots(V.coeffs)[2]) == 1  # i, and no pole from the split root
 
 
+@pytest.mark.parametrize("k, neighbour", [(3, 3.001), (4, 3.01)])
+def test_a_multiple_root_and_a_close_neighbour_stay_apart(k, neighbour):
+    # the eigensolve splits the k-fold root as wide as the gap to its neighbour: the k-gon rule read
+    # (x - 3)^3 (x - 3.001) as one break of order 4 at 3.00025, and (x - 3)^4 (x - 3.01) as three
+    # simple breaks near 2.997, 3.003 and 3.010 and a pole at 2.9998 + 0.003i
+    V = PolynomialPotential(npoly.polymul(npoly.polyfromroots([3.0] * k + [neighbour]), [1.0, 0.0, 1.0]))
+    points, orders = V.breaks
+    assert points == pytest.approx([3.0, neighbour], abs=1e-10) and orders.tolist() == [float(k), 1.0]
+    assert potentials._poly_real_roots(V.coeffs)[2] == pytest.approx([1j], abs=1e-12)
+
+
 def test_close_simple_roots_stay_apart_and_a_double_root_at_0_is_exact():
     V = PolynomialPotential(npoly.polymul(npoly.polyfromroots([1.0, 1.001, 1.002]), [1.0, 0.0, 1.0]))
     points, orders = V.breaks

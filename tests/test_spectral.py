@@ -345,9 +345,10 @@ def test_times_below_t_min_raise(spectral_free):
 def test_orthonormality_is_checked_on_every_kept_mode(monkeypatch):
     real = spectral._lowest_modes
 
-    def one_bad_column(*args):
-        lam, vecs = real(*args)
-        vecs[:, 5] *= 1.0 + 1e-6  # not among 48 columns sampled evenly over all 799
+    def one_bad_column(diagonal, offdiagonal, k, out):
+        lam, vecs = real(diagonal, offdiagonal, k, out)
+        if k > 1:  # the build's solve, not the lambda_1 of `_modes_needed`
+            vecs[:, 5] *= 1.0 + 1e-6  # not among 48 columns sampled evenly over all 799
         return lam, vecs
 
     monkeypatch.setattr(spectral, "_lowest_modes", one_bad_column)
@@ -378,10 +379,11 @@ def test_mode_count_does_not_depend_on_the_basis_inside_a_cluster(monkeypatch):
     assert K.eigenvalues[201] - K.eigenvalues[200] <= CLUSTER_RTOL * K.eigenvalues[201]
     real = spectral._lowest_modes
 
-    def rotated(*args):
-        lam, vecs = real(*args)
-        c = math.sqrt(0.5)
-        vecs[:, 200:202] = vecs[:, 200:202] @ np.array([[c, -c], [c, c]])
+    def rotated(diagonal, offdiagonal, k, out):
+        lam, vecs = real(diagonal, offdiagonal, k, out)
+        if k > 1:  # the build's solve, not the lambda_1 of `_modes_needed`
+            c = math.sqrt(0.5)
+            vecs[:, 200:202] = vecs[:, 200:202] @ np.array([[c, -c], [c, c]])
         return lam, vecs
 
     monkeypatch.setattr(spectral, "_lowest_modes", rotated)
