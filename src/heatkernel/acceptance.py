@@ -61,10 +61,6 @@ class CriterionResult:
     details: str
 
 
-def _result(number, name, passed, details) -> CriterionResult:
-    return CriterionResult(number=number, name=name, passed=bool(passed), details=details)
-
-
 def c1_oracle_equivalence() -> CriterionResult:
     """Closed-form quadratic kernel vs the spectral reference.
 
@@ -79,18 +75,14 @@ def c1_oracle_equivalence() -> CriterionResult:
     xs = np.linspace(-2.0, 2.0, 9)
     ts = (0.05, 0.1, 0.5, 1.0)
     K = cached_spectral(V, 8.0, 2001, min(ts))
-    worst_sup = 0.0
-    worst_point = 0.0
     exact = np.exp(quadratic_log_kernel(c, xs, xs, ts))
-    spectral = np.exp(spectral_log_kernel(K, xs, xs, ts))
-    for pq, ps in zip(exact, spectral):
-        peak = float(np.max(pq))
-        worst_sup = max(worst_sup, float(np.max(np.abs(ps - pq))) / peak)
-        mask = pq >= 1e-3 * peak
-        worst_point = max(worst_point, float(np.max(np.abs(ps - pq)[mask] / pq[mask])))
+    err = np.abs(np.exp(spectral_log_kernel(K, xs, xs, ts)) - exact)
+    peak = exact.max(axis=(1, 2), keepdims=True)
+    mask = exact >= 1e-3 * peak
+    worst_sup, worst_point = float(np.max(err / peak)), float(np.max(err[mask] / exact[mask]))
     passed = worst_sup <= 5e-3 and worst_point <= 5e-3
     details = f"sup-relative {worst_sup:.3e}, pointwise(>=1e-3 peak) {worst_point:.3e}, tol 5e-3"
-    return _result(1, "oracle equivalence (explicit vs spectral)", passed, details)
+    return CriterionResult(1, "oracle equivalence (explicit vs spectral)", bool(passed), details)
 
 
 def c2_ode_round_trip() -> CriterionResult:
@@ -102,7 +94,7 @@ def c2_ode_round_trip() -> CriterionResult:
     log_err = float(np.max(np.abs(got - quadratic_log_kernel(c, xs, ys, [ts[-1]])[0])))
     passed = comp_err <= 1e-6 and log_err <= 1e-5
     details = f"max component error {comp_err:.3e} (tol 1e-6), kernel log error {log_err:.3e} (tol 1e-5)"
-    return _result(2, "ODE round trip vs closed form", passed, details)
+    return CriterionResult(2, "ODE round trip vs closed form", bool(passed), details)
 
 
 def c3_semigroup() -> CriterionResult:
@@ -110,7 +102,7 @@ def c3_semigroup() -> CriterionResult:
     dg = semigroup_defect(gaussian_log_kernel, 0.0, 0.0, 0.25, 0.25)
     passed = dq <= 1e-4 and dg <= 1e-10
     details = f"quadratic {dq:.3e} (tol 1e-4), gaussian {dg:.3e} (tol 1e-10)"
-    return _result(3, "semigroup (Chapman-Kolmogorov) defects", passed, details)
+    return CriterionResult(3, "semigroup (Chapman-Kolmogorov) defects", bool(passed), details)
 
 
 def c4_pde_residual() -> CriterionResult:
@@ -131,7 +123,7 @@ def c4_pde_residual() -> CriterionResult:
         f"refinement ratio {ratio:.3f} in [3.5, 4.5]; control residual {g_fine:.3e} "
         f"> 0.1*|Vp| peak {0.1 * vp_peak:.3e} and non-converging"
     )
-    return _result(4, "PDE residual convergence + negative control", passed, details)
+    return CriterionResult(4, "PDE residual convergence + negative control", bool(passed), details)
 
 
 def _mass(t: float) -> float:
@@ -141,14 +133,10 @@ def _mass(t: float) -> float:
 
 
 def c5_mass_positivity() -> CriterionResult:
-    m0 = _mass(1e-3)
-    ok = 0.99 <= m0 <= 1.0 + 1e-8
-    masses = {1e-3: m0}
-    for t in (0.01, 0.1, 1.0):
-        masses[t] = _mass(t)
-        ok &= masses[t] <= 1.0 + 1e-8
+    masses = {t: _mass(t) for t in (1e-3, 0.01, 0.1, 1.0)}
+    ok = 0.99 <= masses[1e-3] and all(m <= 1.0 + 1e-8 for m in masses.values())
     detail = ", ".join(f"t={t:g}: {m:.6f}" for t, m in masses.items())
-    return _result(5, "mass near delta limit and submarkov property", ok, detail)
+    return CriterionResult(5, "mass near delta limit and submarkov property", bool(ok), detail)
 
 
 SANDWICH_XS, SANDWICH_TS = np.linspace(-3, 3, 13), np.linspace(0.05, 3.0, 8)
@@ -175,7 +163,7 @@ def c6_sandwich_feasibility() -> CriterionResult:
     passed = all_feasible and consts_positive and both_branches and dom <= 1e-10
     verdicts = " ".join(f"{k}:{'F' if v.feasible else 'X'}" for k, v in fits.items())
     details = f"{verdicts}; gaussian domination slack {dom:.3e} <= 1e-10"
-    return _result(6, "sandwich envelope feasibility + gaussian domination", passed, details)
+    return CriterionResult(6, "sandwich envelope feasibility + gaussian domination", bool(passed), details)
 
 
 def c7_weight_diagnostics() -> CriterionResult:
@@ -203,7 +191,7 @@ def c7_weight_diagnostics() -> CriterionResult:
         f"{last[-1] / last[0]:.2f}x/10 depths; doubling eps {d_sq.epsilon:.8f}, "
         f"{d_pw.epsilon:.8f}; ap const {ap.constant:.12f}, beta {ap.beta:.6f}"
     )
-    return _result(7, "weight-class diagnostics", passed, details)
+    return CriterionResult(7, "weight-class diagnostics", bool(passed), details)
 
 
 def c8_chain_construction() -> CriterionResult:
@@ -233,7 +221,7 @@ def c8_chain_construction() -> CriterionResult:
         f"M(1.0)={m257}, M(0.01)={m3}; spacing ok on 1000 draws; "
         f"max log(chained) - log(kernel) = {worst:.1f} (must be < 0)"
     )
-    return _result(8, "chain plan sizes, spacing invariant, chained lower bound", passed, details)
+    return CriterionResult(8, "chain plan sizes, spacing invariant, chained lower bound", bool(passed), details)
 
 
 def c9_inequality_checks() -> CriterionResult:
@@ -260,7 +248,7 @@ def c9_inequality_checks() -> CriterionResult:
         f"energy-form ratio min {min_ratio:.4f} >= 0.01; local-boundedness max "
         f"gaussian {max_ratio['gaussian']:.3f}, quadratic {max_ratio['quadratic']:.3f} (<= 100)"
     )
-    return _result(9, "energy-form floor and local-boundedness ratios", passed, details)
+    return CriterionResult(9, "energy-form floor and local-boundedness ratios", bool(passed), details)
 
 
 def c10_dirichlet_comparisons() -> CriterionResult:
@@ -282,7 +270,7 @@ def c10_dirichlet_comparisons() -> CriterionResult:
         f"interval fit C={fit.envelope.C:.4f} in (0,1), min slack {fit.min_slack:.3e}; "
         f"exp(-Mt)Gamma_D vs p_B worst rel violation {worst:.3e} <= 1e-6 (M={M:.4f})"
     )
-    return _result(10, "Dirichlet comparisons (interval lower bound, truncated-kernel domination)", passed, details)
+    return CriterionResult(10, "Dirichlet comparisons (interval lower bound, truncated-kernel domination)", bool(passed), details)
 
 
 def _pipeline_once(out: Path) -> int:
@@ -312,7 +300,7 @@ def c11_determinism(out_dir: Path | None = None) -> CriterionResult:
         identical = bool(names) and all(filecmp.cmp(a / n, b / n, shallow=False) for n in names)
     passed = identical and rc_a == 0 and rc_b == 0
     details = f"{len(names)} CSV artifacts byte-identical across two runs, exit codes 0"
-    return _result(11, "deterministic artifacts", passed, details)
+    return CriterionResult(11, "deterministic artifacts", bool(passed), details)
 
 
 CRITERIA = [

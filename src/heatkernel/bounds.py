@@ -310,32 +310,18 @@ def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, dou
 def energy_test_family(center: float, side: float, count: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, values[count, 129]): a deterministic lattice of hats, quadratic bumps and Gaussians on a cube.
 
-    Each row samples one test function at the 129 nodes spanning the cube
-    (center, side).  The lattice cycles through the three shapes over a grid
-    of centers and widths, jittered slightly by a generator of fixed seed 0,
-    so repeated runs are reproducible.
+    Row k samples, at the 129 nodes spanning the cube (center, side), a hat, bump or Gaussian (k % 3) of
+    width 0.15 + 0.25 ((k // 7) % 3) sides about the point ((k % 7) + 1/2)/7 of the way across, jittered by
+    up to 0.02 side from a generator of fixed seed 0: no row is 0, and repeated runs are reproducible.
     """
     center, side = checked_cube(center, side)
     lo, hi = center - side / 2.0, center + side / 2.0
     grid = np.linspace(lo, hi, 129)
-    rng = np.random.default_rng(0)
-    out = []
-    k = 0
-    while len(out) < count:
-        frac = (k % 7 + 0.5) / 7.0
-        width = (0.15 + 0.25 * ((k // 7) % 3)) * side
-        middle = lo + frac * side + rng.uniform(-0.02, 0.02) * side
-        kind = k % 3
-        if kind == 0:
-            vals = np.clip(1.0 - np.abs(grid - middle) / width, 0.0, None)
-        elif kind == 1:
-            vals = np.clip(1.0 - ((grid - middle) / width) ** 2, 0.0, None)
-        else:
-            vals = np.exp(-0.5 * ((grid - middle) / width) ** 2)
-        if np.max(vals) > 0:
-            out.append(vals)
-        k += 1
-    return grid, np.array(out)
+    k = np.arange(count)[:, None]
+    middle = lo + (k % 7 + 0.5) / 7.0 * side + np.random.default_rng(0).uniform(-0.02, 0.02, (count, 1)) * side
+    u = (grid - middle) / ((0.15 + 0.25 * (k // 7 % 3)) * side)
+    shapes = (np.clip(1.0 - np.abs(u), 0.0, None), np.clip(1.0 - u**2, 0.0, None), np.exp(-0.5 * u**2))
+    return grid, np.choose(k % 3, shapes)
 
 
 def fefferman_phong_ratio(V: Potential, xs, values, center: float, side: float, beta: float) -> np.ndarray:

@@ -10,21 +10,10 @@ Subcommands
 
 `main` resolves the config once (`config.resolve`) before any subcommand
 runs, so a bad value in any section exits 2 naming its key, whatever the
-subcommand.  Each `cmd_*(run, out)` reads plain values from the resolved
-run.  The only config refusals left here are `missing key 'grid'`, from
-`kernel` and `bounds`, the two that read a grid; a default envelope with no
-grid point to fit (`check_envelopes`, which `bounds` runs before any fit);
-the quadratic potential that `ode` and the explicit engine need
-(`quadratic_from_potential`); and a potential without finite positive mass
-on a doubling cube (`_doubling_fit`).
+subcommand, and so does a fault of V that a run meets later (`main`).  Each
+`cmd_*(run, out)` reads plain values from the resolved run and writes its CSVs
+through `csvout.emit_csv`, so identical configs give byte-identical files.
 
-Outputs are deterministic: every CSV is written by `emit_csv`, which takes
-one sequence per column (a float64 ndarray, a `range` or a list), and
-identical configs give byte-identical files.  Each column is formatted on its
-own in numpy, a float64 one each distinct value once when at most half of its
-chunk of rows is distinct, as in the grid axes x, y and t of `kernel.csv`.  A
-text holding `,`, `"` or a line feed is quoted as `csv`'s QUOTE_MINIMAL quotes
-it, and a text holding a NUL raises ValueError.
 The engines are `explicit` (the closed form for a quadratic potential) and
 `spectral` (the Dirichlet eigensum).  Each evaluates a grid in one batched
 call, `log_kernel(xs, ys, ts)` returning log p shaped [t, x, y]; `kernel`
@@ -49,7 +38,7 @@ import numpy as np
 from .bounds import chain_plan, chained_lower_bound, fit_constants, fit_options, grid_columns, grid_points, grid_samples
 from .config import DEFAULT_CONFIG, check_envelopes, load_config, quadratic_from_potential, resolve
 from .csvout import emit_csv
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DomainError
 from .explicit import quadratic_kernel, quadratic_log_kernel
 from .ode import ANSATZ_COEFFS, closed_form_error, integrate_odes
 # cube_average is unused here but stays in this namespace: perfbench's tracer
@@ -116,14 +105,6 @@ def _bounds_samples(run: dict):
     return samples, _prov_line(run, "engine=explicit", xs, ys, ts)
 
 
-def _doubling_fit(V, center: float, side: float, depth: int):
-    """`doubling_fit`, whose window and depth the config has checked: a refusal is the potential's, before any CSV."""
-    try:
-        return doubling_fit(V, center, side, depth)
-    except ParameterError as exc:
-        raise ConfigError(f"potential: {exc}") from exc
-
-
 def _p_column(lp: np.ndarray) -> np.ndarray:
     """p for the CSV's p column: 0 below log p = -745, inf above 709, else math.exp's bits (NaN stays NaN)."""
     p = np.where(lp < -745.0, 0.0, math.inf)
@@ -170,7 +151,7 @@ def cmd_weights(run: dict, out: Path) -> int:
     prov_line = f"config={run['hash']} window_side={side:g} depth={depth}"
     rh = rh_constant(V, w["rh_q"], center, side, depth)
     ap = ap_constant(V, w["ap_p"], center, side, depth)
-    fit = _doubling_fit(V, center, side, depth)
+    fit = doubling_fit(V, center, side, depth)
     n, m = len(rh.ratios), len(ap.ratios)
     columns = [
         ["rh"] * n + ["ap"] * m,
@@ -207,7 +188,7 @@ def cmd_chain(run: dict, out: Path) -> int:
     V = run["potential"]
     x, y, t, sigma, c0, c1 = (run["chain"][k] for k in ("x", "y", "t", "sigma", "c0", "c1"))
     plan = chain_plan(x, y, t, sigma=sigma)
-    dbl = _doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
+    dbl = doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
     log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
@@ -244,6 +225,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: exit 0 if it passes, 1 if a check fails or the numerics fault, 2 on a config fault.
+
+    That is a value `resolve` or a subcommand refuses, naming its key, or a DomainError: after `resolve`, a fault
+    of V where the run needs it (a table it leaves, a cube mass not finite, a doubling mass 0, V unbounded).
+    """
     parser = argparse.ArgumentParser(
         prog="heatkernel",
         description="Heat-kernel computations and bound checks for -Laplacian + V",
@@ -261,6 +247,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](run, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DomainError as exc:
+        print(f"config error: potential: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # numerical failures propagate with context
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

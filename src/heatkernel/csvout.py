@@ -275,11 +275,16 @@ def emit_csv(columns, schema, path, provenance: str = "") -> Path:
     rows = lengths[0] if lengths else 0
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        if provenance:
-            fh.write(f"# {provenance}\n".encode())
-        _write_rows(fh, [[name] for name in schema], schema, 1)
-        for start in range(0, rows, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, rows)
-            _write_rows(fh, [col[start:stop] for col in columns], schema, stop - start)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            if provenance:
+                fh.write(f"# {provenance}\n".encode())
+            _write_rows(fh, [[name] for name in schema], schema, 1)
+            for start in range(0, rows, CHUNK_ROWS):
+                stop = min(start + CHUNK_ROWS, rows)
+                _write_rows(fh, [col[start:stop] for col in columns], schema, stop - start)
+    except BaseException:  # a refused value, say a NUL, leaves no partial file behind
+        path.unlink()
+        raise
     return path

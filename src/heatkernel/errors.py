@@ -6,7 +6,7 @@ class ParameterError(ValueError):
 
 
 class DomainError(ValueError):
-    """A point or cube lies outside the domain where a potential is defined."""
+    """V fails where a run needs it: a point outside its domain, or a cube mass not finite (or 0, for doubling)."""
 
 
 class IntegrationError(RuntimeError):

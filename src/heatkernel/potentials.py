@@ -223,12 +223,15 @@ class TabulatedPotential(Potential):
         object.__setattr__(self, "values", values)
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        lo, hi = self.xs[0], self.xs[-1]
-        if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
-            raise DomainError("point outside tabulated domain")
-        val = np.interp(arr, self.xs, self.values)
+        val = np.interp(self._inside(x), self.xs, self.values)
         return val if val.ndim else float(val)
+
+    def _inside(self, x) -> np.ndarray:
+        """x as a float array; the first point more than 1e-12 outside the table raises DomainError naming it."""
+        arr, lo, hi = np.asarray(x, dtype=float), self.xs[0], self.xs[-1]
+        if np.any(out := (arr < lo - 1e-12) | (arr > hi + 1e-12)):
+            raise DomainError(f"point {float(arr[out][0])!r} outside tabulated domain [{lo!r}, {hi!r}]")
+        return arr
 
     @cached_property
     def cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,9 +387,7 @@ def interval_integral(V: Potential, lo, hi):
     if isinstance(V, PowerPotential):
         return _abs_power_interval(lo, hi, V.alpha)
     if isinstance(V, TabulatedPotential):
-        lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if np.any(lo_a < V.xs[0] - 1e-12) or np.any(hi_a > V.xs[-1] + 1e-12):
-            raise DomainError("interval outside tabulated domain")
+        V._inside(np.stack(np.broadcast_arrays(lo, hi), axis=-1))  # interval by interval, lo then hi
         return _table_integral(V, lo, hi)
     if isinstance(V, ScaledPotential):
         return V.factor * interval_integral(V.base, lo, hi)
@@ -446,9 +447,18 @@ def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray,
                 derivatives.append(npoly.polyder(derivatives[-1]))
                 sizes.append(npoly.polyder(sizes[-1]))
         for i in np.flatnonzero(free):
+            if not free[i]:
+                continue
             near = np.flatnonzero(free)
             near = near[np.argsort(np.abs(roots[near] - roots[i]), kind="stable")]
-            for k in range(len(near) if free[i] else 0, 2, -1):
+            # a sieve over every k: row k - 1 holds the k nearest about their running mean, `slack` from .mean()
+            means = np.cumsum(roots[near]) / np.arange(1, len(near) + 1)
+            dist, first_k = np.abs(roots[near] - means[:, None]), np.tri(len(near), dtype=bool)
+            slack = 1e-12 * np.maximum.accumulate(np.abs(roots[near]))
+            wide = np.max(dist, axis=1, where=first_k, initial=0.0) - slack
+            narrow = np.min(dist, axis=1, where=first_k, initial=np.inf) + slack
+            gons = (wide <= 2.0 * narrow) & (np.abs(means.imag) - slack <= ROOT_TOL * np.maximum(1.0, np.abs(means)))
+            for k in np.flatnonzero(gons[2:])[::-1] + 3:
                 mean = roots[near[:k]].mean()
                 spread, scale = np.abs(roots[near[:k]] - mean), max(1.0, abs(mean))
                 if spread.max() <= 2.0 * spread.min() and abs(mean.imag) <= ROOT_TOL * scale:
@@ -823,7 +833,7 @@ def doubling_fit(V: Potential, center: float, side: float, depth: int) -> Doubli
 
     The family is the window (center, side) and its concentric dyadic
     shrinkings; each depth contributes the pair (Z_d, window).  The first cube
-    of the family whose mass is not finite and > 0 is named in a ParameterError.
+    of the family whose mass is not finite and > 0 is named in a DomainError.
     """
     if depth < 3:
         raise ParameterError("doubling fit needs at least 3 nested pairs (depth >= 3)")
@@ -833,7 +843,7 @@ def doubling_fit(V: Potential, center: float, side: float, depth: int) -> Doubli
     if not np.all(good := np.isfinite(masses) & (masses > 0.0)):
         i = int(np.argmin(good))
         cube = f"the cube of center {c!r} and side {float(sides[i])!r}"
-        raise ParameterError(f"doubling fit needs finite positive cube masses, got {masses[i]} on {cube}")
+        raise DomainError(f"doubling fit needs finite positive cube masses, got {masses[i]} on {cube}")
     xs = np.log(sides[1:] / sides[0])
     ys = np.log(masses[1:] / masses[0])
     eps, logc = np.polyfit(xs, ys, 1)

@@ -263,6 +263,33 @@ def test_energy_test_family_deterministic():
     assert np.allclose(a, b)
 
 
+def energy_family_per_row(center, side, count):
+    """The family drawn row by row, one generator draw per row: the reference for the broadcast."""
+    lo = center - side / 2.0
+    grid = np.linspace(lo, center + side / 2.0, 129)
+    rng, rows = np.random.default_rng(0), []
+    for k in range(count):
+        middle = lo + (k % 7 + 0.5) / 7.0 * side + rng.uniform(-0.02, 0.02) * side
+        width = (0.15 + 0.25 * ((k // 7) % 3)) * side
+        if k % 3 == 0:
+            rows.append(np.clip(1.0 - np.abs(grid - middle) / width, 0.0, None))
+        elif k % 3 == 1:
+            rows.append(np.clip(1.0 - ((grid - middle) / width) ** 2, 0.0, None))
+        else:
+            rows.append(np.exp(-0.5 * ((grid - middle) / width) ** 2))
+        assert np.max(rows[-1]) > 0.0  # every middle lies in the cube, within a width of a node
+    return grid, np.array(rows)
+
+
+@pytest.mark.parametrize("center, side", [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0), (1.3, 0.7)])
+@pytest.mark.parametrize("count", [1, 12, 50])
+def test_energy_test_family_is_the_per_row_draw_bit_for_bit(center, side, count):
+    grid, values = energy_test_family(center, side, count)
+    want_grid, want = energy_family_per_row(center, side, count)
+    assert grid.tobytes() == want_grid.tobytes()
+    assert values.shape == (count, 129) and values.tobytes() == want.tobytes()
+
+
 def test_moser_ratio_constant_function():
     # pure geometry: sup/sqrt(|Q_{2r/3}| / r^3) = sqrt(27/16)
     one = lambda xs, ys, ts: np.zeros((len(ts), len(xs), len(ys)))  # log p = 0, so u = 1

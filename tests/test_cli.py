@@ -713,6 +713,51 @@ def test_a_potential_without_mass_on_a_doubling_cube_exits_2(tmp_path, capsys, c
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+TABLE_ON_2 = np.linspace(-2.0, 2.0, 81).tolist()
+
+
+@pytest.mark.parametrize(
+    "command, xs, overrides, outside",
+    [
+        # the spectral box [-8, 8] is wider than the table
+        (
+            "kernel",
+            TABLE_ON_2,
+            {"engine": "spectral", "spectral": {"half_width": 8.0, "points": 201}},
+            "-7.920792079207921",
+        ),
+        # the weights window [-4, 4]
+        ("weights", TABLE_ON_2, {"weights": {"window_side": 8.0}}, "-3.9896987769858208"),
+        # chain cubes past y = 3
+        ("chain", TABLE_ON_2, {"chain": {"x": 0.0, "y": 3.0, "t": 1.0}}, "2.0010847399069496"),
+        # two rows on [0, 1] under the default window [-1, 1]
+        ("weights", [0.0, 1.0], {}, "-0.9974246942464552"),
+    ],
+)
+def test_a_run_that_leaves_the_table_exits_2_naming_the_point_and_the_range(
+    tmp_path, capsys, command, xs, overrides, outside
+):
+    (tmp_path / "table.csv").write_text("".join(f"{x!r},{x * x!r}\n" for x in xs))
+    cfg = write_config(tmp_path, potential={"kind": "tabulated", "table": "table.csv"}, **overrides)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: potential: point {outside} outside tabulated domain [{xs[0]!r}, {xs[-1]!r}]\n"
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_any_other_fault_exits_1_naming_its_type(tmp_path, monkeypatch, capsys):
+    from heatkernel import cli
+
+    def broken(*args):
+        raise RuntimeError("no eigenpairs")
+
+    monkeypatch.setattr(cli, "build_spectral", broken)
+    cfg = write_config(tmp_path, engine="spectral")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "kernel"]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: no eigenpairs\n"
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "coeffs, nonnegative",
     [

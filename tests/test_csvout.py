@@ -223,8 +223,14 @@ def test_random_columns_write_the_bytes_of_csv_writer(columns, chunk_rows):
         ([[1.5, 2.0], ["plain", "nul\0here"]], ["x", "w"], "w"),
         ([["nul\0"]], ["only"], "only"),
         ([[1.5]], ["x\0"], "x\0"),  # in the header
+        # after a whole chunk is written
+        ([["plain"] * csvout.CHUNK_ROWS + ["nul\0"]], ["w"], "w"),
     ],
 )
 def test_a_text_holding_a_nul_is_refused_naming_its_column(tmp_path, columns, schema, name):
+    path = tmp_path / "nul.csv"
+    path.write_text("an older file\n")
     with pytest.raises(ValueError, match=re.escape(f"column {name!r} holds a NUL")):
-        csvout.emit_csv(columns, schema, tmp_path / "nul.csv")
+        csvout.emit_csv(columns, schema, path, "p=1")
+    assert not path.exists()  # no partial file is left
+

@@ -327,7 +327,7 @@ def test_doubling_fit_names_the_first_cube_without_finite_positive_mass():
         (constant(0.0), (0.0, 4.0), "0.0 on the cube of center 0.0 and side 4.0"),
         (PowerPotential(300.0), (500.0, 800.0), "nan on the cube of center 500.0 and side 800.0"),
     ):
-        with pytest.raises(ParameterError, match=f"^doubling fit needs finite positive cube masses, got {bad}$"):
+        with pytest.raises(DomainError, match=f"^doubling fit needs finite positive cube masses, got {bad}$"):
             doubling_fit(V, *window, 6)
 
 
@@ -533,6 +533,69 @@ def test_a_multiple_root_and_a_close_neighbour_stay_apart(k, neighbour):
     points, orders = V.breaks
     assert points == pytest.approx([3.0, neighbour], abs=1e-10) and orders.tolist() == [float(k), 1.0]
     assert potentials._poly_real_roots(V.coeffs)[2] == pytest.approx([1j], abs=1e-12)
+
+
+def per_k_real_roots(coeffs):
+    """`_poly_real_roots` with its k-gon search written as a scan of every k, one mean at a time: the reference."""
+    tol, c = potentials.ROOT_TOL, np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    with np.errstate(all="ignore"):
+        finite = len(c) > 1 and np.all(np.isfinite(c / c[-1]))
+        roots = npoly.polyroots(c) if finite else np.empty(0, dtype=complex)
+    free, multiple = np.ones(len(roots), dtype=bool), np.zeros(len(roots), dtype=bool)
+    with np.errstate(all="ignore"):
+        if len(roots) >= 3:
+            second = np.sort(np.abs(roots[:, None] - roots), axis=1)[:, 2]
+            free = second <= 2.0 * tol ** (2.0 / len(roots)) * (1.0 + np.abs(roots) + second)
+            derivatives, sizes = [c], [np.abs(c)]
+            for _ in range(len(roots)):
+                derivatives.append(npoly.polyder(derivatives[-1]))
+                sizes.append(npoly.polyder(sizes[-1]))
+        for i in np.flatnonzero(free):
+            near = np.flatnonzero(free)
+            near = near[np.argsort(np.abs(roots[near] - roots[i]), kind="stable")]
+            for k in range(len(near) if free[i] else 0, 2, -1):
+                mean = roots[near[:k]].mean()
+                spread, scale = np.abs(roots[near[:k]] - mean), max(1.0, abs(mean))
+                if spread.max() <= 2.0 * spread.min() and abs(mean.imag) <= tol * scale:
+                    r, holds = potentials._multiple_root(derivatives, sizes, mean.real, k)
+                    if holds and abs(r - mean) <= spread.max():
+                        roots[near[:k]], free[near[:k]], multiple[near[:k]] = r, False, True
+                        break
+        if multiple.any():
+            quotient = npoly.polydiv(c, npoly.polyfromroots(roots[multiple].real))[0]
+            roots = np.concatenate([roots[multiple], npoly.polyroots(quotient)])
+    real = np.sort(roots.real[np.abs(roots.imag) <= tol * np.maximum(1.0, np.abs(roots))])
+    groups = np.split(real, np.flatnonzero(np.diff(real) > tol * np.maximum(1.0, np.abs(real[1:]))) + 1)
+    centers = np.array([g.mean() for g in groups]) if real.size else np.array([])
+    mult = np.array([len(g) for g in groups] if real.size else [], dtype=float)
+    return centers, mult, roots[roots.imag > tol * np.maximum(1.0, np.abs(roots))]
+
+
+MULTIPLE_ROOTS = st.lists(st.tuples(st.integers(-500, 500), st.integers(1, 6)), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MULTIPLE_ROOTS, st.sampled_from([None, 0.3, 2.0]), st.floats(0.1, 10.0))
+@example([(0, 12)], None, 1.0)  # x^12: a 12-gon
+@example([(300, 3), (300, 1)], 1.0, 1.0)  # (x - 3)^4
+@example([(300, 4), (301, 1)], 1.0, 1.0)  # (x - 3)^4 (x - 3.01)
+def test_the_k_gon_sieve_finds_what_a_scan_of_every_k_finds_bit_for_bit(roots, quadratic, scale):
+    c = npoly.polyfromroots([r / 100.0 for r, k in roots for _ in range(k)]) * scale
+    if quadratic is not None:
+        c = npoly.polymul(c, [quadratic, 0.0, 1.0])
+    assert_sieve_is_the_scan(tuple(c.tolist()))
+
+
+@pytest.mark.parametrize("degree", [3, 16, 128])
+def test_the_k_gon_sieve_on_the_roots_of_unity_but_1(degree):
+    # 1 + x + ... + x^degree: each root is near the others, so every k from the degree down is a candidate
+    assert_sieve_is_the_scan((1.0,) * (degree + 1))
+
+
+def assert_sieve_is_the_scan(coeffs):
+    potentials._poly_real_roots.cache_clear()
+    got, want = potentials._poly_real_roots(coeffs), per_k_real_roots(coeffs)
+    assert [a.tobytes() for a in got] == [np.asarray(b, dtype=a.dtype).tobytes() for a, b in zip(got, want)]
 
 
 def test_close_simple_roots_stay_apart_and_a_double_root_at_0_is_exact():
