@@ -190,12 +190,12 @@ def cmd_chain(run: dict, out: Path) -> int:
     plan = chain_plan(x, y, t, sigma=sigma)
     dbl = doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
     log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
+    waypoints = plan.waypoints
+    avgs = cube_averages(V, waypoints, plan.cube_side)  # a cube V refuses ends the run before any result
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
         f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g}"
     )
-    waypoints = plan.waypoints
-    avgs = cube_averages(V, waypoints, plan.cube_side)
     prov_line = f"config={run['hash']} M={plan.M} sigma={plan.sigma:.17g}"
     columns = [range(plan.M + 1), waypoints, avgs]
     emit_csv(columns, ["i", "x_i", "avg_V_cube_i"], out / "chain_waypoints.csv", prov_line)

@@ -482,9 +482,69 @@ def _poly_real_roots(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray,
 # The one rule for V^q (`_scaled_powered_integral`): FLAT bounds q log(max V / min V) over a
 # cube's nodes for plain Gauss-Legendre, and a complex root of a polynomial inside the cube's
 # Bernstein ellipse POLE_RHO would cost its 33 nodes digits (about POLE_RHO^-66).  A graded half
-# takes LEVELS pieces of ratio GRADING, each spanning at most SPAN in log |x - r|^(t+1).
+# takes LEVELS pieces of ratio GRADING, each spanning at most SPAN in log |x - r|^(t+1).  A plain
+# cube of a polynomial takes the fewest nodes of _ORDERS whose a-priori error bound on the
+# Bernstein ellipse through V's nearest root reaches rounding (`_gl_orders`, `_order_reach`),
+# and GL_NODES where none does.
 GL_NODES, FLAT, POLE_RHO = 33, 30.0, 1.5
 GRADING, LEVELS, SPAN = 0.25, 25, 40.0
+_ORDERS = (5, 9, 17, GL_NODES)
+
+
+def _gl_orders(V: Potential, q: float, lo, hi, clear) -> np.ndarray:
+    """The Gauss-Legendre order of V^q on each cube [lo_i, hi_i]: GL_NODES unless V is a polynomial
+    whose roots are trusted, the cube is clear (no break within 1e-12) and its nearest root is far
+    enough out for fewer nodes (`_order_reach`).
+
+    A polynomial's roots are not trusted when its values need `_checked`, when the division by its
+    real roots overflowed (coefficients spanning 1e219 lose roots in the eigensolve), or when the
+    eigensolve returned fewer roots than the degree.  With the cube mapped to [-1, 1], a root w lies
+    on the Bernstein ellipse of semi-axis (|w - 1| + |w + 1|) / 2; the nearest root's is at most 1e8.
+    """
+    if not isinstance(V, PolynomialPotential):
+        return np.full(lo.shape, GL_NODES)
+    points, mult, poles = _poly_real_roots(V.coeffs)
+    _, factors, check = V.factored
+    degree = max((i for i, c in enumerate(V.coeffs) if c), default=-1)
+    if check or (points.size and not factors) or mult.sum() + 2 * poles.size != degree:
+        return np.full(lo.shape, GL_NODES)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a root past the float range: a = 1e8
+        w = (np.concatenate([points, poles])[:, None] - mid) / half
+        a = np.minimum(0.5 * np.min(np.abs(w - 1.0) + np.abs(w + 1.0), axis=0, initial=np.inf), 1e8)
+    reached = sum(a >= reach for reach in _order_reach(float(q), degree))  # 0 to 3 of 17, 9, 5 nodes
+    return np.where(clear, np.take(_ORDERS[::-1], reached), GL_NODES)
+
+
+@lru_cache(maxsize=64)
+def _order_reach(q: float, degree: int) -> np.ndarray:
+    """The least semi-axis a of a cube's nearest root from which 17, 9 and 5 nodes integrate V^q to
+    2^-53, V of the given degree, on a grid of a, 1 + 10^k for k from -4 to 8 in steps of 0.005.
+
+    With the cube mapped to [-1, 1], n nodes err by at most 64/15 M rho^(2-2n) / (rho^2 - 1) on an f
+    analytic and bounded by M in the Bernstein ellipse E_rho (Trefethen, SIAM Review 50 (2008) 67-87,
+    Thm 4.5, whose I_n takes n + 1 nodes).  V^q is analytic inside the ellipse through V's nearest
+    root, of semi-axis a, and every root w' lies at |z - w'| within a_w' -+ a_rho of E_rho and
+    a_w' -+ 1 of the cube, a_w' >= a.  So M over the cube's least V^q is at most
+    ((a + a_rho) / (a - 1))^(q d) for q > 0 and ((a + 1) / (a - a_rho))^(-q d) for q < 0, d the
+    degree: a growth counted through |q| d.  The cube's integral is at least twice that least V^q, so
+    the relative error is at most 32/15 of that growth times rho^(2-2n) / (rho^2 - 1), taken at
+    rho = rho_0^theta for a few theta, rho_0 = a + sqrt(a^2 - 1) the nearest root's.  Fewer than
+    GL_NODES nodes also need |q| d log((a + 1) / (a - 1)) <= FLAT, a bound on |q| log(max V / min V)
+    over the whole cube, so GL_NODES nodes would take such a cube plain too: no break is near, and no
+    complex root lies inside its ellipse POLE_RHO.  Each bound falls as a grows, so the first grid
+    point that meets it is a threshold for every a above it.
+    """
+    a = 1.0 + np.logspace(-4.0, 8.0, 2401)
+    growth = abs(q) * degree
+    log_rho = np.array([[0.25], [0.5], [0.75], [0.9]]) * np.arccosh(a)
+    a_rho = np.cosh(log_rho)
+    ratio = (a + a_rho) / (a - 1.0) if q > 0 else (a + 1.0) / (a - a_rho)
+    bound = np.log(32.0 / 15.0) + growth * np.log(ratio) - np.log(np.expm1(2.0 * log_rho))
+    # the fewest nodes n with bound - 2 (n - 1) log rho <= log 2^-53 at some rho
+    need = 1.0 + np.min((bound + 53.0 * math.log(2.0)) / (2.0 * log_rho), axis=0)
+    need[growth * np.log((a + 1.0) / (a - 1.0)) > FLAT] = np.inf
+    return np.array([a[np.argmax(need <= n)] if np.any(need <= n) else np.inf for n in _ORDERS[-2::-1]])
 
 
 def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
@@ -492,11 +552,12 @@ def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
 
     After scale factors, a power has its closed form in units of the cube's
     farthest point from 0 (nearest when alpha q <= -1).  Any other kind takes
-    one plain Gauss-Legendre call, in units of the max of V on its nodes, on
-    cubes where that is exact (integer q >= 1, degree d, d q // 2 + 1 <= 33
-    nodes) or where no break or near complex root lies and q log(max V /
-    min V) <= FLAT; the rest go to `_graded_pieces`, cut also at near complex
-    roots and at an inner peak of V^q on the nodes.
+    plain Gauss-Legendre, in units of the max of V on its nodes, on cubes
+    where that is exact (integer q >= 1, degree d, d q // 2 + 1 <= 33 nodes)
+    or where no break or near complex root lies and q log(max V / min V) <=
+    FLAT, with GL_NODES nodes or the fewer `_gl_orders` allows, one call per
+    order; the rest go to `_graded_pieces`, cut also at near complex roots
+    and at an inner peak of V^q on the nodes.
     The mask marks a break of order o, o q <= -1, within 1e-12 of the cube: a
     power then returns the integral less (-excision, excision), any other kind +inf.
     """
@@ -520,49 +581,61 @@ def _scaled_powered_integral(V: Potential, lo, hi, q: float, excision=0.0):
     J, scale = np.full(lo.shape, np.inf), np.full(lo.shape, factor)
     deg = len(V.coeffs) - 1 if isinstance(V, PolynomialPotential) else -1
     exact = deg >= 0 and float(q).is_integer() and 1.0 <= q and deg * q <= 65
-    nodes, weights = _gl_rule(int(deg * q) // 2 + 1 if exact else GL_NODES)
-    at = np.flatnonzero(~divergent)
-    mid, half = 0.5 * (lo[at] + hi[at]), 0.5 * (hi[at] - lo[at])
-    x = half * nodes[:, None]  # one column per cube; in place below, as these arrays are large
-    x += mid
-    if (orders < 0).any():  # a node on a singularity moves off it by an ulp
-        x = np.where(np.isin(x, points[orders < 0]), np.nextafter(x, np.inf), x)
-    with np.errstate(over="ignore"):
-        f = np.clip(V(x), 0.0, None)
-    top, low = f.max(axis=0), f if exact else f.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a subnormal min V: spread inf
-        in_range = abs(q) * np.maximum(abs(np.log(top)), 0.0 if exact else abs(np.log(low))) < 700.0
-        spread = None if exact else abs(q) * np.log(top / low)
-    graded = np.empty(0, dtype=int)
-    if not exact:  # cut points besides the breaks: complex roots near the cube, and V^q's peak among the nodes
-        z = _poly_real_roots(V.coeffs)[2] if deg > 0 else np.empty(0, dtype=complex)
-        near = np.zeros((at.size, z.size), dtype=bool)
-        if z.size:  # within the ellipse with foci lo, hi and focal sum (POLE_RHO + 1/POLE_RHO) half
-            big = np.flatnonzero(half > np.abs(z.imag).min() / (0.5 * (POLE_RHO - 1.0 / POLE_RHO)))
-            w = (z - mid[big, None]) / half[big, None]
-            near[big] = np.abs(w - 1.0) + np.abs(w + 1.0) < POLE_RHO + 1.0 / POLE_RHO
-        graded = np.flatnonzero(~((last == first)[at] & (spread <= FLAT) & ~near.any(axis=-1)))
-        k = np.argmax(f[:, graded] if q > 0 else -f[:, graded], axis=0)
-        peak = np.where((spread[graded] > FLAT) & (k > 0) & (k < len(nodes) - 1), x[k, graded], np.nan)
-    # plain Gauss-Legendre, in units of 1 where V^q stays in range on the nodes, else of the max of V
-    top = np.where(in_range, 1.0, np.where(top > 0.0, top, 1.0))
-    with np.errstate(divide="ignore", over="ignore"):
-        if not np.all(top == 1.0):
-            f /= top
-        np.power(f, q, out=f)
-    f *= weights[:, None]
-    J[at], scale[at] = half * f.sum(axis=0), factor * top
-    if graded.size:
-        cubes = at[graded]
-        poles = np.where(near[graded], np.clip(z.real, lo[cubes][:, None], hi[cubes][:, None]), np.nan)
-        inner = np.searchsorted(points, lo[cubes]), np.searchsorted(points, hi[cubes], side="right")
-        extra = np.column_stack([peak, poles])
-        # graded toward every cut where V^q is far from flat, a break is no smooth kink, or a complex root is near
-        zero = np.concatenate([[0], np.cumsum(orders != 0.0)])
-        rough_break = (zero[inner[1]] > zero[inner[0]]) | (V.rough & (inner[1] > inner[0]))
-        steps = np.where((spread[graded] > FLAT) | rough_break | near[graded].any(axis=-1), LEVELS, 0)
-        J[cubes], s = _graded_pieces(V, lo[cubes], hi[cubes], q, *inner, extra, steps)
-        scale[cubes] = factor * s
+    live = np.flatnonzero(~divergent)
+    if exact:
+        groups = [(int(deg * q) // 2 + 1, live)]
+    else:
+        rule = _gl_orders(V, q, lo[live], hi[live], (last == first)[live])
+        groups = [(n, live[rule == n]) for n in _ORDERS]
+    for n, at in groups:
+        if not at.size:
+            continue
+        nodes, weights = _gl_rule(n)
+        mid, half = 0.5 * (lo[at] + hi[at]), 0.5 * (hi[at] - lo[at])
+        x = half * nodes[:, None]  # one column per cube; in place below, as these arrays are large
+        x += mid
+        if (orders < 0).any():  # a node on a singularity moves off it by an ulp
+            x = np.where(np.isin(x, points[orders < 0]), np.nextafter(x, np.inf), x)
+        with np.errstate(over="ignore"):
+            f = np.clip(V(x), 0.0, None)
+        top, low = f.max(axis=0), f if exact else f.min(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a subnormal min V: spread inf
+            in_range = abs(q) * np.maximum(abs(np.log(top)), 0.0 if exact else abs(np.log(low))) < 700.0
+            spread = None if exact else abs(q) * np.log(top / low)
+        graded = np.empty(0, dtype=int)
+        # cut points besides the breaks: complex roots near the cube, and V^q's peak among the nodes
+        if not exact and n == GL_NODES:
+            z = _poly_real_roots(V.coeffs)[2] if deg > 0 else np.empty(0, dtype=complex)
+            near = np.zeros((at.size, z.size), dtype=bool)
+            if z.size:  # within the ellipse with foci lo, hi and focal sum (POLE_RHO + 1/POLE_RHO) half
+                big = np.flatnonzero(half > np.abs(z.imag).min() / (0.5 * (POLE_RHO - 1.0 / POLE_RHO)))
+                w = (z - mid[big, None]) / half[big, None]
+                near[big] = np.abs(w - 1.0) + np.abs(w + 1.0) < POLE_RHO + 1.0 / POLE_RHO
+            graded = np.flatnonzero(~((last == first)[at] & (spread <= FLAT) & ~near.any(axis=-1)))
+            k = np.argmax(f[:, graded] if q > 0 else -f[:, graded], axis=0)
+            peak = np.where((spread[graded] > FLAT) & (k > 0) & (k < len(nodes) - 1), x[k, graded], np.nan)
+        # plain Gauss-Legendre, in units of 1 where V^q stays in range on the nodes, else of the max of V
+        top = np.where(in_range, 1.0, np.where(top > 0.0, top, 1.0))
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.all(top == 1.0):
+                f /= top
+            np.power(f, q, out=f)
+        f *= weights[:, None]
+        total = f[0].copy()  # the nodes in order: numpy sums a lone column pairwise, more columns row by row
+        for row in f[1:]:
+            total += row
+        J[at], scale[at] = half * total, factor * top
+        if graded.size:
+            cubes = at[graded]
+            poles = np.where(near[graded], np.clip(z.real, lo[cubes][:, None], hi[cubes][:, None]), np.nan)
+            inner = np.searchsorted(points, lo[cubes]), np.searchsorted(points, hi[cubes], side="right")
+            extra = np.column_stack([peak, poles])
+            # graded toward every cut where V^q is far from flat, a break is no smooth kink, or a complex root is near
+            zero = np.concatenate([[0], np.cumsum(orders != 0.0)])
+            rough_break = (zero[inner[1]] > zero[inner[0]]) | (V.rough & (inner[1] > inner[0]))
+            steps = np.where((spread[graded] > FLAT) | rough_break | near[graded].any(axis=-1), LEVELS, 0)
+            J[cubes], s = _graded_pieces(V, lo[cubes], hi[cubes], q, *inner, extra, steps)
+            scale[cubes] = factor * s
     return J.reshape(shape), scale.reshape(shape), divergent.reshape(shape)
 
 

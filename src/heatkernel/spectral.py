@@ -204,11 +204,13 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
     phi = np.zeros((m + 2, k), order="F")
     lam, _ = _lowest_modes(diagonal, offdiagonal, k, phi[1:-1])
     phi[1:-1] /= math.sqrt(h)
-    defect, width = 0.0, -(-k // 16)  # max |h phi^T phi - I| over blocks of columns: no k x k array
-    for a in range(0, k, width):
-        block = h * (phi[1:-1].T @ phi[1:-1, a : a + width])
-        block[a + np.arange(block.shape[1]), np.arange(block.shape[1])] -= 1.0
-        defect = max(defect, float(np.max(np.abs(block))))
+    # max |h phi^T phi - I| over blocks of 64 columns, each formed in one buffer: no k x k array
+    defect, inner, buffer = 0.0, phi[1:-1], np.empty((min(k, 64), k))
+    for a in range(0, k, 64):
+        block = np.matmul(inner[:, a : a + 64].T, inner, out=buffer[: min(64, k - a)])
+        block *= h
+        block[np.arange(len(block)), a + np.arange(len(block))] -= 1.0
+        defect = max(defect, float(np.max(np.abs(block, out=block))))
     if defect > 1e-8:
         raise RuntimeError(f"eigenvector orthonormality defect {defect:.3e} exceeds 1e-8")
     phi_sup = np.maximum(phi.max(axis=0), -phi.min(axis=0))

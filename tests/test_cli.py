@@ -740,8 +740,9 @@ def test_a_run_that_leaves_the_table_exits_2_naming_the_point_and_the_range(
     (tmp_path / "table.csv").write_text("".join(f"{x!r},{x * x!r}\n" for x in xs))
     cfg = write_config(tmp_path, potential={"kind": "tabulated", "table": "table.csv"}, **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: potential: point {outside} outside tabulated domain [{xs[0]!r}, {xs[-1]!r}]\n"
+    printed = capsys.readouterr()
+    assert printed.err == f"config error: potential: point {outside} outside tabulated domain [{xs[0]!r}, {xs[-1]!r}]\n"
+    assert printed.out == ""  # no result line before the refusal
     assert not list((tmp_path / "out").glob("*.csv"))
 
 

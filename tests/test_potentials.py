@@ -29,6 +29,7 @@ from heatkernel import potentials
 from heatkernel.potentials import (
     DIVERGENCE_THRESHOLD,
     ESS_SUP_GRID,
+    GL_NODES,
     _power_means,
     _safe_ratio,
     _scaled_powered_integral,
@@ -751,6 +752,16 @@ DOUBLE_ROOTS = PolynomialPotential(npoly.polymul([-0.15, 0.2, 1.0], [-0.15, 0.2,
 TABLE = TabulatedPotential(np.linspace(-4.0, 4.0, 41), 0.2 + np.linspace(-4.0, 4.0, 41) ** 2)
 
 
+def _quartic(k, s, alpha, beta):
+    """k ((x - s)^2 + alpha) ((x - s)^2 + beta), expanded as the weights_quartic benchmark job does."""
+    u2 = npoly.polyfromroots([s, s])
+    return npoly.polymul(npoly.polymul([k], npoly.polyadd(u2, [alpha])), npoly.polyadd(u2, [beta])).tolist()
+
+
+QUADRATIC = PolynomialPotential([0.6, 0.3, 1.2])
+QUARTIC = PolynomialPotential(_quartic(1.2, 0.1, 0.5, 1.0))
+
+
 @pytest.mark.parametrize(
     "V, window, kind, exponent",
     [
@@ -766,9 +777,14 @@ TABLE = TabulatedPotential(np.linspace(-4.0, 4.0, 41), 0.2 + np.linspace(-4.0, 4
         (PolynomialPotential([0.0, 0.0, 1.0]), (0.0, 4.0), "rh", math.inf),
         (SINGULAR, (0.0, 2.0), "rh", math.inf),
         (TABLE, (0.2, 3.0), "rh", math.inf),
+        # plain cubes of a polynomial take their own Gauss-Legendre order, which depends on the cube alone
+        (QUADRATIC, (0.2, 2.0), "ap", 2.0),
+        (QUADRATIC, (0.2, 2.0), "rh", 1.5),
+        (QUARTIC, (0.0, 2.0), "ap", 2.0),
+        (QUARTIC, (0.0, 2.0), "rh", 1.5),
     ],
 )
-@pytest.mark.parametrize("depth", [1, 2, 7])
+@pytest.mark.parametrize("depth", [1, 2, 7, 9])
 def test_level_batched_scan_equals_a_per_level_scan_bit_for_bit(V, window, kind, exponent, depth):
     center, side = window
     if kind == "rh":
@@ -1115,6 +1131,135 @@ def test_weight_readings_the_plain_rule_got_wrong():
     (got,), _ = _power_means(V, np.array([-0.503]), np.array([0.497]), np.array([1.0]), 2.0, np.array([0.0]))
     want = _mp_table(xs, V.values)(-0.503, 0.497, 2)
     assert abs(got - want) <= 1e-14 * want
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre order of a plain polynomial cube
+
+
+ORDER_CASES = {
+    "quadratic": list(QUADRATIC.coeffs),
+    "quartic": list(QUARTIC.coeffs),
+    "double root": [0.0, 0.0, 1.3],
+    "complex pair": [0.5, 1.0, 1.0],
+    "(1+x^2)^20": npoly.polypow([1.0, 0.0, 1.0], 20).tolist(),
+    "(1+x^2)^60": npoly.polypow([1.0, 0.0, 1.0], 60).tolist(),
+    "near poles": npoly.polymul([0.1, -0.6, 1.0], [0.0401, 0.4, 1.0]).tolist(),  # ((x-.3)^2+.01)((x+.2)^2+1e-4)
+}
+
+
+def gl_nodes_everywhere(call):
+    """call() with every plain cube on GL_NODES nodes: the reference the order rule is held to."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potentials, "_gl_orders", lambda V, q, lo, hi, clear: np.full(lo.shape, GL_NODES))
+        return call()
+
+
+def _sample_cubes(V, center, d):
+    """Float edges of some level-d cubes of the window (center, 2), as the scan lays them: all of
+    them up to 16, else 5 spread over the window and the three about each real root or complex root
+    within 0.25 of the axis."""
+    side, left = 2.0 * 2.0**-d, center - 1.0
+    k = np.arange(2**d)
+    if 2**d > 16:
+        points, _, poles = potentials._poly_real_roots(V.coeffs)
+        near = np.concatenate([points, poles.real[np.abs(poles.imag) <= 0.25]])
+        at = np.floor((near - left) / side).astype(int)
+        k = np.unique(np.concatenate([np.linspace(0, 2**d - 1, 5).astype(int), (at[:, None] + [-1, 0, 1]).ravel()]))
+        k = k[(k >= 0) & (k < 2**d)]
+    sides = np.full(k.size, side)
+    return left + sides * k, left + sides * (k + 1)
+
+
+def _mp_power_integral(mp, power, lo, hi, roots, small):
+    """The integral of power over [lo, hi], to 17 digits by mp.quad's own estimate.
+
+    In units of the cube and of power at its ends and middle, as mp.quad's tolerance is absolute;
+    cut at the real part of each root in roots, and geometrically toward it by its distance from the
+    axis or, at a real root where power is singular, down to about 2^-60 of the cube; Gauss-Legendre on a
+    small cube that no real root touches, else or where that falls short, tanh-sinh.
+    """
+    a, b = mp.mpf(lo), mp.mpf(hi)
+    mid, half = (a + b) / 2, (b - a) / 2
+    unit = max(v for v in (power(a), power(b), power(mid)) if mp.isfinite(v))  # V = 0 and q < 0: inf
+    cuts, smooth = {-1.0, 1.0}, small
+    for r in roots:
+        t, gap = (r.real - float(mid)) / float(half), abs(r.imag) / float(half)
+        if gap:
+            steps = gap * 2.0 ** np.arange(-3, 12)
+        else:  # at a real root where power is singular; tanh-sinh's nodes stop about 1e-40 of a piece from its end
+            steps = 2.0 * 0.0625 ** np.arange(16 if not mp.isfinite(power(mp.mpf(r.real))) else 1)
+        cuts |= {u for u in np.concatenate([[t], t - steps, t + steps]).tolist() if -1.0 < u < 1.0}
+        smooth = smooth and (gap > 0.0 or not -1.0 <= t <= 1.0)
+    for method in ("gauss-legendre", "tanh-sinh")[0 if smooth else 1 :]:
+        want, error = mp.quad(lambda t: power(mid + half * t) / unit, sorted(cuts), method=method, error=True)
+        if error <= 1e-17 * want:
+            return half * unit * want
+    raise AssertionError(f"no 17-digit reference on [{lo!r}, {hi!r}]: {error} of {want}")
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+@pytest.mark.parametrize("q", [-1.0, -1.0 / 3.0, 1.5, 7.5])
+def test_each_cube_order_integrates_to_rounding_against_mpmath(name, q):
+    # fewer nodes where the Bernstein-ellipse bound allows, and no more than rounding worse than
+    # GL_NODES: 4 ulps, or q times V's own rounding where polyval cancels (eps sum |c_i x^i| / V)
+    mp = pytest.importorskip("mpmath")
+    V = PolynomialPotential(ORDER_CASES[name])
+    points, _, poles = potentials._poly_real_roots(V.coeffs)
+    roots = points.tolist() + poles[np.abs(poles.imag) <= 0.25].tolist()
+    eps = np.finfo(float).eps
+    even = not any(V.coeffs[1::2])  # Horner's rule in x^2 then, at half the cost
+    with mp.workdps(40):
+        c = [mp.mpf(a) for a in V.coeffs[:: 2 if even else 1]][::-1]
+
+        def power(x):
+            v, y = mp.mpf(0), x * x if even else x
+            for a in c:
+                v = v * y + a
+            return v**q if v or q > 0 else mp.inf
+
+        for center in (0.0, 0.2):
+            for d in (0, 4, 8, 11):
+                lo, hi = _sample_cubes(V, center, d)
+                J, s, flags = _scaled_powered_integral(V, lo, hi, q)
+                J33, s33, _ = gl_nodes_everywhere(lambda: _scaled_powered_integral(V, lo, hi, q))
+                x = np.linspace(lo, hi, 9)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    kappa = np.max(npoly.polyval(np.abs(x), np.abs(V.coeffs)) / V(x), axis=0)
+                for i in np.flatnonzero(~flags):
+                    want = _mp_power_integral(mp, power, lo[i], hi[i], [complex(r) for r in roots], d > 0)
+                    err, err33 = (abs(mp.mpf(j) * mp.mpf(u) ** q / want - 1) for j, u in [(J[i], s[i]), (J33[i], s33[i])])
+                    assert err <= max(1e-14, err33 + 4 * eps, abs(q) * eps * kappa[i]), (d, lo[i], err, err33)
+
+
+def test_a_polynomial_whose_roots_are_not_trusted_keeps_gl_nodes_bit_for_bit():
+    # coefficients spanning 1e219: the eigensolve misses the pair near +-1.71i and the division by the
+    # real roots overflows, so V's values come from polyval and its roots are not to be trusted
+    V = PolynomialPotential([0.0, 2.9375, 2.09841291992319e-61, 1.0, 8.011902838301598e-220])
+    assert V.breaks[0].size and not V.factored[1]
+    for scan, exponent in ((rh_constant, 1.5), (rh_constant, 7.5), (ap_constant, 2.0), (ap_constant, 4.0)):
+        got = scan(V, exponent, 0.3, 2.0, 9)
+        want = gl_nodes_everywhere(lambda: scan(V, exponent, 0.3, 2.0, 9))
+        assert _bits(got.ratios) == _bits(want.ratios) and got.divergent_at_side == want.divergent_at_side
+    # every cube, not only each level's largest ratio, which a graded cube at the root 0 can set
+    for center, side in ((0.3, 2.0), (1.5, 1.0)):
+        for d in (4, 9):
+            edges = (center - side / 2.0) + (side / 2**d) * np.arange(2**d + 1)
+            lo, hi = edges[:-1], edges[1:]
+            for q in (-1.0, -1.0 / 3.0, 1.5, 7.5):
+                got = _scaled_powered_integral(V, lo, hi, q)
+                want = gl_nodes_everywhere(lambda: _scaled_powered_integral(V, lo, hi, q))
+                assert all(_bits(a) == _bits(b) for a, b in zip(got, want)), (center, d, q)
+
+
+def test_cubes_far_from_every_root_take_fewer_nodes():
+    V = QUADRATIC
+    lo, hi = _sample_cubes(V, 0.0, 11)
+    orders = potentials._gl_orders(V, -1.0, lo, hi, np.ones(lo.size, dtype=bool))
+    assert set(orders.tolist()) == {5}
+    # a cube with a break within 1e-12 of it, and every cube of a table, keep GL_NODES
+    assert potentials._gl_orders(V, -1.0, lo, hi, np.zeros(lo.size, dtype=bool)).tolist() == [GL_NODES] * lo.size
+    assert potentials._gl_orders(TABLE, -1.0, lo, hi, np.ones(lo.size, dtype=bool)).tolist() == [GL_NODES] * lo.size
 
 
 def _scaled_kind(V, c):
