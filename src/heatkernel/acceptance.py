@@ -212,9 +212,8 @@ def c8_chain_construction() -> CriterionResult:
 
     _, fits = _sandwich_fits()
     near = fits["avg_lower_near"].envelope
-    dbl = doubling_fit(V_SQUARE, 0.0, 4.0, 8)
     ys = np.linspace(0.15, 1.2, 20)
-    chained = [chained_lower_bound(V_SQUARE, chain_plan(0.0, y, 1.0), near.c0, near.c1, max(dbl.C, 1.0)) for y in ys]
+    chained = [chained_lower_bound(V_SQUARE, chain_plan(0.0, y, 1.0), near.c0, near.c1) for y in ys]
     worst = float(np.max(chained - LOG_P_SQUARE([0.0], ys, [1.0])[0, 0]))
     passed = ok_m and ok_spacing and worst <= 1e-9
     details = (

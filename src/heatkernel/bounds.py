@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .potentials import Potential, checked_cube, cube_average, m_beta
+from .potentials import Potential, checked_cube, cube_average, cube_averages, m_beta
 
 # The floor a fitted constant is clipped to, so that every envelope stays valid.
 C_FLOOR = 1e-9
@@ -266,7 +266,8 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     |x-y| >= sqrt(t)/8 (near-regime callers normally want the
     avg_lower_near family instead).  sigma defaults to 1/16, the largest
     value for which points of adjacent cubes are always closer than
-    (1/8) sqrt(t/M); a larger one must stay below the plan's `sigma_bound`.
+    (1/8) sqrt(t/M), as 256 |x-y|^2 / t < M; a given one must stay below the
+    plan's `sigma_bound`, which rounds to 1/16 where that ratio is just below M.
     """
     if not t > 0:
         raise ParameterError("time must be > 0")
@@ -274,33 +275,27 @@ def chain_plan(x, y, t: float, sigma: float | None = None) -> ChainPlan:
     plan = ChainPlan(x=x, y=y, t=t, M=chain_length(x, y, t), sigma=1.0 / 16.0 if sigma is None else sigma)
     if not 0.0 < plan.sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1)")
-    if not plan.sigma < (bound := plan.sigma_bound):
+    if sigma is not None and not sigma < (bound := plan.sigma_bound):
         raise ParameterError(f"sigma={sigma} violates the adjacent-cube condition; need sigma < {bound:.6g} here")
     return plan
 
 
-def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float, doubling_C: float) -> float:
-    """log of the product of on-diagonal bounds over the chain cubes.
+def chained_lower_bound(V: Potential, plan: ChainPlan, c0: float, c1: float) -> float:
+    """log of the near lower bound c0 s^{-1/2} e^{-c1 s avg_{sqrt(s)}} chained over the plan's M links, s = t/M.
 
-    log p >= log(1/sigma) - (1/2) log t + (1/2) log M + M log(sigma c0)
-             - c1 t (C^M  avg of V over the side-sigma*sqrt(t/M) cube at x),
-    the n-dimensional bound at n = 1.
-
-    The doubling constant C transports cube averages along the chain.  The
-    value is typically astronomically small (log of order -M); that is the
-    expected behavior of the construction, not an error.
+    log p >= (M-1) log(sigma sqrt(s)) + M (log c0 - (1/2) log s) - c1 s (1+sigma) sum_{i<M} avg_i,
+    the n-dimensional bound at n = 1, with avg_i the mean of V over the side-(1+sigma) sqrt(s) cube at
+    waypoint i: that cube holds the side-sqrt(s) cube at each z of the side-sigma sqrt(s) one, so V >= 0
+    bounds the near bound's mean at z by (1+sigma) avg_i.  The value is typically astronomically small
+    (log of order -M); that is the expected behavior of the construction, not an error.
     """
-    if not (c0 > 0 and c1 > 0 and doubling_C > 0):
+    if not (c0 > 0 and c1 > 0):
         raise ParameterError("constants must be > 0")
-    logv = -math.log(plan.sigma) - 0.5 * math.log(plan.t)
-    logv += 0.5 * math.log(plan.M) + plan.M * math.log(plan.sigma * c0)
-    avg = cube_average(V, plan.x, plan.cube_side)
-    if avg > 0.0:
-        log_decay = math.log(c1 * plan.t) + plan.M * math.log(doubling_C) + math.log(avg)
-        if log_decay > 700.0:
-            return -math.inf
-        logv -= math.exp(log_decay)
-    return logv
+    M, sigma, s = plan.M, plan.sigma, plan.t / plan.M
+    logv = (M - 1) * math.log(plan.cube_side) + M * (math.log(c0) - 0.5 * math.log(s))
+    avgs = cube_averages(V, plan.waypoints[:-1], (1.0 + sigma) * math.sqrt(s))
+    with np.errstate(over="ignore"):  # a sum past the largest float gives the bound -inf, which holds
+        return logv - c1 * s * (1.0 + sigma) * float(np.sum(avgs))
 
 
 # ---------------------------------------------------------------------------

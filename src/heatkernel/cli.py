@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import chain_plan, chained_lower_bound, fit_constants, fit_options, grid_columns, grid_points, grid_samples
-from .config import DEFAULT_CONFIG, check_envelopes, load_config, quadratic_from_potential, resolve
+from .config import DEFAULT_CONFIG, OPTIONAL_KEYS, check_envelopes, load_config, quadratic_from_potential, resolve
 from .csvout import emit_csv
 from .errors import ConfigError, DomainError
 from .explicit import quadratic_kernel, quadratic_log_kernel
@@ -188,13 +188,14 @@ def cmd_chain(run: dict, out: Path) -> int:
     V = run["potential"]
     x, y, t, sigma, c0, c1 = (run["chain"][k] for k in ("x", "y", "t", "sigma", "c0", "c1"))
     plan = chain_plan(x, y, t, sigma=sigma)
-    dbl = doubling_fit(V, x, max(4.0 * math.sqrt(t), 4.0), 8)
-    log_bound = chained_lower_bound(V, plan, c0, c1, max(dbl.C, 1.0))
     waypoints = plan.waypoints
+    # before the bound's wider link cubes, so a table the chain leaves is named at a waypoint cube
     avgs = cube_averages(V, waypoints, plan.cube_side)  # a cube V refuses ends the run before any result
+    log_bound = chained_lower_bound(V, plan, c0, c1)
+    source = "defaults" if (c0, c1) == tuple(OPTIONAL_KEYS["chain"][k] for k in ("c0", "c1")) else "config"
     print(
         f"M={plan.M} sigma={plan.sigma:.6g} cube_side={plan.cube_side:.6g} "
-        f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g}"
+        f"spacing={plan.spacing:.6g} log_bound={log_bound:.6g} c0={c0:.6g} c1={c1:.6g} ({source})"
     )
     prov_line = f"config={run['hash']} M={plan.M} sigma={plan.sigma:.17g}"
     columns = [range(plan.M + 1), waypoints, avgs]

@@ -316,13 +316,13 @@ def load_tabulated_csv(path) -> TabulatedPotential:
 
 
 def quadratic_from_potential(V: Potential) -> QuadraticCoeffs:
-    """Extract (a0, a1, a2) when V is a polynomial of degree exactly 2."""
+    """Extract (a0, a1, a2) when V is a polynomial of degree exactly 2, trailing zero coefficients aside."""
     if not isinstance(V, PolynomialPotential):
         raise ConfigError("explicit engine requires a one-dimensional polynomial potential")
-    coeffs = list(V.coeffs) + [0.0] * (3 - len(V.coeffs))
-    if len(V.coeffs) > 3 or coeffs[2] <= 0.0:
+    coeffs = np.trim_zeros(np.asarray(V.coeffs), "b").tolist()
+    if len(coeffs) != 3 or coeffs[2] <= 0.0:
         raise ConfigError("explicit engine requires a quadratic potential with positive x^2 coefficient")
-    return QuadraticCoeffs(a0=coeffs[0], a1=coeffs[1], a2=coeffs[2])
+    return QuadraticCoeffs(*coeffs)
 
 
 def envelope_from_config(spec: dict, where: str) -> BoundEnvelope:

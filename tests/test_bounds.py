@@ -16,7 +16,6 @@ from heatkernel import (
     chain_plan,
     chained_lower_bound,
     constant,
-    doubling_fit,
     fefferman_phong_ratio,
     fit_constants,
     gaussian_log_kernel,
@@ -24,12 +23,13 @@ from heatkernel import (
     grid_samples,
     m_beta,
     moser_ratio,
+    quadratic_kernel,
     quadratic_log_kernel,
     energy_test_family,
     log_envelope,
 )
 from heatkernel.spectral import build_spectral, dirichlet_interval_log_kernel
-from heatkernel.bounds import FAMILIES
+from heatkernel.bounds import C0_LOWER, FAMILIES
 
 V_SQ = PolynomialPotential([0.0, 0.0, 1.0])
 V0 = constant(0.0)
@@ -206,10 +206,16 @@ def test_reports_compare_by_value_or_by_identity():
             setattr(a, field, getattr(b, field))
 
 
+def test_chain_plan_keeps_its_default_sigma_where_the_length_ratio_is_just_below_m():
+    # 256 y^2 / t = 1998.9999999999998, so M = 1999 and sigma_bound rounds to 1/16 itself
+    plan = chain_plan(0.0, 1.9759293699421545, 0.5)
+    assert plan.M == 1999 and plan.sigma == 1.0 / 16.0 and plan.sigma_bound == 1.0 / 16.0
+
+
 def test_chained_lower_bound_zero_potential():
     plan = chain_plan(0.0, 1.0, 1.0)
     c0 = 0.1
-    got = chained_lower_bound(V0, plan, c0, 1.0, 1.5)
+    got = chained_lower_bound(V0, plan, c0, 1.0)
     want = (
         -math.log(plan.sigma)
         - 0.5 * math.log(plan.t)
@@ -219,24 +225,69 @@ def test_chained_lower_bound_zero_potential():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_chained_lower_bound_is_minus_inf_when_the_link_means_overflow():
+    # 257 link means of 1e306 sum past the largest float, with no RuntimeWarning
+    assert chained_lower_bound(constant(1e306), chain_plan(0.0, 1.0, 1.0), 0.1, 1.0) == -math.inf
+
+
 def test_chained_lower_bound_monotone_in_m():
     # sigma c0 < 1 makes the bound strictly decreasing as M grows
-    c0, c1, C = 0.1, 1.0, 1.5
+    c0, c1 = 0.1, 1.0
     vals = []
     for y in (0.8, 1.0, 1.2):
         plan = chain_plan(0.0, y, 1.0)
-        vals.append((plan.M, chained_lower_bound(V0, plan, c0, c1, C)))
+        vals.append((plan.M, chained_lower_bound(V0, plan, c0, c1)))
     vals.sort()
     assert vals[0][1] > vals[1][1] > vals[2][1]
 
 
 def test_chained_below_reference_kernel():
-    dbl = doubling_fit(V_SQ, 0.0, 4.0, 8)
     for y in (0.3, 0.7, 1.1):
         plan = chain_plan(0.0, y, 1.0)
-        bound = chained_lower_bound(V_SQ, plan, 0.14, 1.0, max(dbl.C, 1.0))
+        bound = chained_lower_bound(V_SQ, plan, 0.14, 1.0)
         ref = quadratic_log_kernel(Q_SQ, [0.0], [y], [1.0])[0, 0, 0]
         assert bound < ref
+
+
+# (a2, y, M, the chained bound) for V = a2 x^2, x = 0, t = 1, c0 = 0.0705237 and c1 = 1.4192: near constants
+# whose envelope holds on each of these V with slack >= 0.67.
+CHAIN_ROWS = [
+    (1.0, 0.15, 6, -28.910184366),
+    (1.0, 1.2, 369, -1996.595070370),
+    (1e2, 1.0, 257, -1438.547979048),
+    (1e4, 0.05, 1, -1421.216585101),
+    (1e5, 0.2, 11, -3089.978840770),
+    (1e5, 0.5, 65, -12843.306284339),
+]
+
+
+@pytest.mark.parametrize("a2, y, M, want", CHAIN_ROWS)
+def test_chained_lower_bound_on_scaled_squares(a2, y, M, want):
+    c0, c1 = 0.0705237, 1.4192
+    plan = chain_plan(0.0, y, 1.0)
+    got = chained_lower_bound(PolynomialPotential([0.0, 0.0, a2]), plan, c0, c1)
+    s, side = 1.0 / M, (1.0 + plan.sigma) / math.sqrt(M)
+    avgs = a2 * (plan.waypoints[:-1] ** 2 + side * side / 12.0)  # V's exact mean over each link cube
+    formula = (M - 1) * math.log(plan.sigma * math.sqrt(s)) + M * (math.log(c0) - 0.5 * math.log(s))
+    formula -= c1 * s * (1.0 + plan.sigma) * avgs.sum()
+    assert plan.M == M and abs(got - want) <= 1e-6 and got == pytest.approx(formula, rel=1e-12)
+    assert got <= quadratic_log_kernel(QuadraticCoeffs(0, 0, a2), [0.0], [y], [1.0])[0, 0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_a2=st.floats(-2.0, 5.0), t=st.floats(0.05, 2.0), u=st.floats(0.0, 1.0))
+def test_chained_lower_bound_is_below_the_kernel(log_a2, t, u):
+    a2, y = 10.0**log_a2, u * math.sqrt(1999.0 * t / 256.0)  # M <= 2000
+    plan = chain_plan(0.0, y, t)
+    V, Q, s = PolynomialPotential([0.0, 0.0, a2]), QuadraticCoeffs(0, 0, a2), t / plan.M
+    # near pairs at time s: z across the waypoint cubes, z' within sqrt(s) / 8 of z, the near regime's kappa
+    half, reach = plan.cube_side / 2.0, math.sqrt(s) / 8.0
+    z, d = np.meshgrid(np.linspace(-half, y + half, 101), np.linspace(-reach, reach, 11)[1:-1], indexing="ij")
+    pts = [(a, a + b, s) for a, b in zip(z.ravel().tolist(), d.ravel().tolist())]
+    near = fit_constants(V, sampled(partial(quadratic_kernel, Q), pts), "avg_lower_near")
+    # feasible: min slack >= 0 on every pair, up to the fitter's 1e-12 allowance for rounding
+    assert near.envelope.c0 == C0_LOWER and near.feasible and len(near.records[0]) == len(pts)
+    assert chained_lower_bound(V, plan, near.envelope.c0, near.envelope.c1) <= quadratic_kernel(Q, 0.0, y, t)
 
 
 def test_fefferman_phong_constant_function():
@@ -565,7 +616,7 @@ def _never_positive(xs, ys, ts):
     "call, message",
     [
         (lambda: chain_plan(0.0, 1.0, 1.0, sigma=1.5), "sigma must lie in (0, 1)"),
-        (lambda: chained_lower_bound(V_SQ, chain_plan(0.0, 1.0, 1.0), 0.1, 0.0, 2.0), "constants must be > 0"),
+        (lambda: chained_lower_bound(V_SQ, chain_plan(0.0, 1.0, 1.0), 0.1, 0.0), "constants must be > 0"),
         (
             lambda: fefferman_phong_ratio(V_SQ, [0.0], [[1.0]], 0.0, 1.0, 0.5),
             "test functions need values at the same >= 2 nodes",

@@ -227,6 +227,17 @@ def test_explicit_engine_rejects_nonquadratic(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["kernel", "bounds", "ode"])
+def test_explicit_engine_reads_a_quadratic_written_with_trailing_zeros(tmp_path, command):
+    runs = []
+    for name, coefficients in (("plain", [0, 0, 1]), ("padded", [0, 0, 1, 0])):
+        cfg = write_config(tmp_path, potential={"kind": "polynomial", "coefficients": coefficients})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / name), command]) == 0
+        run_hash = resolve(json.loads(cfg.read_text()))["hash"]
+        runs.append({p.name: p.read_text().replace(run_hash, "") for p in sorted((tmp_path / name).glob("*.csv"))})
+    assert runs[0] and runs[0] == runs[1]
+
+
 def test_bad_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"engine": "explicit",\n  bad key\n}')
@@ -688,29 +699,50 @@ def test_a_potential_the_numerics_cannot_take_exits_2(tmp_path, capsys, command,
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
-@pytest.mark.parametrize(
-    "command, potential, chain, bad",
-    [
-        ("weights", {"kind": "constant", "value": 0}, None, "0.0 on the cube of center 0.0 and side 2.0"),
-        ("chain", {"kind": "constant", "value": 0}, None, "0.0 on the cube of center 0.0 and side 4.0"),
-        # x^2 zeroed on [-0.5, 0.5]: the window has mass, its halvings from side 1 on have none
-        ("weights", {"kind": "tabulated", "table": "zero_middle.csv"}, None, "0.0 on the cube of center 0.0 and side 1.0"),
-        (
-            "chain",
-            {"kind": "tabulated", "table": "zero_middle.csv"},
-            {"x": 0.0, "y": 0.1, "t": 1.0},
-            "0.0 on the cube of center 0.0 and side 1.0",
-        ),
-    ],
-)
-def test_a_potential_without_mass_on_a_doubling_cube_exits_2(tmp_path, capsys, command, potential, chain, bad):
+def write_zero_middle(tmp_path):
+    """x^2 tabulated on [-2, 2], zeroed on [-0.5, 0.5]."""
     xs = np.linspace(-2.0, 2.0, 81).tolist()
     (tmp_path / "zero_middle.csv").write_text("".join(f"{x!r},{0.0 if abs(x) <= 0.5 else x * x!r}\n" for x in xs))
-    cfg = write_config(tmp_path, potential=potential, **({"chain": chain} if chain else {}))
+
+
+@pytest.mark.parametrize(
+    "command, potential, bad",
+    [
+        ("weights", {"kind": "constant", "value": 0}, "0.0 on the cube of center 0.0 and side 2.0"),
+        # the window has mass, its halvings from side 1 on have none
+        ("weights", {"kind": "tabulated", "table": "zero_middle.csv"}, "0.0 on the cube of center 0.0 and side 1.0"),
+    ],
+)
+def test_a_potential_without_mass_on_a_doubling_cube_exits_2(tmp_path, capsys, command, potential, bad):
+    write_zero_middle(tmp_path)
+    cfg = write_config(tmp_path, potential=potential)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 2
     message = f"config error: potential: doubling fit needs finite positive cube masses, got {bad}\n"
     assert capsys.readouterr().err == message
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "potential, chain",
+    [
+        ({"kind": "constant", "value": 0}, {"x": 0.0, "y": 1.0, "t": 1.0}),
+        # every link cube, the widest reaching 0.41, lies where the table is 0
+        ({"kind": "tabulated", "table": "zero_middle.csv"}, {"x": 0.0, "y": 0.1, "t": 1.0}),
+    ],
+)
+def test_a_chain_on_a_potential_without_mass_exits_0(tmp_path, capsys, potential, chain):
+    from heatkernel import chain_plan
+    from heatkernel.bounds import C0_LOWER
+
+    write_zero_middle(tmp_path)
+    cfg = write_config(tmp_path, potential=potential, chain=chain)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "chain"]) == 0
+    plan = chain_plan(chain["x"], chain["y"], chain["t"])
+    # the formula of test_chained_lower_bound_zero_potential at the default constants
+    want = -math.log(plan.sigma) - 0.5 * math.log(plan.t) + 0.5 * math.log(plan.M)
+    want += plan.M * math.log(plan.sigma * C0_LOWER)
+    assert f" log_bound={want:.6g} c0={C0_LOWER:.6g} c1=1 (defaults)\n" in capsys.readouterr().out
+    assert (tmp_path / "out" / "chain_waypoints.csv").exists()
 
 
 TABLE_ON_2 = np.linspace(-2.0, 2.0, 81).tolist()

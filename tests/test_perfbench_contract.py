@@ -34,6 +34,32 @@ def test_the_tracer_finds_every_per_layer_metric(monkeypatch):
     assert found | RUN_METRICS == declared
 
 
+def test_the_traced_layers_see_the_work_of_chain_and_weights(monkeypatch, tmp_path, capsys):
+    # a run that bypassed a traced name would still report its metric, as 0 seconds over 0 calls
+    from heatkernel.cli import main
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer as tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for command in ("chain", "weights"):
+            tracer.start_job(command, command)
+            assert main(["--config", str(ROOT / "configs" / "default.json"), "--out", str(tmp_path), command]) == 0
+            tracer.end_job(0.0)
+    finally:
+        tracer.uninstall()
+    assert [job["kind"] for job in tracer.jobs] == ["chain", "weights"]
+    for job in tracer.jobs:
+        calls = {name: count for name, (count, _) in job["spans"].items()}
+        if job["kind"] == "chain":  # chain_plan and chained_lower_bound, both traced as bounds.chain; no doubling fit
+            assert calls.get("cli>bounds.chain") == 2 and "cli>potentials.doubling" not in calls
+        else:
+            assert calls.get("cli>potentials.doubling") == 1
+
+
 def test_fit_constants_takes_the_family_third():
     # the tracer labels each fit's seconds by its third positional argument
     from heatkernel import bounds
