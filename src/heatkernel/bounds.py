@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .potentials import Potential, checked_cube, cube_average, cube_averages, m_beta
+from .potentials import Potential, _gl_rule, checked_cube, cube_average, cube_averages, m_beta
 
 # The floor a fitted constant is clipped to, so that every envelope stays valid.
 C_FLOOR = 1e-9
@@ -339,7 +339,7 @@ def fefferman_phong_ratio(V: Potential, xs, values, center: float, side: float, 
     if np.any(mass <= 0.0):
         raise ParameterError("test function has zero L2 mass")
     # 5-point Gauss-Legendre per cell for the V u^2 term
-    nodes, weights = np.polynomial.legendre.leggauss(5)
+    nodes, weights = _gl_rule(5)
     mid = 0.5 * (xs[:-1] + xs[1:])
     half = 0.5 * dx
     pts = mid[:, None] + half[:, None] * nodes

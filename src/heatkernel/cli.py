@@ -49,6 +49,7 @@ from .spectral import build_spectral, spectral_log_kernel
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
+CONSTANTS = ("c0", "c1", "c2", "c3", "beta", "kappa", "epsilon", "C")  # an envelope's constants, in print order
 
 
 def _grid(run: dict):
@@ -129,16 +130,15 @@ def cmd_bounds(run: dict, out: Path) -> int:
     for env0 in run["envelopes"]:
         fit = fit_constants(run["potential"], samples(), env0.family, **fit_options(env0))
         env, verdict = fit.envelope, "FEASIBLE" if fit.feasible else "INFEASIBLE"
-        names = ("c0", "c1", "c2", "c3", "beta", "kappa", "epsilon", "C")
-        consts = {k: v for k in names if (v := getattr(env, k)) is not None}
+        consts = {k: v for k in CONSTANTS if (v := getattr(env, k)) is not None}
         const_str = " ".join(f"{k}={v:.6g}" for k, v in consts.items())
         print(f"{env.family}: {verdict} min_slack={fit.min_slack:.6g} {const_str}")
-        rows.append((env.family, verdict, fit.min_slack, *(consts.get(k, math.nan) for k in names[:4])))
+        rows.append((env.family, verdict, fit.min_slack, *(consts.get(k, math.nan) for k in CONSTANTS[:4])))
         fits.append(fit)
     columns = [list(col) for col in zip(*rows)]
-    emit_csv(columns, ["family", "verdict", "min_slack", *names[:4]], out / "bound_verdicts.csv", prov_line)
+    emit_csv(columns, ["family", "verdict", "min_slack", *CONSTANTS[:4]], out / "bound_verdicts.csv", prov_line)
     families = [fit.envelope.family for fit in fits for _ in fit.records[0]]
-    columns = [families] + [np.concatenate([np.empty(0)] + [fit.records[j] for fit in fits]) for j in range(6)]
+    columns = [families] + [np.concatenate([fit.records[j] for fit in fits]) for j in range(6)]
     emit_csv(columns, ["family", "x", "y", "t", "log_p", "log_env", "slack"], out / "bound_slacks.csv", prov_line)
     all_ok = all(fit.feasible for fit in fits)
     print(f"sandwich: {'FEASIBLE' if all_ok else 'INFEASIBLE'}")

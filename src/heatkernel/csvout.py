@@ -189,15 +189,10 @@ def _float_text(values) -> np.ndarray:
     most half of them are distinct, so 0.0 and -0.0 stay apart."""
     if len(values) < _BULK:
         return _printf_rows(values)
-    bits = values.view(np.int64)
-    order = np.argsort(bits)
-    first = np.empty(len(bits), dtype=bool)
-    first[0], first[1:] = True, bits[order[1:]] != bits[order[:-1]]
-    if 2 * np.count_nonzero(first) > len(bits):
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) > len(values):
         return _float_rows(values)
-    index = np.empty(len(bits), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1  # each value's row among the distinct ones, in sorted order
-    return _float_rows(values[order[first]])[index]
+    return _float_rows(distinct.view(np.float64))[index]
 
 
 def _int_rows(values: range) -> np.ndarray:

@@ -109,6 +109,20 @@ def test_lattice_semigroup_defects_and_refusals():
         gaussian_log_kernel([0.0], [0.0], [0.5, 0.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.tuples(st.floats(-1.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.25, 4.0)),
+    x=st.floats(-3.0, 3.0),
+    y=st.floats(-3.0, 3.0),
+    t=st.floats(0.01, 5.0),
+    s=st.floats(0.01, 5.0),
+)
+def test_random_quadratics_satisfy_chapman_kolmogorov(coeffs, x, y, t, s):
+    # V = a0 + a1 x + a2 x^2 with the well's centre -a1 / 2 a2 within 4 of 0, and |x - y| <= 6 at
+    # t + s >= 0.02, so p(x, y, t + s) stays far from underflow and the default lattice holds the mass
+    assert semigroup_defect(partial(quadratic_log_kernel, QuadraticCoeffs(*coeffs)), x, y, t, s) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -147,6 +147,8 @@ def test_a_float_list_writes_the_bytes_of_the_same_float64_array(tmp_path, kind,
 HALF = 256
 SIGNED = [0.0, -0.0, math.nan, -math.nan, from_bits(0x7FF8000000000001), 1.5]
 EXPONENTS = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5, 1e17, -1e17, 1.2345e-7]
+# HALF distinct bit patterns, 0.0, -0.0 and two NaN payloads among them
+PATTERNS = [0.0, -0.0, math.nan, from_bits(0x7FF8000000000001)] + [i / 7.0 for i in range(1, HALF - 3)]
 QUOTED_LATE = ["plain"] * (csvout.CHUNK_ROWS + 3) + ["needs,quotes"] + ["plain"] * (csvout.CHUNK_ROWS + 1)
 # columns of one file, and the lengths `_float_rows` is called with (None: not checked)
 COLUMN_CASES = {
@@ -155,6 +157,8 @@ COLUMN_CASES = {
     "exactly half distinct": ([np.tile(np.arange(HALF) / 7.0, 2)], [HALF]),
     "one past half distinct": ([np.concatenate([np.arange(HALF + 1) / 7.0, np.zeros(HALF - 1)])], [2 * HALF]),
     "signed zeros and nan payloads": ([np.array(SIGNED * HALF)], [len(SIGNED)]),
+    "half distinct with signed zeros and nan payloads": ([np.array(PATTERNS * 2)], [HALF]),
+    "one past half with signed zeros and nan payloads": ([np.array(PATTERNS + PATTERNS[:-1] + [-1 / 7])], [2 * HALF]),
     # distinct values enough for the kernel, which hands these to `fmt`
     "subnormals and exponent notation": ([np.tile(EXPONENTS + [i / 7.0 for i in range(292)], 2)], [300]),
     "shorter than _BULK with repeats": ([np.array([0.1, -0.0, 0.1, math.nan] * (csvout._BULK // 8))], []),

@@ -213,6 +213,16 @@ def test_closed_form_completes_the_square(coeffs, x, y, t):
     assert error <= 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(quadratics, st.floats(-5.0, 5.0), coordinates, coordinates, times)
+def test_a0_shift_is_exact_on_random_quadratics(coeffs, c, x, y, t):
+    # test_a0_shift_identity's property over the drawn quadratics, a shift c in [-5, 5] and the
+    # coordinates and times above; |log p| stays below about 10^3, so 1e-12 is several ulps
+    a0, a1, a2 = coeffs
+    shifted = quadratic_kernel(QuadraticCoeffs(a0 + c, a1, a2), x, y, t)
+    assert abs(shifted - (quadratic_kernel(QuadraticCoeffs(a0, a1, a2), x, y, t) - c * t)) <= 1e-12
+
+
 @settings(max_examples=100, deadline=None)
 @given(quadratics, coordinates, times)
 def test_closed_form_is_sub_markov_when_v_is_nonnegative(coeffs, x, t):

@@ -16,15 +16,21 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_METRICS = {"setup.import_s", "trace.wall_s", "trace.overhead_est_s", "machine.reference_s"}
 
 
-def test_the_tracer_finds_every_per_layer_metric(monkeypatch):
-    import heatkernel.cli  # noqa: F401  (loads every module that the tracer wraps)
-
+def installed_tracer(monkeypatch):
+    """perfbench's Tracer, imported afresh from perfbench/ and installed over the loaded modules."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     import tracer as tracing
 
     tracer = tracing.Tracer()
     tracer.install()
+    return tracer
+
+
+def test_the_tracer_finds_every_per_layer_metric(monkeypatch):
+    import heatkernel.cli  # noqa: F401  (loads every module that the tracer wraps)
+
+    tracer = installed_tracer(monkeypatch)
     try:
         found = set(tracer.metrics())
     finally:
@@ -38,12 +44,7 @@ def test_the_traced_layers_see_the_work_of_chain_and_weights(monkeypatch, tmp_pa
     # a run that bypassed a traced name would still report its metric, as 0 seconds over 0 calls
     from heatkernel.cli import main
 
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    monkeypatch.delitem(sys.modules, "tracer", raising=False)
-    import tracer as tracing
-
-    tracer = tracing.Tracer()
-    tracer.install()
+    tracer = installed_tracer(monkeypatch)
     try:
         for command in ("chain", "weights"):
             tracer.start_job(command, command)
@@ -58,6 +59,23 @@ def test_the_traced_layers_see_the_work_of_chain_and_weights(monkeypatch, tmp_pa
             assert calls.get("cli>bounds.chain") == 2 and "cli>potentials.doubling" not in calls
         else:
             assert calls.get("cli>potentials.doubling") == 1
+
+
+def test_a_spectral_bounds_run_counts_its_grid_points(monkeypatch, tmp_path, capsys):
+    # the tracer counts points through `grid_points`: a spectral path around it would read 0 for
+    # bounds.points and bounds.cube_averages_per_point instead of failing
+    from heatkernel.cli import main
+
+    tracer = installed_tracer(monkeypatch)
+    try:
+        tracer.start_job("bounds", "bounds")
+        assert main(["--config", str(ROOT / "configs" / "spectral.json"), "--out", str(tmp_path), "bounds"]) == 0
+        tracer.end_job(0.0)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["bounds.points"] == (75, "count")  # the 5 x 5 x 3 grid
+    assert metrics["bounds.cube_averages_per_point"] == (8.0, "1")
 
 
 def test_fit_constants_takes_the_family_third():
