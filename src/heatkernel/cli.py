@@ -173,6 +173,8 @@ def cmd_ode(run: dict, out: Path) -> int:
     t0, t1, samples = (run["ode"][k] for k in ("t0", "t1", "samples"))
     rel = run["tolerances"]["rel"]
     c = quadratic_from_potential(run["potential"])
+    if math.sqrt(c.a2) * t1 > 1e4:  # DOP853 steps about 1/sqrt(a2): LIMITS' t1 <= 1e4 at a2 = 1
+        raise ConfigError(f"ode.t1 must be <= 1e4 / sqrt(a2) = {1e4 / math.sqrt(c.a2):.6g} here, got {t1!r}")
     quad = type(c)(0.0, c.a1, c.a2)  # the ansatz runs at a0 = 0
     ts, coeffs = integrate_odes(quad, t0, t1, samples=samples)
     prov_line = f"config={run['hash']} t0={t0!r} t1={t1!r} samples={samples}"

@@ -53,9 +53,12 @@ DEFAULT_CONFIG = {
 # What a number of the config must be beyond an int or a float: the
 # phrase its error message uses and the test.  The weight scans take 2^depth
 # cubes at the deepest level, and every potential kind is one-dimensional.
-# `ode` integrates for a time linear in t1 (1.5 s at t1 = 1e4 and 8.3 s at 1e5
-# with 10 samples on a 2-vCPU Xeon VM), and the closed form it checks against
-# is finite for t up to 1e4.
+# `ode` integrates for a time linear in sqrt(a2) t1, since DOP853's step stays
+# near 1/sqrt(a2): 1.5 s at t1 = 1e4 and 8.3 s at 1e5 on V = x^2 with 10
+# samples, and 1.0-1.4 s at sqrt(a2) t1 = 1e4 for a2 = 1, 1e4, 1e8 and 1e12 with
+# 120 (2-vCPU Xeon VM).  So `cmd_ode`, once it has read the quadratic, refuses
+# sqrt(a2) t1 > 1e4, naming ode.t1; the closed form it checks against is
+# finite for t up to 1e4.
 # A spectral build's eigenvector solve fills an m x k array for the k modes it
 # keeps, and k reaches m when t_min is small: up to 8 m^2 bytes, 0.97 GB at the
 # cap on spectral.points.  The build peaks near 1.2 times that array (traced at
@@ -179,6 +182,9 @@ def resolve(cfg: dict, base_dir: Path | None = None) -> dict:
         defaults = {**DEFAULT_CONFIG[name], **OPTIONAL_KEYS.get(name, {})}
         values = {k: _number(section[k], f"{name}.{k}") if k in section else v for k, v in defaults.items()}
         run[name] = {k: v if v is None or isinstance(defaults[k], int) else float(v) for k, v in values.items()}
+    L, r = run["spectral"]["half_width"], run["spectral"]["points"] + 1.0
+    if engine == "spectral" and not math.isfinite(r / L * (r / L) / 2.0):  # 2/h^2, the matrix's diagonal
+        raise ConfigError(f"spectral.half_width must make 2/h^2 = (points + 1)^2 / (2 half_width^2) finite, got {L!r}")
     if (t0 := run["ode"]["t0"]) < ODE_T0_FLOOR:
         raise ConfigError(f"ode.t0 must be >= {ODE_T0_FLOOR:g}, got {t0!r}")
     if t0 >= (t1 := run["ode"]["t1"]):

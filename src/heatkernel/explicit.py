@@ -1,8 +1,9 @@
 """Closed-form heat kernels: free Gaussian and the quadratic-potential kernel.
 
 All kernel arithmetic happens in log-space: every kernel returns log p,
--inf for an exact zero.  Hyperbolic factors switch to exp-scaled forms at
-argument 30 so the kernel stays finite for t up to 1e4 and |x|, |y| up to 1e3.
+-inf for an exact zero.  The hyperbolic factors come from one expression
+finite at every u > 0, csch u = 2 e^{-u} / (1 - e^{-2u}) with the denominator
+from `math.expm1`, so the kernel stays finite for t up to 1e4 and |x|, |y| up to 1e3.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import ParameterError
 
 LOG_2PI = math.log(2.0 * math.pi)
-HYP_SCALE_ARG = 30.0  # switch point for exp-scaled hyperbolic forms
 T_FLOOR = 1e-12  # delta-limit regime below this is handled by limit tests
 
 
@@ -31,24 +31,6 @@ class QuadraticCoeffs:
     def __post_init__(self):
         if not self.a2 > 0.0:
             raise ParameterError(f"quadratic coefficient a2 must be > 0, got {self.a2}")
-
-
-def log_csch(u: float) -> float:
-    """log(csch u) for u > 0, exp-scaled above HYP_SCALE_ARG."""
-    if u <= HYP_SCALE_ARG:
-        return -math.log(math.sinh(u))
-    # csch u = 2 e^{-u} / (1 - e^{-2u})
-    e2 = math.exp(-2.0 * u) if u < 350.0 else 0.0
-    return math.log(2.0) - u - math.log1p(-e2)
-
-
-def csch(u: float) -> float:
-    """csch u for u > 0, underflowing gracefully to 0 for huge arguments."""
-    if u <= HYP_SCALE_ARG:
-        return 1.0 / math.sinh(u)
-    e1 = math.exp(-u) if u < 745.0 else 0.0
-    e2 = e1 * e1
-    return 2.0 * e1 / (1.0 - e2)
 
 
 def _log_grid(xs, ys, ts, log_at) -> np.ndarray:
@@ -81,7 +63,9 @@ def gaussian_log_kernel(xs, ys, ts) -> np.ndarray:
 def _time_factors(a0: float, a1: float, a2: float, t: float):
     """The closed form's t-only factors (w, csch u, tanh(u/2), head), u = 2 w t.
 
-    w = sqrt(a2) and head = log p(0, 0, t) for V = a0 + a1 x + a2 x^2.
+    w = sqrt(a2) and head = log p(0, 0, t) for V = a0 + a1 x + a2 x^2.  With
+    m = 1 - e^{-2u}, csch u = 2 e^{-u} / m at every u > 0, and a1 enters only
+    through b = a1 / 2w, with b^2 <= a0 when V >= 0, so no factor overflows.
     `ode.closed_form_states` reads its ansatz coefficients from the same
     factors.  Memoised per (a0, a1, a2, t), a key of plain numbers, so a
     lookup hashes and compares in C; numbers that compare equal, as +-0.0
@@ -89,11 +73,12 @@ def _time_factors(a0: float, a1: float, a2: float, t: float):
     """
     w = math.sqrt(a2)
     u = 2.0 * w * t
+    m = -math.expm1(-2.0 * u)
     th = math.tanh(0.5 * u)  # coth u - csch u, stable for all u > 0
-    head = 0.5 * (0.5 * math.log(a2) + log_csch(u) - LOG_2PI)
-    head += (a1**2 / (4.0 * a2) - a0) * t
-    head -= a1**2 / (4.0 * w**3) * th
-    return w, csch(u), th, head
+    b = a1 / (2.0 * w)
+    head = 0.5 * (0.5 * math.log(a2) + math.log(2.0) - u - math.log(m) - LOG_2PI)  # log csch u = log 2 - u - log m
+    head += (b * b - a0) * t - b * b * (th / w)  # th / w <= t keeps the product below b^2 t
+    return w, 2.0 * math.exp(-u) / m, th, head
 
 
 def _quadratic_log(c: QuadraticCoeffs, x, y, t: float):
@@ -113,11 +98,11 @@ def quadratic_kernel(c: QuadraticCoeffs, x: float, y: float, t: float) -> float:
     """log p of the exact 1D heat kernel for V(x) = a0 + a1 x + a2 x^2, a2 > 0.
 
     log p = 1/2 log(sqrt(a2) csch(u) / 2pi)
-            + (a1^2/4a2 - a0) t
-            - (a1^2 / 4 a2^{3/2}) (coth - csch)(u)
+            + (b^2 - a0) t
+            - (b^2 / sqrt(a2)) (coth - csch)(u)
             - (sqrt(a2)/2) [ (x-y)^2 csch(u) + (x^2+y^2)(coth - csch)(u) ]
-            - (a1 / 2 sqrt(a2)) (x+y)(coth - csch)(u)
-    with u = 2 sqrt(a2) t.  This is the shifted/translated oscillator
+            - b (x+y)(coth - csch)(u)
+    with u = 2 sqrt(a2) t and b = a1 / 2 sqrt(a2).  This is the shifted/translated oscillator
     kernel; it does not require V >= 0.
     """
     return float(_quadratic_log(c, x, y, t))

@@ -33,10 +33,10 @@ ANSATZ_COEFFS = ("alpha", "beta", "gamma", "mu", "nu", "log_phi")
 def closed_form_states(c: QuadraticCoeffs, ts) -> np.ndarray:
     """Exact ansatz coefficients for V = a1 x + a2 x^2 at each time of ts, one row per time in ANSATZ_COEFFS order.
 
-    With w = sqrt(a2) and u = 2 w t:
+    With w = sqrt(a2), u = 2 w t and b = a1 / 2w:
         alpha = gamma = w coth(u),  beta = -w csch(u),
-        mu = nu = (a1 / 2w)(coth - csch)(u),
-        logphi = log(w csch(u) / 2 pi)/2 + (a1^2/4a2) t - (a1^2/4w^3)(coth - csch)(u).
+        mu = nu = b (coth - csch)(u),
+        logphi = log(w csch(u) / 2 pi)/2 + b^2 t - (b^2 / w)(coth - csch)(u).
     """
     if c.a0 != 0.0:
         raise ParameterError("ansatz route requires a0 = 0; apply the shift identity first")

@@ -136,7 +136,6 @@ class SpectralKernel:
     nodes: np.ndarray
     eigenvalues: np.ndarray
     phi: np.ndarray  # (m+2, k) node values, boundary rows are zero
-    phi_sup: np.ndarray
     orthonormality_defect: float
     cluster_starts: np.ndarray  # first mode of each eigenvalue cluster, ascending
     cluster_sup: np.ndarray  # per cluster, max over the nodes of sum phi_j^2
@@ -168,11 +167,6 @@ class SpectralKernel:
         keep = np.flatnonzero(bounds >= EIGENSUM_TAIL * float(np.sum(bounds)))
         ends = np.append(self.cluster_starts[1:], len(self.eigenvalues))
         return int(ends[keep[-1]]) if keep.size else 1
-
-    def mass(self, x: float, t: float) -> float:
-        """h-weighted integral of p_B(x, ., t) over the box."""
-        col_sums = self.h * np.sum(self.phi[1:-1], axis=0)
-        return float(np.dot(self.weights(t) * self.rows([x])[0], col_sums))
 
 
 def _modes_needed(h: float, diagonal: np.ndarray, offdiagonal: np.ndarray, t_min: float) -> int:
@@ -228,7 +222,6 @@ def build_spectral(V: Potential, L: float, m: int, t_min: float) -> SpectralKern
         nodes=nodes,
         eigenvalues=lam,
         phi=phi,
-        phi_sup=phi_sup,
         orthonormality_defect=defect,
         cluster_starts=starts,
         cluster_sup=cluster_sup,

@@ -46,7 +46,7 @@ def scalar_eigensum(K, x, y, t):
         x, y = y, x
     weights = np.exp(-np.clip(K.eigenvalues * t, None, 745.0))
     running = np.cumsum(weights * K.rows([x])[0] * K.rows([y])[0])
-    keep = weights * K.phi_sup**2 >= EIGENSUM_TAIL * np.abs(running)
+    keep = weights * np.max(np.abs(K.phi), axis=0) ** 2 >= EIGENSUM_TAIL * np.abs(running)
     value = float(running[int(np.max(np.nonzero(keep))) if np.any(keep) else 0])
     return math.log(value) if value > 0.0 else -math.inf
 

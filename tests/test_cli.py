@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatkernel import PolynomialPotential, QuadraticCoeffs, quadratic_kernel
+from heatkernel import PolynomialPotential, QuadraticCoeffs, cli, quadratic_kernel
 from heatkernel.cli import main
-from heatkernel.config import resolve
+from heatkernel.config import DEFAULT_CONFIG, resolve
 from heatkernel.csvout import CHUNK_ROWS, emit_csv
-from heatkernel.errors import ConfigError
+from heatkernel.errors import ConfigError, IntegrationError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -460,6 +460,12 @@ def test_nonfinite_config_numbers_exit_2(tmp_path, capsys, overrides, command, w
         ("spectral", {"half_width": 8.0, "points": 2}, "spectral.points must be an integer in [3, 11000]"),
         ("spectral", {"half_width": -1.0, "points": 401}, "spectral.half_width must be a number > 0"),
         ("spectral", {"half_width": 8.0, "points": "abc"}, "spectral.points must be an integer in [3, 11000]"),
+        # 2/h^2 overflows; on the box's one grid node 0 this exited 1 with "non-finite entry"
+        (
+            "spectral",
+            {"half_width": 1e-160, "points": 11},
+            "spectral.half_width must make 2/h^2 = (points + 1)^2 / (2 half_width^2) finite, got 1e-160",
+        ),
     ],
 )
 def test_bad_engine_config_exits_2(tmp_path, capsys, engine, spectral, message):
@@ -592,6 +598,53 @@ def test_ode_runs_from_the_t0_floor(tmp_path, capsys):
     cfg = write_config(tmp_path, ode={"t0": 1e-6, "t1": 1.0, "samples": 20})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "ode"]) == 0
     assert "max_closed_form_error=9.5" in capsys.readouterr().out
+
+
+def stop_integrating(*args, **kwargs):
+    raise IntegrationError("integration reached")
+
+
+@pytest.mark.parametrize(
+    "a2, t0, t1",
+    [(1e12, 1e-4, 2.0), (5.17e19, 5.5e-4, 1.49), (1e16, 0.01, 2.0), (1e8, 1e-4, 1.0)],
+)
+def test_ode_refuses_a_span_beyond_its_step_budget_before_integrating(tmp_path, monkeypatch, capsys, a2, t0, t1):
+    # DOP853 steps about 1/sqrt(a2): the first two ran without end and the third took 0.75 s, while
+    # sqrt(a2) t1 = 1e4, the run LIMITS grants at a2 = 1, is integrated
+    monkeypatch.setattr(cli, "integrate_odes", stop_integrating)
+    potential = {"kind": "polynomial", "coefficients": [0.0, 0.0, a2]}
+    cfg = write_config(tmp_path, potential=potential, ode={"t0": t0, "t1": t1, "samples": 20})
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "ode"])
+    err = capsys.readouterr().err
+    if math.sqrt(a2) * t1 > 1e4:
+        assert rc == 2
+        assert err == f"config error: ode.t1 must be <= 1e4 / sqrt(a2) = {1e4 / math.sqrt(a2):.6g} here, got {t1!r}\n"
+    else:
+        assert rc == 1 and "integration reached" in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("coeffs", [[1e-300, 0, 1e-300], [0, 0, 1e-250], [1, 0, 4e205], [3e299, 1e200, 1e100]])
+def test_closed_form_commands_take_extreme_nonnegative_quadratics(tmp_path, capsys, coeffs):
+    # each exited 1 naming no key, as a1^2 / 4 a2^{3/2} overflowed or divided by an underflowed power of a2
+    potential = {"kind": "polynomial", "coefficients": coeffs}
+    defaults = {key: DEFAULT_CONFIG[key] for key in ("grid", "envelopes")}
+    cfg = write_config(tmp_path, potential=potential, **defaults)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == 0
+    assert np.all(np.isfinite(np.loadtxt(out / "kernel.csv", delimiter=",", skiprows=2, usecols=3)))
+    capsys.readouterr()
+    main(["--config", str(cfg), "--out", str(out), "bounds"])  # exit 0 or 1 by the verdict
+    captured = capsys.readouterr()
+    verdicts = [line for line in captured.out.splitlines() if "FEASIBLE" in line]
+    assert len(verdicts) == len(DEFAULT_CONFIG["envelopes"]) + 1 and verdicts[-1].startswith("sandwich: ")
+    assert "error:" not in captured.err
+    rc = main(["--config", str(cfg), "--out", str(out), "ode"])
+    err = capsys.readouterr().err
+    if math.sqrt(coeffs[2]) * 0.5 > 1e4:  # write_config's ode.t1 is 0.5
+        assert rc == 2 and err.startswith("config error: ode.t1 must be <= 1e4 / sqrt(a2)")
+    else:
+        assert rc == 0 and not err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, target
@@ -13,7 +14,7 @@ from heatkernel import (
     gaussian_log_kernel,
     quadratic_kernel,
 )
-from heatkernel.explicit import _time_factors, csch, log_csch, quadratic_log_kernel
+from heatkernel.explicit import LOG_2PI, _time_factors, quadratic_log_kernel
 from heatkernel.spectral import z_lattice
 
 
@@ -50,7 +51,7 @@ def test_gaussian_errors():
 def test_quadratic_origin_oracle():
     # direct substitution, independent of the log-space assembly
     for t in (0.1, 0.5, 2.0):
-        want = math.sqrt(csch(2.0 * t) / (2.0 * math.pi))
+        want = math.sqrt(1.0 / math.sinh(2.0 * t) / (2.0 * math.pi))
         got = quadratic_kernel(QuadraticCoeffs(0, 0, 1), 0.0, 0.0, t)
         assert math.exp(got) == pytest.approx(want, rel=1e-13)
 
@@ -100,12 +101,13 @@ def test_hyperbolic_stability_extremes():
 
 
 def test_scaled_hyperbolic_forms_match_direct():
-    # the exp-scaled branch must agree with the naive one near the switch
-    for u in (29.0, 29.999, 30.001, 35.0):
-        assert log_csch(u) == pytest.approx(math.log(1.0 / math.sinh(u)), rel=1e-13)
-        assert csch(u) == pytest.approx(1.0 / math.sinh(u), rel=1e-13)
+    # the expm1 forms of csch u and log csch u agree with the naive ones wherever sinh u is finite, a2 = 1
+    for u in (0.1, 3.0, 29.0, 29.999, 30.001, 35.0, 300.0):
+        _, cs, th, head = _time_factors(0, 0, 1, u / 2)
+        assert 2.0 * head + LOG_2PI == pytest.approx(math.log(1.0 / math.sinh(u)), rel=1e-13)  # log csch u
+        assert cs == pytest.approx(1.0 / math.sinh(u), rel=1e-13)
         direct = 1.0 / math.tanh(u) - 1.0 / math.sinh(u)
-        assert _time_factors(0, 0, 1, u / 2)[2] == pytest.approx(direct, rel=1e-12)  # coth u - csch u, a2 = 1
+        assert th == pytest.approx(direct, rel=1e-12)  # coth u - csch u
 
 
 def test_large_t_factorized_decay():
@@ -232,3 +234,36 @@ def test_closed_form_is_sub_markov_when_v_is_nonnegative(coeffs, x, t):
     zs, h = z_lattice(abs(x) + abs(a1 / (2.0 * a2)) + 14.0 * math.sqrt(t) + 1.0, t)
     mass = h * float(np.sum(np.exp(quadratic_log_kernel(QuadraticCoeffs(*coeffs), [x], zs, [t])[0, 0])))
     assert mass <= 1.0 + 1e-8
+
+
+def exact_log_kernel(a0, a1, a2, x, y, t):
+    """log p in mpmath's arithmetic: Mehler's kernel of a2 z^2 at z = x + a1 / 2a2, less (a0 - a1^2 / 4a2) t."""
+    a0, a1, a2, x, y, t = map(mpmath.mpf, (a0, a1, a2, x, y, t))
+    w, s = mpmath.sqrt(a2), a1 / (2 * a2)
+    u, X, Y = 2 * w * t, x + s, y + s
+    quad = (X * X + Y * Y) * mpmath.coth(u) - 2 * X * Y / mpmath.sinh(u)
+    return mpmath.log(w / (2 * mpmath.pi * mpmath.sinh(u))) / 2 - w / 2 * quad - (a0 - a1 * a1 / (4 * a2)) * t
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_uniform(1e-3, 1e4),
+    st.floats(-3.0, 3.0),
+    log_uniform(1e-3, 1e2),
+    coordinates,
+    coordinates,
+    log_uniform(1e-3, 10.0),
+)
+def test_closed_form_matches_mpmath_on_nonnegative_quadratics(a2, r, s, x, y, t):
+    # a1 = r sqrt(a2) tilts the well by up to 3 sqrt(a2), and a0 = a1^2 / 4a2 + s keeps V >= s > 0
+    a1 = r * math.sqrt(a2)
+    a0 = a1 * a1 / (4.0 * a2) + s
+    lp = quadratic_kernel(QuadraticCoeffs(a0, a1, a2), x, y, t)
+    with mpmath.workdps(40):
+        error = abs(lp - float(exact_log_kernel(a0, a1, a2, x, y, t)))
+    target(error / max(1.0, abs(lp)), label="relative error")
+    assert error <= 2e-15 * max(1.0, abs(lp))

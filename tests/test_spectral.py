@@ -189,8 +189,11 @@ def test_bounded_potential_comparison():
 
 
 def test_mass_bound(spectral_vxx1):
+    # h-weighted integral of p_B(0, ., t) over the box, from the full eigensum
+    K = spectral_vxx1
+    col_sums = K.h * np.sum(K.phi[1:-1], axis=0)
     for t in (0.05, 0.5, 1.0):
-        assert spectral_vxx1.mass(0.0, t) <= 1.0 + 1e-8
+        assert float(np.dot(K.weights(t) * K.rows([0.0])[0], col_sums)) <= 1.0 + 1e-8
 
 
 def test_pde_residual_rates():
@@ -308,7 +311,7 @@ def test_partial_build_keeps_every_mode_a_full_solve_would(coeffs, L, m, t_min):
     ts = [t_min, 1.5 * t_min, 4.0 * t_min, t_min + 2.0]
     for t in ts:
         # each dropped mode's bound is below EIGENSUM_TAIL of the kept total ...
-        kept_total = float(np.sum(K.weights(t) * K.phi_sup**2))
+        kept_total = float(np.sum(K.weights(t) * np.max(np.abs(K.phi), axis=0) ** 2))
         assert np.all(reference_bounds(lam, phi, t)[k:] < EIGENSUM_TAIL * kept_total)
         # ... so the eigensum keeps the modes the full solve keeps
         assert K.mode_count(t) == reference_mode_count(lam, phi, t)
@@ -325,7 +328,7 @@ def test_partial_build_keeps_every_mode_a_full_solve_would(coeffs, L, m, t_min):
         lambda: spectral_log_kernel(K, xs, xs, [t_min, below]),
         lambda: eval_spectral(K, 0.0, 0.0, below),
         lambda: K.mode_count(below),
-        lambda: K.mass(0.0, below),
+        lambda: K.weights(below),
     ):
         with pytest.raises(ParameterError):
             call()
@@ -388,7 +391,8 @@ def test_mode_count_does_not_depend_on_the_basis_inside_a_cluster(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lowest_modes", rotated)
     R = build_spectral(V, 6.0, 202, 0.02)
-    assert abs(R.phi_sup[200] - K.phi_sup[200]) > 0.1  # each mode's own max moved with the basis
+    # each mode's own max moved with the basis
+    assert abs(np.max(np.abs(R.phi[:, 200])) - np.max(np.abs(K.phi[:, 200]))) > 0.1
     for t in (0.02, 0.03, 0.08, 2.02):
         assert R.mode_count(t) == K.mode_count(t)
 
